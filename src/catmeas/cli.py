@@ -49,7 +49,8 @@ COMMANDS = ("stone", "partitions", "variation", "semivariation", "lipschitz",
 # ---------------------------------------------------------------------------
 
 def parse_rational(text: Any, path: str) -> Fraction:
-    if isinstance(text, int):
+    # bool is an int subclass, but JSON true/false are not numbers
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ModelError("bad-rational", f"rationals are strings like '2/3', got {text!r}", path)
@@ -223,7 +224,7 @@ def parse_model(path: str) -> Model:
             if len(raw_v) != target.dim:
                 raise ModelError("bad-measure",
                                  f"value at {a!r} must have {target.dim} coordinates", path_m)
-            atom_vals.append(tuple(parse_rational(x, path_m) for x in raw_v))
+            atom_vals.append(tuple(parse_rational(x, f"{path_m}.values.{a}") for x in raw_v))
         model.measures[name] = VectorMeasure(omega, target, tuple(atom_vals))
         model.measure_on[name] = on
 

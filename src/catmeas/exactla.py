@@ -4,6 +4,13 @@ Matrices are lists of rows of Fractions.  Everything here is elimination
 or pivoting over Q, so results are exact; there is no floating point in
 the package at all.
 
+`rref` takes and returns dense rows, but eliminates on sparse rows
+({column: value} dicts) with a column -> rows index, so it never touches
+a zero: the hom systems it solves are mostly zeros.  Its pivot choice
+(the sparsest eligible row, after Markowitz) differs from textbook
+Gauss-Jordan, yet the result does not: the reduced row echelon form of a
+matrix and its pivot columns are unique.
+
 The simplex solver is deliberately small: minimise c.x subject to
 Ax = b, x >= 0, with Bland's anti-cycling rule.  All the linear programs
 in this package are norm minimisations over polytopes, which are always
@@ -22,20 +29,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def zeros(n: int) -> list[Fraction]:
     return [ZERO] * n
 
 
 def identity(n: int) -> list[list[Fraction]]:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Mat, v: Vec) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in a]
 
 
 def mat_mul(a: Mat, b: Mat) -> list[list[Fraction]]:
@@ -48,35 +47,44 @@ def mat_mul(a: Mat, b: Mat) -> list[list[Fraction]]:
     ]
 
 
-def transpose(a: Mat) -> list[list[Fraction]]:
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
-
-
 def rref(a: Mat) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    m = [list(row) for row in a]
-    if not m:
+    if not a:
         return [], []
-    rows, cols = len(m), len(m[0])
+    rows, cols = len(a), len(a[0])
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
+    holders: list[set[int]] = [set() for _ in range(cols)]  # column -> rows nonzero there
+    for i, row in enumerate(sparse):
+        for j in row:
+            holders[j].add(i)
+    unused = set(range(rows))
+    pivot_rows: list[int] = []
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
+        eligible = holders[c] & unused
+        if not eligible:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        p = min(eligible, key=lambda i: (len(sparse[i]), i))
+        inv = ONE / sparse[p][c]
+        prow = sparse[p] = {j: x * inv for j, x in sparse[p].items()}
+        for i in holders[c] - {p}:
+            row = sparse[i]
+            f = row[c]
+            for j, y in prow.items():
+                x = row.get(j, ZERO) - f * y
+                if x:
+                    row[j] = x
+                    holders[j].add(i)
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+        unused.discard(p)
+        pivot_rows.append(p)
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if not unused:
             break
+    m = [[sparse[p].get(j, ZERO) for j in range(cols)] for p in pivot_rows]
+    m += [[ZERO] * cols for _ in range(rows - len(pivots))]
     return m, pivots
 
 
@@ -110,7 +118,8 @@ def nullspace(a: Mat) -> list[list[Fraction]]:
     if rows == 0:
         return identity(cols)
     m, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for f in free:
         v = zeros(cols)

@@ -231,12 +231,19 @@ class LinMap:
         zero-dimensional middles still produce the right zero matrix."""
         if inner.target != self.source:
             raise InvalidModel("composition mismatch")
-        mid = self.source.dim
-        rows = tuple(
-            tuple(sum((self.matrix[i][k] * inner.matrix[k][j] for k in range(mid)), ZERO)
-                  for j in range(inner.source.dim))
-            for i in range(self.target.dim))
-        return LinMap(inner.source, self.target, rows)
+        # the matrices are mostly zeros (often one nonzero per row and
+        # column), so each product is summed over nonzeros only
+        inner_nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in inner.matrix]
+        width = inner.source.dim
+        rows = []
+        for row in self.matrix:
+            acc = [ZERO] * width
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in inner_nonzeros[k]:
+                        acc[j] += a * b
+            rows.append(tuple(acc))
+        return LinMap(inner.source, self.target, tuple(rows))
 
     def __matmul__(self, inner: "LinMap") -> "LinMap":
         return self.compose(inner)

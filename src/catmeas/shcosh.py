@@ -502,7 +502,7 @@ def _hom_layout(omega: BoolAlg, src_space, tgt_space):
     return offsets, shapes, pos
 
 
-def _entry(coeffs, offsets, shapes, e, r, c):
+def _entry(offsets, shapes, e, r, c):
     rows, cols = shapes[e]
     return offsets[e] + r * cols + c
 
@@ -523,9 +523,9 @@ def sheaf_hom(xi: PreSheaf, zeta: PreSheaf) -> HomSolution:
             for c in range(xi.space(big).dim):
                 row = [ZERO] * total
                 for m in range(zeta.space(big).dim):
-                    row[_entry(None, offsets, shapes, big, m, c)] += rz.matrix[r][m]
+                    row[_entry(offsets, shapes, big, m, c)] += rz.matrix[r][m]
                 for m in range(xi.space(small).dim):
-                    row[_entry(None, offsets, shapes, small, r, m)] -= rx.matrix[m][c]
+                    row[_entry(offsets, shapes, small, r, m)] -= rx.matrix[m][c]
                 rows.append(row)
     basis = exactla.nullspace(rows) if rows else exactla.identity(total)
     return HomSolution(len(basis), tuple(tuple(v) for v in basis), offsets, shapes)
@@ -546,9 +546,9 @@ def cosheaf_hom(mu: PreCosheaf, nu: PreCosheaf) -> HomSolution:
             for c in range(mu.space(small).dim):
                 row = [ZERO] * total
                 for m in range(mu.space(big).dim):
-                    row[_entry(None, offsets, shapes, big, r, m)] += em.matrix[m][c]
+                    row[_entry(offsets, shapes, big, r, m)] += em.matrix[m][c]
                 for m in range(nu.space(small).dim):
-                    row[_entry(None, offsets, shapes, small, m, c)] -= en.matrix[r][m]
+                    row[_entry(offsets, shapes, small, m, c)] -= en.matrix[r][m]
                 rows.append(row)
     basis = exactla.nullspace(rows) if rows else exactla.identity(total)
     return HomSolution(len(basis), tuple(tuple(v) for v in basis), offsets, shapes)
@@ -656,9 +656,9 @@ def count_factorizations(c: Cosheafification, tau: PrecosheafMap) -> int:
             for col in range(nu.space(small).dim):
                 row = [ZERO] * total
                 for m in range(nu.space(big).dim):
-                    row[_entry(None, offsets, shapes, big, r, m)] += em.matrix[m][col]
+                    row[_entry(offsets, shapes, big, r, m)] += em.matrix[m][col]
                 for m in range(c.cosheaf.space(small).dim):
-                    row[_entry(None, offsets, shapes, small, m, col)] -= en.matrix[r][m]
+                    row[_entry(offsets, shapes, small, m, col)] -= en.matrix[r][m]
                 rows.append(row)
     # counit o sigma = tau is affine; for uniqueness only the homogeneous
     # part matters: counit o sigma = 0
@@ -668,7 +668,7 @@ def count_factorizations(c: Cosheafification, tau: PrecosheafMap) -> int:
             for col in range(nu.space(e).dim):
                 row = [ZERO] * total
                 for m in range(c.cosheaf.space(e).dim):
-                    row[_entry(None, offsets, shapes, e, m, col)] += eps.matrix[r][m]
+                    row[_entry(offsets, shapes, e, m, col)] += eps.matrix[r][m]
                 rows.append(row)
     return len(exactla.nullspace(rows)) if rows else total
 

@@ -63,6 +63,19 @@ def test_syntax_error_code(tmp_path):
     assert err.value.code == "syntax-error"
 
 
+def test_json_boolean_is_not_a_rational(tmp_path):
+    path = write_model(tmp_path, {
+        "algebra": {"atoms": ["a", "b"]},
+        "measures": {"mu": {"target": "scalar", "values": {"a": "1", "b": True}}}})
+    with pytest.raises(ModelError) as err:
+        cli.parse_model(path)
+    assert err.value.code == "bad-rational"
+    out = run_cli("variation", "--model", path)
+    assert out.returncode == 2
+    assert "bad-rational" in out.stderr and "measures.mu.values.b" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_non_positive_weight_code(tmp_path):
     path = write_model(tmp_path, {
         "algebra": {"atoms": ["a"]},

@@ -1,4 +1,5 @@
-"""Elimination and simplex checks, with brute-force oracles on small instances."""
+"""Elimination and simplex checks, with brute-force oracles on small instances,
+and a differential test of the sparse rref against dense Gauss-Jordan."""
 
 import random
 from fractions import Fraction
@@ -7,6 +8,78 @@ from catmeas.exactla import (identity, invert, mat_mul, min_weighted_l1_over_aff
                              nullspace, rank, rref, simplex_min, solve_linear)
 
 F = Fraction
+
+
+def dense_rref(a):
+    """Textbook dense Gauss-Jordan (first nonzero row pivots): the oracle."""
+    m = [list(row) for row in a]
+    if not m:
+        return [], []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = F(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def random_rational(rng, density):
+    if rng.random() >= density:
+        return F(0)
+    return F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7)))
+
+
+def random_matrices(rng, count):
+    """Seeded rational matrices of every shape the differential test needs."""
+    yield []
+    yield [[]]
+    yield [[F(0)] * 4 for _ in range(3)]
+    for _ in range(count):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice((0.1, 0.3, 0.6, 1.0))
+        kind = rng.choice(("plain", "repeated", "low-rank"))
+        if kind == "low-rank":
+            k = rng.randint(0, min(rows, cols))
+            left = [[random_rational(rng, density) for _ in range(k)] for _ in range(rows)]
+            right = [[random_rational(rng, density) for _ in range(cols)] for _ in range(k)]
+            a = mat_mul(left, right) if k else [[F(0)] * cols for _ in range(rows)]
+        else:
+            a = [[random_rational(rng, density) for _ in range(cols)] for _ in range(rows)]
+            if kind == "repeated":
+                for i in range(rows):
+                    if rng.random() < 0.5:
+                        src = rng.randrange(rows)
+                        a[i] = [rng.choice((1, -2, F(1, 3))) * x for x in a[src]]
+        yield a
+
+
+def test_rref_matches_dense_gauss_jordan():
+    rng = random.Random(2009)
+    seen = set()
+    for a in random_matrices(rng, 400):
+        got, pivots = rref(a)
+        want, want_pivots = dense_rref(a)
+        assert got == want and pivots == want_pivots, a
+        assert all(isinstance(x, Fraction) for row in got for x in row)
+        if a and a[0]:
+            rows, cols = len(a), len(a[0])
+            seen.add("tall" if rows > cols else "wide" if rows < cols else "square")
+            if len(pivots) < min(rows, cols):
+                seen.add("rank-deficient")
+    assert seen == {"tall", "wide", "square", "rank-deficient"}
 
 
 def test_rref_pivots():

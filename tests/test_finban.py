@@ -57,6 +57,27 @@ def test_norm_axioms_random():
             assert (s.norm(v) == 0) == all(x == 0 for x in v)
 
 
+def test_compose_matches_naive_triple_sum():
+    rng = random.Random(57)
+    dims = (0, 0, 1, 2, 3, 5)
+    for trial in range(200):
+        a, b, c = (rng.choice(dims) for _ in range(3))
+        x, y, z = (rnd_space(rng, d, rng.choice(list(Flavor))) for d in (a, b, c))
+        inner, outer = rnd_map(rng, x, y), rnd_map(rng, y, z)
+        if trial % 2:  # sparse matrices, as compose mostly sees
+            inner, outer = (LinMap(t.source, t.target, tuple(
+                tuple(q if rng.random() < 0.25 else F(0) for q in row) for row in t.matrix))
+                for t in (inner, outer))
+        got = outer.compose(inner)
+        want = tuple(
+            tuple(sum((outer.matrix[i][k] * inner.matrix[k][j] for k in range(b)), F(0))
+                  for j in range(a))
+            for i in range(c))
+        assert (got.source, got.target) == (x, z)
+        assert got.matrix == want
+        assert all(isinstance(q, Fraction) for row in got.matrix for q in row)
+
+
 def test_sum_norm_value():
     s = sum_space(["a", "b"])
     assert s.norm(vec(1, -2)) == 3
