@@ -23,14 +23,13 @@ from typing import Any, Optional
 
 from .boolalg import BoolAlg, Coproduct, build_algebra, coproduct, partitions_of, stone_space
 from .errors import CatmeasError, ModelError
-from . import exactla
 from .finban import FinBanSpace, Flavor, LinMap, operator_norm, scalars
 from .measures import (MeasureAlgebra, VectorMeasure, lipschitz_norm,
                        semivariation, variation)
 from .shcosh import (PreCosheaf, PreSheaf, bva_cosheaf, constant_precosheaf,
                      characteristic_sheaf, cosheafify, counit_is_natural,
-                     integrate_simple_morphism, is_cosheaf, is_sheaf,
-                     l1_cosheaf, make_precosheaf, random_cosheaf,
+                     integrate_simple_morphism, is_cosheaf, is_isometric_iso,
+                     is_sheaf, l1_cosheaf, make_precosheaf, random_cosheaf,
                      spectral_measure, isbell, isbell_adjoint)
 from .simple import (SimpleElement, VectorSimpleElement, bochner, characteristic,
                      fubini, integrate, integration_map, linf_norm)
@@ -164,25 +163,35 @@ def parse_model(path: str) -> Model:
     alg = raw.get("algebra")
     if alg is None:
         raise ModelError("missing-section", "the model needs an 'algebra' section", "algebra")
+    if not isinstance(alg, dict):
+        raise ModelError("bad-algebra", "the algebra must be an object", "algebra")
 
-    def check_atoms(names, where):
+    def atom_list(names, where):
+        if not isinstance(names, list):
+            raise ModelError("bad-algebra", f"atoms are a list of names, got {names!r}", where)
+        atoms = tuple(sorted(str(a) for a in names))
+        if not atoms:
+            raise ModelError("bad-algebra", "the atom list is empty", where)
         reserved = set("|*:<")
-        for n in names:
+        for n in atoms:
             if reserved & set(n):
                 raise ModelError("bad-algebra",
                                  f"atom {n!r} uses a reserved character (| * : <)", where)
-        return names
+        return atoms
 
     if "atoms" in alg:
-        atoms = tuple(sorted(str(a) for a in alg["atoms"]))
-        if not atoms:
-            raise ModelError("bad-algebra", "the atom list is empty", "algebra.atoms")
-        model.algebra = BoolAlg(check_atoms(atoms, "algebra.atoms"))
+        model.algebra = BoolAlg(atom_list(alg["atoms"], "algebra.atoms"))
     elif "product" in alg:
-        left = tuple(sorted(str(a) for a in alg["product"]["left"]))
-        right = tuple(sorted(str(a) for a in alg["product"]["right"]))
-        model.left_algebra = BoolAlg(check_atoms(left, "algebra.product.left"))
-        model.right_algebra = BoolAlg(check_atoms(right, "algebra.product.right"))
+        product = alg["product"]
+        if not isinstance(product, dict):
+            raise ModelError("bad-algebra", "a product is an object with 'left' and 'right'",
+                             "algebra.product")
+        for side in ("left", "right"):
+            if side not in product:
+                raise ModelError("bad-algebra", f"a product needs a {side!r} atom list",
+                                 f"algebra.product.{side}")
+        model.left_algebra = BoolAlg(atom_list(product["left"], "algebra.product.left"))
+        model.right_algebra = BoolAlg(atom_list(product["right"], "algebra.product.right"))
         model.coproduct = coproduct(model.left_algebra, model.right_algebra)
         model.algebra = model.coproduct.algebra
     elif "generators" in alg:
@@ -200,6 +209,8 @@ def parse_model(path: str) -> Model:
 
     for name, desc in raw.get("measures", {}).items():
         path_m = f"measures.{name}"
+        if not isinstance(desc, dict):
+            raise ModelError("bad-measure", f"measure {name!r} must be an object", path_m)
         target_name = desc.get("target", "scalar")
         if target_name == "scalar":
             target = scalars()
@@ -524,13 +535,16 @@ def cmd_check_sheaf(model: Model, report: Report, rng, element, exhaustive):
 
 
 def cmd_check_cosheaf(model: Model, report: Report, rng, element, exhaustive):
+    """Reports each cosheaf's verdict and returns them by name."""
+    verdicts = {}
     for name in sorted(model.cosheaves):
-        verdict = is_cosheaf(model.cosheaves[name], exhaustive=exhaustive)
+        verdict = verdicts[name] = is_cosheaf(model.cosheaves[name], exhaustive=exhaustive)
         detail = None
         if not verdict:
             detail = {"element": list(model.algebra.atoms_below(verdict.failing_element)),
                       "blocks": _describe_blocks(model.algebra, verdict.failing_blocks)}
         report.verdict(f"cosheaf[{name}]", bool(verdict), detail)
+    return verdicts
 
 
 def cmd_spectral(model: Model, report: Report, rng, element, exhaustive):
@@ -569,22 +583,6 @@ def cmd_integrate_morphism(model: Model, report: Report, rng, element, exhaustiv
                        operator_norm(t) == linf_norm(masked))
 
 
-def _counit_is_isometric_iso(c, omega) -> bool:
-    for e in omega.elements():
-        eps = c.counit[e]
-        if eps.source.dim != eps.target.dim:
-            return False
-        if eps.source.dim == 0:
-            continue
-        inv = exactla.invert(eps.matrix)
-        if inv is None:
-            return False
-        back = LinMap(eps.target, eps.source, tuple(tuple(r) for r in inv))
-        if operator_norm(eps) > 1 or operator_norm(back) > 1:
-            return False
-    return True
-
-
 def cmd_cosheafify(model: Model, report: Report, rng, element, exhaustive):
     for name in sorted(model.cosheaves):
         theta = model.cosheaves[name]
@@ -593,7 +591,7 @@ def cmd_cosheafify(model: Model, report: Report, rng, element, exhaustive):
                        bool(is_cosheaf(c.cosheaf, exhaustive=exhaustive)))
         report.verdict(f"counit_natural[{name}]", counit_is_natural(c))
         was = bool(is_cosheaf(theta))
-        eps_iso = _counit_is_isometric_iso(c, model.algebra)
+        eps_iso = all(is_isometric_iso(c.counit[e]) for e in model.algebra.elements())
         report.verdict(f"counit_iso_iff_cosheaf[{name}]", eps_iso == was)
         report.result(f"dims[{name}]", {
             "|".join(model.algebra.atoms_below(e)) or "bottom": c.cosheaf.space(e).dim
@@ -647,20 +645,19 @@ def cmd_isbell(model: Model, report: Report, rng, element, exhaustive):
 
 
 def cmd_verify_all(model: Model, report: Report, rng, element, exhaustive):
+    top = model.algebra.top
     cmd_stone(model, report, rng, None, exhaustive)
     for name, nu in _each_measure(model):
-        report.verdict(
-            f"semivariation_le_variation[{name}]",
-            semivariation(nu, model.algebra.top) <= variation(nu, model.algebra.top))
-        report.verdict(
-            f"lift_norm_is_semivariation[{name}]",
-            operator_norm(integration_map(nu)) == semivariation(nu, model.algebra.top))
-    cmd_check_cosheaf(model, report, rng, element, exhaustive)
+        sv = semivariation(nu, top)
+        report.verdict(f"semivariation_le_variation[{name}]", sv <= variation(nu, top))
+        report.verdict(f"lift_norm_is_semivariation[{name}]",
+                       operator_norm(integration_map(nu)) == sv)
+    # an exhaustive verdict holds exactly when the split verdict does
+    verdicts = cmd_check_cosheaf(model, report, rng, element, exhaustive)
     cmd_check_sheaf(model, report, rng, element, exhaustive)
     for name in sorted(model.cosheaves):
-        cs = model.cosheaves[name]
-        if is_cosheaf(cs):
-            spec = spectral_measure(cs)
+        if verdicts[name]:
+            spec = spectral_measure(model.cosheaves[name])
             report.verdict(f"spectral_laws[{name}]", spec.satisfies_laws())
             samples = [_random_simple(rng, model.algebra) for _ in range(4)]
             report.verdict(f"action_algebra_map[{name}]",

@@ -4,21 +4,26 @@ whose covers are finite partitions.
 A precosheaf assigns a SUM space to every element and an extension map
 to every inclusion; it is a cosheaf when, for each partition, the
 mediated map from the direct sum of the blocks is an isometric
-isomorphism.  On a finite algebra binary partitions generate all of
-them, so the checker works on binary splits with an exhaustive mode as
-cross-validation.
+isomorphism.  Binary partitions generate all of them, and one split per
+element already decides the condition: the split {E minus its top atom,
+top atom}, which makes the atomic partition map of E an isometric
+isomorphism by induction (the proof is in `is_cosheaf`).  So the checker
+looks at 2^n - n - 1 maps; a failure is re-located by enumerating the
+binary splits of the failing element, and an exhaustive mode checks every
+partition as cross-validation.
 
-Cosheaves carry a derived spectral measure: for each element E the
-partition {E, ~E} makes the mediated map invertible, the projection
-p_{top,E} is the unique solution of  p o ext = id, p o ext' = 0,  and
-P_E = ext_{E,top} o p_{top,E} is an idempotent on the total space.  The
-induced action of simple elements f |-> sum k_n P_{E_n} is a unital
-multiplicative algebra map whose operator norm is the sup norm of f.
+Cosheaves carry a derived spectral measure.  By the discrete density
+result a cosheaf is fixed by its atom fibers: the atomic partition map A
+at top is invertible, the atom projections are P_a = A diag(1_a) A^-1,
+and P_E, the sum of the P_a below E, is the idempotent on the total space
+with range ext_{E,top} and kernel ext_{~E,top}.  The induced action of
+simple elements f |-> sum k_n P_{E_n} is a unital multiplicative algebra
+map whose operator norm is the sup norm of f.
 
 Presheaves are the dual picture (SUP spaces, restrictions, product
-condition); characteristic presheaves and the hom solver live here too,
-as do cosheafification, the bounded-variation cosheaf and Isbell
-conjugation.
+condition, decided the same way); characteristic presheaves and the hom
+solver live here too, as do cosheafification, the bounded-variation
+cosheaf and Isbell conjugation.
 
 Solution spaces produced by the hom solvers (sheaf_hom, Isbell values)
 are presented on nullspace bases with nominal unit weights; their norms
@@ -236,7 +241,9 @@ def partition_map(mu: PreCosheaf, e: int, blocks: Sequence[int]) -> tuple[LinMap
     return LinMap.from_columns(ds.space, mu.space(e), cols), ds
 
 
-def _is_isometric_iso(m: LinMap) -> bool:
+def is_isometric_iso(m: LinMap) -> bool:
+    """m is invertible and m and its inverse are contractions; maps
+    between zero-dimensional spaces count."""
     if m.source.dim != m.target.dim:
         return False
     inv = exactla.invert(m.matrix) if m.source.dim else []
@@ -262,30 +269,67 @@ def _binary_splits(omega: BoolAlg, e: int):
             yield f, e & ~f
 
 
-def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
-    """Partition condition: every mediated map is an isometric isomorphism.
-
-    Binary splits imply the general case by induction; `exhaustive`
-    checks every partition anyway (guarding the induction itself).
-    The empty partition covers bottom, so the bottom value must be zero;
-    split counterexamples are reported in preference to that degenerate one.
-    """
-    omega = mu.algebra
+def _partition_condition(assignment, mediated, exhaustive: bool, reason: str) -> Verdict:
+    """The verdict of is_cosheaf/is_sheaf on a precosheaf or presheaf;
+    `mediated(e, blocks)` is the map that must be an isometric
+    isomorphism for the partition `blocks` of e.  Without `exhaustive`, each element with two or more atoms is
+    decided by its top-atom split, and a failing element by the first
+    failing binary split in enumeration order.  Direct sums need a single
+    flavor, so a mixed-flavor (pre)cosheaf enumerates every binary split
+    and raises FlavorMismatch at the first one whose blocks differ in
+    flavor, unless an earlier split fails."""
+    omega, spaces = assignment.algebra, assignment.spaces
+    one_split = not exhaustive and len({s.flavor for s in spaces.values()}) <= 1
     for e in omega.nonzero_elements():
         if exhaustive:
             candidates = (tuple(p.blocks) for p in partitions_of(omega, e))
         else:
+            top_atom = 1 << (e.bit_length() - 1)
+            if one_split and (e == top_atom or
+                              is_isometric_iso(mediated(e, (e & ~top_atom, top_atom)))):
+                continue
             candidates = _binary_splits(omega, e)
         for blocks in candidates:
-            if len(blocks) < 2:
-                continue
-            eps, _ = partition_map(mu, e, blocks)
-            if not _is_isometric_iso(eps):
-                return Verdict(False, e, tuple(blocks),
-                               "mediated partition map is not an isometric isomorphism")
-    if mu.space(0).dim != 0:
+            if len(blocks) >= 2 and not is_isometric_iso(mediated(e, blocks)):
+                return Verdict(False, e, tuple(blocks), reason)
+    if spaces[0].dim != 0:
         return Verdict(False, 0, (), "the bottom value must be the zero space")
     return Verdict(True)
+
+
+def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
+    """Partition condition: every mediated map is an isometric isomorphism.
+
+    One split per element decides it.  For an element e with two or more
+    atoms let a be its top atom, e' = e - a, S_e the mediated map of the
+    split {e', a} and A_e : (+)_{b <= e} mu(b) -> mu(e) the mediated map
+    of the atomic partition (A_b = id for an atom b).  Extending from an
+    atom b <= e' to e' and then to e is extending from b to e, so
+
+        A_e = S_e o (A_e' (+) id_mu(a)).
+
+    If every S_e is an isometric isomorphism, so is every A_e, by
+    induction on the number of atoms: a direct sum of isometric
+    isomorphisms is isometric, because the norm of a direct sum is the
+    sum (SUM spaces, weighted l1) or the max (SUP spaces) of the block
+    norms on both sides.  For any partition {F_1, ..., F_k} of e the
+    mediated map P satisfies P o ((+)_i A_F_i) = A_e up to the order of
+    the atom summands (functoriality), so P = A_e o ((+)_i A_F_i)^-1 is a
+    composite of isometric isomorphisms.  Each S_e is itself a binary
+    split, so the 2^n - n - 1 maps S_e decide the condition.
+
+    Elements are visited in increasing order, which visits the elements
+    below e before e.  When S_e fails, every element visited before e
+    passed its split and so all of its binary splits; the binary splits
+    of e are then enumerated and the first failing one is reported, the
+    first counterexample of the full binary-split enumeration.  `exhaustive` checks every partition of every element
+    instead, an oracle independent of the reduction.  The empty partition
+    covers bottom, so the bottom value must be zero; split counterexamples
+    are reported in preference to that degenerate one.
+    """
+    return _partition_condition(
+        mu, lambda e, blocks: partition_map(mu, e, blocks)[0],
+        exhaustive, "mediated partition map is not an isometric isomorphism")
 
 
 def restriction_cone_map(xi: PreSheaf, e: int, blocks: Sequence[int]) -> LinMap:
@@ -299,24 +343,18 @@ def restriction_cone_map(xi: PreSheaf, e: int, blocks: Sequence[int]) -> LinMap:
 
 
 def is_sheaf(xi: PreSheaf, exhaustive: bool = False) -> Verdict:
-    """Product condition, dual to is_cosheaf; the top restriction cone
-    over each partition must be an isometric isomorphism."""
-    omega = xi.algebra
-    for e in omega.nonzero_elements():
-        if exhaustive:
-            candidates = (tuple(p.blocks) for p in partitions_of(omega, e))
-        else:
-            candidates = _binary_splits(omega, e)
-        for blocks in candidates:
-            if len(blocks) < 2:
-                continue
-            cone = restriction_cone_map(xi, e, blocks)
-            if not _is_isometric_iso(cone):
-                return Verdict(False, e, tuple(blocks),
-                               "restriction cone is not an isometric isomorphism")
-    if xi.space(0).dim != 0:
-        return Verdict(False, 0, (), "the bottom value must be the zero space")
-    return Verdict(True)
+    """Product condition, dual to is_cosheaf: the restriction cone over
+    each partition must be an isometric isomorphism.
+
+    Decided the same way, on the cone R_e of the split {e - a, a} for the
+    top atom a of e.  With C_e : xi(e) -> prod_{b <= e} xi(b) the atomic
+    cone, C_e = (C_e' x id_xi(a)) o R_e; a product of isometric
+    isomorphisms of SUP spaces is isometric under the max of the factor
+    norms, and the cone of any partition is (prod_i C_F_i)^-1 o C_e.
+    """
+    return _partition_condition(
+        xi, lambda e, blocks: restriction_cone_map(xi, e, blocks),
+        exhaustive, "restriction cone is not an isometric isomorphism")
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +449,42 @@ class SpectralData:
 
 
 def spectral_measure(mu: PreCosheaf) -> SpectralData:
+    """The projection-valued measure of a cosheaf, from one inversion.
+
+    Defined on cosheaves.  Let A be the atomic partition map at top.  On
+    a cosheaf it is invertible, and the columns of A for the atoms below
+    E span the range of ext_{E,top}, the others the range of
+    ext_{~E,top}.  So the projection P_E = ext_{E,top} o p_{top,E} onto
+    the one along the other is A diag(1_{a <= E}) A^-1, the sum of the
+    atom projections P_a = A diag(1_a) A^-1 below E; being unique, it
+    equals the projection solved from the split {E, ~E}.  Raises
+    NotACosheaf when A is not square or is singular; a precosheaf that
+    passes that test without being a cosheaf gets projections that mean
+    nothing, so callers check `is_cosheaf` first.
+    """
     omega = mu.algebra
-    top = omega.top
-    projections: dict[int, LinMap] = {}
-    for e in omega.elements():
-        p = cosheaf_projection(mu, top, e)
-        projections[e] = mu.extension(e, top) @ p
-    return SpectralData(mu, mu.space(top), projections)
+    carrier = mu.space(omega.top)
+    atoms = [1 << i for i in range(omega.n)]
+    a_map, _ = partition_map(mu, omega.top, atoms)
+    if a_map.source.dim != carrier.dim:
+        raise NotACosheaf("atomic partition map is not square")
+    inv = exactla.invert(a_map.matrix) if carrier.dim else []
+    if inv is None:
+        raise NotACosheaf("atomic partition map is singular")
+    atom_projections = {}
+    start = 0
+    for a in atoms:
+        fiber = mu.space(a)
+        stop = start + fiber.dim
+        ext = LinMap(fiber, carrier, tuple(row[start:stop] for row in a_map.matrix))
+        proj = LinMap(carrier, fiber, tuple(tuple(row) for row in inv[start:stop]))
+        atom_projections[a] = ext @ proj
+        start = stop
+    projections = {0: LinMap.zero(carrier, carrier)}
+    for e in omega.nonzero_elements():
+        top_atom = 1 << (e.bit_length() - 1)
+        projections[e] = projections[e & ~top_atom].add(atom_projections[top_atom])
+    return SpectralData(mu, carrier, projections)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +508,6 @@ def integrate_simple_morphism(f: SimpleElement, mu: PreCosheaf,
         piece = mu.extension(block, target) @ cosheaf_projection(mu, source, block)
         out = out.add(piece.scale(k))
     return out
-
-
-def compose_simple_morphisms(g: SimpleElement, f: SimpleElement) -> SimpleElement:
-    """Composition of simple morphisms is the pointwise product (supported
-    in the middle object automatically)."""
-    from .simple import multiply
-    return multiply(g, f)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,18 @@ def test_json_boolean_is_not_a_rational(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("payload, code, where", [
+    ({"algebra": {"product": {"left": ["a"]}}}, "bad-algebra", "algebra.product.right"),
+    ({"algebra": {"atoms": ["a"]}, "measures": {"m": "oops"}}, "bad-measure", "measures.m"),
+    ({"algebra": {"atoms": "ab"}}, "bad-algebra", "algebra.atoms"),
+], ids=["product-without-right", "measure-as-string", "atoms-as-string"])
+def test_malformed_section_exits_two_with_code_and_path(tmp_path, payload, code, where):
+    out = run_cli("variation", "--model", write_model(tmp_path, payload))
+    assert out.returncode == 2
+    assert code in out.stderr and f"(at {where})" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_non_positive_weight_code(tmp_path):
     path = write_model(tmp_path, {
         "algebra": {"atoms": ["a"]},

@@ -2,14 +2,19 @@
 characteristic presheaves and their homs, cosheafification, the
 bounded-variation cosheaf, Isbell conjugation, Stone transfer."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from catmeas import cli
 from catmeas.boolalg import BoolAlg, partitions_of, stone_space
-from catmeas.errors import NotACosheaf, SupportError
-from catmeas.finban import LinMap, operator_norm, scalars, sum_space
+from catmeas.errors import CatmeasError, NotACosheaf, SupportError
+from catmeas.finban import (FinBanSpace, Flavor, LinMap, operator_norm, scalars,
+                            sum_space, sup_space, zero_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
 from catmeas.shcosh import (bva_cosheaf,
                             bva_evaluation, bva_vector, characteristic_sheaf,
@@ -17,13 +22,15 @@ from catmeas.shcosh import (bva_cosheaf,
                             cosheaf_hom, cosheaf_projection, cosheafify,
                             counit_is_natural, count_factorizations,
                             factor_through_cosheafification, from_atom_spaces,
-                            integrate_simple_morphism, is_cosheaf, is_sheaf,
-                            l1_cosheaf, l1_integration_map, partition_map,
-                            precosheaf_map_from_atoms,
+                            integrate_simple_morphism, is_cosheaf,
+                            is_isometric_iso, is_sheaf, l1_cosheaf,
+                            l1_integration_map, make_precosheaf, make_presheaf,
+                            partition_map, precosheaf_map_from_atoms,
                             random_cosheaf, random_scaled_precosheaf,
-                            restrict_to_atoms, sheaf_from_stone, sheaf_hom,
+                            restrict_to_atoms, restriction_cone_map,
+                            sheaf_from_stone, sheaf_hom,
                             sheaf_to_stone, spectral_measure, yoneda_precosheaf,
-                            yoneda_presheaf, isbell, isbell_adjoint,
+                            yoneda_presheaf, isbell, isbell_adjoint, Verdict,
                             zero_precosheaf)
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
 
@@ -99,6 +106,162 @@ def test_l1_sheaf_condition_dual():
     assert is_sheaf(xi, exhaustive=True)
 
 
+# -- the one-split reduction against the binary-split enumeration -------------
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def split_enumeration(assignment, mediated, reason):
+    """The verdict of checking every binary split of every element in
+    order, the way the condition was decided before the one-split
+    reduction; kept here as the oracle."""
+    omega = assignment.algebra
+    for e in omega.nonzero_elements():
+        idx = omega.atom_indices(e)
+        seen = set()
+        for r in range(1, len(idx)):
+            for picked in itertools.combinations(idx, r):
+                f = sum(1 << i for i in picked)
+                if f in seen or (e & ~f) in seen:
+                    continue
+                seen.add(f)
+                if not is_isometric_iso(mediated(e, (f, e & ~f))):
+                    return Verdict(False, e, (f, e & ~f), reason)
+    if assignment.space(0).dim != 0:
+        return Verdict(False, 0, (), "the bottom value must be the zero space")
+    return Verdict(True)
+
+
+def cosheaf_oracle(mu):
+    return split_enumeration(mu, lambda e, blocks: partition_map(mu, e, blocks)[0],
+                             "mediated partition map is not an isometric isomorphism")
+
+
+def sheaf_oracle(xi):
+    return split_enumeration(xi, lambda e, blocks: restriction_cone_map(xi, e, blocks),
+                             "restriction cone is not an isometric isomorphism")
+
+
+def outcome(check, *args, **kwargs):
+    """A verdict, or the class of the library error raised instead."""
+    try:
+        return check(*args, **kwargs)
+    except CatmeasError as exc:
+        return type(exc)
+
+
+def damped_above(mu, e):
+    """mu with every weight halved at the elements >= e: still functorial
+    and contractive, and the condition fails first at e."""
+    omega = mu.algebra
+    spaces = {}
+    for g in omega.elements():
+        s = mu.space(g)
+        spaces[g] = (FinBanSpace(s.basis, tuple(w / 2 for w in s.weights), s.flavor)
+                     if g & e == e else s)
+    cover_maps = {key: LinMap(spaces[key[0]], spaces[key[1]], m.matrix)
+                  for key, m in mu.cover_maps.items()}
+    return make_precosheaf(omega, spaces, cover_maps)
+
+
+def dual_presheaf(mu):
+    """Transposed maps between the dual spaces (SUP, inverse weights);
+    its cones are the transposed partition maps of mu."""
+    omega = mu.algebra
+    spaces = {}
+    for g in omega.elements():
+        s = mu.space(g)
+        spaces[g] = (FinBanSpace(s.basis, tuple(1 / w for w in s.weights), Flavor.SUP)
+                     if s.dim else zero_space(Flavor.SUP))
+    cover_maps = {}
+    for (small, big), m in mu.cover_maps.items():
+        rows = tuple(tuple(row[j] for row in m.matrix) for j in range(m.source.dim))
+        cover_maps[(small, big)] = LinMap(spaces[big], spaces[small], rows)
+    return make_presheaf(omega, spaces, cover_maps)
+
+
+@functools.lru_cache(maxsize=None)
+def precosheaf_cases():
+    """Seeded (label, precosheaf) pairs on 1 to 5 atoms: cosheaves,
+    precosheaves failing at elements of every size, and degenerate ones."""
+    return tuple(_precosheaf_cases())
+
+
+def _precosheaf_cases():
+    rng = random.Random(20)
+    for k in range(30):
+        n = 1 + k % 5
+        omega = alg(*(f"x{i}" for i in range(n)))
+        yield f"random_cosheaf/{k}", random_cosheaf(rng, omega)
+        yield f"scaled/{k}", random_scaled_precosheaf(rng, omega, force_noncosheaf=k % 2 == 0)
+        # damp above an element of 2..n atoms, so the failure moves up
+        size = 2 + (k // 5) % (n - 1) if n > 1 else 1
+        damped = sum(1 << i for i in rng.sample(range(n), size))
+        yield f"damped/{k}", damped_above(random_cosheaf(rng, omega), damped)
+    for n in range(1, 6):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        yield f"constant/{n}", constant_precosheaf(omega, sum_space(["u", "v"]))
+        yield f"zero/{n}", zero_precosheaf(omega)
+    model = cli.parse_model(str(MODELS / "broken_cosheaf.json"))
+    for name, mu in sorted(model.cosheaves.items()):
+        yield f"broken_cosheaf.json/{name}", mu
+    # a cosheaf in all but name whose value at {a, c} is a SUP plane (l1
+    # and sup planes are isometric): the split {b, ac} has no block sum,
+    # while every top-atom split has one
+    omega = alg("a", "b", "c")
+    spaces = {0: zero_space(), 1: sum_space(["a"]), 2: sum_space(["b"]),
+              4: sum_space(["c"]), 3: sum_space(["a", "b"]), 6: sum_space(["b", "c"]),
+              5: sup_space(["u", "v"]), 7: sum_space(["a", "b", "c"])}
+    half = F(1, 2)
+    matrices = {(1, 3): ((1,), (0,)), (2, 3): ((0,), (1,)),
+                (2, 6): ((1,), (0,)), (4, 6): ((0,), (1,)),
+                (1, 5): ((1,), (1,)), (4, 5): ((1,), (-1,)),
+                (3, 7): ((1, 0), (0, 1), (0, 0)), (6, 7): ((0, 0), (1, 0), (0, 1)),
+                (5, 7): ((half, half), (0, 0), (half, -half))}
+    ext = {(0, k): LinMap.zero(spaces[0], spaces[k]) for k in (1, 2, 4)}
+    for (small, big), m in matrices.items():
+        ext[(small, big)] = LinMap(spaces[small], spaces[big],
+                                   tuple(tuple(F(x) for x in row) for row in m))
+    yield "mixed_flavors", make_precosheaf(omega, spaces, ext)
+
+
+def test_one_split_cosheaf_check_matches_split_enumeration():
+    cases = precosheaf_cases()
+    assert len(cases) >= 100
+    kinds = {True: 0, False: 0}
+    for label, mu in cases:
+        verdict = outcome(is_cosheaf, mu)
+        assert verdict == outcome(cosheaf_oracle, mu), label
+        if isinstance(verdict, Verdict):
+            kinds[verdict.ok] += 1
+            assert bool(is_cosheaf(mu, exhaustive=True)) == verdict.ok, label
+    # both sides are well represented, and failures occur above size 2
+    assert kinds[True] >= 30 and kinds[False] >= 30
+    sizes = {len(mu.algebra.atom_indices(is_cosheaf(mu).failing_element))
+             for label, mu in cases if label.startswith("damped") and not is_cosheaf(mu)}
+    assert {2, 3, 4, 5} <= sizes
+
+
+def test_one_split_sheaf_check_matches_split_enumeration():
+    rng = random.Random(21)
+    cases = []
+    for label, mu in precosheaf_cases():
+        if label != "mixed_flavors":
+            cases.append((label, dual_presheaf(mu), is_cosheaf(mu)))
+    for n in range(1, 6):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        for _ in range(2):
+            e = rng.randrange(omega.top + 1)
+            cases.append((f"characteristic/{n}", characteristic_sheaf(omega, e), None))
+            cases.append((f"yoneda/{n}", yoneda_presheaf(omega, e), None))
+    for label, xi, dual_of in cases:
+        verdict = is_sheaf(xi)
+        assert verdict == sheaf_oracle(xi), label
+        assert bool(is_sheaf(xi, exhaustive=True)) == verdict.ok, label
+        if dual_of is not None:
+            assert verdict.ok == dual_of.ok, label
+
+
 # -- spectral measures -------------------------------------------------------
 
 def test_l1_spectral_projections_are_diagonal():
@@ -140,6 +303,31 @@ def test_spectral_measure_fails_loudly_on_non_cosheaves():
     theta = constant_precosheaf(omega, sum_space(["u"]))
     with pytest.raises(NotACosheaf):
         spectral_measure(theta)
+
+
+def test_spectral_projections_match_split_projections():
+    rng = random.Random(22)
+    for k in range(12):
+        omega = alg(*(f"x{i}" for i in range(1 + k % 5)))
+        mu = random_cosheaf(rng, omega)
+        spec = spectral_measure(mu)
+        for e in omega.elements():
+            expected = mu.extension(e, omega.top) @ cosheaf_projection(mu, omega.top, e)
+            assert spec.projections[e].matrix == expected.matrix
+
+
+def test_spectral_measure_raises_on_a_singular_atomic_map():
+    # square but singular: both atoms extend onto the same line
+    omega = alg("a", "b")
+    line, plane = sum_space(["x"]), sum_space(["x", "y"])
+    spaces = {0: zero_space(), 1: line, 2: line, 3: plane}
+    onto_x = LinMap(line, plane, ((F(1),), (F(0),)))
+    mu = make_precosheaf(omega, spaces, {
+        (0, 1): LinMap.zero(spaces[0], line), (0, 2): LinMap.zero(spaces[0], line),
+        (1, 3): onto_x, (2, 3): onto_x})
+    assert not is_cosheaf(mu)
+    with pytest.raises(NotACosheaf, match="singular"):
+        spectral_measure(mu)
 
 
 # -- integration of simple morphisms -----------------------------------------
