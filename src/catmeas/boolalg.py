@@ -445,9 +445,3 @@ def ideal_projection(omega: BoolAlg, f: int, e: int) -> BoolMorphism:
     images = tuple(
         small.atom_mask(a) if a in e_atoms else 0 for a in big.atoms)
     return BoolMorphism(big, small, images)
-
-
-def ideal_element(omega: BoolAlg, ideal: BoolAlg, e: int) -> int:
-    """Re-encode an element of omega (below the ideal's unit) in the
-    ideal's own atom order."""
-    return ideal.element(omega.atoms_below(e))

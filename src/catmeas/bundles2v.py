@@ -18,14 +18,13 @@ concrete permutation matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .boolalg import BoolAlg
 from .errors import FlavorMismatch, InvalidModel, UnknownPoint
-from . import exactla
 from .finban import (BifunctorData, CoendResult, FinBanSpace, FinPoset, Flavor,
-                     IsoWitness, LinMap, coend, direct_sum, operator_norm,
-                     projective_tensor, scalars, zero_space)
+                     IsoWitness, LinMap, coend, direct_sum, projective_tensor,
+                     scalars, zero_space)
 from .shcosh import PreCosheaf, from_atom_spaces
 
 
@@ -49,9 +48,6 @@ class Bundle:
             raise UnknownPoint(f"{x!r} is not a base point")
         return self.fibers[x]
 
-    def total_dim(self) -> int:
-        return sum(self.fibers[x].dim for x in self.base)
-
     def require_sum_fibers(self) -> None:
         if any(self.fibers[x].flavor is not Flavor.SUM for x in self.base):
             raise FlavorMismatch("this operation needs plain SUM fibers")
@@ -63,10 +59,6 @@ def delta_bundle(base: Sequence[str], x: str, v: FinBanSpace) -> Bundle:
     if x not in base:
         raise UnknownPoint(f"{x!r} is not a base point")
     return Bundle(base, {y: v if y == x else zero_space(Flavor.SUM) for y in base})
-
-
-def constant_bundle(base: Sequence[str], v: FinBanSpace) -> Bundle:
-    return Bundle(tuple(base), {y: v for y in base})
 
 
 def bundle_sum(bundles: Sequence[Bundle]) -> Bundle:
@@ -369,7 +361,6 @@ def decomposition_witness(xi: Bundle, y: str) -> IsoWitness:
                 for x in xi.base]
     total = bundle_sum(summands)
     fiber = total.fiber(y)
-    idx_y = xi.base.index(y)
     keys = []
     for i, x in enumerate(xi.base):
         piece = summands[i].fiber(y)
@@ -377,7 +368,6 @@ def decomposition_witness(xi: Bundle, y: str) -> IsoWitness:
             keys.append((Key({("xi", x, j)}), piece.weights[j]))
     target = xi.fiber(y)
     target_keys = [(Key({("xi", y, j)}), target.weights[j]) for j in range(target.dim)]
-    del idx_y
     return permutation_witness(fiber, keys, target, target_keys)
 
 
@@ -399,9 +389,6 @@ class DiscreteCosheafMeasure:
                 raise InvalidModel(f"missing weight at {x!r}")
             if self.weight[x].flavor is not Flavor.SUM:
                 raise FlavorMismatch("weights carry the SUM flavor")
-
-    def as_bundle(self) -> Bundle:
-        return Bundle(self.base, dict(self.weight))
 
 
 @dataclass
@@ -493,13 +480,6 @@ class PosetFunctor:
                 if any(m != mats[0] for m in mats):
                     raise NotAFunctor("arrow maps are path dependent")
 
-    def path_map(self, a: str, b: str) -> LinMap:
-        path = self.index.paths(a, b)[0]
-        m = LinMap.identity(self.spaces[a])
-        for step in path:
-            m = self.arrow_maps[step] @ m
-        return m
-
 
 @dataclass
 class KanExtension:
@@ -561,30 +541,10 @@ def kan_restriction_is_isometric(kan: KanExtension, f: PosetFunctor,
     for n in f.index.objects:
         res = kan.values[point_map[n]]
         eta = kan.eta[n]
-        if eta.source.dim != eta.target.dim:
-            return False
-        inv = exactla_invert_ok(eta)
+        inv = eta.inverse()
         if inv is None:
             return False
         q = res.quotient
-        if q.norm_of_map_into(eta) > 1:
-            return False
-        if operator_norm(compose_with_projection(inv, q)) > 1:
+        if q.norm_of_map_into(eta) > 1 or q.norm_of_map_from(inv) > 1:
             return False
     return True
-
-
-def exactla_invert_ok(m: LinMap) -> Optional[LinMap]:
-    if m.source.dim != m.target.dim:
-        return None
-    if m.source.dim == 0:
-        return LinMap.zero(m.target, m.source)
-    inv = exactla.invert(m.matrix)
-    if inv is None:
-        return None
-    return LinMap(m.target, m.source, tuple(tuple(r) for r in inv))
-
-
-def compose_with_projection(m: LinMap, q) -> LinMap:
-    """m o projection, for norms out of a quotient presentation."""
-    return m @ q.projection

@@ -147,6 +147,18 @@ def _space_from_descriptor(name: str, desc: Any, path: str) -> FinBanSpace:
                        Flavor.SUM if flavor == "sum" else Flavor.SUP)
 
 
+def _section(raw: dict, key: str, code: str) -> dict:
+    """A top-level section naming its entries; absent means empty."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ModelError(code, f"{key!r} must be an object of named entries", key)
+    return value
+
+
+def _is_point_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(x, (str, int, float)) for x in value)
+
+
 def parse_model(path: str) -> Model:
     try:
         with open(path) as fh:
@@ -195,19 +207,25 @@ def parse_model(path: str) -> Model:
         model.coproduct = coproduct(model.left_algebra, model.right_algebra)
         model.algebra = model.coproduct.algebra
     elif "generators" in alg:
-        ground = alg.get("ground")
+        ground, generators = alg.get("ground"), alg["generators"]
         if not ground:
             raise ModelError("bad-algebra", "generators need a ground set", "algebra.ground")
-        gen = build_algebra(ground, [set(g) for g in alg["generators"]])
+        if not _is_point_list(ground):
+            raise ModelError("bad-algebra", "the ground set is a list of strings or numbers",
+                             "algebra.ground")
+        if not isinstance(generators, list) or not all(map(_is_point_list, generators)):
+            raise ModelError("bad-algebra", "generators are lists of ground points",
+                             "algebra.generators")
+        gen = build_algebra(ground, [set(g) for g in generators])
         model.algebra = gen.algebra
     else:
         raise ModelError("bad-algebra",
                          "an algebra needs 'atoms', 'generators' or 'product'", "algebra")
 
-    for name, desc in raw.get("spaces", {}).items():
+    for name, desc in _section(raw, "spaces", "bad-space").items():
         model.spaces[name] = _space_from_descriptor(name, desc, f"spaces.{name}")
 
-    for name, desc in raw.get("measures", {}).items():
+    for name, desc in _section(raw, "measures", "bad-measure").items():
         path_m = f"measures.{name}"
         if not isinstance(desc, dict):
             raise ModelError("bad-measure", f"measure {name!r} must be an object", path_m)
@@ -224,6 +242,8 @@ def parse_model(path: str) -> Model:
         if omega is None:
             raise ModelError("unresolved-reference", f"no {on!r} algebra in this model", path_m)
         values = desc.get("values", {})
+        if not isinstance(values, dict):
+            raise ModelError("bad-measure", "values map atoms to rationals", f"{path_m}.values")
         atom_vals = []
         for a in omega.atoms:
             if a not in values:
@@ -239,7 +259,7 @@ def parse_model(path: str) -> Model:
         model.measures[name] = VectorMeasure(omega, target, tuple(atom_vals))
         model.measure_on[name] = on
 
-    for name, desc in raw.get("bundles", {}).items():
+    for name, desc in _section(raw, "bundles", "bad-bundle").items():
         path_b = f"bundles.{name}"
         base = tuple(str(x) for x in desc.get("base", []))
         if not base:
@@ -258,7 +278,7 @@ def parse_model(path: str) -> Model:
                 fibers[x] = _space_from_descriptor(f"{name}.{x}", ref, path_b)
         model.bundles[name] = bundles2v.Bundle(base, fibers)
 
-    for name, desc in raw.get("functor_matrices", {}).items():
+    for name, desc in _section(raw, "functor_matrices", "bad-matrix").items():
         path_f = f"functor_matrices.{name}"
         src = tuple(str(x) for x in desc.get("source", []))
         tgt = tuple(str(x) for x in desc.get("target", []))
@@ -278,11 +298,11 @@ def parse_model(path: str) -> Model:
                     entries[(x, y)] = _space_from_descriptor(f"{name}.{x}.{y}", ref, path_f)
         model.matrices[name] = bundles2v.FunctorMatrix(src, tgt, entries)
 
-    for name, desc in raw.get("cosheaves", {}).items():
+    for name, desc in _section(raw, "cosheaves", "bad-cosheaf").items():
         path_c = f"cosheaves.{name}"
         model.cosheaves[name] = _parse_cosheaf(model, desc, path_c)
 
-    for name, desc in raw.get("sheaves", {}).items():
+    for name, desc in _section(raw, "sheaves", "bad-sheaf").items():
         path_s = f"sheaves.{name}"
         if isinstance(desc, str) and desc.startswith("characteristic:"):
             e = _element(model.algebra, desc.split(":", 1)[1], path_s)

@@ -272,6 +272,17 @@ class LinMap:
     def operator_norm(self) -> Fraction:
         return operator_norm(self)
 
+    def inverse(self) -> Optional["LinMap"]:
+        """The inverse map, or None when the map is not square or is
+        singular; a map between zero-dimensional spaces inverts to the
+        empty map."""
+        if self.source.dim != self.target.dim:
+            return None
+        inv = exactla.invert(self.matrix) if self.source.dim else []
+        if inv is None:
+            return None
+        return LinMap(self.target, self.source, tuple(tuple(r) for r in inv))
+
     @staticmethod
     def identity(space: FinBanSpace) -> "LinMap":
         return LinMap(space, space, tuple(
@@ -605,13 +616,6 @@ class QuotientSpace:
             if val > best:
                 best = val
         return best
-
-    def iso_isometric(self, forward: LinMap, backward: LinMap) -> bool:
-        """Is (forward, backward) an isometric isomorphism between the
-        quotient (true norm) and a SUM space?"""
-        if not (backward @ forward).is_identity() or not (forward @ backward).is_identity():
-            return False
-        return self.norm_of_map_from(forward) <= 1 and self.norm_of_map_into(backward) <= 1
 
 
 def quotient(a: FinBanSpace, span_vectors: Sequence[Sequence[Fraction]],

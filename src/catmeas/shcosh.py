@@ -25,6 +25,14 @@ condition, decided the same way); characteristic presheaves and the hom
 solver live here too, as do cosheafification, the bounded-variation
 cosheaf and Isbell conjugation.
 
+The two variances share their naturality code.  One builder emits the
+rows of tau_c o x(d->c) - y(d->c) o tau_d for every covering arrow d -> c
+(small -> big for precosheaves, big -> small for presheaves); sheaf_hom,
+cosheaf_hom and count_factorizations all solve its systems.  Isbell
+conjugation is one construction in both directions: isbell and
+isbell_adjoint differ only in the hom solver, the representables and the
+direction of the structure maps.
+
 Solution spaces produced by the hom solvers (sheaf_hom, Isbell values)
 are presented on nullspace bases with nominal unit weights; their norms
 are not part of any contract here, only their dimensions and the linear
@@ -38,13 +46,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .boolalg import BoolAlg, partitions_of
+from .boolalg import BoolAlg, BoolMorphism, partitions_of
 from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
                      SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
 from .finban import (DirectSum, FinBanSpace, Flavor, LinMap, Vector,
-                     direct_sum, operator_norm, sup_space, zero_space)
+                     direct_sum, operator_norm, scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, linf_norm
 
@@ -244,13 +252,8 @@ def partition_map(mu: PreCosheaf, e: int, blocks: Sequence[int]) -> tuple[LinMap
 def is_isometric_iso(m: LinMap) -> bool:
     """m is invertible and m and its inverse are contractions; maps
     between zero-dimensional spaces count."""
-    if m.source.dim != m.target.dim:
-        return False
-    inv = exactla.invert(m.matrix) if m.source.dim else []
-    if inv is None:
-        return False
-    back = LinMap(m.target, m.source, tuple(tuple(r) for r in inv))
-    return operator_norm(m) <= 1 and operator_norm(back) <= 1
+    back = m.inverse()
+    return back is not None and operator_norm(m) <= 1 and operator_norm(back) <= 1
 
 
 def _binary_splits(omega: BoolAlg, e: int):
@@ -375,11 +378,10 @@ def cosheaf_projection(mu: PreCosheaf, e: int, f: int) -> LinMap:
     eps, _ = partition_map(mu, e, [f, e & ~f])
     if eps.source.dim != eps.target.dim:
         raise NotACosheaf("partition map is not square")
-    inv = exactla.invert(eps.matrix)
+    inv = eps.inverse()
     if inv is None:
         raise NotACosheaf("partition map is singular")
-    rows = tuple(tuple(r) for r in inv[: mu.space(f).dim])
-    return LinMap(mu.space(e), mu.space(f), rows)
+    return LinMap(mu.space(e), mu.space(f), inv.matrix[: mu.space(f).dim])
 
 
 @dataclass
@@ -468,7 +470,7 @@ def spectral_measure(mu: PreCosheaf) -> SpectralData:
     a_map, _ = partition_map(mu, omega.top, atoms)
     if a_map.source.dim != carrier.dim:
         raise NotACosheaf("atomic partition map is not square")
-    inv = exactla.invert(a_map.matrix) if carrier.dim else []
+    inv = a_map.inverse()
     if inv is None:
         raise NotACosheaf("atomic partition map is singular")
     atom_projections = {}
@@ -477,7 +479,7 @@ def spectral_measure(mu: PreCosheaf) -> SpectralData:
         fiber = mu.space(a)
         stop = start + fiber.dim
         ext = LinMap(fiber, carrier, tuple(row[start:stop] for row in a_map.matrix))
-        proj = LinMap(carrier, fiber, tuple(tuple(row) for row in inv[start:stop]))
+        proj = LinMap(carrier, fiber, inv.matrix[start:stop])
         atom_projections[a] = ext @ proj
         start = stop
     projections = {0: LinMap.zero(carrier, carrier)}
@@ -550,21 +552,41 @@ class HomSolution:
         return self.component(self.basis[k], e)
 
 
-def _hom_layout(omega: BoolAlg, src_space, tgt_space):
-    offsets = {}
-    shapes = {}
-    pos = 0
-    for e in omega.elements():
-        rows, cols = tgt_space(e).dim, src_space(e).dim
-        offsets[e] = pos
-        shapes[e] = (rows, cols)
-        pos += rows * cols
-    return offsets, shapes, pos
+def _naturality_system(x, y, covariant: bool):
+    """The naturality constraints on tau : x -> y between two precosheaves
+    (`covariant`) or two presheaves, as (rows, offsets, shapes, total).
+
+    The unknowns are the entries of the components tau_e : x(e) -> y(e),
+    each a y(e).dim x x(e).dim block at offsets[e], row major.  Every
+    covering arrow d -> c (small -> big for precosheaves, big -> small for
+    presheaves) gives one row per entry of tau_c o x(d->c) - y(d->c) o tau_d.
+    """
+    offsets, shapes, total = {}, {}, 0
+    for e in x.algebra.elements():
+        offsets[e], shapes[e] = total, (y.space(e).dim, x.space(e).dim)
+        total += y.space(e).dim * x.space(e).dim
+    rows: list[list[Fraction]] = []
+    for small, big, _ in _covering_pairs(x.algebra):
+        d, c = (small, big) if covariant else (big, small)
+        xm = x.cover_maps[(small, big)].matrix
+        ym = y.cover_maps[(small, big)].matrix
+        (y_c, x_c), (y_d, x_d) = shapes[c], shapes[d]
+        off_c, off_d = offsets[c], offsets[d]
+        for r in range(y_c):
+            for col in range(x_d):
+                row = [ZERO] * total
+                for m in range(x_c):
+                    row[off_c + r * x_c + m] += xm[m][col]
+                for m in range(y_d):
+                    row[off_d + m * x_d + col] -= ym[r][m]
+                rows.append(row)
+    return rows, offsets, shapes, total
 
 
-def _entry(offsets, shapes, e, r, c):
-    rows, cols = shapes[e]
-    return offsets[e] + r * cols + c
+def _natural_maps(x, y, covariant: bool) -> HomSolution:
+    rows, offsets, shapes, total = _naturality_system(x, y, covariant)
+    basis = exactla.nullspace(rows) if rows else exactla.identity(total)
+    return HomSolution(len(basis), tuple(tuple(v) for v in basis), offsets, shapes)
 
 
 def sheaf_hom(xi: PreSheaf, zeta: PreSheaf) -> HomSolution:
@@ -572,46 +594,14 @@ def sheaf_hom(xi: PreSheaf, zeta: PreSheaf) -> HomSolution:
     restrictions; solved exactly on covering pairs."""
     if xi.algebra != zeta.algebra:
         raise AlgebraMismatch("presheaves on different algebras")
-    omega = xi.algebra
-    offsets, shapes, total = _hom_layout(omega, xi.space, zeta.space)
-    rows: list[list[Fraction]] = []
-    for small, big, _ in _covering_pairs(omega):
-        rx = xi.cover_maps[(small, big)]       # xi(big) -> xi(small)
-        rz = zeta.cover_maps[(small, big)]     # zeta(big) -> zeta(small)
-        # constraint: rz o tau_big = tau_small o rx
-        for r in range(zeta.space(small).dim):
-            for c in range(xi.space(big).dim):
-                row = [ZERO] * total
-                for m in range(zeta.space(big).dim):
-                    row[_entry(offsets, shapes, big, m, c)] += rz.matrix[r][m]
-                for m in range(xi.space(small).dim):
-                    row[_entry(offsets, shapes, small, r, m)] -= rx.matrix[m][c]
-                rows.append(row)
-    basis = exactla.nullspace(rows) if rows else exactla.identity(total)
-    return HomSolution(len(basis), tuple(tuple(v) for v in basis), offsets, shapes)
+    return _natural_maps(xi, zeta, covariant=False)
 
 
 def cosheaf_hom(mu: PreCosheaf, nu: PreCosheaf) -> HomSolution:
     """Natural maps mu -> nu (commuting with extensions)."""
     if mu.algebra != nu.algebra:
         raise AlgebraMismatch("precosheaves on different algebras")
-    omega = mu.algebra
-    offsets, shapes, total = _hom_layout(omega, mu.space, nu.space)
-    rows: list[list[Fraction]] = []
-    for small, big, _ in _covering_pairs(omega):
-        em = mu.cover_maps[(small, big)]       # mu(small) -> mu(big)
-        en = nu.cover_maps[(small, big)]       # nu(small) -> nu(big)
-        # constraint: tau_big o em = en o tau_small
-        for r in range(nu.space(big).dim):
-            for c in range(mu.space(small).dim):
-                row = [ZERO] * total
-                for m in range(mu.space(big).dim):
-                    row[_entry(offsets, shapes, big, r, m)] += em.matrix[m][c]
-                for m in range(nu.space(small).dim):
-                    row[_entry(offsets, shapes, small, m, c)] -= en.matrix[r][m]
-                rows.append(row)
-    basis = exactla.nullspace(rows) if rows else exactla.identity(total)
-    return HomSolution(len(basis), tuple(tuple(v) for v in basis), offsets, shapes)
+    return _natural_maps(mu, nu, covariant=True)
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +663,7 @@ def cosheafify(theta: PreCosheaf) -> Cosheafification:
 
 
 def counit_is_natural(c: Cosheafification) -> bool:
-    for small, big, _ in _covering_pairs(c.original.algebra):
-        lhs = c.counit[big] @ c.cosheaf.cover_maps[(small, big)]
-        rhs = c.original.cover_maps[(small, big)] @ c.counit[small]
-        if lhs.matrix != rhs.matrix:
-            return False
-    return True
+    return PrecosheafMap(c.cosheaf, c.original, c.counit).check_natural()
 
 
 def factor_through_cosheafification(
@@ -705,30 +690,17 @@ def count_factorizations(c: Cosheafification, tau: PrecosheafMap) -> int:
     """Dimension count of the affine solution set of  counit o sigma = tau,
     sigma natural; 0 means the known lift is unique."""
     nu = tau.source
-    omega = nu.algebra
-    offsets, shapes, total = _hom_layout(omega, nu.space, c.cosheaf.space)
-    rows: list[list[Fraction]] = []
-    # naturality of sigma
-    for small, big, _ in _covering_pairs(omega):
-        em = nu.cover_maps[(small, big)]
-        en = c.cosheaf.cover_maps[(small, big)]
-        for r in range(c.cosheaf.space(big).dim):
-            for col in range(nu.space(small).dim):
-                row = [ZERO] * total
-                for m in range(nu.space(big).dim):
-                    row[_entry(offsets, shapes, big, r, m)] += em.matrix[m][col]
-                for m in range(c.cosheaf.space(small).dim):
-                    row[_entry(offsets, shapes, small, m, col)] -= en.matrix[r][m]
-                rows.append(row)
+    rows, offsets, shapes, total = _naturality_system(nu, c.cosheaf, covariant=True)
     # counit o sigma = tau is affine; for uniqueness only the homogeneous
     # part matters: counit o sigma = 0
-    for e in omega.elements():
-        eps = c.counit[e]
+    for e in nu.algebra.elements():
+        eps = c.counit[e].matrix
+        rows_e, cols_e = shapes[e]
         for r in range(c.original.space(e).dim):
-            for col in range(nu.space(e).dim):
+            for col in range(cols_e):
                 row = [ZERO] * total
-                for m in range(c.cosheaf.space(e).dim):
-                    row[_entry(offsets, shapes, e, m, col)] += eps.matrix[r][m]
+                for m in range(rows_e):
+                    row[offsets[e] + m * cols_e + col] += eps[r][m]
                 rows.append(row)
     return len(exactla.nullspace(rows)) if rows else total
 
@@ -797,39 +769,28 @@ def constant_universal_map(theta: PreCosheaf, tau: Mapping[int, LinMap],
 # Isbell conjugation
 # ---------------------------------------------------------------------------
 
-def yoneda_presheaf(omega: BoolAlg, e: int) -> PreSheaf:
-    """F |-> scalars when F <= e, zero otherwise."""
-    line = sup_space(("1",))
-    zero = zero_space(Flavor.SUP)
-    spaces = {f: line if omega.leq(f, e) else zero for f in omega.elements()}
+def _indicator(omega: BoolAlg, inside, line: FinBanSpace, covariant: bool):
+    """F |-> line where inside(F), the zero space elsewhere; a structure
+    map is the identity between two lines and zero otherwise.  A
+    precosheaf when `covariant`, a presheaf otherwise."""
+    zero = zero_space(line.flavor)
+    spaces = {f: line if inside(f) else zero for f in omega.elements()}
     cover_maps = {}
     for small, big, _ in _covering_pairs(omega):
-        src, tgt = spaces[big], spaces[small]
-        if src.dim and tgt.dim:
-            cover_maps[(small, big)] = LinMap.identity(line)
-        else:
-            cover_maps[(small, big)] = LinMap.zero(src, tgt)
-    return make_presheaf(omega, spaces, cover_maps)
+        src, tgt = (spaces[small], spaces[big]) if covariant else (spaces[big], spaces[small])
+        cover_maps[(small, big)] = (LinMap.identity(line) if src.dim and tgt.dim
+                                    else LinMap.zero(src, tgt))
+    return (make_precosheaf if covariant else make_presheaf)(omega, spaces, cover_maps)
+
+
+def yoneda_presheaf(omega: BoolAlg, e: int) -> PreSheaf:
+    """F |-> scalars when F <= e, zero otherwise."""
+    return _indicator(omega, lambda f: omega.leq(f, e), sup_space(("1",)), covariant=False)
 
 
 def yoneda_precosheaf(omega: BoolAlg, e: int) -> PreCosheaf:
     """F |-> scalars when e <= F, zero otherwise."""
-    from .finban import scalars as _scalars
-    line = _scalars()
-    zero = zero_space(Flavor.SUM)
-    spaces = {f: line if omega.leq(e, f) else zero for f in omega.elements()}
-    cover_maps = {}
-    for small, big, _ in _covering_pairs(omega):
-        src, tgt = spaces[small], spaces[big]
-        if src.dim and tgt.dim:
-            cover_maps[(small, big)] = LinMap.identity(line)
-        else:
-            cover_maps[(small, big)] = LinMap.zero(src, tgt)
-    return make_precosheaf(omega, spaces, cover_maps, contractive=True)
-
-
-def _solution_space(dim: int, tag: str, flavor: Flavor) -> FinBanSpace:
-    return FinBanSpace(tuple(f"{tag}{i}" for i in range(dim)), (ONE,) * dim, flavor)
+    return _indicator(omega, lambda f: omega.leq(e, f), scalars(), covariant=True)
 
 
 def _express_in_basis(basis: Sequence[Vector], vector: Sequence[Fraction]) -> Vector:
@@ -847,72 +808,55 @@ def _express_in_basis(basis: Sequence[Vector], vector: Sequence[Fraction]) -> Ve
     return tuple(sol)
 
 
+def _conjugate(x, hom, representable, tag: str, covariant: bool):
+    """The Isbell conjugate of x: E |-> hom(x, representable(E)), on
+    nullspace bases with nominal unit weights; a precosheaf when
+    `covariant`, a presheaf otherwise.
+
+    Its map along a covering arrow s -> t (small -> big for the left
+    conjugate, big -> small for the right one) carries a solution for s
+    to the solution for t that has the same components where both
+    representables are nonzero and vanishes elsewhere.  The representable
+    for s is nonzero only where the one for t is (F <= small implies
+    F <= big, big <= F implies small <= F), and where both are nonzero
+    both components are 1 x dim x(F), so the kept blocks line up.
+    """
+    omega = x.algebra
+    homs = {e: hom(x, representable(omega, e)) for e in omega.elements()}
+    flavor = Flavor.SUM if covariant else Flavor.SUP
+    spaces = {}
+    for e, h in homs.items():
+        labels = tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(h.dim))
+        spaces[e] = FinBanSpace(labels, (ONE,) * h.dim, flavor)
+    cover_maps = {}
+    for small, big, _ in _covering_pairs(omega):
+        s, t = (small, big) if covariant else (big, small)
+        h_s, h_t = homs[s], homs[t]
+        kept = [(h_s.offsets[f], h_t.offsets[f], rows * cols)
+                for f, (rows, cols) in h_s.shapes.items() if rows and h_t.shapes[f][0]]
+        total = sum(rows * cols for rows, cols in h_t.shapes.values())
+        cols = []
+        for v in h_s.basis:
+            flat = [ZERO] * total
+            for off_s, off_t, size in kept:
+                flat[off_t:off_t + size] = v[off_s:off_s + size]
+            cols.append(_express_in_basis(h_t.basis, flat))
+        cover_maps[(small, big)] = LinMap.from_columns(spaces[s], spaces[t], cols)
+    make = make_precosheaf if covariant else make_presheaf
+    return make(omega, spaces, cover_maps, contractive=False)
+
+
 def isbell(xi: PreSheaf) -> PreCosheaf:
     """Left conjugate: E |-> natural maps from xi into the representable
     presheaf at E, with extensions given by enlarging the representable.
     Values are presented on nullspace bases with nominal weights."""
-    omega = xi.algebra
-    homs = {e: sheaf_hom(xi, yoneda_presheaf(omega, e)) for e in omega.elements()}
-    spaces = {e: _solution_space(homs[e].dim, f"L[{omega.describe(e)}]", Flavor.SUM)
-              for e in omega.elements()}
-    cover_maps = {}
-    for small, big, _ in _covering_pairs(omega):
-        h_small, h_big = homs[small], homs[big]
-        cols = []
-        for k in range(h_small.dim):
-            # push a solution for `small` to one for `big`: components agree
-            # where the small representable is nonzero, vanish elsewhere
-            total_big = sum(r * c for r, c in h_big.shapes.values())
-            flat = [ZERO] * total_big
-            for f in omega.elements():
-                rows_small, cols_small = h_small.shapes[f]
-                if rows_small == 0:
-                    continue
-                comp = h_small.components_of_basis(k, f)
-                rows_big, cols_big = h_big.shapes[f]
-                if rows_big != rows_small or cols_big != cols_small:
-                    raise InvalidModel("representable components do not align")
-                off = h_big.offsets[f]
-                for r in range(rows_big):
-                    for c in range(cols_big):
-                        flat[off + r * cols_big + c] = comp[r][c]
-            cols.append(_express_in_basis(h_big.basis, flat))
-        cover_maps[(small, big)] = LinMap.from_columns(
-            spaces[small], spaces[big], cols)
-    return make_precosheaf(omega, spaces, cover_maps, contractive=False)
+    return _conjugate(xi, sheaf_hom, yoneda_presheaf, "L", covariant=True)
 
 
 def isbell_adjoint(mu: PreCosheaf) -> PreSheaf:
     """Right conjugate: E |-> natural maps from mu into the corepresentable
     precosheaf at E."""
-    omega = mu.algebra
-    homs = {e: cosheaf_hom(mu, yoneda_precosheaf(omega, e)) for e in omega.elements()}
-    spaces = {e: _solution_space(homs[e].dim, f"R[{omega.describe(e)}]", Flavor.SUP)
-              for e in omega.elements()}
-    cover_maps = {}
-    for small, big, _ in _covering_pairs(omega):
-        h_small, h_big = homs[small], homs[big]
-        cols = []
-        for k in range(h_big.dim):
-            total_small = sum(r * c for r, c in h_small.shapes.values())
-            flat = [ZERO] * total_small
-            for f in omega.elements():
-                rows_big, cols_big = h_big.shapes[f]
-                if rows_big == 0:
-                    continue
-                comp = h_big.components_of_basis(k, f)
-                rows_small, cols_small = h_small.shapes[f]
-                if rows_small:
-                    if rows_small != rows_big or cols_small != cols_big:
-                        raise InvalidModel("corepresentable components do not align")
-                    off = h_small.offsets[f]
-                    for r in range(rows_small):
-                        for c in range(cols_small):
-                            flat[off + r * cols_small + c] = comp[r][c]
-            cols.append(_express_in_basis(h_small.basis, flat))
-        cover_maps[(small, big)] = LinMap.from_columns(
-            spaces[big], spaces[small], cols)
-    return make_presheaf(omega, spaces, cover_maps, contractive=False)
+    return _conjugate(mu, cosheaf_hom, yoneda_precosheaf, "R", covariant=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +979,7 @@ def l1_integration_map(mu: MeasureAlgebra) -> dict[int, LinMap]:
     """Integration against mu as a precosheaf map from its l1 cosheaf to
     the constant line: on each element the row of positive atom weights
     (the fibers only carry coordinates for positive atoms)."""
-    from .finban import scalars as _scalars
-    line = _scalars()
+    line = scalars()
     cosheaf = l1_cosheaf(mu)
     components = {}
     for e in mu.algebra.elements():
@@ -1052,37 +995,22 @@ def l1_integration_map(mu: MeasureAlgebra) -> dict[int, LinMap]:
 # Stone transfer of presheaves (finite scale: a relabelling)
 # ---------------------------------------------------------------------------
 
+def _relabel(xi: PreSheaf, iso: BoolMorphism) -> PreSheaf:
+    """xi o iso, a presheaf on iso.source: E |-> xi(iso(E))."""
+    spaces = {e: xi.space(iso(e)) for e in iso.source.elements()}
+    cover_maps = {(small, big): xi.restriction(iso(big), iso(small))
+                  for small, big, _ in _covering_pairs(iso.source)}
+    return make_presheaf(iso.source, spaces, cover_maps)
+
+
 def sheaf_to_stone(xi: PreSheaf, stone) -> PreSheaf:
     """Transfer along the clopen isomorphism of the Stone space; on a
     finite algebra this is a relabelling of the indexing elements."""
-    from .boolalg import StoneSpace
     if stone.algebra != xi.algebra:
         raise AlgebraMismatch("Stone space of a different algebra")
-    clop = stone.clopen_algebra()
-    fwd, _ = stone.round_trip()
-    spaces = {}
-    for e in clop.elements():
-        src = xi.algebra.element(clop.atoms_below(e))
-        spaces[e] = xi.space(src)
-    cover_maps = {}
-    for small, big, _ in _covering_pairs(clop):
-        s_src = xi.algebra.element(clop.atoms_below(small))
-        b_src = xi.algebra.element(clop.atoms_below(big))
-        cover_maps[(small, big)] = xi.restriction(b_src, s_src)
-    return make_presheaf(clop, spaces, cover_maps)
+    return _relabel(xi, stone.round_trip()[1])
 
 
 def sheaf_from_stone(xi_stone: PreSheaf, stone) -> PreSheaf:
     """Inverse transfer; composing both directions is the identity."""
-    omega = stone.algebra
-    clop = stone.clopen_algebra()
-    spaces = {}
-    for e in omega.elements():
-        img = clop.element(omega.atoms_below(e))
-        spaces[e] = xi_stone.space(img)
-    cover_maps = {}
-    for small, big, _ in _covering_pairs(omega):
-        s_img = clop.element(omega.atoms_below(small))
-        b_img = clop.element(omega.atoms_below(big))
-        cover_maps[(small, big)] = xi_stone.restriction(b_img, s_img)
-    return make_presheaf(omega, spaces, cover_maps)
+    return _relabel(xi_stone, stone.round_trip()[0])

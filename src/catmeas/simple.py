@@ -130,21 +130,6 @@ def integration_map(nu: VectorMeasure) -> LinMap:
     return LinMap.from_columns(src, nu.target, list(nu.atom_values))
 
 
-def multiplicative_lift_ok(nu: VectorMeasure, product, unit) -> bool:
-    """When nu is spectral the lift is an algebra map: checked on all
-    pairs of elements."""
-    omega = nu.algebra
-    for e in omega.elements():
-        for f_el in omega.elements():
-            fe = characteristic(omega, e)
-            ff = characteristic(omega, f_el)
-            lhs = integrate(multiply(fe, ff), nu)
-            rhs = product(integrate(fe, nu), integrate(ff, nu))
-            if tuple(lhs) != tuple(rhs):
-                return False
-    return tuple(integrate(characteristic(omega, omega.top), nu)) == tuple(unit)
-
-
 # ---------------------------------------------------------------------------
 # the mu-weighted l1 side
 # ---------------------------------------------------------------------------
@@ -160,14 +145,6 @@ def l1_space(mu: MeasureAlgebra) -> FinBanSpace:
             labels.append(a)
             weights.append(w)
     return FinBanSpace(tuple(labels), tuple(weights), Flavor.SUM)
-
-
-def l1_class(f: SimpleElement, mu: MeasureAlgebra) -> Vector:
-    """Coordinates of the a.e. class of f in l1_space(mu)."""
-    if f.algebra != mu.algebra:
-        raise AlgebraMismatch("element and measure live on different algebras")
-    return tuple(f.coeffs[mu.algebra.atom_index(a)]
-                 for a in l1_space(mu).basis)
 
 
 def l1_norm(f: SimpleElement, mu: MeasureAlgebra) -> Fraction:
@@ -242,15 +219,6 @@ def l1_vector_space(mu: MeasureAlgebra, target: FinBanSpace) -> FinBanSpace:
     labels = tuple(f"{a}(x){b}" for a in base.basis for b in target.basis)
     weights = tuple(wa * wb for wa in base.weights for wb in target.weights)
     return FinBanSpace(labels, weights, Flavor.SUM)
-
-
-def l1_vector_class(f: VectorSimpleElement, mu: MeasureAlgebra) -> Vector:
-    base = l1_space(mu)
-    out: list[Fraction] = []
-    for a in base.basis:
-        v = f.coeffs[mu.algebra.atom_index(a)]
-        out.extend(v)
-    return tuple(out)
 
 
 def l1_tensor_witness(mu: MeasureAlgebra, target: FinBanSpace) -> IsoWitness:

@@ -80,7 +80,20 @@ def test_json_boolean_is_not_a_rational(tmp_path):
     ({"algebra": {"product": {"left": ["a"]}}}, "bad-algebra", "algebra.product.right"),
     ({"algebra": {"atoms": ["a"]}, "measures": {"m": "oops"}}, "bad-measure", "measures.m"),
     ({"algebra": {"atoms": "ab"}}, "bad-algebra", "algebra.atoms"),
-], ids=["product-without-right", "measure-as-string", "atoms-as-string"])
+    ({"algebra": {"atoms": ["a"]}, "spaces": []}, "bad-space", "spaces"),
+    ({"algebra": {"atoms": ["a"]}, "measures": {"m": {"values": "abc"}}},
+     "bad-measure", "measures.m.values"),
+    ({"algebra": {"ground": [1, 2], "generators": 5}}, "bad-algebra", "algebra.generators"),
+    ({"algebra": {"ground": [1, 2], "generators": [5]}}, "bad-algebra", "algebra.generators"),
+    ({"algebra": {"ground": 5, "generators": []}}, "bad-algebra", "algebra.ground"),
+    ({"algebra": {"atoms": ["a"]}, "bundles": []}, "bad-bundle", "bundles"),
+    ({"algebra": {"atoms": ["a"]}, "functor_matrices": []}, "bad-matrix", "functor_matrices"),
+    ({"algebra": {"atoms": ["a"]}, "cosheaves": []}, "bad-cosheaf", "cosheaves"),
+    ({"algebra": {"atoms": ["a"]}, "sheaves": []}, "bad-sheaf", "sheaves"),
+], ids=["product-without-right", "measure-as-string", "atoms-as-string",
+        "spaces-as-list", "measure-values-as-string", "generators-as-number",
+        "generator-as-number", "ground-as-number", "bundles-as-list",
+        "functor-matrices-as-list", "cosheaves-as-list", "sheaves-as-list"])
 def test_malformed_section_exits_two_with_code_and_path(tmp_path, payload, code, where):
     out = run_cli("variation", "--model", write_model(tmp_path, payload))
     assert out.returncode == 2

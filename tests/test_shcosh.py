@@ -25,7 +25,7 @@ from catmeas.shcosh import (bva_cosheaf,
                             integrate_simple_morphism, is_cosheaf,
                             is_isometric_iso, is_sheaf, l1_cosheaf,
                             l1_integration_map, make_precosheaf, make_presheaf,
-                            partition_map, precosheaf_map_from_atoms,
+                            partition_map, PrecosheafMap, precosheaf_map_from_atoms,
                             random_cosheaf, random_scaled_precosheaf,
                             restrict_to_atoms, restriction_cone_map,
                             sheaf_from_stone, sheaf_hom,
@@ -722,6 +722,201 @@ def test_isbell_adjunction_explicit_transposition():
         assert rank_l == lhs_sol.dim      # the embedding is injective
         assert rank_r == rhs_sol.dim
         assert rank_both == rank_l == rank_r  # the two sides are the same span
+
+
+# -- one naturality builder, one conjugation: per-variance oracles ---------------
+#
+# The hom solvers and Isbell conjugation as they were written once per
+# variance, before the shared builder and conjugation; kept as oracles.
+
+def _oracle_layout(omega, src_space, tgt_space):
+    offsets, shapes, pos = {}, {}, 0
+    for e in omega.elements():
+        offsets[e], shapes[e] = pos, (tgt_space(e).dim, src_space(e).dim)
+        pos += tgt_space(e).dim * src_space(e).dim
+    return offsets, shapes, pos
+
+
+def _oracle_solution(rows, offsets, shapes, total):
+    from catmeas import exactla
+    from catmeas.shcosh import HomSolution
+    basis = exactla.nullspace(rows) if rows else exactla.identity(total)
+    return HomSolution(len(basis), tuple(tuple(v) for v in basis), offsets, shapes)
+
+
+def _oracle_cosheaf_rows(mu, nu, offsets, shapes, total):
+    """tau_big o em = en o tau_small on every covering pair."""
+    rows = []
+    for small, big in mu.cover_maps:
+        em, en = mu.cover_maps[(small, big)], nu.cover_maps[(small, big)]
+        for r in range(nu.space(big).dim):
+            for c in range(mu.space(small).dim):
+                row = [F(0)] * total
+                for m in range(mu.space(big).dim):
+                    row[offsets[big] + r * shapes[big][1] + m] += em.matrix[m][c]
+                for m in range(nu.space(small).dim):
+                    row[offsets[small] + m * shapes[small][1] + c] -= en.matrix[r][m]
+                rows.append(row)
+    return rows
+
+
+def oracle_sheaf_hom(xi, zeta):
+    """rz o tau_big = tau_small o rx on every covering pair."""
+    offsets, shapes, total = _oracle_layout(xi.algebra, xi.space, zeta.space)
+    rows = []
+    for small, big in xi.cover_maps:
+        rx, rz = xi.cover_maps[(small, big)], zeta.cover_maps[(small, big)]
+        for r in range(zeta.space(small).dim):
+            for c in range(xi.space(big).dim):
+                row = [F(0)] * total
+                for m in range(zeta.space(big).dim):
+                    row[offsets[big] + m * shapes[big][1] + c] += rz.matrix[r][m]
+                for m in range(xi.space(small).dim):
+                    row[offsets[small] + r * shapes[small][1] + m] -= rx.matrix[m][c]
+                rows.append(row)
+    return _oracle_solution(rows, offsets, shapes, total)
+
+
+def oracle_cosheaf_hom(mu, nu):
+    offsets, shapes, total = _oracle_layout(mu.algebra, mu.space, nu.space)
+    return _oracle_solution(_oracle_cosheaf_rows(mu, nu, offsets, shapes, total),
+                            offsets, shapes, total)
+
+
+def oracle_count_factorizations(c, tau):
+    from catmeas import exactla
+    nu = tau.source
+    offsets, shapes, total = _oracle_layout(nu.algebra, nu.space, c.cosheaf.space)
+    rows = _oracle_cosheaf_rows(nu, c.cosheaf, offsets, shapes, total)
+    for e in nu.algebra.elements():
+        for r in range(c.original.space(e).dim):
+            for col in range(nu.space(e).dim):
+                row = [F(0)] * total
+                for m in range(c.cosheaf.space(e).dim):
+                    row[offsets[e] + m * shapes[e][1] + col] += c.counit[e].matrix[r][m]
+                rows.append(row)
+    return len(exactla.nullspace(rows)) if rows else total
+
+
+def _oracle_coordinates(basis, vector):
+    from catmeas import exactla
+    if not basis:
+        assert not any(vector)
+        return ()
+    a = [[b[i] for b in basis] for i in range(len(vector))]
+    return tuple(exactla.solve_linear(a, list(vector)))
+
+
+def _oracle_space(dim, tag, flavor):
+    return FinBanSpace(tuple(f"{tag}{i}" for i in range(dim)), (F(1),) * dim, flavor)
+
+
+def _oracle_push(h_from, h_to, k, keep):
+    """Basis vector k of h_from in the layout of h_to, keeping the
+    components at the elements f with keep(f)."""
+    flat = [F(0)] * sum(r * c for r, c in h_to.shapes.values())
+    for f, (rows, cols) in h_from.shapes.items():
+        if rows and keep(f):
+            assert h_to.shapes[f] == (rows, cols)
+            comp = h_from.components_of_basis(k, f)
+            for r in range(rows):
+                for c in range(cols):
+                    flat[h_to.offsets[f] + r * cols + c] = comp[r][c]
+    return _oracle_coordinates(h_to.basis, flat)
+
+
+def oracle_isbell(xi):
+    omega = xi.algebra
+    homs = {e: oracle_sheaf_hom(xi, yoneda_presheaf(omega, e)) for e in omega.elements()}
+    spaces = {e: _oracle_space(homs[e].dim, f"L[{omega.describe(e)}]", Flavor.SUM)
+              for e in omega.elements()}
+    cover_maps = {}
+    for small, big in xi.cover_maps:
+        # components agree where the small representable is nonzero
+        cols = [_oracle_push(homs[small], homs[big], k, lambda f: True)
+                for k in range(homs[small].dim)]
+        cover_maps[(small, big)] = LinMap.from_columns(spaces[small], spaces[big], cols)
+    return make_precosheaf(omega, spaces, cover_maps, contractive=False)
+
+
+def oracle_isbell_adjoint(mu):
+    omega = mu.algebra
+    homs = {e: oracle_cosheaf_hom(mu, yoneda_precosheaf(omega, e)) for e in omega.elements()}
+    spaces = {e: _oracle_space(homs[e].dim, f"R[{omega.describe(e)}]", Flavor.SUP)
+              for e in omega.elements()}
+    cover_maps = {}
+    for small, big in mu.cover_maps:
+        # components agree where both corepresentables are nonzero
+        cols = [_oracle_push(homs[big], homs[small], k,
+                             lambda f: homs[small].shapes[f][0] > 0)
+                for k in range(homs[big].dim)]
+        cover_maps[(small, big)] = LinMap.from_columns(spaces[big], spaces[small], cols)
+    return make_presheaf(omega, spaces, cover_maps, contractive=False)
+
+
+def plane_above(omega, e):
+    """A plane at every element above e, identities between, zero
+    elsewhere.  When e has two atoms no atom reaches the plane, so lifts
+    into a cosheafification whose counit has a kernel are not unique."""
+    plane = sum_space(["p", "q"])
+    spaces = {f: plane if omega.leq(e, f) else zero_space() for f in omega.elements()}
+    return make_precosheaf(omega, spaces, {
+        (s, b): LinMap.identity(plane) if spaces[s].dim else LinMap.zero(spaces[s], spaces[b])
+        for s, b in zero_precosheaf(omega).cover_maps})
+
+
+def hom_cases():
+    """(algebra, presheaves, precosheaves) on 1 to 3 atoms, plus the
+    algebra of models/broken_cosheaf.json."""
+    rng = random.Random(23)
+    for n in range(1, 4):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        some = rng.randrange(omega.top + 1)
+        presheaves = [make(omega, e) for e in (0, some, omega.top)
+                      for make in (characteristic_sheaf, yoneda_presheaf)]
+        precosheaves = [random_cosheaf(rng, omega), random_scaled_precosheaf(rng, omega),
+                        zero_precosheaf(omega),
+                        # its counit adds up the atom blocks, so it has a kernel
+                        constant_precosheaf(omega, sum_space(["u", "v"])),
+                        plane_above(omega, omega.top & 0b11),
+                        # zero-dimensional fibers at a null atom
+                        l1_cosheaf(MeasureAlgebra.from_values(
+                            omega, [F(0)] + [F(k + 1, 2) for k in range(n - 1)]))]
+        presheaves.append(dual_presheaf(precosheaves[0]))
+        yield omega, presheaves, precosheaves
+    model = cli.parse_model(str(MODELS / "broken_cosheaf.json"))
+    broken = [mu for _, mu in sorted(model.cosheaves.items())]
+    omega = model.algebra
+    yield (omega, [characteristic_sheaf(omega, omega.top)] + [dual_presheaf(mu) for mu in broken],
+           broken + [random_cosheaf(rng, omega), plane_above(omega, omega.top)])
+
+
+def test_naturality_builder_and_conjugation_match_per_variance_oracles():
+    counts = {"sheaf_hom": 0, "cosheaf_hom": 0, "zero_dim": 0, "isbell": 0, "lifts": 0}
+    for omega, presheaves, precosheaves in hom_cases():
+        for xi, zeta in itertools.product(presheaves, repeat=2):
+            assert sheaf_hom(xi, zeta) == oracle_sheaf_hom(xi, zeta)
+            counts["sheaf_hom"] += 1
+        for mu, nu in itertools.product(precosheaves, repeat=2):
+            assert cosheaf_hom(mu, nu) == oracle_cosheaf_hom(mu, nu)
+            counts["cosheaf_hom"] += 1
+            counts["zero_dim"] += any(mu.space(e).dim == 0 for e in omega.nonzero_elements())
+            # the count depends on tau only through its source
+            c = cosheafify(nu)
+            tau = PrecosheafMap(mu, nu, {e: LinMap.zero(mu.space(e), nu.space(e))
+                                         for e in omega.elements()})
+            lifts = count_factorizations(c, tau)
+            assert lifts == oracle_count_factorizations(c, tau)
+            counts["lifts"] += lifts > 0
+        for xi in presheaves:
+            got, want = isbell(xi), oracle_isbell(xi)
+            assert (got.spaces, got.cover_maps) == (want.spaces, want.cover_maps)
+            counts["isbell"] += 1
+        for mu in precosheaves:
+            got, want = isbell_adjoint(mu), oracle_isbell_adjoint(mu)
+            assert (got.spaces, got.cover_maps) == (want.spaces, want.cover_maps)
+    assert counts["sheaf_hom"] >= 100 and counts["cosheaf_hom"] >= 50
+    assert counts["zero_dim"] >= 10 and counts["isbell"] >= 20 and counts["lifts"] >= 3
 
 
 # -- Stone transfer -------------------------------------------------------------
