@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .boolalg import BoolAlg, Coproduct, build_algebra, coproduct, partitions_of, stone_space
-from .errors import CatmeasError, ModelError
+from .errors import CatmeasError, InvalidModel, ModelError
 from .finban import FinBanSpace, Flavor, LinMap, operator_norm, scalars
 from .measures import (MeasureAlgebra, VectorMeasure, lipschitz_norm,
                        semivariation, variation)
@@ -133,8 +133,10 @@ def _space_from_descriptor(name: str, desc: Any, path: str) -> FinBanSpace:
         if not isinstance(dim, int) or dim < 0:
             raise ModelError("bad-space", "a space needs a basis or a dim", path)
         basis = [f"{name}{i}" for i in range(dim)]
+    if not _is_point_list(basis):
+        raise ModelError("bad-space", "the basis is a list of labels", path)
     weights = desc.get("weights", ["1"] * len(basis))
-    if len(weights) != len(basis):
+    if not isinstance(weights, list) or len(weights) != len(basis):
         raise ModelError("bad-space", "one weight per basis label", path)
     ws = []
     for i, w in enumerate(weights):
@@ -143,20 +145,33 @@ def _space_from_descriptor(name: str, desc: Any, path: str) -> FinBanSpace:
             raise ModelError("non-positive-weight", f"weight {show_rational(q)} must be positive",
                              f"{path}.weights[{i}]")
         ws.append(q)
-    return FinBanSpace(tuple(str(b) for b in basis), tuple(ws),
-                       Flavor.SUM if flavor == "sum" else Flavor.SUP)
+    try:
+        return FinBanSpace(tuple(str(b) for b in basis), tuple(ws),
+                           Flavor.SUM if flavor == "sum" else Flavor.SUP)
+    except InvalidModel as exc:
+        raise ModelError("bad-space", str(exc), path) from None
 
 
-def _section(raw: dict, key: str, code: str) -> dict:
-    """A top-level section naming its entries; absent means empty."""
+def _section(raw: dict, key: str, code: str, where: str = "") -> dict:
+    """A section naming its entries, at the path `where`.key (a top-level
+    section when `where` is empty); absent means empty."""
     value = raw.get(key, {})
     if not isinstance(value, dict):
-        raise ModelError(code, f"{key!r} must be an object of named entries", key)
+        raise ModelError(code, f"{key!r} must be an object of named entries",
+                         f"{where}.{key}" if where else key)
     return value
 
 
 def _is_point_list(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(x, (str, int, float)) for x in value)
+
+
+def _points(raw: dict, key: str, code: str, where: str) -> tuple[str, ...]:
+    """The list of points at `where`.key, as strings; absent means empty."""
+    value = raw.get(key, [])
+    if not _is_point_list(value):
+        raise ModelError(code, f"{key!r} must be a list of points", f"{where}.{key}")
+    return tuple(str(x) for x in value)
 
 
 def parse_model(path: str) -> Model:
@@ -178,7 +193,7 @@ def parse_model(path: str) -> Model:
     if not isinstance(alg, dict):
         raise ModelError("bad-algebra", "the algebra must be an object", "algebra")
 
-    def atom_list(names, where):
+    def algebra_on(names, where):
         if not isinstance(names, list):
             raise ModelError("bad-algebra", f"atoms are a list of names, got {names!r}", where)
         atoms = tuple(sorted(str(a) for a in names))
@@ -189,10 +204,13 @@ def parse_model(path: str) -> Model:
             if reserved & set(n):
                 raise ModelError("bad-algebra",
                                  f"atom {n!r} uses a reserved character (| * : <)", where)
-        return atoms
+        try:
+            return BoolAlg(atoms)
+        except InvalidModel as exc:
+            raise ModelError("bad-algebra", str(exc), where) from None
 
     if "atoms" in alg:
-        model.algebra = BoolAlg(atom_list(alg["atoms"], "algebra.atoms"))
+        model.algebra = algebra_on(alg["atoms"], "algebra.atoms")
     elif "product" in alg:
         product = alg["product"]
         if not isinstance(product, dict):
@@ -202,8 +220,8 @@ def parse_model(path: str) -> Model:
             if side not in product:
                 raise ModelError("bad-algebra", f"a product needs a {side!r} atom list",
                                  f"algebra.product.{side}")
-        model.left_algebra = BoolAlg(atom_list(product["left"], "algebra.product.left"))
-        model.right_algebra = BoolAlg(atom_list(product["right"], "algebra.product.right"))
+        model.left_algebra = algebra_on(product["left"], "algebra.product.left")
+        model.right_algebra = algebra_on(product["right"], "algebra.product.right")
         model.coproduct = coproduct(model.left_algebra, model.right_algebra)
         model.algebra = model.coproduct.algebra
     elif "generators" in alg:
@@ -216,7 +234,10 @@ def parse_model(path: str) -> Model:
         if not isinstance(generators, list) or not all(map(_is_point_list, generators)):
             raise ModelError("bad-algebra", "generators are lists of ground points",
                              "algebra.generators")
-        gen = build_algebra(ground, [set(g) for g in generators])
+        try:
+            gen = build_algebra(ground, [set(g) for g in generators])
+        except InvalidModel as exc:
+            raise ModelError("bad-algebra", str(exc), "algebra.generators") from None
         model.algebra = gen.algebra
     else:
         raise ModelError("bad-algebra",
@@ -261,12 +282,15 @@ def parse_model(path: str) -> Model:
 
     for name, desc in _section(raw, "bundles", "bad-bundle").items():
         path_b = f"bundles.{name}"
-        base = tuple(str(x) for x in desc.get("base", []))
+        if not isinstance(desc, dict):
+            raise ModelError("bad-bundle", f"bundle {name!r} must be an object", path_b)
+        base = _points(desc, "base", "bad-bundle", path_b)
         if not base:
             raise ModelError("bad-bundle", "a bundle needs a base", path_b)
         fibers = {}
+        fiber_refs = _section(desc, "fibers", "bad-bundle", path_b)
         for x in base:
-            ref = desc.get("fibers", {}).get(x)
+            ref = fiber_refs.get(x)
             if ref is None:
                 raise ModelError("unresolved-reference", f"missing fiber at {x!r}", path_b)
             if isinstance(ref, str):
@@ -280,12 +304,15 @@ def parse_model(path: str) -> Model:
 
     for name, desc in _section(raw, "functor_matrices", "bad-matrix").items():
         path_f = f"functor_matrices.{name}"
-        src = tuple(str(x) for x in desc.get("source", []))
-        tgt = tuple(str(x) for x in desc.get("target", []))
+        if not isinstance(desc, dict):
+            raise ModelError("bad-matrix", f"functor matrix {name!r} must be an object", path_f)
+        src = _points(desc, "source", "bad-matrix", path_f)
+        tgt = _points(desc, "target", "bad-matrix", path_f)
         entries = {}
+        entry_refs = _section(desc, "entries", "bad-matrix", path_f)
         for x in src:
             for y in tgt:
-                ref = desc.get("entries", {}).get(f"{x}:{y}")
+                ref = entry_refs.get(f"{x}:{y}")
                 if ref is None:
                     raise ModelError("unresolved-reference",
                                      f"missing entry {x}:{y}", path_f)
@@ -337,17 +364,18 @@ def _parse_cosheaf(model: Model, desc: Any, path: str) -> PreCosheaf:
         raise ModelError("bad-cosheaf", f"unknown cosheaf keyword {desc!r}", path)
     if not isinstance(desc, dict):
         raise ModelError("bad-cosheaf", "a cosheaf is a keyword or an object", path)
+    space_refs = _section(desc, "spaces", "bad-cosheaf", path)
+    exts = _section(desc, "extensions", "bad-cosheaf", path)
     spaces = {}
     for e in omega.elements():
         key = "|".join(omega.atoms_below(e))
-        ref = desc.get("spaces", {}).get(key)
+        ref = space_refs.get(key)
         if ref is None:
             raise ModelError("unresolved-reference",
                              f"missing cosheaf space at {{{key}}}", path)
         spaces[e] = (model.spaces[ref] if isinstance(ref, str) and ref in model.spaces
                      else _space_from_descriptor(key or "bot", ref, path))
     cover_maps = {}
-    exts = desc.get("extensions", {})
     from .shcosh import _covering_pairs
     for small, big, _ in _covering_pairs(omega):
         key = "|".join(omega.atoms_below(small)) + "<" + "|".join(omega.atoms_below(big))
@@ -355,8 +383,14 @@ def _parse_cosheaf(model: Model, desc: Any, path: str) -> PreCosheaf:
         if rows is None:
             raise ModelError("unresolved-reference",
                              f"missing extension map {key!r}", path)
-        matrix = tuple(tuple(parse_rational(x, path) for x in row) for row in rows)
-        cover_maps[(small, big)] = LinMap(spaces[small], spaces[big], matrix)
+        path_e = f"{path}.extensions.{key}"
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ModelError("bad-cosheaf", "an extension map is a list of rows", path_e)
+        matrix = tuple(tuple(parse_rational(x, path_e) for x in row) for row in rows)
+        try:
+            cover_maps[(small, big)] = LinMap(spaces[small], spaces[big], matrix)
+        except InvalidModel as exc:
+            raise ModelError("bad-cosheaf", str(exc), path_e) from None
     try:
         return make_precosheaf(omega, spaces, cover_maps)
     except CatmeasError as exc:

@@ -82,7 +82,8 @@ class PreCosheaf:
 
     def extension(self, small: int, big: int) -> LinMap:
         """The structure map for small <= big, composed along a canonical
-        atom chain (path independence is validated at construction)."""
+        atom chain (path independence is validated for assembled input,
+        proved for library constructions)."""
         if not self.algebra.leq(small, big):
             raise InvalidModel("extension needs small <= big")
         out = LinMap.identity(self.spaces[small])
@@ -149,12 +150,14 @@ def _validate_functorial(omega: BoolAlg, spaces, cover_maps, covariant: bool,
 
 def make_precosheaf(omega: BoolAlg, spaces, cover_maps,
                     contractive: bool = True) -> PreCosheaf:
+    """A precosheaf from assembled data, checked to be functorial (and contractive)."""
     _validate_functorial(omega, spaces, cover_maps, True, contractive)
     return PreCosheaf(omega, dict(spaces), dict(cover_maps))
 
 
 def make_presheaf(omega: BoolAlg, spaces, cover_maps,
                   contractive: bool = True) -> PreSheaf:
+    """A presheaf from assembled data, checked to be functorial (and contractive)."""
     _validate_functorial(omega, spaces, cover_maps, False, contractive)
     return PreSheaf(omega, dict(spaces), dict(cover_maps))
 
@@ -164,7 +167,10 @@ def from_atom_spaces(omega: BoolAlg,
     """The canonical cosheaf with the given atom fibers: each value is the
     direct sum of the atom fibers below, extensions are block inclusions.
     This is one direction of the discrete density result: atom data
-    extends to a cosheaf by sums."""
+    extends to a cosheaf by sums.  Functorial and contractive by
+    construction: an inclusion of atom blocks with inherited weights has
+    norm 1 (or acts on a 0-dim space), and a composite of inclusions is
+    the inclusion."""
     for a in omega.atoms:
         if a not in atom_spaces:
             raise InvalidModel(f"missing atom space for {a!r}")
@@ -191,7 +197,7 @@ def from_atom_spaces(omega: BoolAlg,
                 cols.extend(inj.column(j) for j in range(atom_spaces[a].dim))
         cover_maps[(small, big)] = LinMap.from_columns(
             spaces[small], spaces[big], cols)
-    return make_precosheaf(omega, spaces, cover_maps)
+    return PreCosheaf(omega, spaces, cover_maps)
 
 
 def restrict_to_atoms(mu: PreCosheaf) -> dict[str, FinBanSpace]:
@@ -213,10 +219,11 @@ def l1_cosheaf(mu: MeasureAlgebra) -> PreCosheaf:
 
 def constant_precosheaf(omega: BoolAlg, b: FinBanSpace) -> PreCosheaf:
     """E |-> B with identity extensions (fails the partition condition on
-    any algebra with two or more atoms)."""
+    any algebra with two or more atoms); identities are contractive and
+    compose to identities."""
     spaces = {e: b for e in omega.elements()}
     cover_maps = {(s, g): LinMap.identity(b) for s, g, _ in _covering_pairs(omega)}
-    return make_precosheaf(omega, spaces, cover_maps)
+    return PreCosheaf(omega, spaces, cover_maps)
 
 
 def zero_precosheaf(omega: BoolAlg) -> PreCosheaf:
@@ -518,7 +525,8 @@ def integrate_simple_morphism(f: SimpleElement, mu: PreCosheaf,
 
 def characteristic_sheaf(omega: BoolAlg, e: int) -> PreSheaf:
     """F |-> sup-normed functions on the atoms below E & F, restrictions
-    dropping coordinates."""
+    dropping coordinates; a coordinate drop between unit-weight sup spaces
+    is contractive, and drops compose to the drop onto the smaller set."""
     omega.check_element(e)
     spaces = {f: sup_space(omega.atoms_below(e & f)) for f in omega.elements()}
     cover_maps = {}
@@ -529,7 +537,7 @@ def characteristic_sheaf(omega: BoolAlg, e: int) -> PreSheaf:
             tuple(ONE if b == a else ZERO for b in big_atoms)
             for a in big_atoms if a in small_atoms)
         cover_maps[(small, big)] = LinMap(spaces[big], spaces[small], rows)
-    return make_presheaf(omega, spaces, cover_maps)
+    return PreSheaf(omega, spaces, cover_maps)
 
 
 @dataclass
@@ -772,7 +780,11 @@ def constant_universal_map(theta: PreCosheaf, tau: Mapping[int, LinMap],
 def _indicator(omega: BoolAlg, inside, line: FinBanSpace, covariant: bool):
     """F |-> line where inside(F), the zero space elsewhere; a structure
     map is the identity between two lines and zero otherwise.  A
-    precosheaf when `covariant`, a presheaf otherwise."""
+    precosheaf when `covariant`, a presheaf otherwise.  Functorial and
+    contractive when `inside` is an up-set (covariant) or a down-set: at
+    the source corner of a diamond either every corner is inside, so both
+    sides are id = id, or the source is the zero space, so both sides are
+    the map out of it."""
     zero = zero_space(line.flavor)
     spaces = {f: line if inside(f) else zero for f in omega.elements()}
     cover_maps = {}
@@ -780,7 +792,7 @@ def _indicator(omega: BoolAlg, inside, line: FinBanSpace, covariant: bool):
         src, tgt = (spaces[small], spaces[big]) if covariant else (spaces[big], spaces[small])
         cover_maps[(small, big)] = (LinMap.identity(line) if src.dim and tgt.dim
                                     else LinMap.zero(src, tgt))
-    return (make_precosheaf if covariant else make_presheaf)(omega, spaces, cover_maps)
+    return (PreCosheaf if covariant else PreSheaf)(omega, spaces, cover_maps)
 
 
 def yoneda_presheaf(omega: BoolAlg, e: int) -> PreSheaf:
@@ -820,6 +832,13 @@ def _conjugate(x, hom, representable, tag: str, covariant: bool):
     for s is nonzero only where the one for t is (F <= small implies
     F <= big, big <= F implies small <= F), and where both are nonzero
     both components are 1 x dim x(F), so the kept blocks line up.
+
+    Functorial by construction (contractivity is not claimed, the weights
+    being nominal): along s -> t -> u the representable for s is nonzero
+    only where the ones for t and u are, so keeping the components along
+    s -> t and then along t -> u keeps the same components as along
+    s -> u, and basis coordinates are unique, so both paths of a diamond
+    give the same matrix.
     """
     omega = x.algebra
     homs = {e: hom(x, representable(omega, e)) for e in omega.elements()}
@@ -842,8 +861,7 @@ def _conjugate(x, hom, representable, tag: str, covariant: bool):
                 flat[off_t:off_t + size] = v[off_s:off_s + size]
             cols.append(_express_in_basis(h_t.basis, flat))
         cover_maps[(small, big)] = LinMap.from_columns(spaces[s], spaces[t], cols)
-    make = make_precosheaf if covariant else make_presheaf
-    return make(omega, spaces, cover_maps, contractive=False)
+    return (PreCosheaf if covariant else PreSheaf)(omega, spaces, cover_maps)
 
 
 def isbell(xi: PreSheaf) -> PreCosheaf:

@@ -76,6 +76,11 @@ def test_json_boolean_is_not_a_rational(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+# a declared line L, and L at the points x and y
+LINE = {"algebra": {"atoms": ["a"]}, "spaces": {"L": "scalar"}}
+AT_XY = {"x": "L", "y": "L", "x:x": "L", "y:x": "L", "x:y": "L"}
+
+
 @pytest.mark.parametrize("payload, code, where", [
     ({"algebra": {"product": {"left": ["a"]}}}, "bad-algebra", "algebra.product.right"),
     ({"algebra": {"atoms": ["a"]}, "measures": {"m": "oops"}}, "bad-measure", "measures.m"),
@@ -90,10 +95,46 @@ def test_json_boolean_is_not_a_rational(tmp_path):
     ({"algebra": {"atoms": ["a"]}, "functor_matrices": []}, "bad-matrix", "functor_matrices"),
     ({"algebra": {"atoms": ["a"]}, "cosheaves": []}, "bad-cosheaf", "cosheaves"),
     ({"algebra": {"atoms": ["a"]}, "sheaves": []}, "bad-sheaf", "sheaves"),
+    ({**LINE, "bundles": {"B": {"base": "xy", "fibers": AT_XY}}},
+     "bad-bundle", "bundles.B.base"),
+    ({"algebra": {"atoms": ["a"]}, "bundles": {"B": 5}}, "bad-bundle", "bundles.B"),
+    ({**LINE, "functor_matrices": {"T": {"source": "xy", "target": ["x"], "entries": AT_XY}}},
+     "bad-matrix", "functor_matrices.T.source"),
+    ({**LINE, "functor_matrices": {"T": {"source": ["x"], "target": "xy", "entries": AT_XY}}},
+     "bad-matrix", "functor_matrices.T.target"),
+    ({"algebra": {"atoms": ["a"]}, "functor_matrices": {"T": 5}},
+     "bad-matrix", "functor_matrices.T"),
+    ({"algebra": {"ground": [1, 2], "generators": [[3]]}}, "bad-algebra", "algebra.generators"),
+    ({"algebra": {"atoms": ["a", "a"]}}, "bad-algebra", "algebra.atoms"),
+    ({"algebra": {"product": {"left": ["a", "a"], "right": ["u"]}}},
+     "bad-algebra", "algebra.product.left"),
+    ({"algebra": {"product": {"left": ["a"], "right": ["u", "u"]}}},
+     "bad-algebra", "algebra.product.right"),
+    ({"algebra": {"atoms": ["a"]}, "spaces": {"B": {"basis": ["x", "x"]}}},
+     "bad-space", "spaces.B"),
+    ({"algebra": {"atoms": ["a"]}, "spaces": {"B": {"basis": "xy"}}}, "bad-space", "spaces.B"),
+    ({"algebra": {"atoms": ["a"]}, "cosheaves": {"c": {
+        "spaces": {"": {"dim": 0}, "a": "scalar"}, "extensions": {"<a": []}}}},
+     "bad-cosheaf", "cosheaves.c.extensions.<a"),
+    ({"algebra": {"atoms": ["a"]}, "cosheaves": {"c": {
+        "spaces": {"": {"dim": 0}, "a": "scalar"}, "extensions": {"<a": 5}}}},
+     "bad-cosheaf", "cosheaves.c.extensions.<a"),
+    ({"algebra": {"atoms": ["a"]}, "cosheaves": {"c": {
+        "spaces": {"": {"dim": 0}, "a": "scalar"}, "extensions": 5}}},
+     "bad-cosheaf", "cosheaves.c.extensions"),
+    ({"algebra": {"atoms": ["a", "b"]}, "cosheaves": {"c": {
+        "spaces": {"": {"dim": 0}, "a": "scalar", "b": "scalar", "a|b": "scalar"},
+        "extensions": {"<a": [[]], "<b": [[]], "a<a|b": [["2"]], "b<a|b": [["1"]]}}}},
+     "bad-cosheaf", "cosheaves.c"),
 ], ids=["product-without-right", "measure-as-string", "atoms-as-string",
         "spaces-as-list", "measure-values-as-string", "generators-as-number",
         "generator-as-number", "ground-as-number", "bundles-as-list",
-        "functor-matrices-as-list", "cosheaves-as-list", "sheaves-as-list"])
+        "functor-matrices-as-list", "cosheaves-as-list", "sheaves-as-list",
+        "bundle-base-as-string", "bundle-as-number", "matrix-source-as-string",
+        "matrix-target-as-string", "matrix-as-number", "generator-outside-ground",
+        "duplicate-atoms", "duplicate-left-atoms", "duplicate-right-atoms",
+        "duplicate-basis-labels", "basis-as-string", "extension-of-wrong-shape",
+        "extension-as-number", "extensions-as-number", "extension-of-norm-two"])
 def test_malformed_section_exits_two_with_code_and_path(tmp_path, payload, code, where):
     out = run_cli("variation", "--model", write_model(tmp_path, payload))
     assert out.returncode == 2

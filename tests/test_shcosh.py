@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from catmeas import cli
+from catmeas import cli, shcosh
 from catmeas.boolalg import BoolAlg, partitions_of, stone_space
-from catmeas.errors import CatmeasError, NotACosheaf, SupportError
+from catmeas.errors import (CatmeasError, InvalidModel, NotACosheaf, NotAFunctor,
+                            SupportError)
 from catmeas.finban import (FinBanSpace, Flavor, LinMap, operator_norm, scalars,
                             sum_space, sup_space, zero_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
@@ -28,7 +29,7 @@ from catmeas.shcosh import (bva_cosheaf,
                             partition_map, PrecosheafMap, precosheaf_map_from_atoms,
                             random_cosheaf, random_scaled_precosheaf,
                             restrict_to_atoms, restriction_cone_map,
-                            sheaf_from_stone, sheaf_hom,
+                            _validate_functorial, sheaf_from_stone, sheaf_hom,
                             sheaf_to_stone, spectral_measure, yoneda_precosheaf,
                             yoneda_presheaf, isbell, isbell_adjoint, Verdict,
                             zero_precosheaf)
@@ -944,3 +945,133 @@ def test_discrete_density_round_trip():
     for a in omega.atoms:
         assert again[a].dim == atoms[a].dim
         assert again[a].weights == atoms[a].weights
+
+
+# -- library constructions against the functoriality validator ----------------
+
+def random_atom_spaces(rng, omega):
+    """SUM atom fibers of dimension 0 to 2 with random weights."""
+    out = {}
+    for a in omega.atoms:
+        d = rng.randint(0, 2)
+        out[a] = sum_space([f"{a}{k}" for k in range(d)],
+                           [F(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)])
+    return out
+
+
+def direct_constructions(rng, n):
+    """(label, object) for every construction that skips validation, on a
+    seeded algebra of n atoms."""
+    omega = alg(*(f"x{i}" for i in range(n)))
+    yield "from_atom_spaces", from_atom_spaces(omega, random_atom_spaces(rng, omega))
+    values = [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(n)]
+    values[rng.randrange(n)] = F(0)  # a null atom: zero-dimensional fibers
+    yield "l1_cosheaf/null_atom", l1_cosheaf(MeasureAlgebra.from_values(omega, values))
+    yield "bva_cosheaf", bva_cosheaf(omega, sum_space(["u", "v"], [F(1, 2), F(3)]))
+    yield "zero_precosheaf", zero_precosheaf(omega)
+    for label, b in (("sum", sum_space(["u", "v"], [F(2), F(1, 3)])),
+                     ("sup", sup_space(["u"])), ("zero", zero_space())):
+        yield f"constant_precosheaf/{label}", constant_precosheaf(omega, b)
+    for label, theta in (("scaled", random_scaled_precosheaf(rng, omega)),
+                         ("random", random_cosheaf(rng, omega)),
+                         ("constant", constant_precosheaf(omega, sum_space(["u"])))):
+        yield f"cosheafify/{label}", cosheafify(theta).cosheaf
+    for e in omega.elements():
+        yield f"characteristic_sheaf/{e}", characteristic_sheaf(omega, e)
+        yield f"yoneda_presheaf/{e}", yoneda_presheaf(omega, e)
+        yield f"yoneda_precosheaf/{e}", yoneda_precosheaf(omega, e)
+
+
+def isbell_conjugates(rng, n):
+    omega = alg(*(f"x{i}" for i in range(n)))
+    some = rng.randrange(omega.top + 1)
+    for e in (0, some, omega.top):
+        yield f"isbell/characteristic/{e}", isbell(characteristic_sheaf(omega, e))
+        yield f"isbell/yoneda/{e}", isbell(yoneda_presheaf(omega, e))
+        yield f"isbell_adjoint/yoneda/{e}", isbell_adjoint(yoneda_precosheaf(omega, e))
+    yield "isbell_adjoint/random", isbell_adjoint(random_cosheaf(rng, omega))
+    yield "isbell_adjoint/scaled", isbell_adjoint(random_scaled_precosheaf(rng, omega))
+
+
+def test_direct_constructions_pass_the_validator():
+    """The library's own constructions are built without validation; the
+    validator, run with full checks, is the oracle for their proofs."""
+    def validate(label, x, contractive):
+        try:
+            _validate_functorial(x.algebra, x.spaces, x.cover_maps,
+                                 isinstance(x, shcosh.PreCosheaf), contractive)
+        except CatmeasError as exc:
+            pytest.fail(f"{label}: {exc}")
+
+    rng = random.Random(31)
+    checked = {"contractive": 0, "conjugate": 0, "zero_dim": 0}
+    for k in range(8):
+        for label, x in direct_constructions(rng, 1 + k % 4):
+            validate(label, x, contractive=True)
+            checked["contractive"] += 1
+            checked["zero_dim"] += any(
+                x.space(e).dim == 0 for e in x.algebra.nonzero_elements())
+    for k in range(6):
+        for label, x in isbell_conjugates(rng, 1 + k % 3):
+            validate(label, x, contractive=False)
+            checked["conjugate"] += 1
+    assert checked["contractive"] >= 250 and checked["conjugate"] >= 60
+    assert checked["zero_dim"] >= 100
+
+
+def assembled_line(covariant):
+    """Identities between lines on every covering pair of {a, b}, and a
+    second line `other`: (omega, spaces, cover_maps, other)."""
+    omega = alg("a", "b")
+    line = scalars() if covariant else sup_space(["1"])
+    spaces = {e: line for e in omega.elements()}
+    cover_maps = {key: LinMap.identity(line) for key in zero_precosheaf(omega).cover_maps}
+    return omega, spaces, cover_maps, sum_space(["z"])
+
+
+@pytest.mark.parametrize("make, covariant", [(make_precosheaf, True), (make_presheaf, False)],
+                         ids=["make_precosheaf", "make_presheaf"])
+def test_validator_rejects_bad_maps(make, covariant):
+    omega, spaces, cover_maps, other = assembled_line(covariant)
+    a, b, top = 1, 2, 3
+    assert make(omega, spaces, cover_maps).spaces == spaces
+    # a sign along one side of the diamond at bottom: contractive, path dependent
+    flipped = dict(cover_maps)
+    flipped[(a, top)] = cover_maps[(a, top)].scale(F(-1))
+    with pytest.raises(NotAFunctor, match="path dependent"):
+        make(omega, spaces, flipped)
+    # a map out of a space that is not the one at its endpoint
+    wrong = dict(cover_maps)
+    wrong[(a, top)] = LinMap(other, spaces[a], ((F(1),),))
+    with pytest.raises(NotAFunctor, match="endpoints"):
+        make(omega, spaces, wrong)
+    # norm 2 on both sides, so only contractivity fails
+    doubled = dict(cover_maps)
+    for key in ((a, top), (b, top)):
+        doubled[key] = cover_maps[key].scale(F(2))
+    with pytest.raises(InvalidModel, match="contractive"):
+        make(omega, spaces, doubled)
+    assert make(omega, spaces, doubled, contractive=False).cover_maps == doubled
+    missing = dict(cover_maps)
+    del missing[(b, top)]
+    with pytest.raises(InvalidModel, match="missing"):
+        make(omega, spaces, missing)
+
+
+def test_library_constructions_do_not_call_the_validator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library construction went through the validator")
+
+    monkeypatch.setattr(shcosh, "_validate_functorial", refuse)
+    omega = alg("a", "b", "c")
+    e = omega.element(["a", "c"])
+    l1 = l1_cosheaf(MeasureAlgebra.from_values(omega, [F(1), F(0), F(2, 3)]))
+    constant = constant_precosheaf(omega, sum_space(["u", "v"]))
+    built = [yoneda_presheaf(omega, e), yoneda_precosheaf(omega, e), l1, constant,
+             from_atom_spaces(omega, {a: sum_space([a]) for a in omega.atoms}),
+             bva_cosheaf(omega, scalars()), zero_precosheaf(omega),
+             characteristic_sheaf(omega, e), cosheafify(constant).cosheaf,
+             isbell(characteristic_sheaf(omega, omega.top)), isbell_adjoint(l1)]
+    assert all(x.algebra == omega for x in built)
+    with pytest.raises(AssertionError, match="validator"):
+        make_precosheaf(omega, constant.spaces, constant.cover_maps)
