@@ -321,11 +321,16 @@ def build_algebra(ground: Iterable, generators: Iterable[Iterable]) -> Generated
     """Atomic form of the algebra of subsets generated by `generators`.
 
     Atoms are the nonempty cells of the common refinement: two ground
-    points fall in the same cell iff no generator separates them.
+    points fall in the same cell iff no generator separates them.  A cell
+    is labelled by the labels (`str`) of its points joined with '|', so
+    points with equal labels, or cells that would share a label, are
+    rejected: one of them would be silently lost.
     """
     ground_set = list(dict.fromkeys(ground))
     if not ground_set:
         raise InvalidModel("ground set must be nonempty")
+    if len({str(x) for x in ground_set}) < len(ground_set):
+        raise InvalidModel("two ground points have the same label")
     gens = [frozenset(g) for g in generators]
     for g in gens:
         if not g <= set(ground_set):
@@ -335,6 +340,8 @@ def build_algebra(ground: Iterable, generators: Iterable[Iterable]) -> Generated
     for x in ground_set:
         cells.setdefault(signature[x], set()).add(x)
     named = {_cell_label(frozenset(c)): frozenset(c) for c in cells.values()}
+    if len(named) < len(cells):
+        raise InvalidModel("two cells of the ground set have the same label")
     algebra = BoolAlg(tuple(sorted(named)))
     return GeneratedAlgebra(algebra, named)
 

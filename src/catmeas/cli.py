@@ -102,20 +102,35 @@ class Model:
 
 
 def _element(omega: BoolAlg, spec: Any, path: str) -> int:
-    """Atom-set expressions: a list of atoms or 'a|b|c'; 'top'/'bottom'."""
+    """Atom-set expressions: a list of atoms or 'a|b|c'; 'top'/'bottom'.
+
+    A generated atom is labelled by its ground points joined with '|'
+    ('1|2'), so a string is read left to right, each time taking the
+    longest run of '|'-separated parts that is a whole atom label.  Ground
+    points have distinct labels, so when none of them contains '|' a part
+    names the one atom that holds it and there is no other reading.
+    """
     if spec == "top":
         return omega.top
     if spec in ("bottom", "0", ""):
         return 0
     if isinstance(spec, str):
-        names = [s for s in spec.split("|") if s]
+        parts = [s for s in spec.split("|") if s]
+        names, i = [], 0
+        while i < len(parts):
+            j = next((j for j in range(len(parts), i, -1)
+                      if "|".join(parts[i:j]) in omega.atoms), None)
+            if j is None:
+                raise ModelError("unresolved-reference", f"no atom {parts[i]!r}", path)
+            names.append("|".join(parts[i:j]))
+            i = j
     elif isinstance(spec, list):
         names = [str(s) for s in spec]
+        for n in names:
+            if n not in omega.atoms:
+                raise ModelError("unresolved-reference", f"no atom {n!r}", path)
     else:
         raise ModelError("bad-element", f"cannot read element {spec!r}", path)
-    for n in names:
-        if n not in omega.atoms:
-            raise ModelError("unresolved-reference", f"no atom {n!r}", path)
     return omega.element(names)
 
 
@@ -234,10 +249,13 @@ def parse_model(path: str) -> Model:
         if not isinstance(generators, list) or not all(map(_is_point_list, generators)):
             raise ModelError("bad-algebra", "generators are lists of ground points",
                              "algebra.generators")
+        if not all(set(g) <= set(ground) for g in generators):
+            raise ModelError("bad-algebra", "generator outside the ground set",
+                             "algebra.generators")
         try:
             gen = build_algebra(ground, [set(g) for g in generators])
-        except InvalidModel as exc:
-            raise ModelError("bad-algebra", str(exc), "algebra.generators") from None
+        except InvalidModel as exc:  # colliding point or cell labels
+            raise ModelError("bad-algebra", str(exc), "algebra.ground") from None
         model.algebra = gen.algebra
     else:
         raise ModelError("bad-algebra",

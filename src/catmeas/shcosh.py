@@ -29,9 +29,14 @@ The two variances share their naturality code.  One builder emits the
 rows of tau_c o x(d->c) - y(d->c) o tau_d for every covering arrow d -> c
 (small -> big for precosheaves, big -> small for presheaves); sheaf_hom,
 cosheaf_hom and count_factorizations all solve its systems.  Isbell
-conjugation is one construction in both directions: isbell and
-isbell_adjoint differ only in the hom solver, the representables and the
-direction of the structure maps.
+conjugation is one construction in both directions, and it solves no
+such system: by the Yoneda lemma a natural map into a representable is
+fixed by one functional phi at the root (top for a precosheaf, bottom for
+a presheaf), so each value is the annihilator of a few images at the
+root, one small nullspace per element, presented on the basis the hom
+solver would give (the proof is in `_conjugate`).  isbell and
+isbell_adjoint differ only in the root, the images killed and the
+direction of the structure maps, which are inclusions of annihilators.
 
 Solution spaces produced by the hom solvers (sheaf_hom, Isbell values)
 are presented on nullspace bases with nominal unit weights; their norms
@@ -805,61 +810,157 @@ def yoneda_precosheaf(omega: BoolAlg, e: int) -> PreCosheaf:
     return _indicator(omega, lambda f: omega.leq(e, f), scalars(), covariant=True)
 
 
-def _express_in_basis(basis: Sequence[Vector], vector: Sequence[Fraction]) -> Vector:
-    """Coordinates of `vector` in the span of `basis` (exact; the vector
-    must lie in the span)."""
-    if not basis:
-        if any(x != 0 for x in vector):
-            raise InvalidModel("vector is outside the solution space")
-        return ()
-    cols = [list(b) for b in basis]
-    a = [[cols[k][i] for k in range(len(basis))] for i in range(len(vector))]
-    sol = exactla.solve_linear(a, list(vector))
-    if sol is None:
-        raise InvalidModel("vector is outside the solution space")
-    return tuple(sol)
+def _maps_to_root(x, covariant: bool) -> dict[int, LinMap]:
+    """x(F -> root) for every element F, one cover map each: for a
+    presheaf (`covariant`) the root is bottom and the top atom of F goes
+    first, the chain `restriction` takes; for a precosheaf the root is
+    top and the lowest atom outside F comes first, the chain `extension`
+    takes."""
+    omega = x.algebra
+    if covariant:
+        out = {0: LinMap.identity(x.space(0))}
+        for f in omega.nonzero_elements():
+            nxt = f & ~(1 << (f.bit_length() - 1))
+            out[f] = out[nxt] @ x.cover_maps[(nxt, f)]
+        return out
+    out = {omega.top: LinMap.identity(x.space(omega.top))}
+    for f in reversed(range(omega.top)):
+        nxt = f | (f + 1)
+        out[f] = out[nxt] @ x.cover_maps[(f, nxt)]
+    return out
 
 
-def _conjugate(x, hom, representable, tag: str, covariant: bool):
+def _representable_homs(x, covariant: bool) -> dict[int, HomSolution]:
+    """hom(x, representable(E)) for every element E, by the Yoneda
+    reduction, on the bases sheaf_hom (x a presheaf, `covariant`) or
+    cosheaf_hom would give; the proof is in `_conjugate`."""
+    omega = x.algebra
+    to_root = _maps_to_root(x, covariant)
+    root = 0 if covariant else omega.top
+    root_dim = x.space(root).dim
+    dims = {f: space.dim for f, space in x.spaces.items()}
+    # x(F -> root) by its columns, each as its (row, entry) nonzeros
+    columns = {f: [[(r, c) for r, c in enumerate(m.column(j)) if c] for j in range(dims[f])]
+               for f, m in to_root.items()}
+    out = {}
+    for e in omega.elements():
+        offsets, shapes, total, inside = {}, {}, 0, []
+        for f in omega.elements():
+            height = 1 if (f & ~e if covariant else e & ~f) == 0 else 0
+            offsets[f], shapes[f] = total, (height, dims[f])
+            total += height * dims[f]
+            if height:
+                inside.append(f)
+        # the killers: the atoms outside E for a presheaf, whose rows are
+        # the columns of x(a -> bottom); the atoms of E for a precosheaf,
+        # whose rows are the columns of x(~a -> top)
+        killers = [1 << i if covariant else omega.top & ~(1 << i)
+                   for i in omega.atom_indices(omega.top & ~e if covariant else e)]
+        rows = [to_root[k].column(j) for k in killers for j in range(dims[k])]
+        ann = exactla.nullspace(rows) if rows else exactla.identity(root_dim)
+        flats = [[sum((phi[r] * c for r, c in col), ZERO)
+                  for f in inside for col in columns[f]] for phi in ann]
+        basis: tuple[Vector, ...] = ()
+        if flats:
+            reduced, pivots = exactla.rref([v[::-1] for v in flats])
+            basis = tuple(tuple(v[::-1]) for v in reversed(reduced[:len(pivots)]))
+        out[e] = HomSolution(len(basis), basis, offsets, shapes)
+    return out
+
+
+def _conjugate(x, tag: str, covariant: bool):
     """The Isbell conjugate of x: E |-> hom(x, representable(E)), on
-    nullspace bases with nominal unit weights; a precosheaf when
-    `covariant`, a presheaf otherwise.
+    nullspace bases with nominal unit weights; a precosheaf from a
+    presheaf when `covariant` (the left conjugate, y_E the representable
+    presheaf: scalars on the down-set U_E = {F <= E}), a presheaf from a
+    precosheaf otherwise (the right conjugate, y^E the corepresentable
+    precosheaf: scalars on the up-set U_E = {F >= E}).  Inside U_E the
+    structure maps of y are identities, outside it y is zero.
 
-    Its map along a covering arrow s -> t (small -> big for the left
-    conjugate, big -> small for the right one) carries a solution for s
-    to the solution for t that has the same components where both
-    representables are nonzero and vanishes elsewhere.  The representable
-    for s is nonzero only where the one for t is (F <= small implies
-    F <= big, big <= F implies small <= F), and where both are nonzero
-    both components are 1 x dim x(F), so the kept blocks line up.
+    The Yoneda reduction.  Let the root r be top for a precosheaf mu and
+    bottom for a presheaf xi, so r is in every U_E, and write x(F -> r)
+    for the structure map towards r.  A natural tau : x -> y (natural on
+    the covering arrows, so on every arrow, as they generate) has zero
+    components outside U_E.  An arrow F -> G inside U_E gives
+    tau_F = tau_G o x(F -> G), so tau_F = phi o x(F -> r) with
+    phi = tau_r.  An arrow F -> G entering U_E gives
+    tau_G o x(F -> G) = 0, that is phi o x(F -> r) = 0; the other arrows
+    give nothing.  Every F outside U_E passes through a killer k with
+    k -> r itself entering U_E: for the right conjugate F misses an atom
+    a <= E and k = ~a >= F; for the left one F contains an atom a
+    outside E and k = a <= F.  So the constraints say exactly that phi
+    kills im x(k -> r) for those killers, and conversely every such phi
+    gives a natural tau by the formula (functoriality inside U_E).  As
+    tau_r = phi, phi |-> tau is injective, and
+
+        isbell_adjoint(mu)(E) = annihilator in mu(top)* of
+                                sum_{a <= E} im mu(~a -> top),
+        isbell(xi)(E) = annihilator in xi(bottom)* of
+                        sum_{a not <= E} im xi(a -> bottom),
+
+    one small nullspace per element.  In particular isbell(xi) is zero
+    wherever xi(bottom) is.
+
+    The bases.  hom solved as a full naturality system has the nullspace
+    basis v_f, one per free column f of its RREF, with v_f[f] = 1, zero
+    at the other free columns and its other entries at pivot columns
+    left of f: the unique kernel basis that is the identity on the free
+    columns.  Read from the right, each v_f starts at f, so the v_f in
+    reverse order are the reduced row echelon form of the kernel with
+    its columns reversed, which is unique.  So the tau vectors of an
+    annihilator basis, row-reduced with the columns reversed and put
+    back in order, are that basis, and the conjugate is the one the full
+    systems give.
+
+    The structure maps.  Along a covering arrow s -> t (small -> big for
+    the left conjugate, big -> small for the right one) U_s lies in U_t
+    and every killer of t is one of s, so the annihilator at s lies in
+    the one at t.  The map carries a solution for s to the vector with
+    the same components on U_s and zero on the rest of U_t; for a
+    functorial x that is the tau of the same phi at t, since
+    phi o x(F -> r) = 0 for F outside U_s.  The basis at t is the
+    identity on its free columns, so the coordinates of a vector are its
+    entries there.  The vector is rebuilt from them and compared: on an
+    x that is not functorial they can differ, and then InvalidModel is
+    raised.
 
     Functorial by construction (contractivity is not claimed, the weights
-    being nominal): along s -> t -> u the representable for s is nonzero
-    only where the ones for t and u are, so keeping the components along
-    s -> t and then along t -> u keeps the same components as along
-    s -> u, and basis coordinates are unique, so both paths of a diamond
-    give the same matrix.
+    being nominal): along s -> t -> u, U_s lies in U_t and U_u, so keeping
+    the components along s -> t and then along t -> u keeps the same
+    components as along s -> u, and basis coordinates are unique, so both
+    paths of a diamond give the same matrix.
     """
     omega = x.algebra
-    homs = {e: hom(x, representable(omega, e)) for e in omega.elements()}
+    homs = _representable_homs(x, covariant)
     flavor = Flavor.SUM if covariant else Flavor.SUP
-    spaces = {}
+    spaces, free, inside, totals = {}, {}, {}, {}
     for e, h in homs.items():
         labels = tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(h.dim))
         spaces[e] = FinBanSpace(labels, (ONE,) * h.dim, flavor)
+        free[e] = [max(i for i, c in enumerate(v) if c) for v in h.basis]
+        inside[e] = [f for f, (rows, _) in h.shapes.items() if rows]
+        totals[e] = sum(rows * cols for rows, cols in h.shapes.values())
     cover_maps = {}
     for small, big, _ in _covering_pairs(omega):
         s, t = (small, big) if covariant else (big, small)
         h_s, h_t = homs[s], homs[t]
-        kept = [(h_s.offsets[f], h_t.offsets[f], rows * cols)
-                for f, (rows, cols) in h_s.shapes.items() if rows and h_t.shapes[f][0]]
-        total = sum(rows * cols for rows, cols in h_t.shapes.values())
+        kept = [(h_s.offsets[f], h_t.offsets[f], h_s.shapes[f][1]) for f in inside[s]]
+        total = totals[t]
         cols = []
         for v in h_s.basis:
             flat = [ZERO] * total
             for off_s, off_t, size in kept:
                 flat[off_t:off_t + size] = v[off_s:off_s + size]
-            cols.append(_express_in_basis(h_t.basis, flat))
+            coords = [flat[p] for p in free[t]]
+            rebuilt = [ZERO] * total
+            for c, w in zip(coords, h_t.basis):
+                if c:
+                    for i, y in enumerate(w):
+                        if y:
+                            rebuilt[i] += c * y
+            if rebuilt != flat:
+                raise InvalidModel("vector is outside the solution space")
+            cols.append(coords)
         cover_maps[(small, big)] = LinMap.from_columns(spaces[s], spaces[t], cols)
     return (PreCosheaf if covariant else PreSheaf)(omega, spaces, cover_maps)
 
@@ -868,13 +969,13 @@ def isbell(xi: PreSheaf) -> PreCosheaf:
     """Left conjugate: E |-> natural maps from xi into the representable
     presheaf at E, with extensions given by enlarging the representable.
     Values are presented on nullspace bases with nominal weights."""
-    return _conjugate(xi, sheaf_hom, yoneda_presheaf, "L", covariant=True)
+    return _conjugate(xi, "L", covariant=True)
 
 
 def isbell_adjoint(mu: PreCosheaf) -> PreSheaf:
     """Right conjugate: E |-> natural maps from mu into the corepresentable
     precosheaf at E."""
-    return _conjugate(mu, cosheaf_hom, yoneda_precosheaf, "R", covariant=False)
+    return _conjugate(mu, "R", covariant=False)
 
 
 # ---------------------------------------------------------------------------

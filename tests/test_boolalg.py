@@ -57,6 +57,15 @@ def test_build_algebra_empty_ground():
         build_algebra([], [])
 
 
+def test_build_algebra_rejects_colliding_labels():
+    # cells are named by str of their points: no point or cell may be lost
+    for ground, generators in (([1, "1"], [{1}]), ([1, "1"], []), ([1, 2, "1|2"], [{1, 2}])):
+        with pytest.raises(InvalidModel, match="same label"):
+            build_algebra(ground, generators)
+    # equal points are one point, not a collision
+    assert build_algebra([1, 1.0, 2], [{1}]).algebra.atoms == ("1", "2")
+
+
 def test_encode_rejects_non_elements():
     gen = build_algebra([1, 2, 3], [{1, 2}])
     with pytest.raises(InvalidModel):

@@ -1,7 +1,10 @@
 """Model parsing diagnostics, command dispatch, report determinism and
 exit codes."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +14,51 @@ import pytest
 from catmeas import cli
 from catmeas.errors import ModelError
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "catmeas.cli", *args],
-        capture_output=True, text=True)
-    return proc
+    """`catmeas *args` run by cli.main in this process, its output
+    captured, as a finished process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse exits on a bad command line
+            code = exc.code
+    return subprocess.CompletedProcess(["catmeas", *args], code, out.getvalue(), err.getvalue())
+
+
+def console_script():
+    """The command the `catmeas` console script runs: its entry point in
+    pyproject.toml, called the way an installed script calls it."""
+    text = (ROOT / "pyproject.toml").read_text()
+    module, func = re.search(r'^catmeas = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+@pytest.mark.parametrize("command", [[sys.executable, "-m", "catmeas.cli"], console_script()],
+                         ids=["python-m", "console-script"])
+def test_entry_points_match_the_in_process_run(command):
+    """Each entry point, in a process of its own, gives the exit code,
+    stdout bytes and stderr text (timing aside) of run_cli, for a report,
+    a failed verdict, a model error and a bad command line; the processes
+    hash strings with other seeds, so equal stdout is also determinism
+    across processes."""
+    def timing_free(stderr):
+        return re.sub(r"elapsed: [0-9.]+s", "elapsed: <t>", stderr)
+
+    for args in (("verify-all", "--model", str(MODELS / "reference.json"),
+                  "--seed", "7", "--format", "structured"),
+                 ("check-cosheaf", "--model", str(MODELS / "broken_cosheaf.json")),
+                 ("stone", "--model", str(MODELS / "absent.json")),
+                 ("frobnicate", "--model", str(MODELS / "reference.json"))):
+        proc = subprocess.run([*command, *args], capture_output=True, text=True)
+        here = run_cli(*args)
+        assert (proc.returncode, proc.stdout, timing_free(proc.stderr)) == (
+            here.returncode, here.stdout, timing_free(here.stderr)), args
+        assert proc.returncode == {"verify-all": 0, "check-cosheaf": 1}.get(args[0], 2)
 
 
 def write_model(tmp_path, payload, name="m.json"):
@@ -105,6 +145,9 @@ AT_XY = {"x": "L", "y": "L", "x:x": "L", "y:x": "L", "x:y": "L"}
     ({"algebra": {"atoms": ["a"]}, "functor_matrices": {"T": 5}},
      "bad-matrix", "functor_matrices.T"),
     ({"algebra": {"ground": [1, 2], "generators": [[3]]}}, "bad-algebra", "algebra.generators"),
+    ({"algebra": {"ground": [1, "1"], "generators": [[1]]}}, "bad-algebra", "algebra.ground"),
+    ({"algebra": {"ground": [1, 2, "1|2"], "generators": [[1, 2]]}},
+     "bad-algebra", "algebra.ground"),
     ({"algebra": {"atoms": ["a", "a"]}}, "bad-algebra", "algebra.atoms"),
     ({"algebra": {"product": {"left": ["a", "a"], "right": ["u"]}}},
      "bad-algebra", "algebra.product.left"),
@@ -132,6 +175,7 @@ AT_XY = {"x": "L", "y": "L", "x:x": "L", "y:x": "L", "x:y": "L"}
         "functor-matrices-as-list", "cosheaves-as-list", "sheaves-as-list",
         "bundle-base-as-string", "bundle-as-number", "matrix-source-as-string",
         "matrix-target-as-string", "matrix-as-number", "generator-outside-ground",
+        "ground-labels-collide", "ground-cell-labels-collide",
         "duplicate-atoms", "duplicate-left-atoms", "duplicate-right-atoms",
         "duplicate-basis-labels", "basis-as-string", "extension-of-wrong-shape",
         "extension-as-number", "extensions-as-number", "extension-of-norm-two"])
@@ -234,6 +278,22 @@ def test_generated_algebra_model(tmp_path):
         "algebra": {"ground": [1, 2, 3], "generators": [[1, 2], [2, 3]]}})
     model = cli.parse_model(path)
     assert model.algebra.n == 3
+
+
+def test_element_names_a_generated_atom_with_a_bar(tmp_path):
+    path = write_model(tmp_path, {
+        "algebra": {"ground": [1, 2, 3], "generators": [[1, 2]]},
+        "measures": {"mu": {"target": "scalar", "values": {"1|2": "1", "3": "2"}}}})
+    for element, value in (("1|2", "1"), ("1|2|3", "3"), ("3|1|2", "3"), ("3", "2")):
+        out = run_cli("variation", "--model", path, "--element", element,
+                      "--format", "structured")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["results"]["variation[mu]"] == value
+    # the labels in reports are the generated ones, unchanged
+    out = run_cli("partitions", "--model", path, "--format", "structured")
+    assert "1|2" in out.stdout
+    missing = run_cli("variation", "--model", path, "--element", "2|1")
+    assert missing.returncode == 2 and "no atom '2'" in missing.stderr
 
 
 def test_text_and_structured_agree_on_content():

@@ -9,8 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from catmeas import cli, shcosh
+from catmeas import cli, exactla, shcosh
 from catmeas.boolalg import BoolAlg, partitions_of, stone_space
 from catmeas.errors import (CatmeasError, InvalidModel, NotACosheaf, NotAFunctor,
                             SupportError)
@@ -826,33 +827,35 @@ def _oracle_push(h_from, h_to, k, keep):
     return _oracle_coordinates(h_to.basis, flat)
 
 
-def oracle_isbell(xi):
-    omega = xi.algebra
-    homs = {e: oracle_sheaf_hom(xi, yoneda_presheaf(omega, e)) for e in omega.elements()}
-    spaces = {e: _oracle_space(homs[e].dim, f"L[{omega.describe(e)}]", Flavor.SUM)
-              for e in omega.elements()}
+def oracle_conjugate(x, covariant, hom):
+    """(conjugate, {element: HomSolution}) of a presheaf (`covariant`, the
+    left conjugate) or a precosheaf (the right conjugate), built as before
+    the Yoneda reduction: the hom solver `hom` on every representable, each
+    basis vector carried along a covering arrow by keeping the components
+    where both representables are nonzero and solving for its
+    coordinates."""
+    omega = x.algebra
+    representable, tag, flavor, make = (
+        (yoneda_presheaf, "L", Flavor.SUM, make_precosheaf) if covariant
+        else (yoneda_precosheaf, "R", Flavor.SUP, make_presheaf))
+    homs = {e: hom(x, representable(omega, e)) for e in omega.elements()}
+    spaces = {e: _oracle_space(h.dim, f"{tag}[{omega.describe(e)}]", flavor)
+              for e, h in homs.items()}
     cover_maps = {}
-    for small, big in xi.cover_maps:
-        # components agree where the small representable is nonzero
-        cols = [_oracle_push(homs[small], homs[big], k, lambda f: True)
-                for k in range(homs[small].dim)]
-        cover_maps[(small, big)] = LinMap.from_columns(spaces[small], spaces[big], cols)
-    return make_precosheaf(omega, spaces, cover_maps, contractive=False)
+    for small, big in x.cover_maps:
+        s, t = (small, big) if covariant else (big, small)
+        cols = [_oracle_push(homs[s], homs[t], k, lambda f: homs[t].shapes[f][0] > 0)
+                for k in range(homs[s].dim)]
+        cover_maps[(small, big)] = LinMap.from_columns(spaces[s], spaces[t], cols)
+    return make(omega, spaces, cover_maps, contractive=False), homs
+
+
+def oracle_isbell(xi):
+    return oracle_conjugate(xi, True, oracle_sheaf_hom)[0]
 
 
 def oracle_isbell_adjoint(mu):
-    omega = mu.algebra
-    homs = {e: oracle_cosheaf_hom(mu, yoneda_precosheaf(omega, e)) for e in omega.elements()}
-    spaces = {e: _oracle_space(homs[e].dim, f"R[{omega.describe(e)}]", Flavor.SUP)
-              for e in omega.elements()}
-    cover_maps = {}
-    for small, big in mu.cover_maps:
-        # components agree where both corepresentables are nonzero
-        cols = [_oracle_push(homs[big], homs[small], k,
-                             lambda f: homs[small].shapes[f][0] > 0)
-                for k in range(homs[big].dim)]
-        cover_maps[(small, big)] = LinMap.from_columns(spaces[big], spaces[small], cols)
-    return make_presheaf(omega, spaces, cover_maps, contractive=False)
+    return oracle_conjugate(mu, False, oracle_cosheaf_hom)[0]
 
 
 def plane_above(omega, e):
@@ -866,11 +869,11 @@ def plane_above(omega, e):
         for s, b in zero_precosheaf(omega).cover_maps})
 
 
-def hom_cases():
-    """(algebra, presheaves, precosheaves) on 1 to 3 atoms, plus the
-    algebra of models/broken_cosheaf.json."""
+def hom_cases(sizes=range(1, 4)):
+    """(algebra, presheaves, precosheaves) on each number of atoms in
+    `sizes`, plus the algebra of models/broken_cosheaf.json."""
     rng = random.Random(23)
-    for n in range(1, 4):
+    for n in sizes:
         omega = alg(*(f"x{i}" for i in range(n)))
         some = rng.randrange(omega.top + 1)
         presheaves = [make(omega, e) for e in (0, some, omega.top)
@@ -918,6 +921,114 @@ def test_naturality_builder_and_conjugation_match_per_variance_oracles():
             assert (got.spaces, got.cover_maps) == (want.spaces, want.cover_maps)
     assert counts["sheaf_hom"] >= 100 and counts["cosheaf_hom"] >= 50
     assert counts["zero_dim"] >= 10 and counts["isbell"] >= 20 and counts["lifts"] >= 3
+
+
+# -- Isbell conjugates by the Yoneda reduction ----------------------------------
+#
+# oracle_conjugate over the library's hom solvers is the oracle.
+
+def assert_reduction_matches_hom_solver(x, covariant):
+    got = isbell(x) if covariant else isbell_adjoint(x)
+    want, homs = oracle_conjugate(x, covariant, sheaf_hom if covariant else cosheaf_hom)
+    assert type(got) is type(want)
+    assert (got.spaces, got.cover_maps) == (want.spaces, want.cover_maps)
+    assert shcosh._representable_homs(x, covariant) == homs
+
+
+def reduction_cases():
+    """(label, x, covariant): the hom_cases() kinds on 1 to 4 atoms, the
+    Yoneda precosheaves, and an l1 cosheaf and a characteristic sheaf on
+    5 atoms."""
+    for omega, presheaves, precosheaves in hom_cases(range(1, 5)):
+        for k, xi in enumerate(presheaves):
+            yield f"{omega.n}/presheaf{k}", xi, True
+        for k, mu in enumerate(precosheaves):
+            yield f"{omega.n}/precosheaf{k}", mu, False
+        for e in (0, omega.top & 0b101, omega.top):
+            yield f"{omega.n}/yoneda_precosheaf/{e}", yoneda_precosheaf(omega, e), False
+    omega = alg(*(f"x{i}" for i in range(5)))
+    yield "5/l1", l1_cosheaf(positive_measure(omega)), False
+    yield "5/characteristic", characteristic_sheaf(omega, 0b10110), True
+
+
+def test_yoneda_reduction_matches_the_hom_solver():
+    counts = {True: 0, False: 0, "nonzero": 0, "maps": 0}
+    for label, x, covariant in reduction_cases():
+        try:
+            assert_reduction_matches_hom_solver(x, covariant)
+        except AssertionError:
+            pytest.fail(label)
+        counts[covariant] += 1
+        conj = isbell(x) if covariant else isbell_adjoint(x)
+        counts["nonzero"] += any(s.dim for s in conj.spaces.values())
+        counts["maps"] += any(m.source.dim and m.target.dim and not m.is_zero()
+                              for m in conj.cover_maps.values())
+    assert counts[True] >= 30 and counts[False] >= 30
+    assert counts["nonzero"] >= 40 and counts["maps"] >= 25
+
+
+def test_left_conjugate_vanishes_with_the_bottom_value_and_right_dims_are_coranks():
+    """If xi(bottom) = 0 every left conjugate is zero, and
+    dim isbell_adjoint(mu)(E) = dim mu(top) - rank of the images of
+    mu(~a -> top) over the atoms a <= E."""
+    checked = {"left": 0, "right": 0}
+    for omega, presheaves, precosheaves in hom_cases(range(1, 5)):
+        for xi in presheaves:
+            if xi.space(0).dim == 0:
+                assert all(s.dim == 0 for s in isbell(xi).spaces.values())
+                checked["left"] += 1
+        for mu in precosheaves:
+            rmu, top = isbell_adjoint(mu), omega.top
+            for e in omega.elements():
+                images = [mu.extension(top & ~(1 << i), top).column(j)
+                          for i in omega.atom_indices(e)
+                          for j in range(mu.space(top & ~(1 << i)).dim)]
+                rank = exactla.rank(images) if images and mu.space(top).dim else 0
+                assert rmu.space(e).dim == mu.space(top).dim - rank
+            checked["right"] += 1
+    assert checked["left"] >= 15 and checked["right"] >= 20
+
+
+def test_conjugates_solve_no_naturality_system(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a conjugate went through the hom solver")
+
+    for module, name in ((shcosh, "sheaf_hom"), (shcosh, "cosheaf_hom"),
+                         (shcosh, "_naturality_system"), (exactla, "solve_linear")):
+        monkeypatch.setattr(module, name, refuse)
+    rng = random.Random(5)
+    omega = alg("a", "b", "c")
+    mu = random_cosheaf(rng, omega)
+    conjugates = [isbell(yoneda_presheaf(omega, 1)), isbell_adjoint(mu),
+                  isbell_adjoint(random_scaled_precosheaf(rng, omega))]
+    for conj in conjugates:
+        assert any(not m.is_zero() for m in conj.cover_maps.values())
+
+
+@pytest.mark.parametrize("covariant, zeroed", [(False, (2, 3)), (True, (0, 2))],
+                         ids=["isbell_adjoint", "isbell"])
+def test_conjugate_rejects_a_path_dependent_input(covariant, zeroed):
+    """Lines with identities on {a, b} and one zero map: path dependent at
+    the bottom diamond, so a solution carried along a covering arrow is
+    not the solution for the same root functional, and the containment
+    check raises."""
+    omega, spaces, cover_maps, _ = assembled_line(not covariant)
+    maps = dict(cover_maps)
+    maps[zeroed] = LinMap.zero(spaces[0], spaces[0])
+    kind = shcosh.PreSheaf if covariant else shcosh.PreCosheaf
+    with pytest.raises(InvalidModel, match="outside the solution space"):
+        (isbell if covariant else isbell_adjoint)(kind(omega, spaces, maps))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), scaled=st.booleans())
+def test_yoneda_reduction_matches_the_hom_solver_property(n, seed, scaled):
+    rng = random.Random(seed)
+    omega = alg(*(f"x{i}" for i in range(n)))
+    make = random_scaled_precosheaf if scaled else random_cosheaf
+    mu = make(rng, omega, max_dim=2)
+    assert_reduction_matches_hom_solver(mu, covariant=False)
+    assert_reduction_matches_hom_solver(dual_presheaf(mu), covariant=True)
 
 
 # -- Stone transfer -------------------------------------------------------------
