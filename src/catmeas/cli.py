@@ -23,14 +23,14 @@ from typing import Any, Optional
 
 from .boolalg import BoolAlg, Coproduct, build_algebra, coproduct, partitions_of, stone_space
 from .errors import CatmeasError, InvalidModel, ModelError
-from .finban import FinBanSpace, Flavor, LinMap, operator_norm, scalars
+from .finban import FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm, scalars
 from .measures import (MeasureAlgebra, VectorMeasure, lipschitz_norm,
                        semivariation, variation)
 from .shcosh import (PreCosheaf, PreSheaf, bva_cosheaf, constant_precosheaf,
                      characteristic_sheaf, cosheafify, counit_is_natural,
-                     integrate_simple_morphism, is_cosheaf, is_isometric_iso,
-                     is_sheaf, l1_cosheaf, make_precosheaf, random_cosheaf,
-                     spectral_measure, isbell, isbell_adjoint)
+                     integrate_simple_morphism, is_cosheaf, is_sheaf, l1_cosheaf,
+                     make_precosheaf, random_cosheaf, spectral_measure, isbell,
+                     isbell_adjoint)
 from .simple import (SimpleElement, VectorSimpleElement, bochner, characteristic,
                      fubini, integrate, integration_map, linf_norm)
 from . import bundles2v
@@ -104,12 +104,16 @@ class Model:
 def _element(omega: BoolAlg, spec: Any, path: str) -> int:
     """Atom-set expressions: a list of atoms or 'a|b|c'; 'top'/'bottom'.
 
-    A generated atom is labelled by its ground points joined with '|'
-    ('1|2'), so a string is read left to right, each time taking the
-    longest run of '|'-separated parts that is a whole atom label.  Ground
-    points have distinct labels, so when none of them contains '|' a part
-    names the one atom that holds it and there is no other reading.
+    A string that is exactly an atom label names that atom, even when it
+    reads 'top', 'bottom' or '0'.  A generated atom is labelled by its
+    ground points joined with '|' ('1|2'), so a string is read left to
+    right, each time taking the longest run of '|'-separated parts that
+    is a whole atom label.  Ground points have distinct labels, so when
+    none of them contains '|' a part names the one atom that holds it and
+    there is no other reading.
     """
+    if isinstance(spec, str) and spec in omega.atoms:
+        return omega.atom_mask(spec)
     if spec == "top":
         return omega.top
     if spec in ("bottom", "0", ""):
@@ -165,6 +169,16 @@ def _space_from_descriptor(name: str, desc: Any, path: str) -> FinBanSpace:
                            Flavor.SUM if flavor == "sum" else Flavor.SUP)
     except InvalidModel as exc:
         raise ModelError("bad-space", str(exc), path) from None
+
+
+def _space_ref(model: Model, ref: Any, name: str, path: str) -> FinBanSpace:
+    """A space reference: a string is "scalar" or a declared space's name,
+    anything else an inline descriptor of a space called `name`."""
+    if not isinstance(ref, str) or ref == "scalar":
+        return _space_from_descriptor(name, ref, path)
+    if ref not in model.spaces:
+        raise ModelError("unresolved-reference", f"space {ref!r} is not declared", path)
+    return model.spaces[ref]
 
 
 def _section(raw: dict, key: str, code: str, where: str = "") -> dict:
@@ -268,14 +282,7 @@ def parse_model(path: str) -> Model:
         path_m = f"measures.{name}"
         if not isinstance(desc, dict):
             raise ModelError("bad-measure", f"measure {name!r} must be an object", path_m)
-        target_name = desc.get("target", "scalar")
-        if target_name == "scalar":
-            target = scalars()
-        elif target_name in model.spaces:
-            target = model.spaces[target_name]
-        else:
-            raise ModelError("unresolved-reference",
-                             f"measure target {target_name!r} is not a declared space", path_m)
+        target = _space_ref(model, desc.get("target", "scalar"), f"{name}.target", path_m)
         on = desc.get("on", "algebra")
         omega = model.algebra_for(on)
         if omega is None:
@@ -311,13 +318,7 @@ def parse_model(path: str) -> Model:
             ref = fiber_refs.get(x)
             if ref is None:
                 raise ModelError("unresolved-reference", f"missing fiber at {x!r}", path_b)
-            if isinstance(ref, str):
-                if ref not in model.spaces:
-                    raise ModelError("unresolved-reference",
-                                     f"fiber space {ref!r} is not declared", path_b)
-                fibers[x] = model.spaces[ref]
-            else:
-                fibers[x] = _space_from_descriptor(f"{name}.{x}", ref, path_b)
+            fibers[x] = _space_ref(model, ref, f"{name}.{x}", path_b)
         model.bundles[name] = bundles2v.Bundle(base, fibers)
 
     for name, desc in _section(raw, "functor_matrices", "bad-matrix").items():
@@ -334,13 +335,7 @@ def parse_model(path: str) -> Model:
                 if ref is None:
                     raise ModelError("unresolved-reference",
                                      f"missing entry {x}:{y}", path_f)
-                if isinstance(ref, str):
-                    if ref not in model.spaces:
-                        raise ModelError("unresolved-reference",
-                                         f"entry space {ref!r} is not declared", path_f)
-                    entries[(x, y)] = model.spaces[ref]
-                else:
-                    entries[(x, y)] = _space_from_descriptor(f"{name}.{x}.{y}", ref, path_f)
+                entries[(x, y)] = _space_ref(model, ref, f"{name}.{x}.{y}", path_f)
         model.matrices[name] = bundles2v.FunctorMatrix(src, tgt, entries)
 
     for name, desc in _section(raw, "cosheaves", "bad-cosheaf").items():
@@ -375,10 +370,7 @@ def _parse_cosheaf(model: Model, desc: Any, path: str) -> PreCosheaf:
             return l1_cosheaf(MeasureAlgebra(omega, nu))
         if desc.startswith("constant-of:"):
             ref = desc.split(":", 1)[1]
-            if ref not in model.spaces:
-                raise ModelError("unresolved-reference",
-                                 f"cosheaf refers to unknown space {ref!r}", path)
-            return constant_precosheaf(omega, model.spaces[ref])
+            return constant_precosheaf(omega, _space_ref(model, ref, ref, path))
         raise ModelError("bad-cosheaf", f"unknown cosheaf keyword {desc!r}", path)
     if not isinstance(desc, dict):
         raise ModelError("bad-cosheaf", "a cosheaf is a keyword or an object", path)
@@ -391,8 +383,7 @@ def _parse_cosheaf(model: Model, desc: Any, path: str) -> PreCosheaf:
         if ref is None:
             raise ModelError("unresolved-reference",
                              f"missing cosheaf space at {{{key}}}", path)
-        spaces[e] = (model.spaces[ref] if isinstance(ref, str) and ref in model.spaces
-                     else _space_from_descriptor(key or "bot", ref, path))
+        spaces[e] = _space_ref(model, ref, key or "bot", path)
     cover_maps = {}
     from .shcosh import _covering_pairs
     for small, big, _ in _covering_pairs(omega):
@@ -463,6 +454,15 @@ def emit_report(report: Report, fmt: str) -> str:
 
 def _describe_blocks(omega: BoolAlg, blocks) -> list[list[str]]:
     return [list(omega.atoms_below(b)) for b in blocks]
+
+
+def _label(omega: BoolAlg, e: int) -> str:
+    return "|".join(omega.atoms_below(e)) or "bottom"
+
+
+def _dims(x) -> dict[str, int]:
+    """The dimension of each value of a (co)presheaf, by element label."""
+    return {_label(x.algebra, e): x.space(e).dim for e in x.algebra.elements()}
 
 
 def cmd_stone(model: Model, report: Report, rng, element: Optional[int], exhaustive: bool):
@@ -596,27 +596,27 @@ def cmd_fubini(model: Model, report: Report, rng, element, exhaustive):
     report.verdict("l1_tensor_identity", res.witness.is_isometric())
 
 
-def cmd_check_sheaf(model: Model, report: Report, rng, element, exhaustive):
-    for name in sorted(model.sheaves):
-        verdict = is_sheaf(model.sheaves[name], exhaustive=exhaustive)
+def _check_condition(model: Model, report: Report, kind: str, assignments, check,
+                     exhaustive):
+    """Reports the `check` verdict of each named (co)presheaf and returns
+    them by name."""
+    verdicts = {}
+    for name in sorted(assignments):
+        verdict = verdicts[name] = check(assignments[name], exhaustive=exhaustive)
         detail = None
         if not verdict:
             detail = {"element": list(model.algebra.atoms_below(verdict.failing_element)),
                       "blocks": _describe_blocks(model.algebra, verdict.failing_blocks)}
-        report.verdict(f"sheaf[{name}]", bool(verdict), detail)
+        report.verdict(f"{kind}[{name}]", bool(verdict), detail)
+    return verdicts
+
+
+def cmd_check_sheaf(model: Model, report: Report, rng, element, exhaustive):
+    _check_condition(model, report, "sheaf", model.sheaves, is_sheaf, exhaustive)
 
 
 def cmd_check_cosheaf(model: Model, report: Report, rng, element, exhaustive):
-    """Reports each cosheaf's verdict and returns them by name."""
-    verdicts = {}
-    for name in sorted(model.cosheaves):
-        verdict = verdicts[name] = is_cosheaf(model.cosheaves[name], exhaustive=exhaustive)
-        detail = None
-        if not verdict:
-            detail = {"element": list(model.algebra.atoms_below(verdict.failing_element)),
-                      "blocks": _describe_blocks(model.algebra, verdict.failing_blocks)}
-        report.verdict(f"cosheaf[{name}]", bool(verdict), detail)
-    return verdicts
+    return _check_condition(model, report, "cosheaf", model.cosheaves, is_cosheaf, exhaustive)
 
 
 def cmd_spectral(model: Model, report: Report, rng, element, exhaustive):
@@ -629,9 +629,8 @@ def cmd_spectral(model: Model, report: Report, rng, element, exhaustive):
         spec = spectral_measure(cs)
         report.verdict(f"spectral_laws[{name}]", spec.satisfies_laws())
         for e in omega.elements():
-            report.result(
-                f"projection[{name}][{'|'.join(omega.atoms_below(e)) or 'bottom'}]",
-                show_matrix(spec.projections[e]))
+            report.result(f"projection[{name}][{_label(omega, e)}]",
+                          show_matrix(spec.projections[e]))
         for k in range(5):
             f = _random_simple(rng, omega)
             report.verdict(f"action_isometric[{name}][f{k}]", spec.action_norm_matches(f))
@@ -665,9 +664,7 @@ def cmd_cosheafify(model: Model, report: Report, rng, element, exhaustive):
         was = bool(is_cosheaf(theta))
         eps_iso = all(is_isometric_iso(c.counit[e]) for e in model.algebra.elements())
         report.verdict(f"counit_iso_iff_cosheaf[{name}]", eps_iso == was)
-        report.result(f"dims[{name}]", {
-            "|".join(model.algebra.atoms_below(e)) or "bottom": c.cosheaf.space(e).dim
-            for e in model.algebra.elements()})
+        report.result(f"dims[{name}]", _dims(c.cosheaf))
 
 
 def cmd_bva(model: Model, report: Report, rng, element, exhaustive):
@@ -701,19 +698,10 @@ def cmd_kan(model: Model, report: Report, rng, element, exhaustive):
 
 
 def cmd_isbell(model: Model, report: Report, rng, element, exhaustive):
-    omega = model.algebra
     for name in sorted(model.sheaves):
-        xi = model.sheaves[name]
-        lxi = isbell(xi)
-        report.result(f"isbell_dims[{name}]", {
-            "|".join(omega.atoms_below(e)) or "bottom": lxi.space(e).dim
-            for e in omega.elements()})
+        report.result(f"isbell_dims[{name}]", _dims(isbell(model.sheaves[name])))
     for name in sorted(model.cosheaves):
-        mu = model.cosheaves[name]
-        rmu = isbell_adjoint(mu)
-        report.result(f"isbell_adjoint_dims[{name}]", {
-            "|".join(omega.atoms_below(e)) or "bottom": rmu.space(e).dim
-            for e in omega.elements()})
+        report.result(f"isbell_adjoint_dims[{name}]", _dims(isbell_adjoint(model.cosheaves[name])))
 
 
 def cmd_verify_all(model: Model, report: Report, rng, element, exhaustive):

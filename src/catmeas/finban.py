@@ -367,6 +367,17 @@ def operator_norm(t: LinMap) -> Fraction:
     return best
 
 
+def _contractive_both_ways(forward: LinMap, backward: LinMap) -> bool:
+    return operator_norm(forward) <= 1 and operator_norm(backward) <= 1
+
+
+def is_isometric_iso(m: LinMap) -> bool:
+    """m is invertible and m and its inverse are contractions; maps
+    between zero-dimensional spaces count."""
+    back = m.inverse()
+    return back is not None and _contractive_both_ways(m, back)
+
+
 @dataclass(frozen=True)
 class IsoWitness:
     forward: LinMap
@@ -377,8 +388,7 @@ class IsoWitness:
                (self.forward @ self.backward).is_identity()
 
     def is_isometric(self) -> bool:
-        return self.is_valid() and \
-            operator_norm(self.forward) <= 1 and operator_norm(self.backward) <= 1
+        return self.is_valid() and _contractive_both_ways(self.forward, self.backward)
 
     @staticmethod
     def from_permutation(source: FinBanSpace, target: FinBanSpace,

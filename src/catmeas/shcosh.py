@@ -25,10 +25,13 @@ condition, decided the same way); characteristic presheaves and the hom
 solver live here too, as do cosheafification, the bounded-variation
 cosheaf and Isbell conjugation.
 
-The two variances share their naturality code.  One builder emits the
-rows of tau_c o x(d->c) - y(d->c) o tau_d for every covering arrow d -> c
-(small -> big for precosheaves, big -> small for presheaves); sheaf_hom,
-cosheaf_hom and count_factorizations all solve its systems.  Isbell
+The two variances are one structure, spaces on the elements and maps on
+the covering pairs (small, big); the class attribute `covariant` says
+whether maps go small -> big (precosheaves) or big -> small (presheaves),
+and every helper reads it from its argument.  One walker composes both
+`extension` and `restriction`, and one builder emits the rows of
+tau_c o x(d->c) - y(d->c) o tau_d for every covering arrow d -> c, whose
+systems sheaf_hom, cosheaf_hom and count_factorizations solve.  Isbell
 conjugation is one construction in both directions, and it solves no
 such system: by the Yoneda lemma a natural map into a representable is
 fixed by one functional phi at the root (top for a precosheaf, bottom for
@@ -56,8 +59,8 @@ from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
                      SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
-from .finban import (DirectSum, FinBanSpace, Flavor, LinMap, Vector,
-                     direct_sum, operator_norm, scalars, sup_space, zero_space)
+from .finban import (DirectSum, FinBanSpace, Flavor, LinMap, Vector, direct_sum,
+                     is_isometric_iso, operator_norm, scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, linf_norm
 
@@ -71,12 +74,13 @@ def _covering_pairs(omega: BoolAlg):
 
 
 # ---------------------------------------------------------------------------
-# precosheaves
+# precosheaves and presheaves
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PreCosheaf:
-    """Covariant assignment with extension maps, stored on covering pairs."""
+class _Assignment:
+    """Spaces on the elements and structure maps keyed by covering pairs
+    (small, big), going the way the subclass's `covariant` says."""
 
     algebra: BoolAlg
     spaces: dict[int, FinBanSpace]
@@ -85,55 +89,62 @@ class PreCosheaf:
     def space(self, e: int) -> FinBanSpace:
         return self.spaces[self.algebra.check_element(e)]
 
+
+class PreCosheaf(_Assignment):
+    """Covariant assignment with extension maps, stored on covering pairs."""
+
+    covariant = True
+
     def extension(self, small: int, big: int) -> LinMap:
-        """The structure map for small <= big, composed along a canonical
-        atom chain (path independence is validated for assembled input,
-        proved for library constructions)."""
-        if not self.algebra.leq(small, big):
-            raise InvalidModel("extension needs small <= big")
-        out = LinMap.identity(self.spaces[small])
-        cur = small
-        for i in self.algebra.atom_indices(big & ~small):
-            nxt = cur | (1 << i)
-            out = self.cover_maps[(cur, nxt)] @ out
-            cur = nxt
-        return out
+        """The structure map small -> big along the chain of `_walk`."""
+        return _walk(self, small, big)
 
 
-@dataclass
-class PreSheaf:
+class PreSheaf(_Assignment):
     """Contravariant assignment with restriction maps on covering pairs."""
 
-    algebra: BoolAlg
-    spaces: dict[int, FinBanSpace]
-    cover_maps: dict[tuple[int, int], LinMap]  # (small, big): space(big) -> space(small)
-
-    def space(self, e: int) -> FinBanSpace:
-        return self.spaces[self.algebra.check_element(e)]
+    covariant = False
 
     def restriction(self, big: int, small: int) -> LinMap:
-        if not self.algebra.leq(small, big):
-            raise InvalidModel("restriction needs small <= big")
-        out = LinMap.identity(self.spaces[big])
-        cur = big
-        for i in reversed(self.algebra.atom_indices(big & ~small)):
-            nxt = cur & ~(1 << i)
-            out = self.cover_maps[(nxt, cur)] @ out
-            cur = nxt
-        return out
+        return _walk(self, small, big)
 
 
-def _validate_functorial(omega: BoolAlg, spaces, cover_maps, covariant: bool,
-                         contractive: bool) -> None:
-    for e in omega.elements():
-        if e not in spaces:
-            raise InvalidModel("a space is missing for some element")
+def _arrow(kind, small: int, big: int) -> tuple[int, int]:
+    """(source, target) of kind's structure map on the covering pair (small, big)."""
+    return (small, big) if kind.covariant else (big, small)
+
+
+def _stack(x, lower: LinMap, upper: LinMap) -> LinMap:
+    """x's structure map between a <= c through b, from its maps `lower`
+    between a and b and `upper` between b and c."""
+    return upper @ lower if x.covariant else lower @ upper
+
+
+def _walk(x, small: int, big: int) -> LinMap:
+    """x's structure map between small <= big, composed along the chain
+    from small that adds the atoms of big - small lowest first (path
+    independence is validated for assembled input, proved for library
+    constructions)."""
+    if not x.algebra.leq(small, big):
+        raise InvalidModel("a structure map needs small <= big")
+    out, cur = LinMap.identity(x.spaces[small]), small
+    for i in x.algebra.atom_indices(big & ~small):
+        out = _stack(x, out, x.cover_maps[(cur, cur | 1 << i)])
+        cur |= 1 << i
+    return out
+
+
+def _validate_functorial(x, contractive: bool):
+    """x, once checked to be functorial (and contractive)."""
+    omega, spaces, cover_maps = x.algebra, x.spaces, x.cover_maps
+    if any(e not in spaces for e in omega.elements()):
+        raise InvalidModel("a space is missing for some element")
     for small, big, _ in _covering_pairs(omega):
         m = cover_maps.get((small, big))
         if m is None:
             raise InvalidModel("a structure map is missing for a covering pair")
-        src, tgt = (spaces[small], spaces[big]) if covariant else (spaces[big], spaces[small])
-        if m.source != src or m.target != tgt:
+        src, tgt = _arrow(x, small, big)
+        if m.source != spaces[src] or m.target != spaces[tgt]:
             raise NotAFunctor("structure map endpoints do not match the spaces")
         if contractive and operator_norm(m) > 1:
             raise InvalidModel("structure maps must be contractive")
@@ -143,28 +154,23 @@ def _validate_functorial(omega: BoolAlg, spaces, cover_maps, covariant: bool,
         for i, j in itertools.combinations(outside, 2):
             a, b = e | (1 << i), e | (1 << j)
             top = e | (1 << i) | (1 << j)
-            if covariant:
-                left = cover_maps[(a, top)] @ cover_maps[(e, a)]
-                right = cover_maps[(b, top)] @ cover_maps[(e, b)]
-            else:
-                left = cover_maps[(e, a)] @ cover_maps[(a, top)]
-                right = cover_maps[(e, b)] @ cover_maps[(b, top)]
+            left = _stack(x, cover_maps[(e, a)], cover_maps[(a, top)])
+            right = _stack(x, cover_maps[(e, b)], cover_maps[(b, top)])
             if left.matrix != right.matrix:
                 raise NotAFunctor("structure maps are path dependent")
+    return x
 
 
 def make_precosheaf(omega: BoolAlg, spaces, cover_maps,
                     contractive: bool = True) -> PreCosheaf:
     """A precosheaf from assembled data, checked to be functorial (and contractive)."""
-    _validate_functorial(omega, spaces, cover_maps, True, contractive)
-    return PreCosheaf(omega, dict(spaces), dict(cover_maps))
+    return _validate_functorial(PreCosheaf(omega, dict(spaces), dict(cover_maps)), contractive)
 
 
 def make_presheaf(omega: BoolAlg, spaces, cover_maps,
                   contractive: bool = True) -> PreSheaf:
     """A presheaf from assembled data, checked to be functorial (and contractive)."""
-    _validate_functorial(omega, spaces, cover_maps, False, contractive)
-    return PreSheaf(omega, dict(spaces), dict(cover_maps))
+    return _validate_functorial(PreSheaf(omega, dict(spaces), dict(cover_maps)), contractive)
 
 
 def from_atom_spaces(omega: BoolAlg,
@@ -250,7 +256,7 @@ class Verdict:
         return self.ok
 
 
-def partition_map(mu: PreCosheaf, e: int, blocks: Sequence[int]) -> tuple[LinMap, DirectSum]:
+def partition_map(mu: PreCosheaf, e: int, blocks: Sequence[int]) -> LinMap:
     """The mediated map (+)_F mu(F) -> mu(E) of a partition."""
     ds = direct_sum([mu.space(f) for f in blocks],
                     tags=[mu.algebra.describe(f) for f in blocks])
@@ -258,14 +264,7 @@ def partition_map(mu: PreCosheaf, e: int, blocks: Sequence[int]) -> tuple[LinMap
     for f in blocks:
         ext = mu.extension(f, e)
         cols.extend(ext.column(j) for j in range(mu.space(f).dim))
-    return LinMap.from_columns(ds.space, mu.space(e), cols), ds
-
-
-def is_isometric_iso(m: LinMap) -> bool:
-    """m is invertible and m and its inverse are contractions; maps
-    between zero-dimensional spaces count."""
-    back = m.inverse()
-    return back is not None and operator_norm(m) <= 1 and operator_norm(back) <= 1
+    return LinMap.from_columns(ds.space, mu.space(e), cols)
 
 
 def _binary_splits(omega: BoolAlg, e: int):
@@ -284,16 +283,21 @@ def _binary_splits(omega: BoolAlg, e: int):
             yield f, e & ~f
 
 
-def _partition_condition(assignment, mediated, exhaustive: bool, reason: str) -> Verdict:
-    """The verdict of is_cosheaf/is_sheaf on a precosheaf or presheaf;
-    `mediated(e, blocks)` is the map that must be an isometric
-    isomorphism for the partition `blocks` of e.  Without `exhaustive`, each element with two or more atoms is
-    decided by its top-atom split, and a failing element by the first
-    failing binary split in enumeration order.  Direct sums need a single
-    flavor, so a mixed-flavor (pre)cosheaf enumerates every binary split
-    and raises FlavorMismatch at the first one whose blocks differ in
-    flavor, unless an earlier split fails."""
-    omega, spaces = assignment.algebra, assignment.spaces
+def _partition_condition(x, exhaustive: bool) -> Verdict:
+    """The verdict of is_cosheaf/is_sheaf on a precosheaf or presheaf x;
+    the map that must be an isometric isomorphism for a partition is its
+    partition map or its restriction cone.  Without `exhaustive`, each
+    element with two or more atoms is decided by its top-atom split, and
+    a failing element by the first failing binary split in enumeration
+    order.  Direct sums need a single flavor, so a mixed-flavor
+    (pre)cosheaf enumerates every binary split and raises FlavorMismatch
+    at the first one whose blocks differ in flavor, unless an earlier
+    split fails."""
+    mediated, reason = (
+        (partition_map, "mediated partition map is not an isometric isomorphism")
+        if x.covariant else
+        (restriction_cone_map, "restriction cone is not an isometric isomorphism"))
+    omega, spaces = x.algebra, x.spaces
     one_split = not exhaustive and len({s.flavor for s in spaces.values()}) <= 1
     for e in omega.nonzero_elements():
         if exhaustive:
@@ -301,11 +305,11 @@ def _partition_condition(assignment, mediated, exhaustive: bool, reason: str) ->
         else:
             top_atom = 1 << (e.bit_length() - 1)
             if one_split and (e == top_atom or
-                              is_isometric_iso(mediated(e, (e & ~top_atom, top_atom)))):
+                              is_isometric_iso(mediated(x, e, (e & ~top_atom, top_atom)))):
                 continue
             candidates = _binary_splits(omega, e)
         for blocks in candidates:
-            if len(blocks) >= 2 and not is_isometric_iso(mediated(e, blocks)):
+            if len(blocks) >= 2 and not is_isometric_iso(mediated(x, e, blocks)):
                 return Verdict(False, e, tuple(blocks), reason)
     if spaces[0].dim != 0:
         return Verdict(False, 0, (), "the bottom value must be the zero space")
@@ -342,9 +346,7 @@ def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
     covers bottom, so the bottom value must be zero; split counterexamples
     are reported in preference to that degenerate one.
     """
-    return _partition_condition(
-        mu, lambda e, blocks: partition_map(mu, e, blocks)[0],
-        exhaustive, "mediated partition map is not an isometric isomorphism")
+    return _partition_condition(mu, exhaustive)
 
 
 def restriction_cone_map(xi: PreSheaf, e: int, blocks: Sequence[int]) -> LinMap:
@@ -367,9 +369,7 @@ def is_sheaf(xi: PreSheaf, exhaustive: bool = False) -> Verdict:
     isomorphisms of SUP spaces is isometric under the max of the factor
     norms, and the cone of any partition is (prod_i C_F_i)^-1 o C_e.
     """
-    return _partition_condition(
-        xi, lambda e, blocks: restriction_cone_map(xi, e, blocks),
-        exhaustive, "restriction cone is not an isometric isomorphism")
+    return _partition_condition(xi, exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +387,7 @@ def cosheaf_projection(mu: PreCosheaf, e: int, f: int) -> LinMap:
         return LinMap.identity(mu.space(e))
     if f == 0:
         return LinMap.zero(mu.space(e), mu.space(0))
-    eps, _ = partition_map(mu, e, [f, e & ~f])
+    eps = partition_map(mu, e, [f, e & ~f])
     if eps.source.dim != eps.target.dim:
         raise NotACosheaf("partition map is not square")
     inv = eps.inverse()
@@ -479,7 +479,7 @@ def spectral_measure(mu: PreCosheaf) -> SpectralData:
     omega = mu.algebra
     carrier = mu.space(omega.top)
     atoms = [1 << i for i in range(omega.n)]
-    a_map, _ = partition_map(mu, omega.top, atoms)
+    a_map = partition_map(mu, omega.top, atoms)
     if a_map.source.dim != carrier.dim:
         raise NotACosheaf("atomic partition map is not square")
     inv = a_map.inverse()
@@ -565,9 +565,9 @@ class HomSolution:
         return self.component(self.basis[k], e)
 
 
-def _naturality_system(x, y, covariant: bool):
+def _naturality_system(x, y):
     """The naturality constraints on tau : x -> y between two precosheaves
-    (`covariant`) or two presheaves, as (rows, offsets, shapes, total).
+    or two presheaves, as (rows, offsets, shapes, total).
 
     The unknowns are the entries of the components tau_e : x(e) -> y(e),
     each a y(e).dim x x(e).dim block at offsets[e], row major.  Every
@@ -580,7 +580,7 @@ def _naturality_system(x, y, covariant: bool):
         total += y.space(e).dim * x.space(e).dim
     rows: list[list[Fraction]] = []
     for small, big, _ in _covering_pairs(x.algebra):
-        d, c = (small, big) if covariant else (big, small)
+        d, c = _arrow(x, small, big)
         xm = x.cover_maps[(small, big)].matrix
         ym = y.cover_maps[(small, big)].matrix
         (y_c, x_c), (y_d, x_d) = shapes[c], shapes[d]
@@ -596,8 +596,10 @@ def _naturality_system(x, y, covariant: bool):
     return rows, offsets, shapes, total
 
 
-def _natural_maps(x, y, covariant: bool) -> HomSolution:
-    rows, offsets, shapes, total = _naturality_system(x, y, covariant)
+def _natural_maps(x, y) -> HomSolution:
+    if x.algebra != y.algebra:
+        raise AlgebraMismatch("(co)presheaves on different algebras")
+    rows, offsets, shapes, total = _naturality_system(x, y)
     basis = exactla.nullspace(rows) if rows else exactla.identity(total)
     return HomSolution(len(basis), tuple(tuple(v) for v in basis), offsets, shapes)
 
@@ -605,16 +607,12 @@ def _natural_maps(x, y, covariant: bool) -> HomSolution:
 def sheaf_hom(xi: PreSheaf, zeta: PreSheaf) -> HomSolution:
     """Natural maps xi -> zeta: per element a matrix, commuting with the
     restrictions; solved exactly on covering pairs."""
-    if xi.algebra != zeta.algebra:
-        raise AlgebraMismatch("presheaves on different algebras")
-    return _natural_maps(xi, zeta, covariant=False)
+    return _natural_maps(xi, zeta)
 
 
 def cosheaf_hom(mu: PreCosheaf, nu: PreCosheaf) -> HomSolution:
     """Natural maps mu -> nu (commuting with extensions)."""
-    if mu.algebra != nu.algebra:
-        raise AlgebraMismatch("precosheaves on different algebras")
-    return _natural_maps(mu, nu, covariant=True)
+    return _natural_maps(mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -684,26 +682,31 @@ def factor_through_cosheafification(
     """Given a cosheaf nu and tau : nu -> theta, the unique lift
     nu -> cosheafify(theta) under the counit: assemble the atom
     components of tau after the cosheaf projections of nu."""
-    nu = tau.source
     if tau.target is not c.original and tau.target != c.original:
         raise InvalidModel("tau must land in the cosheafified precosheaf's original")
+    return _stacked_over_atoms(tau.source, tau.components, c.cosheaf)
+
+
+def _stacked_over_atoms(nu: PreCosheaf, tau: Mapping[int, LinMap],
+                        target: PreCosheaf) -> PrecosheafMap:
+    """The map nu -> target whose component at E stacks tau_a o p_{E,a}
+    over the atoms a <= E, p the cosheaf projections of nu; target holds
+    the atom blocks below E in that order, as the canonical cosheaves do."""
     omega = nu.algebra
     components = {}
     for e in omega.elements():
         rows: list[tuple[Fraction, ...]] = []
         for i in omega.atom_indices(e):
-            a = 1 << i
-            piece = tau.components[a] @ cosheaf_projection(nu, e, a)
-            rows.extend(piece.matrix)
-        components[e] = LinMap(nu.space(e), c.cosheaf.space(e), tuple(rows))
-    return precosheaf_map(nu, c.cosheaf, components)
+            rows.extend((tau[1 << i] @ cosheaf_projection(nu, e, 1 << i)).matrix)
+        components[e] = LinMap(nu.space(e), target.space(e), tuple(rows))
+    return precosheaf_map(nu, target, components)
 
 
 def count_factorizations(c: Cosheafification, tau: PrecosheafMap) -> int:
     """Dimension count of the affine solution set of  counit o sigma = tau,
     sigma natural; 0 means the known lift is unique."""
     nu = tau.source
-    rows, offsets, shapes, total = _naturality_system(nu, c.cosheaf, covariant=True)
+    rows, offsets, shapes, total = _naturality_system(nu, c.cosheaf)
     # counit o sigma = tau is affine; for uniqueness only the homogeneous
     # part matters: counit o sigma = 0
     for e in nu.algebra.elements():
@@ -766,27 +769,18 @@ def constant_universal_map(theta: PreCosheaf, tau: Mapping[int, LinMap],
     """For a cosheaf theta and a precosheaf map tau : theta -> constant B,
     the induced map into the bounded-variation cosheaf sends m in theta(E)
     to the measure  F |-> tau_F(p_{E,F} m),  stored atomwise."""
-    omega = theta.algebra
-    bva = bva_cosheaf(omega, b)
-    components = {}
-    for e in omega.elements():
-        rows: list[tuple[Fraction, ...]] = []
-        for i in omega.atom_indices(e):
-            piece = tau[1 << i] @ cosheaf_projection(theta, e, 1 << i)
-            rows.extend(piece.matrix)
-        components[e] = LinMap(theta.space(e), bva.space(e), tuple(rows))
-    return precosheaf_map(theta, bva, components)
+    return _stacked_over_atoms(theta, tau, bva_cosheaf(theta.algebra, b))
 
 
 # ---------------------------------------------------------------------------
 # Isbell conjugation
 # ---------------------------------------------------------------------------
 
-def _indicator(omega: BoolAlg, inside, line: FinBanSpace, covariant: bool):
+def _indicator(omega: BoolAlg, inside, line: FinBanSpace, kind):
     """F |-> line where inside(F), the zero space elsewhere; a structure
     map is the identity between two lines and zero otherwise.  A
-    precosheaf when `covariant`, a presheaf otherwise.  Functorial and
-    contractive when `inside` is an up-set (covariant) or a down-set: at
+    precosheaf or a presheaf, as `kind` says.  Functorial and
+    contractive when `inside` is an up-set (precosheaf) or a down-set: at
     the source corner of a diamond either every corner is inside, so both
     sides are id = id, or the source is the zero space, so both sides are
     the map out of it."""
@@ -794,50 +788,43 @@ def _indicator(omega: BoolAlg, inside, line: FinBanSpace, covariant: bool):
     spaces = {f: line if inside(f) else zero for f in omega.elements()}
     cover_maps = {}
     for small, big, _ in _covering_pairs(omega):
-        src, tgt = (spaces[small], spaces[big]) if covariant else (spaces[big], spaces[small])
+        src, tgt = (spaces[f] for f in _arrow(kind, small, big))
         cover_maps[(small, big)] = (LinMap.identity(line) if src.dim and tgt.dim
                                     else LinMap.zero(src, tgt))
-    return (PreCosheaf if covariant else PreSheaf)(omega, spaces, cover_maps)
+    return kind(omega, spaces, cover_maps)
 
 
 def yoneda_presheaf(omega: BoolAlg, e: int) -> PreSheaf:
     """F |-> scalars when F <= e, zero otherwise."""
-    return _indicator(omega, lambda f: omega.leq(f, e), sup_space(("1",)), covariant=False)
+    return _indicator(omega, lambda f: omega.leq(f, e), sup_space(("1",)), PreSheaf)
 
 
 def yoneda_precosheaf(omega: BoolAlg, e: int) -> PreCosheaf:
     """F |-> scalars when e <= F, zero otherwise."""
-    return _indicator(omega, lambda f: omega.leq(e, f), scalars(), covariant=True)
+    return _indicator(omega, lambda f: omega.leq(e, f), scalars(), PreCosheaf)
 
 
-def _maps_to_root(x, covariant: bool) -> dict[int, LinMap]:
-    """x(F -> root) for every element F, one cover map each: for a
-    presheaf (`covariant`) the root is bottom and the top atom of F goes
-    first, the chain `restriction` takes; for a precosheaf the root is
-    top and the lowest atom outside F comes first, the chain `extension`
-    takes."""
-    omega = x.algebra
-    if covariant:
-        out = {0: LinMap.identity(x.space(0))}
-        for f in omega.nonzero_elements():
-            nxt = f & ~(1 << (f.bit_length() - 1))
-            out[f] = out[nxt] @ x.cover_maps[(nxt, f)]
-        return out
-    out = {omega.top: LinMap.identity(x.space(omega.top))}
-    for f in reversed(range(omega.top)):
-        nxt = f | (f + 1)
-        out[f] = out[nxt] @ x.cover_maps[(f, nxt)]
+def _maps_to_root(x) -> dict[int, LinMap]:
+    """x(F -> root) for every element F, one cover map each, along the
+    chain of `_walk`: for a precosheaf the root is top and the lowest atom
+    outside F comes first; for a presheaf the root is bottom and the top
+    atom of F goes first."""
+    omega, up = x.algebra, x.covariant
+    root = omega.top if up else 0
+    out = {root: LinMap.identity(x.space(root))}
+    for f in (reversed(range(omega.top)) if up else omega.nonzero_elements()):
+        nxt = f | (f + 1) if up else f & ~(1 << (f.bit_length() - 1))
+        out[f] = out[nxt] @ x.cover_maps[(f & nxt, f | nxt)]
     return out
 
 
-def _representable_homs(x, covariant: bool) -> dict[int, HomSolution]:
+def _representable_homs(x) -> dict[int, HomSolution]:
     """hom(x, representable(E)) for every element E, by the Yoneda
-    reduction, on the bases sheaf_hom (x a presheaf, `covariant`) or
-    cosheaf_hom would give; the proof is in `_conjugate`."""
-    omega = x.algebra
-    to_root = _maps_to_root(x, covariant)
-    root = 0 if covariant else omega.top
-    root_dim = x.space(root).dim
+    reduction, on the bases sheaf_hom (x a presheaf) or cosheaf_hom would
+    give; the proof is in `_conjugate`."""
+    omega, up = x.algebra, x.covariant
+    to_root = _maps_to_root(x)
+    root_dim = to_root[0].target.dim
     dims = {f: space.dim for f, space in x.spaces.items()}
     # x(F -> root) by its columns, each as its (row, entry) nonzeros
     columns = {f: [[(r, c) for r, c in enumerate(m.column(j)) if c] for j in range(dims[f])]
@@ -846,16 +833,16 @@ def _representable_homs(x, covariant: bool) -> dict[int, HomSolution]:
     for e in omega.elements():
         offsets, shapes, total, inside = {}, {}, 0, []
         for f in omega.elements():
-            height = 1 if (f & ~e if covariant else e & ~f) == 0 else 0
+            height = 1 if (e & ~f if up else f & ~e) == 0 else 0
             offsets[f], shapes[f] = total, (height, dims[f])
             total += height * dims[f]
             if height:
                 inside.append(f)
-        # the killers: the atoms outside E for a presheaf, whose rows are
-        # the columns of x(a -> bottom); the atoms of E for a precosheaf,
-        # whose rows are the columns of x(~a -> top)
-        killers = [1 << i if covariant else omega.top & ~(1 << i)
-                   for i in omega.atom_indices(omega.top & ~e if covariant else e)]
+        # the killers: the atoms of E for a precosheaf, whose rows are the
+        # columns of x(~a -> top); the atoms outside E for a presheaf,
+        # whose rows are the columns of x(a -> bottom)
+        killers = [omega.top & ~(1 << i) if up else 1 << i
+                   for i in omega.atom_indices(e if up else omega.top & ~e)]
         rows = [to_root[k].column(j) for k in killers for j in range(dims[k])]
         ann = exactla.nullspace(rows) if rows else exactla.identity(root_dim)
         flats = [[sum((phi[r] * c for r, c in col), ZERO)
@@ -868,12 +855,12 @@ def _representable_homs(x, covariant: bool) -> dict[int, HomSolution]:
     return out
 
 
-def _conjugate(x, tag: str, covariant: bool):
+def _conjugate(x, tag: str):
     """The Isbell conjugate of x: E |-> hom(x, representable(E)), on
     nullspace bases with nominal unit weights; a precosheaf from a
-    presheaf when `covariant` (the left conjugate, y_E the representable
+    presheaf (the left conjugate, y_E the representable
     presheaf: scalars on the down-set U_E = {F <= E}), a presheaf from a
-    precosheaf otherwise (the right conjugate, y^E the corepresentable
+    precosheaf (the right conjugate, y^E the corepresentable
     precosheaf: scalars on the up-set U_E = {F >= E}).  Inside U_E the
     structure maps of y are identities, outside it y is zero.
 
@@ -931,8 +918,9 @@ def _conjugate(x, tag: str, covariant: bool):
     paths of a diamond give the same matrix.
     """
     omega = x.algebra
-    homs = _representable_homs(x, covariant)
-    flavor = Flavor.SUM if covariant else Flavor.SUP
+    kind = PreSheaf if x.covariant else PreCosheaf
+    homs = _representable_homs(x)
+    flavor = Flavor.SUM if kind.covariant else Flavor.SUP
     spaces, free, inside, totals = {}, {}, {}, {}
     for e, h in homs.items():
         labels = tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(h.dim))
@@ -942,7 +930,7 @@ def _conjugate(x, tag: str, covariant: bool):
         totals[e] = sum(rows * cols for rows, cols in h.shapes.values())
     cover_maps = {}
     for small, big, _ in _covering_pairs(omega):
-        s, t = (small, big) if covariant else (big, small)
+        s, t = _arrow(kind, small, big)
         h_s, h_t = homs[s], homs[t]
         kept = [(h_s.offsets[f], h_t.offsets[f], h_s.shapes[f][1]) for f in inside[s]]
         total = totals[t]
@@ -962,20 +950,20 @@ def _conjugate(x, tag: str, covariant: bool):
                 raise InvalidModel("vector is outside the solution space")
             cols.append(coords)
         cover_maps[(small, big)] = LinMap.from_columns(spaces[s], spaces[t], cols)
-    return (PreCosheaf if covariant else PreSheaf)(omega, spaces, cover_maps)
+    return kind(omega, spaces, cover_maps)
 
 
 def isbell(xi: PreSheaf) -> PreCosheaf:
     """Left conjugate: E |-> natural maps from xi into the representable
     presheaf at E, with extensions given by enlarging the representable.
     Values are presented on nullspace bases with nominal weights."""
-    return _conjugate(xi, "L", covariant=True)
+    return _conjugate(xi, "L")
 
 
 def isbell_adjoint(mu: PreCosheaf) -> PreSheaf:
     """Right conjugate: E |-> natural maps from mu into the corepresentable
     precosheaf at E."""
-    return _conjugate(mu, "R", covariant=False)
+    return _conjugate(mu, "R")
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,7 @@ def test_criterion_9_bva_cosheaf():
                 for part in partitions_of(omega, e):
                     if len(part.blocks) < 2:
                         continue
-                    eps, _ = partition_map(bva, e, part.blocks)
+                    eps = partition_map(bva, e, part.blocks)
                     inv = invert(eps.matrix)
                     if inv is None or operator_norm(eps) > 1:
                         ok = False

@@ -169,6 +169,14 @@ AT_XY = {"x": "L", "y": "L", "x:x": "L", "y:x": "L", "x:y": "L"}
         "spaces": {"": {"dim": 0}, "a": "scalar", "b": "scalar", "a|b": "scalar"},
         "extensions": {"<a": [[]], "<b": [[]], "a<a|b": [["2"]], "b<a|b": [["1"]]}}}},
      "bad-cosheaf", "cosheaves.c"),
+    ({"algebra": {"atoms": ["a"]}, "cosheaves": {"c": {
+        "spaces": {"": {"dim": 0}, "a": "nope"}, "extensions": {"<a": [[]]}}}},
+     "unresolved-reference", "cosheaves.c"),
+    ({"algebra": {"atoms": ["a"]}, "measures": {"m": {"target": 5, "values": {"a": "1"}}}},
+     "bad-space", "measures.m"),
+    ({"algebra": {"atoms": ["a"]}, "measures": {"m": {"target": {"flavor": "max"},
+                                                      "values": {"a": "1"}}}},
+     "bad-space", "measures.m"),
 ], ids=["product-without-right", "measure-as-string", "atoms-as-string",
         "spaces-as-list", "measure-values-as-string", "generators-as-number",
         "generator-as-number", "ground-as-number", "bundles-as-list",
@@ -178,12 +186,31 @@ AT_XY = {"x": "L", "y": "L", "x:x": "L", "y:x": "L", "x:y": "L"}
         "ground-labels-collide", "ground-cell-labels-collide",
         "duplicate-atoms", "duplicate-left-atoms", "duplicate-right-atoms",
         "duplicate-basis-labels", "basis-as-string", "extension-of-wrong-shape",
-        "extension-as-number", "extensions-as-number", "extension-of-norm-two"])
+        "extension-as-number", "extensions-as-number", "extension-of-norm-two",
+        "cosheaf-space-undeclared", "measure-target-as-number",
+        "measure-target-bad-descriptor"])
 def test_malformed_section_exits_two_with_code_and_path(tmp_path, payload, code, where):
     out = run_cli("variation", "--model", write_model(tmp_path, payload))
     assert out.returncode == 2
     assert code in out.stderr and f"(at {where})" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_space_references_resolve_alike(tmp_path):
+    """The name "scalar" and inline descriptors resolve wherever a space
+    is referred to."""
+    path = write_model(tmp_path, {
+        "algebra": {"atoms": ["a"]},
+        "measures": {"m": {"target": {"basis": ["p", "q"]}, "values": {"a": ["1", "2"]}}},
+        "bundles": {"B": {"base": ["x"], "fibers": {"x": "scalar"}}},
+        "functor_matrices": {"T": {"source": ["x"], "target": ["y"],
+                                   "entries": {"x:y": "scalar"}}},
+        "cosheaves": {"c": "constant-of:scalar"}})
+    model = cli.parse_model(path)
+    assert model.measures["m"].target.dim == 2
+    assert model.bundles["B"].fiber("x").dim == 1
+    assert model.matrices["T"].entries[("x", "y")].dim == 1
+    assert model.cosheaves["c"].space(1).dim == 1
 
 
 def test_non_positive_weight_code(tmp_path):
@@ -294,6 +321,26 @@ def test_element_names_a_generated_atom_with_a_bar(tmp_path):
     assert "1|2" in out.stdout
     missing = run_cli("variation", "--model", path, "--element", "2|1")
     assert missing.returncode == 2 and "no atom '2'" in missing.stderr
+
+
+def test_an_atom_label_wins_over_the_element_keywords(tmp_path):
+    """A string that is exactly an atom label names that atom; otherwise
+    'top', 'bottom', '0' and '' keep their meaning."""
+    generated = write_model(tmp_path, {
+        "algebra": {"ground": [0, 1], "generators": [[0]]},
+        "measures": {"mu": {"target": "scalar", "values": {"0": "1", "1": "2"}}}}, "g.json")
+    named = write_model(tmp_path, {
+        "algebra": {"atoms": ["top", "bottom"]},
+        "measures": {"mu": {"target": "scalar", "values": {"top": "1", "bottom": "2"}}}},
+        "n.json")
+    for path, element, value in ((generated, "0", "1"), (generated, "bottom", "0"),
+                                 (generated, "", "0"), (generated, "top", "3"),
+                                 (named, "top", "1"), (named, "bottom", "2"),
+                                 (named, "0", "0"), (named, "top|bottom", "3")):
+        out = run_cli("variation", "--model", path, "--element", element,
+                      "--format", "structured")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["results"]["variation[mu]"] == value, (path, element)
 
 
 def test_text_and_structured_agree_on_content():

@@ -135,7 +135,7 @@ def split_enumeration(assignment, mediated, reason):
 
 
 def cosheaf_oracle(mu):
-    return split_enumeration(mu, lambda e, blocks: partition_map(mu, e, blocks)[0],
+    return split_enumeration(mu, lambda e, blocks: partition_map(mu, e, blocks),
                              "mediated partition map is not an isometric isomorphism")
 
 
@@ -556,7 +556,7 @@ def test_bva_partition_isometry_all_partitions():
         for part in partitions_of(omega, e):
             if len(part.blocks) < 2:
                 continue
-            eps, _ = partition_map(bva, e, part.blocks)
+            eps = partition_map(bva, e, part.blocks)
             assert operator_norm(eps) <= 1
             from catmeas import exactla
             inv = exactla.invert(eps.matrix)
@@ -932,7 +932,7 @@ def assert_reduction_matches_hom_solver(x, covariant):
     want, homs = oracle_conjugate(x, covariant, sheaf_hom if covariant else cosheaf_hom)
     assert type(got) is type(want)
     assert (got.spaces, got.cover_maps) == (want.spaces, want.cover_maps)
-    assert shcosh._representable_homs(x, covariant) == homs
+    assert shcosh._representable_homs(x) == homs
 
 
 def reduction_cases():
@@ -1109,8 +1109,7 @@ def test_direct_constructions_pass_the_validator():
     validator, run with full checks, is the oracle for their proofs."""
     def validate(label, x, contractive):
         try:
-            _validate_functorial(x.algebra, x.spaces, x.cover_maps,
-                                 isinstance(x, shcosh.PreCosheaf), contractive)
+            _validate_functorial(x, contractive)
         except CatmeasError as exc:
             pytest.fail(f"{label}: {exc}")
 
