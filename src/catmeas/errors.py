@@ -22,6 +22,17 @@ class FlavorMismatch(CatmeasError):
     """Space flavors are incompatible with the requested operation."""
 
 
+class ResourceLimit(FlavorMismatch):
+    """An exact enumeration would exceed its documented size cap.  It
+    derives from FlavorMismatch, so handlers of that error still catch
+    it.  `code` is a stable machine-readable tag, as on ModelError."""
+
+    code = "too-large"
+
+    def __init__(self, message: str):
+        super().__init__(f"{self.code}: {message}")
+
+
 class AlgebraMismatch(CatmeasError):
     """Operands live over different Boolean algebras."""
 

@@ -33,11 +33,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import FlavorMismatch, InvalidModel, NotAFunctor
+from .errors import FlavorMismatch, InvalidModel, NotAFunctor, ResourceLimit
 from . import exactla
 from .exactla import ONE, ZERO
 
 Vector = tuple[Fraction, ...]
+
+# Fixed caps on the exact vertex enumerations; past them ResourceLimit.
+BALL_CAP = 4096
+DUAL_BALL_CAP = 65536
 
 
 class Flavor(Enum):
@@ -87,8 +91,9 @@ class FinBanSpace:
             if self.flavor is not Flavor.SUP:
                 raise InvalidModel("blocked norms only make sense for SUP spaces")
             seen = sorted(i for g in self.groups for i in g)
-            if seen != list(range(self.dim)):
-                raise InvalidModel("groups must partition the basis indices")
+            if seen != list(range(self.dim)) or not all(self.groups):
+                raise InvalidModel("groups must partition the basis indices "
+                                   "into nonempty blocks")
 
     @property
     def dim(self) -> int:
@@ -121,12 +126,12 @@ class FinBanSpace:
     def basis_vector(self, i: int) -> Vector:
         return basis_vec(self.dim, i)
 
-    def ball_extreme_points(self, cap: int = 4096) -> Iterator[Vector]:
+    def ball_extreme_points(self) -> Iterator[Vector]:
         """Vertices of the unit ball.
 
         SUM: +-e_j / w_j.  SUP/blocked: one +-e_i / w_i choice per block
-        (the ball is a product of block l1 balls).  Raises FlavorMismatch
-        when the vertex count would exceed `cap`.
+        (the ball is a product of block l1 balls).  Raises ResourceLimit
+        when the vertex count would exceed BALL_CAP.
         """
         if self.dim == 0:
             return iter(())
@@ -142,9 +147,9 @@ class FinBanSpace:
         count = 1
         for g in groups:
             count *= 2 * len(g)
-            if count > cap:
-                raise FlavorMismatch(
-                    f"unit ball of this space has more than {cap} vertices")
+            if count > BALL_CAP:
+                raise ResourceLimit(
+                    f"unit ball of this space has more than {BALL_CAP} vertices")
 
         def sup_points():
             choices = [[(i, s) for i in g for s in (ONE, -ONE)] for g in groups]
@@ -155,32 +160,34 @@ class FinBanSpace:
                 yield tuple(v)
         return sup_points()
 
-    def dual_extreme_functionals(self, cap: int = 65536) -> Iterator[Vector]:
-        """Vertices of the dual unit ball, as coordinate functionals
-        phi with pairing phi . v.
+    def dual_vertex_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks that carry the vertices of the dual unit ball: each
+        vertex is a weighted sign pattern on one block, zero elsewhere.
 
-        SUM: sign vectors scaled by the weights (2^dim of them).
-        SUP/blocked: a sign pattern on a single block, zero elsewhere.
+        SUM: one block, the whole basis (2^dim vertices); raises
+        ResourceLimit when 2^dim exceeds DUAL_BALL_CAP.  SUP/blocked: the
+        blocks.
         """
-        if self.dim == 0:
-            return iter(())
-        if self.flavor is Flavor.SUM:
-            if 2 ** self.dim > cap:
-                raise FlavorMismatch("dual ball too large to enumerate")
+        if self.flavor is Flavor.SUM and 2 ** self.dim > DUAL_BALL_CAP:
+            raise ResourceLimit(f"dual ball of this space has 2^{self.dim} "
+                                f"vertices, more than {DUAL_BALL_CAP}")
+        return self.effective_groups()
 
-            def sum_duals():
-                for signs in itertools.product((ONE, -ONE), repeat=self.dim):
-                    yield tuple(s * w for s, w in zip(signs, self.weights))
-            return sum_duals()
+    def dual_extreme_functionals(self) -> Iterator[Vector]:
+        """Vertices of the dual unit ball, as coordinate functionals
+        phi with pairing phi . v: phi_i = s_i w_i on one block of
+        `dual_vertex_blocks` for a sign pattern s, zero elsewhere.
+        """
+        blocks = self.dual_vertex_blocks()
 
-        def sup_duals():
-            for g in self.effective_groups():
+        def duals():
+            for g in blocks:
                 for signs in itertools.product((ONE, -ONE), repeat=len(g)):
                     phi = list(zero_vec(self.dim))
                     for s, i in zip(signs, g):
                         phi[i] = s * self.weights[i]
                     yield tuple(phi)
-        return sup_duals()
+        return duals()
 
 
 def scalars(label: str = "1") -> FinBanSpace:

@@ -7,6 +7,7 @@ summation over the atoms below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -90,24 +91,59 @@ def variation(nu: VectorMeasure, e: int) -> Fraction:
 
 
 def semivariation(nu: VectorMeasure, e: int) -> Fraction:
-    """sup over dual-ball functionals and partitions of sum |<b*, nu(F)>|.
+    """sup over dual-ball functionals phi and partitions of e of
+    sum |phi . nu(F)|.
 
-    For a fixed functional the sum only grows under refinement, so the
-    atomic partition suffices; the sup over the dual ball is attained at
-    one of its finitely many vertices.
+    For a fixed phi the sum only grows under refinement (triangle
+    inequality), so the atomic partition of e suffices:
+    sv(e) = sup_phi T(phi) with T(phi) = sum_{atoms a <= e} |phi . nu(a)|.
+    T is convex, so its sup over the dual ball, a polytope, is attained
+    at a vertex.  The vertices are enumerated in three exact steps.
+
+    1. Symmetry.  The dual ball is symmetric and T(-phi) = T(phi), so
+       one vertex of each pair +-phi suffices.
+    2. Vertices.  The dual of a weighted SUM norm sum_k w_k |x_k| is
+       max_k |phi_k| / w_k, whose ball is the box |phi_k| <= w_k with
+       vertices phi_k = s_k w_k, s_k = +-1.  The dual of a blocked SUP
+       norm (max over blocks of the block's weighted l1 norm) is the sum
+       over blocks of the block duals; its ball is the convex hull of
+       the block boxes, so each vertex is a weighted sign pattern on one
+       block g and zero elsewhere (a plain SUP block is one coordinate).
+       With u_ak = w_k nu(a)_k, such a vertex pairs to
+       phi . nu(a) = sum_{k in g} s_k u_ak, and by step 1 the first
+       sign on g can be fixed to +1.
+    3. Common denominator.  With D > 0 the lcm of the denominators of
+       all u_ak, U_ak = D u_ak are integers and
+       sum_a |sum_k s_k U_ak| = D T(phi), so the largest integer total
+       divided by D is sv(e) exactly.
+
+    So the route is still the dual-ball one (independent of the
+    operator norm of the lift, which enumerates the source ball), in
+    Python ints.  The dual-ball cap of `FinBanSpace.dual_vertex_blocks`
+    applies: a SUM target with 2^dim > finban.DUAL_BALL_CAP raises
+    ResourceLimit.
     """
     nu.algebra.check_element(e)
     idx = nu.algebra.atom_indices(e)
-    if not idx or nu.target.dim == 0:
+    target = nu.target
+    if not idx or target.dim == 0:
         return ZERO
-    best = ZERO
-    for phi in nu.target.dual_extreme_functionals():
-        total = sum(
-            (abs(sum((phi[k] * nu.atom_values[i][k] for k in range(len(phi))), ZERO))
-             for i in idx), ZERO)
-        if total > best:
-            best = total
-    return best
+    blocks = target.dual_vertex_blocks()
+    scaled = [[w * x for w, x in zip(target.weights, nu.atom_values[i])] for i in idx]
+    den = math.lcm(*(x.denominator for row in scaled for x in row))
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row in scaled]
+    best = 0
+    for g in blocks:
+        totals = [0] * (1 << (len(g) - 1))
+        for row in rows:
+            # every signed sum of the row over g with first sign +1
+            sums = [row[g[0]]]
+            for k in g[1:]:
+                u = row[k]
+                sums = [x + u for x in sums] + [x - u for x in sums]
+            totals = [t + abs(x) for t, x in zip(totals, sums)]
+        best = max(best, max(totals))
+    return Fraction(best, den)
 
 
 def semivariation_bruteforce(nu: VectorMeasure, e: int,

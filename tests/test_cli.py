@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from catmeas import cli
-from catmeas.errors import ModelError
+from catmeas.boolalg import BoolAlg, BoolMorphism, StoneSpace, stone_space
+from catmeas.errors import InvalidModel, ModelError
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -353,3 +354,76 @@ def test_text_and_structured_agree_on_content():
     for key, v in payload["verdicts"].items():
         assert key in text.stdout
         assert ("[ok]" if v["ok"] else "[FAIL]") in text.stdout
+
+
+# -- the Stone verdict against the 4^n pair loop --------------------------------
+
+def stone_pair_loop(omega, fwd, bwd):
+    """The round trip on every element, and fwd preserving meets and
+    joins on every pair of elements."""
+    elements = list(omega.elements())
+    return all(bwd(fwd(e)) == e for e in elements) and all(
+        fwd(e & f) == fwd(e) & fwd(f) and fwd(e | f) == fwd(e) | fwd(f)
+        for e in elements for f in elements)
+
+
+def stone_verdict(omega):
+    model = cli.Model()
+    model.algebra = omega
+    return cli.run("stone", model, 0, False, None).payload["verdicts"]["stone_round_trip"]
+
+
+def test_stone_verdict_agrees_with_the_pair_loop():
+    for n in range(1, 7):
+        omega = BoolAlg(tuple(f"x{i}" for i in range(n)))
+        fwd, bwd = stone_space(omega).round_trip()
+        assert stone_verdict(omega) == {"ok": stone_pair_loop(omega, fwd, bwd)} == {"ok": True}
+
+
+def test_boolean_morphisms_reject_overlapping_atom_images():
+    """Disjoint atom images are what make a BoolMorphism preserve meets,
+    so they are the only way a map could fail the pair loop but not the
+    round trip on atoms."""
+    omega = BoolAlg(("a", "b", "c"))
+    with pytest.raises(InvalidModel):
+        BoolMorphism(omega, omega, (omega.element(["a", "b"]), omega.element(["b"]),
+                                    omega.element(["c"])))
+
+
+def test_stone_verdict_fails_with_a_witness_on_a_wrong_inverse(monkeypatch):
+    omega = BoolAlg(("a", "b", "c"))
+    honest = StoneSpace.round_trip
+
+    def swapped(self):
+        fwd, bwd = honest(self)
+        images = list(bwd.atom_images)
+        images[0], images[1] = images[1], images[0]
+        return fwd, BoolMorphism(bwd.source, bwd.target, tuple(images))
+
+    monkeypatch.setattr(StoneSpace, "round_trip", swapped)
+    fwd, bwd = stone_space(omega).round_trip()
+    assert not stone_pair_loop(omega, fwd, bwd)
+    assert stone_verdict(omega) == {"ok": False, "detail": {"atom": "a", "got": ["b"]}}
+    out = run_cli("stone", "--model", str(MODELS / "reference.json"))
+    assert out.returncode == 1
+    assert '[FAIL] stone_round_trip  {"atom": "a*u", "got": ["a*v"]}' in out.stdout
+
+
+# -- resource limits ------------------------------------------------------------
+
+WIDE_SUM_MODEL = {
+    "algebra": {"atoms": ["a", "b"]},
+    "spaces": {"V": {"flavor": "sum", "basis": [f"v{i}" for i in range(17)],
+                     "weights": ["1"] * 17}},
+    "measures": {"nu": {"target": "V",
+                        "values": {"a": ["1"] * 17, "b": ["-1/2"] + ["0"] * 16}}},
+}
+
+
+@pytest.mark.parametrize("command", ["semivariation", "integrate", "verify-all"])
+def test_a_wide_sum_target_exits_two_too_large(tmp_path, command):
+    """2^17 dual-ball vertices exceed the cap of 65536."""
+    out = run_cli(command, "--model", write_model(tmp_path, WIDE_SUM_MODEL))
+    assert out.returncode == 2
+    assert "too-large" in out.stderr
+    assert "Traceback" not in out.stderr and out.stdout == ""

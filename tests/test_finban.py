@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from catmeas.errors import FlavorMismatch, NotAFunctor
+from catmeas.errors import FlavorMismatch, InvalidModel, NotAFunctor, ResourceLimit
 from catmeas.finban import (BifunctorData, FinBanSpace, FinPoset, Flavor,
                             IsoWitness, LinMap, coend, direct_sum, end,
                             operator_norm, projective_norm_oracle,
@@ -115,6 +115,27 @@ def test_operator_norm_matches_extreme_point_oracle():
                 oracle = max((tgt.norm(t(v)) for v in src.ball_extreme_points()),
                              default=F(0))
                 assert operator_norm(t) == oracle
+
+
+def test_vertex_caps_raise_resource_limit():
+    """The unit ball of a 13-dim SUP space has 2^13 > 4096 vertices, the
+    dual ball of a 17-dim SUM space 2^17 > 65536; one dimension less is
+    within each cap.  Both raise before any vertex is produced."""
+    with pytest.raises(ResourceLimit, match="too-large"):
+        sup_space([f"e{j}" for j in range(13)]).ball_extreme_points()
+    assert len(list(sup_space([f"e{j}" for j in range(12)]).ball_extreme_points())) == 4096
+    wide = sum_space([f"e{j}" for j in range(17)])
+    for call in (wide.dual_vertex_blocks, wide.dual_extreme_functionals):
+        with pytest.raises(ResourceLimit, match="too-large"):
+            call()
+    assert sum_space([f"e{j}" for j in range(16)]).dual_vertex_blocks() == (tuple(range(16)),)
+    assert issubclass(ResourceLimit, FlavorMismatch) and ResourceLimit.code == "too-large"
+
+
+def test_sup_space_rejects_empty_group():
+    # an empty block would carry no dual vertex and no unit-ball choice
+    with pytest.raises(InvalidModel, match="nonempty"):
+        FinBanSpace(("u", "v"), (Fraction(1), Fraction(1)), Flavor.SUP, ((0, 1), ()))
 
 
 def test_monomial_norm_closed_form_matches_enumeration():

@@ -5,8 +5,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from catmeas.boolalg import BoolAlg, BoolMorphism, coproduct
-from catmeas.finban import sum_space, sup_space
+from catmeas.errors import FlavorMismatch, ResourceLimit
+from catmeas.finban import FinBanSpace, Flavor, scalars, sum_space, sup_space
 from catmeas.measures import (MeasureAlgebra, VectorMeasure, factor_through,
                               is_spectral, lipschitz_norm, null_quotient,
                               product_measure, pullback, semivariation,
@@ -113,6 +117,115 @@ def test_semivariation_monotone_subadditive():
                     assert semivariation(nu, e) <= semivariation(nu, f)
                 assert semivariation(nu, e | f) <= semivariation(nu, e) + semivariation(nu, f)
         assert semivariation(nu, 0) == 0
+
+
+# -- semivariation against the dual-vertex Fraction loop ------------------------
+
+def semivariation_oracle(nu, elements):
+    """{e: sv(e)} as the max over every dual_extreme_functionals() vertex
+    phi of sum over atoms a <= e of |phi . nu(a)|, in Fractions; each
+    pairing is computed once and summed per element."""
+    dim, n = nu.target.dim, nu.algebra.n
+    pairings = [
+        [abs(sum((phi[k] * nu.atom_values[i][k] for k in range(dim)), F(0)))
+         for i in range(n)]
+        for phi in nu.target.dual_extreme_functionals()]
+    return {e: max((sum((row[i] for i in nu.algebra.atom_indices(e)), F(0))
+                    for row in pairings), default=F(0))
+            for e in elements}
+
+
+def target_of(kind, weights, blocks):
+    """A "sum", "sup" or "blocked" (SUP with `blocks` as groups) space."""
+    labels = [f"e{j}" for j in range(len(weights))]
+    if kind == "sum":
+        return sum_space(labels, weights)
+    if kind == "sup":
+        return sup_space(labels, weights)
+    return FinBanSpace(tuple(labels), tuple(weights), Flavor.SUP,
+                       tuple(tuple(b) for b in blocks))
+
+
+def random_target(rng, kind, dim):
+    weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(dim)]
+    order = list(range(dim))
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        k = rng.randint(1, len(order))
+        blocks.append(sorted(order[:k]))
+        order = order[k:]
+    return target_of(kind, weights, blocks)
+
+
+def random_measure_with_nulls(rng, omega, target):
+    """Signed non-integer values; about one atom in four is null."""
+    def value():
+        if rng.random() < 0.25:
+            return tuple(F(0) for _ in range(target.dim))
+        return tuple(F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(target.dim))
+    return VectorMeasure(omega, target, tuple(value() for _ in range(omega.n)))
+
+
+def test_semivariation_matches_the_dual_vertex_loop():
+    rng = random.Random(11)
+    cases = [(random_target(rng, kind, dim), rng.randint(1, 4))
+             for kind in ("sum", "sup", "blocked") for dim in range(11)
+             for _ in range(2 if dim <= 6 else 1)]
+    cases += [(target, n) for target in (scalars(), sum_space(["u"], [F(5, 3)]),
+                                         sup_space(["u"], [F(2, 7)]))
+              for n in range(1, 5)]
+    for target, n in cases:
+        omega = alg(*(f"x{i}" for i in range(n)))
+        nu = random_measure_with_nulls(rng, omega, target)
+        elements = list(omega.elements())
+        oracle = semivariation_oracle(nu, elements)
+        for e in elements:
+            assert semivariation(nu, e) == oracle[e], (target, e)
+        if target.dim <= 6:
+            functionals = list(target.dual_extreme_functionals())
+            assert semivariation_bruteforce(nu, omega.top, functionals) == oracle[omega.top]
+
+
+@st.composite
+def measures(draw):
+    kind = draw(st.sampled_from(("sum", "sup", "blocked")))
+    dim = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 4))
+    rationals = st.builds(F, st.integers(-7, 7), st.integers(1, 6))
+    weights = draw(st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 5)),
+                            min_size=dim, max_size=dim))
+    # block b holds the coordinates labelled b
+    block_of = draw(st.lists(st.integers(0, max(dim - 1, 0)), min_size=dim, max_size=dim))
+    blocks = [[i for i in range(dim) if block_of[i] == b] for b in sorted(set(block_of))]
+    target = target_of(kind, weights, blocks)
+    values = draw(st.lists(st.lists(rationals, min_size=dim, max_size=dim),
+                           min_size=n, max_size=n))
+    omega = alg(*(f"x{i}" for i in range(n)))
+    return VectorMeasure(omega, target, tuple(tuple(v) for v in values))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(measures())
+def test_semivariation_property_matches_the_loop(nu):
+    elements = list(nu.algebra.elements())
+    oracle = semivariation_oracle(nu, elements)
+    assert [semivariation(nu, e) for e in elements] == [oracle[e] for e in elements]
+
+
+def test_semivariation_of_a_wide_sum_target_raises():
+    omega = alg("a", "b")
+    wide = sum_space([f"e{j}" for j in range(17)])
+    nu = VectorMeasure(omega, wide, tuple(tuple(F(1) for _ in range(17)) for _ in range(2)))
+    with pytest.raises(ResourceLimit) as caught:
+        semivariation(nu, omega.top)
+    assert isinstance(caught.value, FlavorMismatch)
+    assert caught.value.code == "too-large" and "too-large" in str(caught.value)
+    assert semivariation(nu, 0) == 0  # bottom needs no functional
+    # the cap is 65536 = 2^16 vertices: 16 dimensions still enumerate
+    narrow = sum_space([f"e{j}" for j in range(16)])
+    mu = VectorMeasure(omega, narrow, (tuple(F(1) for _ in range(16)),) * 2)
+    assert semivariation(mu, omega.top) == 32
 
 
 def test_lipschitz_scaling():
