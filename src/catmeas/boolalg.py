@@ -12,10 +12,15 @@ basis and bit encoding used elsewhere in the package.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
-from .errors import DegenerateQuotient, EmptyElement, InvalidModel, UnknownPoint
+from .errors import (DegenerateQuotient, EmptyElement, InvalidModel, ResourceLimit,
+                     UnknownPoint)
+
+# Fixed cap on the partitions `partitions_of` enumerates; past it ResourceLimit.
+PARTITION_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -136,18 +141,22 @@ def atomic_partition(omega: BoolAlg, e: int) -> Partition:
     return Partition(omega, e, tuple(1 << i for i in omega.atom_indices(e)))
 
 
-def partitions_of(omega: BoolAlg, e: int,
-                  max_blocks: Optional[int] = None) -> Iterator[Partition]:
+def partitions_of(omega: BoolAlg, e: int) -> Iterator[Partition]:
     """All partitions of e (restricted-growth enumeration over its atoms).
 
-    With max_blocks set, only partitions with at most that many blocks
-    are produced.
+    Raises ResourceLimit, before enumerating, when the Bell number of
+    e's atom count exceeds PARTITION_CAP.
     """
     if e == 0:
         raise EmptyElement("bottom has no partitions")
     idx = omega.atom_indices(e)
     k = len(idx)
-    cap = k if max_blocks is None else min(max_blocks, k)
+    bell = [1]  # bell[m] = Bell(m) = sum_j C(m - 1, j) Bell(j)
+    while len(bell) <= k and bell[-1] <= PARTITION_CAP:
+        bell.append(sum(math.comb(len(bell) - 1, j) * b for j, b in enumerate(bell)))
+    if bell[-1] > PARTITION_CAP:
+        raise ResourceLimit(f"an element of {k} atoms has Bell({k}) partitions, "
+                            f"more than {PARTITION_CAP}")
 
     def grow(assign: list[int], used: int) -> Iterator[Partition]:
         if len(assign) == k:
@@ -156,7 +165,7 @@ def partitions_of(omega: BoolAlg, e: int,
                 blocks[block_no] |= 1 << idx[pos]
             yield Partition(omega, e, tuple(blocks))
             return
-        for block_no in range(min(used + 1, cap)):
+        for block_no in range(used + 1):
             assign.append(block_no)
             yield from grow(assign, max(used, block_no + 1))
             assign.pop()

@@ -8,7 +8,7 @@ structured output format is stable-ordered, so identical inputs (model,
 command, seed, flags) produce byte-identical output; timing information
 therefore goes to stderr, never into a report.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -792,13 +792,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         model = parse_model(args.model)
         report = run(args.command, model, args.seed, args.exhaustive, args.element)
+        text = emit_report(report, args.format)
     except ModelError as exc:
         print(f"model error {exc}", file=sys.stderr)
         return 2
     except CatmeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(report, args.format))
+    except Exception as exc:  # a defect of catmeas, not of the input: one line, exit 3
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    sys.stdout.write(text)
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return 1 if report.failed else 0
 

@@ -27,6 +27,7 @@ quotient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,6 +72,12 @@ def zero_vec(dim: int) -> Vector:
 
 def basis_vec(dim: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(dim))
+
+
+@functools.lru_cache(maxsize=64)
+def _identity_rows(dim: int) -> tuple[Vector, ...]:
+    """The rows of the dim x dim identity; immutable, so maps share them."""
+    return tuple(basis_vec(dim, i) for i in range(dim))
 
 
 @dataclass(frozen=True)
@@ -164,14 +171,16 @@ class FinBanSpace:
         """The blocks that carry the vertices of the dual unit ball: each
         vertex is a weighted sign pattern on one block, zero elsewhere.
 
-        SUM: one block, the whole basis (2^dim vertices); raises
-        ResourceLimit when 2^dim exceeds DUAL_BALL_CAP.  SUP/blocked: the
-        blocks.
+        SUM: one block, the whole basis (2^dim vertices).  SUP/blocked: the
+        blocks, 2^|g| vertices on block g.  Raises ResourceLimit when a
+        block carries more than DUAL_BALL_CAP vertices.
         """
-        if self.flavor is Flavor.SUM and 2 ** self.dim > DUAL_BALL_CAP:
-            raise ResourceLimit(f"dual ball of this space has 2^{self.dim} "
-                                f"vertices, more than {DUAL_BALL_CAP}")
-        return self.effective_groups()
+        blocks = self.effective_groups()
+        widest = max(map(len, blocks), default=0)
+        if 2 ** widest > DUAL_BALL_CAP:
+            raise ResourceLimit(f"dual ball of this space has 2^{widest} "
+                                f"vertices on one block, more than {DUAL_BALL_CAP}")
+        return blocks
 
     def dual_extreme_functionals(self) -> Iterator[Vector]:
         """Vertices of the dual unit ball, as coordinate functionals
@@ -221,7 +230,7 @@ class LinMap:
     def __post_init__(self):
         if len(self.matrix) != self.target.dim:
             raise InvalidModel("matrix row count must match the target dimension")
-        if any(len(row) != self.source.dim for row in self.matrix):
+        if set(map(len, self.matrix)) - {self.source.dim}:
             raise InvalidModel("matrix column count must match the source dimension")
 
     def __call__(self, v: Sequence[Fraction]) -> Vector:
@@ -267,11 +276,8 @@ class LinMap:
             tuple(k * x for x in row) for row in self.matrix))
 
     def is_identity(self) -> bool:
-        if self.source.dim != self.target.dim:
-            return False
-        return all(
-            self.matrix[i][j] == (ONE if i == j else ZERO)
-            for i in range(self.target.dim) for j in range(self.source.dim))
+        return self.source.dim == self.target.dim and all(
+            tuple(row) == e for row, e in zip(self.matrix, _identity_rows(self.target.dim)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
@@ -292,9 +298,7 @@ class LinMap:
 
     @staticmethod
     def identity(space: FinBanSpace) -> "LinMap":
-        return LinMap(space, space, tuple(
-            tuple(ONE if i == j else ZERO for j in range(space.dim))
-            for i in range(space.dim)))
+        return LinMap(space, space, _identity_rows(space.dim))
 
     @staticmethod
     def zero(source: FinBanSpace, target: FinBanSpace) -> "LinMap":
@@ -403,14 +407,11 @@ class IsoWitness:
         """Witness for e_j |-> e_{image_index[j]}."""
         if sorted(image_index) != list(range(source.dim)) or source.dim != target.dim:
             raise InvalidModel("not a permutation of matched bases")
-        fwd_cols = [basis_vec(target.dim, image_index[j]) for j in range(source.dim)]
-        inv = [0] * source.dim
-        for j, i in enumerate(image_index):
-            inv[i] = j
-        bwd_cols = [basis_vec(source.dim, inv[i]) for i in range(target.dim)]
-        return IsoWitness(
-            LinMap.from_columns(source, target, fwd_cols),
-            LinMap.from_columns(target, source, bwd_cols))
+        # row i of the forward map is e_j for the j sent to i
+        inverse = sorted(range(source.dim), key=lambda j: image_index[j])
+        eye = _identity_rows(source.dim)
+        return IsoWitness(LinMap(source, target, tuple(eye[j] for j in inverse)),
+                          LinMap(target, source, tuple(eye[i] for i in image_index)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +422,22 @@ class IsoWitness:
 class DirectSum:
     space: FinBanSpace
     parts: tuple[FinBanSpace, ...]
-    injections: tuple[LinMap, ...]
-    projections: tuple[LinMap, ...]
     offsets: tuple[int, ...]
+
+    @property
+    def injections(self) -> tuple[LinMap, ...]:
+        """inj_k e_j = e_(offsets[k] + j), built when read (basis_vec is
+        zero off its range)."""
+        return tuple(LinMap(part, self.space, tuple(
+            basis_vec(part.dim, i - off) for i in range(self.space.dim)))
+            for off, part in zip(self.offsets, self.parts))
+
+    @property
+    def projections(self) -> tuple[LinMap, ...]:
+        """proj_k, the transpose of inj_k, built when read."""
+        eye = _identity_rows(self.space.dim)
+        return tuple(LinMap(self.space, part, eye[off:off + part.dim])
+                     for off, part in zip(self.offsets, self.parts))
 
     def mediate_from_cone(self, cone: Sequence[LinMap]) -> LinMap:
         """For SUM sums: the unique map T with T o inj_x = cone_x."""
@@ -487,15 +501,7 @@ def direct_sum(spaces: Sequence[FinBanSpace],
     grouped = tuple(groups) if flavor is Flavor.SUP and any(
         s.groups is not None for s in spaces) else None
     total = FinBanSpace(tuple(labels), tuple(weights), flavor, grouped)
-    injections = []
-    projections = []
-    for off, s in zip(offsets, spaces):
-        inj_cols = [basis_vec(total.dim, off + j) for j in range(s.dim)]
-        injections.append(LinMap.from_columns(s, total, inj_cols))
-        proj_rows = tuple(basis_vec(total.dim, off + i) for i in range(s.dim))
-        projections.append(LinMap(total, s, proj_rows))
-    return DirectSum(total, tuple(spaces), tuple(injections), tuple(projections),
-                     tuple(offsets))
+    return DirectSum(total, tuple(spaces), tuple(offsets))
 
 
 @dataclass(frozen=True)
@@ -849,6 +855,7 @@ def coend(bif: BifunctorData, label: str = "coend") -> CoendResult:
     bif.validate()
     objs = bif.index.objects
     diag = direct_sum([bif.space(a, a) for a in objs], tags=list(objs))
+    injections = diag.injections
     relations: list[Vector] = []
     for f in bif.index.arrows:
         a, b = f
@@ -859,10 +866,10 @@ def coend(bif: BifunctorData, label: str = "coend") -> CoendResult:
         ib = objs.index(b)
         for k in range(src.dim):
             z = src.basis_vector(k)
-            rel = vec_sub(diag.injections[ia](fa(z)), diag.injections[ib](fb(z)))
+            rel = vec_sub(injections[ia](fa(z)), injections[ib](fb(z)))
             relations.append(rel)
     q = quotient(diag.space, relations, label=label)
-    wedges = {a: q.projection @ diag.injections[i] for i, a in enumerate(objs)}
+    wedges = {a: q.projection @ injections[i] for i, a in enumerate(objs)}
     return CoendResult(bif.index, bif, diag, q, wedges)
 
 

@@ -59,8 +59,8 @@ from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
                      SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
-from .finban import (DirectSum, FinBanSpace, Flavor, LinMap, Vector, direct_sum,
-                     is_isometric_iso, operator_norm, scalars, sup_space, zero_space)
+from .finban import (FinBanSpace, Flavor, LinMap, Vector, direct_sum, is_isometric_iso,
+                     operator_norm, scalars, sup_space, zero_space, zero_vec)
 from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, linf_norm
 
@@ -175,39 +175,34 @@ def make_presheaf(omega: BoolAlg, spaces, cover_maps,
 
 def from_atom_spaces(omega: BoolAlg,
                      atom_spaces: Mapping[str, FinBanSpace]) -> PreCosheaf:
-    """The canonical cosheaf with the given atom fibers: each value is the
-    direct sum of the atom fibers below, extensions are block inclusions.
-    This is one direction of the discrete density result: atom data
-    extends to a cosheaf by sums.  Functorial and contractive by
-    construction: an inclusion of atom blocks with inherited weights has
-    norm 1 (or acts on a 0-dim space), and a composite of inclusions is
-    the inclusion."""
+    """The canonical cosheaf with the given atom fibers: mu(E) is the
+    direct sum of the fibers of the atoms below E (in atom order, tagged
+    by atom), extensions are block inclusions.  This is one direction of
+    the discrete density result: atom data extends to a cosheaf by sums.
+    Functorial and contractive by construction: an inclusion of atom
+    blocks with inherited weights has norm 1 (or acts on a 0-dim space),
+    and a composite of inclusions is the inclusion.  For a covering pair
+    (small, small + atom k), big's basis is small's with k's block
+    inserted at off = sum of dim(atom i) over the atoms i < k below small,
+    so the inclusion is small's identity with zero rows inserted at off."""
     for a in omega.atoms:
         if a not in atom_spaces:
             raise InvalidModel(f"missing atom space for {a!r}")
         if atom_spaces[a].flavor is not Flavor.SUM:
             raise InvalidModel("cosheaf fibers carry the SUM flavor")
-    sums: dict[int, DirectSum] = {}
-    spaces: dict[int, FinBanSpace] = {}
-    for e in omega.elements():
-        atoms = omega.atoms_below(e)
-        if atoms:
-            ds = direct_sum([atom_spaces[a] for a in atoms], tags=list(atoms))
-            sums[e] = ds
-            spaces[e] = ds.space
-        else:
-            spaces[e] = zero_space(Flavor.SUM)
+    blocks = [(tuple(f"{a}:{b}" for b in atom_spaces[a].basis), tuple(atom_spaces[a].weights))
+              for a in omega.atoms]
+    spaces: dict[int, FinBanSpace] = {0: zero_space(Flavor.SUM)}
+    for e in omega.nonzero_elements():
+        top = e.bit_length() - 1
+        rest, (labels, weights) = spaces[e & ~(1 << top)], blocks[top]
+        spaces[e] = FinBanSpace(rest.basis + labels, rest.weights + weights, Flavor.SUM)
     cover_maps = {}
-    for small, big, _ in _covering_pairs(omega):
-        small_atoms = omega.atoms_below(small)
-        big_ds = sums[big]
-        cols = []
-        for pos, a in enumerate(omega.atoms_below(big)):
-            if a in small_atoms:
-                inj = big_ds.injections[pos]
-                cols.extend(inj.column(j) for j in range(atom_spaces[a].dim))
-        cover_maps[(small, big)] = LinMap.from_columns(
-            spaces[small], spaces[big], cols)
+    for small, big, k in _covering_pairs(omega):
+        source, target = spaces[small], spaces[big]
+        eye, off = LinMap.identity(source).matrix, spaces[small & ((1 << k) - 1)].dim
+        rows = eye[:off] + (zero_vec(source.dim),) * (target.dim - source.dim) + eye[off:]
+        cover_maps[(small, big)] = LinMap(source, target, rows)
     return PreCosheaf(omega, spaces, cover_maps)
 
 
@@ -260,11 +255,9 @@ def partition_map(mu: PreCosheaf, e: int, blocks: Sequence[int]) -> LinMap:
     """The mediated map (+)_F mu(F) -> mu(E) of a partition."""
     ds = direct_sum([mu.space(f) for f in blocks],
                     tags=[mu.algebra.describe(f) for f in blocks])
-    cols = []
-    for f in blocks:
-        ext = mu.extension(f, e)
-        cols.extend(ext.column(j) for j in range(mu.space(f).dim))
-    return LinMap.from_columns(ds.space, mu.space(e), cols)
+    exts = [mu.extension(f, e).matrix for f in blocks]
+    rows = tuple(tuple(x for m in exts for x in m[i]) for i in range(mu.space(e).dim))
+    return LinMap(ds.space, mu.space(e), rows)
 
 
 def _binary_splits(omega: BoolAlg, e: int):
@@ -298,6 +291,8 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
         if x.covariant else
         (restriction_cone_map, "restriction cone is not an isometric isomorphism"))
     omega, spaces = x.algebra, x.spaces
+    if exhaustive:
+        partitions_of(omega, omega.top)  # the largest enumeration meets its cap first
     one_split = not exhaustive and len({s.flavor for s in spaces.values()}) <= 1
     for e in omega.nonzero_elements():
         if exhaustive:
@@ -531,16 +526,18 @@ def integrate_simple_morphism(f: SimpleElement, mu: PreCosheaf,
 def characteristic_sheaf(omega: BoolAlg, e: int) -> PreSheaf:
     """F |-> sup-normed functions on the atoms below E & F, restrictions
     dropping coordinates; a coordinate drop between unit-weight sup spaces
-    is contractive, and drops compose to the drop onto the smaller set."""
+    is contractive, and drops compose to the drop onto the smaller set.
+    Adding an atom k <= E to F inserts k's coordinate at position p, the
+    number of atoms of E & F below k, so the drop is the identity without
+    row p (the identity when k is not <= E)."""
     omega.check_element(e)
     spaces = {f: sup_space(omega.atoms_below(e & f)) for f in omega.elements()}
     cover_maps = {}
-    for small, big, _ in _covering_pairs(omega):
-        big_atoms = omega.atoms_below(e & big)
-        small_atoms = set(omega.atoms_below(e & small))
-        rows = tuple(
-            tuple(ONE if b == a else ZERO for b in big_atoms)
-            for a in big_atoms if a in small_atoms)
+    for small, big, k in _covering_pairs(omega):
+        rows = LinMap.identity(spaces[big]).matrix
+        if e >> k & 1:
+            p = spaces[small & ((1 << k) - 1)].dim
+            rows = rows[:p] + rows[p + 1:]
         cover_maps[(small, big)] = LinMap(spaces[big], spaces[small], rows)
     return PreSheaf(omega, spaces, cover_maps)
 

@@ -5,11 +5,12 @@ import itertools
 
 import pytest
 
-from catmeas.boolalg import (BoolAlg, all_morphisms, atomic_partition,
+from catmeas.boolalg import (PARTITION_CAP, BoolAlg, all_morphisms, atomic_partition,
                              build_algebra, coproduct, ideal_projection,
                              partitions_of, principal_ideal, quotient_by_null,
                              refines, stone_space, verify_coproduct)
-from catmeas.errors import (DegenerateQuotient, EmptyElement, InvalidModel)
+from catmeas.errors import (DegenerateQuotient, EmptyElement, InvalidModel,
+                            ResourceLimit)
 
 
 def alg(*atoms):
@@ -127,11 +128,19 @@ def test_refinement_is_partial_order_with_atomic_maximum():
                 assert refines(p, r)
 
 
-def test_max_blocks_filter():
-    omega = alg("a", "b", "c")
-    parts = list(partitions_of(omega, omega.top, max_blocks=2))
-    assert all(len(p) <= 2 for p in parts)
-    assert len(parts) == 4  # 5 partitions of a 3-set, minus the atomic one
+def test_partitions_are_capped_by_the_bell_number():
+    """Bell(11) = 678,570 partitions are within PARTITION_CAP = 2^20,
+    Bell(12) = 4,213,597 are not; the cap is checked before enumerating."""
+    assert PARTITION_CAP == 2 ** 20
+    assert bell(11) <= PARTITION_CAP < bell(12)
+    eleven = alg(*(f"a{i:02d}" for i in range(11)))
+    first = next(partitions_of(eleven, eleven.top))
+    assert first.blocks == (eleven.top,)
+    twelve = alg(*(f"a{i:02d}" for i in range(12)))
+    with pytest.raises(ResourceLimit, match="too-large: an element of 12 atoms"):
+        partitions_of(twelve, twelve.top)
+    # an element's own atom count decides, not the algebra's
+    assert len(list(partitions_of(twelve, twelve.element(["a00", "a01", "a02"])))) == 5
 
 
 # -- Stone duality -----------------------------------------------------------

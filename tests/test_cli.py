@@ -427,3 +427,47 @@ def test_a_wide_sum_target_exits_two_too_large(tmp_path, command):
     assert out.returncode == 2
     assert "too-large" in out.stderr
     assert "Traceback" not in out.stderr and out.stdout == ""
+
+
+TWELVE_ATOMS = [f"a{i:02d}" for i in range(12)]
+TWELVE_ATOM_MODEL = {
+    "algebra": {"atoms": TWELVE_ATOMS},
+    "measures": {"mu": {"target": "scalar", "values": {a: "1" for a in TWELVE_ATOMS}}},
+    "cosheaves": {"lam": "l1-of:mu"},
+}
+
+
+@pytest.mark.parametrize("args", [["partitions"], ["check-cosheaf", "--exhaustive"]],
+                         ids=["partitions", "check-cosheaf-exhaustive"])
+def test_twelve_atoms_exceed_the_partition_cap(tmp_path, args):
+    """Bell(12) > 2^20: refused before any partition is enumerated (the
+    exhaustive check would otherwise first walk every smaller element)."""
+    out = run_cli(*args, "--model", write_model(tmp_path, TWELVE_ATOM_MODEL))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: too-large: an element of 12 atoms has Bell(12) "
+                          "partitions, more than 1048576\n")
+
+
+# -- internal errors --------------------------------------------------------------
+
+def test_an_internal_error_exits_three_on_one_line(monkeypatch):
+    def broken(*_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.DISPATCH, "stone", broken)
+    out = run_cli("stone", "--model", str(MODELS / "reference.json"))
+    assert (out.returncode, out.stdout, out.stderr) == (
+        3, "", "internal error: RuntimeError: boom\n")
+
+
+def test_an_internal_error_exits_three_in_a_process_of_its_own():
+    script = ("import sys\n"
+              "from catmeas import cli\n"
+              "def broken(*_):\n"
+              "    raise RuntimeError('boom')\n"
+              "cli.DISPATCH['stone'] = broken\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "stone", "--model",
+                           str(MODELS / "reference.json")], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "internal error: RuntimeError: boom\n")

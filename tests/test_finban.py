@@ -1,14 +1,16 @@
 """Weighted l1/sup spaces: norms, exact operator norms, direct sums,
 projective tensor with its LP oracle, LP quotients, coends and ends."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catmeas.errors import FlavorMismatch, InvalidModel, NotAFunctor, ResourceLimit
 from catmeas.finban import (BifunctorData, FinBanSpace, FinPoset, Flavor,
-                            IsoWitness, LinMap, coend, direct_sum, end,
+                            IsoWitness, LinMap, basis_vec, coend, direct_sum, end,
                             operator_norm, projective_norm_oracle,
                             projective_tensor, quotient, sum_space,
                             sup_space, vec, zero_space)
@@ -78,6 +80,35 @@ def test_compose_matches_naive_triple_sum():
         assert all(isinstance(q, Fraction) for row in got.matrix for q in row)
 
 
+def test_is_identity_checks_every_entry():
+    """Against the entrywise definition, on the identity with one entry
+    changed anywhere, on non-square maps and on the 0-dim map."""
+    rng = random.Random(59)
+    for d in range(4):
+        space = rnd_space(rng, d, Flavor.SUM)
+        ident = LinMap.identity(space)
+        assert ident.is_identity() and ident.matrix == tuple(
+            tuple(F(int(i == j)) for j in range(d)) for i in range(d))
+        for i, j in itertools.product(range(d), repeat=2):
+            rows = [list(row) for row in ident.matrix]
+            rows[i][j] += F(1, 2)
+            assert not LinMap(space, space, tuple(map(tuple, rows))).is_identity()
+        other = rnd_space(rng, d + 1, Flavor.SUM)
+        assert not LinMap.zero(space, other).is_identity()
+
+
+def test_permutation_witness_matches_its_definition():
+    rng = random.Random(61)
+    for d, image in [(d, [(j + 1) % d for j in range(d)]) for d in range(5)] + [
+            (d, rng.sample(range(d), d)) for d in range(5)]:
+        a, b = rnd_space(rng, d, Flavor.SUM), rnd_space(rng, d, Flavor.SUM)
+        wit = IsoWitness.from_permutation(a, b, image)
+        for j in range(d):
+            assert wit.forward.column(j) == b.basis_vector(image[j])
+            assert wit.backward.column(image[j]) == a.basis_vector(j)
+        assert wit.is_valid()
+
+
 def test_sum_norm_value():
     s = sum_space(["a", "b"])
     assert s.norm(vec(1, -2)) == 3
@@ -130,6 +161,21 @@ def test_vertex_caps_raise_resource_limit():
             call()
     assert sum_space([f"e{j}" for j in range(16)]).dual_vertex_blocks() == (tuple(range(16)),)
     assert issubclass(ResourceLimit, FlavorMismatch) and ResourceLimit.code == "too-large"
+
+
+def test_blocked_sup_dual_ball_is_capped_per_block():
+    """A block of g coordinates carries 2^g dual vertices: one block of 17
+    is past DUAL_BALL_CAP = 65536, one of 16 is within it."""
+    def blocked(width):
+        dim = width + 3
+        return FinBanSpace(tuple(f"e{j}" for j in range(dim)), (F(1),) * dim, Flavor.SUP,
+                           (tuple(range(width)), (width,), (width + 1, width + 2)))
+
+    with pytest.raises(ResourceLimit, match="too-large"):
+        blocked(17).dual_vertex_blocks()
+    assert blocked(16).dual_vertex_blocks()[0] == tuple(range(16))
+    # plain SUP spaces have singleton blocks, however wide
+    assert len(sup_space([f"e{j}" for j in range(40)]).dual_vertex_blocks()) == 40
 
 
 def test_sup_space_rejects_empty_group():
@@ -256,6 +302,57 @@ def test_sup_product_mediation():
     t = ds.mediate_to_cone(legs)
     for i, leg in enumerate(legs):
         assert (ds.projections[i] @ t).matrix == leg.matrix
+
+
+def direct_sum_legs_oracle(spaces):
+    """The legs as direct_sum used to build them eagerly: injections
+    re-wrapped column by column through LinMap.from_columns, projections
+    from basis rows, offsets summed here."""
+    total = direct_sum(spaces).space
+    injections, projections, off = [], [], 0
+    for s in spaces:
+        injections.append(LinMap.from_columns(
+            s, total, [basis_vec(total.dim, off + j) for j in range(s.dim)]))
+        projections.append(LinMap(total, s, tuple(basis_vec(total.dim, off + i)
+                                                  for i in range(s.dim))))
+        off += s.dim
+    return tuple(injections), tuple(projections)
+
+
+def rnd_summand(rng, flavor, blocked):
+    """A SUM, SUP or blocked-SUP space of dimension 0-3."""
+    dim = rng.randint(0, 3)
+    groups = None
+    if blocked and dim:
+        bounds = [0, *sorted(rng.sample(range(1, dim), rng.randint(0, dim - 1))), dim]
+        groups = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    return FinBanSpace(tuple(f"e{i}" for i in range(dim)),
+                       tuple(rnd_pos(rng) for _ in range(dim)), flavor, groups)
+
+
+def check_legs_against_oracle(rng, parts, flavor, blocked):
+    spaces = [rnd_summand(rng, flavor, blocked and rng.random() < 0.7) for _ in range(parts)]
+    ds = direct_sum(spaces)
+    injections, projections = direct_sum_legs_oracle(spaces)
+    assert ds.injections == injections
+    assert ds.projections == projections
+    assert ds.offsets == tuple(sum(s.dim for s in spaces[:k]) for k in range(parts))
+
+
+def test_direct_sum_legs_match_the_eager_oracle():
+    rng = random.Random(11)
+    for parts in range(1, 7):
+        for flavor, blocked in ((Flavor.SUM, False), (Flavor.SUP, False), (Flavor.SUP, True)):
+            for _ in range(8):
+                check_legs_against_oracle(rng, parts, flavor, blocked)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(parts=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["sum", "sup", "blocked"]))
+def test_direct_sum_legs_property(parts, seed, kind):
+    flavor = Flavor.SUM if kind == "sum" else Flavor.SUP
+    check_legs_against_oracle(random.Random(seed), parts, flavor, kind == "blocked")
 
 
 # -- projective tensor -------------------------------------------------------

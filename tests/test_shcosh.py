@@ -15,8 +15,8 @@ from catmeas import cli, exactla, shcosh
 from catmeas.boolalg import BoolAlg, partitions_of, stone_space
 from catmeas.errors import (CatmeasError, InvalidModel, NotACosheaf, NotAFunctor,
                             SupportError)
-from catmeas.finban import (FinBanSpace, Flavor, LinMap, operator_norm, scalars,
-                            sum_space, sup_space, zero_space)
+from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, operator_norm,
+                            scalars, sum_space, sup_space, zero_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
 from catmeas.shcosh import (bva_cosheaf,
                             bva_evaluation, bva_vector, characteristic_sheaf,
@@ -1029,6 +1029,97 @@ def test_yoneda_reduction_matches_the_hom_solver_property(n, seed, scaled):
     mu = make(rng, omega, max_dim=2)
     assert_reduction_matches_hom_solver(mu, covariant=False)
     assert_reduction_matches_hom_solver(dual_presheaf(mu), covariant=True)
+
+
+# -- offset-built constructions against their eager oracles ----------------------
+
+def oracle_covering_pairs(omega):
+    return [(e, e | 1 << i) for e in omega.elements() for i in range(omega.n)
+            if not e >> i & 1]
+
+
+def from_atom_spaces_oracle(omega, atom_spaces):
+    """The canonical cosheaf as it was built before the offset
+    construction: one DirectSum per element, and each cover map copied
+    column by column out of the bigger element's injections."""
+    sums, spaces = {}, {}
+    for e in omega.elements():
+        atoms = omega.atoms_below(e)
+        if atoms:
+            sums[e] = direct_sum([atom_spaces[a] for a in atoms], tags=list(atoms))
+            spaces[e] = sums[e].space
+        else:
+            spaces[e] = zero_space(Flavor.SUM)
+    cover_maps = {}
+    for small, big in oracle_covering_pairs(omega):
+        small_atoms = omega.atoms_below(small)
+        injections = sums[big].injections
+        cols = []
+        for pos, a in enumerate(omega.atoms_below(big)):
+            if a in small_atoms:
+                cols.extend(injections[pos].column(j) for j in range(atom_spaces[a].dim))
+        cover_maps[(small, big)] = LinMap.from_columns(spaces[small], spaces[big], cols)
+    return spaces, cover_maps
+
+
+def characteristic_sheaf_oracle(omega, e):
+    """The characteristic sheaf as it was built before the positional
+    construction: restriction rows found by comparing atom labels."""
+    spaces = {f: sup_space(omega.atoms_below(e & f)) for f in omega.elements()}
+    cover_maps = {}
+    for small, big in oracle_covering_pairs(omega):
+        big_atoms = omega.atoms_below(e & big)
+        small_atoms = set(omega.atoms_below(e & small))
+        rows = tuple(tuple(F(1) if b == a else F(0) for b in big_atoms)
+                     for a in big_atoms if a in small_atoms)
+        cover_maps[(small, big)] = LinMap(spaces[big], spaces[small], rows)
+    return spaces, cover_maps
+
+
+def assert_matches_oracle(x, oracle):
+    spaces, cover_maps = oracle
+    assert x.spaces == spaces and x.cover_maps == cover_maps
+    assert list(x.spaces) == list(spaces) and list(x.cover_maps) == list(cover_maps)
+
+
+def check_offset_constructions(rng, n, elements=None):
+    """Atom fibers of dim 0-3 (0 is what l1_cosheaf gives a null atom)
+    with random weights, and characteristic sheaves of the given
+    elements (all of them by default)."""
+    omega = alg(*(f"x{i}" for i in range(n)))
+    atom_spaces = {}
+    for a in omega.atoms:
+        dim = rng.randint(0, 3)
+        atom_spaces[a] = sum_space([f"b{j}" for j in range(dim)],
+                                   [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(dim)])
+    assert_matches_oracle(from_atom_spaces(omega, atom_spaces),
+                          from_atom_spaces_oracle(omega, atom_spaces))
+    for e in (omega.elements() if elements is None else elements(omega)):
+        assert_matches_oracle(characteristic_sheaf(omega, e),
+                              characteristic_sheaf_oracle(omega, e))
+
+
+def test_offset_constructions_match_their_eager_oracles():
+    rng = random.Random(23)
+    for n in range(1, 7):
+        for _ in range(6):
+            check_offset_constructions(rng, n, None if n <= 4 else
+                                       lambda omega: rng.sample(range(omega.top + 1), 6))
+    # the library's own callers: l1 with a null atom, zero, bva
+    omega = alg("a", "b", "c")
+    mu = MeasureAlgebra.from_values(omega, [F(1), F(0), F(2, 3)])
+    fibers = {"a": sum_space(["a"], [1]), "b": zero_space(Flavor.SUM),
+              "c": sum_space(["c"], [F(2, 3)])}
+    assert_matches_oracle(l1_cosheaf(mu), from_atom_spaces_oracle(omega, fibers))
+    assert_matches_oracle(zero_precosheaf(omega), from_atom_spaces_oracle(
+        omega, {a: zero_space(Flavor.SUM) for a in omega.atoms}))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_offset_constructions_match_their_eager_oracles_property(n, seed):
+    rng = random.Random(seed)
+    check_offset_constructions(rng, n, lambda omega: [rng.randint(0, omega.top)])
 
 
 # -- Stone transfer -------------------------------------------------------------
