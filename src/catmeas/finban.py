@@ -118,11 +118,12 @@ class FinBanSpace:
             raise InvalidModel("vector/basis length mismatch")
         if self.dim == 0:
             return ZERO
+        # zero coordinates add exactly 0, so they are skipped
         if self.flavor is Flavor.SUM:
-            return sum((w * abs(x) for w, x in zip(self.weights, v)), ZERO)
+            return sum((w * abs(x) for w, x in zip(self.weights, v) if x), ZERO)
         best = ZERO
         for g in self.effective_groups():
-            s = sum((self.weights[i] * abs(v[i]) for i in g), ZERO)
+            s = sum((self.weights[i] * abs(v[i]) for i in g if v[i]), ZERO)
             if s > best:
                 best = s
         return best
@@ -288,10 +289,18 @@ class LinMap:
     def inverse(self) -> Optional["LinMap"]:
         """The inverse map, or None when the map is not square or is
         singular; a map between zero-dimensional spaces inverts to the
-        empty map."""
-        if self.source.dim != self.target.dim:
+        empty map.  One nonzero c per row and column inverts in closed
+        form, to the transpose with 1/c there; any other map by rref."""
+        dim = self.source.dim
+        if dim != self.target.dim:
             return None
-        inv = exactla.invert(self.matrix) if self.source.dim else []
+        mono = _monomial_data(self)
+        if mono is not None and len(mono) == dim:
+            inv = [[ZERO] * dim for _ in range(dim)]
+            for j, i, c in mono:
+                inv[j][i] = ONE / c
+        else:
+            inv = exactla.invert(self.matrix)
         if inv is None:
             return None
         return LinMap(self.target, self.source, tuple(tuple(r) for r in inv))
@@ -320,18 +329,14 @@ def _monomial_data(t: LinMap) -> Optional[list[tuple[int, int, Fraction]]]:
     """(source col, target row, coefficient) triples when the matrix has at
     most one nonzero per row and per column; None otherwise."""
     entries = []
-    used_rows = set()
-    for j in range(t.source.dim):
-        col = t.column(j)
-        nz = [i for i, x in enumerate(col) if x != 0]
-        if len(nz) > 1:
+    used_cols = set()
+    for i, row in enumerate(t.matrix):
+        nz = [j for j, x in enumerate(row) if x]
+        if len(nz) > 1 or (nz and nz[0] in used_cols):
             return None
         if nz:
-            i = nz[0]
-            if i in used_rows:
-                return None
-            used_rows.add(i)
-            entries.append((j, i, col[i]))
+            used_cols.add(nz[0])
+            entries.append((nz[0], i, row[nz[0]]))
     return entries
 
 

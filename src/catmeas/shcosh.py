@@ -50,7 +50,7 @@ structure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -80,11 +80,15 @@ def _covering_pairs(omega: BoolAlg):
 @dataclass
 class _Assignment:
     """Spaces on the elements and structure maps keyed by covering pairs
-    (small, big), going the way the subclass's `covariant` says."""
+    (small, big), going the way the subclass's `covariant` says.  Both
+    never change after construction (no library code writes to them), so
+    `_walk` memoises structure maps in `_walks`, outside init, == and repr."""
 
     algebra: BoolAlg
     spaces: dict[int, FinBanSpace]
     cover_maps: dict[tuple[int, int], LinMap]
+    _walks: dict[tuple[int, int], LinMap] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def space(self, e: int) -> FinBanSpace:
         return self.spaces[self.algebra.check_element(e)]
@@ -121,16 +125,26 @@ def _stack(x, lower: LinMap, upper: LinMap) -> LinMap:
 
 
 def _walk(x, small: int, big: int) -> LinMap:
-    """x's structure map between small <= big, composed along the chain
-    from small that adds the atoms of big - small lowest first (path
-    independence is validated for assembled input, proved for library
-    constructions)."""
-    if not x.algebra.leq(small, big):
-        raise InvalidModel("a structure map needs small <= big")
-    out, cur = LinMap.identity(x.spaces[small]), small
-    for i in x.algebra.atom_indices(big & ~small):
-        out = _stack(x, out, x.cover_maps[(cur, cur | 1 << i)])
-        cur |= 1 << i
+    """x's structure map between small <= big along the chain from small
+    that adds the atoms of big - small lowest first (path independence
+    is validated for assembled input, proved for library constructions).
+    With h the highest atom of big - small, that chain is the one of
+    (small, big - h) and then the cover map of (big - h, big).  Exact
+    products are associative, so _stack(walk(small, big - h), cover map)
+    is the product of the same maps in the same order, the same matrix.
+    A covering pair is its cover map; each pair is composed once, then
+    kept in x._walks."""
+    out = x._walks.get((small, big))
+    if out is None:
+        if not x.algebra.leq(small, big):
+            raise InvalidModel("a structure map needs small <= big")
+        if small == big:
+            out = LinMap.identity(x.spaces[small])
+        else:
+            rest = big & ~(1 << ((big & ~small).bit_length() - 1))
+            cover = x.cover_maps[(rest, big)]
+            out = cover if rest == small else _stack(x, _walk(x, small, rest), cover)
+        x._walks[(small, big)] = out
     return out
 
 
@@ -414,7 +428,9 @@ class SpectralData:
         The exhaustive mode checks every pair of elements; the reduced
         mode checks mutual orthogonality of the atom projections plus
         P_E = sum of the atom projections below E, which implies the
-        pairwise laws by expanding both sides over atoms.
+        pairwise laws by expanding both sides over atoms.  It checks
+        P_E = P_{E - a} + P_a for the top atom a of each E != a, in
+        increasing order; by induction on E (P_0 = 0), that is the sum.
         """
         omega = self.cosheaf.algebra
         p = self.projections
@@ -436,20 +452,18 @@ class SpectralData:
                 want = p[a] if a == b else LinMap.zero(self.carrier, self.carrier)
                 if (p[a] @ p[b]).matrix != want.matrix:
                     return False
-        for e in omega.elements():
-            total = LinMap.zero(self.carrier, self.carrier)
-            for i in omega.atom_indices(e):
-                total = total.add(p[1 << i])
-            if total.matrix != p[e].matrix:
+        for e in omega.nonzero_elements():
+            a = 1 << (e.bit_length() - 1)
+            if e != a and p[e & ~a].add(p[a]).matrix != p[e].matrix:
                 return False
         return True
 
     def action_is_algebra_map(self, samples: Iterable[SimpleElement]) -> bool:
         from .simple import multiply
-        pool = list(samples)
-        for f in pool:
-            for g in pool:
-                if (self.action(f) @ self.action(g)).matrix != self.action(multiply(f, g)).matrix:
+        pool = [(f, self.action(f)) for f in samples]
+        for f, act_f in pool:
+            for g, act_g in pool:
+                if (act_f @ act_g).matrix != self.action(multiply(f, g)).matrix:
                     return False
         return True
 
@@ -975,31 +989,24 @@ def _monomial_twist(rng, space: FinBanSpace, tag: str):
     rng.shuffle(perm)
     coeff = [Fraction(rng.choice([1, -1]) * rng.randint(1, 3), rng.randint(1, 3))
              for _ in range(d)]
-    new_weights = [ZERO] * d
+    new_weights, rows = [ZERO] * d, [[ZERO] * d for _ in range(d)]
     for i in range(d):
         new_weights[perm[i]] = space.weights[i] / abs(coeff[i])
-    twisted = FinBanSpace(tuple(f"{tag}{k}" for k in range(d)),
-                          tuple(new_weights), Flavor.SUM) if d else zero_space(Flavor.SUM)
-    cols = []
-    for i in range(d):
-        v = [ZERO] * d
-        v[perm[i]] = coeff[i]
-        cols.append(tuple(v))
-    fwd = LinMap.from_columns(space, twisted, cols)
-    inv_cols = []
-    for j in range(d):
-        i = perm.index(j)
-        v = [ZERO] * d
-        v[i] = ONE / coeff[i]
-        inv_cols.append(tuple(v))
-    bwd = LinMap.from_columns(twisted, space, inv_cols)
-    return twisted, fwd, bwd
+        rows[perm[i]][i] = coeff[i]
+    twisted = FinBanSpace(tuple(f"{tag}{k}" for k in range(d)), tuple(new_weights), Flavor.SUM)
+    fwd = LinMap(space, twisted, tuple(map(tuple, rows)))
+    return twisted, fwd, fwd.inverse()
 
 
 def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
     """An honest random cosheaf: the canonical cosheaf on random atom
     fibers, conjugated elementwise by random isometries of weighted l1
-    spaces (signed weight-matched relabellings are all of them)."""
+    spaces (signed weight-matched relabellings are all of them).
+
+    Built without validation: with T_e the isometric isomorphism at e,
+    the cover map of (s, t) is T_t o c(s, t) o T_s^-1, c the canonical
+    one.  Along a chain the inner T^-1 o T cancel, so functoriality of c
+    carries over, and |T_t| |c(s, t)| |T_s^-1| <= 1 gives contractivity."""
     atom_spaces = {}
     for a in omega.atoms:
         d = rng.randint(1, max_dim)
@@ -1008,15 +1015,11 @@ def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
             tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)),
             Flavor.SUM)
     canonical = from_atom_spaces(omega, atom_spaces)
-    twists = {}
-    for e in omega.elements():
-        twists[e] = _monomial_twist(rng, canonical.space(e), f"v{e}_")
+    twists = {e: _monomial_twist(rng, canonical.space(e), f"v{e}_") for e in omega.elements()}
     spaces = {e: twists[e][0] for e in omega.elements()}
-    cover_maps = {}
-    for small, big, _ in _covering_pairs(omega):
-        cover_maps[(small, big)] = (
-            twists[big][1] @ canonical.cover_maps[(small, big)] @ twists[small][2])
-    return make_precosheaf(omega, spaces, cover_maps)
+    cover_maps = {(small, big): twists[big][1] @ c @ twists[small][2]
+                  for (small, big), c in canonical.cover_maps.items()}
+    return PreCosheaf(omega, spaces, cover_maps)
 
 
 def random_scaled_precosheaf(rng, omega: BoolAlg, max_dim: int = 2,
@@ -1038,27 +1041,17 @@ def random_scaled_precosheaf(rng, omega: BoolAlg, max_dim: int = 2,
     if force_noncosheaf and omega.n >= 2 and all(
             v == 1 for v in damp.values()):
         damp[(omega.atoms[0], omega.atoms[1])] = Fraction(1, 2)
-
-    def scale(atom: str, e: int) -> Fraction:
-        s = ONE
-        for b in omega.atoms_below(e):
-            if b != atom:
-                s *= damp[(atom, b)]
-        return s
-
     spaces = {e: canonical.space(e) for e in omega.elements()}
     cover_maps = {}
     for small, big, new_i in _covering_pairs(omega):
         base = canonical.cover_maps[(small, big)]
         cols = []
-        col_pos = 0
         for a in omega.atoms_below(small):
-            factor = scale(a, big) / scale(a, small)
+            # below e, a is damped by damp[(a, b)] for each other atom b <= e
+            factor = damp[(a, omega.atoms[new_i])]
             for _ in range(atom_spaces[a].dim):
-                cols.append(tuple(factor * x for x in base.column(col_pos)))
-                col_pos += 1
-        cover_maps[(small, big)] = LinMap.from_columns(
-            spaces[small], spaces[big], cols)
+                cols.append(tuple(factor * x for x in base.column(len(cols))))
+        cover_maps[(small, big)] = LinMap.from_columns(spaces[small], spaces[big], cols)
     return make_precosheaf(omega, spaces, cover_maps)
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catmeas import exactla
 from catmeas.errors import FlavorMismatch, InvalidModel, NotAFunctor, ResourceLimit
 from catmeas.finban import (BifunctorData, FinBanSpace, FinPoset, Flavor,
                             IsoWitness, LinMap, basis_vec, coend, direct_sum, end,
@@ -95,6 +96,58 @@ def test_is_identity_checks_every_entry():
             assert not LinMap(space, space, tuple(map(tuple, rows))).is_identity()
         other = rnd_space(rng, d + 1, Flavor.SUM)
         assert not LinMap.zero(space, other).is_identity()
+
+
+def square_cases(rng):
+    """(kind, rows) for square matrices of size 0 to 5: signed and
+    weighted permutations (monomial), monomial ones with a zero row,
+    permutations with one extra entry and random dense ones."""
+    for k in range(240):
+        d = k % 6
+        kind = ("signed", "weighted", "zero_row", "extra", "dense")[k // 6 % 5]
+        if kind == "dense":
+            yield kind, [[rnd_q(rng) for _ in range(d)] for _ in range(d)]
+            continue
+        rows = [[F(0)] * d for _ in range(d)]
+        for j, i in enumerate(rng.sample(range(d), d)):
+            size = F(1) if kind == "signed" else rnd_pos(rng)
+            rows[i][j] = size * rng.choice((1, -1))
+        if kind == "zero_row" and d:
+            rows[rng.randrange(d)] = [F(0)] * d
+        if kind == "extra" and d >= 2:
+            i = rng.randrange(d)
+            j = rng.choice([j for j in range(d) if not rows[i][j]])
+            rows[i][j] = rnd_pos(rng)
+        yield kind, rows
+
+
+def test_monomial_inverse_matches_the_rref_oracle(monkeypatch):
+    """A square matrix with one nonzero per row and per column inverts in
+    closed form, without `exactla.invert`; every other one goes through
+    it.  `exactla.invert` is the oracle for both."""
+    oracle, calls = exactla.invert, []
+    monkeypatch.setattr(exactla, "invert", lambda a: calls.append(a) or oracle(a))
+    rng = random.Random(67)
+    seen = set()
+    for kind, rows in square_cases(rng):
+        d = len(rows)
+        src, tgt = rnd_space(rng, d, Flavor.SUM), rnd_space(rng, d, Flavor.SUP)
+        calls.clear()
+        got = LinMap(src, tgt, tuple(map(tuple, rows))).inverse()
+        closed_form = all(sum(1 for x in line if x) == 1
+                          for line in rows + [list(col) for col in zip(*rows)])
+        assert bool(calls) != closed_form, (kind, rows)
+        want = oracle(rows) if d else []
+        if want is None:
+            assert got is None, (kind, rows)
+        else:
+            assert (got.source, got.target) == (tgt, src)
+            assert got.matrix == tuple(map(tuple, want)), (kind, rows)
+        seen.add((kind, d > 0, want is None))
+    assert {("signed", True, False), ("weighted", True, False), ("zero_row", True, True),
+            ("extra", True, False), ("dense", True, False), ("signed", False, False)} <= seen
+    wide = LinMap.zero(rnd_space(rng, 2, Flavor.SUM), rnd_space(rng, 3, Flavor.SUM))
+    assert wide.inverse() is None
 
 
 def test_permutation_witness_matches_its_definition():

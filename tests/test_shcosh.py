@@ -31,7 +31,8 @@ from catmeas.shcosh import (bva_cosheaf,
                             random_cosheaf, random_scaled_precosheaf,
                             restrict_to_atoms, restriction_cone_map,
                             _validate_functorial, sheaf_from_stone, sheaf_hom,
-                            sheaf_to_stone, spectral_measure, yoneda_precosheaf,
+                            sheaf_to_stone, spectral_measure, SpectralData,
+                            yoneda_precosheaf,
                             yoneda_presheaf, isbell, isbell_adjoint, Verdict,
                             zero_precosheaf)
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
@@ -227,6 +228,57 @@ def _precosheaf_cases():
     yield "mixed_flavors", make_precosheaf(omega, spaces, ext)
 
 
+def chain_walk_oracle(x, small, big):
+    """x's structure map between small <= big, folded from the identity
+    along the cover maps that add the atoms of big - small lowest first."""
+    out, cur = LinMap.identity(x.space(small)), small
+    for i in x.algebra.atom_indices(big & ~small):
+        m = x.cover_maps[(cur, cur | 1 << i)]
+        out = m @ out if x.covariant else out @ m
+        cur |= 1 << i
+    return out
+
+
+def walk_cases():
+    """Assembled precosheaves and presheaves on 1 to 6 atoms, some with
+    zero-dimensional fibers."""
+    rng = random.Random(79)
+    for n in range(1, 7):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        sparse = from_atom_spaces(omega, random_atom_spaces(rng, omega))
+        for label, x in (("atom_spaces", sparse), ("random", random_cosheaf(rng, omega)),
+                         ("scaled", random_scaled_precosheaf(rng, omega)),
+                         ("dual", dual_presheaf(sparse)),
+                         ("characteristic",
+                          characteristic_sheaf(omega, rng.randrange(omega.top + 1)))):
+            make = make_precosheaf if x.covariant else make_presheaf
+            yield f"{label}/{n}", make(omega, x.spaces, x.cover_maps)
+
+
+def test_memoised_walk_matches_the_chain_oracle():
+    """extension/restriction compose each pair once along the last atom;
+    queried in a shuffled order, every pair gives the oracle's map, and a
+    repeated query the same object."""
+    rng = random.Random(83)
+    zero_dim = 0
+    for label, x in walk_cases():
+        omega = x.algebra
+        walk = x.extension if x.covariant else (lambda small, big: x.restriction(big, small))
+        pairs = [(s, b) for b in omega.elements() for s in omega.elements() if omega.leq(s, b)]
+        rng.shuffle(pairs)
+        got = {pair: walk(*pair) for pair in pairs}
+        for (small, big), m in got.items():
+            want = chain_walk_oracle(x, small, big)
+            assert (m.source, m.target, m.matrix) == (want.source, want.target, want.matrix), \
+                (label, small, big)
+        rng.shuffle(pairs)
+        assert all(walk(*pair) is got[pair] for pair in pairs), label
+        with pytest.raises(InvalidModel):
+            walk(omega.top, 0)
+        zero_dim += any(x.space(1 << i).dim == 0 for i in range(omega.n))
+    assert zero_dim >= 4
+
+
 def test_one_split_cosheaf_check_matches_split_enumeration():
     cases = precosheaf_cases()
     assert len(cases) >= 100
@@ -287,17 +339,56 @@ def test_spectral_laws_random_cosheaves():
         assert spec.satisfies_laws()
 
 
-def test_spectral_action_is_isometric_algebra_map():
+def test_spectral_action_is_isometric_algebra_map(monkeypatch):
     rng = random.Random(3)
     omega = alg("a", "b", "c")
     mu = positive_measure(omega)
     spec = spectral_measure(l1_cosheaf(mu))
     samples = [rnd_simple(rng, omega) for _ in range(8)]
+    action, calls = shcosh.SpectralData.action, []
+    monkeypatch.setattr(shcosh.SpectralData, "action",
+                        lambda self, f: calls.append(f) or action(self, f))
     assert spec.action_is_algebra_map(samples)
+    assert len(calls) == 8 + 8 * 8  # one per sample, one per product
     for _ in range(50):
         f = rnd_simple(rng, omega)
         assert spec.action_norm_matches(f)
     assert spec.projections[omega.top].is_identity()
+
+
+def test_reduced_spectral_laws_match_the_exhaustive_check():
+    """The reduced laws (orthogonal atoms, P_E = P_{E - a} + P_a) against
+    every pair of elements, on 1 to 5 atoms; a P_E that lost its top
+    atom fails both."""
+    rng = random.Random(71)
+    perturbed = 0
+    for k in range(10):
+        n = 1 + k % 5
+        omega = alg(*(f"x{i}" for i in range(n)))
+        mu = random_cosheaf(rng, omega) if k < 5 else l1_cosheaf(positive_measure(omega, rng))
+        spec = spectral_measure(mu)
+        assert spec.satisfies_laws(exhaustive=False) and spec.satisfies_laws(exhaustive=True)
+        middle = [e for e in omega.elements() if e & (e - 1) and e != omega.top]
+        if middle:
+            e = rng.choice(middle)
+            a = 1 << (e.bit_length() - 1)
+            bad = SpectralData(mu, spec.carrier, {**spec.projections, e: spec.projections[e & ~a]})
+            assert not bad.satisfies_laws(exhaustive=False)
+            assert not bad.satisfies_laws(exhaustive=True)
+            perturbed += 1
+    assert perturbed == 6
+
+
+def test_cosheaf_check_on_a_random_cosheaf_makes_no_rref_inversion(monkeypatch):
+    """Every split map of a random cosheaf is monomial, so `is_cosheaf`
+    and the spectral measure invert them in closed form."""
+    def refuse(a):
+        raise AssertionError("exactla.invert was called")
+
+    monkeypatch.setattr(exactla, "invert", refuse)
+    mu = random_cosheaf(random.Random(73), alg("a", "b", "c", "d", "e"))
+    assert is_cosheaf(mu)
+    assert spectral_measure(mu).satisfies_laws()
 
 
 def test_spectral_measure_fails_loudly_on_non_cosheaves():
@@ -1171,6 +1262,7 @@ def direct_constructions(rng, n):
     yield "l1_cosheaf/null_atom", l1_cosheaf(MeasureAlgebra.from_values(omega, values))
     yield "bva_cosheaf", bva_cosheaf(omega, sum_space(["u", "v"], [F(1, 2), F(3)]))
     yield "zero_precosheaf", zero_precosheaf(omega)
+    yield "random_cosheaf", random_cosheaf(rng, omega)
     for label, b in (("sum", sum_space(["u", "v"], [F(2), F(1, 3)])),
                      ("sup", sup_space(["u"])), ("zero", zero_space())):
         yield f"constant_precosheaf/{label}", constant_precosheaf(omega, b)
@@ -1272,7 +1364,8 @@ def test_library_constructions_do_not_call_the_validator(monkeypatch):
              from_atom_spaces(omega, {a: sum_space([a]) for a in omega.atoms}),
              bva_cosheaf(omega, scalars()), zero_precosheaf(omega),
              characteristic_sheaf(omega, e), cosheafify(constant).cosheaf,
-             isbell(characteristic_sheaf(omega, omega.top)), isbell_adjoint(l1)]
+             isbell(characteristic_sheaf(omega, omega.top)), isbell_adjoint(l1),
+             random_cosheaf(random.Random(0), omega)]
     assert all(x.algebra == omega for x in built)
     with pytest.raises(AssertionError, match="validator"):
         make_precosheaf(omega, constant.spaces, constant.cover_maps)
