@@ -476,7 +476,7 @@ class PosetFunctor:
                     m = self.arrow_maps[path[0]]
                     for step in path[1:]:
                         m = self.arrow_maps[step] @ m
-                    mats.append(m.matrix)
+                    mats.append(m.rows)
                 if any(m != mats[0] for m in mats):
                     raise NotAFunctor("arrow maps are path dependent")
 
@@ -513,7 +513,7 @@ def kan_extension_discrete(f: PosetFunctor, point_map: Mapping[str, str],
             src = space(tgt_obj, y, a)
             tgt = space(src_obj, y, a)
             if src.dim and tgt.dim:
-                return LinMap(src, tgt, LinMap.identity(src).matrix)
+                return LinMap(src, tgt, LinMap.identity(src).rows)
             return LinMap.zero(src, tgt)
 
         def right(x: str, arrow, a=a) -> LinMap:
@@ -521,7 +521,7 @@ def kan_extension_discrete(f: PosetFunctor, point_map: Mapping[str, str],
             tgt = space(x, arrow[1], a)
             if src.dim == 0:
                 return LinMap.zero(src, tgt)
-            return LinMap(src, tgt, f.arrow_maps[arrow].matrix)
+            return LinMap(src, tgt, f.arrow_maps[arrow].rows)
 
         bif = BifunctorData(m_index, space, left, right)
         values[a] = coend(bif, label=f"lan[{a}]")

@@ -397,7 +397,7 @@ def _parse_cosheaf(model: Model, desc: Any, path: str) -> PreCosheaf:
             raise ModelError("bad-cosheaf", "an extension map is a list of rows", path_e)
         matrix = tuple(tuple(parse_rational(x, path_e) for x in row) for row in rows)
         try:
-            cover_maps[(small, big)] = LinMap(spaces[small], spaces[big], matrix)
+            cover_maps[(small, big)] = LinMap.from_matrix(spaces[small], spaces[big], matrix)
         except InvalidModel as exc:
             raise ModelError("bad-cosheaf", str(exc), path_e) from None
     try:

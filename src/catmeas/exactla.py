@@ -37,16 +37,6 @@ def identity(n: int) -> list[list[Fraction]]:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Mat, b: Mat) -> list[list[Fraction]]:
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
 def rref(a: Mat) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
     if not a:
@@ -86,10 +76,6 @@ def rref(a: Mat) -> tuple[list[list[Fraction]], list[int]]:
     m = [[sparse[p].get(j, ZERO) for j in range(cols)] for p in pivot_rows]
     m += [[ZERO] * cols for _ in range(rows - len(pivots))]
     return m, pivots
-
-
-def rank(a: Mat) -> int:
-    return len(rref(a)[1])
 
 
 def solve_linear(a: Mat, b: Vec) -> Optional[list[Fraction]]:

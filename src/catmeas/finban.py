@@ -17,6 +17,16 @@ Operator norms are exact: a weighted l1 (or blocked sup) unit ball is a
 polytope, so the sup of a convex function over it is attained at one of
 finitely many vertices.
 
+A LinMap stores its row nonzeros: `rows[i]` is a tuple of (source
+column, value) pairs of target row i, sorted by column, with no zero
+value.  The form is canonical, so dataclass == and hash are entrywise
+equality.  compose (row by row, after Gustavson 1978), add, scale,
+application and the column rule of operator_norm touch nonzeros only;
+`matrix` is a dense view, built on first read.  Most maps here are
+monomial (one nonzero per row and column), and is_isometric_iso decides
+those in closed form: |c| w_target(i) = w_source(j) at each nonzero, and
+blocks go onto blocks (the proof is in its docstring).
+
 Quotients of SUM spaces are handled honestly: the quotient of a weighted
 l1 space need not be a weighted l1 space, so `quotient` returns a
 weighted presentation whose weights are exact on basis rays, together
@@ -74,10 +84,13 @@ def basis_vec(dim: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(dim))
 
 
+Row = tuple[tuple[int, Fraction], ...]
+
+
 @functools.lru_cache(maxsize=64)
-def _identity_rows(dim: int) -> tuple[Vector, ...]:
+def _identity_rows(dim: int) -> tuple[Row, ...]:
     """The rows of the dim x dim identity; immutable, so maps share them."""
-    return tuple(basis_vec(dim, i) for i in range(dim))
+    return tuple(((i, ONE),) for i in range(dim))
 
 
 @dataclass(frozen=True)
@@ -183,22 +196,6 @@ class FinBanSpace:
                                 f"vertices on one block, more than {DUAL_BALL_CAP}")
         return blocks
 
-    def dual_extreme_functionals(self) -> Iterator[Vector]:
-        """Vertices of the dual unit ball, as coordinate functionals
-        phi with pairing phi . v: phi_i = s_i w_i on one block of
-        `dual_vertex_blocks` for a sign pattern s, zero elsewhere.
-        """
-        blocks = self.dual_vertex_blocks()
-
-        def duals():
-            for g in blocks:
-                for signs in itertools.product((ONE, -ONE), repeat=len(g)):
-                    phi = list(zero_vec(self.dim))
-                    for s, i in zip(signs, g):
-                        phi[i] = s * self.weights[i]
-                    yield tuple(phi)
-        return duals()
-
 
 def scalars(label: str = "1") -> FinBanSpace:
     return FinBanSpace((label,), (ONE,), Flavor.SUM)
@@ -224,42 +221,61 @@ def sup_space(labels: Sequence[str], weights: Optional[Sequence] = None) -> FinB
 
 @dataclass(frozen=True)
 class LinMap:
+    """A linear map as its row nonzeros (see the module docstring)."""
+
     source: FinBanSpace
     target: FinBanSpace
-    matrix: tuple[tuple[Fraction, ...], ...]  # target rows x source columns
+    rows: tuple[Row, ...]
 
     def __post_init__(self):
-        if len(self.matrix) != self.target.dim:
+        if len(self.rows) != self.target.dim:
             raise InvalidModel("matrix row count must match the target dimension")
-        if set(map(len, self.matrix)) - {self.source.dim}:
-            raise InvalidModel("matrix column count must match the source dimension")
+
+    @functools.cached_property
+    def matrix(self) -> tuple[Vector, ...]:
+        """Target rows x source columns, built on first read."""
+        dense = [list(zero_vec(self.source.dim)) for _ in self.rows]
+        for out, row in zip(dense, self.rows):
+            for j, x in row:
+                out[j] = x
+        return tuple(map(tuple, dense))
 
     def __call__(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.source.dim:
             raise InvalidModel("vector/source mismatch")
-        return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO)
-                     for row in self.matrix)
+        return tuple(sum((x * v[j] for j, x in row), ZERO) for row in self.rows)
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix)
 
+    def transpose(self) -> "LinMap":
+        """The transposed matrix, as a map target -> source: its rows are
+        the columns of self, each as its (row, value) nonzeros."""
+        rows: list[list] = [[] for _ in range(self.source.dim)]
+        for i, row in enumerate(self.rows):
+            for j, x in row:
+                rows[j].append((i, x))
+        return LinMap(self.target, self.source, tuple(map(tuple, rows)))
+
     def compose(self, inner: "LinMap") -> "LinMap":
-        """self after inner.  Dimensions are taken from the spaces so that
-        zero-dimensional middles still produce the right zero matrix."""
+        """self after inner, row by row over the nonzeros (Gustavson's
+        sparse product): row i is the sum of a times row k of inner over
+        the nonzeros (k, a) of row i of self.  A row with one nonzero, as
+        in every monomial map, is a scaled copy of one row of inner."""
         if inner.target != self.source:
             raise InvalidModel("composition mismatch")
-        # the matrices are mostly zeros (often one nonzero per row and
-        # column), so each product is summed over nonzeros only
-        inner_nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in inner.matrix]
-        width = inner.source.dim
+        below = inner.rows
         rows = []
-        for row in self.matrix:
-            acc = [ZERO] * width
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in inner_nonzeros[k]:
-                        acc[j] += a * b
-            rows.append(tuple(acc))
+        for row in self.rows:
+            if len(row) == 1:
+                (k, a), = row
+                rows.append(below[k] if a == 1 else tuple((j, a * b) for j, b in below[k]))
+                continue
+            acc: dict[int, Fraction] = {}
+            for k, a in row:
+                for j, b in below[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
         return LinMap(inner.source, self.target, tuple(rows))
 
     def __matmul__(self, inner: "LinMap") -> "LinMap":
@@ -268,20 +284,29 @@ class LinMap:
     def add(self, other: "LinMap") -> "LinMap":
         if other.source != self.source or other.target != self.target:
             raise InvalidModel("addition needs equal source and target")
-        return LinMap(self.source, self.target, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.matrix, other.matrix)))
+        rows = []
+        for r1, r2 in zip(self.rows, other.rows):
+            if r1 and r2:
+                acc = dict(r1)
+                for j, b in r2:
+                    acc[j] = acc[j] + b if j in acc else b
+                rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+            else:
+                rows.append(r1 or r2)
+        return LinMap(self.source, self.target, tuple(rows))
 
     def scale(self, k: Fraction) -> "LinMap":
+        if not k:
+            return LinMap.zero(self.source, self.target)
         return LinMap(self.source, self.target, tuple(
-            tuple(k * x for x in row) for row in self.matrix))
+            tuple((j, k * x) for j, x in row) for row in self.rows))
 
     def is_identity(self) -> bool:
-        return self.source.dim == self.target.dim and all(
-            tuple(row) == e for row, e in zip(self.matrix, _identity_rows(self.target.dim)))
+        return self.source.dim == self.target.dim and \
+            self.rows == _identity_rows(self.target.dim)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
+        return not any(self.rows)
 
     def operator_norm(self) -> Fraction:
         return operator_norm(self)
@@ -295,15 +320,13 @@ class LinMap:
         if dim != self.target.dim:
             return None
         mono = _monomial_data(self)
-        if mono is not None and len(mono) == dim:
-            inv = [[ZERO] * dim for _ in range(dim)]
-            for j, i, c in mono:
-                inv[j][i] = ONE / c
-        else:
+        if mono is None or len(mono) < dim:
             inv = exactla.invert(self.matrix)
-        if inv is None:
-            return None
-        return LinMap(self.target, self.source, tuple(tuple(r) for r in inv))
+            return None if inv is None else LinMap.from_matrix(self.target, self.source, inv)
+        rows: list[Row] = [()] * dim
+        for j, i, c in mono:
+            rows[j] = ((i, ONE / c),)
+        return LinMap(self.target, self.source, tuple(rows))
 
     @staticmethod
     def identity(space: FinBanSpace) -> "LinMap":
@@ -311,76 +334,87 @@ class LinMap:
 
     @staticmethod
     def zero(source: FinBanSpace, target: FinBanSpace) -> "LinMap":
+        return LinMap(source, target, ((),) * target.dim)
+
+    @staticmethod
+    def from_matrix(source: FinBanSpace, target: FinBanSpace,
+                    matrix: Sequence[Sequence[Fraction]]) -> "LinMap":
+        """The map of a dense matrix, target rows x source columns."""
+        if any(len(row) != source.dim for row in matrix):
+            raise InvalidModel("matrix column count must match the source dimension")
         return LinMap(source, target, tuple(
-            zero_vec(source.dim) for _ in range(target.dim)))
+            tuple((j, x) for j, x in enumerate(row) if x) for row in matrix))
 
     @staticmethod
     def from_columns(source: FinBanSpace, target: FinBanSpace,
                      cols: Sequence[Sequence[Fraction]]) -> "LinMap":
         if len(cols) != source.dim:
             raise InvalidModel("one column per source basis vector required")
-        rows = tuple(
-            tuple(Fraction(cols[j][i]) for j in range(source.dim))
-            for i in range(target.dim))
-        return LinMap(source, target, rows)
+        return LinMap.from_matrix(target, source, cols).transpose()
+
+
+def _hstack(source: FinBanSpace, target: FinBanSpace, legs: Sequence[LinMap]) -> LinMap:
+    """The map source -> target whose columns are those of the legs side
+    by side, source being the direct sum of the legs' sources in order."""
+    rows: list[list] = [[] for _ in range(target.dim)]
+    off = 0
+    for leg in legs:
+        for acc, row in zip(rows, leg.rows):
+            acc.extend((off + j, x) for j, x in row)
+        off += leg.source.dim
+    return LinMap(source, target, tuple(map(tuple, rows)))
 
 
 def _monomial_data(t: LinMap) -> Optional[list[tuple[int, int, Fraction]]]:
     """(source col, target row, coefficient) triples when the matrix has at
     most one nonzero per row and per column; None otherwise."""
-    entries = []
-    used_cols = set()
-    for i, row in enumerate(t.matrix):
-        nz = [j for j, x in enumerate(row) if x]
-        if len(nz) > 1 or (nz and nz[0] in used_cols):
-            return None
-        if nz:
-            used_cols.add(nz[0])
-            entries.append((nz[0], i, row[nz[0]]))
-    return entries
+    if any(len(row) > 1 for row in t.rows):
+        return None
+    entries = [(row[0][0], i, row[0][1]) for i, row in enumerate(t.rows) if row]
+    return entries if len({j for j, _, _ in entries}) == len(entries) else None
+
+
+def _block_ids(space: FinBanSpace) -> list[int]:
+    """The index, in `effective_groups`, of the block of each coordinate."""
+    ids = [0] * space.dim
+    for k, g in enumerate(space.effective_groups()):
+        for i in g:
+            ids[i] = k
+    return ids
 
 
 def operator_norm(t: LinMap) -> Fraction:
     """Exact operator norm.
 
-    SUM sources use the column rule (valid against any target norm);
-    monomial matrices from SUP/blocked sources have a closed form; other
+    SUM sources use the column rule (valid against any target norm),
+    summed over the nonzeros of each column per target block; monomial
+    matrices from SUP/blocked sources have a closed form; other
     SUP/blocked sources fall back to vertex enumeration of the source
     ball, which is finite but exponential, so it is capped.
     """
     if t.source.dim == 0 or t.target.dim == 0:
         return ZERO
     if t.source.flavor is Flavor.SUM:
-        best = ZERO
-        for j in range(t.source.dim):
-            val = t.target.norm(t.column(j)) / t.source.weights[j]
-            if val > best:
-                best = val
-        return best
+        block, weights = _block_ids(t.target), t.target.weights
+        sums: dict[tuple[int, int], Fraction] = {}
+        for i, row in enumerate(t.rows):
+            for j, c in row:
+                key = (j, block[i])
+                sums[key] = sums.get(key, ZERO) + weights[i] * abs(c)
+        return max((s / t.source.weights[j] for (j, _), s in sums.items()), default=ZERO)
     mono = _monomial_data(t)
     if mono is not None:
-        source_groups = t.source.effective_groups()
-        target_groups = t.target.effective_groups()
-        ratio = {}
+        # per target block h, the sum over source blocks g of the largest
+        # |c| w'(i) / w(j) with j in g and i in h
+        sb, tb, peak = _block_ids(t.source), _block_ids(t.target), {}
         for j, i, c in mono:
-            ratio[j] = (i, abs(c) * t.target.weights[i] / t.source.weights[j])
-        best = ZERO
-        for h in target_groups:
-            hset = set(h)
-            total = ZERO
-            for g in source_groups:
-                cand = [ratio[j][1] for j in g if j in ratio and ratio[j][0] in hset]
-                if cand:
-                    total += max(cand)
-            if total > best:
-                best = total
-        return best
-    best = ZERO
-    for v in t.source.ball_extreme_points():
-        val = t.target.norm(t(v))
-        if val > best:
-            best = val
-    return best
+            key, r = (tb[i], sb[j]), abs(c) * t.target.weights[i] / t.source.weights[j]
+            peak[key] = max(peak.get(key, ZERO), r)
+        totals: dict[int, Fraction] = {}
+        for (h, _), r in peak.items():
+            totals[h] = totals.get(h, ZERO) + r
+        return max(totals.values(), default=ZERO)
+    return max((t.target.norm(t(v)) for v in t.source.ball_extreme_points()), default=ZERO)
 
 
 def _contractive_both_ways(forward: LinMap, backward: LinMap) -> bool:
@@ -389,9 +423,35 @@ def _contractive_both_ways(forward: LinMap, backward: LinMap) -> bool:
 
 def is_isometric_iso(m: LinMap) -> bool:
     """m is invertible and m and its inverse are contractions; maps
-    between zero-dimensional spaces count."""
-    back = m.inverse()
-    return back is not None and _contractive_both_ways(m, back)
+    between zero-dimensional spaces count.
+
+    Contractive both ways is the same as invertible and isometric:
+    |v| = |m^-1 m v| <= |m v| <= |v|.  A monomial m (one nonzero per row
+    and column, e_j |-> c_j e_s(j)) is decided in closed form, with no
+    inverse and no norm: it is an isometric isomorphism exactly when it
+    is square with a nonzero in every column, |c_j| w'(s(j)) = w(j) for
+    every j (w, w' the source and target weights), and s carries the
+    blocks of `effective_groups` onto blocks (one block for SUM, one per
+    coordinate for plain SUP).  Necessity: e_j is a ray of norm w(j) that
+    goes to a ray of norm |c_j| w'(s(j)); and if j, k lie in one source
+    block and s(j), s(k) in two target blocks, v = e_j/w(j) + e_k/w(k)
+    has norm 2 while |m v| = 1 (and the reverse case gives 1 against 2).
+    Sufficiency: with the blocks matched, the weighted l1 sum of m v on
+    the target block of g is that of v on g, term by term, so the max
+    over blocks is the same.  Any other map goes through its inverse and
+    two `operator_norm`s.
+    """
+    dim = m.source.dim
+    mono = _monomial_data(m)
+    if mono is None or dim != m.target.dim:
+        back = m.inverse()
+        return back is not None and _contractive_both_ways(m, back)
+    sw, tw = m.source.weights, m.target.weights
+    if len(mono) < dim or any(abs(c) * tw[i] != sw[j] for j, i, c in mono):
+        return False
+    sb, tb = _block_ids(m.source), _block_ids(m.target)
+    pairs = {(sb[j], tb[i]) for j, i, _ in mono}
+    return len(pairs) == len(set(sb)) == len(set(tb))
 
 
 @dataclass(frozen=True)
@@ -431,11 +491,10 @@ class DirectSum:
 
     @property
     def injections(self) -> tuple[LinMap, ...]:
-        """inj_k e_j = e_(offsets[k] + j), built when read (basis_vec is
-        zero off its range)."""
-        return tuple(LinMap(part, self.space, tuple(
-            basis_vec(part.dim, i - off) for i in range(self.space.dim)))
-            for off, part in zip(self.offsets, self.parts))
+        """inj_k e_j = e_(offsets[k] + j), built when read."""
+        return tuple(LinMap(part, self.space, ((),) * off + _identity_rows(part.dim)
+                            + ((),) * (self.space.dim - off - part.dim))
+                     for off, part in zip(self.offsets, self.parts))
 
     @property
     def projections(self) -> tuple[LinMap, ...]:
@@ -453,12 +512,9 @@ class DirectSum:
         target = cone[0].target
         if any(leg.target != target for leg in cone):
             raise InvalidModel("cone legs must share a target")
-        cols: list[Vector] = []
-        for leg, part in zip(cone, self.parts):
-            if leg.source != part:
-                raise InvalidModel("cone leg source must be the summand")
-            cols.extend(leg.column(j) for j in range(part.dim))
-        return LinMap.from_columns(self.space, target, cols)
+        if any(leg.source != part for leg, part in zip(cone, self.parts)):
+            raise InvalidModel("cone leg source must be the summand")
+        return _hstack(self.space, target, cone)
 
     def mediate_to_cone(self, cone: Sequence[LinMap]) -> LinMap:
         """For SUP products: the unique map T with proj_x o T = cone_x."""
@@ -469,12 +525,9 @@ class DirectSum:
         source = cone[0].source
         if any(leg.source != source for leg in cone):
             raise InvalidModel("cone legs must share a source")
-        rows: list[tuple[Fraction, ...]] = []
-        for leg, part in zip(cone, self.parts):
-            if leg.target != part:
-                raise InvalidModel("cone leg target must be the factor")
-            rows.extend(leg.matrix)
-        return LinMap(source, self.space, tuple(rows))
+        if any(leg.target != part for leg, part in zip(cone, self.parts)):
+            raise InvalidModel("cone leg target must be the factor")
+        return LinMap(source, self.space, tuple(row for leg in cone for row in leg.rows))
 
 
 def direct_sum(spaces: Sequence[FinBanSpace],
@@ -638,12 +691,8 @@ class QuotientSpace:
             raise InvalidModel("map must land in the quotient presentation")
         if t.source.flavor is not Flavor.SUM:
             raise FlavorMismatch("norms into a quotient are computed from SUM sources")
-        best = ZERO
-        for j in range(t.source.dim):
-            val = self.norm(t.column(j)) / t.source.weights[j]
-            if val > best:
-                best = val
-        return best
+        return max((self.norm(t.column(j)) / w for j, w in enumerate(t.source.weights)),
+                   default=ZERO)
 
 
 def quotient(a: FinBanSpace, span_vectors: Sequence[Sequence[Fraction]],
@@ -807,11 +856,11 @@ class BifunctorData:
                     continue
                 paths = self.index.paths(a, b)
                 for y in objs:
-                    maps = [self.left_path(p, y).matrix for p in paths if p]
+                    maps = [self.left_path(p, y).rows for p in paths if p]
                     if any(m != maps[0] for m in maps):
                         raise NotAFunctor("contravariant action is path dependent")
                 for x in objs:
-                    maps = [self.right_path(x, p).matrix for p in paths if p]
+                    maps = [self.right_path(x, p).rows for p in paths if p]
                     if any(m != maps[0] for m in maps):
                         raise NotAFunctor("covariant action is path dependent")
         for f in self.index.arrows:
@@ -821,7 +870,7 @@ class BifunctorData:
                 # F(f, g) : F(b, c) -> F(a, d), both evaluation orders
                 first = self.right(a, g) @ self.left(f, c)
                 second = self.left(f, d) @ self.right(b, g)
-                if first.matrix != second.matrix:
+                if first.rows != second.rows:
                     raise NotAFunctor("left and right actions do not interchange")
 
 
@@ -846,7 +895,7 @@ class CoendResult:
             a, b = f
             via_a = self.wedges[a] @ self.bifunctor.left(f, a)
             via_b = self.wedges[b] @ self.bifunctor.right(b, f)
-            if via_a.matrix != via_b.matrix:
+            if via_a.rows != via_b.rows:
                 return False
         return True
 
@@ -910,12 +959,12 @@ def end(bif: BifunctorData, label: str = "end") -> EndResult:
         ra = bif.right(a, f)    # F(a,a) -> F(a,b)
         lb = bif.left(f, b)     # F(b,b) -> F(a,b)
         ia, ib = objs.index(a), objs.index(b)
-        for r in range(ra.target.dim):
+        for r_row, l_row in zip(ra.rows, lb.rows):
             row = [ZERO] * diag.space.dim
-            for j in range(ra.source.dim):
-                row[diag.offsets[ia] + j] += ra.matrix[r][j]
-            for j in range(lb.source.dim):
-                row[diag.offsets[ib] + j] -= lb.matrix[r][j]
+            for j, x in r_row:
+                row[diag.offsets[ia] + j] += x
+            for j, x in l_row:
+                row[diag.offsets[ib] + j] -= x
             constraints.append(row)
     if not constraints:
         return EndResult(bif.index, diag, diag.space,

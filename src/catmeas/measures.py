@@ -146,25 +146,6 @@ def semivariation(nu: VectorMeasure, e: int) -> Fraction:
     return Fraction(best, den)
 
 
-def semivariation_bruteforce(nu: VectorMeasure, e: int,
-                             functionals: Sequence[Vector]) -> Fraction:
-    """Oracle: explicit sup over all partitions of e and the supplied
-    dual vectors.  Never exceeds semivariation()."""
-    from .boolalg import partitions_of
-    if e == 0:
-        return ZERO
-    best = ZERO
-    for part in partitions_of(nu.algebra, e):
-        for phi in functionals:
-            total = ZERO
-            for block in part.blocks:
-                val = nu(block)
-                total += abs(sum((phi[k] * val[k] for k in range(len(phi))), ZERO))
-            if total > best:
-                best = total
-    return best
-
-
 def lipschitz_norm(nu: VectorMeasure, mu: MeasureAlgebra) -> Optional[Fraction]:
     """max over elements E with mu(E) > 0 of ||nu(E)|| / mu(E); None when
     some mu-null element carries nonzero nu (no Lipschitz constant).

@@ -59,8 +59,8 @@ from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
                      SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
-from .finban import (FinBanSpace, Flavor, LinMap, Vector, direct_sum, is_isometric_iso,
-                     operator_norm, scalars, sup_space, zero_space, zero_vec)
+from .finban import (FinBanSpace, Flavor, LinMap, Vector, _hstack, _identity_rows, direct_sum,
+                     is_isometric_iso, operator_norm, scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, linf_norm
 
@@ -170,7 +170,7 @@ def _validate_functorial(x, contractive: bool):
             top = e | (1 << i) | (1 << j)
             left = _stack(x, cover_maps[(e, a)], cover_maps[(a, top)])
             right = _stack(x, cover_maps[(e, b)], cover_maps[(b, top)])
-            if left.matrix != right.matrix:
+            if left.rows != right.rows:
                 raise NotAFunctor("structure maps are path dependent")
     return x
 
@@ -214,8 +214,8 @@ def from_atom_spaces(omega: BoolAlg,
     cover_maps = {}
     for small, big, k in _covering_pairs(omega):
         source, target = spaces[small], spaces[big]
-        eye, off = LinMap.identity(source).matrix, spaces[small & ((1 << k) - 1)].dim
-        rows = eye[:off] + (zero_vec(source.dim),) * (target.dim - source.dim) + eye[off:]
+        eye, off = _identity_rows(source.dim), spaces[small & ((1 << k) - 1)].dim
+        rows = eye[:off] + ((),) * (target.dim - source.dim) + eye[off:]
         cover_maps[(small, big)] = LinMap(source, target, rows)
     return PreCosheaf(omega, spaces, cover_maps)
 
@@ -269,9 +269,7 @@ def partition_map(mu: PreCosheaf, e: int, blocks: Sequence[int]) -> LinMap:
     """The mediated map (+)_F mu(F) -> mu(E) of a partition."""
     ds = direct_sum([mu.space(f) for f in blocks],
                     tags=[mu.algebra.describe(f) for f in blocks])
-    exts = [mu.extension(f, e).matrix for f in blocks]
-    rows = tuple(tuple(x for m in exts for x in m[i]) for i in range(mu.space(e).dim))
-    return LinMap(ds.space, mu.space(e), rows)
+    return _hstack(ds.space, mu.space(e), [mu.extension(f, e) for f in blocks])
 
 
 def _binary_splits(omega: BoolAlg, e: int):
@@ -362,10 +360,8 @@ def restriction_cone_map(xi: PreSheaf, e: int, blocks: Sequence[int]) -> LinMap:
     """The canonical map xi(E) -> prod_F xi(F)."""
     ds = direct_sum([xi.space(f) for f in blocks],
                     tags=[xi.algebra.describe(f) for f in blocks])
-    rows: list[tuple[Fraction, ...]] = []
-    for f in blocks:
-        rows.extend(xi.restriction(e, f).matrix)
-    return LinMap(xi.space(e), ds.space, tuple(rows))
+    return LinMap(xi.space(e), ds.space,
+                  tuple(row for f in blocks for row in xi.restriction(e, f).rows))
 
 
 def is_sheaf(xi: PreSheaf, exhaustive: bool = False) -> Verdict:
@@ -402,7 +398,7 @@ def cosheaf_projection(mu: PreCosheaf, e: int, f: int) -> LinMap:
     inv = eps.inverse()
     if inv is None:
         raise NotACosheaf("partition map is singular")
-    return LinMap(mu.space(e), mu.space(f), inv.matrix[: mu.space(f).dim])
+    return LinMap(mu.space(e), mu.space(f), inv.rows[: mu.space(f).dim])
 
 
 @dataclass
@@ -441,20 +437,20 @@ class SpectralData:
         if exhaustive:
             for e in omega.elements():
                 for f in omega.elements():
-                    if (p[e] @ p[f]).matrix != p[e & f].matrix:
+                    if (p[e] @ p[f]).rows != p[e & f].rows:
                         return False
-                    if e & f == 0 and p[e].add(p[f]).matrix != p[e | f].matrix:
+                    if e & f == 0 and p[e].add(p[f]).rows != p[e | f].rows:
                         return False
             return True
         atoms = [1 << i for i in range(omega.n)]
         for a in atoms:
             for b in atoms:
                 want = p[a] if a == b else LinMap.zero(self.carrier, self.carrier)
-                if (p[a] @ p[b]).matrix != want.matrix:
+                if (p[a] @ p[b]).rows != want.rows:
                     return False
         for e in omega.nonzero_elements():
             a = 1 << (e.bit_length() - 1)
-            if e != a and p[e & ~a].add(p[a]).matrix != p[e].matrix:
+            if e != a and p[e & ~a].add(p[a]).rows != p[e].rows:
                 return False
         return True
 
@@ -463,7 +459,7 @@ class SpectralData:
         pool = [(f, self.action(f)) for f in samples]
         for f, act_f in pool:
             for g, act_g in pool:
-                if (act_f @ act_g).matrix != self.action(multiply(f, g)).matrix:
+                if (act_f @ act_g).rows != self.action(multiply(f, g)).rows:
                     return False
         return True
 
@@ -499,9 +495,8 @@ def spectral_measure(mu: PreCosheaf) -> SpectralData:
     for a in atoms:
         fiber = mu.space(a)
         stop = start + fiber.dim
-        ext = LinMap(fiber, carrier, tuple(row[start:stop] for row in a_map.matrix))
-        proj = LinMap(carrier, fiber, inv.matrix[start:stop])
-        atom_projections[a] = ext @ proj
+        proj = LinMap(carrier, fiber, inv.rows[start:stop])
+        atom_projections[a] = mu.extension(a, omega.top) @ proj
         start = stop
     projections = {0: LinMap.zero(carrier, carrier)}
     for e in omega.nonzero_elements():
@@ -548,7 +543,7 @@ def characteristic_sheaf(omega: BoolAlg, e: int) -> PreSheaf:
     spaces = {f: sup_space(omega.atoms_below(e & f)) for f in omega.elements()}
     cover_maps = {}
     for small, big, k in _covering_pairs(omega):
-        rows = LinMap.identity(spaces[big]).matrix
+        rows = _identity_rows(spaces[big].dim)
         if e >> k & 1:
             p = spaces[small & ((1 << k) - 1)].dim
             rows = rows[:p] + rows[p + 1:]
@@ -592,17 +587,15 @@ def _naturality_system(x, y):
     rows: list[list[Fraction]] = []
     for small, big, _ in _covering_pairs(x.algebra):
         d, c = _arrow(x, small, big)
-        xm = x.cover_maps[(small, big)].matrix
-        ym = y.cover_maps[(small, big)].matrix
-        (y_c, x_c), (y_d, x_d) = shapes[c], shapes[d]
-        off_c, off_d = offsets[c], offsets[d]
-        for r in range(y_c):
-            for col in range(x_d):
+        x_c, x_d = shapes[c][1], shapes[d][1]
+        x_cols = x.cover_maps[(small, big)].transpose().rows
+        for r, y_row in enumerate(y.cover_maps[(small, big)].rows):
+            for col, x_col in enumerate(x_cols):
                 row = [ZERO] * total
-                for m in range(x_c):
-                    row[off_c + r * x_c + m] += xm[m][col]
-                for m in range(y_d):
-                    row[off_d + m * x_d + col] -= ym[r][m]
+                for m, v in x_col:
+                    row[offsets[c] + r * x_c + m] += v
+                for m, v in y_row:
+                    row[offsets[d] + m * x_d + col] -= v
                 rows.append(row)
     return rows, offsets, shapes, total
 
@@ -640,7 +633,7 @@ class PrecosheafMap:
         for small, big, _ in _covering_pairs(self.source.algebra):
             lhs = self.components[big] @ self.source.cover_maps[(small, big)]
             rhs = self.target.cover_maps[(small, big)] @ self.components[small]
-            if lhs.matrix != rhs.matrix:
+            if lhs.rows != rhs.rows:
                 return False
         return True
 
@@ -675,12 +668,8 @@ def cosheafify(theta: PreCosheaf) -> Cosheafification:
     sheafified = from_atom_spaces(omega, restrict_to_atoms(theta))
     counit = {}
     for e in omega.elements():
-        atoms = omega.atom_indices(e)
-        cols = []
-        for i in atoms:
-            ext = theta.extension(1 << i, e)
-            cols.extend(ext.column(j) for j in range(ext.source.dim))
-        counit[e] = LinMap.from_columns(sheafified.space(e), theta.space(e), cols)
+        exts = [theta.extension(1 << i, e) for i in omega.atom_indices(e)]
+        counit[e] = _hstack(sheafified.space(e), theta.space(e), exts)
     return Cosheafification(sheafified, theta, counit)
 
 
@@ -706,10 +695,9 @@ def _stacked_over_atoms(nu: PreCosheaf, tau: Mapping[int, LinMap],
     omega = nu.algebra
     components = {}
     for e in omega.elements():
-        rows: list[tuple[Fraction, ...]] = []
-        for i in omega.atom_indices(e):
-            rows.extend((tau[1 << i] @ cosheaf_projection(nu, e, 1 << i)).matrix)
-        components[e] = LinMap(nu.space(e), target.space(e), tuple(rows))
+        rows = tuple(row for i in omega.atom_indices(e)
+                     for row in (tau[1 << i] @ cosheaf_projection(nu, e, 1 << i)).rows)
+        components[e] = LinMap(nu.space(e), target.space(e), rows)
     return precosheaf_map(nu, target, components)
 
 
@@ -721,13 +709,12 @@ def count_factorizations(c: Cosheafification, tau: PrecosheafMap) -> int:
     # counit o sigma = tau is affine; for uniqueness only the homogeneous
     # part matters: counit o sigma = 0
     for e in nu.algebra.elements():
-        eps = c.counit[e].matrix
-        rows_e, cols_e = shapes[e]
-        for r in range(c.original.space(e).dim):
+        cols_e = shapes[e][1]
+        for eps_row in c.counit[e].rows:
             for col in range(cols_e):
                 row = [ZERO] * total
-                for m in range(rows_e):
-                    row[offsets[e] + m * cols_e + col] += eps[r][m]
+                for m, v in eps_row:
+                    row[offsets[e] + m * cols_e + col] += v
                 rows.append(row)
     return len(exactla.nullspace(rows)) if rows else total
 
@@ -767,12 +754,9 @@ def bva_evaluation(omega: BoolAlg, bva: PreCosheaf, e: int,
                    b: FinBanSpace) -> LinMap:
     """Evaluation at e: a measure on the ideal below e goes to its total
     value nu(e) = sum of its atom values."""
-    cols = []
     n_atoms = len(omega.atoms_below(e))
-    for _ in range(n_atoms):
-        for j in range(b.dim):
-            cols.append(b.basis_vector(j))
-    return LinMap.from_columns(bva.space(e), b, cols)
+    return LinMap(bva.space(e), b, tuple(tuple((t * b.dim + j, ONE) for t in range(n_atoms))
+                                         for j in range(b.dim)))
 
 
 def constant_universal_map(theta: PreCosheaf, tau: Mapping[int, LinMap],
@@ -838,8 +822,7 @@ def _representable_homs(x) -> dict[int, HomSolution]:
     root_dim = to_root[0].target.dim
     dims = {f: space.dim for f, space in x.spaces.items()}
     # x(F -> root) by its columns, each as its (row, entry) nonzeros
-    columns = {f: [[(r, c) for r, c in enumerate(m.column(j)) if c] for j in range(dims[f])]
-               for f, m in to_root.items()}
+    columns = {f: m.transpose().rows for f, m in to_root.items()}
     out = {}
     for e in omega.elements():
         offsets, shapes, total, inside = {}, {}, 0, []
@@ -989,12 +972,12 @@ def _monomial_twist(rng, space: FinBanSpace, tag: str):
     rng.shuffle(perm)
     coeff = [Fraction(rng.choice([1, -1]) * rng.randint(1, 3), rng.randint(1, 3))
              for _ in range(d)]
-    new_weights, rows = [ZERO] * d, [[ZERO] * d for _ in range(d)]
+    new_weights, rows = [ZERO] * d, [()] * d
     for i in range(d):
         new_weights[perm[i]] = space.weights[i] / abs(coeff[i])
-        rows[perm[i]][i] = coeff[i]
+        rows[perm[i]] = ((i, coeff[i]),)
     twisted = FinBanSpace(tuple(f"{tag}{k}" for k in range(d)), tuple(new_weights), Flavor.SUM)
-    fwd = LinMap(space, twisted, tuple(map(tuple, rows)))
+    fwd = LinMap(space, twisted, tuple(rows))
     return twisted, fwd, fwd.inverse()
 
 
@@ -1044,14 +1027,12 @@ def random_scaled_precosheaf(rng, omega: BoolAlg, max_dim: int = 2,
     spaces = {e: canonical.space(e) for e in omega.elements()}
     cover_maps = {}
     for small, big, new_i in _covering_pairs(omega):
-        base = canonical.cover_maps[(small, big)]
-        cols = []
-        for a in omega.atoms_below(small):
-            # below e, a is damped by damp[(a, b)] for each other atom b <= e
-            factor = damp[(a, omega.atoms[new_i])]
-            for _ in range(atom_spaces[a].dim):
-                cols.append(tuple(factor * x for x in base.column(len(cols))))
-        cover_maps[(small, big)] = LinMap.from_columns(spaces[small], spaces[big], cols)
+        # below e, a is damped by damp[(a, b)] for each other atom b <= e
+        factors = [damp[(a, omega.atoms[new_i])] for a in omega.atoms_below(small)
+                   for _ in range(atom_spaces[a].dim)]
+        cover_maps[(small, big)] = LinMap(spaces[small], spaces[big], tuple(
+            tuple((j, factors[j] * x) for j, x in row)
+            for row in canonical.cover_maps[(small, big)].rows))
     return make_precosheaf(omega, spaces, cover_maps)
 
 
@@ -1084,7 +1065,7 @@ def l1_integration_map(mu: MeasureAlgebra) -> dict[int, LinMap]:
         row = tuple(mu.atom_value(i) for i in mu.algebra.atom_indices(e)
                     if mu.atom_value(i) > 0)
         assert len(row) == src.dim
-        components[e] = LinMap(src, line, (row,))
+        components[e] = LinMap(src, line, (tuple(enumerate(row)),))
     return components
 
 

@@ -307,7 +307,7 @@ def test_criterion_8_cosheafification_adjunction():
             if inv is None or operator_norm(eps) > 1:
                 eps_iso = False
                 continue
-            back = LinMap(eps.target, eps.source, tuple(tuple(r) for r in inv))
+            back = LinMap.from_matrix(eps.target, eps.source, tuple(tuple(r) for r in inv))
             if operator_norm(back) > 1:
                 eps_iso = False
         ok = ok and eps_iso == bool(is_cosheaf(theta))
@@ -317,7 +317,7 @@ def test_criterion_8_cosheafification_adjunction():
         for i in range(omega.n):
             a = 1 << i
             src, tgt = nu.space(a), theta.space(a)
-            atom_maps[a] = LinMap(src, tgt, tuple(
+            atom_maps[a] = LinMap.from_matrix(src, tgt, tuple(
                 tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(src.dim))
                 for _ in range(tgt.dim)))
         tau = precosheaf_map_from_atoms(nu, theta, atom_maps)
@@ -349,8 +349,8 @@ def test_criterion_9_bva_cosheaf():
                     if inv is None or operator_norm(eps) > 1:
                         ok = False
                         continue
-                    back = LinMap(eps.target, eps.source,
-                                  tuple(tuple(r) for r in inv))
+                    back = LinMap.from_matrix(eps.target, eps.source,
+                                              tuple(tuple(r) for r in inv))
                     ok = ok and operator_norm(back) <= 1
             if not ok:
                 break
@@ -364,7 +364,7 @@ def test_criterion_9_bva_cosheaf():
     for i in range(omega.n):
         a = 1 << i
         src = theta.space(a)
-        atom_rows[a] = LinMap(src, b, (tuple(
+        atom_rows[a] = LinMap.from_matrix(src, b, (tuple(
             F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(src.dim)),))
     tau = {}
     for e in omega.elements():

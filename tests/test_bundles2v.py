@@ -275,7 +275,7 @@ def test_integral_commutes_with_tensoring():
 # -- Kan extensions ----------------------------------------------------------------
 
 def contraction(rng, src, tgt):
-    t = LinMap(src, tgt, tuple(
+    t = LinMap.from_matrix(src, tgt, tuple(
         tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(src.dim))
         for _ in range(tgt.dim)))
     n = operator_norm(t)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catmeas import cli, exactla, shcosh
+from catmeas import cli, exactla, finban, shcosh
 from catmeas.boolalg import BoolAlg, partitions_of, stone_space
 from catmeas.errors import (CatmeasError, InvalidModel, NotACosheaf, NotAFunctor,
                             SupportError)
@@ -36,6 +36,8 @@ from catmeas.shcosh import (bva_cosheaf,
                             yoneda_presheaf, isbell, isbell_adjoint, Verdict,
                             zero_precosheaf)
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
+
+from oracles import rank
 
 F = Fraction
 
@@ -162,7 +164,7 @@ def damped_above(mu, e):
         s = mu.space(g)
         spaces[g] = (FinBanSpace(s.basis, tuple(w / 2 for w in s.weights), s.flavor)
                      if g & e == e else s)
-    cover_maps = {key: LinMap(spaces[key[0]], spaces[key[1]], m.matrix)
+    cover_maps = {key: LinMap.from_matrix(spaces[key[0]], spaces[key[1]], m.matrix)
                   for key, m in mu.cover_maps.items()}
     return make_precosheaf(omega, spaces, cover_maps)
 
@@ -179,7 +181,7 @@ def dual_presheaf(mu):
     cover_maps = {}
     for (small, big), m in mu.cover_maps.items():
         rows = tuple(tuple(row[j] for row in m.matrix) for j in range(m.source.dim))
-        cover_maps[(small, big)] = LinMap(spaces[big], spaces[small], rows)
+        cover_maps[(small, big)] = LinMap.from_matrix(spaces[big], spaces[small], rows)
     return make_presheaf(omega, spaces, cover_maps)
 
 
@@ -223,8 +225,8 @@ def _precosheaf_cases():
                 (5, 7): ((half, half), (0, 0), (half, -half))}
     ext = {(0, k): LinMap.zero(spaces[0], spaces[k]) for k in (1, 2, 4)}
     for (small, big), m in matrices.items():
-        ext[(small, big)] = LinMap(spaces[small], spaces[big],
-                                   tuple(tuple(F(x) for x in row) for row in m))
+        ext[(small, big)] = LinMap.from_matrix(spaces[small], spaces[big],
+                                               tuple(tuple(F(x) for x in row) for row in m))
     yield "mixed_flavors", make_precosheaf(omega, spaces, ext)
 
 
@@ -391,6 +393,21 @@ def test_cosheaf_check_on_a_random_cosheaf_makes_no_rref_inversion(monkeypatch):
     assert spectral_measure(mu).satisfies_laws()
 
 
+def test_cosheaf_check_makes_no_operator_norm_call(monkeypatch):
+    """The split maps of a random cosheaf and of an l1-of cosheaf are
+    monomial, so `is_cosheaf` decides each one in closed form, binary
+    splits and every partition alike, with no operator norm."""
+    def refuse(t):
+        raise AssertionError("operator_norm was called")
+
+    monkeypatch.setattr(finban, "operator_norm", refuse)
+    monkeypatch.setattr(shcosh, "operator_norm", refuse)
+    rng = random.Random(79)
+    omega = alg("a", "b", "c", "d", "e")
+    for mu in (random_cosheaf(rng, omega), l1_cosheaf(positive_measure(omega, rng))):
+        assert is_cosheaf(mu) and is_cosheaf(mu, exhaustive=True)
+
+
 def test_spectral_measure_fails_loudly_on_non_cosheaves():
     omega = alg("a", "b")
     theta = constant_precosheaf(omega, sum_space(["u"]))
@@ -414,7 +431,7 @@ def test_spectral_measure_raises_on_a_singular_atomic_map():
     omega = alg("a", "b")
     line, plane = sum_space(["x"]), sum_space(["x", "y"])
     spaces = {0: zero_space(), 1: line, 2: line, 3: plane}
-    onto_x = LinMap(line, plane, ((F(1),), (F(0),)))
+    onto_x = LinMap.from_matrix(line, plane, ((F(1),), (F(0),)))
     mu = make_precosheaf(omega, spaces, {
         (0, 1): LinMap.zero(spaces[0], line), (0, 2): LinMap.zero(spaces[0], line),
         (1, 3): onto_x, (2, 3): onto_x})
@@ -596,7 +613,7 @@ def test_cosheafify_idempotent_up_to_iso():
         if eps.source.dim:
             inv = exactla.invert(eps.matrix)
             assert inv is not None
-            back = LinMap(eps.target, eps.source, tuple(tuple(r) for r in inv))
+            back = LinMap.from_matrix(eps.target, eps.source, tuple(tuple(r) for r in inv))
             assert operator_norm(back) <= 1
 
 
@@ -611,7 +628,7 @@ def test_cosheafification_universal_property():
         for i in range(omega.n):
             a = 1 << i
             src, tgt = nu.space(a), theta.space(a)
-            atom_maps[a] = LinMap(src, tgt, tuple(
+            atom_maps[a] = LinMap.from_matrix(src, tgt, tuple(
                 tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(src.dim))
                 for _ in range(tgt.dim)))
         tau = precosheaf_map_from_atoms(nu, theta, atom_maps)
@@ -652,7 +669,7 @@ def test_bva_partition_isometry_all_partitions():
             from catmeas import exactla
             inv = exactla.invert(eps.matrix)
             assert inv is not None
-            back = LinMap(eps.target, eps.source, tuple(tuple(r) for r in inv))
+            back = LinMap.from_matrix(eps.target, eps.source, tuple(tuple(r) for r in inv))
             assert operator_norm(back) <= 1
 
 
@@ -671,7 +688,7 @@ def test_constant_universal_map_triangle():
         for i in range(omega.n):
             a = 1 << i
             src = theta.space(a)
-            atom_rows[a] = LinMap(src, b, (tuple(
+            atom_rows[a] = LinMap.from_matrix(src, b, (tuple(
                 F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(src.dim)),))
         tau = {}
         for e in omega.elements():
@@ -809,9 +826,9 @@ def test_isbell_adjunction_explicit_transposition():
                     for k in range(lhs_sol.dim)]
         rhs_vecs = [_pairing_from_right(omega, mu, xi, right_homs, rhs_sol, k)
                     for k in range(rhs_sol.dim)]
-        rank_l = exactla.rank(lhs_vecs) if lhs_vecs else 0
-        rank_r = exactla.rank(rhs_vecs) if rhs_vecs else 0
-        rank_both = exactla.rank(lhs_vecs + rhs_vecs) if lhs_vecs or rhs_vecs else 0
+        rank_l = rank(lhs_vecs) if lhs_vecs else 0
+        rank_r = rank(rhs_vecs) if rhs_vecs else 0
+        rank_both = rank(lhs_vecs + rhs_vecs) if lhs_vecs or rhs_vecs else 0
         assert rank_l == lhs_sol.dim      # the embedding is injective
         assert rank_r == rhs_sol.dim
         assert rank_both == rank_l == rank_r  # the two sides are the same span
@@ -1074,8 +1091,8 @@ def test_left_conjugate_vanishes_with_the_bottom_value_and_right_dims_are_corank
                 images = [mu.extension(top & ~(1 << i), top).column(j)
                           for i in omega.atom_indices(e)
                           for j in range(mu.space(top & ~(1 << i)).dim)]
-                rank = exactla.rank(images) if images and mu.space(top).dim else 0
-                assert rmu.space(e).dim == mu.space(top).dim - rank
+                spanned = rank(images) if images and mu.space(top).dim else 0
+                assert rmu.space(e).dim == mu.space(top).dim - spanned
             checked["right"] += 1
     assert checked["left"] >= 15 and checked["right"] >= 20
 
@@ -1163,7 +1180,7 @@ def characteristic_sheaf_oracle(omega, e):
         small_atoms = set(omega.atoms_below(e & small))
         rows = tuple(tuple(F(1) if b == a else F(0) for b in big_atoms)
                      for a in big_atoms if a in small_atoms)
-        cover_maps[(small, big)] = LinMap(spaces[big], spaces[small], rows)
+        cover_maps[(small, big)] = LinMap.from_matrix(spaces[big], spaces[small], rows)
     return spaces, cover_maps
 
 
@@ -1335,7 +1352,7 @@ def test_validator_rejects_bad_maps(make, covariant):
         make(omega, spaces, flipped)
     # a map out of a space that is not the one at its endpoint
     wrong = dict(cover_maps)
-    wrong[(a, top)] = LinMap(other, spaces[a], ((F(1),),))
+    wrong[(a, top)] = LinMap.from_matrix(other, spaces[a], ((F(1),),))
     with pytest.raises(NotAFunctor, match="endpoints"):
         make(omega, spaces, wrong)
     # norm 2 on both sides, so only contractivity fails

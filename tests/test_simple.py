@@ -239,7 +239,7 @@ def test_bochner_contractive_and_natural():
             for _ in range(3)))
         res = bochner(f, mu)
         assert b.norm(res.integral) <= res.l1_norm
-        t = LinMap(b, c, tuple(
+        t = LinMap.from_matrix(b, c, tuple(
             tuple(F(rng.randint(-2, 2)) for _ in range(2)) for _ in range(2)))
         # the integral commutes with post-composition
         assert t(res.integral) == bochner(f.map_coefficients(t), mu).integral
