@@ -549,10 +549,12 @@ def cmd_integrate(model: Model, report: Report, rng, element, exhaustive):
     for name, nu in _each_measure(model):
         report.result(f"integral[chi][{name}]", show_vector(integrate(chi, nu)))
         lift = integration_map(nu)
+        # both sides are additive in E (the lift is linear, nu is stored on
+        # atoms), so they agree on every element iff they agree on atoms
         report.verdict(
             f"lift_matches_measure[{name}]",
-            all(tuple(lift(characteristic(omega, x).coeffs)) == tuple(nu(x))
-                for x in omega.elements()))
+            all(lift(characteristic(omega, 1 << i).coeffs) == nu(1 << i)
+                for i in range(omega.n)))
         report.verdict(
             f"lift_norm_is_semivariation[{name}]",
             operator_norm(lift) == semivariation(nu, omega.top))

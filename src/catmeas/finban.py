@@ -14,8 +14,8 @@ basis columns of a weighted l1 expression, so spaces of such maps are
 exactly of this shape.  Plain SUP is the singleton-block case.
 
 Operator norms are exact: a weighted l1 (or blocked sup) unit ball is a
-polytope, so the sup of a convex function over it is attained at one of
-finitely many vertices.
+polytope, so the sup of a convex function over it is attained at a
+vertex; vertex images are summed in Python ints (see operator_norm).
 
 A LinMap stores its row nonzeros: `rows[i]` is a tuple of (source
 column, value) pairs of target row i, sorted by column, with no zero
@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -147,23 +149,12 @@ class FinBanSpace:
     def basis_vector(self, i: int) -> Vector:
         return basis_vec(self.dim, i)
 
-    def ball_extreme_points(self) -> Iterator[Vector]:
-        """Vertices of the unit ball.
-
-        SUM: +-e_j / w_j.  SUP/blocked: one +-e_i / w_i choice per block
-        (the ball is a product of block l1 balls).  Raises ResourceLimit
-        when the vertex count would exceed BALL_CAP.
-        """
-        if self.dim == 0:
-            return iter(())
-        if self.flavor is Flavor.SUM:
-            def sum_points():
-                for j in range(self.dim):
-                    for sign in (ONE, -ONE):
-                        v = list(zero_vec(self.dim))
-                        v[j] = sign / self.weights[j]
-                        yield tuple(v)
-            return sum_points()
+    def ball_vertex_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks of the unit ball, which is the product of the block
+        l1 balls (SUM: one block, the whole basis), so each vertex picks
+        one +-e_i / w_i per block.  Raises ResourceLimit when the vertex
+        count, the product of 2|g| over the blocks g, would exceed
+        BALL_CAP."""
         groups = self.effective_groups()
         count = 1
         for g in groups:
@@ -171,15 +162,24 @@ class FinBanSpace:
             if count > BALL_CAP:
                 raise ResourceLimit(
                     f"unit ball of this space has more than {BALL_CAP} vertices")
+        return groups
 
-        def sup_points():
+    def ball_extreme_points(self) -> Iterator[Vector]:
+        """Vertices of the unit ball, one +-e_i / w_i choice per block of
+        `ball_vertex_blocks` (SUM: +-e_j / w_j), which raises ResourceLimit
+        at the call."""
+        if self.dim == 0:
+            return iter(())
+        groups = self.ball_vertex_blocks()
+
+        def points():
             choices = [[(i, s) for i in g for s in (ONE, -ONE)] for g in groups]
             for pick in itertools.product(*choices):
                 v = list(zero_vec(self.dim))
                 for i, s in pick:
                     v[i] = s / self.weights[i]
                 yield tuple(v)
-        return sup_points()
+        return points()
 
     def dual_vertex_blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks that carry the vertices of the dual unit ball: each
@@ -383,14 +383,43 @@ def _block_ids(space: FinBanSpace) -> list[int]:
     return ids
 
 
+def _over_common_denominator(table: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer rows R and one D > 0 with R[k][j] = D table[k][j]: D is the
+    lcm of the denominators (1 for an empty table)."""
+    den = math.lcm(*(x.denominator for row in table for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in table], den
+
+
+def _vertex_images(blocks: Sequence[Sequence[int]], cols: Sequence[tuple[int, ...]]) -> list:
+    """Every sum over the blocks g of one +-cols[j], j in g (the Minkowski
+    sum of the blocks' signed columns), with + on the first block."""
+    first, *rest = blocks
+    images = [cols[j] for j in first]
+    for g in rest:
+        steps = [cols[j] for j in g] + [tuple(-x for x in cols[j]) for j in g]
+        images = [tuple(map(operator.add, x, s)) for x in images for s in steps]
+    return images
+
+
 def operator_norm(t: LinMap) -> Fraction:
     """Exact operator norm.
 
     SUM sources use the column rule (valid against any target norm),
     summed over the nonzeros of each column per target block; monomial
-    matrices from SUP/blocked sources have a closed form; other
-    SUP/blocked sources fall back to vertex enumeration of the source
-    ball, which is finite but exponential, so it is capped.
+    matrices from SUP/blocked sources have a closed form.  Any other
+    SUP/blocked source takes the max of the target norm over the
+    vertices of the source ball, in ints, in the three steps of
+    `measures.semivariation` on the primal ball, not the dual one (so the
+    lift of a measure stays a cross-check of its semivariation).
+    1. Vertices: v = sum_g s_g e_{j_g} / w_{j_g}, one coordinate j_g and
+       sign s_g per block g of `ball_vertex_blocks` (whose BALL_CAP check
+       raises ResourceLimit before any image is built).
+    2. Symmetry: -v is a vertex too and the norm is even, so s_g = +1 on
+       the first block.
+    3. Common denominator: with U_ij = w'_i t_ij / w_j and D > 0 the lcm
+       of their denominators, cols[j] = D U_.j is an integer vector and
+       ||t v|| = max over target blocks h of sum_{i in h} |x_i| / D, with
+       x = sum_g s_g cols[j_g] one integer add per block.
     """
     if t.source.dim == 0 or t.target.dim == 0:
         return ZERO
@@ -414,7 +443,16 @@ def operator_norm(t: LinMap) -> Fraction:
         for (h, _), r in peak.items():
             totals[h] = totals.get(h, ZERO) + r
         return max(totals.values(), default=ZERO)
-    return max((t.target.norm(t(v)) for v in t.source.ball_extreme_points()), default=ZERO)
+    blocks = t.source.ball_vertex_blocks()
+    ws = t.source.weights
+    scaled = [[ZERO] * t.source.dim for _ in t.rows]
+    for out, w, row in zip(scaled, t.target.weights, t.rows):
+        for j, c in row:
+            out[j] = w * c / ws[j]
+    rows, den = _over_common_denominator(scaled)
+    images = _vertex_images(blocks, list(zip(*rows)))
+    return Fraction(max(sum(abs(x[i]) for i in h)
+                        for h in t.target.effective_groups() for x in images), den)
 
 
 def _contractive_both_ways(forward: LinMap, backward: LinMap) -> bool:
@@ -588,51 +626,14 @@ def projective_tensor(a: FinBanSpace, b: FinBanSpace) -> TensorProduct:
     """Product basis with multiplied weights, left factor major.
 
     For weighted l1 factors this weighted l1 norm equals the projective
-    norm (infimum over representations); `projective_norm_oracle` below
-    recomputes that infimum by LP so the identity stays testable.
+    norm (infimum over representations); the tests recompute that
+    infimum by LP so the identity stays testable.
     """
     if a.flavor is not Flavor.SUM or b.flavor is not Flavor.SUM:
         raise FlavorMismatch("the projective tensor is built on SUM spaces")
     labels = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
     weights = tuple(wa * wb for wa in a.weights for wb in b.weights)
     return TensorProduct(FinBanSpace(labels, weights, Flavor.SUM), a, b)
-
-
-def projective_norm_oracle(a: FinBanSpace, b: FinBanSpace,
-                           u: Sequence[Fraction]) -> Fraction:
-    """inf over representations u = sum_n a_n (x) b_n of sum ||a_n|| ||b_n||.
-
-    Any representation can be regrouped so that the right factors are
-    vertices of the right unit ball without increasing the cost, which
-    makes the infimum a finite LP: minimise the total weighted l1 mass of
-    the left coefficient vectors, one per right-ball vertex, subject to
-    reproducing u.
-    """
-    verts = list(b.ball_extreme_points())
-    n, m = a.dim, b.dim
-    if n * m == 0:
-        return ZERO
-    k = len(verts)
-    # variables: c[t][i] split into +/- parts, t over vertices, i over a-basis
-    nv = 2 * k * n
-    cost = []
-    for _ in range(2):
-        for _t in range(k):
-            cost.extend(a.weights)
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(m):
-            row = [ZERO] * nv
-            for t in range(k):
-                coeff = verts[t][j]
-                if coeff != 0:
-                    row[t * n + i] = coeff
-                    row[k * n + t * n + i] = -coeff
-            rows.append(row)
-            rhs.append(u[i * m + j])
-    value, _ = exactla.simplex_min(cost, rows, rhs)
-    return value
 
 
 # ---------------------------------------------------------------------------

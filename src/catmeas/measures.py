@@ -7,7 +7,6 @@ summation over the atoms below it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -15,7 +14,8 @@ from typing import Callable, Optional, Sequence
 from .boolalg import BoolAlg, BoolMorphism, Coproduct, NullQuotient, quotient_by_null
 from .errors import AlgebraMismatch, InvalidModel
 from .exactla import ZERO
-from .finban import FinBanSpace, Vector, scalars, vec_add, vec_scale, zero_vec
+from .finban import (FinBanSpace, Vector, _over_common_denominator, scalars, vec_add,
+                     vec_scale, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,8 @@ def semivariation(nu: VectorMeasure, e: int) -> Fraction:
     if not idx or target.dim == 0:
         return ZERO
     blocks = target.dual_vertex_blocks()
-    scaled = [[w * x for w, x in zip(target.weights, nu.atom_values[i])] for i in idx]
-    den = math.lcm(*(x.denominator for row in scaled for x in row))
-    rows = [[x.numerator * (den // x.denominator) for x in row] for row in scaled]
+    rows, den = _over_common_denominator(
+        [[w * x for w, x in zip(target.weights, nu.atom_values[i])] for i in idx])
     best = 0
     for g in blocks:
         totals = [0] * (1 << (len(g) - 1))
@@ -150,27 +149,20 @@ def lipschitz_norm(nu: VectorMeasure, mu: MeasureAlgebra) -> Optional[Fraction]:
     """max over elements E with mu(E) > 0 of ||nu(E)|| / mu(E); None when
     some mu-null element carries nonzero nu (no Lipschitz constant).
 
-    The maximum is taken over all nonzero elements, not only atoms.
+    It is the max L over the atoms a with mu(a) > 0: atoms are elements,
+    and past the None check null atoms carry nu = 0, so for mu(E) > 0
+    ||nu(E)|| <= sum_{a <= E, mu(a) > 0} (||nu(a)|| / mu(a)) mu(a) <= L mu(E).
     """
     if nu.algebra != mu.algebra:
         raise AlgebraMismatch("measures live on different algebras")
-    null_mask = 0
-    for i in range(mu.algebra.n):
-        if mu.atom_value(i) == 0:
-            null_mask |= 1 << i
-    if null_mask and any(
-            x != 0 for i in mu.algebra.atom_indices(null_mask)
-            for x in nu.atom_values[i]):
-        return None
-    best = ZERO
-    for e in nu.algebra.nonzero_elements():
-        m = mu.value(e)
-        if m == 0:
-            continue
-        val = nu.target.norm(nu(e)) / m
-        if val > best:
-            best = val
-    return best
+    ratios = []
+    for i, v in enumerate(nu.atom_values):
+        m = mu.atom_value(i)
+        if m:
+            ratios.append(nu.target.norm(v) / m)
+        elif any(v):
+            return None
+    return max(ratios, default=ZERO)
 
 
 def pullback(phi: BoolMorphism, nu: VectorMeasure) -> VectorMeasure:

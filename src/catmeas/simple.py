@@ -124,8 +124,8 @@ def integrate(f: SimpleElement, nu: VectorMeasure) -> Vector:
 
 def integration_map(nu: VectorMeasure) -> LinMap:
     """The lift of nu to the sup-normed simple elements: the unique linear
-    map sending chi(E) to nu(E).  Its operator norm is the semivariation
-    of nu at top (decided exactly in tests)."""
+    map sending chi(E) to nu(E).  Its operator norm (over source-ball
+    vertices) is the semivariation of nu at top (over dual-ball ones)."""
     src = linf_space(nu.algebra)
     return LinMap.from_columns(src, nu.target, list(nu.atom_values))
 

@@ -2,16 +2,19 @@
 
 Each one recomputes by the textbook route what the library computes by a
 shortcut: dense matrix products and ranks, the vertices of a dual unit
-ball, and the semivariation as an explicit sup over partitions.  They
-live here, not in `src/`, so that they stay independent of the code
-under test.
+ball, the semivariation as an explicit sup over partitions, the
+projective tensor norm as an LP over representations, operator norms
+over the vertices of the source ball, and the Lipschitz norm and the
+lift of a measure on every element.  They live here, not in `src/`, so
+that they stay independent of the code under test.
 """
 
 import itertools
 from fractions import Fraction
 
 from catmeas.boolalg import partitions_of
-from catmeas.exactla import rref
+from catmeas.exactla import rref, simplex_min
+from catmeas.simple import characteristic
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -61,3 +64,75 @@ def semivariation_bruteforce(nu, e: int, functionals) -> Fraction:
             if total > best:
                 best = total
     return best
+
+
+def operator_norm_by_vertices(t) -> Fraction:
+    """The max of the target norm of t(v) over the vertices v of the
+    source unit ball, each image a Fraction product."""
+    return max((t.target.norm(t(v)) for v in t.source.ball_extreme_points()), default=ZERO)
+
+
+def lipschitz_by_elements(nu, mu):
+    """max over elements E with mu(E) > 0 of ||nu(E)|| / mu(E), computed
+    on each of the 2^n elements; None when a mu-null atom carries
+    nonzero nu."""
+    null_mask = 0
+    for i in range(mu.algebra.n):
+        if mu.atom_value(i) == 0:
+            null_mask |= 1 << i
+    if null_mask and any(
+            x != 0 for i in mu.algebra.atom_indices(null_mask)
+            for x in nu.atom_values[i]):
+        return None
+    best = ZERO
+    for e in nu.algebra.nonzero_elements():
+        m = mu.value(e)
+        if m == 0:
+            continue
+        val = nu.target.norm(nu(e)) / m
+        if val > best:
+            best = val
+    return best
+
+
+def lift_matches_by_elements(lift, nu) -> bool:
+    """lift(chi(E)) == nu(E) on each of the 2^n elements E."""
+    omega = nu.algebra
+    return all(tuple(lift(characteristic(omega, x).coeffs)) == tuple(nu(x))
+               for x in omega.elements())
+
+
+def projective_norm_oracle(a, b, u) -> Fraction:
+    """inf over representations u = sum_n a_n (x) b_n of sum ||a_n|| ||b_n||.
+
+    Any representation can be regrouped so that the right factors are
+    vertices of the right unit ball without increasing the cost, which
+    makes the infimum a finite LP: minimise the total weighted l1 mass of
+    the left coefficient vectors, one per right-ball vertex, subject to
+    reproducing u.
+    """
+    verts = list(b.ball_extreme_points())
+    n, m = a.dim, b.dim
+    if n * m == 0:
+        return ZERO
+    k = len(verts)
+    # variables: c[t][i] split into +/- parts, t over vertices, i over a-basis
+    nv = 2 * k * n
+    cost = []
+    for _ in range(2):
+        for _t in range(k):
+            cost.extend(a.weights)
+    rows = []
+    rhs = []
+    for i in range(n):
+        for j in range(m):
+            row = [ZERO] * nv
+            for t in range(k):
+                coeff = verts[t][j]
+                if coeff != 0:
+                    row[t * n + i] = coeff
+                    row[k * n + t * n + i] = -coeff
+            rows.append(row)
+            rhs.append(u[i * m + j])
+    value, _ = simplex_min(cost, rows, rhs)
+    return value

@@ -19,8 +19,7 @@ from catmeas.bundles2v import (Bundle, DiscreteCosheafMeasure, FunctorMatrix,
                                decomposition_witness, delta_bundle, hom_bundle,
                                integral_tensor_naturality_witness)
 from catmeas.exactla import invert
-from catmeas.finban import (Flavor, LinMap, operator_norm,
-                            projective_norm_oracle, projective_tensor, scalars,
+from catmeas.finban import (Flavor, LinMap, operator_norm, projective_tensor, scalars,
                             sum_space, sup_space)
 from catmeas.measures import (MeasureAlgebra, VectorMeasure, factor_through,
                               null_quotient, semivariation, variation,
@@ -35,6 +34,8 @@ from catmeas.shcosh import (bva_cosheaf, bva_evaluation, constant_precosheaf,
 from catmeas.simple import (SimpleElement, VectorSimpleElement, bochner,
                             characteristic, fubini, integration_map,
                             l1_tensor_witness, linf_norm, multiply)
+
+from oracles import projective_norm_oracle
 
 F = Fraction
 MODELS = Path(__file__).resolve().parent.parent / "models"

@@ -4,6 +4,7 @@ exit codes."""
 import contextlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,11 @@ import pytest
 from catmeas import cli
 from catmeas.boolalg import BoolAlg, BoolMorphism, StoneSpace, stone_space
 from catmeas.errors import InvalidModel, ModelError
+from catmeas.finban import LinMap, sum_space, sup_space
+from catmeas.measures import random_vector_measure
+from catmeas.simple import integration_map
+
+from oracles import lift_matches_by_elements
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -407,6 +413,34 @@ def test_stone_verdict_fails_with_a_witness_on_a_wrong_inverse(monkeypatch):
     out = run_cli("stone", "--model", str(MODELS / "reference.json"))
     assert out.returncode == 1
     assert '[FAIL] stone_round_trip  {"atom": "a*u", "got": ["a*v"]}' in out.stdout
+
+
+# -- the lift verdict against the 2^n element loop -------------------------------
+
+def test_lift_verdict_agrees_with_the_element_loop(monkeypatch):
+    """`integrate`'s lift_matches_measure, decided on atoms, against the
+    check on every element, for random measures and for their lifts with
+    one entry changed, so both outcomes occur."""
+    rng = random.Random(9)
+    targets = (sum_space(["u", "v"], ["1/2", "3"]), sup_space(["u", "v", "w"]))
+    outcomes = []
+    for _ in range(60):
+        omega = BoolAlg(tuple(f"x{i}" for i in range(rng.randint(1, 5))))
+        nu = random_vector_measure(rng, omega, rng.choice(targets))
+        lift = integration_map(nu)
+        if rng.random() < 0.5:
+            dense = [list(row) for row in lift.matrix]
+            i, j = rng.randrange(len(dense)), rng.randrange(omega.n)
+            dense[i][j] += rng.choice([1, -2])
+            lift = LinMap.from_matrix(lift.source, lift.target, dense)
+        monkeypatch.setattr(cli, "integration_map", lambda _nu, lift=lift: lift)
+        model = cli.Model()
+        model.algebra, model.measures, model.measure_on = omega, {"nu": nu}, {"nu": "algebra"}
+        verdict = cli.run("integrate", model, 0, False, None).payload["verdicts"]
+        ok = lift_matches_by_elements(lift, nu)
+        assert verdict["lift_matches_measure[nu]"] == {"ok": ok}
+        outcomes.append(ok)
+    assert set(outcomes) == {True, False}
 
 
 # -- resource limits ------------------------------------------------------------

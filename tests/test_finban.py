@@ -12,11 +12,11 @@ from catmeas import exactla, finban
 from catmeas.errors import FlavorMismatch, InvalidModel, NotAFunctor, ResourceLimit
 from catmeas.finban import (BifunctorData, FinBanSpace, FinPoset, Flavor,
                             IsoWitness, LinMap, basis_vec, coend, direct_sum, end,
-                            is_isometric_iso, operator_norm, projective_norm_oracle,
-                            projective_tensor, quotient, sum_space,
-                            sup_space, vec, zero_space)
+                            is_isometric_iso, operator_norm, projective_tensor, quotient,
+                            sum_space, sup_space, vec, zero_space)
 
-from oracles import dual_extreme_functionals
+from oracles import (dual_extreme_functionals, operator_norm_by_vertices,
+                     projective_norm_oracle)
 
 F = Fraction
 
@@ -32,6 +32,18 @@ def rnd_pos(rng, span=3, denom=3):
 def rnd_space(rng, dim, flavor):
     mk = sum_space if flavor is Flavor.SUM else sup_space
     return mk([f"e{i}" for i in range(dim)], [rnd_pos(rng) for _ in range(dim)])
+
+
+def rnd_groups(rng, dim):
+    """A random partition of range(dim) into nonempty blocks."""
+    idx = list(range(dim))
+    rng.shuffle(idx)
+    groups = []
+    while idx:
+        k = rng.randint(1, len(idx))
+        groups.append(tuple(sorted(idx[:k])))
+        idx = idx[k:]
+    return tuple(groups)
 
 
 def rnd_map(rng, src, tgt):
@@ -372,9 +384,7 @@ def test_operator_norm_matches_extreme_point_oracle():
                 src = rnd_space(rng, rng.randint(1, 3), src_flavor)
                 tgt = rnd_space(rng, rng.randint(1, 3), tgt_flavor)
                 t = rnd_map(rng, src, tgt)
-                oracle = max((tgt.norm(t(v)) for v in src.ball_extreme_points()),
-                             default=F(0))
-                assert operator_norm(t) == oracle
+                assert operator_norm(t) == operator_norm_by_vertices(t)
 
 
 def test_vertex_caps_raise_resource_limit():
@@ -419,23 +429,12 @@ def test_monomial_norm_closed_form_matches_enumeration():
     rng = random.Random(17)
     for _ in range(25):
         dim = rng.randint(1, 4)
-        # random block structures on source and target
-        def rnd_groups(d):
-            idx = list(range(d))
-            rng.shuffle(idx)
-            groups = []
-            while idx:
-                k = rng.randint(1, len(idx))
-                groups.append(tuple(sorted(idx[:k])))
-                idx = idx[k:]
-            return tuple(groups)
-
         src = FinBanSpace(tuple(f"s{i}" for i in range(dim)),
                           tuple(rnd_pos(rng) for _ in range(dim)),
-                          Flavor.SUP, rnd_groups(dim))
+                          Flavor.SUP, rnd_groups(rng, dim))
         tgt = FinBanSpace(tuple(f"t{i}" for i in range(dim)),
                           tuple(rnd_pos(rng) for _ in range(dim)),
-                          Flavor.SUP, rnd_groups(dim))
+                          Flavor.SUP, rnd_groups(rng, dim))
         perm = list(range(dim))
         rng.shuffle(perm)
         cols = []
@@ -444,8 +443,67 @@ def test_monomial_norm_closed_form_matches_enumeration():
             v[perm[j]] = rnd_q(rng) or F(1)
             cols.append(tuple(v))
         t = LinMap.from_columns(src, tgt, cols)
-        brute = max((tgt.norm(t(v)) for v in src.ball_extreme_points()), default=F(0))
-        assert operator_norm(t) == brute
+        assert operator_norm(t) == operator_norm_by_vertices(t)
+
+
+# weights over pairwise coprime denominators, so the common one is large
+COPRIME_WEIGHTS = (F(1, 2), F(2, 3), F(3, 5), F(5, 7), F(7, 11), F(11, 13), F(13, 17))
+
+
+def test_vertex_kernel_matches_the_vertex_oracle():
+    """The integer kernel of operator_norm against the Fraction image of
+    every vertex of the source ball, out of SUP and blocked sources of 1-6
+    coordinates into SUM, SUP and blocked targets of 0-4 coordinates, with
+    zero columns and coprime-denominator weights; each of the six
+    source/target pairs reaches the kernel (a non-monomial map)."""
+    rng = random.Random(23)
+    kernel_runs, empty_targets = [], 0
+    for _ in range(300):
+        dim = rng.randint(1, 6)
+        src = FinBanSpace(tuple(f"s{i}" for i in range(dim)),
+                          tuple(rng.choice(COPRIME_WEIGHTS + (rnd_pos(rng),))
+                                for _ in range(dim)),
+                          Flavor.SUP, rng.choice([None, rnd_groups(rng, dim)]))
+        tdim = rng.randint(0, 4)
+        weights = tuple(rng.choice(COPRIME_WEIGHTS) for _ in range(tdim))
+        labels = tuple(f"t{i}" for i in range(tdim))
+        kind = rng.randrange(3)
+        tgt = (FinBanSpace(labels, weights, Flavor.SUM),
+               FinBanSpace(labels, weights, Flavor.SUP),
+               FinBanSpace(labels, weights, Flavor.SUP, rnd_groups(rng, tdim)))[kind]
+        zero_cols = set(rng.sample(range(dim), rng.randint(0, dim - 1)))
+        t = LinMap.from_matrix(src, tgt, tuple(
+            tuple(F(0) if j in zero_cols else rnd_q(rng, denom=rng.choice((1, 5, 9)))
+                  for j in range(dim)) for _ in range(tdim)))
+        if tdim and finban._monomial_data(t) is None:
+            kernel_runs.append((src.groups is None, kind))
+        empty_targets += tdim == 0
+        assert operator_norm(t) == operator_norm_by_vertices(t), (src, tgt, t.rows)
+    assert len(kernel_runs) > 150 and len(set(kernel_runs)) == 6 and empty_targets
+
+
+def test_operator_norm_cap_is_checked_before_any_image(monkeypatch):
+    """A map out of a 13-dim SUP space has 2^13 > BALL_CAP source-ball
+    vertices: operator_norm raises the unit-ball error before the image
+    step, which is made to refuse here; out of a 12-dim space it goes on
+    to the image step, and unpatched it takes 2^11 images."""
+    def ones(dim):
+        return LinMap.from_matrix(sup_space([f"e{j}" for j in range(dim)]), sum_space(["u"]),
+                                  ((F(1),) * dim,))
+
+    def refuse(*_):
+        raise AssertionError("image step reached")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(finban, "_vertex_images", refuse)
+        with pytest.raises(ResourceLimit, match="too-large") as raised:
+            operator_norm(ones(13))
+        with pytest.raises(ResourceLimit) as by_points:
+            ones(13).source.ball_extreme_points()
+        assert str(raised.value) == str(by_points.value)
+        with pytest.raises(AssertionError, match="image step reached"):
+            operator_norm(ones(12))
+    assert operator_norm(ones(12)) == 12
 
 
 def test_operator_norm_submultiplicative():

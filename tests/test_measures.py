@@ -16,7 +16,7 @@ from catmeas.measures import (MeasureAlgebra, VectorMeasure, factor_through,
                               product_measure, pullback, semivariation, variation,
                               random_vector_measure)
 
-from oracles import dual_extreme_functionals, semivariation_bruteforce
+from oracles import dual_extreme_functionals, lipschitz_by_elements, semivariation_bruteforce
 
 F = Fraction
 
@@ -262,6 +262,33 @@ def test_lipschitz_finite_iff_support_inclusion():
         support_ok = all(
             mu.atom_value(i) > 0 or nu.atom_values[i][0] == 0 for i in range(3))
         assert finite == support_ok
+
+
+def test_lipschitz_norm_matches_the_element_loop():
+    """The max over atoms against the max over all 2^n elements, with
+    null atoms (carrying zero or nonzero nu), all-null mu, and scalar,
+    SUM, SUP and blocked targets."""
+    rng = random.Random(12)
+    targets = (scalars(), sum_space(["x", "y"], [F(1, 2), F(3)]),
+               sup_space(["x", "y", "z"], [F(2, 3), F(1), F(5, 7)]),
+               FinBanSpace(("x", "y", "z"), (F(1), F(1, 5), F(3, 2)), Flavor.SUP,
+                           ((0, 2), (1,))))
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        omega = alg(*(f"a{i}" for i in range(n)))
+        nu = random_vector_measure(rng, omega, rng.choice(targets))
+        masses = [rng.choice([0, F(1, 3), 1, F(5, 2)]) for _ in range(n)]
+        if rng.random() < 0.1:
+            masses = [0] * n
+        if rng.random() < 0.5:  # let nu vanish on the null atoms
+            nu = VectorMeasure(omega, nu.target, tuple(
+                v if m else tuple(F(0) for _ in v) for v, m in zip(nu.atom_values, masses)))
+        mu = MeasureAlgebra.from_values(omega, masses)
+        got = lipschitz_norm(nu, mu)
+        assert got == lipschitz_by_elements(nu, mu), (nu, masses)
+        outcomes.add("unbounded" if got is None else "zero" if got == 0 else "positive")
+    assert outcomes == {"unbounded", "zero", "positive"}
 
 
 def test_pullback_identity_and_collapse():
