@@ -465,20 +465,8 @@ class PosetFunctor:
                 raise NotAFunctor("missing arrow map")
             if m.source != self.spaces[f[0]] or m.target != self.spaces[f[1]]:
                 raise NotAFunctor("arrow map endpoints do not match")
-        for a in self.index.objects:
-            for b in self.index.objects:
-                if a == b or not self.index.leq(a, b):
-                    continue
-                mats = []
-                for path in self.index.paths(a, b):
-                    if not path:
-                        continue
-                    m = self.arrow_maps[path[0]]
-                    for step in path[1:]:
-                        m = self.arrow_maps[step] @ m
-                    mats.append(m.rows)
-                if any(m != mats[0] for m in mats):
-                    raise NotAFunctor("arrow maps are path dependent")
+        if not self.index.path_independent(self.arrow_maps.__getitem__):
+            raise NotAFunctor("arrow maps are path dependent")
 
 
 @dataclass

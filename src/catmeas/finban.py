@@ -455,10 +455,6 @@ def operator_norm(t: LinMap) -> Fraction:
                         for h in t.target.effective_groups() for x in images), den)
 
 
-def _contractive_both_ways(forward: LinMap, backward: LinMap) -> bool:
-    return operator_norm(forward) <= 1 and operator_norm(backward) <= 1
-
-
 def is_isometric_iso(m: LinMap) -> bool:
     """m is invertible and m and its inverse are contractions; maps
     between zero-dimensional spaces count.
@@ -483,7 +479,7 @@ def is_isometric_iso(m: LinMap) -> bool:
     mono = _monomial_data(m)
     if mono is None or dim != m.target.dim:
         back = m.inverse()
-        return back is not None and _contractive_both_ways(m, back)
+        return back is not None and operator_norm(m) <= 1 and operator_norm(back) <= 1
     sw, tw = m.source.weights, m.target.weights
     if len(mono) < dim or any(abs(c) * tw[i] != sw[j] for j, i, c in mono):
         return False
@@ -502,7 +498,7 @@ class IsoWitness:
                (self.forward @ self.backward).is_identity()
 
     def is_isometric(self) -> bool:
-        return self.is_valid() and _contractive_both_ways(self.forward, self.backward)
+        return self.is_valid() and is_isometric_iso(self.forward)
 
     @staticmethod
     def from_permutation(source: FinBanSpace, target: FinBanSpace,
@@ -781,16 +777,33 @@ class FinPoset:
                     frontier.append(t)
         return False
 
-    def paths(self, a: str, b: str) -> list[tuple[tuple[str, str], ...]]:
-        """All generating-arrow paths a -> b (empty path when a == b)."""
-        if a == b:
-            return [()]
-        out = []
-        for s, t in self.arrows:
-            if s == a:
-                for rest in self.paths(t, b):
-                    out.append(((s, t),) + rest)
-        return out
+    def path_independent(self, step: Callable[[tuple[str, str]], LinMap],
+                         covariant: bool = True) -> bool:
+        """Whether any two nonempty paths of generating arrows a -> b
+        compose to the same map, arrow f acting by step(f), composed along
+        the path when covariant and against it otherwise.
+
+        For each source a the targets b are visited by the number of
+        objects below them, so each c < b comes first.  A nonempty path
+        a -> b is a last arrow (c, b) after nothing (c = a) or after a
+        nonempty path a -> c.  By induction on that order, if every path
+        a -> c composes to reached[c] for each c before b, the paths a -> b
+        compose to the candidates of their last arrows: all agree exactly
+        when the candidates do, and reached[b] is their common value.
+        """
+        order = sorted(self.objects, key=lambda b: sum(self.leq(x, b) for x in self.objects))
+        for a in self.objects:
+            reached: dict[str, LinMap] = {}
+            for b in order:
+                for c, t in self.arrows:
+                    if t != b or (c != a and c not in reached):
+                        continue
+                    m = step((c, b))
+                    if c != a:
+                        m = m @ reached[c] if covariant else reached[c] @ m
+                    if reached.setdefault(b, m).rows != m.rows:
+                        return False
+        return True
 
     @staticmethod
     def discrete(objects: Sequence[str]) -> "FinPoset":
@@ -821,24 +834,6 @@ class BifunctorData:
         self.left = left
         self.right = right
 
-    def left_path(self, path, y: str) -> LinMap:
-        """Composite contravariant action along a path a -> b, as a map
-        F(b, y) -> F(a, y)."""
-        if not path:
-            raise InvalidModel("empty path has no endpoints here")
-        out = self.left(path[-1], y)
-        for f in reversed(path[:-1]):
-            out = self.left(f, y) @ out
-        return out
-
-    def right_path(self, x: str, path) -> LinMap:
-        if not path:
-            raise InvalidModel("empty path has no endpoints here")
-        out = self.right(x, path[0])
-        for f in path[1:]:
-            out = self.right(x, f) @ out
-        return out
-
     def validate(self) -> None:
         objs = self.index.objects
         for f in self.index.arrows:
@@ -851,19 +846,12 @@ class BifunctorData:
                 rm = self.right(x, f)
                 if rm.source != self.space(x, a) or rm.target != self.space(x, b):
                     raise NotAFunctor("right action has wrong endpoints")
-        for a in objs:
-            for b in objs:
-                if a == b or not self.index.leq(a, b):
-                    continue
-                paths = self.index.paths(a, b)
-                for y in objs:
-                    maps = [self.left_path(p, y).rows for p in paths if p]
-                    if any(m != maps[0] for m in maps):
-                        raise NotAFunctor("contravariant action is path dependent")
-                for x in objs:
-                    maps = [self.right_path(x, p).rows for p in paths if p]
-                    if any(m != maps[0] for m in maps):
-                        raise NotAFunctor("covariant action is path dependent")
+        for y in objs:
+            if not self.index.path_independent(lambda f: self.left(f, y), covariant=False):
+                raise NotAFunctor("contravariant action is path dependent")
+        for x in objs:
+            if not self.index.path_independent(lambda f: self.right(x, f)):
+                raise NotAFunctor("covariant action is path dependent")
         for f in self.index.arrows:
             for g in self.index.arrows:
                 a, b = f

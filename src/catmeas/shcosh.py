@@ -13,12 +13,14 @@ binary splits of the failing element, and an exhaustive mode checks every
 partition as cross-validation.
 
 Cosheaves carry a derived spectral measure.  By the discrete density
-result a cosheaf is fixed by its atom fibers: the atomic partition map A
-at top is invertible, the atom projections are P_a = A diag(1_a) A^-1,
-and P_E, the sum of the P_a below E, is the idempotent on the total space
-with range ext_{E,top} and kernel ext_{~E,top}.  The induced action of
-simple elements f |-> sum k_n P_{E_n} is a unital multiplicative algebra
-map whose operator norm is the sup norm of f.
+result a cosheaf is fixed by its atom fibers: the atomic partition map A_e
+of each element e is invertible, and every cosheaf projection is read
+off the row blocks of one A_e^-1.  The atom projections at top are
+P_a = A diag(1_a) A^-1, and P_E, the sum of the P_a below E, is the
+idempotent with range ext_{E,top} and kernel ext_{~E,top}; the spectral
+data stores the P_a, a resolution of the identity.  The action of simple
+elements f |-> sum f(a) P_a is a unital multiplicative algebra map whose
+operator norm is the sup norm of f.
 
 Presheaves are the dual picture (SUP spaces, restrictions, product
 condition, decided the same way); characteristic presheaves and the hom
@@ -49,6 +51,7 @@ structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -381,78 +384,83 @@ def is_sheaf(xi: PreSheaf, exhaustive: bool = False) -> Verdict:
 # spectral measure of a cosheaf
 # ---------------------------------------------------------------------------
 
+def _atom_projections(mu: PreCosheaf, e: int) -> dict[int, LinMap]:
+    """p_{e,a} : mu(e) -> mu(a) for the atoms a <= e, lowest first: the row
+    blocks of A_e^-1, A_e the atomic partition map of e (A_0 maps from the
+    zero space), so p_{e,a} o ext_{b,e} is id for b = a and 0 otherwise.
+    Raises NotACosheaf when A_e is not square or is singular."""
+    atoms = [1 << i for i in mu.algebra.atom_indices(e)]
+    a_map = partition_map(mu, e, atoms) if e else LinMap.zero(zero_space(), mu.space(0))
+    if a_map.source.dim != a_map.target.dim:
+        raise NotACosheaf("atomic partition map is not square")
+    inv = a_map.inverse()
+    if inv is None:
+        raise NotACosheaf("atomic partition map is singular")
+    out, start = {}, 0
+    for a in atoms:
+        stop = start + mu.space(a).dim
+        out[a] = LinMap(a_map.target, mu.space(a), inv.rows[start:stop])
+        start = stop
+    return out
+
+
 def cosheaf_projection(mu: PreCosheaf, e: int, f: int) -> LinMap:
     """For f <= e, the unique p : mu(e) -> mu(f) with p o ext_{f,e} = id
-    and p o ext_{e-f,e} = 0; solved from the binary split, so it fails
-    loudly (NotACosheaf) when the split map is singular."""
-    omega = mu.algebra
-    if not omega.leq(f, e):
+    and p o ext_{e-f,e} = 0: the sum of ext_{a,f} o p_{e,a} over the atoms
+    a <= f.  Both send ext_{b,e}, for each atom b <= e, to ext_{b,f} when
+    b <= f and to 0 otherwise, and on a cosheaf those images span mu(e).
+    Raises NotACosheaf as `_atom_projections` does."""
+    if not mu.algebra.leq(f, e):
         raise InvalidModel("projection needs f <= e")
-    if f == e:
-        return LinMap.identity(mu.space(e))
-    if f == 0:
-        return LinMap.zero(mu.space(e), mu.space(0))
-    eps = partition_map(mu, e, [f, e & ~f])
-    if eps.source.dim != eps.target.dim:
-        raise NotACosheaf("partition map is not square")
-    inv = eps.inverse()
-    if inv is None:
-        raise NotACosheaf("partition map is singular")
-    return LinMap(mu.space(e), mu.space(f), inv.rows[: mu.space(f).dim])
+    out = LinMap.zero(mu.space(e), mu.space(f))
+    for a, p in _atom_projections(mu, e).items():
+        if a & f:
+            out = out.add(mu.extension(a, f) @ p)
+    return out
 
 
 @dataclass
 class SpectralData:
-    """The projection-valued measure of a cosheaf on its total value."""
+    """The projection-valued measure of a cosheaf on its total value, held
+    as its atom projections: atom_projections[i] is P_a for a = 1 << i."""
 
     cosheaf: PreCosheaf
     carrier: FinBanSpace
-    projections: dict[int, LinMap]
+    atom_projections: tuple[LinMap, ...]
+
+    @functools.cached_property
+    def projections(self) -> dict[int, LinMap]:
+        """P_E for every E, built on first read: P_E = P_{E-a} + P_a, a its top atom."""
+        out = {0: LinMap.zero(self.carrier, self.carrier)}
+        for e in self.cosheaf.algebra.nonzero_elements():
+            top = e.bit_length() - 1
+            out[e] = out[e & ~(1 << top)].add(self.atom_projections[top])
+        return out
 
     def action(self, f: SimpleElement) -> LinMap:
-        """sum k_n P_{E_n} over the canonical form of f."""
+        """sum f(a) P_a over the atoms, which is sum k_n P_{E_n} over the blocks of f."""
         if f.algebra != self.cosheaf.algebra:
             raise AlgebraMismatch("element lives on a different algebra")
         out = LinMap.zero(self.carrier, self.carrier)
-        for k, e in f.blocks():
-            out = out.add(self.projections[e].scale(k))
+        for k, p in zip(f.coeffs, self.atom_projections):
+            if k:
+                out = out.add(p.scale(k))
         return out
 
-    def satisfies_laws(self, exhaustive: Optional[bool] = None) -> bool:
-        """Unit, idempotence, meet-multiplicativity and disjoint additivity.
-
-        The exhaustive mode checks every pair of elements; the reduced
-        mode checks mutual orthogonality of the atom projections plus
-        P_E = sum of the atom projections below E, which implies the
-        pairwise laws by expanding both sides over atoms.  It checks
-        P_E = P_{E - a} + P_a for the top atom a of each E != a, in
-        increasing order; by induction on E (P_0 = 0), that is the sum.
-        """
-        omega = self.cosheaf.algebra
-        p = self.projections
-        if exhaustive is None:
-            exhaustive = omega.n <= 4
-        if not p[omega.top].is_identity() or not p[0].is_zero():
-            return False
-        if exhaustive:
-            for e in omega.elements():
-                for f in omega.elements():
-                    if (p[e] @ p[f]).rows != p[e & f].rows:
-                        return False
-                    if e & f == 0 and p[e].add(p[f]).rows != p[e | f].rows:
-                        return False
-            return True
-        atoms = [1 << i for i in range(omega.n)]
-        for a in atoms:
-            for b in atoms:
-                want = p[a] if a == b else LinMap.zero(self.carrier, self.carrier)
-                if (p[a] @ p[b]).rows != want.rows:
+    def satisfies_laws(self) -> bool:
+        """Sum_a P_a = I and P_a P_b = delta_ab P_a over the atoms.  With
+        P_E := sum_{a <= E} P_a they give every law: the unit P_top = I;
+        P_E P_F expands to the sum of P_a over the atoms below both, so
+        P_E P_F = P_{E & F} (idempotence when E = F); and for disjoint E, F
+        the atoms below E | F are those below E and those below F, so
+        P_{E | F} = P_E + P_F."""
+        total = zero = LinMap.zero(self.carrier, self.carrier)
+        for a, p_a in enumerate(self.atom_projections):
+            total = total.add(p_a)
+            for b, p_b in enumerate(self.atom_projections):
+                if (p_a @ p_b).rows != (p_a if a == b else zero).rows:
                     return False
-        for e in omega.nonzero_elements():
-            a = 1 << (e.bit_length() - 1)
-            if e != a and p[e & ~a].add(p[a]).rows != p[e].rows:
-                return False
-        return True
+        return total.is_identity()
 
     def action_is_algebra_map(self, samples: Iterable[SimpleElement]) -> bool:
         from .simple import multiply
@@ -475,34 +483,15 @@ def spectral_measure(mu: PreCosheaf) -> SpectralData:
     E span the range of ext_{E,top}, the others the range of
     ext_{~E,top}.  So the projection P_E = ext_{E,top} o p_{top,E} onto
     the one along the other is A diag(1_{a <= E}) A^-1, the sum of the
-    atom projections P_a = A diag(1_a) A^-1 below E; being unique, it
-    equals the projection solved from the split {E, ~E}.  Raises
-    NotACosheaf when A is not square or is singular; a precosheaf that
-    passes that test without being a cosheaf gets projections that mean
-    nothing, so callers check `is_cosheaf` first.
+    atom projections P_a = A diag(1_a) A^-1 = ext_{a,top} o p_{top,a}
+    below E, which are what `SpectralData` stores.  Raises NotACosheaf
+    when A is not square or is singular; a precosheaf that passes that
+    test without being a cosheaf gets projections that mean nothing, so
+    callers check `is_cosheaf` first.
     """
-    omega = mu.algebra
-    carrier = mu.space(omega.top)
-    atoms = [1 << i for i in range(omega.n)]
-    a_map = partition_map(mu, omega.top, atoms)
-    if a_map.source.dim != carrier.dim:
-        raise NotACosheaf("atomic partition map is not square")
-    inv = a_map.inverse()
-    if inv is None:
-        raise NotACosheaf("atomic partition map is singular")
-    atom_projections = {}
-    start = 0
-    for a in atoms:
-        fiber = mu.space(a)
-        stop = start + fiber.dim
-        proj = LinMap(carrier, fiber, inv.rows[start:stop])
-        atom_projections[a] = mu.extension(a, omega.top) @ proj
-        start = stop
-    projections = {0: LinMap.zero(carrier, carrier)}
-    for e in omega.nonzero_elements():
-        top_atom = 1 << (e.bit_length() - 1)
-        projections[e] = projections[e & ~top_atom].add(atom_projections[top_atom])
-    return SpectralData(mu, carrier, projections)
+    top = mu.algebra.top
+    return SpectralData(mu, mu.space(top), tuple(
+        mu.extension(a, top) @ p for a, p in _atom_projections(mu, top).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +501,9 @@ def spectral_measure(mu: PreCosheaf) -> SpectralData:
 def integrate_simple_morphism(f: SimpleElement, mu: PreCosheaf,
                               source: int, target: int) -> LinMap:
     """The map mu(source) -> mu(target) induced by a simple element
-    supported in source & target:  sum_n k_n ext_{E_n,target} o p_{source,E_n}.
-    """
+    supported in source & target:  sum_n k_n ext_{E_n,target} o p_{source,E_n},
+    which is sum_a f(a) ext_{a,target} o p_{source,a} over the atoms, one
+    inversion, as p_{source,E} = sum_{a <= E} ext_{a,E} o p_{source,a}."""
     omega = mu.algebra
     if f.algebra != omega:
         raise AlgebraMismatch("element lives on a different algebra")
@@ -522,9 +512,10 @@ def integrate_simple_morphism(f: SimpleElement, mu: PreCosheaf,
     if f.support() & ~(source & target):
         raise SupportError("simple morphism supported outside source & target")
     out = LinMap.zero(mu.space(source), mu.space(target))
-    for k, block in f.blocks():
-        piece = mu.extension(block, target) @ cosheaf_projection(mu, source, block)
-        out = out.add(piece.scale(k))
+    for a, p in _atom_projections(mu, source).items():
+        k = f.coeffs[a.bit_length() - 1]
+        if k:
+            out = out.add((mu.extension(a, target) @ p).scale(k))
     return out
 
 
@@ -692,11 +683,9 @@ def _stacked_over_atoms(nu: PreCosheaf, tau: Mapping[int, LinMap],
     """The map nu -> target whose component at E stacks tau_a o p_{E,a}
     over the atoms a <= E, p the cosheaf projections of nu; target holds
     the atom blocks below E in that order, as the canonical cosheaves do."""
-    omega = nu.algebra
     components = {}
-    for e in omega.elements():
-        rows = tuple(row for i in omega.atom_indices(e)
-                     for row in (tau[1 << i] @ cosheaf_projection(nu, e, 1 << i)).rows)
+    for e in nu.algebra.elements():
+        rows = tuple(row for a, p in _atom_projections(nu, e).items() for row in (tau[a] @ p).rows)
         components[e] = LinMap(nu.space(e), target.space(e), rows)
     return precosheaf_map(nu, target, components)
 
@@ -1041,14 +1030,11 @@ def precosheaf_map_from_atoms(nu: PreCosheaf, theta: PreCosheaf,
     """The natural map nu -> theta assembled from components on atoms:
     tau_E = sum_a theta_ext o tau_a o nu-projection.  Needs nu to be a
     cosheaf (the projections must exist)."""
-    omega = nu.algebra
     components = {}
-    for e in omega.elements():
+    for e in nu.algebra.elements():
         out = LinMap.zero(nu.space(e), theta.space(e))
-        for i in omega.atom_indices(e):
-            a = 1 << i
-            piece = theta.extension(a, e) @ atom_maps[a] @ cosheaf_projection(nu, e, a)
-            out = out.add(piece)
+        for a, p in _atom_projections(nu, e).items():
+            out = out.add(theta.extension(a, e) @ atom_maps[a] @ p)
         components[e] = out
     return precosheaf_map(nu, theta, components)
 

@@ -4,16 +4,23 @@ Each one recomputes by the textbook route what the library computes by a
 shortcut: dense matrix products and ranks, the vertices of a dual unit
 ball, the semivariation as an explicit sup over partitions, the
 projective tensor norm as an LP over representations, operator norms
-over the vertices of the source ball, and the Lipschitz norm and the
-lift of a measure on every element.  They live here, not in `src/`, so
-that they stay independent of the code under test.
+over the vertices of the source ball, the Lipschitz norm and the lift
+of a measure on every element, a cosheaf projection solved from its
+binary split, the spectral laws on every pair of elements, isometry of
+a witness by two operator norms, and path independence by enumerating
+every path.  They
+live here, not in `src/`, so that they stay independent of the code
+under test.
 """
 
 import itertools
 from fractions import Fraction
 
 from catmeas.boolalg import partitions_of
+from catmeas.errors import InvalidModel, NotACosheaf
 from catmeas.exactla import rref, simplex_min
+from catmeas.finban import LinMap, operator_norm
+from catmeas.shcosh import partition_map
 from catmeas.simple import characteristic
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -136,3 +143,68 @@ def projective_norm_oracle(a, b, u) -> Fraction:
             rhs.append(u[i * m + j])
     value, _ = simplex_min(cost, rows, rhs)
     return value
+
+
+def split_projection(mu, e: int, f: int) -> LinMap:
+    """For f <= e, the unique p : mu(e) -> mu(f) with p o ext_{f,e} = id
+    and p o ext_{e-f,e} = 0; solved from the binary split, so it fails
+    loudly (NotACosheaf) when the split map is singular."""
+    omega = mu.algebra
+    if not omega.leq(f, e):
+        raise InvalidModel("projection needs f <= e")
+    if f == e:
+        return LinMap.identity(mu.space(e))
+    if f == 0:
+        return LinMap.zero(mu.space(e), mu.space(0))
+    eps = partition_map(mu, e, [f, e & ~f])
+    if eps.source.dim != eps.target.dim:
+        raise NotACosheaf("partition map is not square")
+    inv = eps.inverse()
+    if inv is None:
+        raise NotACosheaf("partition map is singular")
+    return LinMap(mu.space(e), mu.space(f), inv.rows[: mu.space(f).dim])
+
+
+def spectral_laws_by_pairs(spec) -> bool:
+    """Unit, idempotence, meet-multiplicativity and disjoint additivity of
+    the table `spec.projections`, checked on every pair of elements."""
+    omega = spec.cosheaf.algebra
+    p = spec.projections
+    if not p[omega.top].is_identity() or not p[0].is_zero():
+        return False
+    for e in omega.elements():
+        for f in omega.elements():
+            if (p[e] @ p[f]).rows != p[e & f].rows:
+                return False
+            if e & f == 0 and p[e].add(p[f]).rows != p[e | f].rows:
+                return False
+    return True
+
+
+def contractive_both_ways(forward, backward) -> bool:
+    """Both maps of an iso witness are contractions, by two operator norms."""
+    return operator_norm(forward) <= 1 and operator_norm(backward) <= 1
+
+
+def paths(poset, a: str, b: str) -> list:
+    """All generating-arrow paths a -> b (empty path when a == b)."""
+    if a == b:
+        return [()]
+    return [((s, t),) + rest for s, t in poset.arrows if s == a for rest in paths(poset, t, b)]
+
+
+def path_independent_by_enumeration(poset, step, covariant: bool = True) -> bool:
+    """Every two nonempty paths a -> b compose to the same map, for every
+    pair a, b, each path composed from scratch."""
+    for a in poset.objects:
+        for b in poset.objects:
+            maps = []
+            for path in paths(poset, a, b):
+                if path:
+                    m = step(path[0])
+                    for f in path[1:]:
+                        m = step(f) @ m if covariant else m @ step(f)
+                    maps.append(m.rows)
+            if any(m != maps[0] for m in maps):
+                return False
+    return True

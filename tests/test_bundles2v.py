@@ -17,7 +17,7 @@ from catmeas.bundles2v import (Bundle, DiscreteCosheafMeasure, FunctorMatrix,
                                kan_extension_discrete, kan_restriction_is_isometric,
                                matrix_from_bundle, reassociation_witness,
                                tensor_hom_adjunction_witness)
-from catmeas.errors import UnknownPoint
+from catmeas.errors import NotAFunctor, UnknownPoint
 from catmeas.finban import (FinPoset, Flavor, LinMap, operator_norm,
                             scalars, sum_space, zero_space)
 from catmeas.shcosh import is_cosheaf
@@ -280,6 +280,25 @@ def contraction(rng, src, tgt):
         for _ in range(tgt.dim)))
     n = operator_norm(t)
     return t if n <= 1 else t.scale(F(1) / n)
+
+
+@pytest.mark.parametrize("index,bad", [
+    (FinPoset(("0", "a", "b", "1"), (("0", "a"), ("0", "b"), ("a", "1"), ("b", "1"))),
+     ("b", "1")),
+    (FinPoset(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c"))), ("a", "c"))],
+    ids=["square", "shortcut"])
+def test_poset_functor_rejects_path_dependent_arrow_maps(index, bad):
+    """A square that does not commute, or a shortcut a -> c that differs
+    from a -> b -> c; the Kan extension refuses it too."""
+    line = sum_space(["e"])
+    maps = {f: LinMap.identity(line) for f in index.arrows}
+    PosetFunctor(index, {o: line for o in index.objects}, maps).validate()
+    maps[bad] = maps[bad].scale(F(1, 2))
+    f = PosetFunctor(index, {o: line for o in index.objects}, maps)
+    with pytest.raises(NotAFunctor, match="arrow maps are path dependent"):
+        f.validate()
+    with pytest.raises(NotAFunctor, match="arrow maps are path dependent"):
+        kan_extension_discrete(f, {o: o for o in index.objects}, index)
 
 
 def test_kan_along_identity_is_the_functor():

@@ -15,7 +15,8 @@ from catmeas.finban import (BifunctorData, FinBanSpace, FinPoset, Flavor,
                             is_isometric_iso, operator_norm, projective_tensor, quotient,
                             sum_space, sup_space, vec, zero_space)
 
-from oracles import (dual_extreme_functionals, operator_norm_by_vertices,
+from oracles import (contractive_both_ways, dual_extreme_functionals,
+                     operator_norm_by_vertices, path_independent_by_enumeration,
                      projective_norm_oracle)
 
 F = Fraction
@@ -348,6 +349,35 @@ def test_permutation_witness_matches_its_definition():
             assert wit.forward.column(j) == b.basis_vector(image[j])
             assert wit.backward.column(image[j]) == a.basis_vector(j)
         assert wit.is_valid()
+
+
+def test_witness_isometry_matches_contractive_both_ways():
+    """`IsoWitness.is_isometric` decides a permutation witness through
+    `is_isometric_iso`, in closed form; against the two operator norms,
+    over SUM, SUP and blocked SUP spaces with weights matched along the
+    permutation or drawn at random, blocks carried onto blocks or not."""
+    rng = random.Random(67)
+    outcomes = set()
+    for k in range(3000):
+        d = k % 5
+        flavor = rng.choice(["sum", "sup", "blocked"])
+        src = rnd_blocked(rng, d) if flavor == "blocked" else rnd_space(
+            rng, d, Flavor.SUM if flavor == "sum" else Flavor.SUP)
+        image = rng.sample(range(d), d)
+        weights = [rnd_pos(rng) for _ in range(d)]
+        if k % 2:
+            for j in range(d):
+                weights[image[j]] = src.weights[j]
+        groups = None
+        if flavor == "blocked":
+            groups = (tuple(tuple(sorted(image[j] for j in g)) for g in src.effective_groups())
+                      if k % 4 < 2 else rnd_blocked(rng, d).groups)
+        tgt = FinBanSpace(tuple(f"t{i}" for i in range(d)), tuple(weights), src.flavor, groups)
+        wit = IsoWitness.from_permutation(src, tgt, image)
+        want = wit.is_valid() and contractive_both_ways(wit.forward, wit.backward)
+        assert wit.is_isometric() == want, (src, tgt, image)
+        outcomes.add((flavor, want))
+    assert outcomes == {(f, w) for f in ("sum", "sup", "blocked") for w in (True, False)}
 
 
 def test_sum_norm_value():
@@ -861,6 +891,64 @@ def test_coend_rejects_non_functorial_input():
             ("a", "c"): LinMap.identity(s).scale(F(2))}
     with pytest.raises(NotAFunctor):
         coend(yoneda_bifunctor(index, "c", spaces, maps))
+
+
+def scaled_line_bifunctor(index, bad, side):
+    """F(x, y) a line for every pair, both actions the identity except
+    the `side` action ("left" or "right") of the arrow `bad`, doubled."""
+    line = sum_space(["e"])
+
+    def action(f, on):
+        return LinMap.identity(line).scale(F(2) if on == side and f == bad else F(1))
+    return BifunctorData(index, lambda x, y: line, lambda f, y: action(f, "left"),
+                         lambda x, f: action(f, "right"))
+
+
+SQUARE = FinPoset(("0", "a", "b", "1"), (("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")))
+SHORTCUT = FinPoset(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
+
+
+@pytest.mark.parametrize("index,bad", [(SQUARE, ("b", "1")), (SHORTCUT, ("a", "c"))],
+                         ids=["square", "shortcut"])
+@pytest.mark.parametrize("side,message", [("left", "contravariant action is path dependent"),
+                                          ("right", "covariant action is path dependent")],
+                         ids=["left", "right"])
+def test_bifunctor_rejects_a_path_dependent_action(index, bad, side, message):
+    """A square that does not commute, or a shortcut a -> c that differs
+    from a -> b -> c, in one action only; the other action passes."""
+    with pytest.raises(NotAFunctor, match=message):
+        scaled_line_bifunctor(index, bad, side).validate()
+    scaled_line_bifunctor(index, None, side).validate()
+
+
+def test_path_independence_matches_path_enumeration():
+    """The last-arrow induction against composing every path, on random
+    posets of 1-5 objects listed out of order, both variances, and on a
+    square that commutes in one variance only; the arrow maps are drawn
+    from a few 2 x 2 matrices, not all commuting."""
+    rng = random.Random(68)
+    plane = sum_space(["e", "f"])
+    eye, swap, diag, twist, shear = (LinMap.from_matrix(plane, plane, m) for m in (
+        ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 2)), ((0, 1), (2, 0)), ((1, 1), (0, 1))))
+    # twist = diag swap, while swap diag differs
+    cases = [(SQUARE, {("0", "a"): twist, ("a", "1"): eye, ("0", "b"): swap, ("b", "1"): diag})]
+    for _ in range(300):
+        objects = tuple(f"o{i}" for i in range(rng.randint(1, 5)))
+        ranked = rng.sample(objects, len(objects))  # arrows go up this order only
+        arrows = tuple((ranked[i], ranked[j]) for i in range(len(ranked))
+                       for j in range(i + 1, len(ranked)) if rng.random() < 0.5)
+        cases.append((FinPoset(objects, arrows), {
+            f: rng.choice((eye, eye, swap, diag, twist, shear)) for f in arrows}))
+    outcomes = set()
+    for index, maps in cases:
+        for covariant in (True, False):
+            want = path_independent_by_enumeration(index, maps.__getitem__, covariant)
+            assert index.path_independent(maps.__getitem__, covariant) == want, (index, covariant)
+            outcomes.add((covariant, want))
+    assert outcomes == {(c, w) for c in (True, False) for w in (True, False)}
+    square, maps = cases[0]
+    assert path_independent_by_enumeration(square, maps.__getitem__)
+    assert not path_independent_by_enumeration(square, maps.__getitem__, covariant=False)
 
 
 def test_end_over_discrete_is_product():

@@ -37,7 +37,7 @@ from catmeas.shcosh import (bva_cosheaf,
                             zero_precosheaf)
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
 
-from oracles import rank
+from oracles import rank, spectral_laws_by_pairs, split_projection
 
 F = Fraction
 
@@ -350,18 +350,23 @@ def test_spectral_action_is_isometric_algebra_map(monkeypatch):
     action, calls = shcosh.SpectralData.action, []
     monkeypatch.setattr(shcosh.SpectralData, "action",
                         lambda self, f: calls.append(f) or action(self, f))
+    assert spec.satisfies_laws()
     assert spec.action_is_algebra_map(samples)
     assert len(calls) == 8 + 8 * 8  # one per sample, one per product
     for _ in range(50):
         f = rnd_simple(rng, omega)
         assert spec.action_norm_matches(f)
+    # the laws and the action are decided on the atoms: no 2^n table
+    assert "projections" not in vars(spec)
     assert spec.projections[omega.top].is_identity()
+    assert "projections" in vars(spec)
 
 
 def test_reduced_spectral_laws_match_the_exhaustive_check():
-    """The reduced laws (orthogonal atoms, P_E = P_{E - a} + P_a) against
-    every pair of elements, on 1 to 5 atoms; a P_E that lost its top
-    atom fails both."""
+    """The atom laws (sum P_a = I, P_a P_b = delta_ab P_a) against every
+    pair of elements of the table built from them, on 1 to 5 atoms; a
+    spectral datum whose atom projection P_a was replaced by another
+    atom's, or by zero, fails both."""
     rng = random.Random(71)
     perturbed = 0
     for k in range(10):
@@ -369,16 +374,16 @@ def test_reduced_spectral_laws_match_the_exhaustive_check():
         omega = alg(*(f"x{i}" for i in range(n)))
         mu = random_cosheaf(rng, omega) if k < 5 else l1_cosheaf(positive_measure(omega, rng))
         spec = spectral_measure(mu)
-        assert spec.satisfies_laws(exhaustive=False) and spec.satisfies_laws(exhaustive=True)
-        middle = [e for e in omega.elements() if e & (e - 1) and e != omega.top]
-        if middle:
-            e = rng.choice(middle)
-            a = 1 << (e.bit_length() - 1)
-            bad = SpectralData(mu, spec.carrier, {**spec.projections, e: spec.projections[e & ~a]})
-            assert not bad.satisfies_laws(exhaustive=False)
-            assert not bad.satisfies_laws(exhaustive=True)
+        assert spec.satisfies_laws() and spectral_laws_by_pairs(spec)
+        i = rng.randrange(n)
+        for j in range(n):
+            atoms = list(spec.atom_projections)
+            atoms[i] = atoms[j] if j != i else LinMap.zero(spec.carrier, spec.carrier)
+            bad = SpectralData(mu, spec.carrier, tuple(atoms))
+            assert not bad.satisfies_laws()
+            assert not spectral_laws_by_pairs(bad)
             perturbed += 1
-    assert perturbed == 6
+    assert perturbed == 2 * sum(range(1, 6))
 
 
 def test_cosheaf_check_on_a_random_cosheaf_makes_no_rref_inversion(monkeypatch):
@@ -422,8 +427,59 @@ def test_spectral_projections_match_split_projections():
         mu = random_cosheaf(rng, omega)
         spec = spectral_measure(mu)
         for e in omega.elements():
-            expected = mu.extension(e, omega.top) @ cosheaf_projection(mu, omega.top, e)
+            expected = mu.extension(e, omega.top) @ split_projection(mu, omega.top, e)
             assert spec.projections[e].matrix == expected.matrix
+
+
+def test_cosheaf_projection_matches_the_split_oracle():
+    """The atomic route against the projection solved from the binary
+    split {F, E - F}, for every F <= E, on random cosheaves and on l1
+    cosheaves with null atoms, 1 to 5 atoms."""
+    rng = random.Random(23)
+    pairs = 0
+    for k in range(10):
+        n = 1 + k % 5
+        omega = alg(*(f"x{i}" for i in range(n)))
+        if k < 5:
+            mu = random_cosheaf(rng, omega)
+        else:
+            values = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(n)]
+            values[rng.randrange(n)] = F(0)
+            mu = l1_cosheaf(MeasureAlgebra.from_values(omega, values))
+        for e in omega.elements():
+            for f in omega.elements():
+                if f & ~e == 0:
+                    assert cosheaf_projection(mu, e, f).rows == split_projection(mu, e, f).rows
+                    pairs += 1
+    assert pairs == 2 * sum(3 ** n for n in range(1, 6))
+
+
+def test_projections_invert_once_per_element(monkeypatch):
+    """`integrate_simple_morphism` inverts one atomic partition map, and
+    `constant_universal_map` and `precosheaf_map_from_atoms` at most one
+    per element, not one per block of f or per atom."""
+    rng = random.Random(24)
+    omega, line = alg("a", "b", "c", "d"), scalars()
+    nu, theta = random_cosheaf(rng, omega), random_scaled_precosheaf(rng, omega)
+
+    def atom_maps(target):
+        return {1 << i: LinMap.from_matrix(nu.space(1 << i), target.space(1 << i), tuple(
+            tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(nu.space(1 << i).dim))
+            for _ in range(target.space(1 << i).dim))) for i in range(omega.n)}
+
+    to_theta = atom_maps(theta)
+    to_line = precosheaf_map_from_atoms(nu, constant_precosheaf(omega, line),
+                                        atom_maps(constant_precosheaf(omega, line))).components
+    f = SimpleElement(omega, (F(1), F(2), F(-3), F(1, 2)))
+    inverse, calls = LinMap.inverse, []
+    monkeypatch.setattr(LinMap, "inverse", lambda self: calls.append(self) or inverse(self))
+    assert operator_norm(integrate_simple_morphism(f, nu, omega.top, omega.top)) == linf_norm(f)
+    assert len(calls) == 1
+    for build in (lambda: precosheaf_map_from_atoms(nu, theta, to_theta),
+                  lambda: constant_universal_map(nu, to_line, line)):
+        calls.clear()
+        assert build().check_natural()
+        assert len(calls) <= 2 ** omega.n
 
 
 def test_spectral_measure_raises_on_a_singular_atomic_map():
@@ -438,6 +494,8 @@ def test_spectral_measure_raises_on_a_singular_atomic_map():
     assert not is_cosheaf(mu)
     with pytest.raises(NotACosheaf, match="singular"):
         spectral_measure(mu)
+    with pytest.raises(NotACosheaf, match="singular"):
+        cosheaf_projection(mu, 3, 1)
 
 
 # -- integration of simple morphisms -----------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from catmeas import finban
 from catmeas.boolalg import BoolAlg, BoolMorphism, coproduct, stone_space
 from catmeas.errors import NotIdempotent
 from catmeas.finban import operator_norm, sum_space, vec
@@ -224,6 +225,26 @@ def test_bochner_elementary_values():
     g = VectorSimpleElement.from_terms(omega, b, [(omega.element(["a"]), vec(0, 1))])
     res_g = bochner(g, mu)
     assert res_g.l1_norm == F(1, 4) * 2
+
+
+def test_bochner_and_fubini_witnesses_take_no_operator_norm(monkeypatch):
+    """Library witnesses are permutations, so their isometry is decided
+    in closed form."""
+    def refuse(t):
+        raise AssertionError("operator_norm was called")
+
+    monkeypatch.setattr(finban, "operator_norm", refuse)
+    omega = alg("a", "b", "c")
+    mu = MeasureAlgebra.from_values(omega, [F(1, 4), F(0), F(3, 4)])
+    b = sum_space(["u", "v"], [F(1), F(2)])
+    f = VectorSimpleElement.from_terms(omega, b, [(omega.top, vec(1, -1))])
+    assert bochner(f, mu).tensor_witness.is_isometric()
+    left, right = alg("p", "q"), alg("r", "s")
+    cop = coproduct(left, right)
+    nu = MeasureAlgebra.from_values(right, [F(1, 2), F(1, 3)])
+    mu2 = MeasureAlgebra.from_values(left, [F(2), F(1, 5)])
+    g = SimpleElement(cop.algebra, tuple(F(i) for i in range(cop.algebra.n)))
+    assert fubini(g, cop, mu2, nu).witness.is_isometric()
 
 
 def test_bochner_contractive_and_natural():
