@@ -3,8 +3,11 @@ emit an exact report.
 
 Model files are JSON.  Rationals are always written as strings like
 "2/3" or "5" (never floats), weights must be positive, and every name
-reference must resolve; violations carry distinct error codes.  The
-structured output format is stable-ordered, so identical inputs (model,
+reference must resolve; violations carry distinct error codes.  Parsing
+validates every section, whatever the command; a keyword-declared
+(co)sheaf (`l1-of:`, `constant-of:`, `characteristic:`), whose 2^n
+elements only the (co)sheaf commands read, is built on its first read.
+The structured output format is stable-ordered, so identical inputs (model,
 command, seed, flags) produce byte-identical output; timing information
 therefore goes to stderr, never into a report.
 
@@ -18,7 +21,9 @@ import json
 import random
 import sys
 import time
+from collections.abc import Callable, Mapping
 from fractions import Fraction
+from functools import partial
 from typing import Any, Optional
 
 from .boolalg import BoolAlg, Coproduct, build_algebra, coproduct, partitions_of, stone_space
@@ -75,8 +80,46 @@ def show_matrix(m: LinMap) -> list[list[str]]:
 # the model file
 # ---------------------------------------------------------------------------
 
+class _BuiltOnRead(Mapping):
+    """A read-only mapping whose values are built by zero-argument builders,
+    each on the first read of its name (`[name]`, and through it `.get`,
+    `.items` and `.values`), then kept.  Iteration, `in` and `len` list
+    the names and build nothing."""
+
+    def __init__(self, builders: Mapping[str, Callable[[], Any]]):
+        self._builders = dict(builders)
+        self._built: dict[str, Any] = {}
+
+    def __getitem__(self, name: str) -> Any:
+        if name not in self._built:
+            self._built[name] = self._builders[name]()
+        return self._built[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)
+
+
 class Model:
-    """Validated in-memory model."""
+    """Validated in-memory model.
+
+    `parse_model` validates every section before any command runs.  The
+    cosheaves and sheaves are `_BuiltOnRead` mappings: a keyword-declared
+    one is built on its first read, so a command that reads none (the
+    atom-level measure calculus) never pays for 2^n elements.  Deferring
+    `l1_cosheaf`, `constant_precosheaf` and `characteristic_sheaf` moves
+    no error: parsing has resolved the measure of `l1-of:` and checked it
+    is a nonnegative scalar measure on the main algebra, resolved the
+    space of `constant-of:` and the element of `characteristic:`, and on
+    such arguments these constructions cannot fail.  An explicit
+    (object) cosheaf is assembled and checked at parse, since that check
+    is its construction and its `bad-cosheaf` errors belong to parsing.
+    """
 
     def __init__(self):
         self.algebra: Optional[BoolAlg] = None
@@ -86,19 +129,19 @@ class Model:
         self.spaces: dict[str, FinBanSpace] = {}
         self.measures: dict[str, VectorMeasure] = {}
         self.measure_on: dict[str, str] = {}
-        self.cosheaves: dict[str, PreCosheaf] = {}
-        self.sheaves: dict[str, PreSheaf] = {}
+        self.cosheaves: Mapping[str, PreCosheaf] = _BuiltOnRead({})
+        self.sheaves: Mapping[str, PreSheaf] = _BuiltOnRead({})
         self.bundles: dict[str, bundles2v.Bundle] = {}
         self.matrices: dict[str, bundles2v.FunctorMatrix] = {}
 
-    def algebra_for(self, name: str) -> BoolAlg:
+    def algebra_for(self, name: Any, path: str) -> BoolAlg:
         if name == "algebra":
             return self.algebra
         if name == "left":
             return self.left_algebra
         if name == "right":
             return self.right_algebra
-        raise ModelError("bad-reference", f"unknown algebra {name!r}", "measures")
+        raise ModelError("bad-reference", f"unknown algebra {name!r}", path)
 
 
 def _element(omega: BoolAlg, spec: Any, path: str) -> int:
@@ -149,7 +192,8 @@ def _space_from_descriptor(name: str, desc: Any, path: str) -> FinBanSpace:
     basis = desc.get("basis")
     if basis is None:
         dim = desc.get("dim")
-        if not isinstance(dim, int) or dim < 0:
+        # bool is an int subclass, but JSON true/false are not dimensions
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ModelError("bad-space", "a space needs a basis or a dim", path)
         basis = [f"{name}{i}" for i in range(dim)]
     if not _is_point_list(basis):
@@ -284,9 +328,10 @@ def parse_model(path: str) -> Model:
             raise ModelError("bad-measure", f"measure {name!r} must be an object", path_m)
         target = _space_ref(model, desc.get("target", "scalar"), f"{name}.target", path_m)
         on = desc.get("on", "algebra")
-        omega = model.algebra_for(on)
+        omega = model.algebra_for(on, f"{path_m}.on")
         if omega is None:
-            raise ModelError("unresolved-reference", f"no {on!r} algebra in this model", path_m)
+            raise ModelError("unresolved-reference", f"no {on!r} algebra in this model",
+                             f"{path_m}.on")
         values = desc.get("values", {})
         if not isinstance(values, dict):
             raise ModelError("bad-measure", "values map atoms to rationals", f"{path_m}.values")
@@ -299,8 +344,8 @@ def parse_model(path: str) -> Model:
             if not isinstance(raw_v, list):
                 raw_v = [raw_v]
             if len(raw_v) != target.dim:
-                raise ModelError("bad-measure",
-                                 f"value at {a!r} must have {target.dim} coordinates", path_m)
+                raise ModelError("bad-measure", f"value at {a!r} must have {target.dim} coordinates",
+                                 f"{path_m}.values.{a}")
             atom_vals.append(tuple(parse_rational(x, f"{path_m}.values.{a}") for x in raw_v))
         model.measures[name] = VectorMeasure(omega, target, tuple(atom_vals))
         model.measure_on[name] = on
@@ -338,23 +383,28 @@ def parse_model(path: str) -> Model:
                 entries[(x, y)] = _space_ref(model, ref, f"{name}.{x}.{y}", path_f)
         model.matrices[name] = bundles2v.FunctorMatrix(src, tgt, entries)
 
-    for name, desc in _section(raw, "cosheaves", "bad-cosheaf").items():
-        path_c = f"cosheaves.{name}"
-        model.cosheaves[name] = _parse_cosheaf(model, desc, path_c)
+    model.cosheaves = _BuiltOnRead({
+        name: _cosheaf_builder(model, desc, f"cosheaves.{name}")
+        for name, desc in _section(raw, "cosheaves", "bad-cosheaf").items()})
 
+    sheaves = {}
     for name, desc in _section(raw, "sheaves", "bad-sheaf").items():
         path_s = f"sheaves.{name}"
         if isinstance(desc, str) and desc.startswith("characteristic:"):
             e = _element(model.algebra, desc.split(":", 1)[1], path_s)
-            model.sheaves[name] = characteristic_sheaf(model.algebra, e)
+            sheaves[name] = partial(characteristic_sheaf, model.algebra, e)
         else:
             raise ModelError("bad-sheaf",
                              "sheaves are given as 'characteristic:<element>'", path_s)
+    model.sheaves = _BuiltOnRead(sheaves)
 
     return model
 
 
-def _parse_cosheaf(model: Model, desc: Any, path: str) -> PreCosheaf:
+def _cosheaf_builder(model: Model, desc: Any, path: str) -> Callable[[], PreCosheaf]:
+    """Validates a cosheaf declaration and returns a zero-argument builder
+    of the cosheaf.  A keyword cosheaf is built when the builder is called
+    (see `Model`); an explicit one is assembled and checked here."""
     omega = model.algebra
     if isinstance(desc, str):
         if desc.startswith("l1-of:"):
@@ -367,10 +417,10 @@ def _parse_cosheaf(model: Model, desc: Any, path: str) -> PreCosheaf:
                 raise ModelError("bad-cosheaf", "l1-of needs a measure on the main algebra", path)
             if not nu.is_scalar() or any(v[0] < 0 for v in nu.atom_values):
                 raise ModelError("bad-cosheaf", "l1-of needs a nonnegative scalar measure", path)
-            return l1_cosheaf(MeasureAlgebra(omega, nu))
+            return partial(l1_cosheaf, MeasureAlgebra(omega, nu))
         if desc.startswith("constant-of:"):
             ref = desc.split(":", 1)[1]
-            return constant_precosheaf(omega, _space_ref(model, ref, ref, path))
+            return partial(constant_precosheaf, omega, _space_ref(model, ref, ref, path))
         raise ModelError("bad-cosheaf", f"unknown cosheaf keyword {desc!r}", path)
     if not isinstance(desc, dict):
         raise ModelError("bad-cosheaf", "a cosheaf is a keyword or an object", path)
@@ -401,9 +451,10 @@ def _parse_cosheaf(model: Model, desc: Any, path: str) -> PreCosheaf:
         except InvalidModel as exc:
             raise ModelError("bad-cosheaf", str(exc), path_e) from None
     try:
-        return make_precosheaf(omega, spaces, cover_maps)
+        cosheaf = make_precosheaf(omega, spaces, cover_maps)
     except CatmeasError as exc:
         raise ModelError("bad-cosheaf", str(exc), path) from None
+    return lambda: cosheaf
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from catmeas.measures import random_vector_measure
 from catmeas.simple import integration_map
 
 from oracles import lift_matches_by_elements
+from test_report_digests import DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -126,6 +129,9 @@ def test_json_boolean_is_not_a_rational(tmp_path):
 # a declared line L, and L at the points x and y
 LINE = {"algebra": {"atoms": ["a"]}, "spaces": {"L": "scalar"}}
 AT_XY = {"x": "L", "y": "L", "x:x": "L", "y:x": "L", "x:y": "L"}
+# two atoms carrying a measure mu, for the (co)sheaf declarations
+AB = {"algebra": {"atoms": ["a", "b"]},
+      "measures": {"mu": {"values": {"a": "1", "b": "1"}}}}
 
 
 @pytest.mark.parametrize("payload, code, where", [
@@ -184,6 +190,30 @@ AT_XY = {"x": "L", "y": "L", "x:x": "L", "y:x": "L", "x:y": "L"}
     ({"algebra": {"atoms": ["a"]}, "measures": {"m": {"target": {"flavor": "max"},
                                                       "values": {"a": "1"}}}},
      "bad-space", "measures.m"),
+    ({**AB, "measures": {"mu": {"values": {"a": "1", "b": "-1"}}},
+      "cosheaves": {"c": "l1-of:mu"}}, "bad-cosheaf", "cosheaves.c"),
+    ({**AB, "measures": {"mu": {"target": {"dim": 2}, "values": {"a": ["1", "0"],
+                                                               "b": ["0", "1"]}}},
+      "cosheaves": {"c": "l1-of:mu"}}, "bad-cosheaf", "cosheaves.c"),
+    ({"algebra": {"product": {"left": ["a"], "right": ["u"]}},
+      "measures": {"mu": {"on": "left", "values": {"a": "1"}}},
+      "cosheaves": {"c": "l1-of:mu"}}, "bad-cosheaf", "cosheaves.c"),
+    ({**AB, "cosheaves": {"c": "constant-of:V"}}, "unresolved-reference", "cosheaves.c"),
+    ({**AB, "cosheaves": {"c": "sum-of:mu"}}, "bad-cosheaf", "cosheaves.c"),
+    ({**AB, "sheaves": {"s": "characteristic:a|z"}}, "unresolved-reference", "sheaves.s"),
+    ({**AB, "sheaves": {"s": "l1-of:mu"}}, "bad-sheaf", "sheaves.s"),
+    ({**AB, "measures": {"mu": {"on": "middle", "values": {"a": "1", "b": "1"}}}},
+     "bad-reference", "measures.mu.on"),
+    ({**AB, "measures": {"mu": {"on": ["left"], "values": {"a": "1", "b": "1"}}}},
+     "bad-reference", "measures.mu.on"),
+    ({**AB, "measures": {"mu": {"on": "left", "values": {"a": "1", "b": "1"}}}},
+     "unresolved-reference", "measures.mu.on"),
+    ({**AB, "measures": {"mu": {"target": {"dim": 2}, "values": {"a": ["1", "0"],
+                                                               "b": ["1"]}}}},
+     "bad-measure", "measures.mu.values.b"),
+    ({**AB, "spaces": {"V": {"dim": True}},
+      "measures": {"mu": {"target": "V", "values": {"a": ["1"], "b": ["1"]}}}},
+     "bad-space", "spaces.V"),
 ], ids=["product-without-right", "measure-as-string", "atoms-as-string",
         "spaces-as-list", "measure-values-as-string", "generators-as-number",
         "generator-as-number", "ground-as-number", "bundles-as-list",
@@ -195,7 +225,12 @@ AT_XY = {"x": "L", "y": "L", "x:x": "L", "y:x": "L", "x:y": "L"}
         "duplicate-basis-labels", "basis-as-string", "extension-of-wrong-shape",
         "extension-as-number", "extensions-as-number", "extension-of-norm-two",
         "cosheaf-space-undeclared", "measure-target-as-number",
-        "measure-target-bad-descriptor"])
+        "measure-target-bad-descriptor", "l1-of-negative-measure", "l1-of-vector-measure",
+        "l1-of-measure-on-a-factor", "constant-of-undeclared-space",
+        "unknown-cosheaf-keyword", "characteristic-of-unknown-atom",
+        "sheaf-not-characteristic", "measure-on-unknown-algebra",
+        "measure-on-as-list", "measure-on-absent-factor",
+        "measure-value-of-wrong-length", "space-dim-as-boolean"])
 def test_malformed_section_exits_two_with_code_and_path(tmp_path, payload, code, where):
     out = run_cli("variation", "--model", write_model(tmp_path, payload))
     assert out.returncode == 2
@@ -441,6 +476,75 @@ def test_lift_verdict_agrees_with_the_element_loop(monkeypatch):
         assert verdict["lift_matches_measure[nu]"] == {"ok": ok}
         outcomes.append(ok)
     assert set(outcomes) == {True, False}
+
+
+# -- (co)sheaves built on first read ---------------------------------------------
+
+BUILDERS = ("l1_cosheaf", "constant_precosheaf", "characteristic_sheaf")
+
+
+def refuse_to_build(monkeypatch):
+    """Makes building any keyword-declared (co)sheaf an internal error."""
+    def refuse(*_):
+        raise RuntimeError("built a (co)sheaf")
+
+    for name in BUILDERS:
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("command", ["stone", "partitions", "variation", "semivariation",
+                                     "lipschitz", "integrate", "bochner", "kan", "fubini",
+                                     "bva"])
+def test_atom_level_commands_build_no_cosheaf_or_sheaf(monkeypatch, command):
+    refuse_to_build(monkeypatch)
+    out = run_cli(command, "--model", str(MODELS / "reference.json"),
+                  "--seed", "7", "--format", "structured")
+    assert (out.returncode, hashlib.sha256(out.stdout.encode()).hexdigest()) == DIGESTS[
+        ("reference", command)]
+
+
+TWENTY_ATOMS = [f"a{i:02d}" for i in range(20)]
+
+
+@pytest.mark.parametrize("command", ["variation", "semivariation", "stone"])
+def test_a_twenty_atom_model_with_cosheaves_runs_atom_level_commands(
+        tmp_path, monkeypatch, command):
+    """Declaring a cosheaf and a sheaf of 2^20 elements costs an atom-level
+    command nothing."""
+    refuse_to_build(monkeypatch)
+    path = write_model(tmp_path, {
+        "algebra": {"atoms": TWENTY_ATOMS},
+        "measures": {"mu": {"values": {a: "1" for a in TWENTY_ATOMS}}},
+        "cosheaves": {"lam": "l1-of:mu"},
+        "sheaves": {"s": "characteristic:a00|a19"}})
+    out = run_cli(command, "--model", path)
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("command, reads", [
+    ("check-cosheaf", "cosheaves"), ("check-sheaf", "sheaves"), ("spectral", "cosheaves"),
+    ("cosheafify", "cosheaves"), ("integrate-morphism", "cosheaves"), ("isbell", "both"),
+    ("verify-all", "both")])
+def test_each_cosheaf_and_sheaf_a_command_reads_is_built_once(
+        tmp_path, monkeypatch, command, reads):
+    """verify-all reads its cosheaves twice, in the condition check and
+    for the spectral laws; the second read builds nothing."""
+    calls = Counter()
+    for name in BUILDERS:
+        def counted(*args, name=name, build=getattr(cli, name)):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    path = write_model(tmp_path, {
+        **AB, "cosheaves": {"lam": "l1-of:mu", "const": "constant-of:scalar"},
+        "sheaves": {"s": "characteristic:a"}})
+    out = run_cli(command, "--model", path)
+    assert out.returncode in (0, 1), out.stderr
+    cosheaves, sheaves = reads in ("cosheaves", "both"), reads in ("sheaves", "both")
+    assert {name: calls[name] for name in BUILDERS} == {
+        "l1_cosheaf": cosheaves, "constant_precosheaf": cosheaves,
+        "characteristic_sheaf": sheaves}
 
 
 # -- resource limits ------------------------------------------------------------
