@@ -38,9 +38,9 @@ conjugation is one construction in both directions, and it solves no
 such system: by the Yoneda lemma a natural map into a representable is
 fixed by one functional phi at the root (top for a precosheaf, bottom for
 a presheaf), so each value is the annihilator of a few images at the
-root, one small nullspace per element, presented on the basis the hom
-solver would give (the proof is in `_conjugate`).  isbell and
-isbell_adjoint differ only in the root, the images killed and the
+root, one small nullspace per element; greedy pivots in root coordinates
+give it the hom solver's basis (the proof is in `_conjugate`).  isbell
+and isbell_adjoint differ only in the root, the images killed and the
 direction of the structure maps, which are inclusions of annihilators.
 
 Solution spaces produced by the hom solvers (sheaf_hom, Isbell values)
@@ -448,18 +448,21 @@ class SpectralData:
         return out
 
     def satisfies_laws(self) -> bool:
-        """Sum_a P_a = I and P_a P_b = delta_ab P_a over the atoms.  With
-        P_E := sum_{a <= E} P_a they give every law: the unit P_top = I;
+        """Sum_a P_a = I and P_a P_a = P_a over the atoms, which force
+        P_a P_b = 0 for a != b: over Q rank P_a = tr P_a, so the ranks add
+        up to tr I = dim, and the ranges, spanning as v = sum_a P_a v, form
+        a direct sum.  For w = P_b v, in the range of P_b, the one
+        decomposition w = sum_a P_a w then has P_a w = 0 for a != b.  With
+        P_E := sum_{a <= E} P_a these give every law: the unit P_top = I;
         P_E P_F expands to the sum of P_a over the atoms below both, so
         P_E P_F = P_{E & F} (idempotence when E = F); and for disjoint E, F
         the atoms below E | F are those below E and those below F, so
         P_{E | F} = P_E + P_F."""
-        total = zero = LinMap.zero(self.carrier, self.carrier)
-        for a, p_a in enumerate(self.atom_projections):
-            total = total.add(p_a)
-            for b, p_b in enumerate(self.atom_projections):
-                if (p_a @ p_b).rows != (p_a if a == b else zero).rows:
-                    return False
+        total = LinMap.zero(self.carrier, self.carrier)
+        for p in self.atom_projections:
+            if (p @ p).rows != p.rows:
+                return False
+            total = total.add(p)
         return total.is_identity()
 
     def action_is_algebra_map(self, samples: Iterable[SimpleElement]) -> bool:
@@ -802,40 +805,51 @@ def _maps_to_root(x) -> dict[int, LinMap]:
     return out
 
 
-def _representable_homs(x) -> dict[int, HomSolution]:
-    """hom(x, representable(E)) for every element E, by the Yoneda
-    reduction, on the bases sheaf_hom (x a presheaf) or cosheaf_hom would
-    give; the proof is in `_conjugate`."""
+def _submasks(base: int, free: int):
+    """base | g for every g <= free, descending (base & free = 0)."""
+    g = free + 1
+    while g:
+        g = (g - 1) & free
+        yield base | g
+
+
+def _dot(phi: Sequence[Fraction], column) -> Fraction:
+    """phi . c for a column c given as its (row, entry) nonzeros."""
+    return sum((phi[r] * v for r, v in column), ZERO)
+
+
+def _root_bases(x):
+    """(columns, bases): columns[F] is x(F -> root) transposed, its rows
+    the columns c_{F,j} as (row, entry) nonzeros; bases[E] pairs each phi
+    of the hom solver's basis of ann_E, in root coordinates, with its
+    free column (F, j), ascending.  The proof is in `_conjugate`."""
     omega, up = x.algebra, x.covariant
-    to_root = _maps_to_root(x)
-    root_dim = to_root[0].target.dim
-    dims = {f: space.dim for f, space in x.spaces.items()}
-    # x(F -> root) by its columns, each as its (row, entry) nonzeros
-    columns = {f: m.transpose().rows for f, m in to_root.items()}
-    out = {}
+    columns = {f: m.transpose() for f, m in _maps_to_root(x).items()}
+    root_dim = len(columns[omega.top if up else 0].rows)
+    bases = {}
     for e in omega.elements():
-        offsets, shapes, total, inside = {}, {}, 0, []
-        for f in omega.elements():
-            height = 1 if (e & ~f if up else f & ~e) == 0 else 0
-            offsets[f], shapes[f] = total, (height, dims[f])
-            total += height * dims[f]
-            if height:
-                inside.append(f)
-        # the killers: the atoms of E for a precosheaf, whose rows are the
-        # columns of x(~a -> top); the atoms outside E for a presheaf,
-        # whose rows are the columns of x(a -> bottom)
-        killers = [omega.top & ~(1 << i) if up else 1 << i
-                   for i in omega.atom_indices(e if up else omega.top & ~e)]
-        rows = [to_root[k].column(j) for k in killers for j in range(dims[k])]
-        ann = exactla.nullspace(rows) if rows else exactla.identity(root_dim)
-        flats = [[sum((phi[r] * c for r, c in col), ZERO)
-                  for f in inside for col in columns[f]] for phi in ann]
-        basis: tuple[Vector, ...] = ()
-        if flats:
-            reduced, pivots = exactla.rref([v[::-1] for v in flats])
-            basis = tuple(tuple(v[::-1]) for v in reversed(reduced[:len(pivots)]))
-        out[e] = HomSolution(len(basis), basis, offsets, shapes)
-    return out
+        # the killers' columns, dense: those of x(~a -> top) for the atoms a
+        # of E (a precosheaf), of x(a -> bottom) for the atoms outside E
+        rows = [row for i in omega.atom_indices(e if up else omega.top & ~e)
+                for row in columns[omega.top & ~(1 << i) if up else 1 << i].matrix]
+        phis = exactla.nullspace(rows) if rows else exactla.identity(root_dim)
+        # Gauss-Jordan on the columns (F, j) of U_E from the right, done on
+        # the phi; phi index -> its free column, in the order found
+        pivots: dict[int, tuple[int, int]] = {}
+        scan = ((f, j) for f in _submasks(*((e, omega.top & ~e) if up else (0, e)))
+                for j in reversed(range(len(columns[f].rows))))
+        for f, j in scan:
+            if len(pivots) == len(phis):
+                break
+            images = [_dot(phi, columns[f].rows[j]) for phi in phis]
+            i = next((i for i, v in enumerate(images) if v and i not in pivots), None)
+            if i is not None:
+                phis[i] = lead = [c / images[i] for c in phis[i]]
+                phis = [phi if k == i or not v else [a - v * b for a, b in zip(phi, lead)]
+                        for k, (phi, v) in enumerate(zip(phis, images))]
+                pivots[i] = (f, j)
+        bases[e] = [(tuple(phis[i]), p) for i, p in reversed(pivots.items())]
+    return columns, bases
 
 
 def _conjugate(x, tag: str):
@@ -877,22 +891,25 @@ def _conjugate(x, tag: str):
     left of f: the unique kernel basis that is the identity on the free
     columns.  Read from the right, each v_f starts at f, so the v_f in
     reverse order are the reduced row echelon form of the kernel with
-    its columns reversed, which is unique.  So the tau vectors of an
-    annihilator basis, row-reduced with the columns reversed and put
-    back in order, are that basis, and the conjugate is the one the full
-    systems give.
+    its columns reversed, which is unique.  The kernel is tau(ann_E): its
+    column (F, j) is phi |-> phi . c_{F,j}, c_{F,j} column j of x(F -> r).
+    Read from the right (F, then j, descending), (F, j) is free exactly
+    when ann_E . c_{F,j} is independent of those images at the free
+    columns before it; the root block, c_{r,j} = e_j, completes them.
+    With C_P the free columns in ascending order the basis is
+    B_E = (ann_E C_P)^-1 ann_E, the identity at C_P.  `_root_bases`
+    row-reduces the phi one column at a time and writes no tau.
 
     The structure maps.  Along a covering arrow s -> t (small -> big for
     the left conjugate, big -> small for the right one) U_s lies in U_t
-    and every killer of t is one of s, so the annihilator at s lies in
-    the one at t.  The map carries a solution for s to the vector with
-    the same components on U_s and zero on the rest of U_t; for a
-    functorial x that is the tau of the same phi at t, since
-    phi o x(F -> r) = 0 for F outside U_s.  The basis at t is the
-    identity on its free columns, so the coordinates of a vector are its
-    entries there.  The vector is rebuilt from them and compared: on an
-    x that is not functorial they can differ, and then InvalidModel is
-    raised.
+    and every killer of t is one of s, so ann_s lies in ann_t.  The map
+    keeps the components of tau(phi), phi in ann_s, on U_s and puts zero
+    on the rest of U_t.  That is a solution at t, tau(phi) again, exactly
+    when phi kills c_{F,j} for F in U_t - U_s: t | G, G <= ~s (right),
+    and (t - s) | G, G <= s (left).  A functorial x sends each such F
+    through a killer of s; on other input InvalidModel is raised.  (That
+    phi kills t's killers says nothing.)  The coordinates at t are
+    phi . c_p over t's free columns p.
 
     Functorial by construction (contractivity is not claimed, the weights
     being nominal): along s -> t -> u, U_s lies in U_t and U_u, so keeping
@@ -900,38 +917,19 @@ def _conjugate(x, tag: str):
     components as along s -> u, and basis coordinates are unique, so both
     paths of a diamond give the same matrix.
     """
-    omega = x.algebra
-    kind = PreSheaf if x.covariant else PreCosheaf
-    homs = _representable_homs(x)
+    omega, up = x.algebra, x.covariant
+    kind = PreSheaf if up else PreCosheaf
+    columns, bases = _root_bases(x)
     flavor = Flavor.SUM if kind.covariant else Flavor.SUP
-    spaces, free, inside, totals = {}, {}, {}, {}
-    for e, h in homs.items():
-        labels = tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(h.dim))
-        spaces[e] = FinBanSpace(labels, (ONE,) * h.dim, flavor)
-        free[e] = [max(i for i, c in enumerate(v) if c) for v in h.basis]
-        inside[e] = [f for f, (rows, _) in h.shapes.items() if rows]
-        totals[e] = sum(rows * cols for rows, cols in h.shapes.values())
+    spaces = {e: FinBanSpace(tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(len(b))),
+                             (ONE,) * len(b), flavor) for e, b in bases.items()}
     cover_maps = {}
     for small, big, _ in _covering_pairs(omega):
         s, t = _arrow(kind, small, big)
-        h_s, h_t = homs[s], homs[t]
-        kept = [(h_s.offsets[f], h_t.offsets[f], h_s.shapes[f][1]) for f in inside[s]]
-        total = totals[t]
-        cols = []
-        for v in h_s.basis:
-            flat = [ZERO] * total
-            for off_s, off_t, size in kept:
-                flat[off_t:off_t + size] = v[off_s:off_s + size]
-            coords = [flat[p] for p in free[t]]
-            rebuilt = [ZERO] * total
-            for c, w in zip(coords, h_t.basis):
-                if c:
-                    for i, y in enumerate(w):
-                        if y:
-                            rebuilt[i] += c * y
-            if rebuilt != flat:
-                raise InvalidModel("vector is outside the solution space")
-            cols.append(coords)
+        base, free = (t, omega.top & ~s) if up else (s ^ t, s)
+        if any(any(columns[f](phi)) for phi, _ in bases[s] for f in _submasks(base, free)):
+            raise InvalidModel("vector is outside the solution space")
+        cols = [[_dot(phi, columns[f].rows[j]) for _, (f, j) in bases[t]] for phi, _ in bases[s]]
         cover_maps[(small, big)] = LinMap.from_columns(spaces[s], spaces[t], cols)
     return kind(omega, spaces, cover_maps)
 
