@@ -38,10 +38,11 @@ conjugation is one construction in both directions, and it solves no
 such system: by the Yoneda lemma a natural map into a representable is
 fixed by one functional phi at the root (top for a precosheaf, bottom for
 a presheaf), so each value is the annihilator of a few images at the
-root, one small nullspace per element; greedy pivots in root coordinates
-give it the hom solver's basis (the proof is in `_conjugate`).  isbell
-and isbell_adjoint differ only in the root, the images killed and the
-direction of the structure maps, which are inclusions of annihilators.
+root, cut from its neighbour's one atom away by one killer's images;
+greedy pivots in root coordinates give it the hom solver's basis (the
+proof is in `_conjugate`).  isbell and isbell_adjoint differ only in the
+root, the images killed and the direction of the structure maps, which
+are inclusions of annihilators.
 
 Solution spaces produced by the hom solvers (sheaf_hom, Isbell values)
 are presented on nullspace bases with nominal unit weights; their norms
@@ -822,21 +823,29 @@ def _root_bases(x):
     """(columns, bases): columns[F] is x(F -> root) transposed, its rows
     the columns c_{F,j} as (row, entry) nonzeros; bases[E] pairs each phi
     of the hom solver's basis of ann_E, in root coordinates, with its
-    free column (F, j), ascending.  The proof is in `_conjugate`."""
-    omega, up = x.algebra, x.covariant
+    free column (F, j), ascending.  Each ann_E is cut from the basis of
+    ann_E', E' one atom away and visited first, by one killer's columns.
+    The proof is in `_conjugate`."""
+    omega, up, top = x.algebra, x.covariant, x.algebra.top
     columns = {f: m.transpose() for f, m in _maps_to_root(x).items()}
-    root_dim = len(columns[omega.top if up else 0].rows)
-    bases = {}
-    for e in omega.elements():
-        # the killers' columns, dense: those of x(~a -> top) for the atoms a
-        # of E (a precosheaf), of x(a -> bottom) for the atoms outside E
-        rows = [row for i in omega.atom_indices(e if up else omega.top & ~e)
-                for row in columns[omega.top & ~(1 << i) if up else 1 << i].matrix]
-        phis = exactla.nullspace(rows) if rows else exactla.identity(root_dim)
+    root_dim = len(columns[top if up else 0].rows)
+    bases = dict.fromkeys(omega.elements())
+    for e in (range(top + 1) if up else reversed(range(top + 1))):
+        # E' = E - a, killer ~a, for the lowest atom a of E (a precosheaf);
+        # E' = E + a, killer a, for the lowest atom a outside E (a presheaf)
+        killing = e if up else top & ~e
+        atom = killing & -killing
+        phis = [phi for phi, _ in bases[e ^ atom]] if atom else exactla.identity(root_dim)
+        if atom and phis:
+            killer = columns[top ^ atom if up else atom]
+            m = [[_dot(phi, c) for phi in phis] for c in killer.rows]
+            if m:
+                phis = [[sum((l * p for l, p in zip(lam, col) if l), ZERO) for col in zip(*phis)]
+                        for lam in exactla.nullspace(m)]
         # Gauss-Jordan on the columns (F, j) of U_E from the right, done on
         # the phi; phi index -> its free column, in the order found
         pivots: dict[int, tuple[int, int]] = {}
-        scan = ((f, j) for f in _submasks(*((e, omega.top & ~e) if up else (0, e)))
+        scan = ((f, j) for f in _submasks(*((e, top & ~e) if up else (0, e)))
                 for j in reversed(range(len(columns[f].rows))))
         for f, j in scan:
             if len(pivots) == len(phis):
@@ -880,10 +889,20 @@ def _conjugate(x, tag: str):
         isbell_adjoint(mu)(E) = annihilator in mu(top)* of
                                 sum_{a <= E} im mu(~a -> top),
         isbell(xi)(E) = annihilator in xi(bottom)* of
-                        sum_{a not <= E} im xi(a -> bottom),
+                        sum_{a not <= E} im xi(a -> bottom).
 
-    one small nullspace per element.  In particular isbell(xi) is zero
-    wherever xi(bottom) is.
+    In particular isbell(xi) is zero wherever xi(bottom) is.
+
+    One killer at a time.  Let a be the lowest atom of E and E' = E - a
+    (right), or the lowest atom outside E and E' = E + a (left), with
+    k = ~a (right) or k = a (left).  The killers of E are those of E' and
+    k, so with ann_E' spanned by rows phi_1..phi_m,
+    ann_E = {sum_i l_i phi_i : l in ker M}, M[c][i] = phi_i . c over the
+    columns c of x(k -> r): a (dim k) x m nullspace, none once
+    ann_E' = 0; the root keeps the identity.  Any basis of ann_E' will
+    do, as only the span of ann_E is used below, so `_root_bases` starts
+    from the finished basis at E', visiting the elements upwards (right)
+    or downwards (left).
 
     The bases.  hom solved as a full naturality system has the nullspace
     basis v_f, one per free column f of its RREF, with v_f[f] = 1, zero
@@ -897,8 +916,10 @@ def _conjugate(x, tag: str):
     when ann_E . c_{F,j} is independent of those images at the free
     columns before it; the root block, c_{r,j} = e_j, completes them.
     With C_P the free columns in ascending order the basis is
-    B_E = (ann_E C_P)^-1 ann_E, the identity at C_P.  `_root_bases`
-    row-reduces the phi one column at a time and writes no tau.
+    B_E = (ann_E C_P)^-1 ann_E, the identity at C_P.  The free columns
+    are where the rank of ann_E . [c...] grows and B_E is unique, so both
+    depend on the span of ann_E alone.  `_root_bases` row-reduces the phi
+    one column at a time and writes no tau.
 
     The structure maps.  Along a covering arrow s -> t (small -> big for
     the left conjugate, big -> small for the right one) U_s lies in U_t

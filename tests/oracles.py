@@ -7,8 +7,9 @@ projective tensor norm as an LP over representations, operator norms
 over the vertices of the source ball, the Lipschitz norm and the lift
 of a measure on every element, a cosheaf projection solved from its
 binary split, the spectral laws on every pair of elements, isometry of
-a witness by two operator norms, and path independence by enumerating
-every path.  They
+a witness by two operator norms, path independence by enumerating
+every path, and an Isbell annihilator solved from all its killers at
+once.  They
 live here, not in `src/`, so that they stay independent of the code
 under test.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from catmeas.boolalg import partitions_of
 from catmeas.errors import InvalidModel, NotACosheaf
-from catmeas.exactla import rref, simplex_min
+from catmeas.exactla import identity, nullspace, rref, simplex_min
 from catmeas.finban import LinMap, operator_norm
 from catmeas.shcosh import partition_map
 from catmeas.simple import characteristic
@@ -208,3 +209,17 @@ def path_independent_by_enumeration(poset, step, covariant: bool = True) -> bool
             if any(m != maps[0] for m in maps):
                 return False
     return True
+
+
+def annihilator_by_killers(x, e: int) -> list:
+    """A basis of ann_E, the functionals at the root that kill the images
+    of all of E's killers: the nullspace of every killer's columns stacked
+    as rows.  The root is top for a precosheaf, whose killers are ~a for
+    the atoms a of E, and bottom for a presheaf, whose killers are the
+    atoms a outside E."""
+    omega, up, top = x.algebra, x.covariant, x.algebra.top
+    killers = ([top & ~(1 << i) for i in omega.atom_indices(e)] if up
+               else [1 << i for i in omega.atom_indices(top & ~e)])
+    rows = [list(col) for k in killers
+            for col in zip(*(x.extension(k, top) if up else x.restriction(k, 0)).matrix)]
+    return nullspace(rows) if rows else identity(x.space(top if up else 0).dim)

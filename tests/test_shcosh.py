@@ -38,7 +38,7 @@ from catmeas.shcosh import (bva_cosheaf,
                             zero_precosheaf)
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
 
-from oracles import rank, spectral_laws_by_pairs, split_projection
+from oracles import annihilator_by_killers, rank, spectral_laws_by_pairs, split_projection
 
 F = Fraction
 
@@ -1226,6 +1226,58 @@ def test_conjugates_allocate_in_root_coordinates():
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, (label, peak)
+
+
+def annihilator_cases():
+    """(label, x) on 6 and 7 atoms: (co)sheaves, precosheaves and
+    presheaves whose annihilators vanish past one or two atoms, and
+    inputs where they stay nonzero far up the recursion."""
+    rng = random.Random(16)
+    for n in (6, 7):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        yield f"{n}/l1", l1_cosheaf(positive_measure(omega))
+        yield f"{n}/random", random_cosheaf(rng, omega)
+        yield f"{n}/scaled", random_scaled_precosheaf(rng, omega)
+        yield f"{n}/dual", dual_presheaf(random_cosheaf(rng, omega))
+        yield f"{n}/characteristic", characteristic_sheaf(omega, 0b101101)
+        # ann_E is nonzero on the 2^(n-1) elements E <= e (precosheaf) or
+        # E >= e (presheaf); the precosheaf's killers ~a, a <= e, are zero
+        yield f"{n}/yoneda_precosheaf", yoneda_precosheaf(omega, omega.top & ~0b100)
+        yield f"{n}/yoneda_presheaf", yoneda_presheaf(omega, 0b100)
+        # a presheaf with ann_E nonzero at every element but top
+        yield f"{n}/right_conjugate", isbell_adjoint(random_cosheaf(rng, omega))
+
+
+def test_root_bases_span_the_annihilator_of_all_killers():
+    """Each ann_E built from its neighbour's, one killer at a time, spans
+    the nullspace of every killer's columns stacked at once."""
+    nonzero = 0
+    for label, x in annihilator_cases():
+        _, bases = shcosh._root_bases(x)
+        for e in x.algebra.elements():
+            want = annihilator_by_killers(x, e)
+            assert exactla.rref([list(phi) for phi, _ in bases[e]]) == exactla.rref(want), (label, e)
+            nonzero += bool(want)
+    assert nonzero >= 400
+
+
+def test_root_bases_cut_one_killer_per_element(monkeypatch):
+    """On 7 atoms a right conjugate row-reduces at most one small system
+    per element of two atoms or fewer: past that ann_E is zero for these
+    inputs, and a zero ann_E' needs no elimination."""
+    calls = []
+    rref = exactla.rref
+
+    def counting(a):
+        calls.append(len(a) * len(a[0]) if a else 0)
+        return rref(a)
+
+    monkeypatch.setattr(exactla, "rref", counting)
+    omega = alg(*(f"x{i}" for i in range(7)))
+    for mu in (l1_cosheaf(positive_measure(omega)), random_cosheaf(random.Random(3), omega)):
+        calls.clear()
+        isbell_adjoint(mu)
+        assert len(calls) <= 28 and sum(calls) < 1000, (len(calls), sum(calls))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
