@@ -39,10 +39,10 @@ such system: by the Yoneda lemma a natural map into a representable is
 fixed by one functional phi at the root (top for a precosheaf, bottom for
 a presheaf), so each value is the annihilator of a few images at the
 root, cut from its neighbour's one atom away by one killer's images;
-greedy pivots in root coordinates give it the hom solver's basis (the
-proof is in `_conjugate`).  isbell and isbell_adjoint differ only in the
-root, the images killed and the direction of the structure maps, which
-are inclusions of annihilators.
+greedy pivots in root coordinates, in integers, give it the hom
+solver's basis (the proof is in `_conjugate`).  isbell and
+isbell_adjoint differ only in the root, the images killed and the
+direction of the structure maps, which are inclusions of annihilators.
 
 Solution spaces produced by the hom solvers (sheaf_hom, Isbell values)
 are presented on nullspace bases with nominal unit weights; their norms
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -63,8 +64,9 @@ from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
                      SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
-from .finban import (FinBanSpace, Flavor, LinMap, Vector, _hstack, _identity_rows, direct_sum,
-                     is_isometric_iso, operator_norm, scalars, sup_space, zero_space)
+from .finban import (FinBanSpace, Flavor, LinMap, Vector, _hstack, _identity_rows,
+                     _over_common_denominator, direct_sum, is_isometric_iso, operator_norm,
+                     scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, linf_norm
 
@@ -814,50 +816,81 @@ def _submasks(base: int, free: int):
         yield base | g
 
 
-def _dot(phi: Sequence[Fraction], column) -> Fraction:
-    """phi . c for a column c given as its (row, entry) nonzeros."""
-    return sum((phi[r] * v for r, v in column), ZERO)
+def _int_columns(m: LinMap) -> tuple[int, tuple]:
+    """(d, c), m's columns over one common denominator: c[j] is d times
+    column j in ints, as its (row, entry) nonzeros, and d > 0 the lcm of
+    the denominators of m."""
+    cols = m.transpose().rows
+    scaled, d = _over_common_denominator([[v for _, v in col] for col in cols])
+    return d, tuple(tuple(zip((r for r, _ in col), ints)) for col, ints in zip(cols, scaled))
+
+
+def _dot(p: Sequence[int], column) -> int:
+    """p . c for a column c given as its (row, entry) nonzeros."""
+    return sum(p[r] * v for r, v in column)
+
+
+def _kills(p: Sequence[int], columns) -> bool:
+    """p . c = 0 for every column c of one map to the root."""
+    return not any(_dot(p, c) for c in columns)
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return v if g == 1 else [a // g for a in v]
 
 
 def _root_bases(x):
-    """(columns, bases): columns[F] is x(F -> root) transposed, its rows
-    the columns c_{F,j} as (row, entry) nonzeros; bases[E] pairs each phi
-    of the hom solver's basis of ann_E, in root coordinates, with its
-    free column (F, j), ascending.  Each ann_E is cut from the basis of
-    ann_E', E' one atom away and visited first, by one killer's columns.
-    The proof is in `_conjugate`."""
+    """(columns, bases): columns(F) is x(F -> root) over one common
+    denominator, as `_int_columns` gives it, converted on first read;
+    bases[E] pairs each phi of the hom solver's basis of ann_E, in root
+    coordinates, with its free column (F, j), ascending.  Each ann_E is
+    cut from that of E', one atom away and visited first, by one killer's
+    columns, in ints.  The proof is in `_conjugate`."""
     omega, up, top = x.algebra, x.covariant, x.algebra.top
-    columns = {f: m.transpose() for f, m in _maps_to_root(x).items()}
-    root_dim = len(columns[top if up else 0].rows)
+    maps = _maps_to_root(x)
+    # each map is dropped once it is converted
+    columns = functools.cache(lambda f: _int_columns(maps.pop(f)))
+    root_dim = x.space(top if up else 0).dim
     bases = dict.fromkeys(omega.elements())
+    kernels = {}  # E -> primitive integer rows spanning ann_E
     for e in (range(top + 1) if up else reversed(range(top + 1))):
         # E' = E - a, killer ~a, for the lowest atom a of E (a precosheaf);
         # E' = E + a, killer a, for the lowest atom a outside E (a presheaf)
         killing = e if up else top & ~e
         atom = killing & -killing
-        phis = [phi for phi, _ in bases[e ^ atom]] if atom else exactla.identity(root_dim)
-        if atom and phis:
-            killer = columns[top ^ atom if up else atom]
-            m = [[_dot(phi, c) for phi in phis] for c in killer.rows]
+        ps = (kernels[e ^ atom] if atom
+              else [[int(i == j) for j in range(root_dim)] for i in range(root_dim)])
+        if atom and ps:
+            m = [[_dot(p, c) for p in ps] for c in columns(top ^ atom if up else atom)[1]]
             if m:
-                phis = [[sum((l * p for l, p in zip(lam, col) if l), ZERO) for col in zip(*phis)]
-                        for lam in exactla.nullspace(m)]
-        # Gauss-Jordan on the columns (F, j) of U_E from the right, done on
-        # the phi; phi index -> its free column, in the order found
+                lams, _ = _over_common_denominator(exactla.nullspace(m))
+                ps = [_primitive([sum(l * p for l, p in zip(lam, col) if l) for col in zip(*ps)])
+                      for lam in lams]
+        # fraction-free Gauss-Jordan on the columns (F, j) of U_E from the
+        # right, done on the rows p; row index -> its free column, in the
+        # order found
         pivots: dict[int, tuple[int, int]] = {}
         scan = ((f, j) for f in _submasks(*((e, top & ~e) if up else (0, e)))
-                for j in reversed(range(len(columns[f].rows))))
+                for j in reversed(range(x.space(f).dim)))
         for f, j in scan:
-            if len(pivots) == len(phis):
+            if len(pivots) == len(ps):
                 break
-            images = [_dot(phi, columns[f].rows[j]) for phi in phis]
+            images = [_dot(p, columns(f)[1][j]) for p in ps]
             i = next((i for i, v in enumerate(images) if v and i not in pivots), None)
             if i is not None:
-                phis[i] = lead = [c / images[i] for c in phis[i]]
-                phis = [phi if k == i or not v else [a - v * b for a, b in zip(phi, lead)]
-                        for k, (phi, v) in enumerate(zip(phis, images))]
+                vi, lead = images[i], ps[i]
+                ps = [p if k == i or not v else _primitive([vi * a - v * b for a, b in zip(p, lead)])
+                      for k, (p, v) in enumerate(zip(ps, images))]
                 pivots[i] = (f, j)
-        bases[e] = [(tuple(phis[i]), p) for i, p in reversed(pivots.items())]
+        kernels[e] = ps
+        # phi_i = d p_i / (p_i . c'), c' = d c the free column of p_i
+        bases[e] = []
+        for i, (f, j) in reversed(pivots.items()):
+            d, cols = columns(f)
+            den = _dot(ps[i], cols[j])
+            bases[e].append((tuple(Fraction(d * a, den) for a in ps[i]), (f, j)))
     return columns, bases
 
 
@@ -921,6 +954,18 @@ def _conjugate(x, tag: str):
     depend on the span of ann_E alone.  `_root_bases` row-reduces the phi
     one column at a time and writes no tau.
 
+    Ints inside, Fractions at the boundary.  Each x(F -> r) is read, on
+    first use, as d c' over one common denominator d, c' in ints.  The
+    rows p spanning ann_E are primitive integer vectors: the killer cut
+    takes the nullspace of M scaled to ints, and the pivot pass
+    eliminates without fractions, p_k <- v_i p_k - v_k p_i divided by
+    the gcd of its entries, with v the images p . c'.  Each p is a
+    nonzero multiple of the row a pass over Fractions would hold, so the
+    zero tests, pivots and free columns are the same.  Fractions come
+    back only at the boundary: the stored basis phi_i =
+    d p_i / (p_i . c'_i), c'_i at the free column of p_i, which is B_E
+    by uniqueness, and the cover-map entries below.
+
     The structure maps.  Along a covering arrow s -> t (small -> big for
     the left conjugate, big -> small for the right one) U_s lies in U_t
     and every killer of t is one of s, so ann_s lies in ann_t.  The map
@@ -932,25 +977,51 @@ def _conjugate(x, tag: str):
     phi kills t's killers says nothing.)  The coordinates at t are
     phi . c_p over t's free columns p.
 
+    The check at the chain exits.  `_maps_to_root` builds
+    x(F -> r) = x(F+ -> r) o x(F -> F+), with F+ the next element of F's
+    chain to the root: F plus its lowest missing atom (right), F minus
+    its top atom (left).  Let a be the atom of t - s (left) or s - t
+    (right).  For F in U_t - U_s, F+ is in U_t - U_s again unless the
+    step adds a (right) or removes a (left); if it is, phi . c_{F+,j} = 0
+    for all j gives phi . c_{F,j} = 0 for all j.  By induction along the
+    chain, phi kills U_t - U_s exactly when it kills the exits, the F
+    whose step leaves it: F = t | L | G with L the atoms below a outside
+    s and G <= the atoms above a outside s (right), and F = a | G with
+    G <= the atoms of s below a (left).  The argument uses only how the
+    stored maps compose, not functoriality, so the check raises on
+    exactly the inputs that a check of all of U_t - U_s would; that full
+    check is the test oracle `containment_by_all_submasks`.
+
     Functorial by construction (contractivity is not claimed, the weights
     being nominal): along s -> t -> u, U_s lies in U_t and U_u, so keeping
     the components along s -> t and then along t -> u keeps the same
     components as along s -> u, and basis coordinates are unique, so both
     paths of a diamond give the same matrix.
     """
-    omega, up = x.algebra, x.covariant
+    omega, up, top = x.algebra, x.covariant, x.algebra.top
     kind = PreSheaf if up else PreCosheaf
     columns, bases = _root_bases(x)
     flavor = Flavor.SUM if kind.covariant else Flavor.SUP
     spaces = {e: FinBanSpace(tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(len(b))),
                              (ONE,) * len(b), flavor) for e, b in bases.items()}
+    # each nonzero basis over one common denominator, phi = r / den
+    scaled = {e: _over_common_denominator([phi for phi, _ in b]) for e, b in bases.items() if b}
     cover_maps = {}
     for small, big, _ in _covering_pairs(omega):
         s, t = _arrow(kind, small, big)
-        base, free = (t, omega.top & ~s) if up else (s ^ t, s)
-        if any(any(columns[f](phi)) for phi, _ in bases[s] for f in _submasks(base, free)):
+        if s not in scaled:
+            # ann_s = 0, as it is whenever ann_t = 0 (ann_s lies in ann_t)
+            cover_maps[(small, big)] = LinMap.zero(spaces[s], spaces[t])
+            continue
+        rows, den = scaled[s]
+        # the F in U_t - U_s whose next step towards the root leaves it
+        a, free = s ^ t, top & ~s
+        exits = (_submasks(t | free & (a - 1), free & ~(2 * a - 1)) if up
+                 else _submasks(a, s & (a - 1)))
+        if not all(_kills(r, columns(f)[1]) for f in exits for r in rows):
             raise InvalidModel("vector is outside the solution space")
-        cols = [[_dot(phi, columns[f].rows[j]) for _, (f, j) in bases[t]] for phi, _ in bases[s]]
+        frees = [(columns(f)[0], columns(f)[1][j]) for _, (f, j) in bases[t]]
+        cols = [[Fraction(_dot(r, c), den * d) for d, c in frees] for r in rows]
         cover_maps[(small, big)] = LinMap.from_columns(spaces[s], spaces[t], cols)
     return kind(omega, spaces, cover_maps)
 

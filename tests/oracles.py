@@ -8,10 +8,10 @@ over the vertices of the source ball, the Lipschitz norm and the lift
 of a measure on every element, a cosheaf projection solved from its
 binary split, the spectral laws on every pair of elements, isometry of
 a witness by two operator norms, path independence by enumerating
-every path, and an Isbell annihilator solved from all its killers at
-once.  They
-live here, not in `src/`, so that they stay independent of the code
-under test.
+every path, an Isbell annihilator solved from all its killers at once,
+and the containment check of an Isbell conjugate's structure maps over
+every element where it applies.  They live here, not in `src/`, so
+that they stay independent of the code under test.
 """
 
 import itertools
@@ -223,3 +223,29 @@ def annihilator_by_killers(x, e: int) -> list:
     rows = [list(col) for k in killers
             for col in zip(*(x.extension(k, top) if up else x.restriction(k, 0)).matrix)]
     return nullspace(rows) if rows else identity(x.space(top if up else 0).dim)
+
+
+def containment_by_all_submasks(x) -> list:
+    """(s, t, F) wherever a structure map s -> t of x's Isbell conjugate
+    fails its containment check: some phi in ann_s (from
+    `annihilator_by_killers`) has phi o x(F -> root) nonzero for an F in
+    U_t - U_s.  For a precosheaf (the right conjugate, root top,
+    s = t plus an atom) these F are t | g, g <= ~s; for a presheaf (the
+    left one, root bottom, t = s plus an atom a) they are a | g, g <= s.
+    Every g is tried, and each image phi . c is a dense sum over the
+    entries of phi and of a column c of x(F -> root)."""
+    up, top = x.covariant, x.algebra.top
+    anns, found = {}, []
+    for small, big in x.cover_maps:
+        s, t = (big, small) if up else (small, big)
+        if s not in anns:
+            anns[s] = annihilator_by_killers(x, s)
+        if not anns[s]:
+            continue
+        base, free = (t, top & ~s) if up else (big ^ small, s)
+        for f in (base | g for g in range(free + 1) if not g & ~free):
+            m = (x.extension(f, top) if up else x.restriction(f, 0)).matrix
+            if any(sum((p * c for p, c in zip(phi, col) if p and c), ZERO)
+                   for phi in anns[s] for col in zip(*m)):
+                found.append((s, t, f))
+    return found
