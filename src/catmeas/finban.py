@@ -319,7 +319,7 @@ class LinMap:
         dim = self.source.dim
         if dim != self.target.dim:
             return None
-        mono = _monomial_data(self)
+        mono = _monomial_data(self.rows)
         if mono is None or len(mono) < dim:
             inv = exactla.invert(self.matrix)
             return None if inv is None else LinMap.from_matrix(self.target, self.source, inv)
@@ -356,21 +356,27 @@ class LinMap:
 def _hstack(source: FinBanSpace, target: FinBanSpace, legs: Sequence[LinMap]) -> LinMap:
     """The map source -> target whose columns are those of the legs side
     by side, source being the direct sum of the legs' sources in order."""
-    rows: list[list] = [[] for _ in range(target.dim)]
+    return LinMap(source, target, _side_by_side(legs, target.dim))
+
+
+def _side_by_side(legs: Sequence[LinMap], height: int) -> tuple[Row, ...]:
+    """The rows of `_hstack`: each leg's columns shifted by the dims of the
+    sources of the legs before it."""
+    rows: tuple[Row, ...] = ((),) * height
     off = 0
     for leg in legs:
-        for acc, row in zip(rows, leg.rows):
-            acc.extend((off + j, x) for j, x in row)
+        rows = tuple(acc + tuple((off + j, x) for j, x in row) if row else acc
+                     for acc, row in zip(rows, leg.rows))
         off += leg.source.dim
-    return LinMap(source, target, tuple(map(tuple, rows)))
+    return rows
 
 
-def _monomial_data(t: LinMap) -> Optional[list[tuple[int, int, Fraction]]]:
-    """(source col, target row, coefficient) triples when the matrix has at
+def _monomial_data(rows: Sequence[Row]) -> Optional[list[tuple[int, int, Fraction]]]:
+    """(source col, target row, coefficient) triples when the rows have at
     most one nonzero per row and per column; None otherwise."""
-    if any(len(row) > 1 for row in t.rows):
+    if any(len(row) > 1 for row in rows):
         return None
-    entries = [(row[0][0], i, row[0][1]) for i, row in enumerate(t.rows) if row]
+    entries = [(row[0][0], i, row[0][1]) for i, row in enumerate(rows) if row]
     return entries if len({j for j, _, _ in entries}) == len(entries) else None
 
 
@@ -431,7 +437,7 @@ def operator_norm(t: LinMap) -> Fraction:
                 key = (j, block[i])
                 sums[key] = sums.get(key, ZERO) + weights[i] * abs(c)
         return max((s / t.source.weights[j] for (j, _), s in sums.items()), default=ZERO)
-    mono = _monomial_data(t)
+    mono = _monomial_data(t.rows)
     if mono is not None:
         # per target block h, the sum over source blocks g of the largest
         # |c| w'(i) / w(j) with j in g and i in h
@@ -475,16 +481,33 @@ def is_isometric_iso(m: LinMap) -> bool:
     over blocks is the same.  Any other map goes through its inverse and
     two `operator_norm`s.
     """
-    dim = m.source.dim
-    mono = _monomial_data(m)
-    if mono is None or dim != m.target.dim:
+    mono = _monomial_data(m.rows)
+    if mono is None or m.source.dim != m.target.dim:
         back = m.inverse()
         return back is not None and operator_norm(m) <= 1 and operator_norm(back) <= 1
-    sw, tw = m.source.weights, m.target.weights
-    if len(mono) < dim or any(abs(c) * tw[i] != sw[j] for j, i, c in mono):
+    s, t = m.source, m.target
+    return _isometric_monomial(mono, s.weights, t.weights, (_block_ids(s), _block_ids(t)))
+
+
+def _isometric_monomial(entries, source_weights, target_weights, blocks=None) -> bool:
+    """The closed form of `is_isometric_iso` (proof there) for a square map
+    given by its (source col, target row, coefficient) nonzeros, at most
+    one per row and per column: a nonzero in every column,
+    |c| w'(row) = w(col) at each one, and blocks onto blocks, compared only
+    when `blocks` is given, as the `_block_ids` of source and target.
+    Leave it out only between unblocked spaces of one flavor, where every
+    bijection of the coordinates carries blocks onto blocks.  A
+    coefficient +-1 compares the two weights with no product."""
+    if len(entries) < len(source_weights):
         return False
-    sb, tb = _block_ids(m.source), _block_ids(m.target)
-    pairs = {(sb[j], tb[i]) for j, i, _ in mono}
+    for j, i, c in entries:
+        w = target_weights[i] if c == 1 or c == -1 else abs(c) * target_weights[i]
+        if w != source_weights[j]:
+            return False
+    if blocks is None:
+        return True
+    sb, tb = blocks
+    pairs = {(sb[j], tb[i]) for j, i, _ in entries}
     return len(pairs) == len(set(sb)) == len(set(tb))
 
 

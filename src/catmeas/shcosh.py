@@ -8,9 +8,12 @@ isomorphism.  Binary partitions generate all of them, and one split per
 element already decides the condition: the split {E minus its top atom,
 top atom}, which makes the atomic partition map of E an isometric
 isomorphism by induction (the proof is in `is_cosheaf`).  So the checker
-looks at 2^n - n - 1 maps; a failure is re-located by enumerating the
-binary splits of the failing element, and an exhaustive mode checks every
-partition as cross-validation.
+decides 2^n - n - 1 splits, each on the nonzeros of its two stored legs,
+with no summed space and no partition map built.  Partition maps are
+built only for the splits the legs cannot decide (a non-monomial split
+of blocked SUP spaces, mixed flavors), in an exhaustive mode that
+checks every partition as cross-validation, and to re-locate a failure
+by enumerating the binary splits of the failing element.
 
 Cosheaves carry a derived spectral measure.  By the discrete density
 result a cosheaf is fixed by its atom fibers: the atomic partition map A_e
@@ -64,9 +67,10 @@ from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
                      SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
-from .finban import (FinBanSpace, Flavor, LinMap, Vector, _hstack, _identity_rows,
-                     _over_common_denominator, direct_sum, is_isometric_iso, operator_norm,
-                     scalars, sup_space, zero_space)
+from .finban import (FinBanSpace, Flavor, LinMap, Vector, _block_ids, _hstack,
+                     _identity_rows, _isometric_monomial, _monomial_data,
+                     _over_common_denominator, _side_by_side, direct_sum,
+                     is_isometric_iso, operator_norm, scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, linf_norm
 
@@ -294,16 +298,63 @@ def _binary_splits(omega: BoolAlg, e: int):
             yield f, e & ~f
 
 
+def _split_by_legs(x, e: int, a: int) -> Optional[bool]:
+    """Whether the split map of e into {e - a, a} (x's partition map or
+    restriction cone), for x of one flavor, is an isometric isomorphism,
+    decided in `_isometric_monomial`'s closed form on the nonzeros of the
+    two legs x(e - a, e) and x(a, e), with no summed space and no stacked
+    map built.  The partition map's rows are the legs' columns side by
+    side (`_side_by_side`); the cone's rows are the first leg's, then the
+    second's.  Block ids, where a space carries blocks, are those of the
+    direct sum: the second part's follow the first part's.
+
+    A map that is not square is not invertible: False (a zero row of a
+    square map is caught by the closed form's count of nonzeros).  A map
+    with two nonzeros in a row, or a repeated column, is not
+    monomial; between unblocked spaces of one flavor it is then no
+    isometric isomorphism: False.  An isometric isomorphism of weighted
+    l1 spaces carries the extreme points +-e_j/w(j) of the unit ball onto
+    those of the other ball, so each column has one nonzero, and a
+    sup-normed one is the transpose of an isometric isomorphism of the
+    dual l1 spaces.  With blocks that fails (an l1 plane is isometric to
+    a sup plane, (u, v) |-> (u + v, u - v)), so None: `is_isometric_iso`
+    decides the built map."""
+    head, tail = x.cover_maps[(e & ~a, e)], _walk(x, a, e)
+    if x.covariant:
+        first, second, whole = head.source, tail.source, head.target
+        rows = _side_by_side((head, tail), whole.dim)
+    else:
+        first, second, whole = head.target, tail.target, head.source
+        rows = head.rows + tail.rows
+    if whole.dim != first.dim + second.dim:
+        return False
+    blocks = None
+    if first.groups or second.groups or whole.groups:
+        off = len(first.effective_groups())
+        parts = _block_ids(first) + [off + k for k in _block_ids(second)]
+        blocks = (parts, _block_ids(whole)) if x.covariant else (_block_ids(whole), parts)
+    mono = _monomial_data(rows)
+    if mono is None:
+        return None if blocks else False
+    weights = first.weights + second.weights
+    if x.covariant:
+        return _isometric_monomial(mono, weights, whole.weights, blocks)
+    return _isometric_monomial(mono, whole.weights, weights, blocks)
+
+
 def _partition_condition(x, exhaustive: bool) -> Verdict:
     """The verdict of is_cosheaf/is_sheaf on a precosheaf or presheaf x;
     the map that must be an isometric isomorphism for a partition is its
     partition map or its restriction cone.  Without `exhaustive`, each
     element with two or more atoms is decided by its top-atom split, and
     a failing element by the first failing binary split in enumeration
-    order.  Direct sums need a single flavor, so a mixed-flavor
-    (pre)cosheaf enumerates every binary split and raises FlavorMismatch
-    at the first one whose blocks differ in flavor, unless an earlier
-    split fails."""
+    order.  The top-atom split is decided on its two legs' nonzeros
+    (`_split_by_legs`) when every space has one flavor; its partition map
+    or cone is built only for a non-monomial split of blocked SUP spaces
+    and to re-locate a failure.  Direct sums need
+    a single flavor, so a mixed-flavor (pre)cosheaf enumerates every
+    binary split and raises FlavorMismatch at the first one whose blocks
+    differ in flavor, unless an earlier split fails."""
     mediated, reason = (
         (partition_map, "mediated partition map is not an isometric isomorphism")
         if x.covariant else
@@ -317,9 +368,14 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
             candidates = (tuple(p.blocks) for p in partitions_of(omega, e))
         else:
             top_atom = 1 << (e.bit_length() - 1)
-            if one_split and (e == top_atom or
-                              is_isometric_iso(mediated(x, e, (e & ~top_atom, top_atom)))):
-                continue
+            if one_split:
+                if e == top_atom:
+                    continue
+                ok = _split_by_legs(x, e, top_atom)
+                if ok is None:
+                    ok = is_isometric_iso(mediated(x, e, (e & ~top_atom, top_atom)))
+                if ok:
+                    continue
             candidates = _binary_splits(omega, e)
         for blocks in candidates:
             if len(blocks) >= 2 and not is_isometric_iso(mediated(x, e, blocks)):
@@ -348,7 +404,10 @@ def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
     mediated map P satisfies P o ((+)_i A_F_i) = A_e up to the order of
     the atom summands (functoriality), so P = A_e o ((+)_i A_F_i)^-1 is a
     composite of isometric isomorphisms.  Each S_e is itself a binary
-    split, so the 2^n - n - 1 maps S_e decide the condition.
+    split, so the 2^n - n - 1 maps S_e decide the condition.  Each S_e is
+    decided on the nonzeros of its two legs, mu(e', e) and mu(a, e), in
+    `is_isometric_iso`'s closed form (`_split_by_legs`); S_e itself is
+    built only when it is not monomial and the spaces carry blocks.
 
     Elements are visited in increasing order, which visits the elements
     below e before e.  When S_e fails, every element visited before e
@@ -379,6 +438,8 @@ def is_sheaf(xi: PreSheaf, exhaustive: bool = False) -> Verdict:
     cone, C_e = (C_e' x id_xi(a)) o R_e; a product of isometric
     isomorphisms of SUP spaces is isometric under the max of the factor
     norms, and the cone of any partition is (prod_i C_F_i)^-1 o C_e.
+    Each R_e is decided on the rows of its two legs, as S_e is on their
+    columns.
     """
     return _partition_condition(xi, exhaustive)
 

@@ -308,14 +308,44 @@ def isometry_cases(rng):
                                          [[x / 2 for x in row] for row in hadamard])
 
 
+def unit_coefficient_cases(rng):
+    """(kind, map): signed permutations, every coefficient +-1, between
+    SUM, SUP or blocked SUP spaces of one flavor, blocks carried onto
+    blocks, with the weights equal along the permutation ("unit_equal")
+    or one target weight off ("unit_unequal"); the |c| = 1 comparison of
+    the closed form meets both answers."""
+    for k in range(120):
+        kind = ("unit_equal", "unit_unequal")[k % 2]
+        flavor = ("sum", "sup", "blocked")[k // 2 % 3]
+        d = 1 + k // 6 % 4
+        src = (rnd_blocked(rng, d) if flavor == "blocked" else
+               rnd_space(rng, d, Flavor.SUM if flavor == "sum" else Flavor.SUP))
+        perm = rng.sample(range(d), d)
+        weights = [F(0)] * d
+        for j in range(d):
+            weights[perm[j]] = src.weights[j]
+        if kind == "unit_unequal":
+            weights[rng.randrange(d)] *= rng.choice((F(1, 2), F(3, 2)))
+        groups = None if flavor != "blocked" else tuple(
+            tuple(sorted(perm[j] for j in g)) for g in src.effective_groups())
+        tgt = FinBanSpace(tuple(f"t{i}" for i in range(d)), tuple(weights), src.flavor, groups)
+        rows = [[F(0)] * d for _ in range(d)]
+        for j in range(d):
+            rows[perm[j]][j] = rng.choice((F(1), F(-1)))
+        yield kind, LinMap.from_matrix(src, tgt, rows)
+
+
 def test_closed_form_isometry_matches_inverse_and_norms(monkeypatch):
     """`is_isometric_iso` against the inverse plus two operator norms:
-    monomial maps are decided without a single operator norm, any other
-    square map falls back to that route."""
+    monomial maps are decided without a single operator norm, +-1
+    coefficients included, any other square map falls back to that
+    route."""
     oracle_norm, calls = finban.operator_norm, []
     monkeypatch.setattr(finban, "operator_norm", lambda t: calls.append(t) or oracle_norm(t))
     seen = set()
-    for kind, m in isometry_cases(random.Random(71)):
+    cases = itertools.chain(isometry_cases(random.Random(71)),
+                            unit_coefficient_cases(random.Random(72)))
+    for kind, m in cases:
         calls.clear()
         want = isometry_oracle(m, oracle_norm)
         assert is_isometric_iso(m) == want, (kind, m)
@@ -337,6 +367,9 @@ def test_closed_form_isometry_matches_inverse_and_norms(monkeypatch):
             ("dense", "sum", "sum", False, False, False),
             ("hadamard", "sum", "sup", False, False, True),
             ("hadamard", "sup", "sum", False, False, True)} <= seen
+    for flavor, blocked in (("sum", False), ("sup", False), ("sup", True)):
+        assert {("unit_equal", flavor, flavor, blocked, True, True),
+                ("unit_unequal", flavor, flavor, blocked, True, False)} <= seen
 
 
 def test_permutation_witness_matches_its_definition():
@@ -505,7 +538,7 @@ def test_vertex_kernel_matches_the_vertex_oracle():
         t = LinMap.from_matrix(src, tgt, tuple(
             tuple(F(0) if j in zero_cols else rnd_q(rng, denom=rng.choice((1, 5, 9)))
                   for j in range(dim)) for _ in range(tdim)))
-        if tdim and finban._monomial_data(t) is None:
+        if tdim and finban._monomial_data(t.rows) is None:
             kernel_runs.append((src.groups is None, kind))
         empty_targets += tdim == 0
         assert operator_norm(t) == operator_norm_by_vertices(t), (src, tgt, t.rows)

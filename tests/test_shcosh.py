@@ -320,6 +320,245 @@ def test_one_split_sheaf_check_matches_split_enumeration():
             assert verdict.ok == dual_of.ok, label
 
 
+# -- the top-atom split decided on its legs ----------------------------------
+
+def two_atom_precosheaf(top, leg_a, leg_b):
+    """A precosheaf on {a, b}: unit l1 lines at the atoms, `top` at ab, and
+    the extensions of a and b into it given by their one column each."""
+    omega = alg("a", "b")
+    spaces = {0: zero_space(), 1: sum_space(["a"]), 2: sum_space(["b"]), 3: top}
+    cover_maps = {(0, 1): LinMap.zero(spaces[0], spaces[1]),
+                  (0, 2): LinMap.zero(spaces[0], spaces[2]),
+                  (1, 3): LinMap.from_columns(spaces[1], top, [tuple(map(F, leg_a))]),
+                  (2, 3): LinMap.from_columns(spaces[2], top, [tuple(map(F, leg_b))])}
+    return make_precosheaf(omega, spaces, cover_maps)
+
+
+def two_atom_cases():
+    """One SUM precosheaf per shape of the split map of ab: a non-monomial
+    isometric cover map x |-> (x/2, x/2) into a unit l1 plane, two legs
+    hitting one row, a zero leg, a non-square split, and +-1 coefficients
+    against equal and unequal weights."""
+    half = F(1, 2)
+    plane = sum_space(["u", "v"])
+    yield "halves", two_atom_precosheaf(plane, (half, half), (half, -half))
+    yield "halves_zero_leg", two_atom_precosheaf(plane, (half, half), (0, 0))
+    yield "shared_row", two_atom_precosheaf(plane, (1, 0), (1, 0))
+    yield "zero_leg", two_atom_precosheaf(plane, (1, 0), (0, 0))
+    yield "non_square", two_atom_precosheaf(sum_space(["u", "v", "w"]), (1, 0, 0), (0, 1, 0))
+    yield "unit_equal", two_atom_precosheaf(plane, (0, -1), (1, 0))
+    yield "unit_unequal", two_atom_precosheaf(sum_space(["u", "v"], [1, half]), (1, 0), (0, -1))
+
+
+def sup_precosheaf(mu):
+    """mu with every space a SUP space of the same basis and weights and
+    the same matrices, checked again."""
+    spaces = {g: FinBanSpace(s.basis, s.weights, Flavor.SUP) for g, s in mu.spaces.items()}
+    cover_maps = {(small, big): LinMap(spaces[small], spaces[big], m.rows)
+                  for (small, big), m in mu.cover_maps.items()}
+    return make_precosheaf(mu.algebra, spaces, cover_maps)
+
+
+def split_cases():
+    """(label, x) over one unblocked flavor, both variances: the seeded
+    precosheaves and their duals, the walk cases, the two-atom shapes and
+    their duals, l1 of a measure with a null atom, and SUP precosheaves."""
+    for label, mu in precosheaf_cases():
+        if label != "mixed_flavors":
+            yield label, mu
+            yield f"dual/{label}", dual_presheaf(mu)
+    yield from walk_cases()
+    for label, mu in two_atom_cases():
+        yield label, mu
+        yield f"dual/{label}", dual_presheaf(mu)
+    rng = random.Random(89)
+    for n in range(2, 6):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        values = [F(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(n)]
+        values[rng.randrange(n)] = F(0)
+        mu = l1_cosheaf(MeasureAlgebra.from_values(omega, values))
+        yield f"l1/null_atom/{n}", mu
+        yield f"sup/l1/null_atom/{n}", sup_precosheaf(mu)
+        yield f"sup/damped/{n}", sup_precosheaf(
+            damped_above(random_cosheaf(rng, omega), omega.top))
+
+
+def split_shape(m):
+    """How a split map is decided without its norms: not square or with a
+    zero row (not invertible), a row with two nonzeros (the built map
+    decides), a column repeated, or monomial (the closed form)."""
+    if m.source.dim != m.target.dim or not all(m.rows):
+        return "singular"
+    if any(len(row) > 1 for row in m.rows):
+        return "two_in_a_row"
+    return "repeated_column" if len({row[0][0] for row in m.rows}) < len(m.rows) else "monomial"
+
+
+def test_split_by_legs_matches_the_built_split_map():
+    """At every element with two or more atoms, not only up to the first
+    failure, the split decided on the two legs' nonzeros is
+    `is_isometric_iso` of the built partition map or cone.  Only a
+    non-monomial split of blocked spaces defers to the built map, and
+    there the built map can be an isometric isomorphism; every shape
+    occurs in both variances."""
+    seen = set()
+    for label, x in itertools.chain(split_cases(), blocked_cases()):
+        blocked = any(s.groups for s in x.spaces.values())
+        mediated = partition_map if x.covariant else restriction_cone_map
+        for e in x.algebra.nonzero_elements():
+            a = 1 << (e.bit_length() - 1)
+            if e == a:
+                continue
+            built = mediated(x, e, (e & ~a, a))
+            want, shape = is_isometric_iso(built), split_shape(built)
+            got = shcosh._split_by_legs(x, e, a)
+            deferred = blocked and shape in ("two_in_a_row", "repeated_column")
+            assert got == (None if deferred else want), (label, e)
+            seen.add((x.covariant, blocked, shape, want))
+    for covariant in (True, False):
+        assert {(covariant, False, "singular", False), (covariant, False, "two_in_a_row", False),
+                (covariant, False, "repeated_column", False),
+                (covariant, False, "monomial", False), (covariant, False, "monomial", True),
+                (covariant, True, "two_in_a_row", True)} <= seen
+    assert {(False, True, "monomial", False), (False, True, "monomial", True),
+            (True, True, "monomial", True)} <= seen
+
+
+def blocked_product_presheaf(omega, fibers):
+    """E |-> the product of the SUP fibers (with blocks) of the atoms below
+    E, lowest first, restrictions dropping the coordinates of an atom: a
+    sheaf whose spaces carry `groups`."""
+    spaces = {e: direct_sum([fibers[i] for i in omega.atom_indices(e)]).space
+              if e else zero_space(Flavor.SUP) for e in omega.elements()}
+    cover_maps = {}
+    for small, big, k in shcosh._covering_pairs(omega):
+        p = spaces[small & ((1 << k) - 1)].dim
+        rows = finban._identity_rows(spaces[big].dim)
+        cover_maps[(small, big)] = LinMap(spaces[big], spaces[small],
+                                          rows[:p] + rows[p + fibers[k].dim:])
+    return make_presheaf(omega, spaces, cover_maps)
+
+
+def boosted_above(xi, e):
+    """xi with every weight doubled at the elements >= e: restrictions stay
+    contractive, and the product condition fails first at e."""
+    spaces = {g: FinBanSpace(s.basis, tuple(2 * w for w in s.weights), s.flavor, s.groups)
+              if g & e == e else s for g, s in xi.spaces.items()}
+    cover_maps = {(small, big): LinMap(spaces[big], spaces[small], m.rows)
+                  for (small, big), m in xi.cover_maps.items()}
+    return make_presheaf(xi.algebra, spaces, cover_maps)
+
+
+def blocked_cases():
+    """Blocked SUP (pre)sheaves: products of random blocked fibers, damped
+    versions, one presheaf whose value at ab is an l1 plane (a single
+    block) over the sup lines at a and b, where every weight matches
+    along a bijective cone but the blocks do not, and, both variances,
+    that plane carried isometrically onto the sup plane by (u, v) |->
+    (u + v, u - v), a split with two nonzeros in a row; and a cosheaf
+    whose partition map at ab puts the l1 plane at b before the line at
+    a, so blocks go onto blocks only through the permutation."""
+    rng = random.Random(97)
+    for n in range(2, 6):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        fibers = []
+        for i in range(n):
+            d = rng.randint(0, 2)
+            groups = ((0, 1),) if d == 2 and rng.random() < 0.5 else tuple((j,) for j in range(d))
+            fibers.append(FinBanSpace(tuple(f"x{i}{j}" for j in range(d)),
+                                      tuple(F(rng.randint(1, 3), rng.randint(1, 2))
+                                            for _ in range(d)), Flavor.SUP, groups))
+        xi = blocked_product_presheaf(omega, fibers)
+        yield f"blocked/{n}", xi
+        yield f"blocked/boosted/{n}", boosted_above(xi, rng.randrange(1, omega.top + 1))
+    omega = alg("a", "b")
+    spaces = {0: zero_space(Flavor.SUP), 1: sup_space(["a"]), 2: sup_space(["b"]),
+              3: FinBanSpace(("a", "b"), (F(1), F(1)), Flavor.SUP, ((0, 1),))}
+
+    def legs(first, second):
+        return {(0, 1): LinMap.zero(spaces[1], spaces[0]),
+                (0, 2): LinMap.zero(spaces[2], spaces[0]),
+                (1, 3): LinMap.from_matrix(spaces[3], spaces[1], [first]),
+                (2, 3): LinMap.from_matrix(spaces[3], spaces[2], [second])}
+
+    yield "blocked/l1_plane", make_presheaf(omega, spaces, legs((1, 0), (0, 1)))
+    yield "blocked/rotated", make_presheaf(omega, spaces, legs((1, 1), (1, -1)))
+    half = F(1, 2)
+    cover_maps = {(0, 1): LinMap.zero(spaces[0], spaces[1]),
+                  (0, 2): LinMap.zero(spaces[0], spaces[2]),
+                  (1, 3): LinMap.from_columns(spaces[1], spaces[3], [(half, half)]),
+                  (2, 3): LinMap.from_columns(spaces[2], spaces[3], [(half, -half)])}
+    yield "blocked/rotated_cosheaf", make_precosheaf(omega, spaces, cover_maps)
+    spaces = {0: zero_space(Flavor.SUP), 1: sup_space(["a"]),
+              2: FinBanSpace(("b0", "b1"), (F(1), F(2)), Flavor.SUP, ((0, 1),)),
+              3: FinBanSpace(("b0", "b1", "a"), (F(1), F(2), F(1)), Flavor.SUP, ((0, 1), (2,)))}
+    eye = finban._identity_rows(3)
+    cover_maps = {(0, 1): LinMap.zero(spaces[0], spaces[1]),
+                  (0, 2): LinMap.zero(spaces[0], spaces[2]),
+                  (1, 3): LinMap(spaces[1], spaces[3], ((), (), ((0, F(1)),))),
+                  (2, 3): LinMap(spaces[2], spaces[3], eye[:2] + ((),))}
+    yield "blocked/reordered_cosheaf", make_precosheaf(omega, spaces, cover_maps)
+
+
+def test_blocked_splits_compare_blocks_and_mixed_splits_are_built(monkeypatch):
+    """A blocked SUP (pre)sheaf is decided with the block ids of the
+    direct sum, with the enumeration's verdicts: on the l1 plane over two
+    sup lines every weight matches along a bijective cone but the blocks
+    do not.  A mixed-flavor precosheaf never reaches the legs."""
+    xi = dict(blocked_cases())["blocked/l1_plane"]
+    assert shcosh._split_by_legs(xi, 3, 2) is False
+    assert not is_isometric_iso(restriction_cone_map(xi, 3, (1, 2)))
+    verdicts = set()
+    for label, x in blocked_cases():
+        assert any(s.groups for s in x.spaces.values()), label
+        check, oracle = (is_cosheaf, cosheaf_oracle) if x.covariant else (is_sheaf, sheaf_oracle)
+        verdict = check(x)
+        assert verdict == oracle(x), label
+        verdicts.add((x.covariant, verdict.ok))
+    assert verdicts == {(False, True), (False, False), (True, True)}
+
+    def refuse(*args):
+        raise AssertionError("_split_by_legs was called")
+
+    monkeypatch.setattr(shcosh, "_split_by_legs", refuse)
+    mixed = dict(precosheaf_cases())["mixed_flavors"]
+    assert outcome(is_cosheaf, mixed) == outcome(cosheaf_oracle, mixed)
+
+
+def test_passing_condition_checks_build_no_split_map(monkeypatch):
+    """On passing 7-atom inputs, blocked SUP spaces included, the
+    non-exhaustive check builds no summed space, partition map or cone;
+    on a damped cosheaf it builds them only
+    for the binary splits of the failing element."""
+    omega = alg(*(f"x{i}" for i in range(7)))
+    mu = l1_cosheaf(positive_measure(omega))
+    fibers = [FinBanSpace((f"x{i}0", f"x{i}1"), (F(1), F(i + 1)), Flavor.SUP,
+                          ((0, 1),) if i % 2 else None) for i in range(7)]
+    passing = [mu, random_cosheaf(random.Random(3), omega),
+               characteristic_sheaf(omega, omega.top), characteristic_sheaf(omega, 0b1011001),
+               dual_presheaf(mu), blocked_product_presheaf(omega, fibers)]
+    failing = damped_above(mu, 0b0010110)
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args))
+            return f(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((finban, "direct_sum"), (shcosh, "direct_sum"),
+                         (shcosh, "partition_map"), (shcosh, "restriction_cone_map")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for x in passing:
+        assert (is_cosheaf if x.covariant else is_sheaf)(x)
+    assert calls == []
+    verdict = is_cosheaf(failing)
+    assert not verdict and verdict.failing_element == 0b0010110
+    maps = [args for name, args in calls if name == "partition_map"]
+    assert maps and all(args[1] == 0b0010110 for args in maps)
+    assert len(maps) <= 3 and len(calls) == 2 * len(maps)
+
+
 # -- spectral measures -------------------------------------------------------
 
 def test_l1_spectral_projections_are_diagonal():
