@@ -9,7 +9,11 @@ validates every section, whatever the command; a keyword-declared
 elements only the (co)sheaf commands read, is built on its first read.
 The structured output format is stable-ordered, so identical inputs (model,
 command, seed, flags) produce byte-identical output; timing information
-therefore goes to stderr, never into a report.
+therefore goes to stderr, never into a report.  It is the text of
+`json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))`
+byte for byte, written by `_write_json`.  `main` builds its parser once
+per process, on its first call, so repeated in-process calls pay for it
+once.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal error.
 """
@@ -23,7 +27,7 @@ import sys
 import time
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Any, Optional
 
 from .boolalg import BoolAlg, Coproduct, build_algebra, coproduct, partitions_of, stone_space
@@ -58,10 +62,20 @@ def parse_rational(text: Any, path: str) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ModelError("bad-rational", f"rationals are strings like '2/3', got {text!r}", path)
+    # the common form -?[0-9]+(/[0-9]+)?, nonzero denominator, skips
+    # Fraction's regex; every other string takes Fraction's full syntax
+    num, slash, den = text.partition("/")
+    if _ascii_digits(num.removeprefix("-")) and (
+            not slash or _ascii_digits(den) and den.strip("0")):
+        return Fraction(int(num), int(den) if slash else 1)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ModelError("bad-rational", f"cannot parse rational {text!r}", path) from None
+
+
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 def show_rational(q: Fraction) -> str:
@@ -484,10 +498,69 @@ class Report:
             self.failed = True
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key: Any) -> str:
+    """A dict key as json.dumps writes it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(value: Any, indent: str, out: list[str]) -> None:
+    """Append to `out` the text of json.dumps(value, sort_keys=True,
+    indent=2, separators=(",", ": ")) for a value nested at `indent`;
+    raises the TypeError json.dumps raises on a value it rejects.  The
+    checks run in json's order, so bool is never taken for int."""
+    if isinstance(value, str):
+        out.append(_encode_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if all(isinstance(v, str) for v in value):
+            out.append(f"[\n{inner}{sep.join(map(_encode_string, value))}\n{indent}]")
+            return
+        out.append("[\n" + inner)
+        for k, v in enumerate(value):
+            if k:
+                out.append(sep)
+            _write_json(v, inner, out)
+        out.append(f"\n{indent}]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k, v in sorted(value.items()):
+            out.append(f"{sep}{_encode_string(_json_key(k))}: ")
+            _write_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{indent}}}")
+    else:
+        # a float as json writes it, or json's TypeError on anything else
+        out.append(json.dumps(value))
+
+
 def emit_report(report: Report, fmt: str) -> str:
     if fmt == "structured":
-        return json.dumps(report.payload, sort_keys=True, indent=2,
-                          separators=(",", ": ")) + "\n"
+        out: list[str] = []
+        _write_json(report.payload, "", out)
+        return "".join(out) + "\n"
     lines = [f"command: {report.payload['command']}  (seed {report.payload['seed']})"]
     for key in sorted(report.payload["results"]):
         lines.append(f"  {key} = {json.dumps(report.payload['results'][key], sort_keys=True)}")
@@ -826,7 +899,10 @@ def run(command: str, model: Model, seed: int, exhaustive: bool,
     return report
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first `main` call of the
+    process, not at import."""
     parser = argparse.ArgumentParser(
         prog="catmeas",
         description="exact verifier/calculator for finite measure algebras, "
@@ -839,7 +915,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--format", choices=("text", "structured"), default="text")
     parser.add_argument("--element", default=None,
                         help="atom-set expression like a|b, or top/bottom")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     started = time.monotonic()
     try:

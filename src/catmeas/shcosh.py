@@ -1061,8 +1061,15 @@ def _conjugate(x, tag: str):
     """
     omega, up, top = x.algebra, x.covariant, x.algebra.top
     kind = PreSheaf if up else PreCosheaf
-    columns, bases = _root_bases(x)
     flavor = Flavor.SUM if kind.covariant else Flavor.SUP
+    if not x.space(top if up else 0).dim:
+        # a zero root: every ann_E is zero, so is every cover map, and the
+        # containment check has no rows to test
+        zero = zero_space(flavor)
+        return kind(omega, dict.fromkeys(omega.elements(), zero),
+                    dict.fromkeys(((s, b) for s, b, _ in _covering_pairs(omega)),
+                                  LinMap.zero(zero, zero)))
+    columns, bases = _root_bases(x)
     spaces = {e: FinBanSpace(tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(len(b))),
                              (ONE,) * len(b), flavor) for e, b in bases.items()}
     # each nonzero basis over one common denominator, phi = r / den

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,18 @@ def console_script():
     return [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
 
 
+# a report, a failed verdict, a model error and a bad command line
+ENTRY_POINT_ARGS = (("verify-all", "--model", str(MODELS / "reference.json"),
+                     "--seed", "7", "--format", "structured"),
+                    ("check-cosheaf", "--model", str(MODELS / "broken_cosheaf.json")),
+                    ("stone", "--model", str(MODELS / "absent.json")),
+                    ("frobnicate", "--model", str(MODELS / "reference.json")))
+
+
+def timing_free(stderr):
+    return re.sub(r"elapsed: [0-9.]+s", "elapsed: <t>", stderr)
+
+
 @pytest.mark.parametrize("command", [[sys.executable, "-m", "catmeas.cli"], console_script()],
                          ids=["python-m", "console-script"])
 def test_entry_points_match_the_in_process_run(command):
@@ -56,19 +69,110 @@ def test_entry_points_match_the_in_process_run(command):
     a failed verdict, a model error and a bad command line; the processes
     hash strings with other seeds, so equal stdout is also determinism
     across processes."""
-    def timing_free(stderr):
-        return re.sub(r"elapsed: [0-9.]+s", "elapsed: <t>", stderr)
-
-    for args in (("verify-all", "--model", str(MODELS / "reference.json"),
-                  "--seed", "7", "--format", "structured"),
-                 ("check-cosheaf", "--model", str(MODELS / "broken_cosheaf.json")),
-                 ("stone", "--model", str(MODELS / "absent.json")),
-                 ("frobnicate", "--model", str(MODELS / "reference.json"))):
+    for args in ENTRY_POINT_ARGS:
         proc = subprocess.run([*command, *args], capture_output=True, text=True)
         here = run_cli(*args)
         assert (proc.returncode, proc.stdout, timing_free(proc.stderr)) == (
             here.returncode, here.stdout, timing_free(here.stderr)), args
         assert proc.returncode == {"verify-all": 0, "check-cosheaf": 1}.get(args[0], 2)
+
+
+def test_repeated_in_process_calls_match_the_first():
+    """cli.main builds its parser once per process: each argument tuple,
+    run again after the others, gives the same exit code, stdout and
+    stderr (timing aside), and after a successful call --help still exits
+    0 with the help on stdout and a bad command line 2 with the usage on
+    stderr."""
+    def outcome(args):
+        done = run_cli(*args)
+        return done.returncode, done.stdout, timing_free(done.stderr)
+
+    first = [outcome(args) for args in ENTRY_POINT_ARGS]
+    assert [outcome(args) for args in ENTRY_POINT_ARGS] == first
+    assert [code for code, _, _ in first] == [0, 1, 2, 2]
+    helped = run_cli("--help")
+    assert (helped.returncode, helped.stderr) == (0, "")
+    assert helped.stdout.startswith("usage: catmeas") and "--exhaustive" in helped.stdout
+    bad = run_cli(*ENTRY_POINT_ARGS[3])
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("usage: catmeas") and "invalid choice: 'frobnicate'" in bad.stderr
+    assert outcome(ENTRY_POINT_ARGS[0]) == first[0]
+
+
+# -- rationals and structured output ------------------------------------------------
+
+@pytest.mark.parametrize("text", ["0", "-0", "007/010", "3/6", "-12/8", "1/0", "0/0", "3/-2",
+                                  " 1/2 ", "1/2\n", "1.5", "1e3", "+3", "1_000", "٣", "²",
+                                  "", "-", "--1", "/2", "1/", "12345678901234567890/3"])
+def test_rationals_parse_as_fraction_does(text):
+    """The plain form skips Fraction's parser; every string still gives
+    Fraction's value, or the bad-rational code at the same path."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ModelError) as err:
+            cli.parse_rational(text, "measures.mu.values.a")
+        assert (err.value.code, err.value.path) == ("bad-rational", "measures.mu.values.a")
+    else:
+        got = cli.parse_rational(text, "measures.mu.values.a")
+        assert type(got) is Fraction and got == want
+
+
+def as_json_dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+def structured(payload):
+    report = cli.Report("stone", 0, False)
+    report.payload = payload
+    return cli.emit_report(report, "structured")
+
+
+def test_structured_reports_are_json_dumps_byte_for_byte():
+    checked = 0
+    for model in ("reference", "broken_cosheaf"):
+        parsed = cli.parse_model(str(MODELS / f"{model}.json"))
+        for command in cli.DISPATCH:
+            try:
+                report = cli.run(command, parsed, 7, False, None)
+            except ModelError:  # fubini on broken_cosheaf exits 2
+                continue
+            assert cli.emit_report(report, "structured") == as_json_dumps(report.payload)
+            checked += 1
+    assert checked == 2 * len(cli.DISPATCH) - 1
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], "", 0, None, True, {"a": {}, "b": [], "c": [[]], "d": [{}]},
+    {"quote": 'say "hi"', "back\\slash": "a\\b\\", "\u00fcn\u00efcode": "\u00e7\u20ac\U0001d11e",
+     "control": "\t\n\x00\x7f", "/": "</script>"},
+    [1, -2, 0, 10 ** 30, True, False, None, "x"],
+    [["a", "b"], ["c"], [], [["d", 1]], {"z": ["y"], "a": [None]}],
+    {"z": 1, "a": 2, "m": {"y": [], "b": {"x": "w"}}},
+    ("a", ("b", 1)), {2: "two", -1: "minus one", 10: []}, {True: 1}, {None: 0},
+    [1.5, -0.0, float("inf"), float("nan")], {1.5: "x"}])
+def test_the_writer_matches_json_dumps(payload):
+    assert structured(payload) == as_json_dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": [Fraction(1, 2)]}, {"results": {"s": {1, 2}}}, [b"bytes"], {("t",): 1}, {1: 1, "a": 2}])
+def test_the_writer_rejects_what_json_dumps_rejects(payload):
+    with pytest.raises(TypeError) as want:
+        as_json_dumps(payload)
+    with pytest.raises(TypeError) as got:
+        structured(payload)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_fraction_in_a_report_exits_three(monkeypatch):
+    def leaky(model, report, *_):
+        report.result("q", Fraction(1, 2))
+
+    monkeypatch.setitem(cli.DISPATCH, "stone", leaky)
+    out = run_cli("stone", "--model", str(MODELS / "reference.json"), "--format", "structured")
+    assert (out.returncode, out.stdout, out.stderr) == (
+        3, "", "internal error: TypeError: Object of type Fraction is not JSON serializable\n")
 
 
 def write_model(tmp_path, payload, name="m.json"):
@@ -90,7 +194,6 @@ def test_rational_round_trip(tmp_path):
         "algebra": {"atoms": ["a"]},
         "measures": {"mu": {"target": "scalar", "values": {"a": "1/3"}}}})
     model = cli.parse_model(path)
-    from fractions import Fraction
     assert model.measures["mu"].atom_values[0][0] == Fraction(1, 3)
     assert cli.show_rational(Fraction(1, 3)) == "1/3"
 

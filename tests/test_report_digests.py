@@ -1,11 +1,12 @@
-"""Golden digests of every command's structured report.
+"""Golden digests of every command's report in both formats.
 
-The sha256 of the structured stdout and the exit code of each
-`cli.DISPATCH` command on the committed models at `--seed 7`, plus
-`check-cosheaf --exhaustive`, run in this process.  The table was
-recorded before the sparse `LinMap` core replaced the dense one, so a
-refactor that changes any report, even by one byte, fails here.  A
-deliberate change of a report re-records its row.
+The sha256 of the stdout and the exit code of each `cli.DISPATCH`
+command on the committed models at `--seed 7`, plus
+`check-cosheaf --exhaustive`, run in this process.  The structured table
+was recorded before the sparse `LinMap` core replaced the dense one, and
+the text table before structured reports were written without
+`json.dumps`, so a refactor that changes any report, even by one byte,
+fails here.  A deliberate change of a report re-records its row.
 """
 
 import contextlib
@@ -94,17 +95,103 @@ DIGESTS = {
         (1, "19b86edefca1fbdeb12b7d9db7c69a88e7ba51a988ca8723e018be9d746cbead"),
 }
 
+TEXT_DIGESTS = {
+    ("broken_cosheaf", "bochner"):
+        (0, "20cf38b68301412ddccc97e64a00549f6d0b6bae41c6e7060b4608dd32e268a3"),
+    ("broken_cosheaf", "bva"):
+        (0, "93c17cd31c282bff983b2484a20cbc0c1c7c347de3c39180423c22cadfd87a31"),
+    ("broken_cosheaf", "check-cosheaf"):
+        (1, "d252cdb5b81531e7090cd32c915c92d997310453642abdfff8e5a08ff58a6a46"),
+    ("broken_cosheaf", "check-cosheaf --exhaustive"):
+        (1, "d252cdb5b81531e7090cd32c915c92d997310453642abdfff8e5a08ff58a6a46"),
+    ("broken_cosheaf", "check-sheaf"):
+        (0, "89a8a7090c50cd27d34ddb326416df007bdd4297fb82f6032f032054176398b0"),
+    ("broken_cosheaf", "cosheafify"):
+        (0, "0b6c3e3535729f6c1c2b0c36ba00eb7625ef11f4a248adf5897f909dc7584597"),
+    ("broken_cosheaf", "fubini"):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("broken_cosheaf", "integrate"):
+        (0, "bd73afc955c60e859be1f27dd34caf9d8885430fce8af1bc961b1d89cbf08da4"),
+    ("broken_cosheaf", "integrate-morphism"):
+        (0, "413f9608c209a16147a755be0a82984d89cc67db2a1f2bbef228da8eaba6688e"),
+    ("broken_cosheaf", "isbell"):
+        (0, "70dded07e0cd7645bb696f88c478a3df7f0633f7e009774eb516aacd04a7c8cd"),
+    ("broken_cosheaf", "kan"):
+        (0, "8f6e9df96b444b70699126666b8f8c7d9cccab44ed01623d6a5ce2142ddd6992"),
+    ("broken_cosheaf", "lipschitz"):
+        (0, "c6a0e7acdc56ba0af256674fc8e5db9cf592b24f1f3cdac7056adfad3d23e1cd"),
+    ("broken_cosheaf", "partitions"):
+        (0, "6850d73b13bbfcd80520595166071dc126c090e0b569d7f7be95070e85f52f8e"),
+    ("broken_cosheaf", "semivariation"):
+        (0, "59ec0b7dced1625dfcaa137d1e73044d5b463fef1c5771dbd99b0c26167a2faa"),
+    ("broken_cosheaf", "spectral"):
+        (1, "0a342a54c90fb579ddf560a2e26b03a4514b21f1fa2295240b963e5b47b4b1db"),
+    ("broken_cosheaf", "stone"):
+        (0, "5e5101638b27df4d191df4a0ac4999adcae98b4bafeefcd7816a37cec932ded1"),
+    ("broken_cosheaf", "variation"):
+        (0, "033029ec7ce8f8dc0c1e896017c87478ddf4477d1883520373857f8668455bfd"),
+    ("broken_cosheaf", "verify-all"):
+        (1, "e4d4a0727150de8e121ed9e9e9f68b80209f9a53cd6e693bce4c37cd0872c89e"),
+    ("reference", "bochner"):
+        (0, "242668d17724f0d4e9bbe9dae4ea864e4e67cf4cd04770853533a874043c4593"),
+    ("reference", "bva"):
+        (0, "0fc8d35d5b4111e57f229b49217dea67f3b648a224cc85486d0cb590c60d1635"),
+    ("reference", "check-cosheaf"):
+        (0, "2f6aec19acd83b3154949fac1becf7f6b64c4f54c42767c613de8b3320996a39"),
+    ("reference", "check-cosheaf --exhaustive"):
+        (0, "2f6aec19acd83b3154949fac1becf7f6b64c4f54c42767c613de8b3320996a39"),
+    ("reference", "check-sheaf"):
+        (0, "3cf20593d38f2c6ceaac11c0d2a77d6654a2c5c2d040be17bf5ee73f37bbe9d5"),
+    ("reference", "cosheafify"):
+        (0, "640d55880e228ae019bca5be42d409d13f2d82e11c195aebbeb20a758b30480e"),
+    ("reference", "fubini"):
+        (0, "a0378c55e17f3f3b9d946e713fa60f927a8f7564c70c647d84775dbbd656e46f"),
+    ("reference", "integrate"):
+        (0, "5d6abdb64f9d95c572724a90d173d1085f3cfa6334d1703de7d87c0a02b0fbab"),
+    ("reference", "integrate-morphism"):
+        (0, "db8b63d007cf5c631a046d4e7e45da42510618f2b05548b20e786733d9f4a5b5"),
+    ("reference", "isbell"):
+        (0, "484442dc97ec498cb802a066256015ae7f0ec153becaff6963c12ef1f9d1595e"),
+    ("reference", "kan"):
+        (0, "a5957be5236544982b169cdfe7edc564361e09cab91b6f50ff3cc9ae94818c3b"),
+    ("reference", "lipschitz"):
+        (0, "76eafefe80c41c2412e5727707bd9ecb166665703b884444f007d07179d9d121"),
+    ("reference", "partitions"):
+        (0, "69ff34691d4cb60a3e2149b35d42f444f681459d03a0dd3713f58e06cceb10a0"),
+    ("reference", "semivariation"):
+        (0, "42c202d1afe90921ecfb650d84e205e45c8556ca1a1656da269953754134cb7a"),
+    ("reference", "spectral"):
+        (0, "5639cc6ef04df6ff41177ed394017036502ecc99bd509c5d56cd68d6b71dad66"),
+    ("reference", "stone"):
+        (0, "b843c071e27117e1514b98c572ac4a0bf58376dc1c89c6c86409f12a71af6a0a"),
+    ("reference", "variation"):
+        (0, "9bf3e2d46d7c56b30884d160d2d05db2085ddbba1c63f287c0c6ec762a4caecd"),
+    ("reference", "verify-all"):
+        (0, "f0543ac5c68ca14a100456b841e09a24b26802af0d6f3107e7d78176f810f56e"),
+}
+
 
 def test_the_table_covers_every_command():
     runs = {run for _, run in DIGESTS}
     assert runs == set(cli.DISPATCH) | {"check-cosheaf --exhaustive"}
     assert {model for model, _ in DIGESTS} == {"reference", "broken_cosheaf"}
+    assert TEXT_DIGESTS.keys() == DIGESTS.keys()
+
+
+def digest(fmt, model, run):
+    """(exit code, sha256 of stdout) of one run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([*run.split(), "--model", str(MODELS / f"{model}.json"),
+                         "--seed", "7", "--format", fmt])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("model, run", sorted(DIGESTS))
 def test_report_digest(model, run):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main([*run.split(), "--model", str(MODELS / f"{model}.json"),
-                         "--seed", "7", "--format", "structured"])
-    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == DIGESTS[(model, run)]
+    assert digest("structured", model, run) == DIGESTS[(model, run)]
+
+
+@pytest.mark.parametrize("model, run", sorted(TEXT_DIGESTS))
+def test_text_report_digest(model, run):
+    assert digest("text", model, run) == TEXT_DIGESTS[(model, run)]

@@ -1465,6 +1465,39 @@ def test_left_conjugate_vanishes_with_the_bottom_value_and_right_dims_are_corank
     assert checked["left"] >= 15 and checked["right"] >= 20
 
 
+def plane_below_top(omega):
+    """A plane at every element but top, identities between, zero at top."""
+    plane = sum_space(["p", "q"])
+    spaces = {f: plane if f != omega.top else zero_space() for f in omega.elements()}
+    return make_precosheaf(omega, spaces, {
+        (s, b): LinMap.identity(plane) if spaces[b].dim else LinMap.zero(plane, spaces[b])
+        for s, b in zero_precosheaf(omega).cover_maps})
+
+
+def test_a_zero_root_gives_the_oracle_conjugate_without_root_bases(monkeypatch):
+    """A presheaf zero at bottom (every characteristic sheaf) and a
+    precosheaf zero at top have the zero conjugate, built without the
+    maps to the root or the root bases, and equal to the oracle's."""
+    def refuse(*_):
+        raise AssertionError("a zero root went through the root bases")
+
+    monkeypatch.setattr(shcosh, "_maps_to_root", refuse)
+    monkeypatch.setattr(shcosh, "_root_bases", refuse)
+    checked = 0
+    for n in range(1, 5):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        cases = [(isbell, oracle_isbell, characteristic_sheaf(omega, e))
+                 for e in {0, 1, omega.top, omega.top & 0b101}]
+        cases += [(isbell_adjoint, oracle_isbell_adjoint, mu)
+                  for mu in (zero_precosheaf(omega), plane_below_top(omega))]
+        for conjugate, oracle, x in cases:
+            got, want = conjugate(x), oracle(x)
+            assert type(got) is type(want)
+            assert (got.spaces, got.cover_maps) == (want.spaces, want.cover_maps)
+            checked += 1
+    assert checked >= 20
+
+
 def test_conjugates_solve_no_naturality_system(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a conjugate went through the hom solver")
