@@ -35,7 +35,7 @@ from .errors import CatmeasError, InvalidModel, ModelError
 from .finban import FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm, scalars
 from .measures import (MeasureAlgebra, VectorMeasure, lipschitz_norm,
                        semivariation, variation)
-from .shcosh import (PreCosheaf, PreSheaf, bva_cosheaf, constant_precosheaf,
+from .shcosh import (PreCosheaf, PreSheaf, _BuiltOnRead, bva_cosheaf, constant_precosheaf,
                      characteristic_sheaf, cosheafify, counit_is_natural,
                      integrate_simple_morphism, is_cosheaf, is_sheaf, l1_cosheaf,
                      make_precosheaf, random_cosheaf, spectral_measure, isbell,
@@ -94,37 +94,13 @@ def show_matrix(m: LinMap) -> list[list[str]]:
 # the model file
 # ---------------------------------------------------------------------------
 
-class _BuiltOnRead(Mapping):
-    """A read-only mapping whose values are built by zero-argument builders,
-    each on the first read of its name (`[name]`, and through it `.get`,
-    `.items` and `.values`), then kept.  Iteration, `in` and `len` list
-    the names and build nothing."""
-
-    def __init__(self, builders: Mapping[str, Callable[[], Any]]):
-        self._builders = dict(builders)
-        self._built: dict[str, Any] = {}
-
-    def __getitem__(self, name: str) -> Any:
-        if name not in self._built:
-            self._built[name] = self._builders[name]()
-        return self._built[name]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._builders
-
-    def __iter__(self):
-        return iter(self._builders)
-
-    def __len__(self) -> int:
-        return len(self._builders)
-
-
 class Model:
     """Validated in-memory model.
 
     `parse_model` validates every section before any command runs.  The
-    cosheaves and sheaves are `_BuiltOnRead` mappings: a keyword-declared
-    one is built on its first read, so a command that reads none (the
+    cosheaves and sheaves are `shcosh._BuiltOnRead` mappings that call a
+    zero-argument builder per name: a keyword-declared one is built on
+    its first read, so a command that reads none (the
     atom-level measure calculus) never pays for 2^n elements.  Deferring
     `l1_cosheaf`, `constant_precosheaf` and `characteristic_sheaf` moves
     no error: parsing has resolved the measure of `l1-of:` and checked it
@@ -143,8 +119,8 @@ class Model:
         self.spaces: dict[str, FinBanSpace] = {}
         self.measures: dict[str, VectorMeasure] = {}
         self.measure_on: dict[str, str] = {}
-        self.cosheaves: Mapping[str, PreCosheaf] = _BuiltOnRead({})
-        self.sheaves: Mapping[str, PreSheaf] = _BuiltOnRead({})
+        self.cosheaves: Mapping[str, PreCosheaf] = {}
+        self.sheaves: Mapping[str, PreSheaf] = {}
         self.bundles: dict[str, bundles2v.Bundle] = {}
         self.matrices: dict[str, bundles2v.FunctorMatrix] = {}
 
@@ -397,9 +373,9 @@ def parse_model(path: str) -> Model:
                 entries[(x, y)] = _space_ref(model, ref, f"{name}.{x}.{y}", path_f)
         model.matrices[name] = bundles2v.FunctorMatrix(src, tgt, entries)
 
-    model.cosheaves = _BuiltOnRead({
-        name: _cosheaf_builder(model, desc, f"cosheaves.{name}")
-        for name, desc in _section(raw, "cosheaves", "bad-cosheaf").items()})
+    cosheaves = {name: _cosheaf_builder(model, desc, f"cosheaves.{name}")
+                 for name, desc in _section(raw, "cosheaves", "bad-cosheaf").items()}
+    model.cosheaves = _BuiltOnRead(cosheaves, lambda name: cosheaves[name]())
 
     sheaves = {}
     for name, desc in _section(raw, "sheaves", "bad-sheaf").items():
@@ -410,7 +386,7 @@ def parse_model(path: str) -> Model:
         else:
             raise ModelError("bad-sheaf",
                              "sheaves are given as 'characteristic:<element>'", path_s)
-    model.sheaves = _BuiltOnRead(sheaves)
+    model.sheaves = _BuiltOnRead(sheaves, lambda name: sheaves[name]())
 
     return model
 
@@ -561,7 +537,8 @@ def emit_report(report: Report, fmt: str) -> str:
         out: list[str] = []
         _write_json(report.payload, "", out)
         return "".join(out) + "\n"
-    lines = [f"command: {report.payload['command']}  (seed {report.payload['seed']})"]
+    flag = " --exhaustive" if report.payload["exhaustive"] else ""
+    lines = [f"command: {report.payload['command']}{flag}  (seed {report.payload['seed']})"]
     for key in sorted(report.payload["results"]):
         lines.append(f"  {key} = {json.dumps(report.payload['results'][key], sort_keys=True)}")
     for key in sorted(report.payload["verdicts"]):

@@ -8,12 +8,13 @@ isomorphism.  Binary partitions generate all of them, and one split per
 element already decides the condition: the split {E minus its top atom,
 top atom}, which makes the atomic partition map of E an isometric
 isomorphism by induction (the proof is in `is_cosheaf`).  So the checker
-decides 2^n - n - 1 splits, each on the nonzeros of its two stored legs,
-with no summed space and no partition map built.  Partition maps are
-built only for the splits the legs cannot decide (a non-monomial split
-of blocked SUP spaces, mixed flavors), in an exhaustive mode that
-checks every partition as cross-validation, and to re-locate a failure
-by enumerating the binary splits of the failing element.
+decides 2^n - n - 1 splits.  Every partition it visits, these splits,
+the binary splits that re-locate a failure and every partition in the
+exhaustive mode that cross-validates the reduction, is decided on the
+nonzeros of its legs, one structure map per block, with no summed space
+and no partition map built.  Partition maps are built only where the
+legs cannot decide: a non-monomial split of blocked SUP spaces, and
+mixed flavors.
 
 Cosheaves carry a derived spectral measure.  By the discrete density
 result a cosheaf is fixed by its atom fibers: the atomic partition map A_e
@@ -60,7 +61,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .boolalg import BoolAlg, BoolMorphism, partitions_of
 from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
@@ -87,16 +88,47 @@ def _covering_pairs(omega: BoolAlg):
 # precosheaves and presheaves
 # ---------------------------------------------------------------------------
 
+class _BuiltOnRead(Mapping):
+    """A read-only mapping over the given keys whose value at a key is
+    `build(key)`, built on the first read of that key (`[key]`, and
+    through it `.get`, `.items`, `.values` and `==`), then kept.
+    Iteration (in the order of `keys`), `in` and `len` build nothing, so
+    it behaves like the dict of every value, built when read."""
+
+    def __init__(self, keys: Iterable, build: Callable[[Any], Any]):
+        self._keys = dict.fromkeys(keys)
+        self._build = build
+        self._built: dict = {}
+
+    def __getitem__(self, key):
+        out = self._built.get(key)
+        if out is None:
+            if key not in self._keys:
+                raise KeyError(key)
+            out = self._built[key] = self._build(key)
+        return out
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 @dataclass
 class _Assignment:
     """Spaces on the elements and structure maps keyed by covering pairs
-    (small, big), going the way the subclass's `covariant` says.  Both
+    (small, big), going the way the subclass's `covariant` says; the maps
+    are a dict, or a `_BuiltOnRead` mapping for the seeded probe.  Both
     never change after construction (no library code writes to them), so
     `_walk` memoises structure maps in `_walks`, outside init, == and repr."""
 
     algebra: BoolAlg
     spaces: dict[int, FinBanSpace]
-    cover_maps: dict[tuple[int, int], LinMap]
+    cover_maps: Mapping[tuple[int, int], LinMap]
     _walks: dict[tuple[int, int], LinMap] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -208,7 +240,9 @@ def from_atom_spaces(omega: BoolAlg,
     and a composite of inclusions is the inclusion.  For a covering pair
     (small, small + atom k), big's basis is small's with k's block
     inserted at off = sum of dim(atom i) over the atoms i < k below small,
-    so the inclusion is small's identity with zero rows inserted at off."""
+    so the inclusion is small's identity with zero rows inserted at off.
+    The element spaces are built by `FinBanSpace._trusted`: their weights
+    are the validated fibers'."""
     for a in omega.atoms:
         if a not in atom_spaces:
             raise InvalidModel(f"missing atom space for {a!r}")
@@ -220,7 +254,7 @@ def from_atom_spaces(omega: BoolAlg,
     for e in omega.nonzero_elements():
         top = e.bit_length() - 1
         rest, (labels, weights) = spaces[e & ~(1 << top)], blocks[top]
-        spaces[e] = FinBanSpace(rest.basis + labels, rest.weights + weights, Flavor.SUM)
+        spaces[e] = FinBanSpace._trusted(rest.basis + labels, rest.weights + weights, Flavor.SUM)
     cover_maps = {}
     for small, big, k in _covering_pairs(omega):
         source, target = spaces[small], spaces[big]
@@ -298,15 +332,16 @@ def _binary_splits(omega: BoolAlg, e: int):
             yield f, e & ~f
 
 
-def _split_by_legs(x, e: int, a: int) -> Optional[bool]:
-    """Whether the split map of e into {e - a, a} (x's partition map or
-    restriction cone), for x of one flavor, is an isometric isomorphism,
-    decided in `_isometric_monomial`'s closed form on the nonzeros of the
-    two legs x(e - a, e) and x(a, e), with no summed space and no stacked
-    map built.  The partition map's rows are the legs' columns side by
-    side (`_side_by_side`); the cone's rows are the first leg's, then the
-    second's.  Block ids, where a space carries blocks, are those of the
-    direct sum: the second part's follow the first part's.
+def _split_by_legs(x, legs: Sequence[LinMap]) -> Optional[bool]:
+    """Whether the split map of e into the blocks of a partition (x's
+    partition map or restriction cone), for x of one flavor, is an
+    isometric isomorphism, decided in `_isometric_monomial`'s closed form
+    on the nonzeros of the legs x(F, e), one per block F in order, with
+    no summed space and no stacked map built.  The partition map's rows
+    are the legs' columns side by side (`_side_by_side`); the cone's rows
+    are the legs' rows, one leg after another.  The parts' weights and,
+    where a space carries blocks, their block ids are those of the direct
+    sum: each part's ids follow those of the parts before it.
 
     A map that is not square is not invertible: False (a zero row of a
     square map is caught by the closed form's count of nonzeros).  A map
@@ -319,24 +354,28 @@ def _split_by_legs(x, e: int, a: int) -> Optional[bool]:
     dual l1 spaces.  With blocks that fails (an l1 plane is isometric to
     a sup plane, (u, v) |-> (u + v, u - v)), so None: `is_isometric_iso`
     decides the built map."""
-    head, tail = x.cover_maps[(e & ~a, e)], _walk(x, a, e)
     if x.covariant:
-        first, second, whole = head.source, tail.source, head.target
-        rows = _side_by_side((head, tail), whole.dim)
+        parts, whole = [leg.source for leg in legs], legs[0].target
+        rows = _side_by_side(legs, whole.dim)
     else:
-        first, second, whole = head.target, tail.target, head.source
-        rows = head.rows + tail.rows
-    if whole.dim != first.dim + second.dim:
+        parts, whole = [leg.target for leg in legs], legs[0].source
+        rows = tuple(row for leg in legs for row in leg.rows)
+    weights: tuple[Fraction, ...] = ()
+    for part in parts:
+        weights += part.weights
+    if whole.dim != len(weights):
         return False
     blocks = None
-    if first.groups or second.groups or whole.groups:
-        off = len(first.effective_groups())
-        parts = _block_ids(first) + [off + k for k in _block_ids(second)]
-        blocks = (parts, _block_ids(whole)) if x.covariant else (_block_ids(whole), parts)
+    if whole.groups or any(part.groups for part in parts):
+        ids: list[int] = []
+        off = 0
+        for part in parts:
+            ids += [off + k for k in _block_ids(part)]
+            off += len(part.effective_groups())
+        blocks = (ids, _block_ids(whole)) if x.covariant else (_block_ids(whole), ids)
     mono = _monomial_data(rows)
     if mono is None:
         return None if blocks else False
-    weights = first.weights + second.weights
     if x.covariant:
         return _isometric_monomial(mono, weights, whole.weights, blocks)
     return _isometric_monomial(mono, whole.weights, weights, blocks)
@@ -348,37 +387,39 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
     partition map or its restriction cone.  Without `exhaustive`, each
     element with two or more atoms is decided by its top-atom split, and
     a failing element by the first failing binary split in enumeration
-    order.  The top-atom split is decided on its two legs' nonzeros
-    (`_split_by_legs`) when every space has one flavor; its partition map
-    or cone is built only for a non-monomial split of blocked SUP spaces
-    and to re-locate a failure.  Direct sums need
-    a single flavor, so a mixed-flavor (pre)cosheaf enumerates every
-    binary split and raises FlavorMismatch at the first one whose blocks
-    differ in flavor, unless an earlier split fails."""
+    order; with it, every partition of every element is checked.  When
+    every space has one flavor, each partition is decided on its legs'
+    nonzeros (`_split_by_legs`), the top-atom split's on the stored cover
+    map and the memoised structure map from the top atom; its partition
+    map or cone is built only for a non-monomial split of blocked SUP
+    spaces.  Direct sums need a single flavor, so a mixed-flavor
+    (pre)cosheaf builds the map of every binary split (every partition
+    under `exhaustive`) and raises FlavorMismatch at the first one whose
+    blocks differ in flavor, unless an earlier split fails."""
     mediated, reason = (
         (partition_map, "mediated partition map is not an isometric isomorphism")
         if x.covariant else
         (restriction_cone_map, "restriction cone is not an isometric isomorphism"))
     omega, spaces = x.algebra, x.spaces
+    one_flavor = len({s.flavor for s in spaces.values()}) <= 1
+
+    def isometric(e: int, blocks: Sequence[int], legs: Sequence[LinMap]) -> bool:
+        ok = _split_by_legs(x, legs) if one_flavor else None
+        return is_isometric_iso(mediated(x, e, blocks)) if ok is None else ok
+
     if exhaustive:
         partitions_of(omega, omega.top)  # the largest enumeration meets its cap first
-    one_split = not exhaustive and len({s.flavor for s in spaces.values()}) <= 1
     for e in omega.nonzero_elements():
         if exhaustive:
             candidates = (tuple(p.blocks) for p in partitions_of(omega, e))
         else:
-            top_atom = 1 << (e.bit_length() - 1)
-            if one_split:
-                if e == top_atom:
-                    continue
-                ok = _split_by_legs(x, e, top_atom)
-                if ok is None:
-                    ok = is_isometric_iso(mediated(x, e, (e & ~top_atom, top_atom)))
-                if ok:
-                    continue
+            a = 1 << (e.bit_length() - 1)
+            if e == a or one_flavor and isometric(
+                    e, (e & ~a, a), (x.cover_maps[(e & ~a, e)], _walk(x, a, e))):
+                continue
             candidates = _binary_splits(omega, e)
         for blocks in candidates:
-            if len(blocks) >= 2 and not is_isometric_iso(mediated(x, e, blocks)):
+            if len(blocks) >= 2 and not isometric(e, blocks, [_walk(x, f, e) for f in blocks]):
                 return Verdict(False, e, tuple(blocks), reason)
     if spaces[0].dim != 0:
         return Verdict(False, 0, (), "the bottom value must be the zero space")
@@ -413,10 +454,14 @@ def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
     below e before e.  When S_e fails, every element visited before e
     passed its split and so all of its binary splits; the binary splits
     of e are then enumerated and the first failing one is reported, the
-    first counterexample of the full binary-split enumeration.  `exhaustive` checks every partition of every element
-    instead, an oracle independent of the reduction.  The empty partition
-    covers bottom, so the bottom value must be zero; split counterexamples
-    are reported in preference to that degenerate one.
+    first counterexample of the full binary-split enumeration.
+    `exhaustive` checks every partition of every element instead, a
+    cross-check independent of the reduction.  Those partitions, and the
+    binary splits, are decided on their legs as S_e is, so no partition
+    map is built for one-flavor spaces without blocks; the test oracle
+    `partition_condition_by_built_maps` builds every one.  The empty
+    partition covers bottom, so the bottom value must be zero; split
+    counterexamples are reported in preference to that degenerate one.
     """
     return _partition_condition(mu, exhaustive)
 
@@ -1070,8 +1115,9 @@ def _conjugate(x, tag: str):
                     dict.fromkeys(((s, b) for s, b, _ in _covering_pairs(omega)),
                                   LinMap.zero(zero, zero)))
     columns, bases = _root_bases(x)
-    spaces = {e: FinBanSpace(tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(len(b))),
-                             (ONE,) * len(b), flavor) for e, b in bases.items()}
+    spaces = {e: FinBanSpace._trusted(
+        tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(len(b))), (ONE,) * len(b), flavor)
+        for e, b in bases.items()}
     # each nonzero basis over one common denominator, phi = r / den
     scaled = {e: _over_common_denominator([phi for phi, _ in b]) for e, b in bases.items() if b}
     cover_maps = {}
@@ -1112,20 +1158,20 @@ def isbell_adjoint(mu: PreCosheaf) -> PreSheaf:
 # ---------------------------------------------------------------------------
 
 def _monomial_twist(rng, space: FinBanSpace, tag: str):
-    """An isometric relabelling of a SUM space: signed scaling plus a
-    permutation, with the target weights forced by isometry."""
+    """An isometric relabelling T of a SUM space, T e_i = c_i e_perm(i):
+    signed scaling plus a permutation, with the target weights forced by
+    isometry.  Returns (T's target, perm, c); no map is built."""
     d = space.dim
     perm = list(range(d))
     rng.shuffle(perm)
-    coeff = [Fraction(rng.choice([1, -1]) * rng.randint(1, 3), rng.randint(1, 3))
-             for _ in range(d)]
-    new_weights, rows = [ZERO] * d, [()] * d
+    coeffs = [Fraction(rng.choice([1, -1]) * rng.randint(1, 3), rng.randint(1, 3))
+              for _ in range(d)]
+    weights = [ZERO] * d
     for i in range(d):
-        new_weights[perm[i]] = space.weights[i] / abs(coeff[i])
-        rows[perm[i]] = ((i, coeff[i]),)
-    twisted = FinBanSpace(tuple(f"{tag}{k}" for k in range(d)), tuple(new_weights), Flavor.SUM)
-    fwd = LinMap(space, twisted, tuple(rows))
-    return twisted, fwd, fwd.inverse()
+        weights[perm[i]] = space.weights[i] / abs(coeffs[i])
+    twisted = FinBanSpace._trusted(tuple(f"{tag}{k}" for k in range(d)), tuple(weights),
+                                   Flavor.SUM)
+    return twisted, perm, coeffs
 
 
 def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
@@ -1136,7 +1182,17 @@ def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
     Built without validation: with T_e the isometric isomorphism at e,
     the cover map of (s, t) is T_t o c(s, t) o T_s^-1, c the canonical
     one.  Along a chain the inner T^-1 o T cancel, so functoriality of c
-    carries over, and |T_t| |c(s, t)| |T_s^-1| <= 1 gives contractivity."""
+    carries over, and |T_t| |c(s, t)| |T_s^-1| <= 1 gives contractivity.
+
+    Every rng draw is made here, in a fixed order (the atom fibers, then
+    per element its twist), but a cover map is built on its first read
+    (`_BuiltOnRead`): a condition check and the spectral data read only
+    some of them.  It is written in closed form: T_s^-1 sends
+    e_perm_s(k) to e_k / c_s(k), c(s, t) sends e_k to e_i where row i of
+    c is ((k, 1),), and T_t sends e_i to c_t(i) e_perm_t(i), so row
+    perm_t(i) of the product is ((perm_s(k), c_t(i) / c_s(k)),), the
+    entry the two products give, and the rows of c without a nonzero
+    stay empty."""
     atom_spaces = {}
     for a in omega.atoms:
         d = rng.randint(1, max_dim)
@@ -1145,11 +1201,19 @@ def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
             tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)),
             Flavor.SUM)
     canonical = from_atom_spaces(omega, atom_spaces)
-    twists = {e: _monomial_twist(rng, canonical.space(e), f"v{e}_") for e in omega.elements()}
-    spaces = {e: twists[e][0] for e in omega.elements()}
-    cover_maps = {(small, big): twists[big][1] @ c @ twists[small][2]
-                  for (small, big), c in canonical.cover_maps.items()}
-    return PreCosheaf(omega, spaces, cover_maps)
+    twists = {e: _monomial_twist(rng, canonical.spaces[e], f"v{e}_") for e in omega.elements()}
+
+    def conjugated(pair: tuple[int, int]) -> LinMap:
+        (source, perm_s, c_s), (target, perm_t, c_t) = twists[pair[0]], twists[pair[1]]
+        rows: list[tuple] = [()] * target.dim
+        for i, row in enumerate(canonical.cover_maps[pair].rows):
+            if row:
+                (k, _), = row
+                rows[perm_t[i]] = ((perm_s[k], c_t[i] / c_s[k]),)
+        return LinMap(source, target, tuple(rows))
+
+    return PreCosheaf(omega, {e: twist[0] for e, twist in twists.items()},
+                      _BuiltOnRead(canonical.cover_maps, conjugated))
 
 
 def random_scaled_precosheaf(rng, omega: BoolAlg, max_dim: int = 2,

@@ -9,9 +9,11 @@ of a measure on every element, a cosheaf projection solved from its
 binary split, the spectral laws on every pair of elements, isometry of
 a witness by two operator norms, path independence by enumerating
 every path, an Isbell annihilator solved from all its killers at once,
-and the containment check of an Isbell conjugate's structure maps over
-every element where it applies.  They live here, not in `src/`, so
-that they stay independent of the code under test.
+the containment check of an Isbell conjugate's structure maps over
+every element where it applies, the exhaustive (co)sheaf condition on
+built partition maps and cones, and the seeded random cosheaf composed
+map by map.  They live here, not in `src/`, so that they stay
+independent of the code under test.
 """
 
 import itertools
@@ -20,8 +22,9 @@ from fractions import Fraction
 from catmeas.boolalg import partitions_of
 from catmeas.errors import InvalidModel, NotACosheaf
 from catmeas.exactla import identity, nullspace, rref, simplex_min
-from catmeas.finban import LinMap, operator_norm
-from catmeas.shcosh import partition_map
+from catmeas.finban import FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm
+from catmeas.shcosh import (PreCosheaf, Verdict, from_atom_spaces, partition_map,
+                            restriction_cone_map)
 from catmeas.simple import characteristic
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -249,3 +252,59 @@ def containment_by_all_submasks(x) -> list:
                    for phi in anns[s] for col in zip(*m)):
                 found.append((s, t, f))
     return found
+
+
+def partition_condition_by_built_maps(x):
+    """The verdict of `is_cosheaf`/`is_sheaf(x, exhaustive=True)` with
+    every map built: for each nonzero element in increasing order, every
+    partition of two or more blocks, its partition map (precosheaf) or
+    restriction cone (presheaf) decided by `is_isometric_iso`; then the
+    bottom value.  Raises FlavorMismatch where the blocks of a partition
+    differ in flavor, from the direct sum."""
+    mediated, reason = (
+        (partition_map, "mediated partition map is not an isometric isomorphism")
+        if x.covariant else
+        (restriction_cone_map, "restriction cone is not an isometric isomorphism"))
+    omega = x.algebra
+    for e in omega.nonzero_elements():
+        for p in partitions_of(omega, e):
+            blocks = tuple(p.blocks)
+            if len(blocks) >= 2 and not is_isometric_iso(mediated(x, e, blocks)):
+                return Verdict(False, e, blocks, reason)
+    if x.space(0).dim != 0:
+        return Verdict(False, 0, (), "the bottom value must be the zero space")
+    return Verdict(True)
+
+
+def random_cosheaf_by_composition(rng, omega, max_dim: int = 2):
+    """`shcosh.random_cosheaf` with every map built: the same draws in the
+    same order, each twist T_e a map e_i |-> c_i e_perm(i) with its
+    inverse, and every cover map the product T_t o c(s, t) o T_s^-1 of
+    the canonical one c, in a plain dict."""
+    atom_spaces = {}
+    for a in omega.atoms:
+        d = rng.randint(1, max_dim)
+        atom_spaces[a] = FinBanSpace(
+            tuple(f"{a}{k}" for k in range(d)),
+            tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)),
+            Flavor.SUM)
+    canonical = from_atom_spaces(omega, atom_spaces)
+    twists = {}
+    for e in omega.elements():
+        space = canonical.space(e)
+        perm = list(range(space.dim))
+        rng.shuffle(perm)
+        coeffs = [Fraction(rng.choice([1, -1]) * rng.randint(1, 3), rng.randint(1, 3))
+                  for _ in range(space.dim)]
+        weights, rows = [ZERO] * space.dim, [()] * space.dim
+        for i, (p, c) in enumerate(zip(perm, coeffs)):
+            weights[p] = space.weights[i] / abs(c)
+            rows[p] = ((i, c),)
+        twisted = FinBanSpace(tuple(f"v{e}_{k}" for k in range(space.dim)), tuple(weights),
+                              Flavor.SUM)
+        forward = LinMap(space, twisted, tuple(rows))
+        twists[e] = forward, forward.inverse()
+    cover_maps = {(small, big): twists[big][0] @ c @ twists[small][1]
+                  for (small, big), c in canonical.cover_maps.items()}
+    return PreCosheaf(omega, {e: forward.target for e, (forward, _) in twists.items()},
+                      cover_maps)

@@ -103,7 +103,7 @@ TEXT_DIGESTS = {
     ("broken_cosheaf", "check-cosheaf"):
         (1, "d252cdb5b81531e7090cd32c915c92d997310453642abdfff8e5a08ff58a6a46"),
     ("broken_cosheaf", "check-cosheaf --exhaustive"):
-        (1, "d252cdb5b81531e7090cd32c915c92d997310453642abdfff8e5a08ff58a6a46"),
+        (1, "202e7dfc5a518d9eed9ba863bddcb0b8f6541cf0196a31ae4004903c337d68c7"),
     ("broken_cosheaf", "check-sheaf"):
         (0, "89a8a7090c50cd27d34ddb326416df007bdd4297fb82f6032f032054176398b0"),
     ("broken_cosheaf", "cosheafify"):
@@ -139,7 +139,7 @@ TEXT_DIGESTS = {
     ("reference", "check-cosheaf"):
         (0, "2f6aec19acd83b3154949fac1becf7f6b64c4f54c42767c613de8b3320996a39"),
     ("reference", "check-cosheaf --exhaustive"):
-        (0, "2f6aec19acd83b3154949fac1becf7f6b64c4f54c42767c613de8b3320996a39"),
+        (0, "4cfe08f62c4e7b0e820f218a5e4ad341c1784b6c7d018edea5e16455e9bd43bc"),
     ("reference", "check-sheaf"):
         (0, "3cf20593d38f2c6ceaac11c0d2a77d6654a2c5c2d040be17bf5ee73f37bbe9d5"),
     ("reference", "cosheafify"):

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from catmeas import cli, exactla, finban, shcosh
 from catmeas.boolalg import BoolAlg, partitions_of, stone_space
-from catmeas.errors import (CatmeasError, InvalidModel, NotACosheaf, NotAFunctor,
-                            SupportError)
+from catmeas.errors import (CatmeasError, FlavorMismatch, InvalidModel, NotACosheaf,
+                            NotAFunctor, SupportError)
 from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, operator_norm,
                             scalars, sum_space, sup_space, zero_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
@@ -38,7 +38,8 @@ from catmeas.shcosh import (bva_cosheaf,
                             zero_precosheaf)
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
 
-from oracles import (annihilator_by_killers, containment_by_all_submasks, rank,
+from oracles import (annihilator_by_killers, containment_by_all_submasks,
+                     partition_condition_by_built_maps, random_cosheaf_by_composition, rank,
                      spectral_laws_by_pairs, split_projection)
 
 F = Fraction
@@ -300,7 +301,10 @@ def test_one_split_cosheaf_check_matches_split_enumeration():
     assert {2, 3, 4, 5} <= sizes
 
 
-def test_one_split_sheaf_check_matches_split_enumeration():
+def sheaf_cases():
+    """(label, presheaf, verdict of the precosheaf it is dual to, or None):
+    the duals of the seeded precosheaves, characteristic presheaves and
+    Yoneda presheaves on 1 to 5 atoms."""
     rng = random.Random(21)
     cases = []
     for label, mu in precosheaf_cases():
@@ -312,7 +316,11 @@ def test_one_split_sheaf_check_matches_split_enumeration():
             e = rng.randrange(omega.top + 1)
             cases.append((f"characteristic/{n}", characteristic_sheaf(omega, e), None))
             cases.append((f"yoneda/{n}", yoneda_presheaf(omega, e), None))
-    for label, xi, dual_of in cases:
+    return cases
+
+
+def test_one_split_sheaf_check_matches_split_enumeration():
+    for label, xi, dual_of in sheaf_cases():
         verdict = is_sheaf(xi)
         assert verdict == sheaf_oracle(xi), label
         assert bool(is_sheaf(xi, exhaustive=True)) == verdict.ok, label
@@ -362,7 +370,8 @@ def sup_precosheaf(mu):
 def split_cases():
     """(label, x) over one unblocked flavor, both variances: the seeded
     precosheaves and their duals, the walk cases, the two-atom shapes and
-    their duals, l1 of a measure with a null atom, and SUP precosheaves."""
+    their duals, l1 of a measure with a null atom, SUP precosheaves, and
+    a non-monomial top value with its dual."""
     for label, mu in precosheaf_cases():
         if label != "mixed_flavors":
             yield label, mu
@@ -381,6 +390,19 @@ def split_cases():
         yield f"sup/l1/null_atom/{n}", sup_precosheaf(mu)
         yield f"sup/damped/{n}", sup_precosheaf(
             damped_above(random_cosheaf(rng, omega), omega.top))
+    # unit l1 on 4 atoms with the value at top mixed by a contraction that
+    # is no isometry, (u, v, ...) |-> ((u + v)/2, (u - v)/2, ...): every
+    # partition map at top has two nonzeros in a row
+    omega = alg(*(f"x{i}" for i in range(4)))
+    mu = l1_cosheaf(MeasureAlgebra.from_values(omega, [F(1)] * 4))
+    half, top = F(1, 2), mu.space(omega.top)
+    mix = LinMap(top, top, (((0, half), (1, half)), ((0, half), (1, -half)))
+                 + finban._identity_rows(4)[2:])
+    mixed = make_precosheaf(omega, mu.spaces, {
+        (small, big): mix @ m if big == omega.top else m
+        for (small, big), m in mu.cover_maps.items()})
+    yield "l1/mixed_top", mixed
+    yield "dual/l1/mixed_top", dual_presheaf(mixed)
 
 
 def split_shape(m):
@@ -394,34 +416,57 @@ def split_shape(m):
     return "repeated_column" if len({row[0][0] for row in m.rows}) < len(m.rows) else "monomial"
 
 
+def split_partitions(omega, e):
+    """Partitions of e, two or more atoms, whose maps the leg tests build:
+    the top-atom split, the atomic partition of three or more atoms, and
+    {lowest atom, the atoms between, top atom} of four or more."""
+    atoms = [1 << i for i in omega.atom_indices(e)]
+    yield e & ~atoms[-1], atoms[-1]
+    if len(atoms) >= 3:
+        yield tuple(atoms)
+    if len(atoms) >= 4:
+        yield atoms[0], e & ~atoms[0] & ~atoms[-1], atoms[-1]
+
+
+def legs_of(x, e, blocks):
+    """x(F, e) for each block F, the structure maps between F and e."""
+    return [x.extension(f, e) if x.covariant else x.restriction(e, f) for f in blocks]
+
+
 def test_split_by_legs_matches_the_built_split_map():
     """At every element with two or more atoms, not only up to the first
-    failure, the split decided on the two legs' nonzeros is
-    `is_isometric_iso` of the built partition map or cone.  Only a
+    failure, a partition decided on its legs' nonzeros is
+    `is_isometric_iso` of the built partition map or cone, for the
+    top-atom split and for partitions of three or more blocks.  Only a
     non-monomial split of blocked spaces defers to the built map, and
     there the built map can be an isometric isomorphism; every shape
-    occurs in both variances."""
+    occurs in both variances, and the main ones with more blocks too."""
     seen = set()
     for label, x in itertools.chain(split_cases(), blocked_cases()):
         blocked = any(s.groups for s in x.spaces.values())
         mediated = partition_map if x.covariant else restriction_cone_map
         for e in x.algebra.nonzero_elements():
-            a = 1 << (e.bit_length() - 1)
-            if e == a:
+            if e & (e - 1) == 0:
                 continue
-            built = mediated(x, e, (e & ~a, a))
-            want, shape = is_isometric_iso(built), split_shape(built)
-            got = shcosh._split_by_legs(x, e, a)
-            deferred = blocked and shape in ("two_in_a_row", "repeated_column")
-            assert got == (None if deferred else want), (label, e)
-            seen.add((x.covariant, blocked, shape, want))
+            for blocks in split_partitions(x.algebra, e):
+                built = mediated(x, e, blocks)
+                want, shape = is_isometric_iso(built), split_shape(built)
+                got = shcosh._split_by_legs(x, legs_of(x, e, blocks))
+                deferred = blocked and shape in ("two_in_a_row", "repeated_column")
+                assert got == (None if deferred else want), (label, e, blocks)
+                seen.add((x.covariant, blocked, shape, want, len(blocks)))
     for covariant in (True, False):
-        assert {(covariant, False, "singular", False), (covariant, False, "two_in_a_row", False),
-                (covariant, False, "repeated_column", False),
-                (covariant, False, "monomial", False), (covariant, False, "monomial", True),
-                (covariant, True, "two_in_a_row", True)} <= seen
-    assert {(False, True, "monomial", False), (False, True, "monomial", True),
-            (True, True, "monomial", True)} <= seen
+        assert {(covariant, False, "singular", False, 2),
+                (covariant, False, "two_in_a_row", False, 2),
+                (covariant, False, "repeated_column", False, 2),
+                (covariant, False, "monomial", False, 2), (covariant, False, "monomial", True, 2),
+                (covariant, True, "two_in_a_row", True, 2)} <= seen
+        assert {(covariant, False, shape, want, k) for shape, want in (
+            ("singular", False), ("two_in_a_row", False),
+            ("monomial", False), ("monomial", True)) for k in (3, 4)} <= seen
+    assert {(False, True, "monomial", False, 2), (False, True, "monomial", True, 2),
+            (True, True, "monomial", True, 2), (False, True, "monomial", True, 3),
+            (False, True, "monomial", False, 3)} <= seen
 
 
 def blocked_product_presheaf(omega, fibers):
@@ -504,9 +549,10 @@ def test_blocked_splits_compare_blocks_and_mixed_splits_are_built(monkeypatch):
     """A blocked SUP (pre)sheaf is decided with the block ids of the
     direct sum, with the enumeration's verdicts: on the l1 plane over two
     sup lines every weight matches along a bijective cone but the blocks
-    do not.  A mixed-flavor precosheaf never reaches the legs."""
+    do not.  A mixed-flavor precosheaf never reaches the legs, with or
+    without `exhaustive`."""
     xi = dict(blocked_cases())["blocked/l1_plane"]
-    assert shcosh._split_by_legs(xi, 3, 2) is False
+    assert shcosh._split_by_legs(xi, legs_of(xi, 3, (1, 2))) is False
     assert not is_isometric_iso(restriction_cone_map(xi, 3, (1, 2)))
     verdicts = set()
     for label, x in blocked_cases():
@@ -523,13 +569,16 @@ def test_blocked_splits_compare_blocks_and_mixed_splits_are_built(monkeypatch):
     monkeypatch.setattr(shcosh, "_split_by_legs", refuse)
     mixed = dict(precosheaf_cases())["mixed_flavors"]
     assert outcome(is_cosheaf, mixed) == outcome(cosheaf_oracle, mixed)
+    assert outcome(is_cosheaf, mixed, exhaustive=True) == \
+        outcome(partition_condition_by_built_maps, mixed)
 
 
 def test_passing_condition_checks_build_no_split_map(monkeypatch):
-    """On passing 7-atom inputs, blocked SUP spaces included, the
-    non-exhaustive check builds no summed space, partition map or cone;
-    on a damped cosheaf it builds them only
-    for the binary splits of the failing element."""
+    """On 7-atom inputs, blocked SUP spaces with monomial splits included,
+    the check builds no summed space, partition map or cone: not when it
+    passes, not when a damped cosheaf fails and its failure is re-located
+    on the binary splits' legs, and not under `exhaustive` on inputs of
+    one unblocked flavor."""
     omega = alg(*(f"x{i}" for i in range(7)))
     mu = l1_cosheaf(positive_measure(omega))
     fibers = [FinBanSpace((f"x{i}0", f"x{i}1"), (F(1), F(i + 1)), Flavor.SUP,
@@ -551,12 +600,87 @@ def test_passing_condition_checks_build_no_split_map(monkeypatch):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for x in passing:
         assert (is_cosheaf if x.covariant else is_sheaf)(x)
-    assert calls == []
     verdict = is_cosheaf(failing)
     assert not verdict and verdict.failing_element == 0b0010110
-    maps = [args for name, args in calls if name == "partition_map"]
-    assert maps and all(args[1] == 0b0010110 for args in maps)
-    assert len(maps) <= 3 and len(calls) == 2 * len(maps)
+    assert verdict == cosheaf_oracle(failing)
+    calls.clear()  # the oracle builds its maps
+    for x in passing[:5] + [failing]:
+        assert not any(s.groups for s in x.spaces.values())
+        exhaustive = (is_cosheaf if x.covariant else is_sheaf)(x, exhaustive=True)
+        assert exhaustive.ok == (x is not failing)
+    assert calls == []
+
+
+def test_exhaustive_check_matches_the_built_maps():
+    """Under `exhaustive` every partition is decided on its legs; the
+    oracle builds each partition map or cone and decides it with
+    `is_isometric_iso`.  The full outcome, the verdict with its element,
+    blocks and reason or the error raised, is the same on the seeded
+    precosheaves, the sheaf cases, the blocked (pre)sheaves and a damped
+    cosheaf that fails at a four-atom element."""
+    rng = random.Random(101)
+    omega = alg(*(f"x{i}" for i in range(5)))
+    cases = [*precosheaf_cases(), *((label, xi) for label, xi, _ in sheaf_cases()),
+             *blocked_cases(), ("damped/5", damped_above(random_cosheaf(rng, omega), 0b11011))]
+    kinds = set()
+    for label, x in cases:
+        check = is_cosheaf if x.covariant else is_sheaf
+        got = outcome(check, x, exhaustive=True)
+        assert got == outcome(partition_condition_by_built_maps, x), label
+        kinds.add((x.covariant, got if isinstance(got, type) else got.ok))
+    assert kinds == {(True, True), (True, False), (True, FlavorMismatch),
+                     (False, True), (False, False)}
+    damped = outcome(is_cosheaf, cases[-1][1], exhaustive=True)
+    assert damped.failing_element == 0b11011 and len(damped.failing_blocks) >= 2
+
+
+# -- the seeded probe ---------------------------------------------------------
+
+def test_lazy_probe_equals_the_composed_one():
+    """For 1 to 7 atoms and several seeds, the probe whose cover maps are
+    written on read has the spaces, keys, order and rows of the one whose
+    maps are composed eagerly, leaves the rng in the same state, and
+    behaves like that dict."""
+    for n in range(1, 8):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        for seed in (0, 1, 5):
+            rng, rng_oracle = random.Random(seed), random.Random(seed)
+            probe = random_cosheaf(rng, omega)
+            want = random_cosheaf_by_composition(rng_oracle, omega)
+            assert rng.getstate() == rng_oracle.getstate(), (n, seed)
+            assert probe.spaces == want.spaces
+            maps = probe.cover_maps
+            assert list(maps) == list(want.cover_maps) and len(maps) == n * 2 ** (n - 1)
+            for pair in reversed(list(want.cover_maps)):
+                assert pair in maps and maps[pair] == want.cover_maps[pair], (n, seed, pair)
+                assert maps.get(pair) is maps[pair]
+            assert probe == want and maps == want.cover_maps
+            assert (0, 0) not in maps and maps.get((0, 0)) is None
+            with pytest.raises(KeyError):
+                maps[(0, 0)]
+
+
+def test_lazy_probe_validates_and_checks_read_a_share_of_its_maps():
+    """The probe is functorial and contractive by the validator, which
+    reads every map; at 7 atoms the condition check and the spectral laws
+    build 240 of the 448 cover maps."""
+    for n in range(1, 6):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        probe = random_cosheaf(random.Random(n), omega)
+        assert make_precosheaf(omega, probe.spaces, probe.cover_maps) == probe
+    omega = alg(*(f"x{i}" for i in range(7)))
+    probe = random_cosheaf(random.Random(7), omega)
+    assert is_cosheaf(probe) and spectral_measure(probe).satisfies_laws()
+    assert (len(probe.cover_maps._built), len(probe.cover_maps)) == (240, 448)
+
+
+def test_colliding_atom_block_labels_are_refused():
+    """`from_atom_spaces` labels the block of atom a by `a:b`, so atoms x
+    and x:y with basis labels y:z and z both give x:y:z: the parser
+    forbids `:` in an atom name, `BoolAlg` does not."""
+    omega = BoolAlg(("x", "x:y"))
+    with pytest.raises(InvalidModel, match="duplicate basis labels"):
+        from_atom_spaces(omega, {"x": sum_space(["y:z"]), "x:y": sum_space(["z"])})
 
 
 # -- spectral measures -------------------------------------------------------
