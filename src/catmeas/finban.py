@@ -107,7 +107,9 @@ class FinBanSpace:
             raise InvalidModel("one weight per basis label required")
         if len(set(self.basis)) != len(self.basis):
             raise InvalidModel("duplicate basis labels")
-        if any(w <= 0 for w in self.weights):
+        # a rational's sign is its numerator's: comparing ints skips
+        # Fraction's numbers.Rational check, once per weight of every space
+        if any(w.numerator <= 0 for w in self.weights):
             raise InvalidModel("weights must be strictly positive")
         if self.groups is not None:
             if self.flavor is not Flavor.SUP:
@@ -116,22 +118,6 @@ class FinBanSpace:
             if seen != list(range(self.dim)) or not all(self.groups):
                 raise InvalidModel("groups must partition the basis indices "
                                    "into nonempty blocks")
-
-    @classmethod
-    def _trusted(cls, basis: tuple[str, ...], weights: tuple[Fraction, ...],
-                 flavor: Flavor) -> "FinBanSpace":
-        """The library's constructor for a space without groups whose
-        weights are positive by construction: inherited from validated
-        spaces, divided by some |c| > 0, or nominal units.  It skips the
-        positivity and groups checks of `__post_init__` (and the length
-        check: each caller builds labels and weights of one length).  The
-        labels are new, so the duplicate check stays: `atom:b` labels
-        collide when an atom name holds `:`."""
-        if len(set(basis)) != len(basis):
-            raise InvalidModel("duplicate basis labels")
-        space = object.__new__(cls)
-        space.__dict__.update(basis=basis, weights=weights, flavor=flavor, groups=None)
-        return space
 
     @property
     def dim(self) -> int:

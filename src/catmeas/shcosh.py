@@ -240,9 +240,7 @@ def from_atom_spaces(omega: BoolAlg,
     and a composite of inclusions is the inclusion.  For a covering pair
     (small, small + atom k), big's basis is small's with k's block
     inserted at off = sum of dim(atom i) over the atoms i < k below small,
-    so the inclusion is small's identity with zero rows inserted at off.
-    The element spaces are built by `FinBanSpace._trusted`: their weights
-    are the validated fibers'."""
+    so the inclusion is small's identity with zero rows inserted at off."""
     for a in omega.atoms:
         if a not in atom_spaces:
             raise InvalidModel(f"missing atom space for {a!r}")
@@ -254,7 +252,7 @@ def from_atom_spaces(omega: BoolAlg,
     for e in omega.nonzero_elements():
         top = e.bit_length() - 1
         rest, (labels, weights) = spaces[e & ~(1 << top)], blocks[top]
-        spaces[e] = FinBanSpace._trusted(rest.basis + labels, rest.weights + weights, Flavor.SUM)
+        spaces[e] = FinBanSpace(rest.basis + labels, rest.weights + weights, Flavor.SUM)
     cover_maps = {}
     for small, big, k in _covering_pairs(omega):
         source, target = spaces[small], spaces[big]
@@ -1115,9 +1113,8 @@ def _conjugate(x, tag: str):
                     dict.fromkeys(((s, b) for s, b, _ in _covering_pairs(omega)),
                                   LinMap.zero(zero, zero)))
     columns, bases = _root_bases(x)
-    spaces = {e: FinBanSpace._trusted(
-        tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(len(b))), (ONE,) * len(b), flavor)
-        for e, b in bases.items()}
+    spaces = {e: FinBanSpace(tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(len(b))),
+                             (ONE,) * len(b), flavor) for e, b in bases.items()}
     # each nonzero basis over one common denominator, phi = r / den
     scaled = {e: _over_common_denominator([phi for phi, _ in b]) for e, b in bases.items() if b}
     cover_maps = {}
@@ -1169,8 +1166,7 @@ def _monomial_twist(rng, space: FinBanSpace, tag: str):
     weights = [ZERO] * d
     for i in range(d):
         weights[perm[i]] = space.weights[i] / abs(coeffs[i])
-    twisted = FinBanSpace._trusted(tuple(f"{tag}{k}" for k in range(d)), tuple(weights),
-                                   Flavor.SUM)
+    twisted = FinBanSpace(tuple(f"{tag}{k}" for k in range(d)), tuple(weights), Flavor.SUM)
     return twisted, perm, coeffs
 
 

@@ -587,6 +587,7 @@ def test_passing_condition_checks_build_no_split_map(monkeypatch):
                characteristic_sheaf(omega, omega.top), characteristic_sheaf(omega, 0b1011001),
                dual_presheaf(mu), blocked_product_presheaf(omega, fibers)]
     failing = damped_above(mu, 0b0010110)
+    want = cosheaf_oracle(failing)  # the oracle builds its maps
     calls = []
 
     def counting(name, f):
@@ -600,10 +601,11 @@ def test_passing_condition_checks_build_no_split_map(monkeypatch):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for x in passing:
         assert (is_cosheaf if x.covariant else is_sheaf)(x)
+    assert calls == []
     verdict = is_cosheaf(failing)
     assert not verdict and verdict.failing_element == 0b0010110
-    assert verdict == cosheaf_oracle(failing)
-    calls.clear()  # the oracle builds its maps
+    assert calls == []
+    assert verdict == want
     for x in passing[:5] + [failing]:
         assert not any(s.groups for s in x.spaces.values())
         exhaustive = (is_cosheaf if x.covariant else is_sheaf)(x, exhaustive=True)
