@@ -101,8 +101,11 @@ class FinBanSpace:
     weights: tuple[Fraction, ...]
     flavor: Flavor
     groups: Optional[tuple[tuple[int, ...], ...]] = None
+    # len(basis), stored once: the condition checks read it per split
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", len(self.basis))
         if len(self.basis) != len(self.weights):
             raise InvalidModel("one weight per basis label required")
         if len(set(self.basis)) != len(self.basis):
@@ -118,10 +121,6 @@ class FinBanSpace:
             if seen != list(range(self.dim)) or not all(self.groups):
                 raise InvalidModel("groups must partition the basis indices "
                                    "into nonempty blocks")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     def effective_groups(self) -> tuple[tuple[int, ...], ...]:
         if self.flavor is Flavor.SUM:
@@ -358,19 +357,14 @@ class LinMap:
 def _hstack(source: FinBanSpace, target: FinBanSpace, legs: Sequence[LinMap]) -> LinMap:
     """The map source -> target whose columns are those of the legs side
     by side, source being the direct sum of the legs' sources in order."""
-    return LinMap(source, target, _side_by_side(legs, target.dim))
-
-
-def _side_by_side(legs: Sequence[LinMap], height: int) -> tuple[Row, ...]:
-    """The rows of `_hstack`: each leg's columns shifted by the dims of the
-    sources of the legs before it."""
-    rows: tuple[Row, ...] = ((),) * height
+    rows: tuple[Row, ...] = ((),) * target.dim
     off = 0
     for leg in legs:
+        # each leg's columns shifted by the dims of the sources before it
         rows = tuple(acc + tuple((off + j, x) for j, x in row) if row else acc
                      for acc, row in zip(rows, leg.rows))
         off += leg.source.dim
-    return rows
+    return LinMap(source, target, rows)
 
 
 def _monomial_data(rows: Sequence[Row]) -> Optional[list[tuple[int, int, Fraction]]]:
@@ -498,13 +492,17 @@ def _isometric_monomial(entries, source_weights, target_weights, blocks=None) ->
     |c| w'(row) = w(col) at each one, and blocks onto blocks, compared only
     when `blocks` is given, as the `_block_ids` of source and target.
     Leave it out only between unblocked spaces of one flavor, where every
-    bijection of the coordinates carries blocks onto blocks.  A
-    coefficient +-1 compares the two weights with no product."""
+    bijection of the coordinates carries blocks onto blocks.  With
+    c = p/q, w' = a/b and w = r/s (denominators positive), |c| w' = w is
+    |p| a s = r q b, one comparison of int products: no Fraction is
+    compared or built, and each pair is read in one `as_integer_ratio`."""
     if len(entries) < len(source_weights):
         return False
     for j, i, c in entries:
-        w = target_weights[i] if c == 1 or c == -1 else abs(c) * target_weights[i]
-        if w != source_weights[j]:
+        p, q = c.as_integer_ratio()
+        a, b = target_weights[i].as_integer_ratio()
+        r, s = source_weights[j].as_integer_ratio()
+        if abs(p) * a * s != r * q * b:
             return False
     if blocks is None:
         return True

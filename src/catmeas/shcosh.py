@@ -69,9 +69,8 @@ from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
 from . import exactla
 from .exactla import ONE, ZERO
 from .finban import (FinBanSpace, Flavor, LinMap, Vector, _block_ids, _hstack,
-                     _identity_rows, _isometric_monomial, _monomial_data,
-                     _over_common_denominator, _side_by_side, direct_sum,
-                     is_isometric_iso, operator_norm, scalars, sup_space, zero_space)
+                     _identity_rows, _isometric_monomial, _over_common_denominator,
+                     direct_sum, is_isometric_iso, operator_norm, scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, linf_norm
 
@@ -122,7 +121,8 @@ class _BuiltOnRead(Mapping):
 class _Assignment:
     """Spaces on the elements and structure maps keyed by covering pairs
     (small, big), going the way the subclass's `covariant` says; the maps
-    are a dict, or a `_BuiltOnRead` mapping for the seeded probe.  Both
+    are a dict, or a `_BuiltOnRead` mapping for the canonical cosheaf and
+    the seeded probe.  Both
     never change after construction (no library code writes to them), so
     `_walk` memoises structure maps in `_walks`, outside init, == and repr."""
 
@@ -240,7 +240,9 @@ def from_atom_spaces(omega: BoolAlg,
     and a composite of inclusions is the inclusion.  For a covering pair
     (small, small + atom k), big's basis is small's with k's block
     inserted at off = sum of dim(atom i) over the atoms i < k below small,
-    so the inclusion is small's identity with zero rows inserted at off."""
+    so the inclusion is small's identity with zero rows inserted at off.
+    The spaces are built here, each cover map on its first read
+    (`_BuiltOnRead`), from that closed form: a check reads only some."""
     for a in omega.atoms:
         if a not in atom_spaces:
             raise InvalidModel(f"missing atom space for {a!r}")
@@ -253,13 +255,16 @@ def from_atom_spaces(omega: BoolAlg,
         top = e.bit_length() - 1
         rest, (labels, weights) = spaces[e & ~(1 << top)], blocks[top]
         spaces[e] = FinBanSpace(rest.basis + labels, rest.weights + weights, Flavor.SUM)
-    cover_maps = {}
-    for small, big, k in _covering_pairs(omega):
+
+    def inclusion(pair: tuple[int, int]) -> LinMap:
+        small, big = pair
         source, target = spaces[small], spaces[big]
+        k = (big & ~small).bit_length() - 1
         eye, off = _identity_rows(source.dim), spaces[small & ((1 << k) - 1)].dim
-        rows = eye[:off] + ((),) * (target.dim - source.dim) + eye[off:]
-        cover_maps[(small, big)] = LinMap(source, target, rows)
-    return PreCosheaf(omega, spaces, cover_maps)
+        return LinMap(source, target, eye[:off] + ((),) * (target.dim - source.dim) + eye[off:])
+
+    pairs = ((small, big) for small, big, _ in _covering_pairs(omega))
+    return PreCosheaf(omega, spaces, _BuiltOnRead(pairs, inclusion))
 
 
 def restrict_to_atoms(mu: PreCosheaf) -> dict[str, FinBanSpace]:
@@ -334,16 +339,19 @@ def _split_by_legs(x, legs: Sequence[LinMap]) -> Optional[bool]:
     """Whether the split map of e into the blocks of a partition (x's
     partition map or restriction cone), for x of one flavor, is an
     isometric isomorphism, decided in `_isometric_monomial`'s closed form
-    on the nonzeros of the legs x(F, e), one per block F in order, with
-    no summed space and no stacked map built.  The partition map's rows
-    are the legs' columns side by side (`_side_by_side`); the cone's rows
-    are the legs' rows, one leg after another.  The parts' weights and,
-    where a space carries blocks, their block ids are those of the direct
-    sum: each part's ids follow those of the parts before it.
+    on the nonzeros of the legs x(F, e), one per block F in order.  No
+    summed space is built, and no row of the split map: its nonzeros are
+    read off the legs in one pass as (source col, target row, c).  The
+    partition map's columns are the legs' columns side by side, so a
+    leg's (row i, col j) is (i, off + j); the cone's rows are the legs'
+    rows one leg after another, so it is (off + i, j); off is the sum of
+    the dims of the parts before the leg.  The parts' weights and, where
+    a space carries blocks, their block ids are those of the direct sum:
+    each part's ids follow those of the parts before it.
 
     A map that is not square is not invertible: False (a zero row of a
     square map is caught by the closed form's count of nonzeros).  A map
-    with two nonzeros in a row, or a repeated column, is not
+    with a second nonzero in a row, or a repeated column, is not
     monomial; between unblocked spaces of one flavor it is then no
     isometric isomorphism: False.  An isometric isomorphism of weighted
     l1 spaces carries the extreme points +-e_j/w(j) of the unit ball onto
@@ -352,12 +360,11 @@ def _split_by_legs(x, legs: Sequence[LinMap]) -> Optional[bool]:
     dual l1 spaces.  With blocks that fails (an l1 plane is isometric to
     a sup plane, (u, v) |-> (u + v, u - v)), so None: `is_isometric_iso`
     decides the built map."""
-    if x.covariant:
+    covariant = x.covariant
+    if covariant:
         parts, whole = [leg.source for leg in legs], legs[0].target
-        rows = _side_by_side(legs, whole.dim)
     else:
         parts, whole = [leg.target for leg in legs], legs[0].source
-        rows = tuple(row for leg in legs for row in leg.rows)
     weights: tuple[Fraction, ...] = ()
     for part in parts:
         weights += part.weights
@@ -370,13 +377,26 @@ def _split_by_legs(x, legs: Sequence[LinMap]) -> Optional[bool]:
         for part in parts:
             ids += [off + k for k in _block_ids(part)]
             off += len(part.effective_groups())
-        blocks = (ids, _block_ids(whole)) if x.covariant else (_block_ids(whole), ids)
-    mono = _monomial_data(rows)
-    if mono is None:
-        return None if blocks else False
-    if x.covariant:
-        return _isometric_monomial(mono, weights, whole.weights, blocks)
-    return _isometric_monomial(mono, whole.weights, weights, blocks)
+        blocks = (ids, _block_ids(whole)) if covariant else (_block_ids(whole), ids)
+    entries, rows, cols = [], set(), set()
+    off = 0
+    for leg, part in zip(legs, parts):
+        for i, row in enumerate(leg.rows):
+            if not row:
+                continue
+            if len(row) > 1:
+                return None if blocks else False
+            (j, c), = row
+            col, r = (off + j, i) if covariant else (j, off + i)
+            if col in cols or r in rows:
+                return None if blocks else False
+            cols.add(col)
+            rows.add(r)
+            entries.append((col, r, c))
+        off += part.dim
+    if covariant:
+        return _isometric_monomial(entries, weights, whole.weights, blocks)
+    return _isometric_monomial(entries, whole.weights, weights, blocks)
 
 
 def _partition_condition(x, exhaustive: bool) -> Verdict:
@@ -1157,15 +1177,17 @@ def isbell_adjoint(mu: PreCosheaf) -> PreSheaf:
 def _monomial_twist(rng, space: FinBanSpace, tag: str):
     """An isometric relabelling T of a SUM space, T e_i = c_i e_perm(i):
     signed scaling plus a permutation, with the target weights forced by
-    isometry.  Returns (T's target, perm, c); no map is built."""
+    isometry, w'(perm(i)) = w(i) / |c_i|.  Returns (T's target, perm, c),
+    each c_i = p/q kept as the int pair (p, q) it is drawn as, so that
+    with w(i) = a/b the weight is the one Fraction(a q, b |p|); no map is
+    built."""
     d = space.dim
     perm = list(range(d))
     rng.shuffle(perm)
-    coeffs = [Fraction(rng.choice([1, -1]) * rng.randint(1, 3), rng.randint(1, 3))
-              for _ in range(d)]
+    coeffs = [(rng.choice([1, -1]) * rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)]
     weights = [ZERO] * d
-    for i in range(d):
-        weights[perm[i]] = space.weights[i] / abs(coeffs[i])
+    for i, (w, (p, q)) in enumerate(zip(space.weights, coeffs)):
+        weights[perm[i]] = Fraction(w.numerator * q, w.denominator * abs(p))
     twisted = FinBanSpace(tuple(f"{tag}{k}" for k in range(d)), tuple(weights), Flavor.SUM)
     return twisted, perm, coeffs
 
@@ -1182,13 +1204,15 @@ def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
 
     Every rng draw is made here, in a fixed order (the atom fibers, then
     per element its twist), but a cover map is built on its first read
-    (`_BuiltOnRead`): a condition check and the spectral data read only
-    some of them.  It is written in closed form: T_s^-1 sends
+    (`_BuiltOnRead`), and so is each canonical map it reads
+    (`from_atom_spaces`): a condition check and the spectral data read
+    only some of them.  It is written in closed form: T_s^-1 sends
     e_perm_s(k) to e_k / c_s(k), c(s, t) sends e_k to e_i where row i of
     c is ((k, 1),), and T_t sends e_i to c_t(i) e_perm_t(i), so row
     perm_t(i) of the product is ((perm_s(k), c_t(i) / c_s(k)),), the
     entry the two products give, and the rows of c without a nonzero
-    stay empty."""
+    stay empty.  With c_t(i) = p_t/q_t and c_s(k) = p_s/q_s drawn as
+    int pairs, that entry is the one Fraction(p_t q_s, q_t p_s)."""
     atom_spaces = {}
     for a in omega.atoms:
         d = rng.randint(1, max_dim)
@@ -1205,7 +1229,8 @@ def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
         for i, row in enumerate(canonical.cover_maps[pair].rows):
             if row:
                 (k, _), = row
-                rows[perm_t[i]] = ((perm_s[k], c_t[i] / c_s[k]),)
+                (p_t, q_t), (p_s, q_s) = c_t[i], c_s[k]
+                rows[perm_t[i]] = ((perm_s[k], Fraction(p_t * q_s, q_t * p_s)),)
         return LinMap(source, target, tuple(rows))
 
     return PreCosheaf(omega, {e: twist[0] for e, twist in twists.items()},

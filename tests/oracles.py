@@ -11,9 +11,11 @@ a witness by two operator norms, path independence by enumerating
 every path, an Isbell annihilator solved from all its killers at once,
 the containment check of an Isbell conjugate's structure maps over
 every element where it applies, the exhaustive (co)sheaf condition on
-built partition maps and cones, and the seeded random cosheaf composed
-map by map.  They live here, not in `src/`, so that they stay
-independent of the code under test.
+built partition maps and cones, the seeded random cosheaf composed
+map by map, the canonical cosheaf with every cover map built at once,
+and the closed-form isometry test on Fraction products.  They live
+here, not in `src/`, so that they stay independent of the code under
+test.
 """
 
 import itertools
@@ -23,8 +25,7 @@ from catmeas.boolalg import partitions_of
 from catmeas.errors import InvalidModel, NotACosheaf
 from catmeas.exactla import identity, nullspace, rref, simplex_min
 from catmeas.finban import FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm
-from catmeas.shcosh import (PreCosheaf, Verdict, from_atom_spaces, partition_map,
-                            restriction_cone_map)
+from catmeas.shcosh import PreCosheaf, Verdict, partition_map, restriction_cone_map
 from catmeas.simple import characteristic
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -185,6 +186,24 @@ def spectral_laws_by_pairs(spec) -> bool:
     return True
 
 
+def isometric_monomial_by_fractions(entries, source_weights, target_weights,
+                                    blocks=None) -> bool:
+    """`finban._isometric_monomial` with |c| w'(row) = w(col) compared as
+    Fractions, the product |c| w' built for each coefficient other than
+    +-1; blocks onto blocks compared as there."""
+    if len(entries) < len(source_weights):
+        return False
+    for j, i, c in entries:
+        w = target_weights[i] if c == 1 or c == -1 else abs(c) * target_weights[i]
+        if w != source_weights[j]:
+            return False
+    if blocks is None:
+        return True
+    sb, tb = blocks
+    pairs = {(sb[j], tb[i]) for j, i, _ in entries}
+    return len(pairs) == len(set(sb)) == len(set(tb))
+
+
 def contractive_both_ways(forward, backward) -> bool:
     """Both maps of an iso witness are contractions, by two operator norms."""
     return operator_norm(forward) <= 1 and operator_norm(backward) <= 1
@@ -276,6 +295,32 @@ def partition_condition_by_built_maps(x):
     return Verdict(True)
 
 
+def from_atom_spaces_eager(omega, atom_spaces):
+    """`shcosh.from_atom_spaces` with every cover map built at once into a
+    plain dict, keyed by the covering pairs (small, small + atom k) in
+    increasing small, then k: small's identity with the zero rows of k's
+    block inserted at the dim of the atoms below small lower than k."""
+    blocks = [(tuple(f"{a}:{b}" for b in atom_spaces[a].basis), tuple(atom_spaces[a].weights))
+              for a in omega.atoms]
+    spaces = {0: FinBanSpace((), (), Flavor.SUM)}
+    for e in range(1, omega.top + 1):
+        top = e.bit_length() - 1
+        rest, (labels, weights) = spaces[e & ~(1 << top)], blocks[top]
+        spaces[e] = FinBanSpace(rest.basis + labels, rest.weights + weights, Flavor.SUM)
+    cover_maps = {}
+    for small in range(omega.top + 1):
+        for k in range(omega.n):
+            if small >> k & 1:
+                continue
+            big = small | 1 << k
+            source, target = spaces[small], spaces[big]
+            eye = tuple(((i, ONE),) for i in range(source.dim))
+            off = spaces[small & ((1 << k) - 1)].dim
+            rows = eye[:off] + ((),) * (target.dim - source.dim) + eye[off:]
+            cover_maps[(small, big)] = LinMap(source, target, rows)
+    return PreCosheaf(omega, spaces, cover_maps)
+
+
 def random_cosheaf_by_composition(rng, omega, max_dim: int = 2):
     """`shcosh.random_cosheaf` with every map built: the same draws in the
     same order, each twist T_e a map e_i |-> c_i e_perm(i) with its
@@ -288,7 +333,7 @@ def random_cosheaf_by_composition(rng, omega, max_dim: int = 2):
             tuple(f"{a}{k}" for k in range(d)),
             tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)),
             Flavor.SUM)
-    canonical = from_atom_spaces(omega, atom_spaces)
+    canonical = from_atom_spaces_eager(omega, atom_spaces)
     twists = {}
     for e in omega.elements():
         space = canonical.space(e)

@@ -1,6 +1,7 @@
 """Weighted l1/sup spaces: norms, exact operator norms, direct sums,
 projective tensor with its LP oracle, LP quotients, coends and ends."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -16,8 +17,8 @@ from catmeas.finban import (BifunctorData, FinBanSpace, FinPoset, Flavor,
                             sum_space, sup_space, vec, zero_space)
 
 from oracles import (contractive_both_ways, dual_extreme_functionals,
-                     operator_norm_by_vertices, path_independent_by_enumeration,
-                     projective_norm_oracle)
+                     isometric_monomial_by_fractions, operator_norm_by_vertices,
+                     path_independent_by_enumeration, projective_norm_oracle)
 
 F = Fraction
 
@@ -370,6 +371,70 @@ def test_closed_form_isometry_matches_inverse_and_norms(monkeypatch):
     for flavor, blocked in (("sum", False), ("sup", False), ("sup", True)):
         assert {("unit_equal", flavor, flavor, blocked, True, True),
                 ("unit_unequal", flavor, flavor, blocked, True, False)} <= seen
+
+
+def test_int_closed_form_matches_the_fraction_comparison():
+    """`_isometric_monomial` compares |c| w' = w as one int product against
+    another; the oracle compares Fractions.  Random monomial entries,
+    some with c = +-w/w' so that they match, some with a column left out,
+    some with a coefficient off by a factor; with block ids carried onto
+    blocks, scrambled, or left out."""
+    rng = random.Random(73)
+    seen = set()
+    for k in range(4000):
+        d = k % 6
+        sw = [rnd_pos(rng, 5, 4) for _ in range(d)]
+        tw = [rnd_pos(rng, 5, 4) for _ in range(d)]
+        perm = rng.sample(range(d), d)
+        entries = []
+        for j in range(d):
+            i = perm[j]
+            c = sw[j] / tw[i] if rng.random() < 0.8 else rnd_pos(rng, 5, 4)
+            c = -c if rng.random() < 0.5 else c
+            entries.append((j, i, c))
+        if d and k % 5 == 0:
+            j, i, c = entries[rng.randrange(d)]
+            entries[j] = (j, i, c * rng.choice((F(1, 2), F(3, 2), F(-1))))
+        if d and k % 7 == 0:
+            del entries[rng.randrange(d)]
+        blocks = None
+        if k % 3:
+            sb = [rng.randrange(d) for _ in range(d)]
+            tb = [0] * d
+            for j in range(d):
+                tb[perm[j]] = sb[j]
+            if k % 3 == 2 and d:
+                tb[rng.randrange(d)] = rng.randrange(d)
+            blocks = (sb, tb)
+        rng.shuffle(entries)
+        want = isometric_monomial_by_fractions(entries, sw, tw, blocks)
+        assert finban._isometric_monomial(entries, sw, tw, blocks) == want, (entries, sw, tw)
+        seen.add((blocks is not None, want))
+    assert seen == {(b, w) for b in (True, False) for w in (True, False)}
+
+
+def test_dim_is_stored_outside_equality_hash_and_repr():
+    """`dim` is set once from the basis: spaces built on different paths
+    compare and hash equal, the repr shows the four declared fields only,
+    and `dataclasses.replace` recomputes `dim`."""
+    direct = FinBanSpace(("x", "y"), (F(1), F(2, 3)), Flavor.SUM)
+    helper = sum_space(["x", "y"], [1, F(4, 6)])
+    replaced = dataclasses.replace(sum_space(["p"], [5]), basis=("x", "y"),
+                                   weights=(F(1), F(2, 3)))
+    summed = direct_sum([sum_space(["x"]), sum_space(["y"], [F(2, 3)])]).space
+    summed = dataclasses.replace(summed, basis=("x", "y"))
+    for s in (helper, replaced, summed):
+        assert s == direct and hash(s) == hash(direct) and s.dim == 2
+    assert repr(direct) == ("FinBanSpace(basis=('x', 'y'), weights=(Fraction(1, 1), "
+                            "Fraction(2, 3)), flavor=<Flavor.SUM: 'sum'>, groups=None)")
+    assert dataclasses.replace(direct, basis=("x", "y", "z"),
+                               weights=direct.weights + (F(1),)).dim == 3
+    with pytest.raises(ValueError):
+        dataclasses.replace(direct, dim=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        direct.dim = 5
+    assert [f.name for f in dataclasses.fields(direct) if f.compare] == \
+        ["basis", "weights", "flavor", "groups"]
 
 
 def test_permutation_witness_matches_its_definition():

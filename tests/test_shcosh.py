@@ -28,7 +28,8 @@ from catmeas.shcosh import (bva_cosheaf,
                             integrate_simple_morphism, is_cosheaf,
                             is_isometric_iso, is_sheaf, l1_cosheaf,
                             l1_integration_map, make_precosheaf, make_presheaf,
-                            partition_map, PrecosheafMap, precosheaf_map_from_atoms,
+                            partition_map, PreCosheaf, PrecosheafMap, PreSheaf,
+                            precosheaf_map_from_atoms,
                             random_cosheaf, random_scaled_precosheaf,
                             restrict_to_atoms, restriction_cone_map,
                             _validate_functorial, sheaf_from_stone, sheaf_hom,
@@ -39,8 +40,9 @@ from catmeas.shcosh import (bva_cosheaf,
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
 
 from oracles import (annihilator_by_killers, containment_by_all_submasks,
-                     partition_condition_by_built_maps, random_cosheaf_by_composition, rank,
-                     spectral_laws_by_pairs, split_projection)
+                     from_atom_spaces_eager, partition_condition_by_built_maps,
+                     random_cosheaf_by_composition, rank, spectral_laws_by_pairs,
+                     split_projection)
 
 F = Fraction
 
@@ -469,6 +471,75 @@ def test_split_by_legs_matches_the_built_split_map():
             (False, True, "monomial", False, 3)} <= seen
 
 
+def hand_built_splits():
+    """(label, covariant, legs, verdict): splits of two hand-built legs,
+    each the case it is named for; SUM spaces for a cosheaf's partition
+    map, SUP spaces for a sheaf's restriction cone."""
+    one, zero = ((0, F(1)),), ()
+    for covariant, flavor in ((True, Flavor.SUM), (False, Flavor.SUP)):
+        kind = "cosheaf" if covariant else "sheaf"
+
+        def space(labels, weights=None):
+            return FinBanSpace(tuple(labels), tuple(weights or [F(1)] * len(labels)), flavor)
+
+        def split(whole, parts, rows):
+            """The legs between whole and each part, from each leg's rows."""
+            return [LinMap(p, whole, r) if covariant else LinMap(whole, p, r)
+                    for p, r in zip(parts, rows)]
+
+        a, b, uv, uvw = space("a"), space("b"), space("uv"), space("uvw")
+        if covariant:
+            # both legs onto u: two nonzeros in row u, none in row v
+            yield "cosheaf/two_in_a_row", True, split(
+                uv, (a, b), ((one, zero), (one, zero))), False
+            yield "cosheaf/repeated_column", True, split(
+                uv, (a, b), ((one, one), (zero, zero))), False
+        else:
+            yield "sheaf/shared_column", False, split(uv, (a, b), ((one,), (one,))), False
+            yield "sheaf/two_in_a_row", False, split(
+                uv, (a, b), ((((0, F(1)), (1, F(1))),), (one,))), False
+        rows = ((one, zero), (zero, zero)) if covariant else ((one,), (zero,))
+        yield f"{kind}/zero_row", covariant, split(uv, (a, b), rows), False
+        rows = ((one, zero, zero), (zero, one, zero)) if covariant else \
+            ((one,), (((1, F(1)),),))
+        yield f"{kind}/non_square", covariant, split(uvw, (a, b), rows), False
+        # equal weights held as distinct Fraction objects, coefficient -1
+        whole = space("uv", [F(2, 3), F(5, 7)])
+        pa, pb = space("a", [F(4, 6)]), space("b", [F(10, 14)])
+        assert pa.weights[0] is not whole.weights[0] and pb.weights[0] is not whole.weights[1]
+        minus = ((0, F(-1)),)
+        rows = ((minus, zero), (zero, minus)) if covariant else ((minus,), (((1, F(-1)),),))
+        yield f"{kind}/minus_one", covariant, split(whole, (pa, pb), rows), True
+        # c = -3/2 carries weight 1 onto weight 2/3 isometrically, not onto 1/2
+        c = ((0, F(-3, 2)),)
+        for w, ok in ((F(2, 3), True), (F(1, 2), False)):
+            if covariant:
+                legs = split(space("uv", [w, F(1)]), (a, b), ((c, zero), (zero, one)))
+            else:
+                legs = split(uv, (space("a", [w]), b), ((c,), (((1, F(1)),),)))
+            yield f"{kind}/three_halves/{ok}", covariant, legs, ok
+
+
+def test_split_by_legs_on_hand_built_legs():
+    """Each hand-built split is decided on its legs with the verdict of
+    `is_isometric_iso` on the built partition map or cone; on blocked SUP
+    spaces, two nonzeros in a row defer to the built map."""
+    for label, covariant, legs, want in hand_built_splits():
+        parts = [leg.source if covariant else leg.target for leg in legs]
+        ds = direct_sum(parts)
+        built = ds.mediate_from_cone(legs) if covariant else ds.mediate_to_cone(legs)
+        assert is_isometric_iso(built) == want, label
+        kind = PreCosheaf if covariant else PreSheaf
+        assert shcosh._split_by_legs(kind, legs) is want, label
+    plane = FinBanSpace(("u", "v"), (F(1), F(1)), Flavor.SUP, ((0, 1),))
+    half = F(1, 2)
+    legs = [LinMap(sup_space(["a"]), plane, (((0, half),), ((0, half),))),
+            LinMap(sup_space(["b"]), plane, (((0, half),), ((0, -half),)))]
+    assert shcosh._split_by_legs(PreCosheaf, legs) is None
+    summed = direct_sum([leg.source for leg in legs]).space
+    assert is_isometric_iso(finban._hstack(summed, plane, legs))
+
+
 def blocked_product_presheaf(omega, fibers):
     """E |-> the product of the SUP fibers (with blocks) of the atoms below
     E, lowest first, restrictions dropping the coordinates of an atom: a
@@ -662,18 +733,53 @@ def test_lazy_probe_equals_the_composed_one():
                 maps[(0, 0)]
 
 
-def test_lazy_probe_validates_and_checks_read_a_share_of_its_maps():
+def test_lazy_probe_validates_and_checks_read_a_share_of_its_maps(monkeypatch):
     """The probe is functorial and contractive by the validator, which
     reads every map; at 7 atoms the condition check and the spectral laws
-    build 240 of the 448 cover maps."""
+    build 240 of the 448 cover maps, and read the canonical map under
+    each of those only."""
     for n in range(1, 6):
         omega = alg(*(f"x{i}" for i in range(n)))
         probe = random_cosheaf(random.Random(n), omega)
         assert make_precosheaf(omega, probe.spaces, probe.cover_maps) == probe
+    canonical = []
+    build = shcosh.from_atom_spaces
+    monkeypatch.setattr(shcosh, "from_atom_spaces",
+                        lambda *args: canonical.append(build(*args)) or canonical[-1])
     omega = alg(*(f"x{i}" for i in range(7)))
     probe = random_cosheaf(random.Random(7), omega)
+    assert len(canonical) == 1 and not canonical[0].cover_maps._built
     assert is_cosheaf(probe) and spectral_measure(probe).satisfies_laws()
     assert (len(probe.cover_maps._built), len(probe.cover_maps)) == (240, 448)
+    read = canonical[0].cover_maps._built
+    assert len(read) < len(canonical[0].cover_maps) == 448
+    assert set(read) == set(probe.cover_maps._built)
+
+
+def test_canonical_cosheaf_built_on_read_equals_the_eager_one():
+    """For 1 to 7 atoms, fibers of dim 0 to 3, `from_atom_spaces` builds
+    no cover map until one is read, and has the spaces, keys, key order
+    and rows of the eager build, read in any order."""
+    rng = random.Random(29)
+    for n in range(1, 8):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        for _ in range(3):
+            atom_spaces = {a: sum_space([f"b{j}" for j in range(d)],
+                                        [F(rng.randint(1, 5), rng.randint(1, 3))
+                                         for _ in range(d)])
+                           for a, d in ((a, rng.randint(0, 3)) for a in omega.atoms)}
+            got, want = from_atom_spaces(omega, atom_spaces), from_atom_spaces_eager(
+                omega, atom_spaces)
+            maps = got.cover_maps
+            assert not maps._built and len(maps) == n * 2 ** (n - 1)
+            assert got.spaces == want.spaces and list(got.spaces) == list(want.spaces)
+            assert list(maps) == list(want.cover_maps)
+            pairs = list(want.cover_maps)
+            rng.shuffle(pairs)
+            for pair in pairs:
+                assert maps[pair].rows == want.cover_maps[pair].rows, (n, pair)
+                assert maps[pair] == want.cover_maps[pair] and maps.get(pair) is maps[pair]
+            assert got == want
 
 
 def test_colliding_atom_block_labels_are_refused():
