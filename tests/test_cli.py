@@ -406,6 +406,46 @@ def test_broken_fixture_exits_one_with_partition():
     assert verdict["detail"]["blocks"] == [["a"], ["b"]]
 
 
+def line_cosheaf_model(atoms, sup_at):
+    """A cosheaf named m on the given atoms whose value at each element is
+    a unit line, sup-normed at the elements `sup_at` picks and sum-normed
+    elsewhere, every extension [[1]]."""
+    omega = BoolAlg(tuple(atoms))
+    name = {e: "|".join(omega.atoms_below(e)) for e in omega.elements()}
+    spaces = {name[e]: "L" if sup_at(name[e]) else "S" for e in omega.elements()}
+    extensions = {}
+    for e in omega.elements():
+        for i in range(omega.n):
+            if not e >> i & 1:
+                extensions[f"{name[e]}<{name[e | 1 << i]}"] = [["1"]]
+    return {"algebra": {"atoms": list(atoms)},
+            "spaces": {"S": {"flavor": "sum", "basis": ["e"], "weights": ["1"]},
+                       "L": {"flavor": "sup", "basis": ["e"], "weights": ["1"]}},
+            "cosheaves": {"m": {"spaces": spaces, "extensions": extensions}}}
+
+
+@pytest.mark.parametrize("command", ["check-cosheaf", "verify-all"])
+def test_a_split_into_blocks_of_two_flavors_exits_two(tmp_path, command):
+    """A sup line at b and sum lines elsewhere: the split {a, b} sums a
+    sum line and a sup line, which no direct sum can."""
+    model = write_model(tmp_path, line_cosheaf_model(["a", "b"], lambda e: e == "b"))
+    out = run_cli(command, "--model", model, "--seed", "1", "--format", "structured")
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "error: direct_sum needs a single flavor\n")
+
+
+@pytest.mark.parametrize("command", ["check-cosheaf", "verify-all"])
+def test_a_failing_split_before_any_mixed_one_exits_one(tmp_path, command):
+    """Sum lines below a|b and sup lines from c up: the split {a, b} of
+    a|b, two lines onto one, fails before any split meets both flavors."""
+    model = write_model(tmp_path, line_cosheaf_model(["a", "b", "c"], lambda e: "c" in e))
+    out = run_cli(command, "--model", model, "--seed", "1", "--format", "structured")
+    assert out.returncode == 1, out.stderr
+    verdict = json.loads(out.stdout)["verdicts"]["cosheaf[m]"]
+    assert verdict == {"ok": False, "detail": {"element": ["a", "b"],
+                                               "blocks": [["a"], ["b"]]}}
+
+
 def test_unknown_command_exits_two():
     out = run_cli("frobnicate", "--model", str(MODELS / "reference.json"))
     assert out.returncode == 2
