@@ -9,10 +9,11 @@ distributivity/reassociation permutations, so `associator_witness` and
 friends build those permutations explicitly and verify that they are
 isometric.
 
-Tensor bases are ordered left factor major throughout; the witness
-machinery keys every constructed basis vector by the tuple of leaf
-indices behind it, which pins the canonical isomorphisms down as
-concrete permutation matrices.
+Tensor bases are ordered left factor major throughout.  Each composite
+entry or fiber is built once, from three keyed constructors (leaf,
+projective tensor, tagged direct sum) that key every basis vector by the
+set of leaf basis vectors behind it, which pins the canonical
+isomorphisms down as concrete permutation matrices.
 """
 
 from __future__ import annotations
@@ -194,36 +195,29 @@ def bundle_from_matrix(t: FunctorMatrix, x: str) -> Bundle:
     return Bundle(t.target_base, {y: t.entry(x, y) for y in t.target_base})
 
 
-# -- keyed construction: every basis vector of a composite space is keyed
-#    by the leaf indices behind it, which realises the canonical
-#    isomorphisms as permutations -------------------------------------------
+# -- keyed spaces (space, keys), one key per basis vector --------------------
 
 Key = frozenset
 
 
-def _keyed_tensor(a_pairs, b_pairs):
-    """Left-major keyed product of [(key, weight)] lists."""
-    return [(ka | kb, wa * wb) for ka, wa in a_pairs for kb, wb in b_pairs]
+def _keyed_leaf(tag: tuple, space: FinBanSpace):
+    """(space, keys): basis vector j keyed by the leaf (*tag, j)."""
+    return space, [Key({(*tag, j)}) for j in range(space.dim)]
 
 
-def _keyed_entry(tree, x: str, y: str):
-    """Enumerate (key, weight) pairs of the entry at (x, y) of a composite
-    matrix tree, in the exact order the constructed space uses.
+def _keyed_tensor(a, b):
+    """The projective tensor of two keyed spaces, left factor major."""
+    (space_a, keys_a), (space_b, keys_b) = a, b
+    return (projective_tensor(space_a, space_b).space,
+            [ka | kb for ka in keys_a for kb in keys_b])
 
-    tree is either ("leaf", name, FunctorMatrix) or ("comp", left, right)
-    meaning left o right.
-    """
-    kind = tree[0]
-    if kind == "leaf":
-        _, name, mat = tree
-        space = mat.entry(x, y)
-        return [(Key({(name, x, y, j)}), space.weights[j]) for j in range(space.dim)]
-    _, left, right = tree
-    mid = _tree_source(left)
-    out = []
-    for m in mid:
-        out.extend(_keyed_tensor(_keyed_entry(left, m, y), _keyed_entry(right, x, m)))
-    return out
+
+def _keyed_sum(parts, tags: Sequence[str]):
+    """The direct sum of keyed SUM spaces tagged in order (the zero space
+    when there are none)."""
+    space = direct_sum([p for p, _ in parts], tags=tags).space if parts \
+        else zero_space(Flavor.SUM)
+    return space, [k for _, keys in parts for k in keys]
 
 
 def _tree_source(tree):
@@ -234,15 +228,17 @@ def _tree_target(tree):
     return tree[2].target_base if tree[0] == "leaf" else _tree_target(tree[1])
 
 
-def _tree_space(tree, x: str, y: str) -> FinBanSpace:
-    """The space the actual constructions produce for this entry."""
+def _entry(tree, x: str, y: str):
+    """The keyed entry at (x, y) of a composite matrix tree, either
+    ("leaf", name, FunctorMatrix) or ("comp", left, right) meaning
+    left o right, whose entry is (+)_m left_m^y (x) right_x^m."""
     if tree[0] == "leaf":
-        return tree[2].entry(x, y)
+        _, name, mat = tree
+        return _keyed_leaf((name, x, y), mat.entry(x, y))
     _, left, right = tree
     mid = _tree_source(left)
-    parts = [projective_tensor(_tree_space(left, m, y), _tree_space(right, x, m)).space
-             for m in mid]
-    return direct_sum(parts, tags=list(mid)).space if parts else zero_space(Flavor.SUM)
+    return _keyed_sum([_keyed_tensor(_entry(left, m, y), _entry(right, x, m))
+                       for m in mid], mid)
 
 
 def compose(s: FunctorMatrix, t: FunctorMatrix) -> FunctorMatrix:
@@ -251,73 +247,54 @@ def compose(s: FunctorMatrix, t: FunctorMatrix) -> FunctorMatrix:
         raise InvalidModel("inner bases do not match")
     tree = ("comp", ("leaf", "S", s), ("leaf", "T", t))
     entries = {
-        (x, z): _tree_space(tree, x, z)
+        (x, z): _entry(tree, x, z)[0]
         for x in t.source_base for z in s.target_base}
     return FunctorMatrix(t.source_base, s.target_base, entries)
 
 
-def permutation_witness(space_a: FinBanSpace, keys_a, space_b: FinBanSpace,
-                        keys_b) -> IsoWitness:
-    """The canonical permutation matching equal keys, as an IsoWitness."""
+def permutation_witness(a, b) -> IsoWitness:
+    """The canonical permutation between two keyed spaces matching equal
+    keys, as an IsoWitness."""
+    (space_a, keys_a), (space_b, keys_b) = a, b
     if len(keys_a) != len(keys_b):
         raise InvalidModel("keyed spaces have different dimensions")
-    position = {k: i for i, (k, _) in enumerate(keys_b)}
+    position = {k: i for i, k in enumerate(keys_b)}
     if len(position) != len(keys_b):
         raise InvalidModel("keys are not unique")
-    image = []
-    for k, w in keys_a:
-        if k not in position:
-            raise InvalidModel("keys do not match")
-        image.append(position[k])
-    return IsoWitness.from_permutation(space_a, space_b, image)
+    if any(k not in position for k in keys_a):
+        raise InvalidModel("keys do not match")
+    return IsoWitness.from_permutation(space_a, space_b, [position[k] for k in keys_a])
 
 
 def associator_witness(r: FunctorMatrix, s: FunctorMatrix, t: FunctorMatrix,
                        x: str, w: str) -> IsoWitness:
     """Canonical iso between the (x, w) entries of (r s) t and r (s t)."""
-    left_tree = ("comp", ("comp", ("leaf", "R", r), ("leaf", "S", s)), ("leaf", "T", t))
-    right_tree = ("comp", ("leaf", "R", r), ("comp", ("leaf", "S", s), ("leaf", "T", t)))
-    return permutation_witness(
-        _tree_space(left_tree, x, w), _keyed_entry(left_tree, x, w),
-        _tree_space(right_tree, x, w), _keyed_entry(right_tree, x, w))
+    rr, ss, tt = ("leaf", "R", r), ("leaf", "S", s), ("leaf", "T", t)
+    return reassociation_witness(("comp", ("comp", rr, ss), tt),
+                                 ("comp", rr, ("comp", ss, tt)), x, w)
 
 
 def reassociation_witness(tree_a, tree_b, x: str, w: str) -> IsoWitness:
     """Canonical permutation between two bracketings of the same composite."""
-    return permutation_witness(
-        _tree_space(tree_a, x, w), _keyed_entry(tree_a, x, w),
-        _tree_space(tree_b, x, w), _keyed_entry(tree_b, x, w))
+    return permutation_witness(_entry(tree_a, x, w), _entry(tree_b, x, w))
 
 
 # -- application of matrices to bundles -------------------------------------
-
-def _keyed_fiber(tree, y: str):
-    """tree: ("bundle", name, Bundle) or ("apply", matrix_tree, bundle_tree)."""
-    kind = tree[0]
-    if kind == "bundle":
-        _, name, xi = tree
-        space = xi.fiber(y)
-        return [(Key({(name, y, j)}), space.weights[j]) for j in range(space.dim)]
-    _, mat_tree, bun_tree = tree
-    base = _apply_tree_base(bun_tree)
-    out = []
-    for x in base:
-        out.extend(_keyed_tensor(_keyed_fiber(bun_tree, x), _keyed_entry(mat_tree, x, y)))
-    return out
-
 
 def _apply_tree_base(tree):
     return tree[2].base if tree[0] == "bundle" else _tree_target(tree[1])
 
 
-def _apply_tree_space(tree, y: str) -> FinBanSpace:
+def _fiber(tree, y: str):
+    """The keyed fiber at y of ("bundle", name, Bundle) or ("apply",
+    matrix_tree, bundle_tree), whose fiber is (+)_x bundle_x (x) matrix_x^y."""
     if tree[0] == "bundle":
-        return tree[2].fiber(y)
+        _, name, xi = tree
+        return _keyed_leaf((name, y), xi.fiber(y))
     _, mat_tree, bun_tree = tree
     base = _apply_tree_base(bun_tree)
-    parts = [projective_tensor(_apply_tree_space(bun_tree, x),
-                               _tree_space(mat_tree, x, y)).space for x in base]
-    return direct_sum(parts, tags=list(base)).space if parts else zero_space(Flavor.SUM)
+    return _keyed_sum([_keyed_tensor(_fiber(bun_tree, x), _entry(mat_tree, x, y))
+                       for x in base], base)
 
 
 def apply_matrix(t: FunctorMatrix, xi: Bundle) -> Bundle:
@@ -326,7 +303,7 @@ def apply_matrix(t: FunctorMatrix, xi: Bundle) -> Bundle:
         raise InvalidModel("bundle base must be the matrix source base")
     xi.require_sum_fibers()
     tree = ("apply", ("leaf", "T", t), ("bundle", "xi", xi))
-    return Bundle(t.target_base, {y: _apply_tree_space(tree, y) for y in t.target_base})
+    return Bundle(t.target_base, {y: _fiber(tree, y)[0] for y in t.target_base})
 
 
 def apply_compose_witness(s: FunctorMatrix, t: FunctorMatrix, xi: Bundle,
@@ -335,40 +312,32 @@ def apply_compose_witness(s: FunctorMatrix, t: FunctorMatrix, xi: Bundle,
     applying equals applying the composite."""
     two_steps = ("apply", ("leaf", "S", s), ("apply", ("leaf", "T", t), ("bundle", "xi", xi)))
     one_step = ("apply", ("comp", ("leaf", "S", s), ("leaf", "T", t)), ("bundle", "xi", xi))
-    return permutation_witness(
-        _apply_tree_space(two_steps, z), _keyed_fiber(two_steps, z),
-        _apply_tree_space(one_step, z), _keyed_fiber(one_step, z))
+    return permutation_witness(_fiber(two_steps, z), _fiber(one_step, z))
 
 
 def identity_application_witness(xi: Bundle, y: str) -> IsoWitness:
-    """(identity matrix applied to xi)_y  ~  xi_y."""
+    """(identity matrix applied to xi)_y  ~  xi_y, keyed as xi_y (x) I_y^y,
+    the unit line."""
     ident = FunctorMatrix.identity(xi.base)
-    tree = ("apply", ("leaf", "I", ident), ("bundle", "xi", xi))
-    applied = _apply_tree_space(tree, y)
-    keys = _keyed_fiber(tree, y)
-    fiber = xi.fiber(y)
-    fiber_keys = [(Key({("xi", y, j), ("I", y, y, 0)}), fiber.weights[j])
-                  for j in range(fiber.dim)]
-    return permutation_witness(applied, keys, fiber, fiber_keys)
+    applied = _fiber(("apply", ("leaf", "I", ident), ("bundle", "xi", xi)), y)
+    _, keys = _keyed_tensor(_fiber(("bundle", "xi", xi), y),
+                            _entry(("leaf", "I", ident), y, y))
+    return permutation_witness(applied, (xi.fiber(y), keys))
 
 
 def decomposition_witness(xi: Bundle, y: str) -> IsoWitness:
     """Canonical iso between the fiber of the delta-sum  (+)_x xi_x (x) d_x
-    at y and xi_y (the coordinate decomposition of a bundle)."""
+    at y and xi_y (the coordinate decomposition of a bundle), keyed as
+    xi_y (x) d_y(y), the unit line."""
     xi.require_sum_fibers()
     line = scalars("1")
-    summands = [tensor_space_bundle(xi.fiber(x), delta_bundle(xi.base, x, line))
-                for x in xi.base]
-    total = bundle_sum(summands)
-    fiber = total.fiber(y)
-    keys = []
-    for i, x in enumerate(xi.base):
-        piece = summands[i].fiber(y)
-        for j in range(piece.dim):
-            keys.append((Key({("xi", x, j)}), piece.weights[j]))
-    target = xi.fiber(y)
-    target_keys = [(Key({("xi", y, j)}), target.weights[j]) for j in range(target.dim)]
-    return permutation_witness(fiber, keys, target, target_keys)
+    deltas = [delta_bundle(xi.base, x, line) for x in xi.base]
+    total = bundle_sum([tensor_space_bundle(xi.fiber(x), d) for x, d in zip(xi.base, deltas)])
+    pieces = [_keyed_tensor(_keyed_leaf(("xi", x), xi.fiber(x)), _keyed_leaf(("d", x), d.fiber(y)))
+              for x, d in zip(xi.base, deltas)]
+    _, keys = _keyed_sum(pieces, [str(i) for i in range(len(pieces))])
+    _, fiber_keys = _keyed_tensor(_keyed_leaf(("xi", y), xi.fiber(y)), _keyed_leaf(("d", y), line))
+    return permutation_witness((total.fiber(y), keys), (xi.fiber(y), fiber_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -423,25 +392,16 @@ def integral_tensor_naturality_witness(xi: Bundle, mu: DiscreteCosheafMeasure,
     tensored_bundle = Bundle(
         xi.base, {x: projective_tensor(xi.fiber(x), v).space for x in xi.base})
     routed = direct_integral_discrete(tensored_bundle, mu)
-    lhs = projective_tensor(plain.total, v).space
-    algebra = plain.base_algebra
-    lhs_keys = []
-    for x in algebra.atoms:
-        fx, wx = xi.fiber(x), mu.weight[x]
-        for j in range(fx.dim):
-            for m in range(wx.dim):
-                for q in range(v.dim):
-                    lhs_keys.append((Key({("xi", x, j), ("mu", x, m), ("v", q)}),
-                                     fx.weights[j] * wx.weights[m] * v.weights[q]))
-    rhs_keys = []
-    for x in algebra.atoms:
-        fx, wx = xi.fiber(x), mu.weight[x]
-        for j in range(fx.dim):
-            for q in range(v.dim):
-                for m in range(wx.dim):
-                    rhs_keys.append((Key({("xi", x, j), ("v", q), ("mu", x, m)}),
-                                     fx.weights[j] * v.weights[q] * wx.weights[m]))
-    return permutation_witness(lhs, lhs_keys, routed.total, rhs_keys)
+    atoms = plain.base_algebra.atoms
+    leaves = {x: (_keyed_leaf(("xi", x), xi.fiber(x)), _keyed_leaf(("mu", x), mu.weight[x]))
+              for x in atoms}
+    v_keyed = _keyed_leaf(("v",), v)
+    _, lhs_keys = _keyed_tensor(_keyed_sum([_keyed_tensor(*leaves[x]) for x in atoms], atoms),
+                                v_keyed)
+    _, rhs_keys = _keyed_sum([_keyed_tensor(_keyed_tensor(leaves[x][0], v_keyed), leaves[x][1])
+                              for x in atoms], atoms)
+    return permutation_witness((projective_tensor(plain.total, v).space, lhs_keys),
+                               (routed.total, rhs_keys))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ value.  The form is canonical, so dataclass == and hash are entrywise
 equality.  compose (row by row, after Gustavson 1978), add, scale,
 application and the column rule of operator_norm touch nonzeros only;
 `matrix` is a dense view, built on first read.  Most maps here are
-monomial (one nonzero per row and column), and is_isometric_iso decides
-those in closed form: |c| w_target(i) = w_source(j) at each nonzero, and
-blocks go onto blocks (the proof is in its docstring).
+monomial (one nonzero per row and column), and one decision,
+`_isometric_split`, tells whether a map, or the partition map or
+restriction cone made of given legs, is an isometric isomorphism, in
+closed form on the nonzeros of a monomial one (the proof is there);
+is_isometric_iso is its one-leg case.
 
 Quotients of SUM spaces are handled honestly: the quotient of a weighted
 l1 space need not be a weighted l1 space, so `quotient` returns a
@@ -320,7 +322,7 @@ class LinMap:
         dim = self.source.dim
         if dim != self.target.dim:
             return None
-        mono = _monomial_data(self.rows)
+        mono = _monomial_data((self,))
         if mono is None or len(mono) < dim:
             inv = exactla.invert(self.matrix)
             return None if inv is None else LinMap.from_matrix(self.target, self.source, inv)
@@ -367,13 +369,30 @@ def _hstack(source: FinBanSpace, target: FinBanSpace, legs: Sequence[LinMap]) ->
     return LinMap(source, target, rows)
 
 
-def _monomial_data(rows: Sequence[Row]) -> Optional[list[tuple[int, int, Fraction]]]:
-    """(source col, target row, coefficient) triples when the rows have at
-    most one nonzero per row and per column; None otherwise."""
-    if any(len(row) > 1 for row in rows):
+def _monomial_data(legs: Sequence[LinMap], stacked: bool = False
+                   ) -> Optional[list[tuple[int, int, Fraction]]]:
+    """The (source col, target row, c) nonzeros of the map made of the
+    legs, when it has at most one nonzero per row and per column; None
+    otherwise.  The legs sit side by side, the columns of each after
+    those of the legs before it, as in a partition map, so a leg's
+    nonzero at (row i, col j) is at (i, off + j); or `stacked`, the rows
+    of each after those of the legs before it, as in a restriction cone,
+    at (off + i, j); off is the sum of the dims of the parts (sources side
+    by side, targets stacked) of the legs before.  One leg is its own map."""
+    entries = []
+    off = 0
+    for leg in legs:
+        for i, row in enumerate(leg.rows):
+            if row:
+                if len(row) > 1:
+                    return None
+                (j, c), = row
+                entries.append((j, off + i, c) if stacked else (off + j, i, c))
+        off += leg.target.dim if stacked else leg.source.dim
+    count = len(entries)
+    if len({j for j, _, _ in entries}) < count or len({i for _, i, _ in entries}) < count:
         return None
-    entries = [(row[0][0], i, row[0][1]) for i, row in enumerate(rows) if row]
-    return entries if len({j for j, _, _ in entries}) == len(entries) else None
+    return entries
 
 
 def _block_ids(space: FinBanSpace) -> list[int]:
@@ -433,7 +452,7 @@ def operator_norm(t: LinMap) -> Fraction:
                 key = (j, block[i])
                 sums[key] = sums.get(key, ZERO) + weights[i] * abs(c)
         return max((s / t.source.weights[j] for (j, _), s in sums.items()), default=ZERO)
-    mono = _monomial_data(t.rows)
+    mono = _monomial_data((t,))
     if mono is not None:
         # per target block h, the sum over source blocks g of the largest
         # |c| w'(i) / w(j) with j in g and i in h
@@ -459,42 +478,89 @@ def operator_norm(t: LinMap) -> Fraction:
 
 def is_isometric_iso(m: LinMap) -> bool:
     """m is invertible and m and its inverse are contractions; maps
-    between zero-dimensional spaces count.
+    between zero-dimensional spaces count.  The one-leg case of
+    `_isometric_split`."""
+    return _isometric_split((m,))
+
+
+def _isometric_split(legs: Sequence[LinMap], stacked: bool = False) -> bool:
+    """Whether the map made of the legs (laid out as in `_monomial_data`)
+    is an isometric isomorphism between the direct sum of the legs' parts
+    and the space they share: side by side, the map out of the sum of
+    their sources (a partition map); stacked, the map into the product of
+    their targets (a restriction cone).  The direct sum's weights are the
+    parts' weights in order; SUM parts sum to one block, and the blocks of
+    SUP parts follow one another.  Raises FlavorMismatch, as `direct_sum`
+    does, when the parts differ in flavor.  The summed space and the map
+    are built only where the legs' nonzeros cannot decide.
 
     Contractive both ways is the same as invertible and isometric:
-    |v| = |m^-1 m v| <= |m v| <= |v|.  A monomial m (one nonzero per row
-    and column, e_j |-> c_j e_s(j)) is decided in closed form, with no
-    inverse and no norm: it is an isometric isomorphism exactly when it
-    is square with a nonzero in every column, |c_j| w'(s(j)) = w(j) for
-    every j (w, w' the source and target weights), and s carries the
-    blocks of `effective_groups` onto blocks (one block for SUM, one per
-    coordinate for plain SUP).  Necessity: e_j is a ray of norm w(j) that
-    goes to a ray of norm |c_j| w'(s(j)); and if j, k lie in one source
-    block and s(j), s(k) in two target blocks, v = e_j/w(j) + e_k/w(k)
-    has norm 2 while |m v| = 1 (and the reverse case gives 1 against 2).
-    Sufficiency: with the blocks matched, the weighted l1 sum of m v on
-    the target block of g is that of v on g, term by term, so the max
-    over blocks is the same.  Any other map goes through its inverse and
-    two `operator_norm`s.
+    |v| = |m^-1 m v| <= |m v| <= |v|.  A map that is not square is not
+    invertible.  A monomial m (one nonzero per row and column,
+    e_j |-> c_j e_s(j)) is decided in closed form (`_isometric_monomial`),
+    with no inverse and no norm: it is an isometric isomorphism exactly
+    when it is square with a nonzero in every column, |c_j| w'(s(j)) =
+    w(j) for every j (w, w' the source and target weights), and s carries
+    the blocks of `effective_groups` onto blocks (one block for SUM, one
+    per coordinate for plain SUP).  Necessity: e_j is a ray of norm w(j)
+    that goes to a ray of norm |c_j| w'(s(j)); and if j, k lie in one
+    source block and s(j), s(k) in two target blocks, v = e_j/w(j) +
+    e_k/w(k) has norm 2 while |m v| = 1 (and the reverse case gives 1
+    against 2).  Sufficiency: with the blocks matched, the weighted l1 sum
+    of m v on the target block of g is that of v on g, term by term, so
+    the max over blocks is the same.  Between unblocked spaces of one
+    flavor every bijection carries blocks onto blocks, so they are not
+    compared, and a map that is not monomial is no isometric isomorphism:
+    one of weighted l1 spaces carries the extreme points +-e_j/w(j) of
+    one unit ball onto those of the other, so each column has one
+    nonzero, and one of sup-normed spaces is the transpose of one of the
+    dual l1 spaces.  With blocks, or between the two flavors, that fails
+    (an l1 plane is isometric to a sup plane, (u, v) |-> (u + v, u - v)),
+    so the built map goes through its inverse and two `operator_norm`s.
     """
-    mono = _monomial_data(m.rows)
-    if mono is None or m.source.dim != m.target.dim:
-        back = m.inverse()
-        return back is not None and operator_norm(m) <= 1 and operator_norm(back) <= 1
-    s, t = m.source, m.target
-    return _isometric_monomial(mono, s.weights, t.weights, (_block_ids(s), _block_ids(t)))
+    parts = [leg.target for leg in legs] if stacked else [leg.source for leg in legs]
+    whole = legs[0].source if stacked else legs[0].target
+    flavor = parts[0].flavor
+    if any(part.flavor is not flavor for part in parts):
+        raise FlavorMismatch("direct_sum needs a single flavor")
+    weights: tuple[Fraction, ...] = ()
+    for part in parts:
+        weights += part.weights
+    if whole.dim != len(weights):
+        return False
+    blocks = None
+    if flavor is not whole.flavor or whole.groups or any(part.groups for part in parts):
+        ids: list[int] = []
+        off = 0
+        for part in parts:
+            ids += [off + k for k in _block_ids(part)]
+            if flavor is Flavor.SUP:  # SUM parts share one block
+                off += len(part.effective_groups())
+        blocks = (_block_ids(whole), ids) if stacked else (ids, _block_ids(whole))
+    entries = _monomial_data(legs, stacked)
+    if entries is not None:
+        if stacked:
+            return _isometric_monomial(entries, whole.weights, weights, blocks)
+        return _isometric_monomial(entries, weights, whole.weights, blocks)
+    if blocks is None:
+        return False
+    m = legs[0]
+    if len(legs) > 1:
+        summed = direct_sum(parts).space
+        m = LinMap(whole, summed, tuple(row for leg in legs for row in leg.rows)) \
+            if stacked else _hstack(summed, whole, legs)
+    back = m.inverse()
+    return back is not None and operator_norm(m) <= 1 and operator_norm(back) <= 1
 
 
 def _isometric_monomial(entries, source_weights, target_weights, blocks=None) -> bool:
-    """The closed form of `is_isometric_iso` (proof there) for a square map
+    """The closed form of `_isometric_split` (proof there) for a square map
     given by its (source col, target row, coefficient) nonzeros, at most
     one per row and per column: a nonzero in every column,
     |c| w'(row) = w(col) at each one, and blocks onto blocks, compared only
     when `blocks` is given, as the `_block_ids` of source and target.
-    Leave it out only between unblocked spaces of one flavor, where every
-    bijection of the coordinates carries blocks onto blocks.  With
-    c = p/q, w' = a/b and w = r/s (denominators positive), |c| w' = w is
-    |p| a s = r q b, one comparison of int products: no Fraction is
+    With c = p/q, w' = a/b and w = r/s (denominators positive), |c| w' = w
+    is |p| a s = r q b, one comparison of int products: no Fraction is
     compared or built, and each pair is read in one `as_integer_ratio`."""
     if len(entries) < len(source_weights):
         return False

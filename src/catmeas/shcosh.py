@@ -10,11 +10,11 @@ top atom}, which makes the atomic partition map of E an isometric
 isomorphism by induction (the proof is in `is_cosheaf`).  So the checker
 decides 2^n - n - 1 splits.  Every partition it visits, these splits,
 the binary splits that re-locate a failure and every partition in the
-exhaustive mode that cross-validates the reduction, is decided on the
-nonzeros of its legs, one structure map per block, with no summed space
-and no partition map built.  Partition maps are built only where the
-legs cannot decide: a non-monomial split of blocked SUP spaces, and
-mixed flavors.
+exhaustive mode that cross-validates the reduction, is decided on its
+legs, one structure map per block, by the one isometry decision of
+`finban`, which builds a summed space and a partition map only where
+the legs' nonzeros cannot decide: a split that is not monomial, with
+blocks or between the two flavors.
 
 Cosheaves carry a derived spectral measure.  By the discrete density
 result a cosheaf is fixed by its atom fibers: the atomic partition map A_e
@@ -68,11 +68,11 @@ from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
                      SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
-from .finban import (FinBanSpace, Flavor, LinMap, Vector, _block_ids, _hstack,
-                     _identity_rows, _isometric_monomial, _over_common_denominator,
-                     direct_sum, is_isometric_iso, operator_norm, scalars, sup_space, zero_space)
+from .finban import (FinBanSpace, Flavor, LinMap, Vector, _hstack, _identity_rows,
+                     _isometric_split, _over_common_denominator, direct_sum,
+                     operator_norm, scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
-from .simple import SimpleElement, linf_norm
+from .simple import SimpleElement, characteristic, linf_norm
 
 
 def _covering_pairs(omega: BoolAlg):
@@ -335,96 +335,25 @@ def _binary_splits(omega: BoolAlg, e: int):
             yield f, e & ~f
 
 
-def _split_by_legs(x, legs: Sequence[LinMap]) -> Optional[bool]:
-    """Whether the split map of e into the blocks of a partition (x's
-    partition map or restriction cone), for x of one flavor, is an
-    isometric isomorphism, decided in `_isometric_monomial`'s closed form
-    on the nonzeros of the legs x(F, e), one per block F in order.  No
-    summed space is built, and no row of the split map: its nonzeros are
-    read off the legs in one pass as (source col, target row, c).  The
-    partition map's columns are the legs' columns side by side, so a
-    leg's (row i, col j) is (i, off + j); the cone's rows are the legs'
-    rows one leg after another, so it is (off + i, j); off is the sum of
-    the dims of the parts before the leg.  The parts' weights and, where
-    a space carries blocks, their block ids are those of the direct sum:
-    each part's ids follow those of the parts before it.
-
-    A map that is not square is not invertible: False (a zero row of a
-    square map is caught by the closed form's count of nonzeros).  A map
-    with a second nonzero in a row, or a repeated column, is not
-    monomial; between unblocked spaces of one flavor it is then no
-    isometric isomorphism: False.  An isometric isomorphism of weighted
-    l1 spaces carries the extreme points +-e_j/w(j) of the unit ball onto
-    those of the other ball, so each column has one nonzero, and a
-    sup-normed one is the transpose of an isometric isomorphism of the
-    dual l1 spaces.  With blocks that fails (an l1 plane is isometric to
-    a sup plane, (u, v) |-> (u + v, u - v)), so None: `is_isometric_iso`
-    decides the built map."""
-    covariant = x.covariant
-    if covariant:
-        parts, whole = [leg.source for leg in legs], legs[0].target
-    else:
-        parts, whole = [leg.target for leg in legs], legs[0].source
-    weights: tuple[Fraction, ...] = ()
-    for part in parts:
-        weights += part.weights
-    if whole.dim != len(weights):
-        return False
-    blocks = None
-    if whole.groups or any(part.groups for part in parts):
-        ids: list[int] = []
-        off = 0
-        for part in parts:
-            ids += [off + k for k in _block_ids(part)]
-            off += len(part.effective_groups())
-        blocks = (ids, _block_ids(whole)) if covariant else (_block_ids(whole), ids)
-    entries, rows, cols = [], set(), set()
-    off = 0
-    for leg, part in zip(legs, parts):
-        for i, row in enumerate(leg.rows):
-            if not row:
-                continue
-            if len(row) > 1:
-                return None if blocks else False
-            (j, c), = row
-            col, r = (off + j, i) if covariant else (j, off + i)
-            if col in cols or r in rows:
-                return None if blocks else False
-            cols.add(col)
-            rows.add(r)
-            entries.append((col, r, c))
-        off += part.dim
-    if covariant:
-        return _isometric_monomial(entries, weights, whole.weights, blocks)
-    return _isometric_monomial(entries, whole.weights, weights, blocks)
-
-
 def _partition_condition(x, exhaustive: bool) -> Verdict:
     """The verdict of is_cosheaf/is_sheaf on a precosheaf or presheaf x;
     the map that must be an isometric isomorphism for a partition is its
-    partition map or its restriction cone.  Without `exhaustive`, each
-    element with two or more atoms is decided by its top-atom split, and
-    a failing element by the first failing binary split in enumeration
-    order; with it, every partition of every element is checked.  When
-    every space has one flavor, each partition is decided on its legs'
-    nonzeros (`_split_by_legs`), the top-atom split's on the stored cover
-    map and the memoised structure map from the top atom; its partition
-    map or cone is built only for a non-monomial split of blocked SUP
-    spaces.  Direct sums need a single flavor, so a mixed-flavor
-    (pre)cosheaf builds the map of every binary split (every partition
-    under `exhaustive`) and raises FlavorMismatch at the first one whose
-    blocks differ in flavor, unless an earlier split fails."""
-    mediated, reason = (
-        (partition_map, "mediated partition map is not an isometric isomorphism")
-        if x.covariant else
-        (restriction_cone_map, "restriction cone is not an isometric isomorphism"))
+    partition map or its restriction cone, each decided on its legs
+    x(F, e), one per block F, by `_isometric_split`.  Without
+    `exhaustive`, each element with two or more atoms is decided by its
+    top-atom split, on the stored cover map and the memoised structure
+    map from the top atom, and a failing element by the first failing
+    binary split in enumeration order; with it, every partition of every
+    element is checked.  The top-atom reduction needs direct sums of
+    isometric isomorphisms, so a (pre)cosheaf whose spaces differ in
+    flavor checks every binary split instead; the decision raises
+    FlavorMismatch at the first split whose blocks differ in flavor,
+    unless an earlier split fails."""
+    reason = ("mediated partition map is not an isometric isomorphism" if x.covariant
+              else "restriction cone is not an isometric isomorphism")
+    stacked = not x.covariant
     omega, spaces = x.algebra, x.spaces
     one_flavor = len({s.flavor for s in spaces.values()}) <= 1
-
-    def isometric(e: int, blocks: Sequence[int], legs: Sequence[LinMap]) -> bool:
-        ok = _split_by_legs(x, legs) if one_flavor else None
-        return is_isometric_iso(mediated(x, e, blocks)) if ok is None else ok
-
     if exhaustive:
         partitions_of(omega, omega.top)  # the largest enumeration meets its cap first
     for e in omega.nonzero_elements():
@@ -432,12 +361,13 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
             candidates = (tuple(p.blocks) for p in partitions_of(omega, e))
         else:
             a = 1 << (e.bit_length() - 1)
-            if e == a or one_flavor and isometric(
-                    e, (e & ~a, a), (x.cover_maps[(e & ~a, e)], _walk(x, a, e))):
+            if e == a or one_flavor and _isometric_split(
+                    (x.cover_maps[(e & ~a, e)], _walk(x, a, e)), stacked):
                 continue
             candidates = _binary_splits(omega, e)
         for blocks in candidates:
-            if len(blocks) >= 2 and not isometric(e, blocks, [_walk(x, f, e) for f in blocks]):
+            if len(blocks) >= 2 and not _isometric_split(
+                    [_walk(x, f, e) for f in blocks], stacked):
                 return Verdict(False, e, tuple(blocks), reason)
     if spaces[0].dim != 0:
         return Verdict(False, 0, (), "the bottom value must be the zero space")
@@ -464,9 +394,9 @@ def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
     the atom summands (functoriality), so P = A_e o ((+)_i A_F_i)^-1 is a
     composite of isometric isomorphisms.  Each S_e is itself a binary
     split, so the 2^n - n - 1 maps S_e decide the condition.  Each S_e is
-    decided on the nonzeros of its two legs, mu(e', e) and mu(a, e), in
-    `is_isometric_iso`'s closed form (`_split_by_legs`); S_e itself is
-    built only when it is not monomial and the spaces carry blocks.
+    decided on its two legs, mu(e', e) and mu(a, e), by
+    `finban._isometric_split`, which builds S_e only when it is not
+    monomial and the spaces carry blocks.
 
     Elements are visited in increasing order, which visits the elements
     below e before e.  When S_e fails, every element visited before e
@@ -476,7 +406,7 @@ def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
     `exhaustive` checks every partition of every element instead, a
     cross-check independent of the reduction.  Those partitions, and the
     binary splits, are decided on their legs as S_e is, so no partition
-    map is built for one-flavor spaces without blocks; the test oracle
+    map is built for spaces of one flavor without blocks; the test oracle
     `partition_condition_by_built_maps` builds every one.  The empty
     partition covers bottom, so the bottom value must be zero; split
     counterexamples are reported in preference to that degenerate one.
@@ -534,16 +464,13 @@ def _atom_projections(mu: PreCosheaf, e: int) -> dict[int, LinMap]:
 def cosheaf_projection(mu: PreCosheaf, e: int, f: int) -> LinMap:
     """For f <= e, the unique p : mu(e) -> mu(f) with p o ext_{f,e} = id
     and p o ext_{e-f,e} = 0: the sum of ext_{a,f} o p_{e,a} over the atoms
-    a <= f.  Both send ext_{b,e}, for each atom b <= e, to ext_{b,f} when
-    b <= f and to 0 otherwise, and on a cosheaf those images span mu(e).
-    Raises NotACosheaf as `_atom_projections` does."""
+    a <= f, which is the integral of the characteristic function of f
+    from e to f.  Both send ext_{b,e}, for each atom b <= e, to ext_{b,f}
+    when b <= f and to 0 otherwise, and on a cosheaf those images span
+    mu(e).  Raises NotACosheaf as `_atom_projections` does."""
     if not mu.algebra.leq(f, e):
         raise InvalidModel("projection needs f <= e")
-    out = LinMap.zero(mu.space(e), mu.space(f))
-    for a, p in _atom_projections(mu, e).items():
-        if a & f:
-            out = out.add(mu.extension(a, f) @ p)
-    return out
+    return integrate_simple_morphism(characteristic(mu.algebra, f), mu, e, f)
 
 
 @dataclass
@@ -760,11 +687,11 @@ class PrecosheafMap:
 
 
 def precosheaf_map(source: PreCosheaf, target: PreCosheaf,
-                   components: Mapping[int, LinMap], check: bool = True) -> PrecosheafMap:
+                   components: Mapping[int, LinMap]) -> PrecosheafMap:
     if source.algebra != target.algebra:
         raise AlgebraMismatch("precosheaves on different algebras")
     out = PrecosheafMap(source, target, dict(components))
-    if check and not out.check_natural():
+    if not out.check_natural():
         raise NotAFunctor("components do not commute with the extensions")
     return out
 

@@ -339,8 +339,9 @@ def unit_coefficient_cases(rng):
 def test_closed_form_isometry_matches_inverse_and_norms(monkeypatch):
     """`is_isometric_iso` against the inverse plus two operator norms:
     monomial maps are decided without a single operator norm, +-1
-    coefficients included, any other square map falls back to that
-    route."""
+    coefficients included, and so is any other map between unblocked
+    spaces of one flavor; an invertible one with blocks or between the
+    two flavors falls back to that route."""
     oracle_norm, calls = finban.operator_norm, []
     monkeypatch.setattr(finban, "operator_norm", lambda t: calls.append(t) or oracle_norm(t))
     seen = set()
@@ -352,7 +353,10 @@ def test_closed_form_isometry_matches_inverse_and_norms(monkeypatch):
         assert is_isometric_iso(m) == want, (kind, m)
         monomial = all(sum(1 for x in line if x) <= 1
                        for line in m.matrix + tuple(zip(*m.matrix)))
-        assert bool(calls) == (not monomial and m.inverse() is not None), (kind, m)
+        blocked_or_two_flavors = m.source.groups is not None or m.target.groups is not None \
+            or m.source.flavor is not m.target.flavor
+        assert bool(calls) == (not monomial and m.inverse() is not None
+                               and blocked_or_two_flavors), (kind, m)
         seen.add((kind, m.source.flavor.value, m.target.flavor.value,
                   m.target.groups is not None, monomial, want))
     assert {("matched", "sum", "sum", False, True, True),
@@ -411,6 +415,126 @@ def test_int_closed_form_matches_the_fraction_comparison():
         assert finban._isometric_monomial(entries, sw, tw, blocks) == want, (entries, sw, tw)
         seen.add((blocks is not None, want))
     assert seen == {(b, w) for b in (True, False) for w in (True, False)}
+
+
+def split_oracle(legs, stacked):
+    """Whether the map made of the legs is an isometric isomorphism, on
+    the built map: its dense matrix (the legs' columns side by side, or
+    their rows stacked) between the whole and the direct sum of the
+    parts, inverted by rref and decided by `contractive_both_ways`.  The
+    class FlavorMismatch when `direct_sum` raises it."""
+    parts = [leg.target if stacked else leg.source for leg in legs]
+    whole = legs[0].source if stacked else legs[0].target
+    try:
+        summed = direct_sum(parts).space
+    except FlavorMismatch:
+        return FlavorMismatch
+    if stacked:
+        m = LinMap.from_matrix(whole, summed, [row for leg in legs for row in leg.matrix])
+    else:
+        m = LinMap.from_matrix(summed, whole, [sum((leg.matrix[i] for leg in legs), ())
+                                               for i in range(whole.dim)])
+    inv = exactla.invert(m.matrix) if m.source.dim == m.target.dim else None
+    return inv is not None and contractive_both_ways(
+        m, LinMap.from_matrix(m.target, m.source, inv))
+
+
+def split_legs_cases(rng):
+    """(flavors, shape, stacked, legs): 1 to 3 parts of SUM, SUP or blocked
+    SUP spaces, of SUM spaces into a SUP whole, or of mixed flavors, and
+    a whole; the map between their direct sum and the whole is a signed
+    permutation with |c| w' = w (matched), one such coefficient off by a
+    factor (scaled), a random dense matrix, or a 2 x 2 (+-1, +-1) matrix
+    with entries h or h/2; the whole's blocks are the summed blocks
+    carried along the permutation or random.  Cut into one leg per part:
+    columns side by side, or rows stacked."""
+    for k in range(3000):
+        stacked = k % 2 == 1
+        flavors = ("sum", "sup", "blocked", "sum_into_sup", "mixed")[k // 2 % 5]
+        shape = rng.choice(("matched", "matched", "scaled", "dense", "hadamard"))
+        dims = [2] if shape == "hadamard" else [rng.randint(0, 2)
+                                                for _ in range(rng.randint(1, 3))]
+        if shape == "hadamard" and rng.random() < 0.5:
+            dims = [1, 1]
+        unit = shape == "hadamard" and rng.random() < 0.5
+        parts = []
+        for d in dims:
+            kind = rng.choice(("sum", "sup", "blocked")) if flavors == "mixed" else flavors
+            part = rnd_blocked(rng, d) if kind == "blocked" else rnd_space(
+                rng, d, Flavor.SUP if kind == "sup" else Flavor.SUM)
+            parts.append(dataclasses.replace(part, weights=(F(1),) * d) if unit else part)
+        total = sum(dims)
+        perm = rng.sample(range(total), total)
+        flavor = Flavor.SUM if flavors in ("sum", "mixed") else Flavor.SUP
+        groups = None
+        if flavors == "sum_into_sup":
+            groups = rng.choice((((tuple(range(total)),) if total else ()), None))
+        elif flavors == "blocked" or flavors == "sup" and rng.random() < 0.3:
+            summed = direct_sum(parts).space
+            groups = tuple(tuple(sorted(perm[j] for j in g)) for g in summed.effective_groups())
+            if rng.random() < 0.3:
+                groups = rnd_groups(rng, total)
+        weights = [F(1) if unit else rnd_pos(rng) for _ in range(total)]
+        whole = FinBanSpace(tuple(f"w{i}" for i in range(total)), tuple(weights), flavor, groups)
+        part_weights = [w for part in parts for w in part.weights]
+        # rows of the map into its target, over the columns of its source
+        rows = [[F(0)] * total for _ in range(total)]
+        if shape in ("matched", "scaled"):
+            # summed coordinate j goes to, or comes from, whole coordinate perm[j]
+            for j in range(total):
+                c = rng.choice((1, -1)) * part_weights[j] / weights[perm[j]]
+                if stacked:
+                    rows[j][perm[j]] = 1 / c
+                else:
+                    rows[perm[j]][j] = c
+            if shape == "scaled" and total:
+                j = rng.randrange(total)
+                i, col = (j, perm[j]) if stacked else (perm[j], j)
+                rows[i][col] *= rng.choice((F(1, 2), F(2)))
+        elif shape == "dense":
+            rows = [[rnd_q(rng, 2, 2) for _ in range(total)] for _ in range(total)]
+        else:
+            h = rng.choice((F(1), F(1, 2)))
+            rows = [[h, h], [h, -h]]
+        if rng.random() < 0.1 and total:
+            whole = FinBanSpace(whole.basis[:-1], whole.weights[:-1], flavor)
+            rows = [row[:-1] for row in rows] if stacked else rows[:-1]
+        legs, off = [], 0
+        for part in parts:
+            if stacked:
+                legs.append(LinMap.from_matrix(whole, part, rows[off:off + part.dim]))
+            else:
+                legs.append(LinMap.from_matrix(part, whole, [row[off:off + part.dim]
+                                                             for row in rows]))
+            off += part.dim
+        yield flavors, shape, stacked, legs
+
+
+def test_isometric_split_matches_the_built_map():
+    """The one isometry decision against the built map's inverse and two
+    operator norms, over random legs in both orientations: SUM, SUP and
+    blocked SUP parts, SUM parts into a SUP whole, where their sum is one
+    block, and parts of mixed flavor, which raise FlavorMismatch exactly
+    when `direct_sum` does.  Each orientation meets both verdicts on
+    monomial and on other maps, and the error."""
+    seen = set()
+    for flavors, shape, stacked, legs in split_legs_cases(random.Random(79)):
+        want = split_oracle(legs, stacked)
+        try:
+            got = finban._isometric_split(legs, stacked)
+        except FlavorMismatch:
+            got = FlavorMismatch
+        assert got == want, (flavors, shape, stacked, legs)
+        monomial = finban._monomial_data(legs, stacked) is not None
+        seen.add((stacked, flavors, monomial, want))
+    for stacked in (False, True):
+        for flavors in ("sum", "sup", "blocked", "sum_into_sup"):
+            assert {(stacked, flavors, True, True), (stacked, flavors, True, False),
+                    (stacked, flavors, False, False)} <= seen, (stacked, flavors)
+        assert {(stacked, "blocked", False, True), (stacked, "sum_into_sup", False, True),
+                (stacked, "mixed", True, FlavorMismatch),
+                (stacked, "mixed", False, FlavorMismatch),
+                (stacked, "mixed", True, True)} <= seen, stacked
 
 
 def test_dim_is_stored_outside_equality_hash_and_repr():
@@ -603,7 +727,7 @@ def test_vertex_kernel_matches_the_vertex_oracle():
         t = LinMap.from_matrix(src, tgt, tuple(
             tuple(F(0) if j in zero_cols else rnd_q(rng, denom=rng.choice((1, 5, 9)))
                   for j in range(dim)) for _ in range(tdim)))
-        if tdim and finban._monomial_data(t.rows) is None:
+        if tdim and finban._monomial_data((t,)) is None:
             kernel_runs.append((src.groups is None, kind))
         empty_targets += tdim == 0
         assert operator_norm(t) == operator_norm_by_vertices(t), (src, tgt, t.rows)

@@ -16,8 +16,8 @@ from catmeas import cli, exactla, finban, shcosh
 from catmeas.boolalg import BoolAlg, partitions_of, stone_space
 from catmeas.errors import (CatmeasError, FlavorMismatch, InvalidModel, NotACosheaf,
                             NotAFunctor, SupportError)
-from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, operator_norm,
-                            scalars, sum_space, sup_space, zero_space)
+from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, is_isometric_iso,
+                            operator_norm, scalars, sum_space, sup_space, zero_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
 from catmeas.shcosh import (bva_cosheaf,
                             bva_evaluation, bva_vector, characteristic_sheaf,
@@ -26,7 +26,7 @@ from catmeas.shcosh import (bva_cosheaf,
                             counit_is_natural, count_factorizations,
                             factor_through_cosheafification, from_atom_spaces,
                             integrate_simple_morphism, is_cosheaf,
-                            is_isometric_iso, is_sheaf, l1_cosheaf,
+                            is_sheaf, l1_cosheaf,
                             l1_integration_map, make_precosheaf, make_presheaf,
                             partition_map, PreCosheaf, PrecosheafMap, PreSheaf,
                             precosheaf_map_from_atoms,
@@ -435,14 +435,17 @@ def legs_of(x, e, blocks):
     return [x.extension(f, e) if x.covariant else x.restriction(e, f) for f in blocks]
 
 
-def test_split_by_legs_matches_the_built_split_map():
+def test_split_by_legs_matches_the_built_split_map(monkeypatch):
     """At every element with two or more atoms, not only up to the first
-    failure, a partition decided on its legs' nonzeros is
-    `is_isometric_iso` of the built partition map or cone, for the
-    top-atom split and for partitions of three or more blocks.  Only a
-    non-monomial split of blocked spaces defers to the built map, and
-    there the built map can be an isometric isomorphism; every shape
-    occurs in both variances, and the main ones with more blocks too."""
+    failure, a partition decided on its legs is `is_isometric_iso` of the
+    built partition map or cone, for the top-atom split and for
+    partitions of three or more blocks.  Only a non-monomial split of
+    blocked spaces defers to the built map, whose norms are taken when it
+    is invertible, and there the built map can be an isometric
+    isomorphism; every shape occurs in both variances, and the main ones
+    with more blocks too."""
+    oracle_norm, calls = finban.operator_norm, []
+    monkeypatch.setattr(finban, "operator_norm", lambda t: calls.append(t) or oracle_norm(t))
     seen = set()
     for label, x in itertools.chain(split_cases(), blocked_cases()):
         blocked = any(s.groups for s in x.spaces.values())
@@ -453,9 +456,12 @@ def test_split_by_legs_matches_the_built_split_map():
             for blocks in split_partitions(x.algebra, e):
                 built = mediated(x, e, blocks)
                 want, shape = is_isometric_iso(built), split_shape(built)
-                got = shcosh._split_by_legs(x, legs_of(x, e, blocks))
+                calls.clear()
+                got = finban._isometric_split(legs_of(x, e, blocks), not x.covariant)
                 deferred = blocked and shape in ("two_in_a_row", "repeated_column")
-                assert got == (None if deferred else want), (label, e, blocks)
+                assert got == want, (label, e, blocks)
+                assert bool(calls) == (deferred and built.inverse() is not None), \
+                    (label, e, blocks)
                 seen.add((x.covariant, blocked, shape, want, len(blocks)))
     for covariant in (True, False):
         assert {(covariant, False, "singular", False, 2),
@@ -520,22 +526,27 @@ def hand_built_splits():
             yield f"{kind}/three_halves/{ok}", covariant, legs, ok
 
 
-def test_split_by_legs_on_hand_built_legs():
+def test_split_by_legs_on_hand_built_legs(monkeypatch):
     """Each hand-built split is decided on its legs with the verdict of
-    `is_isometric_iso` on the built partition map or cone; on blocked SUP
-    spaces, two nonzeros in a row defer to the built map."""
+    `is_isometric_iso` on the built partition map or cone, and no norm;
+    on blocked SUP spaces, two nonzeros in a row defer to the built map
+    and its norms."""
+    oracle_norm, calls = finban.operator_norm, []
+    monkeypatch.setattr(finban, "operator_norm", lambda t: calls.append(t) or oracle_norm(t))
     for label, covariant, legs, want in hand_built_splits():
         parts = [leg.source if covariant else leg.target for leg in legs]
         ds = direct_sum(parts)
         built = ds.mediate_from_cone(legs) if covariant else ds.mediate_to_cone(legs)
         assert is_isometric_iso(built) == want, label
-        kind = PreCosheaf if covariant else PreSheaf
-        assert shcosh._split_by_legs(kind, legs) is want, label
+        calls.clear()
+        assert finban._isometric_split(legs, not covariant) is want, label
+        assert calls == [], label
     plane = FinBanSpace(("u", "v"), (F(1), F(1)), Flavor.SUP, ((0, 1),))
     half = F(1, 2)
     legs = [LinMap(sup_space(["a"]), plane, (((0, half),), ((0, half),))),
             LinMap(sup_space(["b"]), plane, (((0, half),), ((0, -half),)))]
-    assert shcosh._split_by_legs(PreCosheaf, legs) is None
+    assert finban._isometric_split(legs) is True
+    assert len(calls) == 2
     summed = direct_sum([leg.source for leg in legs]).space
     assert is_isometric_iso(finban._hstack(summed, plane, legs))
 
@@ -620,10 +631,11 @@ def test_blocked_splits_compare_blocks_and_mixed_splits_are_built(monkeypatch):
     """A blocked SUP (pre)sheaf is decided with the block ids of the
     direct sum, with the enumeration's verdicts: on the l1 plane over two
     sup lines every weight matches along a bijective cone but the blocks
-    do not.  A mixed-flavor precosheaf never reaches the legs, with or
-    without `exhaustive`."""
+    do not.  A mixed-flavor precosheaf takes no top-atom split: with or
+    without `exhaustive`, its binary splits, each one decision on its
+    legs, run up to {b, ac}, whose blocks differ in flavor and raise."""
     xi = dict(blocked_cases())["blocked/l1_plane"]
-    assert shcosh._split_by_legs(xi, legs_of(xi, 3, (1, 2))) is False
+    assert finban._isometric_split(legs_of(xi, 3, (1, 2)), True) is False
     assert not is_isometric_iso(restriction_cone_map(xi, 3, (1, 2)))
     verdicts = set()
     for label, x in blocked_cases():
@@ -634,14 +646,21 @@ def test_blocked_splits_compare_blocks_and_mixed_splits_are_built(monkeypatch):
         verdicts.add((x.covariant, verdict.ok))
     assert verdicts == {(False, True), (False, False), (True, True)}
 
-    def refuse(*args):
-        raise AssertionError("_split_by_legs was called")
+    decide, flavors = shcosh._isometric_split, []
 
-    monkeypatch.setattr(shcosh, "_split_by_legs", refuse)
+    def recording(legs, stacked=False):
+        flavors.append({leg.source.flavor for leg in legs})
+        return decide(legs, stacked)
+
+    monkeypatch.setattr(shcosh, "_isometric_split", recording)
     mixed = dict(precosheaf_cases())["mixed_flavors"]
     assert outcome(is_cosheaf, mixed) == outcome(cosheaf_oracle, mixed)
+    # ab, ac, bc, then {a, bc} and {b, ac} of abc
+    assert [len(f) for f in flavors] == [1, 1, 1, 1, 2]
+    flavors.clear()
     assert outcome(is_cosheaf, mixed, exhaustive=True) == \
         outcome(partition_condition_by_built_maps, mixed)
+    assert [len(f) for f in flavors] == [1, 1, 1, 1, 2]
 
 
 def test_passing_condition_checks_build_no_split_map(monkeypatch):
