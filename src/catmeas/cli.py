@@ -27,7 +27,7 @@ import sys
 import time
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import Any, Optional
 
 from .boolalg import BoolAlg, Coproduct, build_algebra, coproduct, partitions_of, stone_space
@@ -36,12 +36,12 @@ from .finban import FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm
 from .measures import (MeasureAlgebra, VectorMeasure, lipschitz_norm,
                        semivariation, variation)
 from .shcosh import (PreCosheaf, PreSheaf, _BuiltOnRead, bva_cosheaf, constant_precosheaf,
-                     characteristic_sheaf, cosheafify, counit_is_natural,
+                     characteristic_sheaf, cosheafify, counit_is_natural, essential_sup,
                      integrate_simple_morphism, is_cosheaf, is_sheaf, l1_cosheaf,
                      make_precosheaf, random_cosheaf, spectral_measure, isbell,
                      isbell_adjoint)
 from .simple import (SimpleElement, VectorSimpleElement, bochner, characteristic,
-                     fubini, integrate, integration_map, linf_norm)
+                     fubini, integrate, integration_map)
 from . import bundles2v
 from .finban import FinPoset
 
@@ -62,16 +62,27 @@ def parse_rational(text: Any, path: str) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ModelError("bad-rational", f"rationals are strings like '2/3', got {text!r}", path)
-    # the common form -?[0-9]+(/[0-9]+)?, nonzero denominator, skips
-    # Fraction's regex; every other string takes Fraction's full syntax
-    num, slash, den = text.partition("/")
-    if _ascii_digits(num.removeprefix("-")) and (
-            not slash or _ascii_digits(den) and den.strip("0")):
-        return Fraction(int(num), int(den) if slash else 1)
+    q = _plain_rational(text)
+    if q is not None:
+        return q
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ModelError("bad-rational", f"cannot parse rational {text!r}", path) from None
+
+
+@lru_cache(maxsize=4096)
+def _plain_rational(text: str) -> Optional[Fraction]:
+    """The value of a string of the common form -?[0-9]+(/[0-9]+)? with a
+    nonzero denominator, which skips Fraction's regex; None for every
+    other string, which takes Fraction's full syntax.  Cached on the
+    string, so a process parses each such rational once: a Fraction is
+    immutable, so every reader may share it."""
+    num, slash, den = text.partition("/")
+    if _ascii_digits(num.removeprefix("-")) and (
+            not slash or _ascii_digits(den) and den.strip("0")):
+        return Fraction(int(num), int(den) if slash else 1)
+    return None
 
 
 def _ascii_digits(text: str) -> bool:
@@ -333,10 +344,11 @@ def parse_model(path: str) -> Model:
             raw_v = values[a]
             if not isinstance(raw_v, list):
                 raw_v = [raw_v]
+            path_a = f"{path_m}.values.{a}"
             if len(raw_v) != target.dim:
                 raise ModelError("bad-measure", f"value at {a!r} must have {target.dim} coordinates",
-                                 f"{path_m}.values.{a}")
-            atom_vals.append(tuple(parse_rational(x, f"{path_m}.values.{a}") for x in raw_v))
+                                 path_a)
+            atom_vals.append(tuple(parse_rational(x, path_a) for x in raw_v))
         model.measures[name] = VectorMeasure(omega, target, tuple(atom_vals))
         model.measure_on[name] = on
 
@@ -763,7 +775,7 @@ def cmd_integrate_morphism(model: Model, report: Report, rng, element, exhaustiv
         t = integrate_simple_morphism(masked, cs, e, f)
         report.result(f"morphism_integral[{name}]", show_matrix(t))
         report.verdict(f"norm_equals_sup[{name}]",
-                       operator_norm(t) == linf_norm(masked))
+                       operator_norm(t) == essential_sup(masked, cs))
 
 
 def cmd_cosheafify(model: Model, report: Report, rng, element, exhaustive):

@@ -68,10 +68,6 @@ def vec(*xs) -> Vector:
     return tuple(Fraction(x) for x in xs)
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -145,6 +141,22 @@ class FinBanSpace:
             if s > best:
                 best = s
         return best
+
+    @functools.cached_property
+    def _int_weights(self) -> tuple[list[int], int]:
+        """The weights over one common denominator, (W, D) with
+        W[i] = D weights[i]; built on first read, not a field."""
+        (ws,), den = _over_common_denominator((self.weights,))
+        return ws, den
+
+    def _int_norm(self, v: Sequence[int]) -> int:
+        """D norm(v) for an int vector v, D the denominator of
+        `_int_weights`: the weighted l1 sum, or its max over the blocks."""
+        ws, _ = self._int_weights
+        if self.flavor is Flavor.SUM:
+            return sum(w * abs(x) for w, x in zip(ws, v) if x)
+        return max((sum(ws[i] * abs(v[i]) for i in g) for g in self.effective_groups()),
+                   default=0)
 
     def zero(self) -> Vector:
         return zero_vec(self.dim)
@@ -246,7 +258,10 @@ class LinMap:
     def __call__(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.source.dim:
             raise InvalidModel("vector/source mismatch")
-        return tuple(sum((x * v[j] for j, x in row), ZERO) for row in self.rows)
+        # zero coordinates of v add exactly 0, so they are skipped
+        nonzero = {j for j, x in enumerate(v) if x}
+        return tuple(sum((x * v[j] for j, x in row if j in nonzero), ZERO)
+                     for row in self.rows)
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.matrix)

@@ -2,11 +2,15 @@
 
 A measure is stored on atoms, so finite additivity is a representation
 invariant rather than a property to check: evaluation at an element is
-summation over the atoms below it.
+summation over the atoms below it.  The calculus on atoms (evaluation,
+variation, semivariation, the Lipschitz norm) runs in Python ints, on
+the atom values over one common denominator and the target's weights
+over theirs, and builds one Fraction per reported number.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -14,8 +18,7 @@ from typing import Callable, Optional, Sequence
 from .boolalg import BoolAlg, BoolMorphism, Coproduct, NullQuotient, quotient_by_null
 from .errors import AlgebraMismatch, InvalidModel
 from .exactla import ZERO
-from .finban import (FinBanSpace, Vector, _over_common_denominator, scalars, vec_add,
-                     vec_scale, zero_vec)
+from .finban import FinBanSpace, Vector, _over_common_denominator, scalars, vec_scale, zero_vec
 
 
 @dataclass(frozen=True)
@@ -32,12 +35,20 @@ class VectorMeasure:
         if any(len(v) != self.target.dim for v in self.atom_values):
             raise InvalidModel("atom values must live in the target space")
 
+    @functools.cached_property
+    def _int_values(self) -> tuple[list[list[int]], int]:
+        """The atom values over one common denominator, (rows, D) with
+        rows[i][k] = D atom_values[i][k]; built on first read, not a
+        field, so ==, hash and repr do not see it."""
+        return _over_common_denominator(self.atom_values)
+
     def __call__(self, e: int) -> Vector:
         self.algebra.check_element(e)
-        out = zero_vec(self.target.dim)
-        for i in self.algebra.atom_indices(e):
-            out = vec_add(out, self.atom_values[i])
-        return out
+        rows, den = self._int_values
+        below = [rows[i] for i in self.algebra.atom_indices(e)]
+        if not below:
+            return zero_vec(self.target.dim)
+        return tuple(Fraction(sum(col), den) for col in zip(*below))
 
     def scale(self, k: Fraction) -> "VectorMeasure":
         return VectorMeasure(self.algebra, self.target,
@@ -84,10 +95,13 @@ class MeasureAlgebra:
 
 def variation(nu: VectorMeasure, e: int) -> Fraction:
     """sup over partitions of sum ||nu(F)||; the finest partition wins, so
-    this is the sum of atom value norms below e."""
+    this is the sum of atom value norms below e.  With the atom values
+    over D and the weights over D', each norm is an int over D D'."""
     nu.algebra.check_element(e)
-    return sum((nu.target.norm(nu.atom_values[i])
-                for i in nu.algebra.atom_indices(e)), ZERO)
+    rows, den = nu._int_values
+    norm = nu.target._int_norm
+    return Fraction(sum(norm(rows[i]) for i in nu.algebra.atom_indices(e)),
+                    den * nu.target._int_weights[1])
 
 
 def semivariation(nu: VectorMeasure, e: int) -> Fraction:
@@ -112,10 +126,11 @@ def semivariation(nu: VectorMeasure, e: int) -> Fraction:
        With u_ak = w_k nu(a)_k, such a vertex pairs to
        phi . nu(a) = sum_{k in g} s_k u_ak, and by step 1 the first
        sign on g can be fixed to +1.
-    3. Common denominator.  With D > 0 the lcm of the denominators of
-       all u_ak, U_ak = D u_ak are integers and
-       sum_a |sum_k s_k U_ak| = D T(phi), so the largest integer total
-       divided by D is sv(e) exactly.
+    3. Common denominator.  With the atom values nu(a)_k = R_ak / D_v
+       and the weights w_k = W_k / D_w over their stored common
+       denominators, U_ak = W_k R_ak = D u_ak are integers for
+       D = D_v D_w, and sum_a |sum_k s_k U_ak| = D T(phi), so the largest
+       integer total divided by D is sv(e) exactly.
 
     So the route is still the dual-ball one (independent of the
     operator norm of the lift, which enumerates the source ball), in
@@ -129,8 +144,9 @@ def semivariation(nu: VectorMeasure, e: int) -> Fraction:
     if not idx or target.dim == 0:
         return ZERO
     blocks = target.dual_vertex_blocks()
-    rows, den = _over_common_denominator(
-        [[w * x for w, x in zip(target.weights, nu.atom_values[i])] for i in idx])
+    values, den = nu._int_values
+    ws, wden = target._int_weights
+    rows = [[w * x for w, x in zip(ws, values[i])] for i in idx]
     best = 0
     for g in blocks:
         totals = [0] * (1 << (len(g) - 1))
@@ -142,7 +158,7 @@ def semivariation(nu: VectorMeasure, e: int) -> Fraction:
                 sums = [x + u for x in sums] + [x - u for x in sums]
             totals = [t + abs(x) for t, x in zip(totals, sums)]
         best = max(best, max(totals))
-    return Fraction(best, den)
+    return Fraction(best, den * wden)
 
 
 def lipschitz_norm(nu: VectorMeasure, mu: MeasureAlgebra) -> Optional[Fraction]:
@@ -152,17 +168,26 @@ def lipschitz_norm(nu: VectorMeasure, mu: MeasureAlgebra) -> Optional[Fraction]:
     It is the max L over the atoms a with mu(a) > 0: atoms are elements,
     and past the None check null atoms carry nu = 0, so for mu(E) > 0
     ||nu(E)|| <= sum_{a <= E, mu(a) > 0} (||nu(a)|| / mu(a)) mu(a) <= L mu(E).
+
+    In ints: with nu's atom values over D, the weights over D' and mu's
+    values M_a over D'', ||nu(a)|| = N_a / (D D') and the ratio at a is
+    (N_a / M_a) D'' / (D D'), so the atom with the largest N_a / M_a,
+    found by cross-multiplying, gives L.
     """
     if nu.algebra != mu.algebra:
         raise AlgebraMismatch("measures live on different algebras")
-    ratios = []
-    for i, v in enumerate(nu.atom_values):
-        m = mu.atom_value(i)
+    rows, den = nu._int_values
+    masses, mass_den = mu.mu._int_values
+    norm = nu.target._int_norm
+    top, bottom = 0, 1  # the largest N_a / M_a so far, from 0
+    for row, (m,) in zip(rows, masses):
         if m:
-            ratios.append(nu.target.norm(v) / m)
-        elif any(v):
+            n = norm(row)
+            if n * bottom > top * m:
+                top, bottom = n, m
+        elif any(row):
             return None
-    return max(ratios, default=ZERO)
+    return Fraction(top * mass_den, bottom * den * nu.target._int_weights[1])
 
 
 def pullback(phi: BoolMorphism, nu: VectorMeasure) -> VectorMeasure:

@@ -24,7 +24,8 @@ P_a = A diag(1_a) A^-1, and P_E, the sum of the P_a below E, is the
 idempotent with range ext_{E,top} and kernel ext_{~E,top}; the spectral
 data stores the P_a, a resolution of the identity.  The action of simple
 elements f |-> sum f(a) P_a is a unital multiplicative algebra map whose
-operator norm is the sup norm of f.
+operator norm is the essential sup of f, the sup of |f(a)| over the atoms
+a with a nonzero fiber (P_a = 0 on the others).
 
 Presheaves are the dual picture (SUP spaces, restrictions, product
 condition, decided the same way); characteristic presheaves and the hom
@@ -72,7 +73,7 @@ from .finban import (FinBanSpace, Flavor, LinMap, Vector, _hstack, _identity_row
                      _isometric_split, _over_common_denominator, direct_sum,
                      operator_norm, scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
-from .simple import SimpleElement, characteristic, linf_norm
+from .simple import SimpleElement, characteristic
 
 
 def _covering_pairs(omega: BoolAlg):
@@ -529,7 +530,13 @@ class SpectralData:
         return True
 
     def action_norm_matches(self, f: SimpleElement) -> bool:
-        return operator_norm(self.action(f)) == linf_norm(f)
+        return operator_norm(self.action(f)) == essential_sup(f, self.cosheaf)
+
+
+def essential_sup(f: SimpleElement, mu: PreCosheaf) -> Fraction:
+    """The sup of |f(a)| over the atoms a with a nonzero fiber mu(a)."""
+    return max((abs(k) for i, k in enumerate(f.coeffs) if k and mu.space(1 << i).dim),
+               default=ZERO)
 
 
 def spectral_measure(mu: PreCosheaf) -> SpectralData:

@@ -14,6 +14,7 @@ values).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,8 +23,8 @@ from .boolalg import BoolAlg, Coproduct, StoneSpace
 from .errors import AlgebraMismatch, FlavorMismatch, InvalidModel, NotIdempotent
 from .exactla import ONE, ZERO
 from .finban import (
-    FinBanSpace, Flavor, IsoWitness, LinMap, Vector,
-    projective_tensor, sup_space, vec_add, vec_scale, zero_vec,
+    FinBanSpace, Flavor, IsoWitness, LinMap, Vector, _over_common_denominator,
+    projective_tensor, sup_space, zero_vec,
 )
 from .measures import MeasureAlgebra, VectorMeasure
 
@@ -112,14 +113,15 @@ def linf_space(omega: BoolAlg) -> FinBanSpace:
 
 def integrate(f: SimpleElement, nu: VectorMeasure) -> Vector:
     """sum_n k_n nu(E_n) over the canonical form; equivalently the
-    atomwise sum f(a) nu(a)."""
+    atomwise sum f(a) nu(a).  In ints: with f's coefficients over their
+    lcm L and nu's atom values over D, each coordinate is one int dot
+    product over L D."""
     if f.algebra != nu.algebra:
         raise AlgebraMismatch("element and measure live on different algebras")
-    out = zero_vec(nu.target.dim)
-    for i, k in enumerate(f.coeffs):
-        if k != 0:
-            out = vec_add(out, vec_scale(k, nu.atom_values[i]))
-    return out
+    (coeffs,), lcm = _over_common_denominator((f.coeffs,))
+    rows, den = nu._int_values
+    return tuple(Fraction(sum(map(operator.mul, coeffs, col)), lcm * den)
+                 for col in zip(*rows))
 
 
 def integration_map(nu: VectorMeasure) -> LinMap:
@@ -235,18 +237,21 @@ def l1_tensor_witness(mu: MeasureAlgebra, target: FinBanSpace) -> IsoWitness:
 def bochner(f: VectorSimpleElement, mu: MeasureAlgebra) -> BochnerResult:
     """Integral sum mu(E_n) b_n, the l1 norm, and the projective-tensor
     identification of the ambient space.  The integral is contractive for
-    the l1 norm."""
+    the l1 norm.  In ints: with mu's atom values M_a over D, f's
+    coefficient vectors over one common denominator D' and the target's
+    weights over D'', the integral is sum_a M_a C_a over D D' and the
+    norm sum_a M_a N_a over D D' D'', N_a the int norm of C_a."""
     if f.algebra != mu.algebra:
         raise AlgebraMismatch("element and measure live on different algebras")
-    total = zero_vec(f.target.dim)
-    norm = ZERO
-    for i in range(f.algebra.n):
-        w = mu.atom_value(i)
-        if w == 0:
-            continue
-        total = vec_add(total, vec_scale(w, f.coeffs[i]))
-        norm += w * f.target.norm(f.coeffs[i])
-    return BochnerResult(total, norm, l1_tensor_witness(mu, f.target))
+    masses, den = mu.mu._int_values
+    ms = [m for (m,) in masses]
+    rows, coeff_den = _over_common_denominator(f.coeffs)
+    integral = tuple(Fraction(sum(map(operator.mul, ms, col)), den * coeff_den)
+                     for col in zip(*rows))
+    norm = sum(m * f.target._int_norm(row) for m, row in zip(ms, rows) if m)
+    return BochnerResult(integral,
+                         Fraction(norm, den * coeff_den * f.target._int_weights[1]),
+                         l1_tensor_witness(mu, f.target))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ the containment check of an Isbell conjugate's structure maps over
 every element where it applies, the exhaustive (co)sheaf condition on
 built partition maps and cones, the seeded random cosheaf composed
 map by map, the canonical cosheaf with every cover map built at once,
-and the closed-form isometry test on Fraction products.  They live
-here, not in `src/`, so that they stay independent of the code under
-test.
+the closed-form isometry test on Fraction products, and the atom-level
+measure calculus (a measure's value, its variation, the integral of a
+simple element and the Bochner integral with its l1 norm) as Fraction
+sums one coordinate at a time.  They live here, not in `src/`, so that
+they stay independent of the code under test.
 """
 
 import itertools
@@ -353,3 +355,37 @@ def random_cosheaf_by_composition(rng, omega, max_dim: int = 2):
                   for (small, big), c in canonical.cover_maps.items()}
     return PreCosheaf(omega, {e: forward.target for e, (forward, _) in twists.items()},
                       cover_maps)
+
+
+def measure_at_by_sums(nu, e: int) -> tuple:
+    """nu(e) as the Fraction sum of the atom values below e."""
+    out = tuple(ZERO for _ in range(nu.target.dim))
+    for i in nu.algebra.atom_indices(e):
+        out = tuple(x + y for x, y in zip(out, nu.atom_values[i]))
+    return out
+
+
+def variation_by_norms(nu, e: int) -> Fraction:
+    """The sum of the target norms of the atom values below e."""
+    return sum((nu.target.norm(nu.atom_values[i]) for i in nu.algebra.atom_indices(e)), ZERO)
+
+
+def integrate_by_fractions(f, nu) -> tuple:
+    """sum_a f(a) nu(a), one Fraction product and sum per coordinate."""
+    out = tuple(ZERO for _ in range(nu.target.dim))
+    for k, v in zip(f.coeffs, nu.atom_values):
+        if k != 0:
+            out = tuple(x + k * y for x, y in zip(out, v))
+    return out
+
+
+def bochner_by_fractions(f, mu) -> tuple:
+    """(sum_a mu(a) f(a), sum_a mu(a) ||f(a)||) in Fractions."""
+    total = tuple(ZERO for _ in range(f.target.dim))
+    norm = ZERO
+    for i, v in enumerate(f.coeffs):
+        w = mu.atom_value(i)
+        if w != 0:
+            total = tuple(x + w * y for x, y in zip(total, v))
+            norm += w * f.target.norm(v)
+    return total, norm

@@ -103,19 +103,33 @@ def test_repeated_in_process_calls_match_the_first():
 
 @pytest.mark.parametrize("text", ["0", "-0", "007/010", "3/6", "-12/8", "1/0", "0/0", "3/-2",
                                   " 1/2 ", "1/2\n", "1.5", "1e3", "+3", "1_000", "٣", "²",
-                                  "", "-", "--1", "/2", "1/", "12345678901234567890/3"])
+                                  "", "-", "--1", "/2", "1/", "12345678901234567890/3",
+                                  "007/3", "1/00", "x", "٣/٤", "-1/٣"])
 def test_rationals_parse_as_fraction_does(text):
     """The plain form skips Fraction's parser; every string still gives
-    Fraction's value, or the bad-rational code at the same path."""
-    try:
-        want = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    Fraction's value, or the bad-rational code at the same path, on the
+    cold call and on the second, which the cache serves."""
+    cli._plain_rational.cache_clear()
+    for _ in range(2):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ModelError) as err:
+                cli.parse_rational(text, "measures.mu.values.a")
+            assert (err.value.code, err.value.path) == ("bad-rational", "measures.mu.values.a")
+        else:
+            got = cli.parse_rational(text, "measures.mu.values.a")
+            assert type(got) is Fraction and got == want
+    assert cli._plain_rational.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_bad_rationals_keep_code_and_path_after_good_ones_are_cached():
+    cli.parse_rational("1/2", "measures.mu.values.a")
+    cli.parse_rational("1", "measures.mu.values.a")
+    for text in ("1/0", "1/00", "x"):
         with pytest.raises(ModelError) as err:
-            cli.parse_rational(text, "measures.mu.values.a")
-        assert (err.value.code, err.value.path) == ("bad-rational", "measures.mu.values.a")
-    else:
-        got = cli.parse_rational(text, "measures.mu.values.a")
-        assert type(got) is Fraction and got == want
+            cli.parse_rational(text, "spaces.V.weights[0]")
+        assert (err.value.code, err.value.path) == ("bad-rational", "spaces.V.weights[0]")
 
 
 def as_json_dumps(payload):
@@ -179,6 +193,21 @@ def write_model(tmp_path, payload, name="m.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+@pytest.mark.parametrize("command, seed, count", [("spectral", 0, 6), ("integrate-morphism", 2, 1)])
+def test_a_zero_atom_fiber_fails_no_norm_verdict(tmp_path, command, seed, count):
+    """mu(a) = 0 gives the l1 cosheaf a zero fiber at a, so f(a) does not
+    reach the norm of f's action or integral; these seeds draw f with
+    |f(a)| > |f(b)|, which the sup norm of f took for the norm."""
+    path = write_model(tmp_path, {
+        "algebra": {"atoms": ["a", "b"]},
+        "measures": {"mu": {"values": {"a": "0", "b": "1/2"}}},
+        "cosheaves": {"l": "l1-of:mu"}})
+    done = run_cli(command, "--model", path, "--seed", str(seed), "--format", "structured")
+    verdicts = json.loads(done.stdout)["verdicts"]
+    assert done.returncode == 0
+    assert len(verdicts) == count and all(v["ok"] for v in verdicts.values())
 
 
 def test_minimal_model_parses(tmp_path):

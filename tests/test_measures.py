@@ -16,7 +16,11 @@ from catmeas.measures import (MeasureAlgebra, VectorMeasure, factor_through,
                               product_measure, pullback, semivariation, variation,
                               random_vector_measure)
 
-from oracles import dual_extreme_functionals, lipschitz_by_elements, semivariation_bruteforce
+from catmeas.simple import SimpleElement, VectorSimpleElement, bochner, integrate
+
+from oracles import (bochner_by_fractions, dual_extreme_functionals, integrate_by_fractions,
+                     lipschitz_by_elements, measure_at_by_sums, semivariation_bruteforce,
+                     variation_by_norms)
 
 F = Fraction
 
@@ -186,6 +190,42 @@ def test_semivariation_matches_the_dual_vertex_loop():
         if target.dim <= 6:
             functionals = list(dual_extreme_functionals(target))
             assert semivariation_bruteforce(nu, omega.top, functionals) == oracle[omega.top]
+
+
+def test_int_calculus_matches_the_fraction_loops():
+    """A measure's value and variation at every element, the integral of
+    simple elements and the Bochner integral with its l1 norm, each
+    against its Fraction loop, on 1-7 atoms with null atoms, over scalar,
+    SUM, SUP, blocked SUP and 0-dim targets; the simple elements have
+    zeros and mixed denominators."""
+    rng = random.Random(23)
+
+    def coefficient():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 12))
+
+    targets = [scalars(), sum_space([], []), sup_space([], []),
+               sum_space(["u"], [F(5, 3)]), sup_space(["u"], [F(2, 7)])]
+    targets += [random_target(rng, kind, dim)
+                for kind in ("sum", "sup", "blocked") for dim in (2, 3, 5)]
+    for target in targets:
+        for n in range(1, 8):
+            omega = alg(*(f"x{i}" for i in range(n)))
+            nu = random_measure_with_nulls(rng, omega, target)
+            for e in omega.elements():
+                value = nu(e)
+                assert value == measure_at_by_sums(nu, e), (target, e)
+                assert all(type(x) is F for x in value)
+                assert variation(nu, e) == variation_by_norms(nu, e), (target, e)
+            for _ in range(3):
+                f = SimpleElement(omega, tuple(coefficient() for _ in range(n)))
+                assert integrate(f, nu) == integrate_by_fractions(f, nu), (target, f)
+            if target.flavor is Flavor.SUM:
+                masses = [rng.choice([0, F(1, 3), 1, F(5, 2), F(7, 6)]) for _ in range(n)]
+                mu = MeasureAlgebra.from_values(omega, masses)
+                g = VectorSimpleElement(omega, target, tuple(
+                    tuple(coefficient() for _ in range(target.dim)) for _ in range(n)))
+                res = bochner(g, mu)
+                assert (res.integral, res.l1_norm) == bochner_by_fractions(g, mu), (target, g)
 
 
 @st.composite

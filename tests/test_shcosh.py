@@ -23,7 +23,7 @@ from catmeas.shcosh import (bva_cosheaf,
                             bva_evaluation, bva_vector, characteristic_sheaf,
                             constant_precosheaf, constant_universal_map,
                             cosheaf_hom, cosheaf_projection, cosheafify,
-                            counit_is_natural, count_factorizations,
+                            counit_is_natural, count_factorizations, essential_sup,
                             factor_through_cosheafification, from_atom_spaces,
                             integrate_simple_morphism, is_cosheaf,
                             is_sheaf, l1_cosheaf,
@@ -1048,6 +1048,33 @@ def test_integrate_norm_equality_in_l1_model():
         s = rnd_simple(rng, omega, support=e & f)
         t = integrate_simple_morphism(s, cs, e, f)
         assert operator_norm(t) == linf_norm(s)
+
+
+def test_essential_sup_is_the_norm_of_the_action_and_the_integral():
+    """On cosheaves with zero atom fibers, the action of f and the
+    integral of f from e to top have as operator norm the sup of |f(a)|
+    over the atoms with a nonzero fiber, which the sup norm of f can
+    exceed."""
+    rng = random.Random(29)
+    exceeded = 0
+    for _ in range(200):
+        omega = alg(*(f"a{i}" for i in range(rng.randint(1, 4))))
+        fibers = {}
+        for a in omega.atoms:
+            dim = rng.randint(0, 2)
+            fibers[a] = sum_space([f"{a}{j}" for j in range(dim)],
+                                  [F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(dim)])
+        cs = from_atom_spaces(omega, fibers)
+        spec = spectral_measure(cs)
+        for _ in range(5):
+            e = rng.randint(0, omega.top)
+            f = rnd_simple(rng, omega, support=e)
+            norm = essential_sup(f, cs)
+            assert spec.action_norm_matches(f)
+            assert operator_norm(spec.action(f)) == norm
+            assert operator_norm(integrate_simple_morphism(f, cs, e, omega.top)) == norm
+            exceeded += linf_norm(f) > norm
+    assert exceeded
 
 
 def test_integrate_norm_bounded_general_cosheaves():
