@@ -46,12 +46,6 @@ from . import bundles2v
 from .finban import FinPoset
 
 
-COMMANDS = ("stone", "partitions", "variation", "semivariation", "lipschitz",
-            "integrate", "bochner", "fubini", "check-sheaf", "check-cosheaf",
-            "spectral", "integrate-morphism", "cosheafify", "bva", "kan",
-            "isbell", "verify-all")
-
-
 # ---------------------------------------------------------------------------
 # rationals and rendering
 # ---------------------------------------------------------------------------
@@ -606,8 +600,9 @@ def cmd_partitions(model: Model, report: Report, rng, element, exhaustive):
     e = omega.top if element is None else element
     parts = list(partitions_of(omega, e))
     report.result("count", len(parts))
-    report.result("partitions", [
-        _describe_blocks(omega, p.blocks) for p in parts])
+    # the same blocks recur across partitions: each is described once
+    describe = cache(lambda b: list(omega.atoms_below(b)))
+    report.result("partitions", [[describe(b) for b in p.blocks] for p in parts])
 
 
 def _each_measure(model: Model):
@@ -877,6 +872,7 @@ DISPATCH = {
     "isbell": cmd_isbell,
     "verify-all": cmd_verify_all,
 }
+COMMANDS = tuple(DISPATCH)
 
 
 def run(command: str, model: Model, seed: int, exhaustive: bool,

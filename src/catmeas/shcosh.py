@@ -121,9 +121,10 @@ class _BuiltOnRead(Mapping):
 @dataclass
 class _Assignment:
     """Spaces on the elements and structure maps keyed by covering pairs
-    (small, big), going the way the subclass's `covariant` says; the maps
-    are a dict, or a `_BuiltOnRead` mapping for the canonical cosheaf and
-    the seeded probe.  Both
+    (small, big), going the way the subclass's `covariant` says: a
+    `_BuiltOnRead` mapping for every closed-form library construction, a
+    dict for assembled input (`make_precosheaf`, `make_presheaf`) and for
+    the Isbell conjugates, whose maps are checked when built.  Both
     never change after construction (no library code writes to them), so
     `_walk` memoises structure maps in `_walks`, outside init, == and repr."""
 
@@ -230,42 +231,55 @@ def make_presheaf(omega: BoolAlg, spaces, cover_maps,
     return _validate_functorial(PreSheaf(omega, dict(spaces), dict(cover_maps)), contractive)
 
 
+def _on_atom_blocks(omega: BoolAlg, blocks: Sequence[tuple[tuple, tuple]], kind):
+    """A precosheaf (SUM) or presheaf (SUP), as `kind` says, whose value at
+    E sums the blocks below E in atom order, blocks[i] = (labels,
+    weights) of atom i: the value at E minus its top atom with that
+    atom's block appended (the same space for an empty block).  For a
+    covering pair (small, big = small + atom k), big's basis is small's
+    with k's block inserted at off = the dim of the atoms of small below
+    k, so the extension is small's identity with the block's zero rows
+    inserted at off, and the restriction its transpose, big's identity
+    with the block's rows removed; each is built on its first read
+    (`_BuiltOnRead`).  Functorial and contractive by construction:
+    inclusions compose to the inclusion and drops to the drop, so both
+    paths of a diamond agree, and the weights are kept, so padding with
+    zeros keeps the weighted l1 norm and dropping coordinates cannot
+    raise the weighted sup."""
+    flavor = Flavor.SUM if kind.covariant else Flavor.SUP
+    spaces: dict[int, FinBanSpace] = {0: zero_space(flavor)}
+    for e in omega.nonzero_elements():
+        top = e.bit_length() - 1
+        rest, (labels, weights) = spaces[e & ~(1 << top)], blocks[top]
+        spaces[e] = FinBanSpace(rest.basis + labels, rest.weights + weights, flavor) if labels else rest
+
+    def cover_map(pair: tuple[int, int]) -> LinMap:
+        small, big = pair
+        k = (big & ~small).bit_length() - 1
+        off, width = spaces[small & ((1 << k) - 1)].dim, len(blocks[k][0])
+        if kind.covariant:
+            eye = _identity_rows(spaces[small].dim)
+            return LinMap(spaces[small], spaces[big], eye[:off] + ((),) * width + eye[off:])
+        eye = _identity_rows(spaces[big].dim)
+        return LinMap(spaces[big], spaces[small], eye[:off] + eye[off + width:])
+
+    pairs = ((small, big) for small, big, _ in _covering_pairs(omega))
+    return kind(omega, spaces, _BuiltOnRead(pairs, cover_map))
+
+
 def from_atom_spaces(omega: BoolAlg,
                      atom_spaces: Mapping[str, FinBanSpace]) -> PreCosheaf:
     """The canonical cosheaf with the given atom fibers: mu(E) is the
     direct sum of the fibers of the atoms below E (in atom order, tagged
-    by atom), extensions are block inclusions.  This is one direction of
-    the discrete density result: atom data extends to a cosheaf by sums.
-    Functorial and contractive by construction: an inclusion of atom
-    blocks with inherited weights has norm 1 (or acts on a 0-dim space),
-    and a composite of inclusions is the inclusion.  For a covering pair
-    (small, small + atom k), big's basis is small's with k's block
-    inserted at off = sum of dim(atom i) over the atoms i < k below small,
-    so the inclusion is small's identity with zero rows inserted at off.
-    The spaces are built here, each cover map on its first read
-    (`_BuiltOnRead`), from that closed form: a check reads only some."""
+    by atom), extensions are block inclusions (`_on_atom_blocks`): by the
+    discrete density result, atom data extends to a cosheaf by sums."""
     for a in omega.atoms:
         if a not in atom_spaces:
             raise InvalidModel(f"missing atom space for {a!r}")
         if atom_spaces[a].flavor is not Flavor.SUM:
             raise InvalidModel("cosheaf fibers carry the SUM flavor")
-    blocks = [(tuple(f"{a}:{b}" for b in atom_spaces[a].basis), tuple(atom_spaces[a].weights))
-              for a in omega.atoms]
-    spaces: dict[int, FinBanSpace] = {0: zero_space(Flavor.SUM)}
-    for e in omega.nonzero_elements():
-        top = e.bit_length() - 1
-        rest, (labels, weights) = spaces[e & ~(1 << top)], blocks[top]
-        spaces[e] = FinBanSpace(rest.basis + labels, rest.weights + weights, Flavor.SUM)
-
-    def inclusion(pair: tuple[int, int]) -> LinMap:
-        small, big = pair
-        source, target = spaces[small], spaces[big]
-        k = (big & ~small).bit_length() - 1
-        eye, off = _identity_rows(source.dim), spaces[small & ((1 << k) - 1)].dim
-        return LinMap(source, target, eye[:off] + ((),) * (target.dim - source.dim) + eye[off:])
-
-    pairs = ((small, big) for small, big, _ in _covering_pairs(omega))
-    return PreCosheaf(omega, spaces, _BuiltOnRead(pairs, inclusion))
+    return _on_atom_blocks(omega, [(tuple(f"{a}:{b}" for b in atom_spaces[a].basis),
+                                    atom_spaces[a].weights) for a in omega.atoms], PreCosheaf)
 
 
 def restrict_to_atoms(mu: PreCosheaf) -> dict[str, FinBanSpace]:
@@ -286,12 +300,9 @@ def l1_cosheaf(mu: MeasureAlgebra) -> PreCosheaf:
 
 
 def constant_precosheaf(omega: BoolAlg, b: FinBanSpace) -> PreCosheaf:
-    """E |-> B with identity extensions (fails the partition condition on
-    any algebra with two or more atoms); identities are contractive and
-    compose to identities."""
-    spaces = {e: b for e in omega.elements()}
-    cover_maps = {(s, g): LinMap.identity(b) for s, g, _ in _covering_pairs(omega)}
-    return PreCosheaf(omega, spaces, cover_maps)
+    """E |-> B with identity extensions, the indicator of every element
+    (not a cosheaf once there are two atoms)."""
+    return _indicator(omega, lambda f: True, b, PreCosheaf)
 
 
 def zero_precosheaf(omega: BoolAlg) -> PreCosheaf:
@@ -589,21 +600,11 @@ def integrate_simple_morphism(f: SimpleElement, mu: PreCosheaf,
 
 def characteristic_sheaf(omega: BoolAlg, e: int) -> PreSheaf:
     """F |-> sup-normed functions on the atoms below E & F, restrictions
-    dropping coordinates; a coordinate drop between unit-weight sup spaces
-    is contractive, and drops compose to the drop onto the smaller set.
-    Adding an atom k <= E to F inserts k's coordinate at position p, the
-    number of atoms of E & F below k, so the drop is the identity without
-    row p (the identity when k is not <= E)."""
+    dropping coordinates: `_on_atom_blocks` with a unit sup line on each
+    atom below E and an empty block elsewhere."""
     omega.check_element(e)
-    spaces = {f: sup_space(omega.atoms_below(e & f)) for f in omega.elements()}
-    cover_maps = {}
-    for small, big, k in _covering_pairs(omega):
-        rows = _identity_rows(spaces[big].dim)
-        if e >> k & 1:
-            p = spaces[small & ((1 << k) - 1)].dim
-            rows = rows[:p] + rows[p + 1:]
-        cover_maps[(small, big)] = LinMap(spaces[big], spaces[small], rows)
-    return PreSheaf(omega, spaces, cover_maps)
+    return _on_atom_blocks(omega, [((a,), (ONE,)) if e >> i & 1 else ((), ())
+                                   for i, a in enumerate(omega.atoms)], PreSheaf)
 
 
 @dataclass
@@ -826,20 +827,22 @@ def constant_universal_map(theta: PreCosheaf, tau: Mapping[int, LinMap],
 
 def _indicator(omega: BoolAlg, inside, line: FinBanSpace, kind):
     """F |-> line where inside(F), the zero space elsewhere; a structure
-    map is the identity between two lines and zero otherwise.  A
-    precosheaf or a presheaf, as `kind` says.  Functorial and
-    contractive when `inside` is an up-set (precosheaf) or a down-set: at
-    the source corner of a diamond either every corner is inside, so both
-    sides are id = id, or the source is the zero space, so both sides are
-    the map out of it."""
+    map is the identity between two lines and zero otherwise, built on
+    its first read (`_BuiltOnRead`).  A precosheaf or a presheaf, as
+    `kind` says.  Functorial and contractive when `inside` is an up-set
+    (precosheaf) or a down-set (every element and no element are both):
+    at the source corner of a diamond either every corner is inside, so
+    both sides are id = id, or the source is the zero space, so both
+    sides are the map out of it."""
     zero = zero_space(line.flavor)
     spaces = {f: line if inside(f) else zero for f in omega.elements()}
-    cover_maps = {}
-    for small, big, _ in _covering_pairs(omega):
-        src, tgt = (spaces[f] for f in _arrow(kind, small, big))
-        cover_maps[(small, big)] = (LinMap.identity(line) if src.dim and tgt.dim
-                                    else LinMap.zero(src, tgt))
-    return kind(omega, spaces, cover_maps)
+
+    def cover_map(pair: tuple[int, int]) -> LinMap:
+        src, tgt = (spaces[f] for f in _arrow(kind, *pair))
+        return LinMap.identity(line) if src.dim and tgt.dim else LinMap.zero(src, tgt)
+
+    pairs = ((small, big) for small, big, _ in _covering_pairs(omega))
+    return kind(omega, spaces, _BuiltOnRead(pairs, cover_map))
 
 
 def yoneda_presheaf(omega: BoolAlg, e: int) -> PreSheaf:
@@ -1061,11 +1064,8 @@ def _conjugate(x, tag: str):
     flavor = Flavor.SUM if kind.covariant else Flavor.SUP
     if not x.space(top if up else 0).dim:
         # a zero root: every ann_E is zero, so is every cover map, and the
-        # containment check has no rows to test
-        zero = zero_space(flavor)
-        return kind(omega, dict.fromkeys(omega.elements(), zero),
-                    dict.fromkeys(((s, b) for s, b, _ in _covering_pairs(omega)),
-                                  LinMap.zero(zero, zero)))
+        # containment check has no rows to test: the indicator of nothing
+        return _indicator(omega, lambda f: False, zero_space(flavor), kind)
     columns, bases = _root_bases(x)
     spaces = {e: FinBanSpace(tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(len(b))),
                              (ONE,) * len(b), flavor) for e, b in bases.items()}

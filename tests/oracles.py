@@ -12,12 +12,13 @@ every path, an Isbell annihilator solved from all its killers at once,
 the containment check of an Isbell conjugate's structure maps over
 every element where it applies, the exhaustive (co)sheaf condition on
 built partition maps and cones, the seeded random cosheaf composed
-map by map, the canonical cosheaf with every cover map built at once,
-the closed-form isometry test on Fraction products, and the atom-level
-measure calculus (a measure's value, its variation, the integral of a
-simple element and the Bochner integral with its l1 norm) as Fraction
-sums one coordinate at a time.  They live here, not in `src/`, so that
-they stay independent of the code under test.
+map by map, the canonical cosheaf and the indicator (co)presheaves
+with every cover map built at once, the closed-form isometry test on
+Fraction products, and the atom-level measure calculus (a measure's
+value, its variation, the integral of a simple element and the Bochner
+integral with its l1 norm) as Fraction sums one coordinate at a time.
+They live here, not in `src/`, so that they stay independent of the
+code under test.
 """
 
 import itertools
@@ -321,6 +322,28 @@ def from_atom_spaces_eager(omega, atom_spaces):
             rows = eye[:off] + ((),) * (target.dim - source.dim) + eye[off:]
             cover_maps[(small, big)] = LinMap(source, target, rows)
     return PreCosheaf(omega, spaces, cover_maps)
+
+
+def indicator_eager(omega, inside, line, covariant: bool):
+    """`shcosh._indicator` with every cover map built at once into a plain
+    dict, as (spaces, cover_maps): `line` on the elements where `inside`
+    holds, the zero space of its flavor elsewhere, and on each covering
+    pair (small, small + atom k), in increasing small, then k, the dense
+    identity matrix between two nonzero spaces and the zero matrix
+    otherwise, small -> big when covariant, big -> small when not."""
+    zero = FinBanSpace((), (), line.flavor)
+    spaces = {f: line if inside(f) else zero for f in range(omega.top + 1)}
+    cover_maps = {}
+    for small in range(omega.top + 1):
+        for k in range(omega.n):
+            if small >> k & 1:
+                continue
+            big = small | 1 << k
+            src, tgt = (spaces[small], spaces[big]) if covariant else (spaces[big], spaces[small])
+            one = ONE if src.dim and tgt.dim else ZERO
+            matrix = [[one if i == j else ZERO for j in range(src.dim)] for i in range(tgt.dim)]
+            cover_maps[(small, big)] = LinMap.from_matrix(src, tgt, matrix)
+    return spaces, cover_maps
 
 
 def random_cosheaf_by_composition(rng, omega, max_dim: int = 2):

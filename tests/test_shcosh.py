@@ -40,7 +40,8 @@ from catmeas.shcosh import (bva_cosheaf,
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
 
 from oracles import (annihilator_by_killers, containment_by_all_submasks,
-                     from_atom_spaces_eager, partition_condition_by_built_maps,
+                     from_atom_spaces_eager, indicator_eager,
+                     partition_condition_by_built_maps,
                      random_cosheaf_by_composition, rank, spectral_laws_by_pairs,
                      split_projection)
 
@@ -2052,6 +2053,53 @@ def test_offset_constructions_match_their_eager_oracles():
 def test_offset_constructions_match_their_eager_oracles_property(n, seed):
     rng = random.Random(seed)
     check_offset_constructions(rng, n, lambda omega: [rng.randint(0, omega.top)])
+
+
+def test_indicator_constructions_match_their_eager_oracle():
+    """For 1 to 6 atoms, the constant precosheaf (the indicator of every
+    element), both Yoneda objects (of a down-set and of an up-set) and the
+    zero-root Isbell conjugates (the indicator of no element) build no
+    cover map until one is read, and have the spaces, maps and key order
+    of the eager indicator."""
+    def check(x, inside, line):
+        assert not x.cover_maps._built
+        assert_matches_oracle(x, indicator_eager(x.algebra, inside, line, x.covariant))
+
+    rng = random.Random(37)
+    for n in range(1, 7):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        for b in (sum_space(["u", "v"], [F(2), F(1, 3)]), sup_space(["u"]), zero_space()):
+            check(constant_precosheaf(omega, b), lambda f: True, b)
+        for e in {0, omega.top, *rng.sample(range(omega.top + 1), min(4, omega.top + 1))}:
+            check(yoneda_presheaf(omega, e), lambda f: f & ~e == 0, sup_space(["1"]))
+            check(yoneda_precosheaf(omega, e), lambda f: e & ~f == 0, scalars())
+            check(isbell(characteristic_sheaf(omega, e)), lambda f: False,
+                  zero_space(Flavor.SUM))
+        check(isbell_adjoint(zero_precosheaf(omega)), lambda f: False, zero_space(Flavor.SUP))
+
+
+def test_library_constructions_build_the_maps_a_check_reads():
+    """The characteristic sheaf, the constant precosheaf and the zero-root
+    Isbell conjugate build a cover map on its first read: the sheaf
+    condition of a characteristic sheaf builds 52 of the 80 maps on 5
+    atoms and 240 of the 448 on 7, whatever E is; the failing cosheaf
+    condition of a constant precosheaf builds 2; and the Isbell conjugate
+    of a presheaf with a zero bottom value builds none of its input's
+    maps and none of its own."""
+    for n, want in ((5, (52, 80)), (7, (240, 448))):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        for e in omega.elements():
+            xi = characteristic_sheaf(omega, e)
+            assert is_sheaf(xi)
+            assert (len(xi.cover_maps._built), len(xi.cover_maps)) == want, (n, e)
+        for b in (sum_space(["u", "v"]), scalars()):
+            theta = constant_precosheaf(omega, b)
+            assert not is_cosheaf(theta)
+            assert len(theta.cover_maps._built) == 2
+        xi = characteristic_sheaf(omega, omega.top)
+        lifted = isbell(xi)
+        assert not xi.cover_maps._built and not lifted.cover_maps._built
+        assert len(lifted.cover_maps) == n * 2 ** (n - 1)
 
 
 # -- Stone transfer -------------------------------------------------------------
