@@ -11,9 +11,11 @@ basis and bit encoding used elsewhere in the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (DegenerateQuotient, EmptyElement, InvalidModel, ResourceLimit,
@@ -89,6 +91,17 @@ class BoolAlg:
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.top + 1))
+
+    @functools.cached_property
+    def covering_pairs(self) -> Mapping[tuple[int, int], None]:
+        """The covering pairs (small, big), big = small plus one atom, in
+        increasing small, then atom, as the keys of one read-only dict,
+        built on first read and then kept, outside == and hash: every loop
+        over the covering pairs reads it, and every construction on this
+        algebra that keys its structure maps by them shares it."""
+        return MappingProxyType(dict.fromkeys(
+            (e, e | 1 << i) for e in range(self.top + 1) for i in range(self.n)
+            if not e >> i & 1))
 
     def nonzero_elements(self) -> Iterator[int]:
         return iter(range(1, self.top + 1))

@@ -45,9 +45,10 @@ fixed by one functional phi at the root (top for a precosheaf, bottom for
 a presheaf), so each value is the annihilator of a few images at the
 root, cut from its neighbour's one atom away by one killer's images;
 greedy pivots in root coordinates, in integers, give it the hom
-solver's basis (the proof is in `_conjugate`).  isbell and
-isbell_adjoint differ only in the root, the images killed and the
-direction of the structure maps, which are inclusions of annihilators.
+solver's basis (the proof is in `_conjugate`), and the right conjugate
+of a block sum has a closed form.  isbell and isbell_adjoint differ only
+in the root, the images killed and the direction of the structure maps,
+which are inclusions of annihilators.
 
 Solution spaces produced by the hom solvers (sheaf_hom, Isbell values)
 are presented on nullspace bases with nominal unit weights; their norms
@@ -76,27 +77,21 @@ from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, characteristic
 
 
-def _covering_pairs(omega: BoolAlg):
-    """(small, big, atom index) for big = small plus one atom."""
-    for e in omega.elements():
-        for i in range(omega.n):
-            if not e >> i & 1:
-                yield e, e | (1 << i), i
-
-
 # ---------------------------------------------------------------------------
 # precosheaves and presheaves
 # ---------------------------------------------------------------------------
 
 class _BuiltOnRead(Mapping):
-    """A read-only mapping over the given keys whose value at a key is
-    `build(key)`, built on the first read of that key (`[key]`, and
-    through it `.get`, `.items`, `.values` and `==`), then kept.
-    Iteration (in the order of `keys`), `in` and `len` build nothing, so
-    it behaves like the dict of every value, built when read."""
+    """A read-only mapping over the keys of the given mapping whose value
+    at a key is `build(key)`, built on the first read of that key
+    (`[key]`, and through it `.get`, `.items`, `.values` and `==`), then
+    kept.  Iteration (in the order of `keys`), `in` and `len` build
+    nothing, so it behaves like the dict of every value, built when read.
+    `keys` is kept, not copied (the constructions on one algebra all
+    share the read-only `omega.covering_pairs`), and must not change."""
 
-    def __init__(self, keys: Iterable, build: Callable[[Any], Any]):
-        self._keys = dict.fromkeys(keys)
+    def __init__(self, keys: Mapping, build: Callable[[Any], Any]):
+        self._keys = keys
         self._build = build
         self._built: dict = {}
 
@@ -122,15 +117,22 @@ class _BuiltOnRead(Mapping):
 class _Assignment:
     """Spaces on the elements and structure maps keyed by covering pairs
     (small, big), going the way the subclass's `covariant` says: a
-    `_BuiltOnRead` mapping for every closed-form library construction, a
-    dict for assembled input (`make_precosheaf`, `make_presheaf`) and for
-    the Isbell conjugates, whose maps are checked when built.  Both
-    never change after construction (no library code writes to them), so
-    `_walk` memoises structure maps in `_walks`, outside init, == and repr."""
+    `_BuiltOnRead` mapping for every closed-form library construction
+    (the Isbell conjugates of a zero root and of a block sum among them),
+    a dict for assembled input (`make_precosheaf`, `make_presheaf`) and
+    for the other Isbell conjugates, whose maps are checked when built.
+    Both never change after construction (no library code writes to
+    them), so `_walk` memoises structure maps in `_walks`, outside init,
+    == and repr.  `atom_widths` is set by `_on_atom_blocks` alone, to the
+    dim of each atom's block: it marks a block sum, whose Isbell
+    conjugate `_conjugate` writes in closed form.  It is outside == and
+    repr, so a block sum equals the same data assembled, which the
+    conjugate's general path takes."""
 
     algebra: BoolAlg
     spaces: dict[int, FinBanSpace]
     cover_maps: Mapping[tuple[int, int], LinMap]
+    atom_widths: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
     _walks: dict[tuple[int, int], LinMap] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -197,7 +199,7 @@ def _validate_functorial(x, contractive: bool):
     omega, spaces, cover_maps = x.algebra, x.spaces, x.cover_maps
     if any(e not in spaces for e in omega.elements()):
         raise InvalidModel("a space is missing for some element")
-    for small, big, _ in _covering_pairs(omega):
+    for small, big in omega.covering_pairs:
         m = cover_maps.get((small, big))
         if m is None:
             raise InvalidModel("a structure map is missing for a covering pair")
@@ -245,7 +247,7 @@ def _on_atom_blocks(omega: BoolAlg, blocks: Sequence[tuple[tuple, tuple]], kind)
     inclusions compose to the inclusion and drops to the drop, so both
     paths of a diamond agree, and the weights are kept, so padding with
     zeros keeps the weighted l1 norm and dropping coordinates cannot
-    raise the weighted sup."""
+    raise the weighted sup.  Each block's dim is kept in `atom_widths`."""
     flavor = Flavor.SUM if kind.covariant else Flavor.SUP
     spaces: dict[int, FinBanSpace] = {0: zero_space(flavor)}
     for e in omega.nonzero_elements():
@@ -263,8 +265,8 @@ def _on_atom_blocks(omega: BoolAlg, blocks: Sequence[tuple[tuple, tuple]], kind)
         eye = _identity_rows(spaces[big].dim)
         return LinMap(spaces[big], spaces[small], eye[:off] + eye[off + width:])
 
-    pairs = ((small, big) for small, big, _ in _covering_pairs(omega))
-    return kind(omega, spaces, _BuiltOnRead(pairs, cover_map))
+    return kind(omega, spaces, _BuiltOnRead(omega.covering_pairs, cover_map),
+                tuple(len(labels) for labels, _ in blocks))
 
 
 def from_atom_spaces(omega: BoolAlg,
@@ -641,7 +643,7 @@ def _naturality_system(x, y):
         offsets[e], shapes[e] = total, (y.space(e).dim, x.space(e).dim)
         total += y.space(e).dim * x.space(e).dim
     rows: list[list[Fraction]] = []
-    for small, big, _ in _covering_pairs(x.algebra):
+    for small, big in x.algebra.covering_pairs:
         d, c = _arrow(x, small, big)
         x_c, x_d = shapes[c][1], shapes[d][1]
         x_cols = x.cover_maps[(small, big)].transpose().rows
@@ -686,7 +688,7 @@ class PrecosheafMap:
     components: dict[int, LinMap]
 
     def check_natural(self) -> bool:
-        for small, big, _ in _covering_pairs(self.source.algebra):
+        for small, big in self.source.algebra.covering_pairs:
             lhs = self.components[big] @ self.source.cover_maps[(small, big)]
             rhs = self.target.cover_maps[(small, big)] @ self.components[small]
             if lhs.rows != rhs.rows:
@@ -841,8 +843,7 @@ def _indicator(omega: BoolAlg, inside, line: FinBanSpace, kind):
         src, tgt = (spaces[f] for f in _arrow(kind, *pair))
         return LinMap.identity(line) if src.dim and tgt.dim else LinMap.zero(src, tgt)
 
-    pairs = ((small, big) for small, big, _ in _covering_pairs(omega))
-    return kind(omega, spaces, _BuiltOnRead(pairs, cover_map))
+    return kind(omega, spaces, _BuiltOnRead(omega.covering_pairs, cover_map))
 
 
 def yoneda_presheaf(omega: BoolAlg, e: int) -> PreSheaf:
@@ -1058,6 +1059,21 @@ def _conjugate(x, tag: str):
     the components along s -> t and then along t -> u keeps the same
     components as along s -> u, and basis coordinates are unique, so both
     paths of a diamond give the same matrix.
+
+    Block sums in closed form.  For a block-sum precosheaf x
+    (`_on_atom_blocks`: `from_atom_spaces`, `l1_cosheaf`, `bva_cosheaf`,
+    `cosheafify`), x(~a -> top) includes every block but atom a's.  So
+    the killers of E span everything once E has two atoms, everything but
+    block a when E = {a}, and nothing when E = bottom, and ann_E is the
+    full dual at bottom, the coordinate functionals of block a at the
+    atom a, and 0 elsewhere.  Read from the right, the root columns
+    (top, j), c_{top,j} = e_j, come first, so the free columns are the
+    (top, j) of the unit functionals spanning ann_E, and B_E is those
+    functionals in ascending order.  The only nonzero
+    cover maps are then on the pairs (bottom, atom k): the identity rows
+    of block k placed at k's offset in x(top).  They are built on read,
+    with no map to the root and no check, as a block sum is functorial.
+    A block-sum presheaf is zero at bottom, a zero root.
     """
     omega, up, top = x.algebra, x.covariant, x.algebra.top
     kind = PreSheaf if up else PreCosheaf
@@ -1066,13 +1082,36 @@ def _conjugate(x, tag: str):
         # a zero root: every ann_E is zero, so is every cover map, and the
         # containment check has no rows to test: the indicator of nothing
         return _indicator(omega, lambda f: False, zero_space(flavor), kind)
+
+    def value(e: int, dim: int) -> FinBanSpace:
+        return FinBanSpace(tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(dim)),
+                           (ONE,) * dim, flavor)
+
+    widths = x.atom_widths
+    if widths is not None:
+        # a block-sum precosheaf, its nonzero values at bottom and the atoms
+        spaces = dict.fromkeys(omega.elements(), zero_space(flavor))
+        spaces[0] = value(0, x.space(top).dim)
+        for k, w in enumerate(widths):
+            spaces[1 << k] = value(1 << k, w)
+
+        def cover_map(pair: tuple[int, int]) -> LinMap:
+            small, big = pair
+            source, target = spaces[big], spaces[small]
+            if not source.dim:
+                return LinMap.zero(source, target)
+            # big is an atom k, so small is bottom
+            k = big.bit_length() - 1
+            off, after = sum(widths[:k]), sum(widths[k + 1:])
+            return LinMap(source, target, ((),) * off + _identity_rows(widths[k]) + ((),) * after)
+
+        return kind(omega, spaces, _BuiltOnRead(omega.covering_pairs, cover_map))
     columns, bases = _root_bases(x)
-    spaces = {e: FinBanSpace(tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(len(b))),
-                             (ONE,) * len(b), flavor) for e, b in bases.items()}
+    spaces = {e: value(e, len(b)) for e, b in bases.items()}
     # each nonzero basis over one common denominator, phi = r / den
     scaled = {e: _over_common_denominator([phi for phi, _ in b]) for e, b in bases.items() if b}
     cover_maps = {}
-    for small, big, _ in _covering_pairs(omega):
+    for small, big in omega.covering_pairs:
         s, t = _arrow(kind, small, big)
         if s not in scaled:
             # ann_s = 0, as it is whenever ann_t = 0 (ann_s lies in ann_t)
@@ -1168,7 +1207,7 @@ def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
         return LinMap(source, target, tuple(rows))
 
     return PreCosheaf(omega, {e: twist[0] for e, twist in twists.items()},
-                      _BuiltOnRead(canonical.cover_maps, conjugated))
+                      _BuiltOnRead(omega.covering_pairs, conjugated))
 
 
 def random_scaled_precosheaf(rng, omega: BoolAlg, max_dim: int = 2,
@@ -1192,9 +1231,10 @@ def random_scaled_precosheaf(rng, omega: BoolAlg, max_dim: int = 2,
         damp[(omega.atoms[0], omega.atoms[1])] = Fraction(1, 2)
     spaces = {e: canonical.space(e) for e in omega.elements()}
     cover_maps = {}
-    for small, big, new_i in _covering_pairs(omega):
+    for small, big in omega.covering_pairs:
         # below e, a is damped by damp[(a, b)] for each other atom b <= e
-        factors = [damp[(a, omega.atoms[new_i])] for a in omega.atoms_below(small)
+        new = omega.atoms[(big ^ small).bit_length() - 1]
+        factors = [damp[(a, new)] for a in omega.atoms_below(small)
                    for _ in range(atom_spaces[a].dim)]
         cover_maps[(small, big)] = LinMap(spaces[small], spaces[big], tuple(
             tuple((j, factors[j] * x) for j, x in row)
@@ -1240,7 +1280,7 @@ def _relabel(xi: PreSheaf, iso: BoolMorphism) -> PreSheaf:
     """xi o iso, a presheaf on iso.source: E |-> xi(iso(E))."""
     spaces = {e: xi.space(iso(e)) for e in iso.source.elements()}
     cover_maps = {(small, big): xi.restriction(iso(big), iso(small))
-                  for small, big, _ in _covering_pairs(iso.source)}
+                  for small, big in iso.source.covering_pairs}
     return make_presheaf(iso.source, spaces, cover_maps)
 
 
