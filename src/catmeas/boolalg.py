@@ -195,14 +195,14 @@ class BoolMorphism:
     """A Boolean algebra morphism, stored on atoms and extended by joins.
 
     Images of distinct atoms must be disjoint (this gives meet and
-    complement preservation); a unital morphism additionally covers the
-    target top.  Atoms may map to bottom (e.g. null-quotient projections).
+    complement preservation), and together they cover the target top: the
+    morphism is unital.  Atoms may map to bottom (e.g. null-quotient
+    projections).
     """
 
     source: BoolAlg
     target: BoolAlg
     atom_images: tuple[int, ...]  # one target element per source atom
-    unital: bool = True
 
     def __post_init__(self):
         if len(self.atom_images) != self.source.n:
@@ -213,7 +213,7 @@ class BoolMorphism:
             if total & img:
                 raise InvalidModel("atom images must be pairwise disjoint")
             total |= img
-        if self.unital and total != self.target.top:
+        if total != self.target.top:
             raise InvalidModel("unital morphism must cover the target top")
 
     def __call__(self, e: int) -> int:
@@ -227,11 +227,8 @@ class BoolMorphism:
         """self after inner."""
         if inner.target is not self.source and inner.target != self.source:
             raise InvalidModel("composition mismatch")
-        return BoolMorphism(
-            inner.source, self.target,
-            tuple(self(img) for img in inner.atom_images),
-            unital=self.unital and inner.unital,
-        )
+        return BoolMorphism(inner.source, self.target,
+                            tuple(self(img) for img in inner.atom_images))
 
     @staticmethod
     def identity(omega: BoolAlg) -> "BoolMorphism":
@@ -246,7 +243,7 @@ class BoolMorphism:
                     return False
                 if self(e | f) != self(e) | self(f):
                     return False
-            if self.unital and self(self.source.complement(e)) != self.target.complement(self(e)):
+            if self(self.source.complement(e)) != self.target.complement(self(e)):
                 return False
         return True
 

@@ -183,11 +183,11 @@ class FunctorMatrix:
             for x in base for y in base})
 
 
-def matrix_from_bundle(xi: Bundle, point: str = "*") -> FunctorMatrix:
-    """Bundles over X are matrices X -> point (the base-product view of
-    bundles and matrices)."""
+def matrix_from_bundle(xi: Bundle) -> FunctorMatrix:
+    """Bundles over X are matrices X -> point "*" (the base-product view
+    of bundles and matrices)."""
     xi.require_sum_fibers()
-    return FunctorMatrix(xi.base, (point,), {(x, point): xi.fiber(x) for x in xi.base})
+    return FunctorMatrix(xi.base, ("*",), {(x, "*"): xi.fiber(x) for x in xi.base})
 
 
 def bundle_from_matrix(t: FunctorMatrix, x: str) -> Bundle:

@@ -643,9 +643,9 @@ def cmd_lipschitz(model: Model, report: Report, rng, element, exhaustive):
                 "unbounded" if value is None else show_rational(value))
 
 
-def _random_simple(rng, omega, span=4, denom=3) -> SimpleElement:
+def _random_simple(rng, omega) -> SimpleElement:
     return SimpleElement(omega, tuple(
-        Fraction(rng.randint(-span, span), rng.randint(1, denom))
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         for _ in range(omega.n)))
 
 

@@ -130,17 +130,8 @@ class FinBanSpace:
     def norm(self, v: Sequence[Fraction]) -> Fraction:
         if len(v) != self.dim:
             raise InvalidModel("vector/basis length mismatch")
-        if self.dim == 0:
-            return ZERO
-        # zero coordinates add exactly 0, so they are skipped
-        if self.flavor is Flavor.SUM:
-            return sum((w * abs(x) for w, x in zip(self.weights, v) if x), ZERO)
-        best = ZERO
-        for g in self.effective_groups():
-            s = sum((self.weights[i] * abs(v[i]) for i in g if v[i]), ZERO)
-            if s > best:
-                best = s
-        return best
+        (ints,), den = _over_common_denominator((v,))
+        return Fraction(self._int_norm(ints), den * self._int_weights[1])
 
     @functools.cached_property
     def _int_weights(self) -> tuple[list[int], int]:
@@ -1036,7 +1027,7 @@ class EndResult:
     inclusion: LinMap
 
 
-def end(bif: BifunctorData, label: str = "end") -> EndResult:
+def end(bif: BifunctorData) -> EndResult:
     bif.validate()
     objs = bif.index.objects
     parts = [bif.space(a, a) for a in objs]
@@ -1064,7 +1055,7 @@ def end(bif: BifunctorData, label: str = "end") -> EndResult:
                          tuple(diag.space.basis_vector(i) for i in range(diag.space.dim)),
                          LinMap.identity(diag.space))
     basis = exactla.nullspace(constraints)
-    space = FinBanSpace(tuple(f"{label}{i}" for i in range(len(basis))),
+    space = FinBanSpace(tuple(f"end{i}" for i in range(len(basis))),
                         (ONE,) * len(basis), Flavor.SUP)
     inclusion = LinMap.from_columns(space, diag.space, [tuple(v) for v in basis])
     return EndResult(bif.index, diag, space, tuple(tuple(v) for v in basis), inclusion)

@@ -256,11 +256,10 @@ def factor_through(quotient: NullQuotient, nu: VectorMeasure) -> Optional[Vector
     return VectorMeasure(quotient.algebra, nu.target, tuple(values))
 
 
-def random_vector_measure(rng, omega: BoolAlg, target: FinBanSpace,
-                          span: int = 6, denom: int = 4) -> VectorMeasure:
+def random_vector_measure(rng, omega: BoolAlg, target: FinBanSpace) -> VectorMeasure:
     """Seeded random measure with small rational atom values (test helper)."""
     def q():
-        return Fraction(rng.randint(-span, span), rng.randint(1, denom))
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return VectorMeasure(
         omega, target,
         tuple(tuple(q() for _ in range(target.dim)) for _ in range(omega.n)))

@@ -1165,7 +1165,7 @@ def _monomial_twist(rng, space: FinBanSpace, tag: str):
     return twisted, perm, coeffs
 
 
-def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
+def random_cosheaf(rng, omega: BoolAlg) -> PreCosheaf:
     """An honest random cosheaf: the canonical cosheaf on random atom
     fibers, conjugated elementwise by random isometries of weighted l1
     spaces (signed weight-matched relabellings are all of them).
@@ -1188,7 +1188,7 @@ def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
     int pairs, that entry is the one Fraction(p_t q_s, q_t p_s)."""
     atom_spaces = {}
     for a in omega.atoms:
-        d = rng.randint(1, max_dim)
+        d = rng.randint(1, 2)
         atom_spaces[a] = FinBanSpace(
             tuple(f"{a}{k}" for k in range(d)),
             tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)),
@@ -1210,14 +1210,14 @@ def random_cosheaf(rng, omega: BoolAlg, max_dim: int = 2) -> PreCosheaf:
                       _BuiltOnRead(omega.covering_pairs, conjugated))
 
 
-def random_scaled_precosheaf(rng, omega: BoolAlg, max_dim: int = 2,
+def random_scaled_precosheaf(rng, omega: BoolAlg,
                              force_noncosheaf: bool = False) -> PreCosheaf:
     """A functorial, contractive precosheaf that is generically not a
     cosheaf: block inclusions damped per atom by factors that accumulate
     multiplicatively along inclusions."""
     atom_spaces = {}
     for a in omega.atoms:
-        d = rng.randint(1, max_dim)
+        d = rng.randint(1, 2)
         atom_spaces[a] = FinBanSpace(
             tuple(f"{a}{k}" for k in range(d)),
             tuple(Fraction(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(d)),

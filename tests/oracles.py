@@ -14,9 +14,10 @@ every element where it applies, the exhaustive (co)sheaf condition on
 built partition maps and cones, the seeded random cosheaf composed
 map by map, the canonical cosheaf and the indicator (co)presheaves
 with every cover map built at once, the closed-form isometry test on
-Fraction products, and the atom-level measure calculus (a measure's
-value, its variation, the integral of a simple element and the Bochner
-integral with its l1 norm) as Fraction sums one coordinate at a time.
+Fraction products, and the norm of a vector and the atom-level measure
+calculus (a measure's value, its variation, the integral of a simple
+element and the Bochner integral with its l1 norm) as Fraction sums one
+coordinate at a time.
 They live here, not in `src/`, so that they stay independent of the
 code under test.
 """
@@ -346,14 +347,14 @@ def indicator_eager(omega, inside, line, covariant: bool):
     return spaces, cover_maps
 
 
-def random_cosheaf_by_composition(rng, omega, max_dim: int = 2):
+def random_cosheaf_by_composition(rng, omega):
     """`shcosh.random_cosheaf` with every map built: the same draws in the
     same order, each twist T_e a map e_i |-> c_i e_perm(i) with its
     inverse, and every cover map the product T_t o c(s, t) o T_s^-1 of
     the canonical one c, in a plain dict."""
     atom_spaces = {}
     for a in omega.atoms:
-        d = rng.randint(1, max_dim)
+        d = rng.randint(1, 2)
         atom_spaces[a] = FinBanSpace(
             tuple(f"{a}{k}" for k in range(d)),
             tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)),
@@ -388,9 +389,24 @@ def measure_at_by_sums(nu, e: int) -> tuple:
     return out
 
 
+def norm_by_fractions(space, v) -> Fraction:
+    """The norm of v as Fraction sums: the weighted l1 sum (SUM), or its
+    max over the blocks (SUP); zero coordinates add exactly 0, so they
+    are skipped."""
+    if space.flavor is Flavor.SUM:
+        return sum((w * abs(x) for w, x in zip(space.weights, v) if x), ZERO)
+    best = ZERO
+    for g in space.effective_groups():
+        s = sum((space.weights[i] * abs(v[i]) for i in g if v[i]), ZERO)
+        if s > best:
+            best = s
+    return best
+
+
 def variation_by_norms(nu, e: int) -> Fraction:
     """The sum of the target norms of the atom values below e."""
-    return sum((nu.target.norm(nu.atom_values[i]) for i in nu.algebra.atom_indices(e)), ZERO)
+    return sum((norm_by_fractions(nu.target, nu.atom_values[i])
+                for i in nu.algebra.atom_indices(e)), ZERO)
 
 
 def integrate_by_fractions(f, nu) -> tuple:
@@ -410,5 +426,5 @@ def bochner_by_fractions(f, mu) -> tuple:
         w = mu.atom_value(i)
         if w != 0:
             total = tuple(x + w * y for x, y in zip(total, v))
-            norm += w * f.target.norm(v)
+            norm += w * norm_by_fractions(f.target, v)
     return total, norm

@@ -17,8 +17,9 @@ from catmeas.finban import (BifunctorData, FinBanSpace, FinPoset, Flavor,
                             sum_space, sup_space, vec, zero_space)
 
 from oracles import (contractive_both_ways, dual_extreme_functionals,
-                     isometric_monomial_by_fractions, operator_norm_by_vertices,
-                     path_independent_by_enumeration, projective_norm_oracle)
+                     isometric_monomial_by_fractions, norm_by_fractions,
+                     operator_norm_by_vertices, path_independent_by_enumeration,
+                     projective_norm_oracle)
 
 F = Fraction
 
@@ -612,6 +613,22 @@ def test_blocked_sup_norm():
                     groups=((0, 1), (2,)))
     assert s.norm(vec(1, 1, 0)) == 2
     assert s.norm(vec(0, 0, 3)) == 6
+
+
+def test_norm_matches_fraction_sums():
+    """`FinBanSpace.norm` (over one common denominator, in ints) against
+    the Fraction sums, on SUM, plain SUP and blocked SUP spaces of dim
+    0-5, with Fraction and int entries and zero vectors."""
+    rng = random.Random(17)
+    for _ in range(150):
+        dim = rng.randint(0, 5)
+        flavor = rng.choice(("sum", "sup", "blocked"))
+        s = rnd_space(rng, dim, Flavor.SUM if flavor == "sum" else Flavor.SUP)
+        if flavor == "blocked" and dim:
+            s = dataclasses.replace(s, groups=rnd_groups(rng, dim))
+        for v in ([rnd_q(rng, denom=rng.choice((1, 7))) for _ in range(dim)],
+                  [rng.randint(-5, 5) for _ in range(dim)], [0] * dim, s.zero()):
+            assert s.norm(v) == norm_by_fractions(s, v), (s, v)
 
 
 # -- operator norms ----------------------------------------------------------

@@ -1335,7 +1335,7 @@ def test_isbell_adjunction_dimensions():
     for e in omega.elements():
         xi = characteristic_sheaf(omega, e)
         for _ in range(3):
-            mu = random_cosheaf(rng, omega, max_dim=2)
+            mu = random_cosheaf(rng, omega)
             lxi = isbell(xi)
             rmu = isbell_adjoint(mu)
             lhs = cosheaf_hom(mu, lxi)
@@ -1395,7 +1395,7 @@ def test_isbell_adjunction_explicit_transposition():
     omega = alg("a", "b")
     for e in omega.elements():
         xi = characteristic_sheaf(omega, e)
-        mu = random_cosheaf(rng, omega, max_dim=2)
+        mu = random_cosheaf(rng, omega)
         lxi = isbell(xi)
         rmu = isbell_adjoint(mu)
         left_homs = {f: sheaf_hom(xi, yoneda_presheaf(omega, f))
@@ -2070,7 +2070,7 @@ def test_yoneda_reduction_matches_the_hom_solver_property(n, seed, scaled):
     rng = random.Random(seed)
     omega = alg(*(f"x{i}" for i in range(n)))
     make = random_scaled_precosheaf if scaled else random_cosheaf
-    mu = make(rng, omega, max_dim=2)
+    mu = make(rng, omega)
     assert_reduction_matches_hom_solver(mu, covariant=False)
     assert_reduction_matches_hom_solver(dual_presheaf(mu), covariant=True)
 
