@@ -22,6 +22,13 @@ from catmeas.simple import SimpleElement, characteristic, linf_norm
 omega = BoolAlg(("a", "b", "c"))
 mu = MeasureAlgebra.from_values(omega, [F(1, 2), F(1, 3), F(1, 6)])
 
+
+def dims(x):
+    """The dimension of each value of x, by the CLI's element names."""
+    return {"|".join(omega.atoms_below(e)) or "bottom": x.space(e).dim
+            for e in omega.elements()}
+
+
 print("== the cosheaf condition ==")
 good = l1_cosheaf(mu)
 print("the weighted-l1 cosheaf of mu passes:",
@@ -60,9 +67,7 @@ print()
 print("== cosheafification ==")
 theta = constant_precosheaf(omega, sum_space(["u", "v"]))
 c = cosheafify(theta)
-print("cosheafified dims:",
-      {omega.describe(e) or "bottom": c.cosheaf.space(e).dim
-       for e in omega.elements()})
+print("cosheafified dims:", dims(c.cosheaf))
 print("the result passes the condition:",
       bool(is_cosheaf(c.cosheaf, exhaustive=True)))
 
@@ -86,7 +91,7 @@ print("its endomorphism space has one dimension per atom below:",
       endo.dim == 2)
 lxi = isbell(yoneda_presheaf(omega, omega.element(["a"])))
 print("Isbell conjugation of a representable is corepresentable (dims):",
-      {omega.describe(e) or "bottom": lxi.space(e).dim for e in omega.elements()})
+      dims(lxi))
 rmu = isbell_adjoint(good)
 print("right conjugate dims of the l1 cosheaf:",
-      {omega.describe(e) or "bottom": rmu.space(e).dim for e in omega.elements()})
+      dims(rmu))

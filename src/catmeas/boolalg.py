@@ -48,8 +48,6 @@ class BoolAlg:
     def top(self) -> int:
         return (1 << self.n) - 1
 
-    bottom = 0
-
     def atom_index(self, atom: str) -> int:
         try:
             return self.atoms.index(atom)
@@ -77,12 +75,6 @@ class BoolAlg:
         return e
 
     # -- lattice structure -----------------------------------------------
-    def meet(self, e: int, f: int) -> int:
-        return e & f
-
-    def join(self, e: int, f: int) -> int:
-        return e | f
-
     def complement(self, e: int) -> int:
         return self.top ^ e
 
@@ -136,9 +128,6 @@ class Partition:
         canon = tuple(sorted(self.blocks, key=lambda b: b & -b))
         if canon != self.blocks:
             object.__setattr__(self, "blocks", canon)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def refines(finer: Partition, coarser: Partition) -> bool:
@@ -222,13 +211,6 @@ class BoolMorphism:
         for i in self.source.atom_indices(e):
             out |= self.atom_images[i]
         return out
-
-    def compose(self, inner: "BoolMorphism") -> "BoolMorphism":
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise InvalidModel("composition mismatch")
-        return BoolMorphism(inner.source, self.target,
-                            tuple(self(img) for img in inner.atom_images))
 
     @staticmethod
     def identity(omega: BoolAlg) -> "BoolMorphism":

@@ -299,6 +299,12 @@ def parse_model(path: str) -> Model:
         if not _is_point_list(ground):
             raise ModelError("bad-algebra", "the ground set is a list of strings or numbers",
                              "algebra.ground")
+        for x in ground:
+            # the atom-fiber sums label a vector 'atom:basis label', so ':'
+            # in an atom (a cell of points) can make two labels equal
+            if ":" in str(x):
+                raise ModelError("bad-algebra", f"ground point {x!r} uses the reserved "
+                                 "character ':'", "algebra.ground")
         if not isinstance(generators, list) or not all(map(_is_point_list, generators)):
             raise ModelError("bad-algebra", "generators are lists of ground points",
                              "algebra.generators")

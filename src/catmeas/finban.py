@@ -362,17 +362,23 @@ class LinMap:
         return LinMap.from_matrix(target, source, cols).transpose()
 
 
-def _hstack(source: FinBanSpace, target: FinBanSpace, legs: Sequence[LinMap]) -> LinMap:
-    """The map source -> target whose columns are those of the legs side
-    by side, source being the direct sum of the legs' sources in order."""
-    rows: tuple[Row, ...] = ((),) * target.dim
+def _mediated(summed: FinBanSpace, whole: FinBanSpace, legs: Sequence[LinMap],
+              stacked: bool = False) -> LinMap:
+    """The map made of the legs, laid out as `_monomial_data` reads it,
+    summed being the direct sum of the legs' parts in order: side by side,
+    summed -> whole, the columns of each leg after those of the legs before
+    it (a partition map); or `stacked`, whole -> summed, the rows of each
+    leg after those of the legs before it (a restriction cone)."""
+    if stacked:
+        return LinMap(whole, summed, tuple(row for leg in legs for row in leg.rows))
+    rows: tuple[Row, ...] = ((),) * whole.dim
     off = 0
     for leg in legs:
         # each leg's columns shifted by the dims of the sources before it
         rows = tuple(acc + tuple((off + j, x) for j, x in row) if row else acc
                      for acc, row in zip(rows, leg.rows))
         off += leg.source.dim
-    return LinMap(source, target, rows)
+    return LinMap(summed, whole, rows)
 
 
 def _monomial_data(legs: Sequence[LinMap], stacked: bool = False
@@ -550,11 +556,7 @@ def _isometric_split(legs: Sequence[LinMap], stacked: bool = False) -> bool:
         return _isometric_monomial(entries, weights, whole.weights, blocks)
     if blocks is None:
         return False
-    m = legs[0]
-    if len(legs) > 1:
-        summed = direct_sum(parts).space
-        m = LinMap(whole, summed, tuple(row for leg in legs for row in leg.rows)) \
-            if stacked else _hstack(summed, whole, legs)
+    m = legs[0] if len(legs) == 1 else _mediated(direct_sum(parts).space, whole, legs, stacked)
     back = m.inverse()
     return back is not None and operator_norm(m) <= 1 and operator_norm(back) <= 1
 
@@ -643,7 +645,7 @@ class DirectSum:
             raise InvalidModel("cone legs must share a target")
         if any(leg.source != part for leg, part in zip(cone, self.parts)):
             raise InvalidModel("cone leg source must be the summand")
-        return _hstack(self.space, target, cone)
+        return _mediated(self.space, target, cone)
 
     def mediate_to_cone(self, cone: Sequence[LinMap]) -> LinMap:
         """For SUP products: the unique map T with proj_x o T = cone_x."""
@@ -656,7 +658,7 @@ class DirectSum:
             raise InvalidModel("cone legs must share a source")
         if any(leg.target != part for leg, part in zip(cone, self.parts)):
             raise InvalidModel("cone leg target must be the factor")
-        return LinMap(source, self.space, tuple(row for leg in cone for row in leg.rows))
+        return _mediated(self.space, source, cone, stacked=True)
 
 
 def direct_sum(spaces: Sequence[FinBanSpace],
@@ -696,9 +698,6 @@ class TensorProduct:
     space: FinBanSpace
     left: FinBanSpace
     right: FinBanSpace
-
-    def index(self, i: int, j: int) -> int:
-        return i * self.right.dim + j
 
     def pure(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> Vector:
         """The bilinear embedding (v, w) |-> v (x) w."""

@@ -70,8 +70,8 @@ from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
                      SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
-from .finban import (FinBanSpace, Flavor, LinMap, Vector, _hstack, _identity_rows,
-                     _isometric_split, _over_common_denominator, direct_sum,
+from .finban import (FinBanSpace, Flavor, LinMap, Vector, _identity_rows,
+                     _isometric_split, _mediated, _over_common_denominator, direct_sum,
                      operator_norm, scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, characteristic
@@ -326,27 +326,30 @@ class Verdict:
         return self.ok
 
 
-def partition_map(mu: PreCosheaf, e: int, blocks: Sequence[int]) -> LinMap:
-    """The mediated map (+)_F mu(F) -> mu(E) of a partition."""
-    ds = direct_sum([mu.space(f) for f in blocks],
-                    tags=[mu.algebra.describe(f) for f in blocks])
-    return _hstack(ds.space, mu.space(e), [mu.extension(f, e) for f in blocks])
+def partition_map(x, e: int, blocks: Sequence[int]) -> LinMap:
+    """The mediated map of a partition of E, made of the structure maps
+    x(F, E), one per block F: for a precosheaf, (+)_F x(F) -> x(E) out
+    of the sum; for a presheaf, the restriction cone x(E) -> prod_F x(F)
+    into the product."""
+    ds = direct_sum([x.space(f) for f in blocks],
+                    tags=[x.algebra.describe(f) for f in blocks])
+    return _mediated(ds.space, x.space(e), [_walk(x, f, e) for f in blocks], not x.covariant)
 
 
 def _binary_splits(omega: BoolAlg, e: int):
+    """The splits (f, e - f) of e into two nonzero blocks, each once: f
+    runs over the sets of r atoms of e for r = 1 .. k // 2 (k atoms), in
+    lexicographic order of atom indices.  At r = k / 2 each split has two
+    such f, and only the one that holds e's lowest atom, the first of the
+    two in that order, is taken; an f of more than k / 2 atoms has a
+    complement of fewer, taken before it."""
     idx = omega.atom_indices(e)
-    if len(idx) < 2:
-        return
-    seen = set()
-    for r in range(1, len(idx)):
+    k = len(idx)
+    for r in range(1, k // 2 + 1):
         for picked in itertools.combinations(idx, r):
-            f = 0
-            for i in picked:
-                f |= 1 << i
-            if f in seen or (e & ~f) in seen:
-                continue
-            seen.add(f)
-            yield f, e & ~f
+            if 2 * r < k or picked[0] == idx[0]:
+                f = sum(1 << i for i in picked)
+                yield f, e & ~f
 
 
 def _partition_condition(x, exhaustive: bool) -> Verdict:
@@ -426,14 +429,6 @@ def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
     counterexamples are reported in preference to that degenerate one.
     """
     return _partition_condition(mu, exhaustive)
-
-
-def restriction_cone_map(xi: PreSheaf, e: int, blocks: Sequence[int]) -> LinMap:
-    """The canonical map xi(E) -> prod_F xi(F)."""
-    ds = direct_sum([xi.space(f) for f in blocks],
-                    tags=[xi.algebra.describe(f) for f in blocks])
-    return LinMap(xi.space(e), ds.space,
-                  tuple(row for f in blocks for row in xi.restriction(e, f).rows))
 
 
 def is_sheaf(xi: PreSheaf, exhaustive: bool = False) -> Verdict:
@@ -727,7 +722,7 @@ def cosheafify(theta: PreCosheaf) -> Cosheafification:
     counit = {}
     for e in omega.elements():
         exts = [theta.extension(1 << i, e) for i in omega.atom_indices(e)]
-        counit[e] = _hstack(sheafified.space(e), theta.space(e), exts)
+        counit[e] = _mediated(sheafified.space(e), theta.space(e), exts)
     return Cosheafification(sheafified, theta, counit)
 
 
@@ -752,8 +747,8 @@ def _stacked_over_atoms(nu: PreCosheaf, tau: Mapping[int, LinMap],
     the atom blocks below E in that order, as the canonical cosheaves do."""
     components = {}
     for e in nu.algebra.elements():
-        rows = tuple(row for a, p in _atom_projections(nu, e).items() for row in (tau[a] @ p).rows)
-        components[e] = LinMap(nu.space(e), target.space(e), rows)
+        legs = [tau[a] @ p for a, p in _atom_projections(nu, e).items()]
+        components[e] = _mediated(target.space(e), nu.space(e), legs, stacked=True)
     return precosheaf_map(nu, target, components)
 
 

@@ -61,11 +61,6 @@ class SimpleElement:
     def is_zero(self) -> bool:
         return all(k == 0 for k in self.coeffs)
 
-    def add(self, other: "SimpleElement") -> "SimpleElement":
-        _same_algebra(self, other)
-        return SimpleElement(self.algebra,
-                             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def scale(self, k) -> "SimpleElement":
         k = Fraction(k)
         return SimpleElement(self.algebra, tuple(k * c for c in self.coeffs))

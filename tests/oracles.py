@@ -11,13 +11,14 @@ a witness by two operator norms, path independence by enumerating
 every path, an Isbell annihilator solved from all its killers at once,
 the containment check of an Isbell conjugate's structure maps over
 every element where it applies, the exhaustive (co)sheaf condition on
-built partition maps and cones, the seeded random cosheaf composed
-map by map, the canonical cosheaf and the indicator (co)presheaves
-with every cover map built at once, the closed-form isometry test on
-Fraction products, and the norm of a vector and the atom-level measure
-calculus (a measure's value, its variation, the integral of a simple
-element and the Bochner integral with its l1 norm) as Fraction sums one
-coordinate at a time.
+built partition maps and cones, the binary splits of an element
+enumerated over every atom subset with a set of those seen, the seeded
+random cosheaf composed map by map, the canonical cosheaf and the
+indicator (co)presheaves with every cover map built at once, the
+closed-form isometry test on Fraction products, and the norm of a
+vector and the atom-level measure calculus (a measure's value, its
+variation, the integral of a simple element and the Bochner integral
+with its l1 norm) as Fraction sums one coordinate at a time.
 They live here, not in `src/`, so that they stay independent of the
 code under test.
 """
@@ -29,7 +30,7 @@ from catmeas.boolalg import partitions_of
 from catmeas.errors import InvalidModel, NotACosheaf
 from catmeas.exactla import identity, nullspace, rref, simplex_min
 from catmeas.finban import FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm
-from catmeas.shcosh import PreCosheaf, Verdict, partition_map, restriction_cone_map
+from catmeas.shcosh import PreCosheaf, Verdict, partition_map
 from catmeas.simple import characteristic
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -284,19 +285,35 @@ def partition_condition_by_built_maps(x):
     restriction cone (presheaf) decided by `is_isometric_iso`; then the
     bottom value.  Raises FlavorMismatch where the blocks of a partition
     differ in flavor, from the direct sum."""
-    mediated, reason = (
-        (partition_map, "mediated partition map is not an isometric isomorphism")
-        if x.covariant else
-        (restriction_cone_map, "restriction cone is not an isometric isomorphism"))
+    reason = ("mediated partition map is not an isometric isomorphism" if x.covariant
+              else "restriction cone is not an isometric isomorphism")
     omega = x.algebra
     for e in omega.nonzero_elements():
         for p in partitions_of(omega, e):
             blocks = tuple(p.blocks)
-            if len(blocks) >= 2 and not is_isometric_iso(mediated(x, e, blocks)):
+            if len(blocks) >= 2 and not is_isometric_iso(partition_map(x, e, blocks)):
                 return Verdict(False, e, blocks, reason)
     if x.space(0).dim != 0:
         return Verdict(False, 0, (), "the bottom value must be the zero space")
     return Verdict(True)
+
+
+def binary_splits_by_seen_set(omega, e: int) -> list:
+    """`shcosh._binary_splits(omega, e)` as a list, by enumerating every
+    set f of r atoms of e for r = 1 .. k - 1 in lexicographic order and
+    keeping a split (f, e - f) unless f or e - f was kept before."""
+    idx = omega.atom_indices(e)
+    seen, out = set(), []
+    for r in range(1, len(idx)):
+        for picked in itertools.combinations(idx, r):
+            f = 0
+            for i in picked:
+                f |= 1 << i
+            if f in seen or (e & ~f) in seen:
+                continue
+            seen.add(f)
+            out.append((f, e & ~f))
+    return out
 
 
 def from_atom_spaces_eager(omega, atom_spaces):

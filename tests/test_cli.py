@@ -293,6 +293,9 @@ AB = {"algebra": {"atoms": ["a", "b"]},
     ({"algebra": {"ground": [1, "1"], "generators": [[1]]}}, "bad-algebra", "algebra.ground"),
     ({"algebra": {"ground": [1, 2, "1|2"], "generators": [[1, 2]]}},
      "bad-algebra", "algebra.ground"),
+    ({"algebra": {"ground": ["x", "x:y"], "generators": [["x"]]},
+      "spaces": {"V": {"basis": ["z", "y:z"]}}, "cosheaves": {"c": "constant-of:V"}},
+     "bad-algebra", "algebra.ground"),
     ({"algebra": {"atoms": ["a", "a"]}}, "bad-algebra", "algebra.atoms"),
     ({"algebra": {"product": {"left": ["a", "a"], "right": ["u"]}}},
      "bad-algebra", "algebra.product.left"),
@@ -352,7 +355,7 @@ AB = {"algebra": {"atoms": ["a", "b"]},
         "functor-matrices-as-list", "cosheaves-as-list", "sheaves-as-list",
         "bundle-base-as-string", "bundle-as-number", "matrix-source-as-string",
         "matrix-target-as-string", "matrix-as-number", "generator-outside-ground",
-        "ground-labels-collide", "ground-cell-labels-collide",
+        "ground-labels-collide", "ground-cell-labels-collide", "ground-point-with-colon",
         "duplicate-atoms", "duplicate-left-atoms", "duplicate-right-atoms",
         "duplicate-basis-labels", "basis-as-string", "extension-of-wrong-shape",
         "extension-as-number", "extensions-as-number", "extension-of-norm-two",

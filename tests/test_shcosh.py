@@ -31,7 +31,7 @@ from catmeas.shcosh import (bva_cosheaf,
                             partition_map, PreCosheaf, PrecosheafMap, PreSheaf,
                             precosheaf_map_from_atoms,
                             random_cosheaf, random_scaled_precosheaf,
-                            restrict_to_atoms, restriction_cone_map,
+                            restrict_to_atoms,
                             _validate_functorial, sheaf_from_stone, sheaf_hom,
                             sheaf_to_stone, spectral_measure, SpectralData,
                             yoneda_precosheaf,
@@ -39,7 +39,8 @@ from catmeas.shcosh import (bva_cosheaf,
                             zero_precosheaf)
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
 
-from oracles import (annihilator_by_killers, containment_by_all_submasks,
+from oracles import (annihilator_by_killers, binary_splits_by_seen_set,
+                     containment_by_all_submasks,
                      from_atom_spaces_eager, indicator_eager,
                      partition_condition_by_built_maps,
                      random_cosheaf_by_composition, rank, spectral_laws_by_pairs,
@@ -149,7 +150,7 @@ def cosheaf_oracle(mu):
 
 
 def sheaf_oracle(xi):
-    return split_enumeration(xi, lambda e, blocks: restriction_cone_map(xi, e, blocks),
+    return split_enumeration(xi, lambda e, blocks: partition_map(xi, e, blocks),
                              "restriction cone is not an isometric isomorphism")
 
 
@@ -450,12 +451,11 @@ def test_split_by_legs_matches_the_built_split_map(monkeypatch):
     seen = set()
     for label, x in itertools.chain(split_cases(), blocked_cases()):
         blocked = any(s.groups for s in x.spaces.values())
-        mediated = partition_map if x.covariant else restriction_cone_map
         for e in x.algebra.nonzero_elements():
             if e & (e - 1) == 0:
                 continue
             for blocks in split_partitions(x.algebra, e):
-                built = mediated(x, e, blocks)
+                built = partition_map(x, e, blocks)
                 want, shape = is_isometric_iso(built), split_shape(built)
                 calls.clear()
                 got = finban._isometric_split(legs_of(x, e, blocks), not x.covariant)
@@ -549,7 +549,7 @@ def test_split_by_legs_on_hand_built_legs(monkeypatch):
     assert finban._isometric_split(legs) is True
     assert len(calls) == 2
     summed = direct_sum([leg.source for leg in legs]).space
-    assert is_isometric_iso(finban._hstack(summed, plane, legs))
+    assert is_isometric_iso(finban._mediated(summed, plane, legs))
 
 
 def blocked_product_presheaf(omega, fibers):
@@ -638,7 +638,7 @@ def test_blocked_splits_compare_blocks_and_mixed_splits_are_built(monkeypatch):
     legs, run up to {b, ac}, whose blocks differ in flavor and raise."""
     xi = dict(blocked_cases())["blocked/l1_plane"]
     assert finban._isometric_split(legs_of(xi, 3, (1, 2)), True) is False
-    assert not is_isometric_iso(restriction_cone_map(xi, 3, (1, 2)))
+    assert not is_isometric_iso(partition_map(xi, 3, (1, 2)))
     verdicts = set()
     for label, x in blocked_cases():
         assert any(s.groups for s in x.spaces.values()), label
@@ -689,7 +689,7 @@ def test_passing_condition_checks_build_no_split_map(monkeypatch):
         return wrapped
 
     for module, name in ((finban, "direct_sum"), (shcosh, "direct_sum"),
-                         (shcosh, "partition_map"), (shcosh, "restriction_cone_map")):
+                         (shcosh, "partition_map")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for x in passing:
         assert (is_cosheaf if x.covariant else is_sheaf)(x)
@@ -703,6 +703,41 @@ def test_passing_condition_checks_build_no_split_map(monkeypatch):
         exhaustive = (is_cosheaf if x.covariant else is_sheaf)(x, exhaustive=True)
         assert exhaustive.ok == (x is not failing)
     assert calls == []
+
+
+def test_binary_splits_match_the_seen_set_enumeration():
+    """Every element with up to 9 atoms has the binary splits of the
+    seen-set enumeration, in its order."""
+    for n in range(1, 10):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        for e in omega.elements():
+            assert list(shcosh._binary_splits(omega, e)) == binary_splits_by_seen_set(omega, e), \
+                (n, e)
+
+
+def test_partition_map_satisfies_the_universal_property():
+    """On every partition of every element, the mediated map P of a
+    precosheaf composed with the injection of a block F is the
+    extension x(F, E), and the projection onto F composed with that of a
+    presheaf is the restriction x(E, F); the injections and projections
+    are those of the direct sum P is built on, built from its offsets."""
+    rng = random.Random(29)
+    for n in range(1, 5):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        fibers = [FinBanSpace((f"x{i}0", f"x{i}1"), (F(1), F(i + 1)), Flavor.SUP,
+                              ((0, 1),) if i % 2 else None) for i in range(n)]
+        sheaf = characteristic_sheaf(omega, rng.randrange(omega.top + 1))
+        for x in (random_cosheaf(rng, omega), sheaf, blocked_product_presheaf(omega, fibers)):
+            for e in omega.nonzero_elements():
+                for p in partitions_of(omega, e):
+                    mediated = partition_map(x, e, p.blocks)
+                    ds = direct_sum([x.space(f) for f in p.blocks],
+                                    [omega.describe(f) for f in p.blocks])
+                    for f, inj, proj in zip(p.blocks, ds.injections, ds.projections):
+                        if x.covariant:
+                            assert mediated @ inj == x.extension(f, e), (n, e, f)
+                        else:
+                            assert proj @ mediated == x.restriction(e, f), (n, e, f)
 
 
 def test_exhaustive_check_matches_the_built_maps():
