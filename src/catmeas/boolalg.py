@@ -349,9 +349,13 @@ def build_algebra(ground: Iterable, generators: Iterable[Iterable]) -> Generated
 
 @dataclass(frozen=True)
 class Coproduct:
+    """Atoms are the pairs 'a*b' of factor atoms in label order; `pairs[k]
+    = (i, j)` are the left and right atom indices of atom k."""
+
     algebra: BoolAlg
     left: BoolAlg
     right: BoolAlg
+    pairs: tuple[tuple[int, int], ...]
     inject_left: BoolMorphism
     inject_right: BoolMorphism
 
@@ -367,16 +371,18 @@ def coproduct(left: BoolAlg, right: BoolAlg) -> Coproduct:
     """Coproduct of Boolean algebras; atoms are pairs of atoms."""
     if any("*" in a for a in left.atoms + right.atoms):
         raise InvalidModel("factor atoms must not contain the pair separator '*'")
-    labels = sorted(_pair_label(a, b) for a in left.atoms for b in right.atoms)
-    alg = BoolAlg(tuple(labels))
-    left_imgs = tuple(
-        alg.element([_pair_label(a, b) for b in right.atoms]) for a in left.atoms)
-    right_imgs = tuple(
-        alg.element([_pair_label(a, b) for a in left.atoms]) for b in right.atoms)
+    by_label = sorted((_pair_label(a, b), (i, j))
+                      for i, a in enumerate(left.atoms) for j, b in enumerate(right.atoms))
+    alg = BoolAlg(tuple(label for label, _ in by_label))
+    pairs = tuple(pair for _, pair in by_label)
+    left_imgs, right_imgs = [0] * left.n, [0] * right.n
+    for k, (i, j) in enumerate(pairs):
+        left_imgs[i] |= 1 << k
+        right_imgs[j] |= 1 << k
     return Coproduct(
-        alg, left, right,
-        BoolMorphism(left, alg, left_imgs),
-        BoolMorphism(right, alg, right_imgs),
+        alg, left, right, pairs,
+        BoolMorphism(left, alg, tuple(left_imgs)),
+        BoolMorphism(right, alg, tuple(right_imgs)),
     )
 
 
@@ -385,11 +391,8 @@ def mediate_coproduct(cop: Coproduct, phi: BoolMorphism, psi: BoolMorphism) -> B
     theta o inj_right = psi; on pair atoms theta(a*b) = phi(a) & psi(b)."""
     if phi.source != cop.left or psi.source != cop.right or phi.target != psi.target:
         raise InvalidModel("mediation needs morphisms from the two factors into one target")
-    images = []
-    for label in cop.algebra.atoms:
-        a, b = label.split("*", 1)
-        images.append(phi(cop.left.element([a])) & psi(cop.right.element([b])))
-    return BoolMorphism(cop.algebra, phi.target, tuple(images))
+    return BoolMorphism(cop.algebra, phi.target, tuple(
+        phi.atom_images[i] & psi.atom_images[j] for i, j in cop.pairs))
 
 
 def verify_coproduct(cop: Coproduct, phi: BoolMorphism, psi: BoolMorphism) -> bool:

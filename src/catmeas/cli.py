@@ -119,8 +119,6 @@ class Model:
     def __init__(self):
         self.algebra: Optional[BoolAlg] = None
         self.coproduct: Optional[Coproduct] = None
-        self.left_algebra: Optional[BoolAlg] = None
-        self.right_algebra: Optional[BoolAlg] = None
         self.spaces: dict[str, FinBanSpace] = {}
         self.measures: dict[str, VectorMeasure] = {}
         self.measure_on: dict[str, str] = {}
@@ -132,11 +130,11 @@ class Model:
     def algebra_for(self, name: Any, path: str) -> BoolAlg:
         if name == "algebra":
             return self.algebra
-        if name == "left":
-            return self.left_algebra
-        if name == "right":
-            return self.right_algebra
-        raise ModelError("bad-reference", f"unknown algebra {name!r}", path)
+        if name not in ("left", "right"):
+            raise ModelError("bad-reference", f"unknown algebra {name!r}", path)
+        if self.coproduct is None:
+            raise ModelError("unresolved-reference", f"no {name!r} algebra in this model", path)
+        return getattr(self.coproduct, name)
 
 
 def _element(omega: BoolAlg, spec: Any, path: str) -> int:
@@ -288,9 +286,8 @@ def parse_model(path: str) -> Model:
             if side not in product:
                 raise ModelError("bad-algebra", f"a product needs a {side!r} atom list",
                                  f"algebra.product.{side}")
-        model.left_algebra = algebra_on(product["left"], "algebra.product.left")
-        model.right_algebra = algebra_on(product["right"], "algebra.product.right")
-        model.coproduct = coproduct(model.left_algebra, model.right_algebra)
+        model.coproduct = coproduct(algebra_on(product["left"], "algebra.product.left"),
+                                    algebra_on(product["right"], "algebra.product.right"))
         model.algebra = model.coproduct.algebra
     elif "generators" in alg:
         ground, generators = alg.get("ground"), alg["generators"]
@@ -330,9 +327,6 @@ def parse_model(path: str) -> Model:
         target = _space_ref(model, desc.get("target", "scalar"), f"{name}.target", path_m)
         on = desc.get("on", "algebra")
         omega = model.algebra_for(on, f"{path_m}.on")
-        if omega is None:
-            raise ModelError("unresolved-reference", f"no {on!r} algebra in this model",
-                             f"{path_m}.on")
         values = desc.get("values", {})
         if not isinstance(values, dict):
             raise ModelError("bad-measure", "values map atoms to rationals", f"{path_m}.values")
@@ -577,7 +571,7 @@ def _dims(x) -> dict[str, int]:
     return {_label(x.algebra, e): x.space(e).dim for e in x.algebra.elements()}
 
 
-def cmd_stone(model: Model, report: Report, rng, element: Optional[int], exhaustive: bool):
+def cmd_stone(model: Model, report: Report, rng, element: int, exhaustive: bool):
     omega = model.algebra
     st = stone_space(omega)
     report.result("points", list(st.points))
@@ -602,34 +596,39 @@ def cmd_stone(model: Model, report: Report, rng, element: Optional[int], exhaust
 
 def cmd_partitions(model: Model, report: Report, rng, element, exhaustive):
     omega = model.algebra
-    e = omega.top if element is None else element
-    parts = list(partitions_of(omega, e))
+    if element == 0:
+        raise ModelError("bad-element", "bottom has no partitions", "--element")
+    parts = list(partitions_of(omega, element))
     report.result("count", len(parts))
     # the same blocks recur across partitions: each is described once
     describe = cache(lambda b: list(omega.atoms_below(b)))
     report.result("partitions", [[describe(b) for b in p.blocks] for p in parts])
 
 
-def _each_measure(model: Model):
+def _each_measure(model: Model, on: str = "algebra"):
     for name in sorted(model.measures):
-        if model.measure_on[name] == "algebra":
+        if model.measure_on[name] == on:
             yield name, model.measures[name]
 
 
+def _sum_spaces(model: Model):
+    """The SUM spaces of positive dimension, by name."""
+    for name in sorted(model.spaces):
+        b = model.spaces[name]
+        if b.flavor is Flavor.SUM and b.dim:
+            yield name, b
+
+
 def cmd_variation(model: Model, report: Report, rng, element, exhaustive):
-    omega = model.algebra
-    e = omega.top if element is None else element
     for name, nu in _each_measure(model):
-        report.result(f"variation[{name}]", show_rational(variation(nu, e)))
+        report.result(f"variation[{name}]", show_rational(variation(nu, element)))
 
 
 def cmd_semivariation(model: Model, report: Report, rng, element, exhaustive):
-    omega = model.algebra
-    e = omega.top if element is None else element
     for name, nu in _each_measure(model):
-        sv = semivariation(nu, e)
+        sv = semivariation(nu, element)
         report.result(f"semivariation[{name}]", show_rational(sv))
-        report.verdict(f"semivariation_le_variation[{name}]", sv <= variation(nu, e))
+        report.verdict(f"semivariation_le_variation[{name}]", sv <= variation(nu, element))
 
 
 def _positive_scalar_measures(model: Model):
@@ -657,8 +656,7 @@ def _random_simple(rng, omega) -> SimpleElement:
 
 def cmd_integrate(model: Model, report: Report, rng, element, exhaustive):
     omega = model.algebra
-    e = omega.top if element is None else element
-    chi = characteristic(omega, e)
+    chi = characteristic(omega, element)
     for name, nu in _each_measure(model):
         report.result(f"integral[chi][{name}]", show_vector(integrate(chi, nu)))
         lift = integration_map(nu)
@@ -679,10 +677,7 @@ def cmd_integrate(model: Model, report: Report, rng, element, exhaustive):
 def cmd_bochner(model: Model, report: Report, rng, element, exhaustive):
     omega = model.algebra
     for base_name, mu in _positive_scalar_measures(model):
-        for space_name in sorted(model.spaces):
-            b = model.spaces[space_name]
-            if b.flavor is not Flavor.SUM or b.dim == 0:
-                continue
+        for space_name, b in _sum_spaces(model):
             f = VectorSimpleElement(omega, b, tuple(
                 tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                       for _ in range(b.dim)) for _ in range(omega.n)))
@@ -698,16 +693,12 @@ def cmd_fubini(model: Model, report: Report, rng, element, exhaustive):
     if model.coproduct is None:
         raise ModelError("bad-command", "fubini needs a product algebra", "algebra")
     cop = model.coproduct
-    left_mus = [(n, m) for n, m in sorted(model.measures.items())
-                if model.measure_on[n] == "left"]
-    right_mus = [(n, m) for n, m in sorted(model.measures.items())
-                 if model.measure_on[n] == "right"]
-    if not left_mus or not right_mus:
+    # the first measure by name on each factor
+    left, right = (next(_each_measure(model, on), None) for on in ("left", "right"))
+    if left is None or right is None:
         raise ModelError("bad-command", "fubini needs measures on both factors", "measures")
-    mu_name, mu_raw = left_mus[0]
-    nu_name, nu_raw = right_mus[0]
-    mu = MeasureAlgebra(cop.left, mu_raw)
-    nu = MeasureAlgebra(cop.right, nu_raw)
+    mu = MeasureAlgebra(cop.left, left[1])
+    nu = MeasureAlgebra(cop.right, right[1])
     f = _random_simple(rng, cop.algebra)
     res = fubini(f, cop, mu, nu)
     report.result("product_integral", show_rational(res.product_value))
@@ -762,12 +753,11 @@ def cmd_spectral(model: Model, report: Report, rng, element, exhaustive):
 
 def cmd_integrate_morphism(model: Model, report: Report, rng, element, exhaustive):
     omega = model.algebra
+    e, f = element, omega.top
     for name in sorted(model.cosheaves):
         cs = model.cosheaves[name]
         if not is_cosheaf(cs):
             continue
-        e = omega.top if element is None else element
-        f = omega.top
         s = _random_simple(rng, omega)
         masked = SimpleElement(omega, tuple(
             c if (e & f) >> i & 1 else Fraction(0)
@@ -779,6 +769,11 @@ def cmd_integrate_morphism(model: Model, report: Report, rng, element, exhaustiv
 
 
 def cmd_cosheafify(model: Model, report: Report, rng, element, exhaustive):
+    # the cosheafification sums the atom fibers, which must be SUM spaces
+    for name in sorted(model.cosheaves):
+        theta = model.cosheaves[name]
+        if any(theta.space(1 << i).flavor is not Flavor.SUM for i in range(theta.algebra.n)):
+            raise ModelError("bad-command", "cosheafify needs SUM atom fibers", f"cosheaves.{name}")
     for name in sorted(model.cosheaves):
         theta = model.cosheaves[name]
         c = cosheafify(theta)
@@ -793,10 +788,7 @@ def cmd_cosheafify(model: Model, report: Report, rng, element, exhaustive):
 
 def cmd_bva(model: Model, report: Report, rng, element, exhaustive):
     omega = model.algebra
-    for space_name in sorted(model.spaces):
-        b = model.spaces[space_name]
-        if b.flavor is not Flavor.SUM or b.dim == 0:
-            continue
+    for space_name, b in _sum_spaces(model):
         bva = bva_cosheaf(omega, b)
         report.result(f"bva_total_dim[{space_name}]", bva.space(omega.top).dim)
         report.verdict(f"bva_is_cosheaf[{space_name}]",
@@ -830,7 +822,7 @@ def cmd_isbell(model: Model, report: Report, rng, element, exhaustive):
 
 def cmd_verify_all(model: Model, report: Report, rng, element, exhaustive):
     top = model.algebra.top
-    cmd_stone(model, report, rng, None, exhaustive)
+    cmd_stone(model, report, rng, element, exhaustive)
     for name, nu in _each_measure(model):
         sv = semivariation(nu, top)
         report.verdict(f"semivariation_le_variation[{name}]", sv <= variation(nu, top))
@@ -884,7 +876,8 @@ def run(command: str, model: Model, seed: int, exhaustive: bool,
         element: Optional[str]) -> Report:
     report = Report(command, seed, exhaustive)
     rng = random.Random(seed)
-    e = _element(model.algebra, element, "--element") if element is not None else None
+    omega = model.algebra
+    e = omega.top if element is None else _element(omega, element, "--element")
     DISPATCH[command](model, report, rng, e, exhaustive)
     return report
 

@@ -209,13 +209,8 @@ def product_measure(mu: VectorMeasure, nu: VectorMeasure,
         raise InvalidModel("product measures are scalar-valued")
     if mu.algebra != cop.left or nu.algebra != cop.right:
         raise AlgebraMismatch("measures do not match the coproduct factors")
-    values = []
-    for label in cop.algebra.atoms:
-        a, b = label.split("*", 1)
-        va = mu(mu.algebra.element([a]))[0]
-        vb = nu(nu.algebra.element([b]))[0]
-        values.append((va * vb,))
-    return VectorMeasure(cop.algebra, scalars(), tuple(values))
+    return VectorMeasure(cop.algebra, scalars(), tuple(
+        (mu.atom_values[i][0] * nu.atom_values[j][0],) for i, j in cop.pairs))
 
 
 def is_spectral(nu: VectorMeasure,

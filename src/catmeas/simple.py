@@ -26,7 +26,7 @@ from .finban import (
     FinBanSpace, Flavor, IsoWitness, LinMap, Vector, _over_common_denominator,
     projective_tensor, sup_space, zero_vec,
 )
-from .measures import MeasureAlgebra, VectorMeasure
+from .measures import MeasureAlgebra, VectorMeasure, product_measure
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,6 @@ class SimpleElement:
     def scale(self, k) -> "SimpleElement":
         k = Fraction(k)
         return SimpleElement(self.algebra, tuple(k * c for c in self.coeffs))
-
-    def value_at(self, atom: str) -> Fraction:
-        return self.coeffs[self.algebra.atom_index(atom)]
 
 
 def _same_algebra(f: SimpleElement, g: SimpleElement) -> None:
@@ -275,34 +272,21 @@ def fubini(f: SimpleElement, cop: Coproduct,
     if mu.algebra != cop.left or nu.algebra != cop.right:
         raise AlgebraMismatch("measures do not match the coproduct factors")
 
-    def pair_value(a: str, b: str) -> Fraction:
-        return f.value_at(cop.pair_atom(a, b))
-
-    total = ZERO
-    for i, a in enumerate(cop.left.atoms):
-        for j, b in enumerate(cop.right.atoms):
-            total += pair_value(a, b) * mu.atom_value(i) * nu.atom_value(j)
-
-    # integrate out the right factor first
-    left_then_right = ZERO
-    for i, a in enumerate(cop.left.atoms):
-        inner = sum((pair_value(a, b) * nu.atom_value(j)
-                     for j, b in enumerate(cop.right.atoms)), ZERO)
-        left_then_right += inner * mu.atom_value(i)
-
-    right_then_left = ZERO
-    for j, b in enumerate(cop.right.atoms):
-        inner = sum((pair_value(a, b) * mu.atom_value(i)
-                     for i, a in enumerate(cop.left.atoms)), ZERO)
-        right_then_left += inner * nu.atom_value(j)
-
+    at = dict(zip(cop.pairs, f.coeffs))  # f on the pair of atoms (i, j)
+    lefts, rights = range(cop.left.n), range(cop.right.n)
+    m, n = [mu.atom_value(i) for i in lefts], [nu.atom_value(j) for j in rights]
+    total = sum((c * m[i] * n[j] for (i, j), c in at.items()), ZERO)
+    # the iterated integrals: the right factor integrated out first, then the left
+    left_then_right = sum((m[i] * sum((at[i, j] * n[j] for j in rights), ZERO)
+                           for i in lefts), ZERO)
+    right_then_left = sum((n[j] * sum((at[i, j] * m[i] for i in lefts), ZERO)
+                           for j in rights), ZERO)
     witness = _fubini_witness(cop, mu, nu)
     return FubiniResult(total, left_then_right, right_then_left, witness)
 
 
 def _fubini_witness(cop: Coproduct, mu: MeasureAlgebra,
                     nu: MeasureAlgebra) -> IsoWitness:
-    from .measures import product_measure
     prod = MeasureAlgebra(cop.algebra, product_measure(mu.mu, nu.mu, cop))
     left_cls = l1_space(mu)
     right_cls = l1_space(nu)
@@ -310,11 +294,12 @@ def _fubini_witness(cop: Coproduct, mu: MeasureAlgebra,
     prod_cls = l1_space(prod)
     if prod_cls.dim != tens.space.dim:
         raise InvalidModel("null structure broke the product identification")
-    # both bases enumerate positive pairs; match labels a*b <-> a(x)b
-    perm = []
-    for label in prod_cls.basis:
-        a, b = label.split("*", 1)
-        perm.append(tens.space.basis.index(f"{a}(x){b}"))
+    # both bases enumerate the pairs of positive atoms: the product's in
+    # pair-label order, the tensor's left factor major
+    rank_l = {a: r for r, a in enumerate(left_cls.basis)}
+    rank_r = {b: r for r, b in enumerate(right_cls.basis)}
+    perm = [rank_l[cop.left.atoms[i]] * right_cls.dim + rank_r[cop.right.atoms[j]]
+            for k, (i, j) in enumerate(cop.pairs) if prod.atom_value(k) > 0]
     return IsoWitness.from_permutation(prod_cls, tens.space, perm)
 
 

@@ -18,7 +18,10 @@ indicator (co)presheaves with every cover map built at once, the
 closed-form isometry test on Fraction products, and the norm of a
 vector and the atom-level measure calculus (a measure's value, its
 variation, the integral of a simple element and the Bochner integral
-with its l1 norm) as Fraction sums one coordinate at a time.
+with its l1 norm) as Fraction sums one coordinate at a time, and the
+readers of a coproduct (the mediating morphism, the product measure and
+Fubini's integrals and witness) that split each pair label 'a*b' into
+its factor atoms.
 They live here, not in `src/`, so that they stay independent of the
 code under test.
 """
@@ -26,12 +29,14 @@ code under test.
 import itertools
 from fractions import Fraction
 
-from catmeas.boolalg import partitions_of
+from catmeas.boolalg import BoolMorphism, partitions_of
 from catmeas.errors import InvalidModel, NotACosheaf
 from catmeas.exactla import identity, nullspace, rref, simplex_min
-from catmeas.finban import FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm
+from catmeas.finban import (FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm,
+                            projective_tensor, scalars)
+from catmeas.measures import MeasureAlgebra, VectorMeasure
 from catmeas.shcosh import PreCosheaf, Verdict, partition_map
-from catmeas.simple import characteristic
+from catmeas.simple import characteristic, l1_space
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -445,3 +450,53 @@ def bochner_by_fractions(f, mu) -> tuple:
             total = tuple(x + w * y for x, y in zip(total, v))
             norm += w * norm_by_fractions(f.target, v)
     return total, norm
+
+
+def mediate_coproduct_by_labels(cop, phi, psi):
+    """theta(a*b) = phi(a) & psi(b), with a and b read off the label."""
+    images = []
+    for label in cop.algebra.atoms:
+        a, b = label.split("*", 1)
+        images.append(phi(cop.left.element([a])) & psi(cop.right.element([b])))
+    return BoolMorphism(cop.algebra, phi.target, tuple(images))
+
+
+def product_measure_by_labels(mu, nu, cop):
+    """(mu (x) nu)(a*b) = mu(a) nu(b), with a and b read off the label."""
+    values = []
+    for label in cop.algebra.atoms:
+        a, b = label.split("*", 1)
+        va = mu(mu.algebra.element([a]))[0]
+        vb = nu(nu.algebra.element([b]))[0]
+        values.append((va * vb,))
+    return VectorMeasure(cop.algebra, scalars(), tuple(values))
+
+
+def fubini_by_labels(f, cop, mu, nu):
+    """Fubini's product integral, both iterated integrals and the
+    permutation of its witness: f is read at each pair by the label
+    'a*b', and each product basis label a*b is matched to a(x)b."""
+    def pair_value(a, b):
+        return f.coeffs[cop.algebra.atom_index(cop.pair_atom(a, b))]
+
+    total = ZERO
+    for i, a in enumerate(cop.left.atoms):
+        for j, b in enumerate(cop.right.atoms):
+            total += pair_value(a, b) * mu.atom_value(i) * nu.atom_value(j)
+    left_then_right = ZERO
+    for i, a in enumerate(cop.left.atoms):
+        inner = sum((pair_value(a, b) * nu.atom_value(j)
+                     for j, b in enumerate(cop.right.atoms)), ZERO)
+        left_then_right += inner * mu.atom_value(i)
+    right_then_left = ZERO
+    for j, b in enumerate(cop.right.atoms):
+        inner = sum((pair_value(a, b) * mu.atom_value(i)
+                     for i, a in enumerate(cop.left.atoms)), ZERO)
+        right_then_left += inner * nu.atom_value(j)
+    prod = MeasureAlgebra(cop.algebra, product_measure_by_labels(mu.mu, nu.mu, cop))
+    tens = projective_tensor(l1_space(mu), l1_space(nu))
+    perm = []
+    for label in l1_space(prod).basis:
+        a, b = label.split("*", 1)
+        perm.append(tens.space.basis.index(f"{a}(x){b}"))
+    return total, left_then_right, right_then_left, perm

@@ -511,6 +511,45 @@ def test_element_flag():
     assert "variation[pi]" in payload["results"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("command", ["partitions", "variation", "semivariation", "integrate",
+                                     "integrate-morphism"])
+def test_an_absent_element_reads_as_top(command, fmt):
+    args = (command, "--model", str(MODELS / "reference.json"), "--seed", "7", "--format", fmt)
+    absent, top = run_cli(*args), run_cli(*args, "--element", "top")
+    assert absent.returncode == top.returncode == 0, absent.stderr
+    assert absent.stdout == top.stdout
+
+
+SUP_FIBERS = {"algebra": {"atoms": ["a", "b"]}, "spaces": {"W": {"flavor": "sup", "dim": 2}},
+              "cosheaves": {"k": "constant-of:W"}}
+
+
+@pytest.mark.parametrize("command, model, extra, code, where", [
+    ("partitions", None, ("--element", "bottom"), "bad-element", "--element"),
+    ("cosheafify", SUP_FIBERS, (), "bad-command", "cosheaves.k"),
+], ids=["partitions-of-bottom", "cosheafify-of-sup-atom-fibers"])
+def test_an_input_the_command_cannot_take_exits_two_with_code_and_path(
+        tmp_path, command, model, extra, code, where):
+    path = str(MODELS / "reference.json") if model is None else write_model(tmp_path, model)
+    out = run_cli(command, "--model", path, *extra)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert code in out.stderr and f"(at {where})" in out.stderr
+
+
+@pytest.mark.parametrize("command, code, digest", [
+    ("check-cosheaf", 1, "8c06222b1636ef3d67a225eb312447362d9970cd98296b16b98707059ef96484"),
+    ("spectral", 1, "77fcbb826abecc690c147fc0e71b5e8fb3dcff8dac97543c0e2855fed0c599b1"),
+    ("isbell", 0, "336dedc39a8a3c6503598e2ea112847ecf6be3bcb176e6cfd20093ef62744035"),
+    ("verify-all", 1, "06b5ed20c15e8852266c87c7acdd451658533807b25d2ade60671f6102cd2dda"),
+])
+def test_other_commands_on_sup_atom_fibers_keep_their_reports(tmp_path, command, code, digest):
+    """Only cosheafify needs SUM atom fibers: the other cosheaf commands
+    report on such a cosheaf as before (text format, seed 7)."""
+    out = run_cli(command, "--model", write_model(tmp_path, SUP_FIBERS), "--seed", "7")
+    assert (out.returncode, hashlib.sha256(out.stdout.encode()).hexdigest()) == (code, digest)
+
+
 def test_exhaustive_flag_on_cosheaf_check():
     out = run_cli("check-cosheaf", "--model", str(MODELS / "broken_cosheaf.json"),
                   "--exhaustive")

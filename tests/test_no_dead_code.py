@@ -1,8 +1,9 @@
-"""Every public name defined in `src/catmeas` is used somewhere.
+"""Every name defined in `src/catmeas` is used somewhere.
 
-A public top-level function or class, or a public method, whose name
-(as a whole word) appears nowhere outside its own definition in
+A top-level function or class, or a method, public or private, whose
+name (as a whole word) appears nowhere outside its own definition in
 `src/`, `tests/`, `demos/` or `bench/` is dead code and fails the test.
+Dunders are exempt: Python calls them by protocol, not by name.
 """
 
 import ast
@@ -15,17 +16,21 @@ SEARCHED = ("src", "tests", "demos", "bench")
 WORD = re.compile(r"\w+")
 
 
-def public_definitions(tree):
-    """(name, node) for public top-level functions and classes and the
-    public methods of those classes."""
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree):
+    """(name, node) for the top-level functions and classes and the
+    methods of those classes, dunders aside."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if not isinstance(node, kinds) or node.name.startswith("_"):
+        if not isinstance(node, kinds) or is_dunder(node.name):
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, kinds[:2]) and not sub.name.startswith("_"):
+                if isinstance(sub, kinds[:2]) and not is_dunder(sub.name):
                     yield f"{node.name}.{sub.name}", sub
 
 
@@ -35,7 +40,7 @@ def unreferenced_names():
     dead = []
     for path in sorted((ROOT / "src" / "catmeas").glob("*.py")):
         lines = texts[path].splitlines()
-        for qualname, node in public_definitions(ast.parse(texts[path])):
+        for qualname, node in definitions(ast.parse(texts[path])):
             own = "\n".join(lines[node.lineno - 1:node.end_lineno])
             if words[node.name] == WORD.findall(own).count(node.name):
                 dead.append(f"{path.stem}.{qualname} ({path.name}:{node.lineno})")

@@ -8,16 +8,19 @@ from fractions import Fraction
 import pytest
 
 from catmeas import finban
-from catmeas.boolalg import BoolAlg, BoolMorphism, coproduct, stone_space
+from catmeas.boolalg import (BoolAlg, BoolMorphism, all_morphisms, coproduct,
+                             mediate_coproduct, stone_space)
 from catmeas.errors import NotIdempotent
-from catmeas.finban import operator_norm, sum_space, vec
-from catmeas.measures import (MeasureAlgebra, VectorMeasure, lipschitz_norm,
+from catmeas.finban import IsoWitness, operator_norm, sum_space, vec
+from catmeas.measures import (MeasureAlgebra, VectorMeasure, lipschitz_norm, product_measure,
                               pullback, semivariation, random_vector_measure)
 from catmeas.simple import (SimpleElement, VectorSimpleElement, bochner,
                             canonicalize, characteristic, fubini, integrate,
                             integration_map, l1_lift, l1_norm, l1_space,
                             linf_norm, multiply, split_idempotent,
                             stone_transfer, transfer_measure)
+
+from oracles import fubini_by_labels, mediate_coproduct_by_labels, product_measure_by_labels
 
 F = Fraction
 
@@ -290,6 +293,45 @@ def test_fubini_rectangle():
     f = characteristic(cop.algebra, e)
     res = fubini(f, cop, mu, nu)
     assert res.product_value == F(1, 3) * F(3, 4)
+
+
+# '!' sorts before '*', so "a!*u" < "a*u": the pair labels do not sort
+# in factor order
+OUT_OF_ORDER = (alg("a", "a!", "b"), alg("u", "u!"))
+
+
+def test_coproduct_pairs_name_the_factor_atoms_of_each_atom():
+    left, right = OUT_OF_ORDER
+    cop = coproduct(left, right)
+    assert cop.algebra.atoms[:2] == ("a!*u", "a!*u!")
+    assert len(cop.pairs) == cop.algebra.n
+    for k, (i, j) in enumerate(cop.pairs):
+        assert cop.algebra.atoms[k] == f"{left.atoms[i]}*{right.atoms[j]}"
+        assert cop.inject_left(1 << i) >> k & 1 and cop.inject_right(1 << j) >> k & 1
+
+
+def test_coproduct_pair_readers_match_the_label_oracles():
+    left, right = OUT_OF_ORDER
+    cop = coproduct(left, right)
+    target = alg("x", "y")
+    for phi in all_morphisms(left, target):
+        for psi in all_morphisms(right, target):
+            assert mediate_coproduct(cop, phi, psi) == mediate_coproduct_by_labels(cop, phi, psi)
+    rng = random.Random(11)
+    # zero atom values drop pairs from the l1 classes the witness matches
+    for mus in ([F(1, 2), F(1, 4), F(0)], [F(0), F(3), F(2, 7)], [F(1), F(1), F(1)]):
+        for nus in ([F(2, 5), F(3, 5)], [F(0), F(1, 3)]):
+            mu, nu = MeasureAlgebra.from_values(left, mus), MeasureAlgebra.from_values(right, nus)
+            assert product_measure(mu.mu, nu.mu, cop) == product_measure_by_labels(
+                mu.mu, nu.mu, cop)
+            f = rnd_simple(rng, cop.algebra)
+            res = fubini(f, cop, mu, nu)
+            total, left_then_right, right_then_left, perm = fubini_by_labels(f, cop, mu, nu)
+            assert (res.product_value, res.iterated_left_then_right,
+                    res.iterated_right_then_left) == (total, left_then_right, right_then_left)
+            forward = res.witness.forward
+            assert forward == IsoWitness.from_permutation(forward.source, forward.target,
+                                                          perm).forward
 
 
 def test_stone_transfer_preserves_everything():
