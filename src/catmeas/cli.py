@@ -137,8 +137,8 @@ class Model:
         return getattr(self.coproduct, name)
 
 
-def _element(omega: BoolAlg, spec: Any, path: str) -> int:
-    """Atom-set expressions: a list of atoms or 'a|b|c'; 'top'/'bottom'.
+def _element(omega: BoolAlg, spec: str, path: str) -> int:
+    """Atom-set expressions: 'a|b|c'; 'top'/'bottom'.
 
     A string that is exactly an atom label names that atom, even when it
     reads 'top', 'bottom' or '0'.  A generated atom is labelled by its
@@ -148,29 +148,21 @@ def _element(omega: BoolAlg, spec: Any, path: str) -> int:
     none of them contains '|' a part names the one atom that holds it and
     there is no other reading.
     """
-    if isinstance(spec, str) and spec in omega.atoms:
+    if spec in omega.atoms:
         return omega.atom_mask(spec)
     if spec == "top":
         return omega.top
     if spec in ("bottom", "0", ""):
         return 0
-    if isinstance(spec, str):
-        parts = [s for s in spec.split("|") if s]
-        names, i = [], 0
-        while i < len(parts):
-            j = next((j for j in range(len(parts), i, -1)
-                      if "|".join(parts[i:j]) in omega.atoms), None)
-            if j is None:
-                raise ModelError("unresolved-reference", f"no atom {parts[i]!r}", path)
-            names.append("|".join(parts[i:j]))
-            i = j
-    elif isinstance(spec, list):
-        names = [str(s) for s in spec]
-        for n in names:
-            if n not in omega.atoms:
-                raise ModelError("unresolved-reference", f"no atom {n!r}", path)
-    else:
-        raise ModelError("bad-element", f"cannot read element {spec!r}", path)
+    parts = [s for s in spec.split("|") if s]
+    names, i = [], 0
+    while i < len(parts):
+        j = next((j for j in range(len(parts), i, -1)
+                  if "|".join(parts[i:j]) in omega.atoms), None)
+        if j is None:
+            raise ModelError("unresolved-reference", f"no atom {parts[i]!r}", path)
+        names.append("|".join(parts[i:j]))
+        i = j
     return omega.element(names)
 
 
@@ -631,10 +623,10 @@ def cmd_semivariation(model: Model, report: Report, rng, element, exhaustive):
         report.verdict(f"semivariation_le_variation[{name}]", sv <= variation(nu, element))
 
 
-def _positive_scalar_measures(model: Model):
-    for name, nu in _each_measure(model):
+def _positive_scalar_measures(model: Model, on: str = "algebra"):
+    for name, nu in _each_measure(model, on):
         if nu.is_scalar() and all(v[0] >= 0 for v in nu.atom_values):
-            yield name, MeasureAlgebra(model.algebra, nu)
+            yield name, MeasureAlgebra(nu.algebra, nu)
 
 
 def cmd_lipschitz(model: Model, report: Report, rng, element, exhaustive):
@@ -693,14 +685,14 @@ def cmd_fubini(model: Model, report: Report, rng, element, exhaustive):
     if model.coproduct is None:
         raise ModelError("bad-command", "fubini needs a product algebra", "algebra")
     cop = model.coproduct
-    # the first measure by name on each factor
-    left, right = (next(_each_measure(model, on), None) for on in ("left", "right"))
+    # the first nonnegative scalar measure by name on each factor
+    left, right = (next((mu for _, mu in _positive_scalar_measures(model, on)), None)
+                   for on in ("left", "right"))
     if left is None or right is None:
-        raise ModelError("bad-command", "fubini needs measures on both factors", "measures")
-    mu = MeasureAlgebra(cop.left, left[1])
-    nu = MeasureAlgebra(cop.right, right[1])
+        raise ModelError("bad-command", "fubini needs a nonnegative scalar measure "
+                         "on each factor", "measures")
     f = _random_simple(rng, cop.algebra)
-    res = fubini(f, cop, mu, nu)
+    res = fubini(f, cop, left, right)
     report.result("product_integral", show_rational(res.product_value))
     report.result("iterated_left_first", show_rational(res.iterated_left_then_right))
     report.result("iterated_right_first", show_rational(res.iterated_right_then_left))

@@ -68,10 +68,6 @@ def vec(*xs) -> Vector:
     return tuple(Fraction(x) for x in xs)
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_scale(k: Fraction, a: Vector) -> Vector:
     return tuple(k * x for x in a)
 
@@ -634,31 +630,23 @@ class DirectSum:
         return tuple(LinMap(self.space, part, eye[off:off + part.dim])
                      for off, part in zip(self.offsets, self.parts))
 
-    def mediate_from_cone(self, cone: Sequence[LinMap]) -> LinMap:
-        """For SUM sums: the unique map T with T o inj_x = cone_x."""
-        if self.space.flavor is not Flavor.SUM:
-            raise FlavorMismatch("cones out of a sum need the SUM flavor")
+    def mediate(self, cone: Sequence[LinMap]) -> LinMap:
+        """The unique map T made of the cone's legs.  A SUM sum is a
+        coproduct, so T leaves it: T o inj_x = cone_x.  A SUP sum is a
+        product, so T enters it: proj_x o T = cone_x."""
+        stacked = self.space.flavor is Flavor.SUP
         if len(cone) != len(self.parts):
             raise InvalidModel("one cone leg per summand required")
-        target = cone[0].target
-        if any(leg.target != target for leg in cone):
-            raise InvalidModel("cone legs must share a target")
-        if any(leg.source != part for leg, part in zip(cone, self.parts)):
-            raise InvalidModel("cone leg source must be the summand")
-        return _mediated(self.space, target, cone)
-
-    def mediate_to_cone(self, cone: Sequence[LinMap]) -> LinMap:
-        """For SUP products: the unique map T with proj_x o T = cone_x."""
-        if self.space.flavor is not Flavor.SUP:
-            raise FlavorMismatch("cones into a product need the SUP flavor")
-        if len(cone) != len(self.parts):
-            raise InvalidModel("one cone leg per factor required")
-        source = cone[0].source
-        if any(leg.source != source for leg in cone):
-            raise InvalidModel("cone legs must share a source")
-        if any(leg.target != part for leg, part in zip(cone, self.parts)):
-            raise InvalidModel("cone leg target must be the factor")
-        return _mediated(self.space, source, cone, stacked=True)
+        # (apex, summand end) of each leg: legs leave the summands of a
+        # sum and enter the factors of a product
+        ends = [(leg.source, leg.target) if stacked else (leg.target, leg.source)
+                for leg in cone]
+        apex = ends[0][0]
+        if any(a != apex for a, _ in ends):
+            raise InvalidModel("cone legs must share an apex")
+        if any(p != part for (_, p), part in zip(ends, self.parts)):
+            raise InvalidModel("each cone leg must meet its summand")
+        return _mediated(self.space, apex, cone, stacked=stacked)
 
 
 def direct_sum(spaces: Sequence[FinBanSpace],
@@ -996,15 +984,10 @@ def coend(bif: BifunctorData, label: str = "coend") -> CoendResult:
     relations: list[Vector] = []
     for f in bif.index.arrows:
         a, b = f
-        fa = bif.left(f, a)      # F(b,a) -> F(a,a)
-        fb = bif.right(b, f)     # F(b,a) -> F(b,b)
-        src = bif.space(b, a)
-        ia = objs.index(a)
-        ib = objs.index(b)
-        for k in range(src.dim):
-            z = src.basis_vector(k)
-            rel = vec_sub(injections[ia](fa(z)), injections[ib](fb(z)))
-            relations.append(rel)
+        # F(b,a) -> diagonal; each column is the relation of one basis vector
+        rel = (injections[objs.index(a)] @ bif.left(f, a)).add(
+            (injections[objs.index(b)] @ bif.right(b, f)).scale(-1))
+        relations.extend(rel.column(k) for k in range(rel.source.dim))
     q = quotient(diag.space, relations, label=label)
     wedges = {a: q.projection @ injections[i] for i, a in enumerate(objs)}
     return CoendResult(bif.index, bif, diag, q, wedges)
@@ -1030,25 +1013,17 @@ def end(bif: BifunctorData) -> EndResult:
     bif.validate()
     objs = bif.index.objects
     parts = [bif.space(a, a) for a in objs]
-    sup_parts = []
-    for p in parts:
-        if p.flavor is Flavor.SUM:
-            raise FlavorMismatch("ends are taken in product (SUP) spaces")
-        sup_parts.append(p)
-    diag = direct_sum(sup_parts, tags=list(objs))
-    constraints: list[list[Fraction]] = []
+    if any(p.flavor is Flavor.SUM for p in parts):
+        raise FlavorMismatch("ends are taken in product (SUP) spaces")
+    diag = direct_sum(parts, tags=list(objs))
+    projections = diag.projections
+    constraints: list[Vector] = []
     for f in bif.index.arrows:
         a, b = f
-        ra = bif.right(a, f)    # F(a,a) -> F(a,b)
-        lb = bif.left(f, b)     # F(b,b) -> F(a,b)
-        ia, ib = objs.index(a), objs.index(b)
-        for r_row, l_row in zip(ra.rows, lb.rows):
-            row = [ZERO] * diag.space.dim
-            for j, x in r_row:
-                row[diag.offsets[ia] + j] += x
-            for j, x in l_row:
-                row[diag.offsets[ib] + j] -= x
-            constraints.append(row)
+        # diagonal -> F(a,b); each row is one constraint
+        con = (bif.right(a, f) @ projections[objs.index(a)]).add(
+            (bif.left(f, b) @ projections[objs.index(b)]).scale(-1))
+        constraints.extend(con.matrix)
     if not constraints:
         return EndResult(bif.index, diag, diag.space,
                          tuple(diag.space.basis_vector(i) for i in range(diag.space.dim)),

@@ -620,9 +620,6 @@ class HomSolution:
         off = self.offsets[e]
         return [[coords[off + r * cols + c] for c in range(cols)] for r in range(rows)]
 
-    def components_of_basis(self, k: int, e: int) -> list[list[Fraction]]:
-        return self.component(self.basis[k], e)
-
 
 def _naturality_system(x, y):
     """The naturality constraints on tau : x -> y between two precosheaves
@@ -1160,6 +1157,19 @@ def _monomial_twist(rng, space: FinBanSpace, tag: str):
     return twisted, perm, coeffs
 
 
+def _random_atom_spaces(rng, omega: BoolAlg, most: int) -> dict[str, FinBanSpace]:
+    """A SUM fiber of dim 1 or 2 on each atom, in atom order, each weight
+    p/q with p and q drawn from 1..most."""
+    atom_spaces = {}
+    for a in omega.atoms:
+        d = rng.randint(1, 2)
+        atom_spaces[a] = FinBanSpace(
+            tuple(f"{a}{k}" for k in range(d)),
+            tuple(Fraction(rng.randint(1, most), rng.randint(1, most)) for _ in range(d)),
+            Flavor.SUM)
+    return atom_spaces
+
+
 def random_cosheaf(rng, omega: BoolAlg) -> PreCosheaf:
     """An honest random cosheaf: the canonical cosheaf on random atom
     fibers, conjugated elementwise by random isometries of weighted l1
@@ -1181,13 +1191,7 @@ def random_cosheaf(rng, omega: BoolAlg) -> PreCosheaf:
     entry the two products give, and the rows of c without a nonzero
     stay empty.  With c_t(i) = p_t/q_t and c_s(k) = p_s/q_s drawn as
     int pairs, that entry is the one Fraction(p_t q_s, q_t p_s)."""
-    atom_spaces = {}
-    for a in omega.atoms:
-        d = rng.randint(1, 2)
-        atom_spaces[a] = FinBanSpace(
-            tuple(f"{a}{k}" for k in range(d)),
-            tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(d)),
-            Flavor.SUM)
+    atom_spaces = _random_atom_spaces(rng, omega, 3)
     canonical = from_atom_spaces(omega, atom_spaces)
     twists = {e: _monomial_twist(rng, canonical.spaces[e], f"v{e}_") for e in omega.elements()}
 
@@ -1210,13 +1214,7 @@ def random_scaled_precosheaf(rng, omega: BoolAlg,
     """A functorial, contractive precosheaf that is generically not a
     cosheaf: block inclusions damped per atom by factors that accumulate
     multiplicatively along inclusions."""
-    atom_spaces = {}
-    for a in omega.atoms:
-        d = rng.randint(1, 2)
-        atom_spaces[a] = FinBanSpace(
-            tuple(f"{a}{k}" for k in range(d)),
-            tuple(Fraction(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(d)),
-            Flavor.SUM)
+    atom_spaces = _random_atom_spaces(rng, omega, 2)
     canonical = from_atom_spaces(omega, atom_spaces)
     choices = [ONE, ONE, Fraction(1, 2), Fraction(2, 3)]
     damp = {(a, b): rng.choice(choices)
@@ -1253,17 +1251,14 @@ def precosheaf_map_from_atoms(nu: PreCosheaf, theta: PreCosheaf,
 
 def l1_integration_map(mu: MeasureAlgebra) -> dict[int, LinMap]:
     """Integration against mu as a precosheaf map from its l1 cosheaf to
-    the constant line: on each element the row of positive atom weights
-    (the fibers only carry coordinates for positive atoms)."""
+    the constant line: on each element the row of the fiber's weights,
+    the positive atom masses below it."""
     line = scalars()
     cosheaf = l1_cosheaf(mu)
     components = {}
     for e in mu.algebra.elements():
         src = cosheaf.space(e)
-        row = tuple(mu.atom_value(i) for i in mu.algebra.atom_indices(e)
-                    if mu.atom_value(i) > 0)
-        assert len(row) == src.dim
-        components[e] = LinMap(src, line, (tuple(enumerate(row)),))
+        components[e] = LinMap(src, line, (tuple(enumerate(src.weights)),))
     return components
 
 

@@ -21,7 +21,8 @@ variation, the integral of a simple element and the Bochner integral
 with its l1 norm) as Fraction sums one coordinate at a time, and the
 readers of a coproduct (the mediating morphism, the product measure and
 Fubini's integrals and witness) that split each pair label 'a*b' into
-its factor atoms.
+its factor atoms, and the relations of a coend and the constraints of an
+end, written one basis vector and one offset row at a time.
 They live here, not in `src/`, so that they stay independent of the
 code under test.
 """
@@ -32,8 +33,8 @@ from fractions import Fraction
 from catmeas.boolalg import BoolMorphism, partitions_of
 from catmeas.errors import InvalidModel, NotACosheaf
 from catmeas.exactla import identity, nullspace, rref, simplex_min
-from catmeas.finban import (FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm,
-                            projective_tensor, scalars)
+from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, is_isometric_iso,
+                            operator_norm, projective_tensor, scalars)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
 from catmeas.shcosh import PreCosheaf, Verdict, partition_map
 from catmeas.simple import characteristic, l1_space
@@ -500,3 +501,41 @@ def fubini_by_labels(f, cop, mu, nu):
         a, b = label.split("*", 1)
         perm.append(tens.space.basis.index(f"{a}(x){b}"))
     return total, left_then_right, right_then_left, perm
+
+
+def coend_relations_by_basis_vectors(bif) -> list:
+    """The relations of a coend, one per basis vector z of F(b,a) for each
+    arrow f = (a, b): inj_a F(f,a) z - inj_b F(b,f) z, each map applied
+    to z and the two images subtracted coordinate by coordinate."""
+    objs = bif.index.objects
+    injections = direct_sum([bif.space(a, a) for a in objs], tags=list(objs)).injections
+    relations = []
+    for f in bif.index.arrows:
+        a, b = f
+        fa, fb = bif.left(f, a), bif.right(b, f)
+        src = bif.space(b, a)
+        for k in range(src.dim):
+            z = src.basis_vector(k)
+            relations.append(tuple(x - y for x, y in zip(
+                injections[objs.index(a)](fa(z)), injections[objs.index(b)](fb(z)))))
+    return relations
+
+
+def end_constraints_by_offsets(bif) -> list:
+    """The constraints of an end, one per row of F(a,b) for each arrow
+    f = (a, b): the row of F(a,f) added at the offset of a in the diagonal
+    product, the row of F(f,b) subtracted at the offset of b."""
+    objs = bif.index.objects
+    diag = direct_sum([bif.space(a, a) for a in objs], tags=list(objs))
+    constraints = []
+    for f in bif.index.arrows:
+        a, b = f
+        ia, ib = objs.index(a), objs.index(b)
+        for r_row, l_row in zip(bif.right(a, f).rows, bif.left(f, b).rows):
+            row = [ZERO] * diag.space.dim
+            for j, x in r_row:
+                row[diag.offsets[ia] + j] += x
+            for j, x in l_row:
+                row[diag.offsets[ib] + j] -= x
+            constraints.append(row)
+    return constraints

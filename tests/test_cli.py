@@ -550,6 +550,43 @@ def test_other_commands_on_sup_atom_fibers_keep_their_reports(tmp_path, command,
     assert (out.returncode, hashlib.sha256(out.stdout.encode()).hexdigest()) == (code, digest)
 
 
+def product_model(measures):
+    return {"algebra": {"product": {"left": ["a"], "right": ["u"]}}, "measures": measures}
+
+
+NU = {"on": "right", "values": {"u": "1"}}
+NEGATIVE = {"on": "left", "values": {"a": "-1"}}
+VECTOR = {"on": "left", "target": {"dim": 2}, "values": {"a": ["1", "1"]}}
+
+
+@pytest.mark.parametrize("measures", [
+    {"mu": NEGATIVE, "nu": NU},
+    {"mu": VECTOR, "nu": NU},
+    {"nu": NU},
+], ids=["negative-left", "vector-left", "right-only"])
+def test_fubini_without_a_measure_algebra_on_a_factor(tmp_path, measures):
+    """fubini needs a nonnegative scalar measure on each factor: without
+    one it exits 2 at `measures`, and verify-all reports without it."""
+    path = write_model(tmp_path, product_model(measures))
+    out = run_cli("fubini", "--model", path)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "bad-command" in out.stderr and "(at measures)" in out.stderr
+    out = run_cli("verify-all", "--model", path, "--format", "structured")
+    assert out.returncode == 0, out.stderr
+    assert "iterated_integrals_agree" not in json.loads(out.stdout)["verdicts"]
+
+
+def test_fubini_takes_the_first_measure_algebra_on_each_factor(tmp_path):
+    """A negative or vector measure that sorts first is passed over."""
+    good = {"on": "left", "values": {"a": "1/2"}}
+    alone = run_cli("fubini", "--model", write_model(tmp_path, product_model(
+        {"mu": good, "nu": NU}), "alone.json"), "--seed", "3")
+    behind = run_cli("fubini", "--model", write_model(tmp_path, product_model(
+        {"m0": NEGATIVE, "m1": VECTOR, "mu": good, "nu": NU}), "behind.json"), "--seed", "3")
+    assert alone.returncode == behind.returncode == 0, behind.stderr
+    assert behind.stdout == alone.stdout
+
+
 def test_exhaustive_flag_on_cosheaf_check():
     out = run_cli("check-cosheaf", "--model", str(MODELS / "broken_cosheaf.json"),
                   "--exhaustive")

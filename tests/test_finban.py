@@ -16,7 +16,8 @@ from catmeas.finban import (BifunctorData, FinBanSpace, FinPoset, Flavor,
                             is_isometric_iso, operator_norm, projective_tensor, quotient,
                             sum_space, sup_space, vec, zero_space)
 
-from oracles import (contractive_both_ways, dual_extreme_functionals,
+from oracles import (coend_relations_by_basis_vectors, contractive_both_ways,
+                     dual_extreme_functionals, end_constraints_by_offsets,
                      isometric_monomial_by_fractions, norm_by_fractions,
                      operator_norm_by_vertices, path_independent_by_enumeration,
                      projective_norm_oracle)
@@ -839,12 +840,12 @@ def test_direct_sum_mediation_is_unique_factorisation():
     ds = direct_sum([a, b])
     target = sum_space(["t"])
     legs = [rnd_map(rng, a, target), rnd_map(rng, b, target)]
-    t = ds.mediate_from_cone(legs)
+    t = ds.mediate(legs)
     for i, leg in enumerate(legs):
         assert (t @ ds.injections[i]).matrix == leg.matrix
     # the sum map mediates the identity cone with norm one
     ident = [LinMap.identity(a), LinMap.from_matrix(b, a, ((F(1),),))]
-    sum_map = ds.mediate_from_cone(ident)
+    sum_map = ds.mediate(ident)
     assert operator_norm(sum_map) == 1
 
 
@@ -855,9 +856,30 @@ def test_sup_product_mediation():
     ds = direct_sum([a, b])
     source = sup_space(["s", "t"])
     legs = [rnd_map(rng, source, a), rnd_map(rng, source, b)]
-    t = ds.mediate_to_cone(legs)
+    t = ds.mediate(legs)
     for i, leg in enumerate(legs):
         assert (ds.projections[i] @ t).matrix == leg.matrix
+
+
+@pytest.mark.parametrize("flavor", [Flavor.SUM, Flavor.SUP], ids=["sum", "sup"])
+def test_direct_sum_mediate_rejects_what_is_not_a_cone(flavor):
+    """Legs leave the summands of a SUM sum and enter the factors of a SUP
+    one; a missing leg, legs with two apexes, or a leg at another summand
+    is refused."""
+    rng = random.Random(6)
+    a, b, apex, other = (rnd_space(rng, d, flavor) for d in (1, 2, 2, 3))
+    ds = direct_sum([a, b])
+
+    def leg(part, end):
+        return rnd_map(rng, part, end) if flavor is Flavor.SUM else rnd_map(rng, end, part)
+
+    t = ds.mediate([leg(a, apex), leg(b, apex)])
+    assert (t.source, t.target) == ((ds.space, apex) if flavor is Flavor.SUM else (apex, ds.space))
+    for cone, message in (([leg(a, apex)], "one cone leg per summand required"),
+                          ([leg(a, apex), leg(b, other)], "cone legs must share an apex"),
+                          ([leg(b, apex), leg(b, apex)], "each cone leg must meet its summand")):
+        with pytest.raises(InvalidModel, match=message):
+            ds.mediate(cone)
 
 
 def direct_sum_legs_oracle(spaces):
@@ -1023,10 +1045,11 @@ def test_coend_over_discrete_is_direct_sum():
 
 def yoneda_bifunctor(index, target_obj, f_spaces, f_maps):
     """H(x, y) = hom(x, target) (x) F(y) over a thin index: hom is a line
-    when x <= target, zero otherwise."""
+    when x <= target, zero otherwise; H takes the flavor of F."""
+    zero = zero_space(f_spaces[target_obj].flavor)
 
     def space(x, y):
-        return f_spaces[y] if index.leq(x, target_obj) else zero_space(Flavor.SUM)
+        return f_spaces[y] if index.leq(x, target_obj) else zero
 
     def left(arrow, y):
         src = space(arrow[1], y)
@@ -1073,11 +1096,11 @@ def test_coend_yoneda_reduction_on_chain():
         assert operator_norm(back @ res.quotient.projection) <= 1
 
 
-def level_functor(rng, index, levels, dims):
+def level_functor(rng, index, levels, dims, flavor=Flavor.SUM):
     """A functor on a thin index that factors through a chain of levels,
     guaranteeing path independence on posets with parallel paths."""
     depth = max(levels.values()) + 1
-    chain_spaces = [rnd_space(rng, dims, Flavor.SUM) for _ in range(depth)]
+    chain_spaces = [rnd_space(rng, dims, flavor) for _ in range(depth)]
     steps = [rnd_contraction(rng, chain_spaces[i], chain_spaces[i + 1])
              for i in range(depth - 1)]
     spaces = {o: chain_spaces[levels[o]] for o in index.objects}
@@ -1120,6 +1143,38 @@ def test_coend_yoneda_reduction_all_small_posets():
             back = LinMap.from_matrix(res.space, spaces[target_obj], tuple(tuple(r) for r in inv))
             assert res.quotient.norm_of_map_into(eta) <= 1
             assert operator_norm(back @ res.quotient.projection) <= 1
+
+
+def yoneda_cases(rng, flavor):
+    """hom(-, t) (x) F(-) of the flavor on chains of 2-4 objects and on the
+    diamond, V and inverted V, at every t: F's values have dim 0-2, and
+    hom(x, t) is zero unless x <= t."""
+    chains = [FinPoset.chain([str(i) for i in range(n)]) for n in (2, 3, 4)]
+    shapes = [(c, {o: i for i, o in enumerate(c.objects)}) for c in chains] + SMALL_POSETS[3:]
+    for index, levels in shapes:
+        spaces, maps = level_functor(rng, index, levels, rng.randint(0, 2), flavor)
+        for target_obj in index.objects:
+            yield yoneda_bifunctor(index, target_obj, spaces, maps)
+
+
+def test_coend_relations_and_end_constraints_match_their_oracles():
+    """The relations of coend are the columns of one map difference per
+    arrow and the constraints of end the rows of one, in the order the
+    vector-by-vector and offset loops wrote them."""
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(3):
+        for bif in yoneda_cases(rng, Flavor.SUM):
+            want = [r for r in coend_relations_by_basis_vectors(bif) if any(r)]
+            assert list(coend(bif).quotient.relations) == want
+            seen.add(("coend", bool(want)))
+        for bif in yoneda_cases(rng, Flavor.SUP):
+            res, rows = end(bif), end_constraints_by_offsets(bif)
+            basis = exactla.nullspace(rows) if rows else [
+                basis_vec(res.diagonal.space.dim, i) for i in range(res.diagonal.space.dim)]
+            assert list(res.vectors) == [tuple(v) for v in basis]
+            seen.add(("end", bool(rows)))
+    assert seen == {(kind, some) for kind in ("coend", "end") for some in (True, False)}
 
 
 def test_coend_rejects_non_functorial_input():

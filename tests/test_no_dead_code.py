@@ -1,9 +1,11 @@
-"""Every name defined in `src/catmeas` is used somewhere.
+"""Every name defined in `src/catmeas` or `tests/oracles.py` is used
+somewhere.
 
 A top-level function or class, or a method, public or private, whose
 name (as a whole word) appears nowhere outside its own definition in
-`src/`, `tests/`, `demos/` or `bench/` is dead code and fails the test.
-Dunders are exempt: Python calls them by protocol, not by name.
+`src/`, `tests/`, `demos/` or `bench/` is dead code and fails the test:
+in the library, code nothing runs; among the oracles, one whose test is
+gone.  Dunders are exempt: Python calls them by protocol, not by name.
 """
 
 import ast
@@ -38,7 +40,8 @@ def unreferenced_names():
     texts = {p: p.read_text() for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py"))}
     words = Counter(w for text in texts.values() for w in WORD.findall(text))
     dead = []
-    for path in sorted((ROOT / "src" / "catmeas").glob("*.py")):
+    checked = sorted((ROOT / "src" / "catmeas").glob("*.py")) + [ROOT / "tests" / "oracles.py"]
+    for path in checked:
         lines = texts[path].splitlines()
         for qualname, node in definitions(ast.parse(texts[path])):
             own = "\n".join(lines[node.lineno - 1:node.end_lineno])

@@ -537,8 +537,7 @@ def test_split_by_legs_on_hand_built_legs(monkeypatch):
     for label, covariant, legs, want in hand_built_splits():
         parts = [leg.source if covariant else leg.target for leg in legs]
         ds = direct_sum(parts)
-        built = ds.mediate_from_cone(legs) if covariant else ds.mediate_to_cone(legs)
-        assert is_isometric_iso(built) == want, label
+        assert is_isometric_iso(ds.mediate(legs)) == want, label
         calls.clear()
         assert finban._isometric_split(legs, not covariant) is want, label
         assert calls == [], label
@@ -1167,7 +1166,7 @@ def test_endomorphisms_of_top_characteristic_form_the_function_algebra():
     hom = sheaf_hom(xi, xi)
     assert hom.dim == omega.n
     # every solution has diagonal top component; composition = pointwise product
-    tops = [hom.components_of_basis(k, omega.top) for k in range(hom.dim)]
+    tops = [hom.component(hom.basis[k], omega.top) for k in range(hom.dim)]
     for m in tops:
         for i in range(omega.n):
             for j in range(omega.n):
@@ -1384,7 +1383,7 @@ def _pairing_from_left(omega, mu, xi, left_homs, alpha_sol, k):
     flat = []
     for e in omega.elements():
         rows_l, cols_l = alpha_sol.shapes[e]       # dim Lxi(e) x dim mu(e)
-        comp = alpha_sol.components_of_basis(k, e)
+        comp = alpha_sol.component(alpha_sol.basis[k], e)
         hom_e = left_homs[e]
         for m_idx in range(mu.space(e).dim):
             # coordinates of alpha_e(basis m) in the solution basis of Lxi(e)
@@ -1393,7 +1392,7 @@ def _pairing_from_left(omega, mu, xi, left_homs, alpha_sol, k):
             for j, c in enumerate(coords):
                 if c == 0:
                     continue
-                base_component = hom_e.components_of_basis(j, e)  # 1 x dim xi(e)
+                base_component = hom_e.component(hom_e.basis[j], e)  # 1 x dim xi(e)
                 for s_idx in range(xi.space(e).dim):
                     row[s_idx] += c * base_component[0][s_idx]
             flat.extend(row)
@@ -1406,7 +1405,7 @@ def _pairing_from_right(omega, mu, xi, right_homs, tau_sol, k):
     flat = []
     for e in omega.elements():
         rows_r, cols_r = tau_sol.shapes[e]         # dim Rmu(e) x dim xi(e)
-        comp = tau_sol.components_of_basis(k, e)
+        comp = tau_sol.component(tau_sol.basis[k], e)
         hom_e = right_homs[e]
         block = [[F(0)] * xi.space(e).dim for _ in range(mu.space(e).dim)]
         for s_idx in range(xi.space(e).dim):
@@ -1414,7 +1413,7 @@ def _pairing_from_right(omega, mu, xi, right_homs, tau_sol, k):
             for j, c in enumerate(coords):
                 if c == 0:
                     continue
-                base_component = hom_e.components_of_basis(j, e)  # 1 x dim mu(e)
+                base_component = hom_e.component(hom_e.basis[j], e)  # 1 x dim mu(e)
                 for m_idx in range(mu.space(e).dim):
                     block[m_idx][s_idx] += c * base_component[0][m_idx]
         for m_idx in range(mu.space(e).dim):
@@ -1546,7 +1545,7 @@ def _oracle_push(h_from, h_to, k, keep):
     for f, (rows, cols) in h_from.shapes.items():
         if rows and keep(f):
             assert h_to.shapes[f] == (rows, cols)
-            comp = h_from.components_of_basis(k, f)
+            comp = h_from.component(h_from.basis[k], f)
             for r in range(rows):
                 for c in range(cols):
                     flat[h_to.offsets[f] + r * cols + c] = comp[r][c]
