@@ -95,6 +95,19 @@ class BoolAlg:
             (e, e | 1 << i) for e in range(self.top + 1) for i in range(self.n)
             if not e >> i & 1))
 
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The label of each element by its mask: its atoms joined with
+        '|' in atom order, and 'bottom' for bottom.  Built on first read
+        and then kept, outside == and hash, as `covering_pairs` is: the
+        elements with highest atom i are (1 << i) | e for e < 1 << i, so
+        each label is the label of the element below plus that atom."""
+        labels = [""]
+        for a in self.atoms:
+            labels += [f"{below}|{a}" if below else a for below in labels]
+        labels[0] = "bottom"
+        return tuple(labels)
+
     def nonzero_elements(self) -> Iterator[int]:
         return iter(range(1, self.top + 1))
 

@@ -11,17 +11,25 @@ The structured output format is stable-ordered, so identical inputs (model,
 command, seed, flags) produce byte-identical output; timing information
 therefore goes to stderr, never into a report.  It is the text of
 `json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))`
-byte for byte, written by `_write_json`.  `main` builds its parser once
-per process, on its first call, so repeated in-process calls pay for it
-once.
+byte for byte, written by `_write_json`, with each matrix read as its
+list of rows.  A report holds each matrix as its `LinMap`, and both
+formats format it from `LinMap.rows` only when they write it.  The
+structured report is streamed: everything but the matrices is
+serialized before the first byte is written, so a value json rejects
+still exits 3 with nothing on stdout, and then the text is written one
+matrix at a time.  `main` builds its parser once per process, on its
+first call, so repeated in-process calls pay for it once.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error, 141 (128 + SIGPIPE) stdout closed by its reader before the report
+was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -92,7 +100,16 @@ def show_vector(v) -> list[str]:
 
 
 def show_matrix(m: LinMap) -> list[list[str]]:
-    return [show_vector(row) for row in m.matrix]
+    """The rows of m, each filled with "0" and formatted only at the
+    nonzeros of `LinMap.rows`."""
+    zeros = ["0"] * m.source.dim
+    out = []
+    for row in m.rows:
+        cells = zeros.copy()
+        for j, x in row:
+            cells[j] = show_rational(x)
+        out.append(cells)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +500,14 @@ def _json_key(key: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _write_json(value: Any, indent: str, out: list[str]) -> None:
+def _write_json(value: Any, indent: str, out: list) -> None:
     """Append to `out` the text of json.dumps(value, sort_keys=True,
-    indent=2, separators=(",", ": ")) for a value nested at `indent`;
-    raises the TypeError json.dumps raises on a value it rejects.  The
-    checks run in json's order, so bool is never taken for int."""
+    indent=2, separators=(",", ": ")) for a value nested at `indent`,
+    with each `LinMap` read as its `show_matrix` rows; raises the
+    TypeError json.dumps raises on a value it rejects.  A `LinMap` is
+    appended as the placeholder (map, indent), for `_matrix_text` to
+    format when it is written.  The checks run in json's order, so bool
+    is never taken for int."""
     if isinstance(value, str):
         out.append(_encode_string(value))
     elif value is None:
@@ -504,9 +524,12 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
             return
         inner = indent + "  "
         sep = ",\n" + inner
-        if all(isinstance(v, str) for v in value):
-            out.append(f"[\n{inner}{sep.join(map(_encode_string, value))}\n{indent}]")
-            return
+        if isinstance(value[0], str):
+            try:  # a list of strings, written at once
+                out.append(f"[\n{inner}{sep.join(map(_encode_string, value))}\n{indent}]")
+                return
+            except TypeError:  # an element past the first is not a string
+                pass
         out.append("[\n" + inner)
         for k, v in enumerate(value):
             if k:
@@ -524,26 +547,70 @@ def _write_json(value: Any, indent: str, out: list[str]) -> None:
             _write_json(v, inner, out)
             sep = ",\n" + inner
         out.append(f"\n{indent}}}")
+    elif isinstance(value, LinMap):
+        out.append((value, indent))
     else:
         # a float as json writes it, or json's TypeError on anything else
         out.append(json.dumps(value))
 
 
-def emit_report(report: Report, fmt: str) -> str:
+def _matrix_text(m: LinMap, indent: str) -> str:
+    """What `_write_json` writes for show_matrix(m) nested at `indent`.
+    A cell is a rational in ASCII digits, '-' and '/', which json quotes
+    and escapes nothing in, so the quotes go into the separators of one
+    join per row."""
+    rows = show_matrix(m)
+    if not rows:
+        return "[]"
+    inner = indent + "  "
+    first, sep, last = f'[\n{inner}  "', f'",\n{inner}  "', f'"\n{inner}]'
+    return (f"[\n{inner}"
+            + f",\n{inner}".join(first + sep.join(r) + last if r else "[]" for r in rows)
+            + f"\n{indent}]")
+
+
+def _as_lists(value: Any) -> list[list[str]]:
+    """The `default` hook of the text format's encoder: a `LinMap` as its
+    `show_matrix` rows, and json's own TypeError on anything else."""
+    if isinstance(value, LinMap):
+        return show_matrix(value)
+    return json.JSONEncoder.default(_text_json, value)
+
+
+_text_json = json.JSONEncoder(sort_keys=True, default=_as_lists)
+
+
+def emit_report(report: Report, fmt: str, stream) -> None:
+    """Write the report to `stream`, raising every TypeError before the
+    first byte is written.  The structured format makes two passes: the
+    first serializes everything but the matrices, and the second writes
+    the text once per matrix, formatting each matrix as it comes.  The
+    text format builds its lines first and writes them at once."""
     if fmt == "structured":
-        out: list[str] = []
+        out: list = []
         _write_json(report.payload, "", out)
-        return "".join(out) + "\n"
+        out.append("\n")
+        text: list[str] = []
+        for piece in out:
+            if type(piece) is str:
+                text.append(piece)
+            else:  # a matrix, formatted as it is written
+                text.append(_matrix_text(*piece))
+                stream.write("".join(text))
+                text.clear()
+        stream.write("".join(text))
+        return
+    encode = _text_json.encode
     flag = " --exhaustive" if report.payload["exhaustive"] else ""
     lines = [f"command: {report.payload['command']}{flag}  (seed {report.payload['seed']})"]
     for key in sorted(report.payload["results"]):
-        lines.append(f"  {key} = {json.dumps(report.payload['results'][key], sort_keys=True)}")
+        lines.append(f"  {key} = {encode(report.payload['results'][key])}")
     for key in sorted(report.payload["verdicts"]):
         v = report.payload["verdicts"][key]
         mark = "ok" if v["ok"] else "FAIL"
-        detail = f"  {json.dumps(v.get('detail'), sort_keys=True)}" if "detail" in v else ""
+        detail = f"  {encode(v.get('detail'))}" if "detail" in v else ""
         lines.append(f"  [{mark}] {key}{detail}")
-    return "\n".join(lines) + "\n"
+    stream.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +621,10 @@ def _describe_blocks(omega: BoolAlg, blocks) -> list[list[str]]:
     return [list(omega.atoms_below(b)) for b in blocks]
 
 
-def _label(omega: BoolAlg, e: int) -> str:
-    return "|".join(omega.atoms_below(e)) or "bottom"
-
-
 def _dims(x) -> dict[str, int]:
     """The dimension of each value of a (co)presheaf, by element label."""
-    return {_label(x.algebra, e): x.space(e).dim for e in x.algebra.elements()}
+    labels = x.algebra.labels
+    return {labels[e]: x.space(e).dim for e in x.algebra.elements()}
 
 
 def cmd_stone(model: Model, report: Report, rng, element: int, exhaustive: bool):
@@ -697,8 +761,7 @@ def cmd_fubini(model: Model, report: Report, rng, element, exhaustive):
     report.result("iterated_left_first", show_rational(res.iterated_left_then_right))
     report.result("iterated_right_first", show_rational(res.iterated_right_then_left))
     report.result("l1_tensor_witness", {
-        "forward": show_matrix(res.witness.forward),
-        "backward": show_matrix(res.witness.backward)})
+        "forward": res.witness.forward, "backward": res.witness.backward})
     report.verdict("iterated_integrals_agree", res.all_equal())
     report.verdict("l1_tensor_identity", res.witness.is_isometric())
 
@@ -736,8 +799,7 @@ def cmd_spectral(model: Model, report: Report, rng, element, exhaustive):
         spec = spectral_measure(cs)
         report.verdict(f"spectral_laws[{name}]", spec.satisfies_laws())
         for e in omega.elements():
-            report.result(f"projection[{name}][{_label(omega, e)}]",
-                          show_matrix(spec.projections[e]))
+            report.result(f"projection[{name}][{omega.labels[e]}]", spec.projections[e])
         for k in range(5):
             f = _random_simple(rng, omega)
             report.verdict(f"action_isometric[{name}][f{k}]", spec.action_norm_matches(f))
@@ -755,7 +817,7 @@ def cmd_integrate_morphism(model: Model, report: Report, rng, element, exhaustiv
             c if (e & f) >> i & 1 else Fraction(0)
             for i, c in enumerate(s.coeffs)))
         t = integrate_simple_morphism(masked, cs, e, f)
-        report.result(f"morphism_integral[{name}]", show_matrix(t))
+        report.result(f"morphism_integral[{name}]", t)
         report.verdict(f"norm_equals_sup[{name}]",
                        operator_norm(t) == essential_sup(masked, cs))
 
@@ -900,7 +962,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         model = parse_model(args.model)
         report = run(args.command, model, args.seed, args.exhaustive, args.element)
-        text = emit_report(report, args.format)
+        emit_report(report, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point its fd at devnull, so that the
+        # interpreter's flush at exit finds no pipe to fail on again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ModelError as exc:
         print(f"model error {exc}", file=sys.stderr)
         return 2
@@ -910,7 +980,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # a defect of catmeas, not of the input: one line, exit 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(text)
     print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return 1 if report.failed else 0
 

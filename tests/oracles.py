@@ -21,8 +21,9 @@ variation, the integral of a simple element and the Bochner integral
 with its l1 norm) as Fraction sums one coordinate at a time, and the
 readers of a coproduct (the mediating morphism, the product measure and
 Fubini's integrals and witness) that split each pair label 'a*b' into
-its factor atoms, and the relations of a coend and the constraints of an
-end, written one basis vector and one offset row at a time.
+its factor atoms, the relations of a coend and the constraints of an
+end, written one basis vector and one offset row at a time, and a
+report's matrix formatted entry by entry from its dense rows.
 They live here, not in `src/`, so that they stay independent of the
 code under test.
 """
@@ -31,6 +32,7 @@ import itertools
 from fractions import Fraction
 
 from catmeas.boolalg import BoolMorphism, partitions_of
+from catmeas.cli import show_rational
 from catmeas.errors import InvalidModel, NotACosheaf
 from catmeas.exactla import identity, nullspace, rref, simplex_min
 from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, is_isometric_iso,
@@ -539,3 +541,9 @@ def end_constraints_by_offsets(bif) -> list:
                 row[diag.offsets[ib] + j] -= x
             constraints.append(row)
     return constraints
+
+
+def show_matrix_by_dense_rows(m) -> list:
+    """A report's matrix as `show_rational` of every entry of the dense
+    `.matrix`, zeros included."""
+    return [[show_rational(x) for x in row] for row in m.matrix]

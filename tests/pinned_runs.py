@@ -77,6 +77,11 @@ PINS = (
         "4d327dbd6e8444d5dc5a1a68e766f8ac7b0182a714364e77938732c8c91e9305", None),
     Pin("spectral", 12, 2,
         "2ad843ac2a324345212a2da57762038490938282985bbb8048e660e1d233876a", None),
+    # spectral writes 2^n projections from their sparse rows, streamed
+    Pin("spectral", 14, 2,
+        "801cb44eddb6ee97d380e15fe2d34446aca0e68e8d42f6a1943c961bb1f25d6d", 100),
+    Pin("spectral", 16, 2,
+        "02b5cd60e79d6eb2fac950df30f6bfbc9bbfc84339aa06763ae5336f8502d167", 400),
     Pin("integrate-morphism", 12, 2,
         "ddcd411926f597bd4a6bd938859adcbde31b4a8ea094b023683f7c894aea7390", None),
     Pin("integrate-morphism", 14, 2,

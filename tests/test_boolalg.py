@@ -53,6 +53,21 @@ def test_build_algebra_trivial_and_single_split():
     assert sorted(gen2.cells.values(), key=sorted) == [frozenset({1}), frozenset({2})]
 
 
+def test_labels_join_the_atoms_below_each_element():
+    """On generated algebras of 1-10 atoms, each atom a cell of two points
+    labelled 'p|q', and equal algebras compare equal with the table built
+    on one of them only."""
+    for n in range(1, 11):
+        ground = [f"{k:02d}" for k in range(2 * n)]
+        gen = build_algebra(ground, [ground[2 * i:2 * i + 2] for i in range(n)])
+        omega = gen.algebra
+        assert omega.n == n and all("|" in a for a in omega.atoms)
+        assert omega.labels == tuple("|".join(omega.atoms_below(e)) or "bottom"
+                                     for e in omega.elements())
+        twin = BoolAlg(omega.atoms)
+        assert twin == omega and hash(twin) == hash(omega) and "labels" not in vars(twin)
+
+
 def test_build_algebra_empty_ground():
     with pytest.raises(InvalidModel):
         build_algebra([], [])

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -22,11 +23,12 @@ from catmeas.finban import LinMap, sum_space, sup_space
 from catmeas.measures import random_vector_measure
 from catmeas.simple import integration_map
 
-from oracles import lift_matches_by_elements
+from oracles import lift_matches_by_elements, show_matrix_by_dense_rows
 from test_report_digests import DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
+PIPE_BUFFER = 1 << 16  # bytes, on Linux
 
 
 def run_cli(*args):
@@ -136,13 +138,42 @@ def as_json_dumps(payload):
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
+def emitted(report, fmt):
+    out = io.StringIO()
+    cli.emit_report(report, fmt, out)
+    return out.getvalue()
+
+
+def dense(value):
+    """The value with each LinMap in it formatted by the dense oracle."""
+    if isinstance(value, LinMap):
+        return show_matrix_by_dense_rows(value)
+    if isinstance(value, dict):
+        return {k: dense(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [dense(v) for v in value]
+    return value
+
+
 def structured(payload):
     report = cli.Report("stone", 0, False)
     report.payload = payload
-    return cli.emit_report(report, "structured")
+    return emitted(report, "structured")
+
+
+def text(payload):
+    """The text report whose one result is the payload."""
+    report = cli.Report("stone", 0, False)
+    report.result("x", payload)
+    return emitted(report, "text")
+
+
+def as_text(payload):
+    return f"command: stone  (seed 0)\n  x = {json.dumps(payload, sort_keys=True)}\n"
 
 
 def test_structured_reports_are_json_dumps_byte_for_byte():
+    """With each matrix expanded by the dense oracle."""
     checked = 0
     for model in ("reference", "broken_cosheaf"):
         parsed = cli.parse_model(str(MODELS / f"{model}.json"))
@@ -151,9 +182,39 @@ def test_structured_reports_are_json_dumps_byte_for_byte():
                 report = cli.run(command, parsed, 7, False, None)
             except ModelError:  # fubini on broken_cosheaf exits 2
                 continue
-            assert cli.emit_report(report, "structured") == as_json_dumps(report.payload)
+            assert emitted(report, "structured") == as_json_dumps(dense(report.payload))
             checked += 1
     assert checked == 2 * len(cli.DISPATCH) - 1
+
+
+def seeded_linmap(rng, rows, cols):
+    """A rows x cols map whose entries are zero about half the time, else
+    signed integers and fractions; some rows are all zero."""
+    def entry():
+        if rng.random() < 0.5:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+
+    matrix = [[entry() if rng.random() < 0.7 else Fraction(0) for _ in range(cols)]
+              if rng.random() < 0.8 else [Fraction(0)] * cols for _ in range(rows)]
+    return LinMap.from_matrix(sum_space([f"s{j}" for j in range(cols)]),
+                              sum_space([f"t{i}" for i in range(rows)]), matrix)
+
+
+MATRICES = (seeded_linmap(random.Random(1), 2, 3), seeded_linmap(random.Random(2), 0, 4),
+            seeded_linmap(random.Random(3), 4, 0), seeded_linmap(random.Random(4), 3, 3))
+
+
+def test_sparse_rows_format_as_the_dense_oracle():
+    rng = random.Random(30)
+    maps = [seeded_linmap(rng, rng.randint(0, 6), rng.randint(0, 6)) for _ in range(300)]
+    maps += [*MATRICES, LinMap.zero(sum_space(["a", "b"]), sum_space(["c"]))]
+    assert any(not m.source.dim for m in maps) and any(not m.target.dim for m in maps)
+    assert any(x < 0 for m in maps for row in m.rows for _, x in row)
+    assert any(x.denominator > 1 for m in maps for row in m.rows for _, x in row)
+    assert any(m.rows and not all(m.rows) for m in maps)
+    for m in maps:
+        assert cli.show_matrix(m) == show_matrix_by_dense_rows(m)
 
 
 @pytest.mark.parametrize("payload", [
@@ -164,19 +225,26 @@ def test_structured_reports_are_json_dumps_byte_for_byte():
     [["a", "b"], ["c"], [], [["d", 1]], {"z": ["y"], "a": [None]}],
     {"z": 1, "a": 2, "m": {"y": [], "b": {"x": "w"}}},
     ("a", ("b", 1)), {2: "two", -1: "minus one", 10: []}, {True: 1}, {None: 0},
-    [1.5, -0.0, float("inf"), float("nan")], {1.5: "x"}])
+    [1.5, -0.0, float("inf"), float("nan")], {1.5: "x"},
+    MATRICES[0], list(MATRICES), {"m": MATRICES[3], "rest": {"a": MATRICES[1], "b": MATRICES[2]}},
+    ["a", MATRICES[0], "b"], [["x"], (MATRICES[3], [MATRICES[0]])]])
 def test_the_writer_matches_json_dumps(payload):
-    assert structured(payload) == as_json_dumps(payload)
+    """Both formats, with each matrix expanded by the dense oracle."""
+    assert structured(payload) == as_json_dumps(dense(payload))
+    assert text(payload) == as_text(dense(payload))
 
 
 @pytest.mark.parametrize("payload", [
-    {"x": [Fraction(1, 2)]}, {"results": {"s": {1, 2}}}, [b"bytes"], {("t",): 1}, {1: 1, "a": 2}])
+    {"x": [Fraction(1, 2)]}, {"results": {"s": {1, 2}}}, [b"bytes"], {("t",): 1}, {1: 1, "a": 2},
+    ["a", Fraction(1, 2)], {"a": MATRICES[0], "b": [MATRICES[3], {1, 2}]}])
 def test_the_writer_rejects_what_json_dumps_rejects(payload):
-    with pytest.raises(TypeError) as want:
-        as_json_dumps(payload)
-    with pytest.raises(TypeError) as got:
-        structured(payload)
-    assert str(got.value) == str(want.value)
+    """Both formats, with each matrix expanded by the dense oracle."""
+    for emit, dumps in ((structured, as_json_dumps), (text, as_text)):
+        with pytest.raises(TypeError) as want:
+            dumps(dense(payload))
+        with pytest.raises(TypeError) as got:
+            emit(payload)
+        assert str(got.value) == str(want.value)
 
 
 def test_a_fraction_in_a_report_exits_three(monkeypatch):
@@ -185,6 +253,20 @@ def test_a_fraction_in_a_report_exits_three(monkeypatch):
 
     monkeypatch.setitem(cli.DISPATCH, "stone", leaky)
     out = run_cli("stone", "--model", str(MODELS / "reference.json"), "--format", "structured")
+    assert (out.returncode, out.stdout, out.stderr) == (
+        3, "", "internal error: TypeError: Object of type Fraction is not JSON serializable\n")
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_a_fraction_after_a_matrix_exits_three_with_nothing_on_stdout(monkeypatch, fmt):
+    """The writer raises before its first byte, though the matrix that
+    sorts first is only formatted when it is written."""
+    def leaky(model, report, *_):
+        report.result("a", MATRICES[3])
+        report.result("m", [MATRICES[0], {"r": Fraction(1, 2)}])
+
+    monkeypatch.setitem(cli.DISPATCH, "stone", leaky)
+    out = run_cli("stone", "--model", str(MODELS / "reference.json"), "--format", fmt)
     assert (out.returncode, out.stdout, out.stderr) == (
         3, "", "internal error: TypeError: Object of type Fraction is not JSON serializable\n")
 
@@ -860,3 +942,25 @@ def test_an_internal_error_exits_three_in_a_process_of_its_own():
                            str(MODELS / "reference.json")], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "internal error: RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path, fmt):
+    """The reader takes 100 bytes of a report larger than a pipe's buffer
+    and closes the pipe.  The run ends with 128 + SIGPIPE and nothing on
+    stderr, and the interpreter's flush at exit does not fail again; the
+    environment keeps stdout block-buffered."""
+    atoms = [f"a{i}" for i in range(9)]
+    model = write_model(tmp_path, {"algebra": {"atoms": atoms},
+                                   "measures": {"mu": {"values": dict.fromkeys(atoms, "1/3")}},
+                                   "cosheaves": {"c": "l1-of:mu"}})
+    args = ("spectral", "--model", model, "--format", fmt)
+    assert len(run_cli(*args).stdout) > 2 * PIPE_BUFFER
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen([sys.executable, "-m", "catmeas.cli", *args], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        head = child.stdout.read(100)
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (len(head), code, err) == (100, 141, b"")
