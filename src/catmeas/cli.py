@@ -11,14 +11,15 @@ The structured output format is stable-ordered, so identical inputs (model,
 command, seed, flags) produce byte-identical output; timing information
 therefore goes to stderr, never into a report.  It is the text of
 `json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))`
-byte for byte, written by `_write_json`, with each matrix read as its
-list of rows.  A report holds each matrix as its `LinMap`, and both
-formats format it from `LinMap.rows` only when they write it.  The
-structured report is streamed: everything but the matrices is
-serialized before the first byte is written, so a value json rejects
-still exits 3 with nothing on stdout, and then the text is written one
-matrix at a time.  `main` builds its parser once per process, on its
-first call, so repeated in-process calls pay for it once.
+byte for byte, with each matrix read as its list of rows; each value in
+a text line is json.dumps(value, sort_keys=True).  One writer,
+`_write_json`, writes both layouts.  A report holds each matrix as its
+`LinMap`, formatted from `LinMap.rows` only when it is written.  Both
+formats are streamed: everything but the matrices is serialized before
+the first byte is written, so a value json rejects still exits 3 with
+nothing on stdout, and then the text is written one matrix at a time.
+`main` builds its parser once per process, on its first call, so
+repeated in-process calls pay for it once.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
 error, 141 (128 + SIGPIPE) stdout closed by its reader before the report
@@ -369,7 +370,10 @@ def parse_model(path: str) -> Model:
             if ref is None:
                 raise ModelError("unresolved-reference", f"missing fiber at {x!r}", path_b)
             fibers[x] = _space_ref(model, ref, f"{name}.{x}", path_b)
-        model.bundles[name] = bundles2v.Bundle(base, fibers)
+        try:
+            model.bundles[name] = bundles2v.Bundle(base, fibers)
+        except CatmeasError as exc:
+            raise ModelError("bad-bundle", str(exc), path_b) from None
 
     for name, desc in _section(raw, "functor_matrices", "bad-matrix").items():
         path_f = f"functor_matrices.{name}"
@@ -386,7 +390,10 @@ def parse_model(path: str) -> Model:
                     raise ModelError("unresolved-reference",
                                      f"missing entry {x}:{y}", path_f)
                 entries[(x, y)] = _space_ref(model, ref, f"{name}.{x}.{y}", path_f)
-        model.matrices[name] = bundles2v.FunctorMatrix(src, tgt, entries)
+        try:
+            model.matrices[name] = bundles2v.FunctorMatrix(src, tgt, entries)
+        except CatmeasError as exc:
+            raise ModelError("bad-matrix", str(exc), path_f) from None
 
     cosheaves = {name: _cosheaf_builder(model, desc, f"cosheaves.{name}")
                  for name, desc in _section(raw, "cosheaves", "bad-cosheaf").items()}
@@ -502,12 +509,13 @@ def _json_key(key: Any) -> str:
 
 def _write_json(value: Any, indent: str, out: list) -> None:
     """Append to `out` the text of json.dumps(value, sort_keys=True,
-    indent=2, separators=(",", ": ")) for a value nested at `indent`,
-    with each `LinMap` read as its `show_matrix` rows; raises the
-    TypeError json.dumps raises on a value it rejects.  A `LinMap` is
-    appended as the placeholder (map, indent), for `_matrix_text` to
-    format when it is written.  The checks run in json's order, so bool
-    is never taken for int."""
+    indent=2, separators=(",", ": ")) for a value whose lines start with
+    `indent` ("\n" and its spaces), or of json.dumps(value, sort_keys=True),
+    json's one-line layout, for an `indent` of "", with each `LinMap` read
+    as its `show_matrix` rows; raises the TypeError json.dumps raises on a
+    value it rejects.  A `LinMap` is appended as the placeholder (map,
+    indent), for `_matrix_text` to format when it is written.  The checks
+    run in json's order, so bool is never taken for int."""
     if isinstance(value, str):
         out.append(_encode_string(value))
     elif value is None:
@@ -522,31 +530,31 @@ def _write_json(value: Any, indent: str, out: list) -> None:
         if not value:
             out.append("[]")
             return
-        inner = indent + "  "
-        sep = ",\n" + inner
+        inner = indent and indent + "  "
+        sep = "," + (inner or " ")
         if isinstance(value[0], str):
             try:  # a list of strings, written at once
-                out.append(f"[\n{inner}{sep.join(map(_encode_string, value))}\n{indent}]")
+                out.append(f"[{inner}{sep.join(map(_encode_string, value))}{indent}]")
                 return
             except TypeError:  # an element past the first is not a string
                 pass
-        out.append("[\n" + inner)
+        out.append("[" + inner)
         for k, v in enumerate(value):
             if k:
                 out.append(sep)
             _write_json(v, inner, out)
-        out.append(f"\n{indent}]")
+        out.append(indent + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        inner = indent + "  "
-        sep = "{\n" + inner
+        inner = indent and indent + "  "
+        sep, comma = "{" + inner, "," + (inner or " ")
         for k, v in sorted(value.items()):
             out.append(f"{sep}{_encode_string(_json_key(k))}: ")
             _write_json(v, inner, out)
-            sep = ",\n" + inner
-        out.append(f"\n{indent}}}")
+            sep = comma
+        out.append(indent + "}")
     elif isinstance(value, LinMap):
         out.append((value, indent))
     else:
@@ -555,62 +563,54 @@ def _write_json(value: Any, indent: str, out: list) -> None:
 
 
 def _matrix_text(m: LinMap, indent: str) -> str:
-    """What `_write_json` writes for show_matrix(m) nested at `indent`.
-    A cell is a rational in ASCII digits, '-' and '/', which json quotes
-    and escapes nothing in, so the quotes go into the separators of one
-    join per row."""
+    """What `_write_json` writes for show_matrix(m) with lines starting
+    with `indent`.  A cell is a rational in ASCII digits, '-' and '/',
+    which json quotes and escapes nothing in, so the quotes go into the
+    separators of one join per row."""
     rows = show_matrix(m)
     if not rows:
         return "[]"
-    inner = indent + "  "
-    first, sep, last = f'[\n{inner}  "', f'",\n{inner}  "', f'"\n{inner}]'
-    return (f"[\n{inner}"
-            + f",\n{inner}".join(first + sep.join(r) + last if r else "[]" for r in rows)
-            + f"\n{indent}]")
-
-
-def _as_lists(value: Any) -> list[list[str]]:
-    """The `default` hook of the text format's encoder: a `LinMap` as its
-    `show_matrix` rows, and json's own TypeError on anything else."""
-    if isinstance(value, LinMap):
-        return show_matrix(value)
-    return json.JSONEncoder.default(_text_json, value)
-
-
-_text_json = json.JSONEncoder(sort_keys=True, default=_as_lists)
+    inner = indent and indent + "  "
+    cell = inner and inner + "  "
+    first, sep, last = f'[{cell}"', f'",{cell or " "}"', f'"{inner}]'
+    comma = "," + (inner or " ")
+    return (f"[{inner}" + comma.join(first + sep.join(r) + last if r else "[]" for r in rows)
+            + f"{indent}]")
 
 
 def emit_report(report: Report, fmt: str, stream) -> None:
-    """Write the report to `stream`, raising every TypeError before the
-    first byte is written.  The structured format makes two passes: the
-    first serializes everything but the matrices, and the second writes
-    the text once per matrix, formatting each matrix as it comes.  The
-    text format builds its lines first and writes them at once."""
+    """Write the report to `stream` in two passes, raising every TypeError
+    before the first byte is written: the first serializes everything but
+    the matrices, and the second writes the text once per matrix,
+    formatting each matrix as it comes.  The structured format is the
+    payload in json's indented layout; the text format is a header line,
+    then a line per result and per verdict, each value in json's one-line
+    layout."""
+    payload = report.payload
+    out: list = []
     if fmt == "structured":
-        out: list = []
-        _write_json(report.payload, "", out)
-        out.append("\n")
-        text: list[str] = []
-        for piece in out:
-            if type(piece) is str:
-                text.append(piece)
-            else:  # a matrix, formatted as it is written
-                text.append(_matrix_text(*piece))
-                stream.write("".join(text))
-                text.clear()
-        stream.write("".join(text))
-        return
-    encode = _text_json.encode
-    flag = " --exhaustive" if report.payload["exhaustive"] else ""
-    lines = [f"command: {report.payload['command']}{flag}  (seed {report.payload['seed']})"]
-    for key in sorted(report.payload["results"]):
-        lines.append(f"  {key} = {encode(report.payload['results'][key])}")
-    for key in sorted(report.payload["verdicts"]):
-        v = report.payload["verdicts"][key]
-        mark = "ok" if v["ok"] else "FAIL"
-        detail = f"  {encode(v.get('detail'))}" if "detail" in v else ""
-        lines.append(f"  [{mark}] {key}{detail}")
-    stream.write("\n".join(lines) + "\n")
+        _write_json(payload, "\n", out)
+    else:
+        flag = " --exhaustive" if payload["exhaustive"] else ""
+        out.append(f"command: {payload['command']}{flag}  (seed {payload['seed']})")
+        for key, value in sorted(payload["results"].items()):
+            out.append(f"\n  {key} = ")
+            _write_json(value, "", out)
+        for key, v in sorted(payload["verdicts"].items()):
+            out.append(f"\n  [{'ok' if v['ok'] else 'FAIL'}] {key}")
+            if "detail" in v:
+                out.append("  ")
+                _write_json(v["detail"], "", out)
+    out.append("\n")
+    text: list[str] = []
+    for piece in out:
+        if type(piece) is str:
+            text.append(piece)
+        else:  # a matrix, formatted as it is written
+            text.append(_matrix_text(*piece))
+            stream.write("".join(text))
+            text.clear()
+    stream.write("".join(text))
 
 
 # ---------------------------------------------------------------------------

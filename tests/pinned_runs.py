@@ -1,5 +1,5 @@
 """The pinned CLI runs: each row runs ``python -m catmeas.cli <command>
---model M --seed 1 --format structured`` in a fresh process on the bench
+--model M --seed 1 --format <format>`` in a fresh process on the bench
 model M (``bench/models.write_model``, seed 1) and checks its exit code,
 its stdout sha256 and, where a row gives one, its peak RSS.
 
@@ -38,6 +38,7 @@ class Pin(NamedTuple):
     dim: int
     sha256: str
     bound_mb: Optional[int]
+    fmt: str = "structured"
 
 
 class Result(NamedTuple):
@@ -82,6 +83,9 @@ PINS = (
         "801cb44eddb6ee97d380e15fe2d34446aca0e68e8d42f6a1943c961bb1f25d6d", 100),
     Pin("spectral", 16, 2,
         "02b5cd60e79d6eb2fac950df30f6bfbc9bbfc84339aa06763ae5336f8502d167", 400),
+    # the text format goes through the same streamed writer
+    Pin("spectral", 14, 2,
+        "d6430f3ee46196e1e485ce45cb7804a1e183c54610ec123c296221473c548f01", 100, "text"),
     Pin("integrate-morphism", 12, 2,
         "ddcd411926f597bd4a6bd938859adcbde31b4a8ea094b023683f7c894aea7390", None),
     Pin("integrate-morphism", 14, 2,
@@ -98,14 +102,14 @@ PINS = (
 )
 
 
-def run(command: str, model: Path) -> Result:
+def run(command: str, fmt: str, model: Path) -> Result:
     """One CLI run in a fresh process, its stdout hashed as it arrives."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     start = time.perf_counter()
     digest, size = hashlib.sha256(), 0
     with subprocess.Popen([sys.executable, "-m", "catmeas.cli", *command.split(),
-                           "--model", str(model), "--seed", "1", "--format", "structured"],
+                           "--model", str(model), "--seed", "1", "--format", fmt],
                           stdout=subprocess.PIPE, env=env) as child:
         for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
             digest.update(chunk)
@@ -126,12 +130,14 @@ def main() -> int:
     bad = False
     with tempfile.TemporaryDirectory() as tmp:
         for pin in PINS:
-            result = run(pin.command, write_model(tmp, seed=1, atoms=pin.atoms, dim=pin.dim))
+            result = run(pin.command, pin.fmt,
+                         write_model(tmp, seed=1, atoms=pin.atoms, dim=pin.dim))
             fail = failed(pin, result)
             bad |= fail
-            print(f"{pin.command} n={pin.atoms} dim={pin.dim} exit {result.code}"
-                  f" peak {result.peak_mb:.1f} MB (bound {pin.bound_mb or 'none'})"
-                  f" {result.size} bytes {result.seconds:.2f} s sha256 {result.sha256}"
+            print(f"{pin.command} --format {pin.fmt} n={pin.atoms} dim={pin.dim}"
+                  f" exit {result.code} peak {result.peak_mb:.1f} MB"
+                  f" (bound {pin.bound_mb or 'none'}) {result.size} bytes"
+                  f" {result.seconds:.2f} s sha256 {result.sha256}"
                   f"{' FAIL' if fail else ''}", flush=True)
     return 1 if bad else 0
 

@@ -234,6 +234,22 @@ def test_the_writer_matches_json_dumps(payload):
     assert text(payload) == as_text(dense(payload))
 
 
+class Writes(list):
+    """A stream that keeps each write."""
+    write = list.append
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_each_format_is_written_once_per_matrix(fmt):
+    maps = [MATRICES[0], MATRICES[3]]
+    report = cli.Report("stone", 0, False)
+    report.result("x", maps)
+    writes = Writes()
+    cli.emit_report(report, fmt, writes)
+    want = as_json_dumps(dense(report.payload)) if fmt == "structured" else as_text(dense(maps))
+    assert len(writes) == 3 and "".join(writes) == want
+
+
 @pytest.mark.parametrize("payload", [
     {"x": [Fraction(1, 2)]}, {"results": {"s": {1, 2}}}, [b"bytes"], {("t",): 1}, {1: 1, "a": 2},
     ["a", Fraction(1, 2)], {"a": MATRICES[0], "b": [MATRICES[3], {1, 2}]}])
@@ -371,6 +387,11 @@ AB = {"algebra": {"atoms": ["a", "b"]},
      "bad-matrix", "functor_matrices.T.target"),
     ({"algebra": {"atoms": ["a"]}, "functor_matrices": {"T": 5}},
      "bad-matrix", "functor_matrices.T"),
+    ({**LINE, "bundles": {"B": {"base": ["x", "x"], "fibers": AT_XY}}},
+     "bad-bundle", "bundles.B"),
+    ({**LINE, "functor_matrices": {"T": {"source": ["x"], "target": ["y"],
+                                         "entries": {"x:y": {"dim": 1, "flavor": "sup"}}}}},
+     "bad-matrix", "functor_matrices.T"),
     ({"algebra": {"ground": [1, 2], "generators": [[3]]}}, "bad-algebra", "algebra.generators"),
     ({"algebra": {"ground": [1, "1"], "generators": [[1]]}}, "bad-algebra", "algebra.ground"),
     ({"algebra": {"ground": [1, 2, "1|2"], "generators": [[1, 2]]}},
@@ -436,7 +457,8 @@ AB = {"algebra": {"atoms": ["a", "b"]},
         "generator-as-number", "ground-as-number", "bundles-as-list",
         "functor-matrices-as-list", "cosheaves-as-list", "sheaves-as-list",
         "bundle-base-as-string", "bundle-as-number", "matrix-source-as-string",
-        "matrix-target-as-string", "matrix-as-number", "generator-outside-ground",
+        "matrix-target-as-string", "matrix-as-number", "duplicate-bundle-base",
+        "sup-matrix-entry", "generator-outside-ground",
         "ground-labels-collide", "ground-cell-labels-collide", "ground-point-with-colon",
         "duplicate-atoms", "duplicate-left-atoms", "duplicate-right-atoms",
         "duplicate-basis-labels", "basis-as-string", "extension-of-wrong-shape",
