@@ -14,30 +14,43 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (DegenerateQuotient, EmptyElement, InvalidModel, ResourceLimit,
-                     UnknownPoint)
+from .errors import (DegenerateQuotient, EmptyElement, Frozen, InvalidModel,
+                     ResourceLimit, UnknownPoint)
 
 # Fixed cap on the partitions `partitions_of` enumerates; past it ResourceLimit.
 PARTITION_CAP = 2 ** 20
 
 
-@dataclass(frozen=True)
-class BoolAlg:
-    """A finite Boolean algebra given by its atoms."""
+class BoolAlg(Frozen):
+    """A finite Boolean algebra given by its atoms; equal atoms, equal
+    algebras."""
 
-    atoms: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms: tuple[str, ...]):
+        if not atoms:
             raise InvalidModel("a Boolean algebra needs at least one atom")
-        if len(set(self.atoms)) != len(self.atoms):
+        if len(set(atoms)) != len(atoms):
             raise InvalidModel("duplicate atom identifiers")
-        if list(self.atoms) != sorted(self.atoms):
+        if list(atoms) != sorted(atoms):
             raise InvalidModel("atoms must be given in lexicographic order")
+        # a plain attribute, read on every element operation: an instance
+        # whose __dict__ was written item by item reads slower
+        object.__setattr__(self, "atoms", atoms)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash(self.atoms)
+
+    def __repr__(self):
+        return f"BoolAlg(atoms={self.atoms!r})"
 
     # -- element encoding ------------------------------------------------
     @property
@@ -116,31 +129,24 @@ class BoolAlg:
         return "{" + ",".join(names) + "}"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Pairwise-disjoint nonzero elements joining to `parent`.
 
-    Blocks are canonicalised by sorting on their minimum atom, so equal
-    partitions compare and hash equal.
+    Blocks are canonicalised by sorting on their minimum atom.
     """
 
-    algebra: BoolAlg
-    parent: int
-    blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b == 0 for b in self.blocks):
+    def __init__(self, algebra: BoolAlg, parent: int, blocks: tuple[int, ...]):
+        if any(b == 0 for b in blocks):
             raise InvalidModel("partition blocks must be nonzero")
         total = 0
-        for b in self.blocks:
+        for b in blocks:
             if total & b:
                 raise InvalidModel("partition blocks must be disjoint")
             total |= b
-        if total != self.parent:
+        if total != parent:
             raise InvalidModel("partition blocks must join to the parent")
-        canon = tuple(sorted(self.blocks, key=lambda b: b & -b))
-        if canon != self.blocks:
-            object.__setattr__(self, "blocks", canon)
+        self.__dict__.update(algebra=algebra, parent=parent,
+                             blocks=tuple(sorted(blocks, key=lambda b: b & -b)))
 
 
 def refines(finer: Partition, coarser: Partition) -> bool:
@@ -192,31 +198,39 @@ def partitions_of(omega: BoolAlg, e: int) -> Iterator[Partition]:
 # morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoolMorphism:
+class BoolMorphism(Frozen):
     """A Boolean algebra morphism, stored on atoms and extended by joins.
 
     Images of distinct atoms must be disjoint (this gives meet and
     complement preservation), and together they cover the target top: the
     morphism is unital.  Atoms may map to bottom (e.g. null-quotient
-    projections).
+    projections).  Equal when source, target and atom images are.
     """
 
-    source: BoolAlg
-    target: BoolAlg
-    atom_images: tuple[int, ...]  # one target element per source atom
-
-    def __post_init__(self):
-        if len(self.atom_images) != self.source.n:
+    def __init__(self, source: BoolAlg, target: BoolAlg,
+                 atom_images: tuple[int, ...]):  # one target element per source atom
+        if len(atom_images) != source.n:
             raise InvalidModel("one image per source atom required")
         total = 0
-        for img in self.atom_images:
-            self.target.check_element(img)
+        for img in atom_images:
+            target.check_element(img)
             if total & img:
                 raise InvalidModel("atom images must be pairwise disjoint")
             total |= img
-        if total != self.target.top:
+        if total != target.top:
             raise InvalidModel("unital morphism must cover the target top")
+        self.__dict__.update(source=source, target=target, atom_images=atom_images)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.atom_images) ==
+                (other.source, other.target, other.atom_images))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.atom_images))
 
     def __call__(self, e: int) -> int:
         self.source.check_element(e)
@@ -260,10 +274,10 @@ def all_morphisms(source: BoolAlg, target: BoolAlg) -> Iterator[BoolMorphism]:
 # Stone duality (finite case: every ultrafilter is principal at an atom)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StoneSpace:
-    algebra: BoolAlg
-    points: tuple[str, ...]  # one point per atom, labelled by it
+class StoneSpace(Frozen):
+    def __init__(self, algebra: BoolAlg,
+                 points: tuple[str, ...]):  # one point per atom, labelled by it
+        self.__dict__.update(algebra=algebra, points=points)
 
     def eta(self, e: int) -> frozenset[str]:
         """Clopen of ultrafilters containing e."""
@@ -298,13 +312,12 @@ def stone_space(omega: BoolAlg) -> StoneSpace:
 # generated algebras, coproducts, quotients, ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratedAlgebra:
+class GeneratedAlgebra(Frozen):
     """Result of build_algebra: the atomic algebra together with the cell
     of ground points behind each atom."""
 
-    algebra: BoolAlg
-    cells: Mapping[str, frozenset]
+    def __init__(self, algebra: BoolAlg, cells: Mapping[str, frozenset]):
+        self.__dict__.update(algebra=algebra, cells=cells)
 
     def encode(self, subset: Iterable) -> int:
         """Element corresponding to a union of cells; InvalidModel if the
@@ -360,17 +373,15 @@ def build_algebra(ground: Iterable, generators: Iterable[Iterable]) -> Generated
     return GeneratedAlgebra(algebra, named)
 
 
-@dataclass(frozen=True)
-class Coproduct:
+class Coproduct(Frozen):
     """Atoms are the pairs 'a*b' of factor atoms in label order; `pairs[k]
     = (i, j)` are the left and right atom indices of atom k."""
 
-    algebra: BoolAlg
-    left: BoolAlg
-    right: BoolAlg
-    pairs: tuple[tuple[int, int], ...]
-    inject_left: BoolMorphism
-    inject_right: BoolMorphism
+    def __init__(self, algebra: BoolAlg, left: BoolAlg, right: BoolAlg,
+                 pairs: tuple[tuple[int, int], ...], inject_left: BoolMorphism,
+                 inject_right: BoolMorphism):
+        self.__dict__.update(algebra=algebra, left=left, right=right, pairs=pairs,
+                             inject_left=inject_left, inject_right=inject_right)
 
     def pair_atom(self, a: str, b: str) -> str:
         return _pair_label(a, b)
@@ -425,10 +436,10 @@ def verify_coproduct(cop: Coproduct, phi: BoolMorphism, psi: BoolMorphism) -> bo
     return matches == 1
 
 
-@dataclass(frozen=True)
-class NullQuotient:
-    algebra: BoolAlg            # the quotient
-    projection: BoolMorphism    # source algebra -> quotient
+class NullQuotient(Frozen):
+    def __init__(self, algebra: BoolAlg,          # the quotient
+                 projection: BoolMorphism):  # source algebra -> quotient
+        self.__dict__.update(algebra=algebra, projection=projection)
 
 
 def quotient_by_null(omega: BoolAlg, null_atoms: Iterable[str]) -> NullQuotient:

@@ -18,7 +18,6 @@ isomorphisms down as concrete permutation matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .boolalg import BoolAlg
@@ -29,20 +28,17 @@ from .finban import (BifunctorData, CoendResult, FinBanSpace, FinPoset, Flavor,
 from .shcosh import PreCosheaf, from_atom_spaces
 
 
-@dataclass
 class Bundle:
     """base point -> SUM space.  Exponential bundles may carry blocked
     SUP fibers; operations that need plain SUM fibers validate."""
 
-    base: tuple[str, ...]
-    fibers: dict[str, FinBanSpace]
-
-    def __post_init__(self):
-        if len(set(self.base)) != len(self.base):
+    def __init__(self, base: tuple[str, ...], fibers: dict[str, FinBanSpace]):
+        if len(set(base)) != len(base):
             raise InvalidModel("duplicate base points")
-        for x in self.base:
-            if x not in self.fibers:
+        for x in base:
+            if x not in fibers:
                 raise InvalidModel(f"missing fiber at {x!r}")
+        self.base, self.fibers = base, fibers
 
     def fiber(self, x: str) -> FinBanSpace:
         if x not in self.fibers:
@@ -156,21 +152,22 @@ def hom_bundle(xi: Bundle, zeta: Bundle) -> tuple[FinBanSpace, Bundle]:
 # functor matrices
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FunctorMatrix:
-    """A matrix of SUM spaces, one entry per (source point, target point)."""
+    """A matrix of SUM spaces, one entry per (source point, target point),
+    over source and target bases without a repeated point."""
 
-    source_base: tuple[str, ...]
-    target_base: tuple[str, ...]
-    entries: dict[tuple[str, str], FinBanSpace]
-
-    def __post_init__(self):
-        for x in self.source_base:
-            for y in self.target_base:
-                if (x, y) not in self.entries:
+    def __init__(self, source_base: tuple[str, ...], target_base: tuple[str, ...],
+                 entries: dict[tuple[str, str], FinBanSpace]):
+        for side, base in (("source", source_base), ("target", target_base)):
+            if len(set(base)) != len(base):
+                raise InvalidModel(f"duplicate {side} points")
+        for x in source_base:
+            for y in target_base:
+                if (x, y) not in entries:
                     raise InvalidModel(f"missing entry at ({x!r}, {y!r})")
-                if self.entries[(x, y)].flavor is not Flavor.SUM:
+                if entries[(x, y)].flavor is not Flavor.SUM:
                     raise FlavorMismatch("matrix entries carry the SUM flavor")
+        self.source_base, self.target_base, self.entries = source_base, target_base, entries
 
     def entry(self, x: str, y: str) -> FinBanSpace:
         return self.entries[(x, y)]
@@ -344,27 +341,22 @@ def decomposition_witness(xi: Bundle, y: str) -> IsoWitness:
 # discrete direct integrals
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DiscreteCosheafMeasure:
     """A space-valued measure on the powerset of a finite base: its value
     on a point is a SUM space."""
 
-    base: tuple[str, ...]
-    weight: dict[str, FinBanSpace]
-
-    def __post_init__(self):
-        for x in self.base:
-            if x not in self.weight:
+    def __init__(self, base: tuple[str, ...], weight: dict[str, FinBanSpace]):
+        for x in base:
+            if x not in weight:
                 raise InvalidModel(f"missing weight at {x!r}")
-            if self.weight[x].flavor is not Flavor.SUM:
+            if weight[x].flavor is not Flavor.SUM:
                 raise FlavorMismatch("weights carry the SUM flavor")
+        self.base, self.weight = base, weight
 
 
-@dataclass
 class DiscreteIntegral:
-    total: FinBanSpace
-    indefinite: PreCosheaf
-    base_algebra: BoolAlg
+    def __init__(self, total: FinBanSpace, indefinite: PreCosheaf, base_algebra: BoolAlg):
+        self.total, self.indefinite, self.base_algebra = total, indefinite, base_algebra
 
 
 def direct_integral_discrete(xi: Bundle, mu: DiscreteCosheafMeasure) -> DiscreteIntegral:
@@ -408,14 +400,13 @@ def integral_tensor_naturality_witness(xi: Bundle, mu: DiscreteCosheafMeasure,
 # discrete Kan extension
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PosetFunctor:
     """A functor from a thin finite category into spaces: one space per
     object, one map per generating arrow; path independence is validated."""
 
-    index: FinPoset
-    spaces: dict[str, FinBanSpace]
-    arrow_maps: dict[tuple[str, str], LinMap]
+    def __init__(self, index: FinPoset, spaces: dict[str, FinBanSpace],
+                 arrow_maps: dict[tuple[str, str], LinMap]):
+        self.index, self.spaces, self.arrow_maps = index, spaces, arrow_maps
 
     def validate(self) -> None:
         from .errors import NotAFunctor
@@ -429,10 +420,10 @@ class PosetFunctor:
             raise NotAFunctor("arrow maps are path dependent")
 
 
-@dataclass
 class KanExtension:
-    values: dict[str, CoendResult]
-    eta: dict[str, LinMap]  # F(n) -> Lan(I n) presentation
+    def __init__(self, values: dict[str, CoendResult],
+                 eta: dict[str, LinMap]):  # F(n) -> Lan(I n) presentation
+        self.values, self.eta = values, eta
 
 
 def kan_extension_discrete(f: PosetFunctor, point_map: Mapping[str, str],

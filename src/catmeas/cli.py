@@ -256,6 +256,12 @@ def parse_model(path: str) -> Model:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ModelError("missing-file", f"no model file at {path}", path) from None
+    except OSError as exc:
+        raise ModelError("unreadable-file", f"cannot read the model file: {exc.strerror}",
+                         path) from None
+    except UnicodeDecodeError as exc:
+        raise ModelError("syntax-error", f"byte {exc.start}: {exc.reason} in {exc.encoding}",
+                         path) from None
     except json.JSONDecodeError as exc:
         raise ModelError("syntax-error",
                          f"line {exc.lineno}, column {exc.colno}: {exc.msg}", path) from None

@@ -1,9 +1,25 @@
-"""Exception vocabulary shared by all modules.
+"""Exception vocabulary shared by all modules, and the one frozen base.
 
 Every error raised by the library derives from CatmeasError, so callers
 (including the CLI) can distinguish library failures from programming
 mistakes.
 """
+
+from dataclasses import FrozenInstanceError
+
+
+class Frozen:
+    """Base of the immutable classes: assigning or deleting an attribute
+    raises dataclasses.FrozenInstanceError, as on a frozen dataclass.
+    `__init__` stores the fields past that guard, through `self.__dict__`
+    (where a cached_property also keeps its value) or
+    `object.__setattr__`."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class CatmeasError(Exception):

@@ -19,13 +19,13 @@ vertex; vertex images are summed in Python ints (see operator_norm).
 
 A LinMap stores its row nonzeros: `rows[i]` is a tuple of (source
 column, value) pairs of target row i, sorted by column, with no zero
-value.  The form is canonical, so dataclass == and hash are entrywise
-equality.  compose (row by row, after Gustavson 1978), add, scale,
-application and the column rule of operator_norm touch nonzeros only;
-`matrix` is a dense view, built on first read.  Most maps here are
-monomial (one nonzero per row and column), and one decision,
-`_isometric_split`, tells whether a map, or the partition map or
-restriction cone made of given legs, is an isometric isomorphism, in
+value.  The form is canonical, so == and hash, over source, target and
+rows, are entrywise equality.  compose (row by row, after Gustavson
+1978), add, scale, application and the column rule of operator_norm
+touch nonzeros only; `matrix` is a dense view, built on first read.
+Most maps here are monomial (one nonzero per row and column), and one
+decision, `_isometric_split`, tells whether a map, or the partition map
+or restriction cone made of given legs, is an isometric isomorphism, in
 closed form on the nonzeros of a monomial one (the proof is there);
 is_isometric_iso is its one-leg case.
 
@@ -48,7 +48,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import FlavorMismatch, InvalidModel, NotAFunctor, ResourceLimit
+from .errors import FlavorMismatch, Frozen, InvalidModel, NotAFunctor, ResourceLimit
 from . import exactla
 from .exactla import ONE, ZERO
 
@@ -89,8 +89,12 @@ def _identity_rows(dim: int) -> tuple[Row, ...]:
     return tuple(((i, ONE),) for i in range(dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinBanSpace:
+    """The one dataclass of the package: `dataclasses.replace` and
+    `fields` work on it.  == and hash are over the four declared fields,
+    identity first."""
+
     basis: tuple[str, ...]
     weights: tuple[Fraction, ...]
     flavor: Flavor
@@ -115,6 +119,17 @@ class FinBanSpace:
             if seen != list(range(self.dim)) or not all(self.groups):
                 raise InvalidModel("groups must partition the basis indices "
                                    "into nonempty blocks")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.basis, self.weights, self.flavor, self.groups) ==
+                (other.basis, other.weights, other.flavor, other.groups))
+
+    def __hash__(self):
+        return hash((self.basis, self.weights, self.flavor, self.groups))
 
     def effective_groups(self) -> tuple[tuple[int, ...], ...]:
         if self.flavor is Flavor.SUM:
@@ -221,17 +236,26 @@ def sup_space(labels: Sequence[str], weights: Optional[Sequence] = None) -> FinB
 # linear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinMap:
+class LinMap(Frozen):
     """A linear map as its row nonzeros (see the module docstring)."""
 
-    source: FinBanSpace
-    target: FinBanSpace
-    rows: tuple[Row, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.target.dim:
+    def __init__(self, source: FinBanSpace, target: FinBanSpace, rows: tuple[Row, ...]):
+        if len(rows) != target.dim:
             raise InvalidModel("matrix row count must match the target dimension")
+        # item by item: the hottest constructor of the package
+        d = self.__dict__
+        d["source"], d["target"], d["rows"] = source, target, rows
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.rows) ==
+                (other.source, other.target, other.rows))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.rows))
 
     @functools.cached_property
     def matrix(self) -> tuple[Vector, ...]:
@@ -581,10 +605,9 @@ def _isometric_monomial(entries, source_weights, target_weights, blocks=None) ->
     return len(pairs) == len(set(sb)) == len(set(tb))
 
 
-@dataclass(frozen=True)
-class IsoWitness:
-    forward: LinMap
-    backward: LinMap
+class IsoWitness(Frozen):
+    def __init__(self, forward: LinMap, backward: LinMap):
+        self.__dict__.update(forward=forward, backward=backward)
 
     def is_valid(self) -> bool:
         return (self.backward @ self.forward).is_identity() and \
@@ -610,11 +633,10 @@ class IsoWitness:
 # direct sums and tensors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectSum:
-    space: FinBanSpace
-    parts: tuple[FinBanSpace, ...]
-    offsets: tuple[int, ...]
+class DirectSum(Frozen):
+    def __init__(self, space: FinBanSpace, parts: tuple[FinBanSpace, ...],
+                 offsets: tuple[int, ...]):
+        self.__dict__.update(space=space, parts=parts, offsets=offsets)
 
     @property
     def injections(self) -> tuple[LinMap, ...]:
@@ -681,11 +703,9 @@ def direct_sum(spaces: Sequence[FinBanSpace],
     return DirectSum(total, tuple(spaces), tuple(offsets))
 
 
-@dataclass(frozen=True)
-class TensorProduct:
-    space: FinBanSpace
-    left: FinBanSpace
-    right: FinBanSpace
+class TensorProduct(Frozen):
+    def __init__(self, space: FinBanSpace, left: FinBanSpace, right: FinBanSpace):
+        self.__dict__.update(space=space, left=left, right=right)
 
     def pure(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> Vector:
         """The bilinear embedding (v, w) |-> v (x) w."""
@@ -718,8 +738,7 @@ def projective_tensor(a: FinBanSpace, b: FinBanSpace) -> TensorProduct:
 # quotients (metric surjections from SUM spaces)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(Frozen):
     """A quotient A / span(relations) of a SUM space.
 
     `space` is a weighted presentation on a complement basis, exact on
@@ -729,12 +748,13 @@ class QuotientSpace:
     decided against the true norm, not the presentation.
     """
 
-    ambient: FinBanSpace
-    relations: tuple[Vector, ...]
-    space: FinBanSpace
-    projection: LinMap       # ambient -> space (coordinates mod relations)
-    section: LinMap          # space -> ambient (complement basis inclusion)
-    _row_space: tuple[Vector, ...] = field(repr=False, default=())
+    def __init__(self, ambient: FinBanSpace, relations: tuple[Vector, ...],
+                 space: FinBanSpace,
+                 projection: LinMap,  # ambient -> space (coordinates mod relations)
+                 section: LinMap,     # space -> ambient (complement basis inclusion)
+                 _row_space: tuple[Vector, ...] = ()):
+        self.__dict__.update(ambient=ambient, relations=relations, space=space,
+                             projection=projection, section=section, _row_space=_row_space)
 
     def class_norm(self, ambient_vector: Sequence[Fraction]) -> Fraction:
         """True quotient norm of the class of an ambient vector."""
@@ -824,22 +844,19 @@ def quotient(a: FinBanSpace, span_vectors: Sequence[Sequence[Fraction]],
 # thin index categories, bifunctors, coends and ends
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FinPoset:
+class FinPoset(Frozen):
     """A finite poset presented by objects and generating arrows; used as
     the index of (co)ends.  Thinness keeps functoriality decidable."""
 
-    objects: tuple[str, ...]
-    arrows: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        if len(set(self.objects)) != len(self.objects):
+    def __init__(self, objects: tuple[str, ...], arrows: tuple[tuple[str, str], ...] = ()):
+        if len(set(objects)) != len(objects):
             raise InvalidModel("duplicate objects")
-        for s, t in self.arrows:
-            if s not in self.objects or t not in self.objects:
+        for s, t in arrows:
+            if s not in objects or t not in objects:
                 raise InvalidModel("arrow endpoint is not an object")
             if s == t:
                 raise InvalidModel("identity arrows are implicit")
+        self.__dict__.update(objects=objects, arrows=arrows)
         if any(self.leq(a, b) and self.leq(b, a) and a != b
                for a in self.objects for b in self.objects):
             raise InvalidModel("the generating arrows create a cycle")
@@ -945,16 +962,14 @@ class BifunctorData:
                     raise NotAFunctor("left and right actions do not interchange")
 
 
-@dataclass
 class CoendResult:
     """Coend of a bifunctor: the coequalizer of the two actions, realised
     as a quotient of the diagonal direct sum."""
 
-    index: FinPoset
-    bifunctor: BifunctorData
-    diagonal: DirectSum
-    quotient: QuotientSpace
-    wedges: dict[str, LinMap]
+    def __init__(self, index: FinPoset, bifunctor: BifunctorData, diagonal: DirectSum,
+                 quotient: QuotientSpace, wedges: dict[str, LinMap]):
+        self.index, self.bifunctor, self.diagonal = index, bifunctor, diagonal
+        self.quotient, self.wedges = quotient, wedges
 
     @property
     def space(self) -> FinBanSpace:
@@ -993,8 +1008,7 @@ def coend(bif: BifunctorData, label: str = "coend") -> CoendResult:
     return CoendResult(bif.index, bif, diag, q, wedges)
 
 
-@dataclass(frozen=True)
-class EndResult:
+class EndResult(Frozen):
     """End of a bifunctor: the equalizer inside the diagonal product.
 
     `vectors` are product-coordinate representatives of the basis; the
@@ -1002,11 +1016,10 @@ class EndResult:
     (discrete) case, where the honest product space is returned.
     """
 
-    index: FinPoset
-    diagonal: DirectSum
-    space: FinBanSpace
-    vectors: tuple[Vector, ...]
-    inclusion: LinMap
+    def __init__(self, index: FinPoset, diagonal: DirectSum, space: FinBanSpace,
+                 vectors: tuple[Vector, ...], inclusion: LinMap):
+        self.__dict__.update(index=index, diagonal=diagonal, space=space,
+                             vectors=vectors, inclusion=inclusion)
 
 
 def end(bif: BifunctorData) -> EndResult:

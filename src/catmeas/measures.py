@@ -11,35 +11,43 @@ over theirs, and builds one Fraction per reported number.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .boolalg import BoolAlg, BoolMorphism, Coproduct, NullQuotient, quotient_by_null
-from .errors import AlgebraMismatch, InvalidModel
+from .errors import AlgebraMismatch, Frozen, InvalidModel
 from .exactla import ZERO
 from .finban import FinBanSpace, Vector, _over_common_denominator, scalars, vec_scale, zero_vec
 
 
-@dataclass(frozen=True)
-class VectorMeasure:
-    """Finitely additive map from an algebra into a FinBanSpace."""
+class VectorMeasure(Frozen):
+    """Finitely additive map from an algebra into a FinBanSpace; equal
+    when algebra, target and atom values are."""
 
-    algebra: BoolAlg
-    target: FinBanSpace
-    atom_values: tuple[Vector, ...]  # one target vector per atom
-
-    def __post_init__(self):
-        if len(self.atom_values) != self.algebra.n:
+    def __init__(self, algebra: BoolAlg, target: FinBanSpace,
+                 atom_values: tuple[Vector, ...]):  # one target vector per atom
+        if len(atom_values) != algebra.n:
             raise InvalidModel("one value per atom required")
-        if any(len(v) != self.target.dim for v in self.atom_values):
+        if any(len(v) != target.dim for v in atom_values):
             raise InvalidModel("atom values must live in the target space")
+        self.__dict__.update(algebra=algebra, target=target, atom_values=atom_values)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.algebra, self.target, self.atom_values) ==
+                (other.algebra, other.target, other.atom_values))
+
+    def __hash__(self):
+        return hash((self.algebra, self.target, self.atom_values))
 
     @functools.cached_property
     def _int_values(self) -> tuple[list[list[int]], int]:
         """The atom values over one common denominator, (rows, D) with
-        rows[i][k] = D atom_values[i][k]; built on first read, not a
-        field, so ==, hash and repr do not see it."""
+        rows[i][k] = D atom_values[i][k]; built on first read and kept
+        outside == and hash."""
         return _over_common_denominator(self.atom_values)
 
     def __call__(self, e: int) -> Vector:
@@ -67,20 +75,17 @@ class VectorMeasure:
                              tuple((Fraction(v),) for v in values))
 
 
-@dataclass(frozen=True)
-class MeasureAlgebra:
+class MeasureAlgebra(Frozen):
     """An algebra with a nonnegative bounded scalar measure."""
 
-    algebra: BoolAlg
-    mu: VectorMeasure
-
-    def __post_init__(self):
-        if self.mu.algebra != self.algebra:
+    def __init__(self, algebra: BoolAlg, mu: VectorMeasure):
+        if mu.algebra != algebra:
             raise AlgebraMismatch("measure lives on a different algebra")
-        if not self.mu.is_scalar():
+        if not mu.is_scalar():
             raise InvalidModel("a measure algebra needs a scalar measure")
-        if any(v[0] < 0 for v in self.mu.atom_values):
+        if any(v[0] < 0 for v in mu.atom_values):
             raise InvalidModel("a measure algebra needs a nonnegative measure")
+        self.__dict__.update(algebra=algebra, mu=mu)
 
     def value(self, e: int) -> Fraction:
         return self.mu(e)[0]

@@ -61,12 +61,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .boolalg import BoolAlg, BoolMorphism, partitions_of
-from .errors import (AlgebraMismatch, InvalidModel, NotACosheaf, NotAFunctor,
+from .errors import (AlgebraMismatch, Frozen, InvalidModel, NotACosheaf, NotAFunctor,
                      SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
@@ -113,7 +112,6 @@ class _BuiltOnRead(Mapping):
         return len(self._keys)
 
 
-@dataclass
 class _Assignment:
     """Spaces on the elements and structure maps keyed by covering pairs
     (small, big), going the way the subclass's `covariant` says: a
@@ -122,19 +120,28 @@ class _Assignment:
     a dict for assembled input (`make_precosheaf`, `make_presheaf`) and
     for the other Isbell conjugates, whose maps are checked when built.
     Both never change after construction (no library code writes to
-    them), so `_walk` memoises structure maps in `_walks`, outside init,
-    == and repr.  `atom_widths` is set by `_on_atom_blocks` alone, to the
-    dim of each atom's block: it marks a block sum, whose Isbell
-    conjugate `_conjugate` writes in closed form.  It is outside == and
-    repr, so a block sum equals the same data assembled, which the
-    conjugate's general path takes."""
+    them), so `_walk` memoises structure maps in `_walks`.  `atom_widths`
+    is set by `_on_atom_blocks` alone, to the dim of each atom's block: it
+    marks a block sum, whose Isbell conjugate `_conjugate` writes in
+    closed form.  == compares algebra, spaces and structure maps, of one
+    class, so neither `_walks` nor `atom_widths` counts: a block sum
+    equals the same data assembled, which the conjugate's general path
+    takes."""
 
-    algebra: BoolAlg
-    spaces: dict[int, FinBanSpace]
-    cover_maps: Mapping[tuple[int, int], LinMap]
-    atom_widths: Optional[tuple[int, ...]] = field(default=None, repr=False, compare=False)
-    _walks: dict[tuple[int, int], LinMap] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, algebra: BoolAlg, spaces: dict[int, FinBanSpace],
+                 cover_maps: Mapping[tuple[int, int], LinMap],
+                 atom_widths: Optional[tuple[int, ...]] = None):
+        self.algebra, self.spaces, self.cover_maps = algebra, spaces, cover_maps
+        self.atom_widths = atom_widths
+        self._walks: dict[tuple[int, int], LinMap] = {}
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.algebra, self.spaces, self.cover_maps) ==
+                (other.algebra, other.spaces, other.cover_maps))
 
     def space(self, e: int) -> FinBanSpace:
         return self.spaces[self.algebra.check_element(e)]
@@ -315,12 +322,25 @@ def zero_precosheaf(omega: BoolAlg) -> PreCosheaf:
 # the (co)sheaf condition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    failing_element: Optional[int] = None
-    failing_blocks: Optional[tuple[int, ...]] = None
-    reason: str = ""
+class Verdict(Frozen):
+    """A condition check's answer, with the element, blocks and reason of
+    its failure; equal when all four are."""
+
+    def __init__(self, ok: bool, failing_element: Optional[int] = None,
+                 failing_blocks: Optional[tuple[int, ...]] = None, reason: str = ""):
+        self.__dict__.update(ok=ok, failing_element=failing_element,
+                             failing_blocks=failing_blocks, reason=reason)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ok, self.failing_element, self.failing_blocks, self.reason) ==
+                (other.ok, other.failing_element, other.failing_blocks, other.reason))
+
+    def __hash__(self):
+        return hash((self.ok, self.failing_element, self.failing_blocks, self.reason))
 
     def __bool__(self) -> bool:
         return self.ok
@@ -482,14 +502,13 @@ def cosheaf_projection(mu: PreCosheaf, e: int, f: int) -> LinMap:
     return integrate_simple_morphism(characteristic(mu.algebra, f), mu, e, f)
 
 
-@dataclass
 class SpectralData:
     """The projection-valued measure of a cosheaf on its total value, held
     as its atom projections: atom_projections[i] is P_a for a = 1 << i."""
 
-    cosheaf: PreCosheaf
-    carrier: FinBanSpace
-    atom_projections: tuple[LinMap, ...]
+    def __init__(self, cosheaf: PreCosheaf, carrier: FinBanSpace,
+                 atom_projections: tuple[LinMap, ...]):
+        self.cosheaf, self.carrier, self.atom_projections = cosheaf, carrier, atom_projections
 
     @functools.cached_property
     def projections(self) -> dict[int, LinMap]:
@@ -604,16 +623,23 @@ def characteristic_sheaf(omega: BoolAlg, e: int) -> PreSheaf:
                                    for i, a in enumerate(omega.atoms)], PreSheaf)
 
 
-@dataclass
 class HomSolution:
     """Solutions of the naturality constraints between two (co)presheaves,
     on a nullspace basis.  `offsets[e]` locates the component matrix of
-    element e inside a flattened coordinate vector."""
+    element e inside a flattened coordinate vector.  Equal when all four
+    fields are."""
 
-    dim: int
-    basis: tuple[Vector, ...]
-    offsets: dict[int, int]
-    shapes: dict[int, tuple[int, int]]
+    def __init__(self, dim: int, basis: tuple[Vector, ...], offsets: dict[int, int],
+                 shapes: dict[int, tuple[int, int]]):
+        self.dim, self.basis, self.offsets, self.shapes = dim, basis, offsets, shapes
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.dim, self.basis, self.offsets, self.shapes) ==
+                (other.dim, other.basis, other.offsets, other.shapes))
 
     def component(self, coords: Sequence[Fraction], e: int) -> list[list[Fraction]]:
         rows, cols = self.shapes[e]
@@ -673,11 +699,10 @@ def cosheaf_hom(mu: PreCosheaf, nu: PreCosheaf) -> HomSolution:
 # precosheaf maps
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PrecosheafMap:
-    source: PreCosheaf
-    target: PreCosheaf
-    components: dict[int, LinMap]
+    def __init__(self, source: PreCosheaf, target: PreCosheaf,
+                 components: dict[int, LinMap]):
+        self.source, self.target, self.components = source, target, components
 
     def check_natural(self) -> bool:
         for small, big in self.source.algebra.covering_pairs:
@@ -702,11 +727,10 @@ def precosheaf_map(source: PreCosheaf, target: PreCosheaf,
 # cosheafification
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Cosheafification:
-    cosheaf: PreCosheaf
-    original: PreCosheaf
-    counit: dict[int, LinMap]  # cosheafified(E) -> original(E)
+    def __init__(self, cosheaf: PreCosheaf, original: PreCosheaf,
+                 counit: dict[int, LinMap]):  # cosheafified(E) -> original(E)
+        self.cosheaf, self.original, self.counit = cosheaf, original, counit
 
 
 def cosheafify(theta: PreCosheaf) -> Cosheafification:

@@ -15,12 +15,11 @@ values).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .boolalg import BoolAlg, Coproduct, StoneSpace
-from .errors import AlgebraMismatch, FlavorMismatch, InvalidModel, NotIdempotent
+from .errors import AlgebraMismatch, FlavorMismatch, Frozen, InvalidModel, NotIdempotent
 from .exactla import ONE, ZERO
 from .finban import (
     FinBanSpace, Flavor, IsoWitness, LinMap, Vector, _over_common_denominator,
@@ -29,16 +28,13 @@ from .finban import (
 from .measures import MeasureAlgebra, VectorMeasure, product_measure
 
 
-@dataclass(frozen=True)
-class SimpleElement:
+class SimpleElement(Frozen):
     """A simple element in atomwise form: one rational per atom."""
 
-    algebra: BoolAlg
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.algebra.n:
+    def __init__(self, algebra: BoolAlg, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != algebra.n:
             raise InvalidModel("one coefficient per atom required")
+        self.__dict__.update(algebra=algebra, coeffs=coeffs)
 
     def blocks(self) -> tuple[tuple[Fraction, int], ...]:
         """Canonical partition form: (coefficient, element) pairs with
@@ -164,21 +160,18 @@ def l1_lift(nu: VectorMeasure, mu: MeasureAlgebra) -> LinMap:
 # vector-valued simple elements and the contractive integral
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VectorSimpleElement:
+class VectorSimpleElement(Frozen):
     """A simple element with coefficients in a SUM space."""
 
-    algebra: BoolAlg
-    target: FinBanSpace
-    coeffs: tuple[Vector, ...]  # one target vector per atom
-
-    def __post_init__(self):
-        if self.target.flavor is not Flavor.SUM:
+    def __init__(self, algebra: BoolAlg, target: FinBanSpace,
+                 coeffs: tuple[Vector, ...]):  # one target vector per atom
+        if target.flavor is not Flavor.SUM:
             raise FlavorMismatch("vector coefficients live in SUM spaces")
-        if len(self.coeffs) != self.algebra.n:
+        if len(coeffs) != algebra.n:
             raise InvalidModel("one coefficient vector per atom required")
-        if any(len(v) != self.target.dim for v in self.coeffs):
+        if any(len(v) != target.dim for v in coeffs):
             raise InvalidModel("coefficients must live in the target space")
+        self.__dict__.update(algebra=algebra, target=target, coeffs=coeffs)
 
     @staticmethod
     def from_terms(omega: BoolAlg, target: FinBanSpace,
@@ -199,11 +192,9 @@ class VectorSimpleElement:
                                    tuple(t(v) for v in self.coeffs))
 
 
-@dataclass(frozen=True)
-class BochnerResult:
-    integral: Vector
-    l1_norm: Fraction
-    tensor_witness: IsoWitness
+class BochnerResult(Frozen):
+    def __init__(self, integral: Vector, l1_norm: Fraction, tensor_witness: IsoWitness):
+        self.__dict__.update(integral=integral, l1_norm=l1_norm, tensor_witness=tensor_witness)
 
 
 def l1_vector_space(mu: MeasureAlgebra, target: FinBanSpace) -> FinBanSpace:
@@ -250,12 +241,13 @@ def bochner(f: VectorSimpleElement, mu: MeasureAlgebra) -> BochnerResult:
 # Fubini on coproduct algebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FubiniResult:
-    product_value: Fraction
-    iterated_left_then_right: Fraction
-    iterated_right_then_left: Fraction
-    witness: IsoWitness
+class FubiniResult(Frozen):
+    def __init__(self, product_value: Fraction, iterated_left_then_right: Fraction,
+                 iterated_right_then_left: Fraction, witness: IsoWitness):
+        self.__dict__.update(product_value=product_value,
+                             iterated_left_then_right=iterated_left_then_right,
+                             iterated_right_then_left=iterated_right_then_left,
+                             witness=witness)
 
     def all_equal(self) -> bool:
         return (self.product_value == self.iterated_left_then_right ==

@@ -392,6 +392,12 @@ AB = {"algebra": {"atoms": ["a", "b"]},
     ({**LINE, "functor_matrices": {"T": {"source": ["x"], "target": ["y"],
                                          "entries": {"x:y": {"dim": 1, "flavor": "sup"}}}}},
      "bad-matrix", "functor_matrices.T"),
+    ({**LINE, "functor_matrices": {"T": {"source": ["x", "x"], "target": ["y"],
+                                         "entries": AT_XY}}},
+     "bad-matrix", "functor_matrices.T"),
+    ({**LINE, "functor_matrices": {"T": {"source": ["x"], "target": ["y", "y"],
+                                         "entries": AT_XY}}},
+     "bad-matrix", "functor_matrices.T"),
     ({"algebra": {"ground": [1, 2], "generators": [[3]]}}, "bad-algebra", "algebra.generators"),
     ({"algebra": {"ground": [1, "1"], "generators": [[1]]}}, "bad-algebra", "algebra.ground"),
     ({"algebra": {"ground": [1, 2, "1|2"], "generators": [[1, 2]]}},
@@ -458,7 +464,8 @@ AB = {"algebra": {"atoms": ["a", "b"]},
         "functor-matrices-as-list", "cosheaves-as-list", "sheaves-as-list",
         "bundle-base-as-string", "bundle-as-number", "matrix-source-as-string",
         "matrix-target-as-string", "matrix-as-number", "duplicate-bundle-base",
-        "sup-matrix-entry", "generator-outside-ground",
+        "sup-matrix-entry", "duplicate-matrix-source", "duplicate-matrix-target",
+        "generator-outside-ground",
         "ground-labels-collide", "ground-cell-labels-collide", "ground-point-with-colon",
         "duplicate-atoms", "duplicate-left-atoms", "duplicate-right-atoms",
         "duplicate-basis-labels", "basis-as-string", "extension-of-wrong-shape",
@@ -590,6 +597,23 @@ def test_unknown_command_exits_two():
 def test_missing_model_exits_two(tmp_path):
     out = run_cli("stone", "--model", str(tmp_path / "absent.json"))
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("kind, code", [("directory", "unreadable-file"),
+                                        ("utf16-bom", "syntax-error")])
+def test_unreadable_model_exits_two(tmp_path, kind, code):
+    """A model path that is a directory, or a file that does not decode
+    as text, is an input error with its code and path, not an internal
+    error."""
+    path = tmp_path / "m.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    out = run_cli("stone", "--model", str(path))
+    assert out.returncode == 2
+    assert code in out.stderr and f"(at {path})" in out.stderr
+    assert "internal error" not in out.stderr
 
 
 def test_every_command_runs_on_reference():

@@ -2,19 +2,28 @@
 projective tensor with its LP oracle, LP quotients, coends and ends."""
 
 import dataclasses
+import functools
+import importlib
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import catmeas
 from catmeas import exactla, finban
-from catmeas.errors import FlavorMismatch, InvalidModel, NotAFunctor, ResourceLimit
-from catmeas.finban import (BifunctorData, FinBanSpace, FinPoset, Flavor,
+from catmeas.boolalg import (BoolAlg, BoolMorphism, atomic_partition, build_algebra,
+                             coproduct, quotient_by_null, stone_space)
+from catmeas.errors import FlavorMismatch, Frozen, InvalidModel, NotAFunctor, ResourceLimit
+from catmeas.finban import (BifunctorData, EndResult, FinBanSpace, FinPoset, Flavor,
                             IsoWitness, LinMap, basis_vec, coend, direct_sum, end,
                             is_isometric_iso, operator_norm, projective_tensor, quotient,
-                            sum_space, sup_space, vec, zero_space)
+                            scalars, sum_space, sup_space, vec, zero_space)
+from catmeas.measures import MeasureAlgebra, VectorMeasure
+from catmeas.shcosh import HomSolution, PreCosheaf, PreSheaf, Verdict
+from catmeas.simple import VectorSimpleElement, bochner, characteristic, fubini
 
 from oracles import (coend_relations_by_basis_vectors, contractive_both_ways,
                      dual_extreme_functionals, end_constraints_by_offsets,
@@ -561,6 +570,130 @@ def test_dim_is_stored_outside_equality_hash_and_repr():
         direct.dim = 5
     assert [f.name for f in dataclasses.fields(direct) if f.compare] == \
         ["basis", "weights", "flavor", "groups"]
+
+
+def alg(*atoms):
+    return BoolAlg(tuple(sorted(atoms)))
+
+
+def _fill_cached(x):
+    """Read every cached_property of x's class; return their names."""
+    names = [n for c in type(x).__mro__ for n, v in vars(c).items()
+             if isinstance(v, functools.cached_property)]
+    for n in names:
+        getattr(x, n)
+    return names
+
+
+# class, fields (a fresh dict of equal values on each call), one differing
+# value per compared field, and what fills state that == does not see
+VALUE_CLASSES = [
+    (BoolAlg, lambda: {"atoms": ("a", "b")}, {"atoms": ("a", "c")}, _fill_cached),
+    (BoolMorphism,
+     lambda: {"source": alg("a", "b"), "target": alg("p", "q"), "atom_images": (1, 2)},
+     {"source": alg("a", "c"), "target": alg("p", "r"), "atom_images": (2, 1)},
+     None),
+    (FinBanSpace,
+     lambda: {"basis": ("x", "y"), "weights": (F(1), F(2)), "flavor": Flavor.SUP,
+              "groups": None},
+     {"basis": ("x", "z"), "weights": (F(1), F(3)), "flavor": Flavor.SUM,
+      "groups": ((0, 1),)},
+     _fill_cached),
+    (LinMap, lambda: {"source": sum_space(["x", "y"]), "target": sum_space(["z"]),
+                      "rows": (((0, F(1)),),)},
+     {"source": sum_space(["x", "y"], [1, 2]), "target": sup_space(["z"]),
+      "rows": (((1, F(1)),),)},
+     _fill_cached),
+    (VectorMeasure, lambda: {"algebra": alg("a", "b"), "target": scalars(),
+                             "atom_values": ((F(1),), (F(2),))},
+     {"algebra": alg("a", "c"), "target": scalars("t"),
+      "atom_values": ((F(1),), (F(3),))},
+     _fill_cached),
+    (Verdict, lambda: {"ok": False, "failing_element": 3, "failing_blocks": (1, 2),
+                       "reason": "r"},
+     {"ok": True, "failing_element": 1, "failing_blocks": (3,), "reason": "s"}, None),
+    (HomSolution, lambda: {"dim": 1, "basis": ((F(1),),), "offsets": {0: 0},
+                           "shapes": {0: (1, 1)}},
+     {"dim": 2, "basis": ((F(2),),), "offsets": {0: 1}, "shapes": {0: (1, 2)}}, None),
+    (PreCosheaf, lambda: {"algebra": alg("a"), "spaces": {0: zero_space(), 1: scalars()},
+                          "cover_maps": {(0, 1): LinMap.zero(zero_space(), scalars())}},
+     {"algebra": alg("b"), "spaces": {0: zero_space(), 1: scalars("t")},
+      "cover_maps": {(0, 1): LinMap.zero(zero_space(), scalars("t"))}},
+     lambda x: (x.extension(0, 1), setattr(x, "atom_widths", (1,)))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, differ, outside", VALUE_CLASSES,
+                         ids=[row[0].__name__ for row in VALUE_CLASSES])
+def test_value_classes_compare_their_fields(cls, fields, differ, outside):
+    """Instances built apart from equal fields are equal and, when frozen,
+    hash equal; a change to any one compared field makes them unequal;
+    state outside == (cached properties, `_Assignment.atom_widths` and
+    `_walks`) does not count."""
+    x, y = cls(**fields()), cls(**fields())
+    assert x is not y and x == y and not x != y and x == x
+    if outside is not None:
+        outside(x)
+    assert x == y and y == x
+    if issubclass(cls, Frozen) or cls is FinBanSpace:
+        assert hash(x) == hash(y)
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
+    for name, value in differ.items():
+        other = cls(**{**fields(), name: value})
+        assert x != other and other != x and not x == other, name
+    assert x != object() and x != fields()
+
+
+def test_assignments_of_two_variances_differ():
+    data = {"algebra": alg("a"), "spaces": {0: zero_space(), 1: scalars()},
+            "cover_maps": {(0, 1): LinMap.zero(zero_space(), scalars())}}
+    assert PreCosheaf(**data) == PreCosheaf(**data) and PreCosheaf(**data) != PreSheaf(**data)
+
+
+def _frozen_instances():
+    omega, s = alg("a", "b"), sum_space(["x"])
+    cop = coproduct(omega, omega)
+    mu = MeasureAlgebra.from_values(omega, [1, 2])
+    f = VectorSimpleElement(omega, s, ((F(1),), (F(0),)))
+    diag = direct_sum([s, s])
+    return [omega, atomic_partition(omega, 3), BoolMorphism.identity(omega),
+            stone_space(omega), build_algebra([1, 2], [[1]]), cop,
+            quotient_by_null(omega, ["a"]), s, LinMap.identity(s),
+            IsoWitness.from_permutation(s, s, [0]), diag, projective_tensor(s, s),
+            quotient(sum_space(["x", "y"]), [[F(1), F(-1)]]), FinPoset.chain(["p", "q"]),
+            EndResult(FinPoset.discrete(["p"]), diag, diag.space, (), LinMap.identity(s)),
+            mu.mu, mu, Verdict(True), characteristic(omega, 1), f, bochner(f, mu),
+            fubini(characteristic(cop.algebra, 1), cop, mu, mu)]
+
+
+def test_frozen_classes_refuse_assignment_and_fill_cached_properties():
+    """Every frozen class raises FrozenInstanceError on assigning or
+    deleting a field or a new attribute, and still fills its cached
+    properties."""
+    instances = _frozen_instances()
+    assert len({type(x) for x in instances}) == len(instances) == 22
+    for x in instances:
+        field = next(iter(vars(x)))
+        for name in (field, "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        for name in _fill_cached(x):
+            assert name in vars(x), (type(x).__name__, name)
+
+
+def test_finbanspace_is_the_only_dataclass():
+    """Generated methods cost start-up: every other class is written out."""
+    found = []
+    for info in pkgutil.iter_modules(catmeas.__path__):
+        module = importlib.import_module(f"catmeas.{info.name}")
+        found += [f"{info.name}.{name}" for name, v in vars(module).items()
+                  if isinstance(v, type) and v.__module__ == module.__name__
+                  and dataclasses.is_dataclass(v)]
+    assert found == ["finban.FinBanSpace"]
 
 
 def test_permutation_witness_matches_its_definition():
