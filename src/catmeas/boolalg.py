@@ -14,17 +14,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (DegenerateQuotient, EmptyElement, Frozen, InvalidModel,
+from .errors import (DegenerateQuotient, EmptyElement, FieldEq, Frozen, InvalidModel,
                      ResourceLimit, UnknownPoint)
 
 # Fixed cap on the partitions `partitions_of` enumerates; past it ResourceLimit.
 PARTITION_CAP = 2 ** 20
 
 
-class BoolAlg(Frozen):
+class BoolAlg(Frozen, FieldEq):
     """A finite Boolean algebra given by its atoms; equal atoms, equal
     algebras."""
 
@@ -35,19 +36,9 @@ class BoolAlg(Frozen):
             raise InvalidModel("duplicate atom identifiers")
         if list(atoms) != sorted(atoms):
             raise InvalidModel("atoms must be given in lexicographic order")
-        # a plain attribute, read on every element operation: an instance
-        # whose __dict__ was written item by item reads slower
-        object.__setattr__(self, "atoms", atoms)
+        self.__dict__.update(atoms=atoms)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.atoms == other.atoms
-
-    def __hash__(self):
-        return hash(self.atoms)
+    _key = attrgetter("atoms")
 
     def __repr__(self):
         return f"BoolAlg(atoms={self.atoms!r})"
@@ -132,7 +123,9 @@ class BoolAlg(Frozen):
 class Partition(Frozen):
     """Pairwise-disjoint nonzero elements joining to `parent`.
 
-    Blocks are canonicalised by sorting on their minimum atom.
+    Blocks are canonicalised by sorting on their minimum atom, so two
+    partitions are the same when their `parent` and `blocks` are; == and
+    hash are identity.
     """
 
     def __init__(self, algebra: BoolAlg, parent: int, blocks: tuple[int, ...]):
@@ -198,7 +191,7 @@ def partitions_of(omega: BoolAlg, e: int) -> Iterator[Partition]:
 # morphisms
 # ---------------------------------------------------------------------------
 
-class BoolMorphism(Frozen):
+class BoolMorphism(Frozen, FieldEq):
     """A Boolean algebra morphism, stored on atoms and extended by joins.
 
     Images of distinct atoms must be disjoint (this gives meet and
@@ -221,16 +214,7 @@ class BoolMorphism(Frozen):
             raise InvalidModel("unital morphism must cover the target top")
         self.__dict__.update(source=source, target=target, atom_images=atom_images)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.target, self.atom_images) ==
-                (other.source, other.target, other.atom_images))
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.atom_images))
+    _key = attrgetter("source", "target", "atom_images")
 
     def __call__(self, e: int) -> int:
         self.source.check_element(e)

@@ -1,4 +1,5 @@
-"""Exception vocabulary shared by all modules, and the one frozen base.
+"""Exception vocabulary shared by all modules, the one frozen base and
+the one field equality.
 
 Every error raised by the library derives from CatmeasError, so callers
 (including the CLI) can distinguish library failures from programming
@@ -11,15 +12,31 @@ from dataclasses import FrozenInstanceError
 class Frozen:
     """Base of the immutable classes: assigning or deleting an attribute
     raises dataclasses.FrozenInstanceError, as on a frozen dataclass.
-    `__init__` stores the fields past that guard, through `self.__dict__`
-    (where a cached_property also keeps its value) or
-    `object.__setattr__`."""
+    `__init__` stores the fields past that guard with
+    `self.__dict__.update`; a cached_property keeps its value there too."""
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FieldEq:
+    """Base of the value classes: == holds, identity first, between
+    instances of one class whose `_key(self)` agree, and hash hashes it.
+    `_key` is the class's operator.attrgetter of its compared fields; a
+    mutable class sets `__hash__ = None`."""
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 class CatmeasError(Exception):

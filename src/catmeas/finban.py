@@ -48,7 +48,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import FlavorMismatch, Frozen, InvalidModel, NotAFunctor, ResourceLimit
+from .errors import (FieldEq, FlavorMismatch, Frozen, InvalidModel, NotAFunctor,
+                     ResourceLimit)
 from . import exactla
 from .exactla import ONE, ZERO
 
@@ -90,7 +91,7 @@ def _identity_rows(dim: int) -> tuple[Row, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class FinBanSpace:
+class FinBanSpace(FieldEq):
     """The one dataclass of the package: `dataclasses.replace` and
     `fields` work on it.  == and hash are over the four declared fields,
     identity first."""
@@ -120,16 +121,7 @@ class FinBanSpace:
                 raise InvalidModel("groups must partition the basis indices "
                                    "into nonempty blocks")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.basis, self.weights, self.flavor, self.groups) ==
-                (other.basis, other.weights, other.flavor, other.groups))
-
-    def __hash__(self):
-        return hash((self.basis, self.weights, self.flavor, self.groups))
+    _key = operator.attrgetter("basis", "weights", "flavor", "groups")
 
     def effective_groups(self) -> tuple[tuple[int, ...], ...]:
         if self.flavor is Flavor.SUM:
@@ -236,26 +228,15 @@ def sup_space(labels: Sequence[str], weights: Optional[Sequence] = None) -> FinB
 # linear maps
 # ---------------------------------------------------------------------------
 
-class LinMap(Frozen):
+class LinMap(Frozen, FieldEq):
     """A linear map as its row nonzeros (see the module docstring)."""
 
     def __init__(self, source: FinBanSpace, target: FinBanSpace, rows: tuple[Row, ...]):
         if len(rows) != target.dim:
             raise InvalidModel("matrix row count must match the target dimension")
-        # item by item: the hottest constructor of the package
-        d = self.__dict__
-        d["source"], d["target"], d["rows"] = source, target, rows
+        self.__dict__.update(source=source, target=target, rows=rows)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.target, self.rows) ==
-                (other.source, other.target, other.rows))
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.rows))
+    _key = operator.attrgetter("source", "target", "rows")
 
     @functools.cached_property
     def matrix(self) -> tuple[Vector, ...]:

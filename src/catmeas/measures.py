@@ -11,16 +11,17 @@ over theirs, and builds one Fraction per reported number.
 from __future__ import annotations
 
 import functools
+from operator import attrgetter
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .boolalg import BoolAlg, BoolMorphism, Coproduct, NullQuotient, quotient_by_null
-from .errors import AlgebraMismatch, Frozen, InvalidModel
+from .errors import AlgebraMismatch, FieldEq, Frozen, InvalidModel
 from .exactla import ZERO
 from .finban import FinBanSpace, Vector, _over_common_denominator, scalars, vec_scale, zero_vec
 
 
-class VectorMeasure(Frozen):
+class VectorMeasure(Frozen, FieldEq):
     """Finitely additive map from an algebra into a FinBanSpace; equal
     when algebra, target and atom values are."""
 
@@ -32,16 +33,7 @@ class VectorMeasure(Frozen):
             raise InvalidModel("atom values must live in the target space")
         self.__dict__.update(algebra=algebra, target=target, atom_values=atom_values)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.algebra, self.target, self.atom_values) ==
-                (other.algebra, other.target, other.atom_values))
-
-    def __hash__(self):
-        return hash((self.algebra, self.target, self.atom_values))
+    _key = attrgetter("algebra", "target", "atom_values")
 
     @functools.cached_property
     def _int_values(self) -> tuple[list[list[int]], int]:

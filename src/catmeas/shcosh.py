@@ -62,11 +62,12 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .boolalg import BoolAlg, BoolMorphism, partitions_of
-from .errors import (AlgebraMismatch, Frozen, InvalidModel, NotACosheaf, NotAFunctor,
-                     SupportError)
+from .errors import (AlgebraMismatch, FieldEq, Frozen, InvalidModel, NotACosheaf,
+                     NotAFunctor, SupportError)
 from . import exactla
 from .exactla import ONE, ZERO
 from .finban import (FinBanSpace, Flavor, LinMap, Vector, _identity_rows,
@@ -112,7 +113,7 @@ class _BuiltOnRead(Mapping):
         return len(self._keys)
 
 
-class _Assignment:
+class _Assignment(FieldEq):
     """Spaces on the elements and structure maps keyed by covering pairs
     (small, big), going the way the subclass's `covariant` says: a
     `_BuiltOnRead` mapping for every closed-form library construction
@@ -135,13 +136,8 @@ class _Assignment:
         self.atom_widths = atom_widths
         self._walks: dict[tuple[int, int], LinMap] = {}
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.algebra, self.spaces, self.cover_maps) ==
-                (other.algebra, other.spaces, other.cover_maps))
+    _key = attrgetter("algebra", "spaces", "cover_maps")
+    __hash__ = None
 
     def space(self, e: int) -> FinBanSpace:
         return self.spaces[self.algebra.check_element(e)]
@@ -322,7 +318,7 @@ def zero_precosheaf(omega: BoolAlg) -> PreCosheaf:
 # the (co)sheaf condition
 # ---------------------------------------------------------------------------
 
-class Verdict(Frozen):
+class Verdict(Frozen, FieldEq):
     """A condition check's answer, with the element, blocks and reason of
     its failure; equal when all four are."""
 
@@ -331,16 +327,7 @@ class Verdict(Frozen):
         self.__dict__.update(ok=ok, failing_element=failing_element,
                              failing_blocks=failing_blocks, reason=reason)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ok, self.failing_element, self.failing_blocks, self.reason) ==
-                (other.ok, other.failing_element, other.failing_blocks, other.reason))
-
-    def __hash__(self):
-        return hash((self.ok, self.failing_element, self.failing_blocks, self.reason))
+    _key = attrgetter("ok", "failing_element", "failing_blocks", "reason")
 
     def __bool__(self) -> bool:
         return self.ok
@@ -623,7 +610,7 @@ def characteristic_sheaf(omega: BoolAlg, e: int) -> PreSheaf:
                                    for i, a in enumerate(omega.atoms)], PreSheaf)
 
 
-class HomSolution:
+class HomSolution(FieldEq):
     """Solutions of the naturality constraints between two (co)presheaves,
     on a nullspace basis.  `offsets[e]` locates the component matrix of
     element e inside a flattened coordinate vector.  Equal when all four
@@ -633,13 +620,8 @@ class HomSolution:
                  shapes: dict[int, tuple[int, int]]):
         self.dim, self.basis, self.offsets, self.shapes = dim, basis, offsets, shapes
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.dim, self.basis, self.offsets, self.shapes) ==
-                (other.dim, other.basis, other.offsets, other.shapes))
+    _key = attrgetter("dim", "basis", "offsets", "shapes")
+    __hash__ = None
 
     def component(self, coords: Sequence[Fraction], e: int) -> list[list[Fraction]]:
         rows, cols = self.shapes[e]
