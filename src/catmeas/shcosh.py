@@ -45,10 +45,11 @@ fixed by one functional phi at the root (top for a precosheaf, bottom for
 a presheaf), so each value is the annihilator of a few images at the
 root, cut from its neighbour's one atom away by one killer's images;
 greedy pivots in root coordinates, in integers, give it the hom
-solver's basis (the proof is in `_conjugate`), and the right conjugate
-of a block sum has a closed form.  isbell and isbell_adjoint differ only
-in the root, the images killed and the direction of the structure maps,
-which are inclusions of annihilators.
+solver's basis (the proof is in `_conjugate`).  isbell and
+isbell_adjoint differ only in the root, the images killed and the
+direction of the structure maps, which are inclusions of annihilators.
+A block sum (`_on_atom_blocks`) carries a layout that gives its walks,
+condition check, atom projections and conjugate in closed form.
 
 Solution spaces produced by the hom solvers (sheaf_hom, Isbell values)
 are presented on nullspace bases with nominal unit weights; their norms
@@ -113,6 +114,20 @@ class _BuiltOnRead(Mapping):
         return len(self._keys)
 
 
+class _BlockLayout:
+    """The layout of a block sum x from `_on_atom_blocks`, whose values are
+    `spaces`: x(E) holds the blocks of E's atoms in atom order."""
+
+    def __init__(self, widths: tuple[int, ...], spaces: Mapping[int, FinBanSpace]):
+        self.widths, self.spaces = widths, spaces
+
+    def block(self, e: int, k: int) -> slice:
+        """Where atom k's block sits in x(E) (would go, for k outside E):
+        from the dim of x at the atoms of E below k, `widths[k]` wide."""
+        start = self.spaces[e & ((1 << k) - 1)].dim
+        return slice(start, start + self.widths[k])
+
+
 class _Assignment(FieldEq):
     """Spaces on the elements and structure maps keyed by covering pairs
     (small, big), going the way the subclass's `covariant` says: a
@@ -121,19 +136,19 @@ class _Assignment(FieldEq):
     a dict for assembled input (`make_precosheaf`, `make_presheaf`) and
     for the other Isbell conjugates, whose maps are checked when built.
     Both never change after construction (no library code writes to
-    them), so `_walk` memoises structure maps in `_walks`.  `atom_widths`
-    is set by `_on_atom_blocks` alone, to the dim of each atom's block: it
-    marks a block sum, whose Isbell conjugate `_conjugate` writes in
-    closed form.  == compares algebra, spaces and structure maps, of one
-    class, so neither `_walks` nor `atom_widths` counts: a block sum
-    equals the same data assembled, which the conjugate's general path
-    takes."""
+    them), so `_walk` memoises structure maps in `_walks`.  `layout` is
+    set by `_on_atom_blocks` alone, to the `_BlockLayout` of the block sum
+    it builds; `_walk`, `_partition_condition`, `_atom_projections` and
+    `_conjugate` ask it first and write their answers in closed form.
+    == compares algebra, spaces and structure maps, of one class, so
+    neither `_walks` nor `layout` counts: a block sum equals the same data
+    assembled, which every consumer takes on its general path."""
 
     def __init__(self, algebra: BoolAlg, spaces: dict[int, FinBanSpace],
                  cover_maps: Mapping[tuple[int, int], LinMap],
-                 atom_widths: Optional[tuple[int, ...]] = None):
+                 layout: Optional[_BlockLayout] = None):
         self.algebra, self.spaces, self.cover_maps = algebra, spaces, cover_maps
-        self.atom_widths = atom_widths
+        self.layout = layout
         self._walks: dict[tuple[int, int], LinMap] = {}
 
     _key = attrgetter("algebra", "spaces", "cover_maps")
@@ -174,19 +189,33 @@ def _stack(x, lower: LinMap, upper: LinMap) -> LinMap:
 
 
 def _walk(x, small: int, big: int) -> LinMap:
-    """x's structure map between small <= big along the chain from small
-    that adds the atoms of big - small lowest first (path independence
-    is validated for assembled input, proved for library constructions).
-    With h the highest atom of big - small, that chain is the one of
-    (small, big - h) and then the cover map of (big - h, big).  Exact
-    products are associative, so _stack(walk(small, big - h), cover map)
-    is the product of the same maps in the same order, the same matrix.
-    A covering pair is its cover map; each pair is composed once, then
-    kept in x._walks."""
+    """x's structure map between small <= big.  On a block sum
+    (`x.layout`) it is written directly and not kept: the source's
+    identity with, at each atom k of big - small, k's zero rows inserted
+    at its offset (an inclusion, precosheaf) or k's block removed (a
+    drop, presheaf), which is what the chain below composes to.
+    Otherwise it runs along the chain from small that adds the atoms of
+    big - small lowest first (path independence is validated for
+    assembled input, proved for library constructions): the chain of
+    (small, big - h), h the highest atom of big - small, then the cover
+    map of (big - h, big), the same matrix as exact products are
+    associative.  A covering pair is its cover map; each pair is composed
+    once, then kept in x._walks."""
+    if not x.algebra.leq(small, big):
+        raise InvalidModel("a structure map needs small <= big")
+    layout = x.layout
+    if layout is not None:
+        src, tgt = _arrow(x, small, big)
+        eye, rows, start, new = _identity_rows(x.spaces[src].dim), [], 0, big & ~small
+        while new:  # the atoms k of big - small, lowest first
+            k, new = (new & -new).bit_length() - 1, new & (new - 1)
+            at = layout.block(src, k)
+            rows += eye[start:at.start]
+            rows += ((),) * layout.widths[k] if x.covariant else ()
+            start = at.start if x.covariant else at.stop
+        return LinMap(x.spaces[src], x.spaces[tgt], tuple(rows + list(eye[start:])))
     out = x._walks.get((small, big))
     if out is None:
-        if not x.algebra.leq(small, big):
-            raise InvalidModel("a structure map needs small <= big")
         if small == big:
             out = LinMap.identity(x.spaces[small])
         else:
@@ -240,36 +269,27 @@ def _on_atom_blocks(omega: BoolAlg, blocks: Sequence[tuple[tuple, tuple]], kind)
     """A precosheaf (SUM) or presheaf (SUP), as `kind` says, whose value at
     E sums the blocks below E in atom order, blocks[i] = (labels,
     weights) of atom i: the value at E minus its top atom with that
-    atom's block appended (the same space for an empty block).  For a
-    covering pair (small, big = small + atom k), big's basis is small's
-    with k's block inserted at off = the dim of the atoms of small below
-    k, so the extension is small's identity with the block's zero rows
-    inserted at off, and the restriction its transpose, big's identity
-    with the block's rows removed; each is built on its first read
-    (`_BuiltOnRead`).  Functorial and contractive by construction:
-    inclusions compose to the inclusion and drops to the drop, so both
-    paths of a diamond agree, and the weights are kept, so padding with
-    zeros keeps the weighted l1 norm and dropping coordinates cannot
-    raise the weighted sup.  Each block's dim is kept in `atom_widths`."""
+    atom's block appended (the same space for an empty block), with its
+    `layout`.  For a covering pair (small, big = small + atom k), big's
+    basis is small's with k's block inserted at the dim of the atoms of
+    small below k, so the extension is small's identity with the block's
+    zero rows inserted there, and the restriction its transpose, big's
+    identity with the block's rows removed: `_walk`'s closed form, built
+    on its first read (`_BuiltOnRead`).  Functorial and contractive by
+    construction: inclusions compose to the inclusion and drops to the
+    drop, so both paths of a diamond agree, and the weights are kept, so
+    padding with zeros keeps the weighted l1 norm and dropping
+    coordinates cannot raise the weighted sup."""
     flavor = Flavor.SUM if kind.covariant else Flavor.SUP
     spaces: dict[int, FinBanSpace] = {0: zero_space(flavor)}
     for e in omega.nonzero_elements():
         top = e.bit_length() - 1
         rest, (labels, weights) = spaces[e & ~(1 << top)], blocks[top]
         spaces[e] = FinBanSpace(rest.basis + labels, rest.weights + weights, flavor) if labels else rest
-
-    def cover_map(pair: tuple[int, int]) -> LinMap:
-        small, big = pair
-        k = (big & ~small).bit_length() - 1
-        off, width = spaces[small & ((1 << k) - 1)].dim, len(blocks[k][0])
-        if kind.covariant:
-            eye = _identity_rows(spaces[small].dim)
-            return LinMap(spaces[small], spaces[big], eye[:off] + ((),) * width + eye[off:])
-        eye = _identity_rows(spaces[big].dim)
-        return LinMap(spaces[big], spaces[small], eye[:off] + eye[off + width:])
-
-    return kind(omega, spaces, _BuiltOnRead(omega.covering_pairs, cover_map),
-                tuple(len(labels) for labels, _ in blocks))
+    # the cover maps read x, which exists by their first read
+    x = kind(omega, spaces, _BuiltOnRead(omega.covering_pairs, lambda pair: _walk(x, *pair)),
+             _BlockLayout(tuple(len(labels) for labels, _ in blocks), spaces))
+    return x
 
 
 def from_atom_spaces(omega: BoolAlg,
@@ -364,15 +384,18 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
     the map that must be an isometric isomorphism for a partition is its
     partition map or its restriction cone, each decided on its legs
     x(F, e), one per block F, by `_isometric_split`.  Without
-    `exhaustive`, each element with two or more atoms is decided by its
-    top-atom split, on the stored cover map and the memoised structure
-    map from the top atom, and a failing element by the first failing
-    binary split in enumeration order; with it, every partition of every
-    element is checked.  The top-atom reduction needs direct sums of
-    isometric isomorphisms, so a (pre)cosheaf whose spaces differ in
-    flavor checks every binary split instead; the decision raises
-    FlavorMismatch at the first split whose blocks differ in flavor,
-    unless an earlier split fails."""
+    `exhaustive`, a block sum (`x.layout`) passes (the proof is in
+    `is_cosheaf`); on other input each element with two or more atoms is
+    decided by its top-atom split, on the stored cover map and the
+    memoised structure map from the top atom, and a failing element by
+    the first failing binary split in enumeration order.  With it, every
+    partition of every element is checked, a block sum's too.  The
+    top-atom reduction needs direct sums of isometric isomorphisms, so a
+    (pre)cosheaf whose spaces differ in flavor checks every binary split
+    instead; the decision raises FlavorMismatch at the first split whose
+    blocks differ in flavor, unless an earlier split fails."""
+    if x.layout is not None and not exhaustive:
+        return Verdict(True)
     reason = ("mediated partition map is not an isometric isomorphism" if x.covariant
               else "restriction cone is not an isometric isomorphism")
     stacked = not x.covariant
@@ -422,6 +445,16 @@ def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
     `finban._isometric_split`, which builds S_e only when it is not
     monomial and the spaces carry blocks.
 
+    A block sum (`_on_atom_blocks`) passes with no split decided.  Its S_e
+    has the legs mu(e', e), mu(e')'s identity at rows 0 .. dim mu(e') - 1
+    (a is the top atom, so its block comes last), and mu(a, e), a's block
+    last; side by side they are the identity of mu(e).  The source of
+    S_e, the direct sum, carries the weights of mu(e') followed by those
+    of a's block, which are mu(e)'s own, so S_e is an isometric
+    isomorphism, the reduction gives the verdict and the bottom value is
+    zero.  The presheaf case is dual, R_e stacking the same two drops.
+    `exhaustive` still decides every partition of a block sum.
+
     Elements are visited in increasing order, which visits the elements
     below e before e.  When S_e fails, every element visited before e
     passed its split and so all of its binary splits; the binary splits
@@ -461,7 +494,14 @@ def _atom_projections(mu: PreCosheaf, e: int) -> dict[int, LinMap]:
     """p_{e,a} : mu(e) -> mu(a) for the atoms a <= e, lowest first: the row
     blocks of A_e^-1, A_e the atomic partition map of e (A_0 maps from the
     zero space), so p_{e,a} o ext_{b,e} is id for b = a and 0 otherwise.
-    Raises NotACosheaf when A_e is not square or is singular."""
+    On a block sum (`mu.layout`) A_e is the identity, so p_{e,a} selects
+    the rows of a's block, with no partition map and no inverse.  Raises
+    NotACosheaf when A_e is not square or is singular."""
+    layout = mu.layout
+    if layout is not None:
+        eye = _identity_rows(mu.space(e).dim)
+        return {1 << k: LinMap(mu.spaces[e], mu.spaces[1 << k], eye[layout.block(e, k)])
+                for k in mu.algebra.atom_indices(e)}
     atoms = [1 << i for i in mu.algebra.atom_indices(e)]
     a_map = partition_map(mu, e, atoms) if e else LinMap.zero(zero_space(), mu.space(0))
     if a_map.source.dim != a_map.target.dim:
@@ -1069,7 +1109,8 @@ def _conjugate(x, tag: str):
     (top, j) of the unit functionals spanning ann_E, and B_E is those
     functionals in ascending order.  The only nonzero
     cover maps are then on the pairs (bottom, atom k): the identity rows
-    of block k placed at k's offset in x(top).  They are built on read,
+    of block k placed at k's offset in x(top), the rows of x(k -> top)
+    that `_walk` writes from x's layout.  They are built on read,
     with no map to the root and no check, as a block sum is functorial.
     A block-sum presheaf is zero at bottom, a zero root.
     """
@@ -1085,12 +1126,12 @@ def _conjugate(x, tag: str):
         return FinBanSpace(tuple(f"{tag}[{omega.describe(e)}]{i}" for i in range(dim)),
                            (ONE,) * dim, flavor)
 
-    widths = x.atom_widths
-    if widths is not None:
+    layout = x.layout
+    if layout is not None:
         # a block-sum precosheaf, its nonzero values at bottom and the atoms
         spaces = dict.fromkeys(omega.elements(), zero_space(flavor))
         spaces[0] = value(0, x.space(top).dim)
-        for k, w in enumerate(widths):
+        for k, w in enumerate(layout.widths):
             spaces[1 << k] = value(1 << k, w)
 
         def cover_map(pair: tuple[int, int]) -> LinMap:
@@ -1098,10 +1139,8 @@ def _conjugate(x, tag: str):
             source, target = spaces[big], spaces[small]
             if not source.dim:
                 return LinMap.zero(source, target)
-            # big is an atom k, so small is bottom
-            k = big.bit_length() - 1
-            off, after = sum(widths[:k]), sum(widths[k + 1:])
-            return LinMap(source, target, ((),) * off + _identity_rows(widths[k]) + ((),) * after)
+            # big is an atom, so small is bottom: x(big -> top)'s rows
+            return LinMap(source, target, _walk(x, big, top).rows)
 
         return kind(omega, spaces, _BuiltOnRead(omega.covering_pairs, cover_map))
     columns, bases = _root_bases(x)

@@ -29,16 +29,17 @@ code under test.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
-from catmeas.boolalg import BoolMorphism, partitions_of
+from catmeas.boolalg import BoolAlg, BoolMorphism, partitions_of
 from catmeas.cli import show_rational
 from catmeas.errors import InvalidModel, NotACosheaf
 from catmeas.exactla import identity, nullspace, rref, simplex_min
 from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, is_isometric_iso,
-                            operator_norm, projective_tensor, scalars)
+                            operator_norm, projective_tensor, scalars, sum_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
-from catmeas.shcosh import PreCosheaf, Verdict, partition_map
+from catmeas.shcosh import PreCosheaf, Verdict, make_presheaf, partition_map
 from catmeas.simple import characteristic, l1_space
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -348,6 +349,42 @@ def from_atom_spaces_eager(omega, atom_spaces):
             rows = eye[:off] + ((),) * (target.dim - source.dim) + eye[off:]
             cover_maps[(small, big)] = LinMap(source, target, rows)
     return PreCosheaf(omega, spaces, cover_maps)
+
+
+def characteristic_sheaf_eager(omega, e: int):
+    """`shcosh.characteristic_sheaf(omega, e)` assembled through
+    `make_presheaf`: on F the unit sup line of each atom of E & F, in atom
+    order, and on each covering pair (small, big) the dense 0/1 matrix
+    that sends each basis label of small to the same label in big."""
+    atoms = {f: [a for i, a in enumerate(omega.atoms) if (e & f) >> i & 1]
+             for f in range(omega.top + 1)}
+    spaces = {f: FinBanSpace(tuple(a), (ONE,) * len(a), Flavor.SUP) for f, a in atoms.items()}
+    cover_maps = {}
+    for small, big in omega.covering_pairs:
+        src, tgt = spaces[big], spaces[small]
+        cover_maps[(small, big)] = LinMap.from_matrix(
+            src, tgt, [[ONE if u == v else ZERO for u in src.basis] for v in tgt.basis])
+    return make_presheaf(omega, spaces, cover_maps)
+
+
+def block_sum_cases():
+    """(label, algebra, atom fibers) on 1 to 7 atoms: SUM fibers of dim 0
+    to 2 with random weights, and on each algebra every fiber zero and
+    exactly one fiber nonzero."""
+    rng = random.Random(41)
+    for n in range(1, 8):
+        omega = BoolAlg(tuple(f"x{i}" for i in range(n)))
+
+        def fibers(dims):
+            return {a: sum_space([f"b{j}" for j in range(d)],
+                                 [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(d)])
+                    for a, d in zip(omega.atoms, dims)}
+
+        yield f"{n}/zero", omega, fibers([0] * n)
+        one = rng.randrange(n)
+        yield f"{n}/one", omega, fibers([rng.randint(1, 2) * (i == one) for i in range(n)])
+        for k in range(3):
+            yield f"{n}/random{k}", omega, fibers([rng.randint(0, 2) for _ in range(n)])
 
 
 def indicator_eager(omega, inside, line, covariant: bool):

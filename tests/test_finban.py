@@ -22,7 +22,7 @@ from catmeas.finban import (BifunctorData, EndResult, FinBanSpace, FinPoset, Fla
                             is_isometric_iso, operator_norm, projective_tensor, quotient,
                             scalars, sum_space, sup_space, vec, zero_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
-from catmeas.shcosh import HomSolution, PreCosheaf, PreSheaf, Verdict
+from catmeas.shcosh import HomSolution, PreCosheaf, PreSheaf, Verdict, _BlockLayout
 from catmeas.simple import VectorSimpleElement, bochner, characteristic, fubini
 
 from oracles import (coend_relations_by_basis_vectors, contractive_both_ways,
@@ -619,7 +619,7 @@ VALUE_CLASSES = [
                           "cover_maps": {(0, 1): LinMap.zero(zero_space(), scalars())}},
      {"algebra": alg("b"), "spaces": {0: zero_space(), 1: scalars("t")},
       "cover_maps": {(0, 1): LinMap.zero(zero_space(), scalars("t"))}},
-     lambda x: (x.extension(0, 1), setattr(x, "atom_widths", (1,)))),
+     lambda x: (x.extension(0, 1), setattr(x, "layout", _BlockLayout((1,), x.spaces)))),
 ]
 
 
@@ -628,7 +628,7 @@ VALUE_CLASSES = [
 def test_value_classes_compare_their_fields(cls, fields, differ, outside):
     """Instances built apart from equal fields are equal and, when frozen,
     hash equal; a change to any one compared field makes them unequal;
-    state outside == (cached properties, `_Assignment.atom_widths` and
+    state outside == (cached properties, `_Assignment.layout` and
     `_walks`) does not count."""
     x, y = cls(**fields()), cls(**fields())
     assert x is not y and x == y and not x != y and x == x

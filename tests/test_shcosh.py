@@ -39,8 +39,8 @@ from catmeas.shcosh import (bva_cosheaf,
                             zero_precosheaf)
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
 
-from oracles import (annihilator_by_killers, binary_splits_by_seen_set,
-                     containment_by_all_submasks,
+from oracles import (annihilator_by_killers, binary_splits_by_seen_set, block_sum_cases,
+                     characteristic_sheaf_eager, containment_by_all_submasks,
                      from_atom_spaces_eager, indicator_eager,
                      partition_condition_by_built_maps,
                      random_cosheaf_by_composition, rank, spectral_laws_by_pairs,
@@ -1812,26 +1812,6 @@ def test_a_zero_root_gives_the_oracle_conjugate_without_root_bases(monkeypatch):
     assert checked >= 20
 
 
-def block_sum_cases():
-    """(label, algebra, atom fibers) on 1 to 7 atoms: SUM fibers of dim 0
-    to 2 with random weights, and on each algebra every fiber zero and
-    exactly one fiber nonzero."""
-    rng = random.Random(41)
-    for n in range(1, 8):
-        omega = alg(*(f"x{i}" for i in range(n)))
-
-        def fibers(dims):
-            return {a: sum_space([f"b{j}" for j in range(d)],
-                                 [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(d)])
-                    for a, d in zip(omega.atoms, dims)}
-
-        yield f"{n}/zero", omega, fibers([0] * n)
-        one = rng.randrange(n)
-        yield f"{n}/one", omega, fibers([rng.randint(1, 2) * (i == one) for i in range(n)])
-        for k in range(3):
-            yield f"{n}/random{k}", omega, fibers([rng.randint(0, 2) for _ in range(n)])
-
-
 def test_block_sum_conjugate_matches_the_general_path():
     """The right conjugate of `from_atom_spaces` takes the closed form;
     the same data assembled as a dict (`from_atom_spaces_eager`, and that
@@ -1845,7 +1825,7 @@ def test_block_sum_conjugate_matches_the_general_path():
         got = isbell_adjoint(from_atom_spaces(omega, fibers))
         eager = from_atom_spaces_eager(omega, fibers)
         for x in (eager, make_precosheaf(omega, eager.spaces, eager.cover_maps)):
-            assert x.atom_widths is None
+            assert x.layout is None
             want = isbell_adjoint(x)
             assert type(got) is type(want)
             assert list(got.spaces.items()) == list(want.spaces.items()), label
@@ -1858,6 +1838,76 @@ def test_block_sum_conjugate_matches_the_general_path():
             assert got == want, label
         nonzero += any(not m.is_zero() for m in got.cover_maps.values())
     assert nonzero >= 25
+
+
+def block_sum_pairs():
+    """(label, block sum, its assembled copy): `from_atom_spaces` on every
+    row of `block_sum_cases` against `from_atom_spaces_eager`, and on each
+    of those algebras `characteristic_sheaf` at bottom, top and one
+    random element against `characteristic_sheaf_eager`."""
+    rng = random.Random(44)
+    for label, omega, fibers in block_sum_cases():
+        yield label, from_atom_spaces(omega, fibers), from_atom_spaces_eager(omega, fibers)
+        if label.endswith("/zero"):
+            for e in (0, omega.top, rng.randrange(omega.top + 1)):
+                yield (f"{omega.n}/char{e}", characteristic_sheaf(omega, e),
+                       characteristic_sheaf_eager(omega, e))
+
+
+def test_block_sum_consumers_match_the_assembled_copy():
+    """Every consumer that reads a block sum's layout answers as on the same
+    data assembled with dict cover maps and no layout, on 1 to 7 atoms:
+    the condition check (also with `exhaustive` up to 5 atoms, which keeps
+    this test near half a second), the structure map at every pair
+    small <= big, the atom projections at every element and the spectral
+    measure's.  Only `_on_atom_blocks` sets a layout: the assembled copy,
+    `make_precosheaf`'s output and the Isbell conjugates carry none."""
+    cases = 0
+    for label, x, eager in block_sum_pairs():
+        omega = x.algebra
+        assert x.layout is not None and eager.layout is None, label
+        assert eager == x, label
+        check = is_cosheaf if x.covariant else is_sheaf
+        for exhaustive in (False, True) if omega.n <= 5 else (False,):
+            assert check(x, exhaustive) == check(eager, exhaustive), (label, exhaustive)
+        for big in omega.elements():
+            for small in shcosh._submasks(0, big):
+                assert shcosh._walk(x, small, big) == shcosh._walk(eager, small, big), \
+                    (label, small, big)
+        if x.covariant:
+            for e in omega.elements():
+                assert shcosh._atom_projections(x, e) == shcosh._atom_projections(eager, e), \
+                    (label, e)
+            assert (spectral_measure(x).atom_projections
+                    == spectral_measure(eager).atom_projections), label
+            assert isbell_adjoint(x).layout is None, label
+            if omega.n <= 4:
+                assert make_precosheaf(omega, x.spaces, x.cover_maps).layout is None, label
+        else:
+            assert isbell(x).layout is None, label
+        cases += 1
+    assert cases == 35 + 3 * 7
+
+
+def test_exhaustive_check_of_a_block_sum_decides_every_partition(monkeypatch):
+    """A block sum's check decides no split, and under `exhaustive` it
+    decides every partition of two or more blocks of every element, once,
+    on its legs."""
+    omega = alg(*(f"x{i}" for i in range(4)))
+    decide, seen = shcosh._isometric_split, []
+
+    def recording(legs, stacked=False):
+        seen.append(len(legs))
+        return decide(legs, stacked)
+
+    monkeypatch.setattr(shcosh, "_isometric_split", recording)
+    want = sorted(len(p.blocks) for e in omega.nonzero_elements()
+                  for p in partitions_of(omega, e) if len(p.blocks) >= 2)
+    for x in (l1_cosheaf(positive_measure(omega)), characteristic_sheaf(omega, 0b1011)):
+        check = is_cosheaf if x.covariant else is_sheaf
+        assert check(x) and not seen
+        assert check(x, exhaustive=True) and sorted(seen) == want
+        seen.clear()
 
 
 def test_block_sum_conjugates_skip_the_root_bases(monkeypatch):
@@ -2226,12 +2276,12 @@ def test_indicator_constructions_match_their_eager_oracle():
 def test_library_constructions_build_the_maps_a_check_reads():
     """The characteristic sheaf, the constant precosheaf and the zero-root
     Isbell conjugate build a cover map on its first read: the sheaf
-    condition of a characteristic sheaf builds 52 of the 80 maps on 5
-    atoms and 240 of the 448 on 7, whatever E is; the failing cosheaf
+    condition of a characteristic sheaf, a block sum, builds none of the
+    80 maps on 5 atoms or the 448 on 7, whatever E is; the failing cosheaf
     condition of a constant precosheaf builds 2; and the Isbell conjugate
     of a presheaf with a zero bottom value builds none of its input's
     maps and none of its own."""
-    for n, want in ((5, (52, 80)), (7, (240, 448))):
+    for n, want in ((5, (0, 80)), (7, (0, 448))):
         omega = alg(*(f"x{i}" for i in range(n)))
         for e in omega.elements():
             xi = characteristic_sheaf(omega, e)
