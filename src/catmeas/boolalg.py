@@ -3,7 +3,9 @@
 An algebra is its ordered atom tuple; an element is an int bitmask over
 that order (bit i set = atom i below the element).  Meet, join and
 complement are then bitwise ops, and everything downstream (partitions,
-ultrafilters, quotients, coproducts) is plain combinatorics.
+ultrafilters, quotients, coproducts) is plain combinatorics.  A
+partition of an element is the tuple of its blocks' masks, ordered by
+their lowest atom.
 
 Atom order is lexicographic on the atom identifiers and fixes every
 basis and bit encoding used elsewhere in the package.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import attrgetter
+from operator import attrgetter, or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -120,51 +122,33 @@ class BoolAlg(Frozen, FieldEq):
         return "{" + ",".join(names) + "}"
 
 
-class Partition(Frozen):
-    """Pairwise-disjoint nonzero elements joining to `parent`.
-
-    Blocks are canonicalised by sorting on their minimum atom, so two
-    partitions are the same when their `parent` and `blocks` are; == and
-    hash are identity.
-    """
-
-    def __init__(self, algebra: BoolAlg, parent: int, blocks: tuple[int, ...]):
-        if any(b == 0 for b in blocks):
-            raise InvalidModel("partition blocks must be nonzero")
-        total = 0
-        for b in blocks:
-            if total & b:
-                raise InvalidModel("partition blocks must be disjoint")
-            total |= b
-        if total != parent:
-            raise InvalidModel("partition blocks must join to the parent")
-        self.__dict__.update(algebra=algebra, parent=parent,
-                             blocks=tuple(sorted(blocks, key=lambda b: b & -b)))
-
-
-def refines(finer: Partition, coarser: Partition) -> bool:
-    """True when every block of `finer` lies under a block of `coarser`."""
-    if finer.parent != coarser.parent:
+def refines(finer: tuple[int, ...], coarser: tuple[int, ...]) -> bool:
+    """True when the two partitions (block tuples) join to the same
+    element and every block of `finer` lies under a block of `coarser`."""
+    if functools.reduce(or_, finer, 0) != functools.reduce(or_, coarser, 0):
         return False
-    return all(any(b & c == b for c in coarser.blocks) for b in finer.blocks)
+    return all(any(b & c == b for c in coarser) for b in finer)
 
 
-def atomic_partition(omega: BoolAlg, e: int) -> Partition:
+def atomic_partition(omega: BoolAlg, e: int) -> tuple[int, ...]:
+    """The finest partition of e: its atom masks in atom order."""
     if e == 0:
         raise EmptyElement("bottom has no partitions")
-    return Partition(omega, e, tuple(1 << i for i in omega.atom_indices(e)))
+    return tuple(1 << i for i in omega.atom_indices(e))
 
 
-def partitions_of(omega: BoolAlg, e: int) -> Iterator[Partition]:
-    """All partitions of e (restricted-growth enumeration over its atoms).
+def partitions_of(omega: BoolAlg, e: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of e, each the tuple of its block masks.
 
-    Raises ResourceLimit, before enumerating, when the Bell number of
-    e's atom count exceeds PARTITION_CAP.
+    Restricted growth over e's atoms in order: each atom joins one of the
+    blocks opened so far or opens a new one after them.  So the blocks are
+    nonzero, disjoint, join to e and come ordered by lowest atom, and the
+    partitions come in lexicographic order of their block numbers, atom
+    by atom.  Raises EmptyElement for bottom, and ResourceLimit when the
+    Bell number of e's atom count exceeds PARTITION_CAP, at the call.
     """
-    if e == 0:
-        raise EmptyElement("bottom has no partitions")
-    idx = omega.atom_indices(e)
-    k = len(idx)
+    masks = atomic_partition(omega, e)
+    k = len(masks)
     bell = [1]  # bell[m] = Bell(m) = sum_j C(m - 1, j) Bell(j)
     while len(bell) <= k and bell[-1] <= PARTITION_CAP:
         bell.append(sum(math.comb(len(bell) - 1, j) * b for j, b in enumerate(bell)))
@@ -172,19 +156,16 @@ def partitions_of(omega: BoolAlg, e: int) -> Iterator[Partition]:
         raise ResourceLimit(f"an element of {k} atoms has Bell({k}) partitions, "
                             f"more than {PARTITION_CAP}")
 
-    def grow(assign: list[int], used: int) -> Iterator[Partition]:
-        if len(assign) == k:
-            blocks = [0] * used
-            for pos, block_no in enumerate(assign):
-                blocks[block_no] |= 1 << idx[pos]
-            yield Partition(omega, e, tuple(blocks))
+    def grow(pos: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if pos == k:
+            yield blocks
             return
-        for block_no in range(used + 1):
-            assign.append(block_no)
-            yield from grow(assign, max(used, block_no + 1))
-            assign.pop()
+        a = masks[pos]
+        for j, b in enumerate(blocks):
+            yield from grow(pos + 1, blocks[:j] + (b | a,) + blocks[j + 1:])
+        yield from grow(pos + 1, blocks + (a,))
 
-    return grow([], 0)
+    return grow(0, ())
 
 
 # ---------------------------------------------------------------------------

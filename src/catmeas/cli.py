@@ -664,7 +664,7 @@ def cmd_partitions(model: Model, report: Report, rng, element, exhaustive):
     report.result("count", len(parts))
     # the same blocks recur across partitions: each is described once
     describe = cache(lambda b: list(omega.atoms_below(b)))
-    report.result("partitions", [[describe(b) for b in p.blocks] for p in parts])
+    report.result("partitions", [[describe(b) for b in p] for p in parts])
 
 
 def _each_measure(model: Model, on: str = "algebra"):

@@ -6,14 +6,17 @@ Every error raised by the library derives from CatmeasError, so callers
 mistakes.
 """
 
-from dataclasses import FrozenInstanceError
+
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting an attribute of a Frozen instance."""
 
 
 class Frozen:
     """Base of the immutable classes: assigning or deleting an attribute
-    raises dataclasses.FrozenInstanceError, as on a frozen dataclass.
-    `__init__` stores the fields past that guard with
-    `self.__dict__.update`; a cached_property keeps its value there too."""
+    raises FrozenInstanceError.  `__init__` stores the fields past that
+    guard with `self.__dict__.update` (`finban.FinBanSpace`, built once
+    per element, with one `object.__setattr__` each, which keeps them
+    inline); a cached_property keeps its value in `__dict__` too."""
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -43,7 +43,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -90,38 +89,44 @@ def _identity_rows(dim: int) -> tuple[Row, ...]:
     return tuple(((i, ONE),) for i in range(dim))
 
 
-@dataclass(frozen=True, eq=False)
-class FinBanSpace(FieldEq):
-    """The one dataclass of the package: `dataclasses.replace` and
-    `fields` work on it.  == and hash are over the four declared fields,
-    identity first."""
+class FinBanSpace(Frozen, FieldEq):
+    """== and hash are over the four declared fields, identity first;
+    `dim`, len(basis), is stored once outside them, since the condition
+    checks read it per split."""
 
-    basis: tuple[str, ...]
-    weights: tuple[Fraction, ...]
-    flavor: Flavor
-    groups: Optional[tuple[tuple[int, ...], ...]] = None
-    # len(basis), stored once: the condition checks read it per split
-    dim: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", len(self.basis))
-        if len(self.basis) != len(self.weights):
+    def __init__(self, basis: tuple[str, ...], weights: tuple[Fraction, ...],
+                 flavor: Flavor, groups: Optional[tuple[tuple[int, ...], ...]] = None):
+        dim = len(basis)
+        if dim != len(weights):
             raise InvalidModel("one weight per basis label required")
-        if len(set(self.basis)) != len(self.basis):
+        if len(set(basis)) != dim:
             raise InvalidModel("duplicate basis labels")
         # a rational's sign is its numerator's: comparing ints skips
         # Fraction's numbers.Rational check, once per weight of every space
-        if any(w.numerator <= 0 for w in self.weights):
+        if any(w.numerator <= 0 for w in weights):
             raise InvalidModel("weights must be strictly positive")
-        if self.groups is not None:
-            if self.flavor is not Flavor.SUP:
+        if groups is not None:
+            if flavor is not Flavor.SUP:
                 raise InvalidModel("blocked norms only make sense for SUP spaces")
-            seen = sorted(i for g in self.groups for i in g)
-            if seen != list(range(self.dim)) or not all(self.groups):
+            seen = sorted(i for g in groups for i in g)
+            if seen != list(range(dim)) or not all(groups):
                 raise InvalidModel("groups must partition the basis indices "
                                    "into nonempty blocks")
+        # one object.__setattr__ per field keeps the values inline, as a
+        # frozen dataclass does: the constructions build a space per
+        # element, and `__dict__.update` gives each a dict, 128 bytes more
+        store = object.__setattr__
+        store(self, "basis", basis)
+        store(self, "weights", weights)
+        store(self, "flavor", flavor)
+        store(self, "groups", groups)
+        store(self, "dim", dim)
 
     _key = operator.attrgetter("basis", "weights", "flavor", "groups")
+
+    def __repr__(self):
+        return (f"FinBanSpace(basis={self.basis!r}, weights={self.weights!r}, "
+                f"flavor={self.flavor!r}, groups={self.groups!r})")
 
     def effective_groups(self) -> tuple[tuple[int, ...], ...]:
         if self.flavor is Flavor.SUM:
@@ -503,9 +508,10 @@ def _isometric_split(legs: Sequence[LinMap], stacked: bool = False) -> bool:
     their sources (a partition map); stacked, the map into the product of
     their targets (a restriction cone).  The direct sum's weights are the
     parts' weights in order; SUM parts sum to one block, and the blocks of
-    SUP parts follow one another.  Raises FlavorMismatch, as `direct_sum`
-    does, when the parts differ in flavor.  The summed space and the map
-    are built only where the legs' nonzeros cannot decide.
+    SUP parts follow one another.  Parts that differ in flavor have no
+    direct sum (`direct_sum` raises FlavorMismatch), so no map out of or
+    into one is an isometric isomorphism: False.  The summed space and the
+    map are built only where the legs' nonzeros cannot decide.
 
     Contractive both ways is the same as invertible and isometric:
     |v| = |m^-1 m v| <= |m v| <= |v|.  A map that is not square is not
@@ -535,7 +541,7 @@ def _isometric_split(legs: Sequence[LinMap], stacked: bool = False) -> bool:
     whole = legs[0].source if stacked else legs[0].target
     flavor = parts[0].flavor
     if any(part.flavor is not flavor for part in parts):
-        raise FlavorMismatch("direct_sum needs a single flavor")
+        return False
     weights: tuple[Fraction, ...] = ()
     for part in parts:
         weights += part.weights

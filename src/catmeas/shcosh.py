@@ -392,8 +392,8 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
     partition of every element is checked, a block sum's too.  The
     top-atom reduction needs direct sums of isometric isomorphisms, so a
     (pre)cosheaf whose spaces differ in flavor checks every binary split
-    instead; the decision raises FlavorMismatch at the first split whose
-    blocks differ in flavor, unless an earlier split fails."""
+    instead; a split whose blocks differ in flavor fails, since no direct
+    sum holds its blocks' values."""
     if x.layout is not None and not exhaustive:
         return Verdict(True)
     reason = ("mediated partition map is not an isometric isomorphism" if x.covariant
@@ -405,7 +405,7 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
         partitions_of(omega, omega.top)  # the largest enumeration meets its cap first
     for e in omega.nonzero_elements():
         if exhaustive:
-            candidates = (tuple(p.blocks) for p in partitions_of(omega, e))
+            candidates = partitions_of(omega, e)
         else:
             a = 1 << (e.bit_length() - 1)
             if e == a or one_flavor and _isometric_split(
@@ -415,7 +415,7 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
         for blocks in candidates:
             if len(blocks) >= 2 and not _isometric_split(
                     [_walk(x, f, e) for f in blocks], stacked):
-                return Verdict(False, e, tuple(blocks), reason)
+                return Verdict(False, e, blocks, reason)
     if spaces[0].dim != 0:
         return Verdict(False, 0, (), "the bottom value must be the zero space")
     return Verdict(True)

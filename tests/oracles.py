@@ -12,7 +12,8 @@ every path, an Isbell annihilator solved from all its killers at once,
 the containment check of an Isbell conjugate's structure maps over
 every element where it applies, the exhaustive (co)sheaf condition on
 built partition maps and cones, the binary splits of an element
-enumerated over every atom subset with a set of those seen, the seeded
+enumerated over every atom subset with a set of those seen, the
+partitions of an element grown as assignment lists, the seeded
 random cosheaf composed map by map, the canonical cosheaf and the
 indicator (co)presheaves with every cover map built at once, the
 closed-form isometry test on Fraction products, and the norm of a
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 from catmeas.boolalg import BoolAlg, BoolMorphism, partitions_of
 from catmeas.cli import show_rational
-from catmeas.errors import InvalidModel, NotACosheaf
+from catmeas.errors import FlavorMismatch, InvalidModel, NotACosheaf
 from catmeas.exactla import identity, nullspace, rref, simplex_min
 from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, is_isometric_iso,
                             operator_norm, projective_tensor, scalars, sum_space)
@@ -75,6 +76,36 @@ def dual_extreme_functionals(space):
     return duals()
 
 
+def partitions_by_assignment(omega, e: int) -> list:
+    """`boolalg.partitions_of(omega, e)` as a list, by restricted growth
+    over assignment lists: atom i of e gets a block number at most one
+    past the largest used before it, in increasing order.  Each finished
+    assignment is turned into its block masks, checked to be nonzero,
+    disjoint and joining to e, and sorted by lowest atom."""
+    idx = omega.atom_indices(e)
+    out = []
+
+    def grow(assign, used):
+        if len(assign) == len(idx):
+            blocks = [0] * used
+            for pos, block_no in enumerate(assign):
+                blocks[block_no] |= 1 << idx[pos]
+            total = 0
+            for b in blocks:
+                assert b and not total & b, (e, assign)
+                total |= b
+            assert total == e, (e, assign)
+            out.append(tuple(sorted(blocks, key=lambda b: b & -b)))
+            return
+        for block_no in range(used + 1):
+            assign.append(block_no)
+            grow(assign, max(used, block_no + 1))
+            assign.pop()
+
+    grow([], 0)
+    return out
+
+
 def semivariation_bruteforce(nu, e: int, functionals) -> Fraction:
     """Explicit sup over all partitions of e and the supplied dual
     vectors.  Never exceeds `measures.semivariation`."""
@@ -84,7 +115,7 @@ def semivariation_bruteforce(nu, e: int, functionals) -> Fraction:
     for part in partitions_of(nu.algebra, e):
         for phi in functionals:
             total = ZERO
-            for block in part.blocks:
+            for block in part:
                 val = nu(block)
                 total += abs(sum((phi[k] * val[k] for k in range(len(phi))), ZERO))
             if total > best:
@@ -287,20 +318,30 @@ def containment_by_all_submasks(x) -> list:
     return found
 
 
+def split_is_isometric_iso(x, e: int, blocks) -> bool:
+    """Whether the partition map (precosheaf) or restriction cone
+    (presheaf) of x on the blocks of e, built, is an isometric
+    isomorphism; False where the blocks' values differ in flavor, so that
+    `direct_sum` raises FlavorMismatch and there is no map to build."""
+    try:
+        return is_isometric_iso(partition_map(x, e, blocks))
+    except FlavorMismatch:
+        return False
+
+
 def partition_condition_by_built_maps(x):
     """The verdict of `is_cosheaf`/`is_sheaf(x, exhaustive=True)` with
     every map built: for each nonzero element in increasing order, every
     partition of two or more blocks, its partition map (precosheaf) or
     restriction cone (presheaf) decided by `is_isometric_iso`; then the
-    bottom value.  Raises FlavorMismatch where the blocks of a partition
-    differ in flavor, from the direct sum."""
+    bottom value.  A partition whose blocks differ in flavor fails: its
+    blocks' values have no direct sum."""
     reason = ("mediated partition map is not an isometric isomorphism" if x.covariant
               else "restriction cone is not an isometric isomorphism")
     omega = x.algebra
     for e in omega.nonzero_elements():
-        for p in partitions_of(omega, e):
-            blocks = tuple(p.blocks)
-            if len(blocks) >= 2 and not is_isometric_iso(partition_map(x, e, blocks)):
+        for blocks in partitions_of(omega, e):
+            if len(blocks) >= 2 and not split_is_isometric_iso(x, e, blocks):
                 return Verdict(False, e, blocks, reason)
     if x.space(0).dim != 0:
         return Verdict(False, 0, (), "the bottom value must be the zero space")

@@ -97,6 +97,9 @@ PINS = (
         "2660f0a4a4a9d347923de5bccac0b3077d758cde277fc140eb00b87b78cca4a5", None),
     Pin("integrate-morphism", 16, 2,
         "31082cf47f14b950f9e6e3086659ae3c72b2c9e451364ed4eed8fbbb19842d48", 128),
+    # every partition of the top, in enumeration order, as block labels
+    Pin("partitions", 9, 2,
+        "1f9eb90e3604217d5bd7bd830cd0c8059b0e5f1f644565499c58ca554ff8fb06", None),
     # the atom-level measure calculus runs in ints and reports Fractions
     Pin("integrate", 12, 8,
         "cd76caa5ced9e5921c388e54d2b7a5b89b0f5aad36cbe8489c7917900dceae66", None),

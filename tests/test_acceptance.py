@@ -343,9 +343,9 @@ def test_criterion_9_bva_cosheaf():
             bva = bva_cosheaf(omega, b)
             for e in omega.nonzero_elements():
                 for part in partitions_of(omega, e):
-                    if len(part.blocks) < 2:
+                    if len(part) < 2:
                         continue
-                    eps = partition_map(bva, e, part.blocks)
+                    eps = partition_map(bva, e, part)
                     inv = invert(eps.matrix)
                     if inv is None or operator_norm(eps) > 1:
                         ok = False

@@ -12,6 +12,8 @@ from catmeas.boolalg import (PARTITION_CAP, BoolAlg, all_morphisms, atomic_parti
 from catmeas.errors import (DegenerateQuotient, EmptyElement, InvalidModel,
                             ResourceLimit)
 
+from oracles import partitions_by_assignment
+
 
 def alg(*atoms):
     return BoolAlg(tuple(sorted(atoms)))
@@ -118,7 +120,16 @@ def test_single_atom_partition():
     omega = alg("a", "b")
     only = list(partitions_of(omega, omega.element(["a"])))
     assert len(only) == 1
-    assert only[0].blocks == (omega.element(["a"]),)
+    assert only == [(omega.element(["a"]),)]
+
+
+def test_partitions_match_the_assignment_enumeration():
+    """Every element of algebras of 1 to 8 atoms has the block tuples of
+    the assignment-list enumeration, checked and sorted, in its order."""
+    for n in range(1, 9):
+        omega = alg(*(f"a{i}" for i in range(n)))
+        for e in omega.nonzero_elements():
+            assert list(partitions_of(omega, e)) == partitions_by_assignment(omega, e), (n, e)
 
 
 def test_partitions_of_bottom_raises():
@@ -141,6 +152,10 @@ def test_refinement_is_partial_order_with_atomic_maximum():
         for r in parts:
             if refines(p, q) and refines(q, r):
                 assert refines(p, r)
+    # partitions of two different elements never refine each other
+    below = list(partitions_of(omega, omega.element(["a", "b", "c"])))
+    for p, q in itertools.product(parts, below):
+        assert not refines(p, q) and not refines(q, p)
 
 
 def test_partitions_are_capped_by_the_bell_number():
@@ -150,7 +165,7 @@ def test_partitions_are_capped_by_the_bell_number():
     assert bell(11) <= PARTITION_CAP < bell(12)
     eleven = alg(*(f"a{i:02d}" for i in range(11)))
     first = next(partitions_of(eleven, eleven.top))
-    assert first.blocks == (eleven.top,)
+    assert first == (eleven.top,)
     twelve = alg(*(f"a{i:02d}" for i in range(12)))
     with pytest.raises(ResourceLimit, match="too-large: an element of 12 atoms"):
         partitions_of(twelve, twelve.top)

@@ -568,13 +568,30 @@ def line_cosheaf_model(atoms, sup_at):
 
 
 @pytest.mark.parametrize("command", ["check-cosheaf", "verify-all"])
-def test_a_split_into_blocks_of_two_flavors_exits_two(tmp_path, command):
-    """A sup line at b and sum lines elsewhere: the split {a, b} sums a
-    sum line and a sup line, which no direct sum can."""
+def test_a_split_into_blocks_of_two_flavors_exits_one(tmp_path, command):
+    """A sup line at b and sum lines elsewhere: the split {a, b} would
+    sum a sum line and a sup line, which no direct sum can, so its map is
+    no isometric isomorphism and the split is the witness."""
     model = write_model(tmp_path, line_cosheaf_model(["a", "b"], lambda e: e == "b"))
     out = run_cli(command, "--model", model, "--seed", "1", "--format", "structured")
-    assert (out.returncode, out.stdout, out.stderr) == (
-        2, "", "error: direct_sum needs a single flavor\n")
+    assert out.returncode == 1, out.stderr
+    verdict = json.loads(out.stdout)["verdicts"]["cosheaf[m]"]
+    assert verdict == {"ok": False, "detail": {"element": ["a", "b"],
+                                               "blocks": [["a"], ["b"]]}}
+
+
+def test_commands_on_cosheaves_pass_over_a_split_of_two_flavors(tmp_path):
+    """On the same model `spectral` reports that m is not a cosheaf and
+    `integrate-morphism` skips it, as on any failing cosheaf."""
+    model = write_model(tmp_path, line_cosheaf_model(["a", "b"], lambda e: e == "b"))
+    spectral = run_cli("spectral", "--model", model, "--format", "structured")
+    assert spectral.returncode == 1, spectral.stderr
+    assert json.loads(spectral.stdout)["verdicts"] == {
+        "spectral[m]": {"ok": False, "detail": "not a cosheaf"}}
+    integrated = run_cli("integrate-morphism", "--model", model, "--format", "structured")
+    assert integrated.returncode == 0, integrated.stderr
+    report = json.loads(integrated.stdout)
+    assert (report["results"], report["verdicts"]) == ({}, {})
 
 
 @pytest.mark.parametrize("command", ["check-cosheaf", "verify-all"])

@@ -36,7 +36,7 @@ def test_variation_signed_scalar():
     # brute force over both partitions of top
     from catmeas.boolalg import partitions_of
     best = max(
-        sum(abs(nu(b)[0]) for b in p.blocks)
+        sum(abs(nu(b)[0]) for b in p)
         for p in partitions_of(omega, omega.top))
     assert best == 2
 

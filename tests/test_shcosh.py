@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from catmeas import cli, exactla, finban, shcosh
 from catmeas.boolalg import BoolAlg, partitions_of, stone_space
-from catmeas.errors import (CatmeasError, FlavorMismatch, InvalidModel, NotACosheaf,
-                            NotAFunctor, SupportError)
+from catmeas.errors import (CatmeasError, InvalidModel, NotACosheaf, NotAFunctor,
+                            SupportError)
 from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, is_isometric_iso,
                             operator_norm, scalars, sum_space, sup_space, zero_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
@@ -44,7 +44,7 @@ from oracles import (annihilator_by_killers, binary_splits_by_seen_set, block_su
                      from_atom_spaces_eager, indicator_eager,
                      partition_condition_by_built_maps,
                      random_cosheaf_by_composition, rank, spectral_laws_by_pairs,
-                     split_projection)
+                     split_is_isometric_iso, split_projection)
 
 F = Fraction
 
@@ -123,10 +123,11 @@ def test_l1_sheaf_condition_dual():
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
-def split_enumeration(assignment, mediated, reason):
+def split_enumeration(assignment, reason):
     """The verdict of checking every binary split of every element in
     order, the way the condition was decided before the one-split
-    reduction; kept here as the oracle."""
+    reduction, each on its built map (a split whose blocks differ in
+    flavor fails); kept here as the oracle."""
     omega = assignment.algebra
     for e in omega.nonzero_elements():
         idx = omega.atom_indices(e)
@@ -137,7 +138,7 @@ def split_enumeration(assignment, mediated, reason):
                 if f in seen or (e & ~f) in seen:
                     continue
                 seen.add(f)
-                if not is_isometric_iso(mediated(e, (f, e & ~f))):
+                if not split_is_isometric_iso(assignment, e, (f, e & ~f)):
                     return Verdict(False, e, (f, e & ~f), reason)
     if assignment.space(0).dim != 0:
         return Verdict(False, 0, (), "the bottom value must be the zero space")
@@ -145,13 +146,11 @@ def split_enumeration(assignment, mediated, reason):
 
 
 def cosheaf_oracle(mu):
-    return split_enumeration(mu, lambda e, blocks: partition_map(mu, e, blocks),
-                             "mediated partition map is not an isometric isomorphism")
+    return split_enumeration(mu, "mediated partition map is not an isometric isomorphism")
 
 
 def sheaf_oracle(xi):
-    return split_enumeration(xi, lambda e, blocks: partition_map(xi, e, blocks),
-                             "restriction cone is not an isometric isomorphism")
+    return split_enumeration(xi, "restriction cone is not an isometric isomorphism")
 
 
 def outcome(check, *args, **kwargs):
@@ -298,8 +297,10 @@ def test_one_split_cosheaf_check_matches_split_enumeration():
         if isinstance(verdict, Verdict):
             kinds[verdict.ok] += 1
             assert bool(is_cosheaf(mu, exhaustive=True)) == verdict.ok, label
-    # both sides are well represented, and failures occur above size 2
+    # both sides are well represented, and failures occur above size 2;
+    # a split whose blocks differ in flavor fails, it does not raise
     assert kinds[True] >= 30 and kinds[False] >= 30
+    assert not is_cosheaf(dict(cases)["mixed_flavors"])
     sizes = {len(mu.algebra.atom_indices(is_cosheaf(mu).failing_element))
              for label, mu in cases if label.startswith("damped") and not is_cosheaf(mu)}
     assert {2, 3, 4, 5} <= sizes
@@ -633,8 +634,8 @@ def test_blocked_splits_compare_blocks_and_mixed_splits_are_built(monkeypatch):
     direct sum, with the enumeration's verdicts: on the l1 plane over two
     sup lines every weight matches along a bijective cone but the blocks
     do not.  A mixed-flavor precosheaf takes no top-atom split: with or
-    without `exhaustive`, its binary splits, each one decision on its
-    legs, run up to {b, ac}, whose blocks differ in flavor and raise."""
+    without `exhaustive`, its splits, each one decision on its legs, run
+    up to {b, ac}, whose blocks differ in flavor and fail it."""
     xi = dict(blocked_cases())["blocked/l1_plane"]
     assert finban._isometric_split(legs_of(xi, 3, (1, 2)), True) is False
     assert not is_isometric_iso(partition_map(xi, 3, (1, 2)))
@@ -655,12 +656,14 @@ def test_blocked_splits_compare_blocks_and_mixed_splits_are_built(monkeypatch):
 
     monkeypatch.setattr(shcosh, "_isometric_split", recording)
     mixed = dict(precosheaf_cases())["mixed_flavors"]
-    assert outcome(is_cosheaf, mixed) == outcome(cosheaf_oracle, mixed)
+    verdict = is_cosheaf(mixed)
+    assert verdict == cosheaf_oracle(mixed)
+    assert (verdict.failing_element, verdict.failing_blocks) == (0b111, (0b010, 0b101))
     # ab, ac, bc, then {a, bc} and {b, ac} of abc
     assert [len(f) for f in flavors] == [1, 1, 1, 1, 2]
     flavors.clear()
-    assert outcome(is_cosheaf, mixed, exhaustive=True) == \
-        outcome(partition_condition_by_built_maps, mixed)
+    assert is_cosheaf(mixed, exhaustive=True) == partition_condition_by_built_maps(mixed)
+    # ab, ac, bc, then {ab, c} and {ac, b} of abc
     assert [len(f) for f in flavors] == [1, 1, 1, 1, 2]
 
 
@@ -729,10 +732,9 @@ def test_partition_map_satisfies_the_universal_property():
         for x in (random_cosheaf(rng, omega), sheaf, blocked_product_presheaf(omega, fibers)):
             for e in omega.nonzero_elements():
                 for p in partitions_of(omega, e):
-                    mediated = partition_map(x, e, p.blocks)
-                    ds = direct_sum([x.space(f) for f in p.blocks],
-                                    [omega.describe(f) for f in p.blocks])
-                    for f, inj, proj in zip(p.blocks, ds.injections, ds.projections):
+                    mediated = partition_map(x, e, p)
+                    ds = direct_sum([x.space(f) for f in p], [omega.describe(f) for f in p])
+                    for f, inj, proj in zip(p, ds.injections, ds.projections):
                         if x.covariant:
                             assert mediated @ inj == x.extension(f, e), (n, e, f)
                         else:
@@ -742,10 +744,12 @@ def test_partition_map_satisfies_the_universal_property():
 def test_exhaustive_check_matches_the_built_maps():
     """Under `exhaustive` every partition is decided on its legs; the
     oracle builds each partition map or cone and decides it with
-    `is_isometric_iso`.  The full outcome, the verdict with its element,
-    blocks and reason or the error raised, is the same on the seeded
-    precosheaves, the sheaf cases, the blocked (pre)sheaves and a damped
-    cosheaf that fails at a four-atom element."""
+    `is_isometric_iso`, and fails a partition whose blocks differ in
+    flavor.  The full outcome, the verdict with its element, blocks and
+    reason or the error raised, is the same on the seeded precosheaves,
+    the mixed-flavor one among them, the sheaf cases, the blocked
+    (pre)sheaves and a damped cosheaf that fails at a four-atom
+    element."""
     rng = random.Random(101)
     omega = alg(*(f"x{i}" for i in range(5)))
     cases = [*precosheaf_cases(), *((label, xi) for label, xi, _ in sheaf_cases()),
@@ -756,8 +760,10 @@ def test_exhaustive_check_matches_the_built_maps():
         got = outcome(check, x, exhaustive=True)
         assert got == outcome(partition_condition_by_built_maps, x), label
         kinds.add((x.covariant, got if isinstance(got, type) else got.ok))
-    assert kinds == {(True, True), (True, False), (True, FlavorMismatch),
-                     (False, True), (False, False)}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    # {ac, b} of abc, the first partition whose blocks differ in flavor, fails
+    mixed = is_cosheaf(dict(cases)["mixed_flavors"], exhaustive=True)
+    assert (mixed.failing_element, mixed.failing_blocks) == (0b111, (0b101, 0b010))
     damped = outcome(is_cosheaf, cases[-1][1], exhaustive=True)
     assert damped.failing_element == 0b11011 and len(damped.failing_blocks) >= 2
 
@@ -1279,9 +1285,9 @@ def test_bva_partition_isometry_all_partitions():
     assert is_cosheaf(bva, exhaustive=True)
     for e in omega.nonzero_elements():
         for part in partitions_of(omega, e):
-            if len(part.blocks) < 2:
+            if len(part) < 2:
                 continue
-            eps = partition_map(bva, e, part.blocks)
+            eps = partition_map(bva, e, part)
             assert operator_norm(eps) <= 1
             from catmeas import exactla
             inv = exactla.invert(eps.matrix)
@@ -1901,8 +1907,8 @@ def test_exhaustive_check_of_a_block_sum_decides_every_partition(monkeypatch):
         return decide(legs, stacked)
 
     monkeypatch.setattr(shcosh, "_isometric_split", recording)
-    want = sorted(len(p.blocks) for e in omega.nonzero_elements()
-                  for p in partitions_of(omega, e) if len(p.blocks) >= 2)
+    want = sorted(len(p) for e in omega.nonzero_elements()
+                  for p in partitions_of(omega, e) if len(p) >= 2)
     for x in (l1_cosheaf(positive_measure(omega)), characteristic_sheaf(omega, 0b1011)):
         check = is_cosheaf if x.covariant else is_sheaf
         assert check(x) and not seen
