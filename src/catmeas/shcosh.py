@@ -135,14 +135,14 @@ class _Assignment(FieldEq):
     (the Isbell conjugates of a zero root and of a block sum among them),
     a dict for assembled input (`make_precosheaf`, `make_presheaf`) and
     for the other Isbell conjugates, whose maps are checked when built.
-    Both never change after construction (no library code writes to
-    them), so `_walk` memoises structure maps in `_walks`.  `layout` is
-    set by `_on_atom_blocks` alone, to the `_BlockLayout` of the block sum
-    it builds; `_walk`, `_partition_condition`, `_atom_projections` and
-    `_conjugate` ask it first and write their answers in closed form.
-    == compares algebra, spaces and structure maps, of one class, so
-    neither `_walks` nor `layout` counts: a block sum equals the same data
-    assembled, which every consumer takes on its general path."""
+    Neither changes after construction; the library reads the maps through
+    `_walk` alone (`_validate_functorial` reads the input it checks).  The
+    `layout`, set by `_on_atom_blocks` alone to the `_BlockLayout` of the
+    block sum it builds, is asked first by `_walk`, `_partition_condition`,
+    `_atom_projections` and `_conjugate`, which write their answers in
+    closed form, so a block sum keeps none of its maps.  == compares
+    algebra, spaces and structure maps, of one class, so neither `_walks`
+    nor `layout` counts: a block sum equals the same data assembled."""
 
     def __init__(self, algebra: BoolAlg, spaces: dict[int, FinBanSpace],
                  cover_maps: Mapping[tuple[int, int], LinMap],
@@ -189,18 +189,18 @@ def _stack(x, lower: LinMap, upper: LinMap) -> LinMap:
 
 
 def _walk(x, small: int, big: int) -> LinMap:
-    """x's structure map between small <= big.  On a block sum
-    (`x.layout`) it is written directly and not kept: the source's
-    identity with, at each atom k of big - small, k's zero rows inserted
-    at its offset (an inclusion, precosheaf) or k's block removed (a
-    drop, presheaf), which is what the chain below composes to.
-    Otherwise it runs along the chain from small that adds the atoms of
-    big - small lowest first (path independence is validated for
-    assembled input, proved for library constructions): the chain of
-    (small, big - h), h the highest atom of big - small, then the cover
-    map of (big - h, big), the same matrix as exact products are
-    associative.  A covering pair is its cover map; each pair is composed
-    once, then kept in x._walks."""
+    """x's structure map between small <= big; the one library reader of
+    x.cover_maps, the validator aside.  On a block sum (`x.layout`) it is
+    written directly, reads no cover map and is not kept: the source's
+    identity with, at each atom k of big - small, k's zero rows inserted at
+    its offset (an inclusion, precosheaf) or k's block removed (a drop,
+    presheaf), which is what the chain below composes to.  Otherwise it runs
+    along the chain from small that adds the atoms of big - small lowest
+    first (path independence is validated for assembled input, proved for
+    library constructions): the chain of (small, big - h), h the highest
+    atom of big - small, then the cover map of (big - h, big), the same
+    matrix as exact products are associative.  A covering pair is its cover
+    map; each pair is composed once, then kept in x._walks."""
     if not x.algebra.leq(small, big):
         raise InvalidModel("a structure map needs small <= big")
     layout = x.layout
@@ -386,9 +386,9 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
     x(F, e), one per block F, by `_isometric_split`.  Without
     `exhaustive`, a block sum (`x.layout`) passes (the proof is in
     `is_cosheaf`); on other input each element with two or more atoms is
-    decided by its top-atom split, on the stored cover map and the
-    memoised structure map from the top atom, and a failing element by
-    the first failing binary split in enumeration order.  With it, every
+    decided by its top-atom split, on the structure maps from e minus
+    its top atom and from the top atom, and a failing element by the
+    first failing binary split in enumeration order.  With it, every
     partition of every element is checked, a block sum's too.  The
     top-atom reduction needs direct sums of isometric isomorphisms, so a
     (pre)cosheaf whose spaces differ in flavor checks every binary split
@@ -409,7 +409,7 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
         else:
             a = 1 << (e.bit_length() - 1)
             if e == a or one_flavor and _isometric_split(
-                    (x.cover_maps[(e & ~a, e)], _walk(x, a, e)), stacked):
+                    (_walk(x, e & ~a, e), _walk(x, a, e)), stacked):
                 continue
             candidates = _binary_splits(omega, e)
         for blocks in candidates:
@@ -441,7 +441,7 @@ def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
     the atom summands (functoriality), so P = A_e o ((+)_i A_F_i)^-1 is a
     composite of isometric isomorphisms.  Each S_e is itself a binary
     split, so the 2^n - n - 1 maps S_e decide the condition.  Each S_e is
-    decided on its two legs, mu(e', e) and mu(a, e), by
+    decided on its two legs, the structure maps mu(e', e) and mu(a, e), by
     `finban._isometric_split`, which builds S_e only when it is not
     monomial and the spaces carry blocks.
 
@@ -686,8 +686,8 @@ def _naturality_system(x, y):
     for small, big in x.algebra.covering_pairs:
         d, c = _arrow(x, small, big)
         x_c, x_d = shapes[c][1], shapes[d][1]
-        x_cols = x.cover_maps[(small, big)].transpose().rows
-        for r, y_row in enumerate(y.cover_maps[(small, big)].rows):
+        x_cols = _walk(x, small, big).transpose().rows
+        for r, y_row in enumerate(_walk(y, small, big).rows):
             for col, x_col in enumerate(x_cols):
                 row = [ZERO] * total
                 for m, v in x_col:
@@ -728,8 +728,8 @@ class PrecosheafMap:
 
     def check_natural(self) -> bool:
         for small, big in self.source.algebra.covering_pairs:
-            lhs = self.components[big] @ self.source.cover_maps[(small, big)]
-            rhs = self.target.cover_maps[(small, big)] @ self.components[small]
+            lhs = self.components[big] @ self.source.extension(small, big)
+            rhs = self.target.extension(small, big) @ self.components[small]
             if lhs.rows != rhs.rows:
                 return False
         return True
@@ -895,16 +895,16 @@ def yoneda_precosheaf(omega: BoolAlg, e: int) -> PreCosheaf:
 
 
 def _maps_to_root(x) -> dict[int, LinMap]:
-    """x(F -> root) for every element F, one cover map each, along the
-    chain of `_walk`: for a precosheaf the root is top and the lowest atom
-    outside F comes first; for a presheaf the root is bottom and the top
-    atom of F goes first."""
+    """x(F -> root) for every element F, one covering step each, read by
+    `_walk`, along its chain: for a precosheaf the root is top and the
+    lowest atom outside F comes first; for a presheaf the root is bottom
+    and the top atom of F goes first."""
     omega, up = x.algebra, x.covariant
     root = omega.top if up else 0
     out = {root: LinMap.identity(x.space(root))}
     for f in (reversed(range(omega.top)) if up else omega.nonzero_elements()):
         nxt = f | (f + 1) if up else f & ~(1 << (f.bit_length() - 1))
-        out[f] = out[nxt] @ x.cover_maps[(f & nxt, f | nxt)]
+        out[f] = out[nxt] @ _walk(x, f & nxt, f | nxt)
     return out
 
 
@@ -1227,9 +1227,9 @@ def random_cosheaf(rng, omega: BoolAlg) -> PreCosheaf:
 
     Every rng draw is made here, in a fixed order (the atom fibers, then
     per element its twist), but a cover map is built on its first read
-    (`_BuiltOnRead`), and so is each canonical map it reads
-    (`from_atom_spaces`): a condition check and the spectral data read
-    only some of them.  It is written in closed form: T_s^-1 sends
+    (`_BuiltOnRead`), from the canonical map, which `_walk` writes from
+    its layout and does not keep: a condition check and the spectral data
+    read only some of them.  It is written in closed form: T_s^-1 sends
     e_perm_s(k) to e_k / c_s(k), c(s, t) sends e_k to e_i where row i of
     c is ((k, 1),), and T_t sends e_i to c_t(i) e_perm_t(i), so row
     perm_t(i) of the product is ((perm_s(k), c_t(i) / c_s(k)),), the
@@ -1243,7 +1243,7 @@ def random_cosheaf(rng, omega: BoolAlg) -> PreCosheaf:
     def conjugated(pair: tuple[int, int]) -> LinMap:
         (source, perm_s, c_s), (target, perm_t, c_t) = twists[pair[0]], twists[pair[1]]
         rows: list[tuple] = [()] * target.dim
-        for i, row in enumerate(canonical.cover_maps[pair].rows):
+        for i, row in enumerate(canonical.extension(*pair).rows):
             if row:
                 (k, _), = row
                 (p_t, q_t), (p_s, q_s) = c_t[i], c_s[k]
@@ -1276,7 +1276,7 @@ def random_scaled_precosheaf(rng, omega: BoolAlg,
                    for _ in range(atom_spaces[a].dim)]
         cover_maps[(small, big)] = LinMap(spaces[small], spaces[big], tuple(
             tuple((j, factors[j] * x) for j, x in row)
-            for row in canonical.cover_maps[(small, big)].rows))
+            for row in canonical.extension(small, big).rows))
     return make_precosheaf(omega, spaces, cover_maps)
 
 

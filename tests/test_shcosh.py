@@ -797,8 +797,9 @@ def test_lazy_probe_equals_the_composed_one():
 def test_lazy_probe_validates_and_checks_read_a_share_of_its_maps(monkeypatch):
     """The probe is functorial and contractive by the validator, which
     reads every map; at 7 atoms the condition check and the spectral laws
-    build 240 of the 448 cover maps, and read the canonical map under
-    each of those only."""
+    build 240 of the 448 cover maps, each from the canonical map under
+    it, which `_walk` writes from the layout: the canonical cosheaf keeps
+    none of its maps."""
     for n in range(1, 6):
         omega = alg(*(f"x{i}" for i in range(n)))
         probe = random_cosheaf(random.Random(n), omega)
@@ -812,9 +813,7 @@ def test_lazy_probe_validates_and_checks_read_a_share_of_its_maps(monkeypatch):
     assert len(canonical) == 1 and not canonical[0].cover_maps._built
     assert is_cosheaf(probe) and spectral_measure(probe).satisfies_laws()
     assert (len(probe.cover_maps._built), len(probe.cover_maps)) == (240, 448)
-    read = canonical[0].cover_maps._built
-    assert len(read) < len(canonical[0].cover_maps) == 448
-    assert set(read) == set(probe.cover_maps._built)
+    assert not canonical[0].cover_maps._built
 
 
 def test_canonical_cosheaf_built_on_read_equals_the_eager_one():
@@ -1893,6 +1892,35 @@ def test_block_sum_consumers_match_the_assembled_copy():
             assert isbell(x).layout is None, label
         cases += 1
     assert cases == 35 + 3 * 7
+
+
+def test_library_readers_keep_none_of_a_block_sums_maps():
+    """Every library reader of structure maps asks `_walk`, which writes a
+    block sum's maps from its layout, so on 4 atoms the condition check
+    (with and without `exhaustive`), the counit's naturality check, the
+    spectral laws, the Isbell conjugate and the hom solver build none of
+    the 32 cover maps of an l1, a bounded-variation, a cosheafified and a
+    characteristic block sum."""
+    omega = alg(*(f"x{i}" for i in range(4)))
+    rows = [("l1", l1_cosheaf(positive_measure(omega))),
+            ("bva", bva_cosheaf(omega, sum_space(["p", "q"], [F(1), F(2)]))),
+            ("cosheafified",
+             cosheafify(random_scaled_precosheaf(random.Random(4), omega)).cosheaf),
+            ("characteristic", characteristic_sheaf(omega, 0b1011))]
+    for label, x in rows:
+        assert x.layout is not None and len(x.cover_maps) == 32, label
+        if x.covariant:
+            c = cosheafify(x)
+            assert is_cosheaf(x) and is_cosheaf(x, exhaustive=True), label
+            assert counit_is_natural(c) and not c.cosheaf.cover_maps._built, label
+            assert spectral_measure(x).satisfies_laws(), label
+            assert isbell_adjoint(x).layout is None, label
+            assert cosheaf_hom(x, x).dim, label
+        else:
+            assert is_sheaf(x) and is_sheaf(x, exhaustive=True), label
+            assert isbell(x).layout is None, label
+            assert sheaf_hom(x, x).dim, label
+        assert not x.cover_maps._built, label
 
 
 def test_exhaustive_check_of_a_block_sum_decides_every_partition(monkeypatch):
