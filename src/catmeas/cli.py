@@ -6,9 +6,10 @@ Model files are JSON.  Rationals are always written as strings like
 reference must resolve; violations carry distinct error codes.  Parsing
 validates every section, whatever the command; a keyword-declared
 (co)sheaf (`l1-of:`, `constant-of:`, `characteristic:`), whose 2^n
-elements only the (co)sheaf commands read, is built on its first read.
-The structured output format is stable-ordered, so identical inputs (model,
-command, seed, flags) produce byte-identical output; timing information
+elements only the (co)sheaf commands read, is built on the first call of
+its cached builder (`Model`).  The structured output format is
+stable-ordered, so identical inputs (model, command, seed, flags) produce
+byte-identical output; timing information
 therefore goes to stderr, never into a report.  It is the text of
 `json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": "))`
 byte for byte, with each matrix read as its list of rows; each value in
@@ -34,7 +35,7 @@ import os
 import random
 import sys
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from typing import Any, Optional
@@ -44,7 +45,7 @@ from .errors import CatmeasError, InvalidModel, ModelError
 from .finban import FinBanSpace, Flavor, LinMap, is_isometric_iso, operator_norm, scalars
 from .measures import (MeasureAlgebra, VectorMeasure, lipschitz_norm,
                        semivariation, variation)
-from .shcosh import (PreCosheaf, PreSheaf, _BuiltOnRead, bva_cosheaf, constant_precosheaf,
+from .shcosh import (PreCosheaf, PreSheaf, bva_cosheaf, constant_precosheaf,
                      characteristic_sheaf, cosheafify, counit_is_natural, essential_sup,
                      integrate_simple_morphism, is_cosheaf, is_sheaf, l1_cosheaf,
                      make_precosheaf, random_cosheaf, spectral_measure, isbell,
@@ -121,10 +122,11 @@ class Model:
     """Validated in-memory model.
 
     `parse_model` validates every section before any command runs.  The
-    cosheaves and sheaves are `shcosh._BuiltOnRead` mappings that call a
-    zero-argument builder per name: a keyword-declared one is built on
-    its first read, so a command that reads none (the
-    atom-level measure calculus) never pays for 2^n elements.  Deferring
+    cosheaves and sheaves are dicts of zero-argument builders by name,
+    each cached, so `model.cosheaves[name]()` builds a keyword-declared
+    one on its first call and returns the same object after: a command
+    that calls none (the atom-level measure calculus) never pays for 2^n
+    elements.  Deferring
     `l1_cosheaf`, `constant_precosheaf` and `characteristic_sheaf` moves
     no error: parsing has resolved the measure of `l1-of:` and checked it
     is a nonnegative scalar measure on the main algebra, resolved the
@@ -140,8 +142,8 @@ class Model:
         self.spaces: dict[str, FinBanSpace] = {}
         self.measures: dict[str, VectorMeasure] = {}
         self.measure_on: dict[str, str] = {}
-        self.cosheaves: Mapping[str, PreCosheaf] = {}
-        self.sheaves: Mapping[str, PreSheaf] = {}
+        self.cosheaves: dict[str, Callable[[], PreCosheaf]] = {}
+        self.sheaves: dict[str, Callable[[], PreSheaf]] = {}
         self.bundles: dict[str, bundles2v.Bundle] = {}
         self.matrices: dict[str, bundles2v.FunctorMatrix] = {}
 
@@ -401,20 +403,17 @@ def parse_model(path: str) -> Model:
         except CatmeasError as exc:
             raise ModelError("bad-matrix", str(exc), path_f) from None
 
-    cosheaves = {name: _cosheaf_builder(model, desc, f"cosheaves.{name}")
-                 for name, desc in _section(raw, "cosheaves", "bad-cosheaf").items()}
-    model.cosheaves = _BuiltOnRead(cosheaves, lambda name: cosheaves[name]())
+    model.cosheaves = {name: cache(_cosheaf_builder(model, desc, f"cosheaves.{name}"))
+                       for name, desc in _section(raw, "cosheaves", "bad-cosheaf").items()}
 
-    sheaves = {}
     for name, desc in _section(raw, "sheaves", "bad-sheaf").items():
         path_s = f"sheaves.{name}"
         if isinstance(desc, str) and desc.startswith("characteristic:"):
             e = _element(model.algebra, desc.split(":", 1)[1], path_s)
-            sheaves[name] = partial(characteristic_sheaf, model.algebra, e)
+            model.sheaves[name] = cache(partial(characteristic_sheaf, model.algebra, e))
         else:
             raise ModelError("bad-sheaf",
                              "sheaves are given as 'characteristic:<element>'", path_s)
-    model.sheaves = _BuiltOnRead(sheaves, lambda name: sheaves[name]())
 
     return model
 
@@ -778,7 +777,7 @@ def _check_condition(model: Model, report: Report, kind: str, assignments, check
     them by name."""
     verdicts = {}
     for name in sorted(assignments):
-        verdict = verdicts[name] = check(assignments[name], exhaustive=exhaustive)
+        verdict = verdicts[name] = check(assignments[name](), exhaustive=exhaustive)
         detail = None
         if not verdict:
             detail = {"element": list(model.algebra.atoms_below(verdict.failing_element)),
@@ -798,7 +797,7 @@ def cmd_check_cosheaf(model: Model, report: Report, rng, element, exhaustive):
 def cmd_spectral(model: Model, report: Report, rng, element, exhaustive):
     omega = model.algebra
     for name in sorted(model.cosheaves):
-        cs = model.cosheaves[name]
+        cs = model.cosheaves[name]()
         if not is_cosheaf(cs):
             report.verdict(f"spectral[{name}]", False, "not a cosheaf")
             continue
@@ -815,7 +814,7 @@ def cmd_integrate_morphism(model: Model, report: Report, rng, element, exhaustiv
     omega = model.algebra
     e, f = element, omega.top
     for name in sorted(model.cosheaves):
-        cs = model.cosheaves[name]
+        cs = model.cosheaves[name]()
         if not is_cosheaf(cs):
             continue
         s = _random_simple(rng, omega)
@@ -831,11 +830,11 @@ def cmd_integrate_morphism(model: Model, report: Report, rng, element, exhaustiv
 def cmd_cosheafify(model: Model, report: Report, rng, element, exhaustive):
     # the cosheafification sums the atom fibers, which must be SUM spaces
     for name in sorted(model.cosheaves):
-        theta = model.cosheaves[name]
+        theta = model.cosheaves[name]()
         if any(theta.space(1 << i).flavor is not Flavor.SUM for i in range(theta.algebra.n)):
             raise ModelError("bad-command", "cosheafify needs SUM atom fibers", f"cosheaves.{name}")
     for name in sorted(model.cosheaves):
-        theta = model.cosheaves[name]
+        theta = model.cosheaves[name]()
         c = cosheafify(theta)
         report.verdict(f"result_is_cosheaf[{name}]",
                        bool(is_cosheaf(c.cosheaf, exhaustive=exhaustive)))
@@ -875,9 +874,9 @@ def cmd_kan(model: Model, report: Report, rng, element, exhaustive):
 
 def cmd_isbell(model: Model, report: Report, rng, element, exhaustive):
     for name in sorted(model.sheaves):
-        report.result(f"isbell_dims[{name}]", _dims(isbell(model.sheaves[name])))
+        report.result(f"isbell_dims[{name}]", _dims(isbell(model.sheaves[name]())))
     for name in sorted(model.cosheaves):
-        report.result(f"isbell_adjoint_dims[{name}]", _dims(isbell_adjoint(model.cosheaves[name])))
+        report.result(f"isbell_adjoint_dims[{name}]", _dims(isbell_adjoint(model.cosheaves[name]())))
 
 
 def cmd_verify_all(model: Model, report: Report, rng, element, exhaustive):
@@ -893,7 +892,7 @@ def cmd_verify_all(model: Model, report: Report, rng, element, exhaustive):
     cmd_check_sheaf(model, report, rng, element, exhaustive)
     for name in sorted(model.cosheaves):
         if verdicts[name]:
-            spec = spectral_measure(model.cosheaves[name])
+            spec = spectral_measure(model.cosheaves[name]())
             report.verdict(f"spectral_laws[{name}]", spec.satisfies_laws())
             samples = [_random_simple(rng, model.algebra) for _ in range(4)]
             report.verdict(f"action_algebra_map[{name}]",

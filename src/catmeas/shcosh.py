@@ -48,8 +48,14 @@ greedy pivots in root coordinates, in integers, give it the hom
 solver's basis (the proof is in `_conjugate`).  isbell and
 isbell_adjoint differ only in the root, the images killed and the
 direction of the structure maps, which are inclusions of annihilators.
-A block sum (`_on_atom_blocks`) carries a layout that gives its walks,
-condition check, atom projections and conjugate in closed form.
+A (co)presheaf's structure maps are one dict or one closed form.
+Assembled input stores its cover maps, and `_walk` composes and keeps
+their chain products.  Every closed-form construction (block sums,
+indicators, `random_cosheaf`, the conjugate of a block sum) stores a
+function that writes the map between any small < big directly, and
+keeps none.  A block sum (`_on_atom_blocks`) also carries a layout that
+gives its condition check, atom projections and conjugate in closed
+form.
 
 Solution spaces produced by the hom solvers (sheaf_hom, Isbell values)
 are presented on nullspace bases with nominal unit weights; their norms
@@ -64,7 +70,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .boolalg import BoolAlg, BoolMorphism, partitions_of
 from .errors import (AlgebraMismatch, FieldEq, Frozen, InvalidModel, NotACosheaf,
@@ -82,44 +88,14 @@ from .simple import SimpleElement, characteristic
 # precosheaves and presheaves
 # ---------------------------------------------------------------------------
 
-class _BuiltOnRead(Mapping):
-    """A read-only mapping over the keys of the given mapping whose value
-    at a key is `build(key)`, built on the first read of that key
-    (`[key]`, and through it `.get`, `.items`, `.values` and `==`), then
-    kept.  Iteration (in the order of `keys`), `in` and `len` build
-    nothing, so it behaves like the dict of every value, built when read.
-    `keys` is kept, not copied (the constructions on one algebra all
-    share the read-only `omega.covering_pairs`), and must not change."""
-
-    def __init__(self, keys: Mapping, build: Callable[[Any], Any]):
-        self._keys = keys
-        self._build = build
-        self._built: dict = {}
-
-    def __getitem__(self, key):
-        out = self._built.get(key)
-        if out is None:
-            if key not in self._keys:
-                raise KeyError(key)
-            out = self._built[key] = self._build(key)
-        return out
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._keys
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
 class _BlockLayout:
     """The layout of a block sum x from `_on_atom_blocks`, whose values are
-    `spaces`: x(E) holds the blocks of E's atoms in atom order."""
+    `spaces` and whose maps go small -> big when `covariant`: x(E) holds
+    the blocks of E's atoms in atom order."""
 
-    def __init__(self, widths: tuple[int, ...], spaces: Mapping[int, FinBanSpace]):
-        self.widths, self.spaces = widths, spaces
+    def __init__(self, widths: tuple[int, ...], spaces: Mapping[int, FinBanSpace],
+                 covariant: bool):
+        self.widths, self.spaces, self.covariant = widths, spaces, covariant
 
     def block(self, e: int, k: int) -> slice:
         """Where atom k's block sits in x(E) (would go, for k outside E):
@@ -127,29 +103,56 @@ class _BlockLayout:
         start = self.spaces[e & ((1 << k) - 1)].dim
         return slice(start, start + self.widths[k])
 
+    def walk(self, small: int, big: int) -> LinMap:
+        """x's structure map between small <= big, written directly: the
+        source's identity with, at each atom k of big - small, k's zero rows
+        inserted at its offset (an inclusion, precosheaf) or k's block
+        removed (a drop, presheaf), which is what the chain of cover maps
+        composes to."""
+        src, tgt = _arrow(self, small, big)
+        eye, rows, start, new = _identity_rows(self.spaces[src].dim), [], 0, big & ~small
+        while new:  # the atoms k of big - small, lowest first
+            k, new = (new & -new).bit_length() - 1, new & (new - 1)
+            at = self.block(src, k)
+            rows += eye[start:at.start]
+            rows += ((),) * self.widths[k] if self.covariant else ()
+            start = at.start if self.covariant else at.stop
+        return LinMap(self.spaces[src], self.spaces[tgt], tuple(rows + list(eye[start:])))
+
 
 class _Assignment(FieldEq):
-    """Spaces on the elements and structure maps keyed by covering pairs
-    (small, big), going the way the subclass's `covariant` says: a
-    `_BuiltOnRead` mapping for every closed-form library construction
-    (the Isbell conjugates of a zero root and of a block sum among them),
-    a dict for assembled input (`make_precosheaf`, `make_presheaf`) and
-    for the other Isbell conjugates, whose maps are checked when built.
-    Neither changes after construction; the library reads the maps through
-    `_walk` alone (`_validate_functorial` reads the input it checks).  The
-    `layout`, set by `_on_atom_blocks` alone to the `_BlockLayout` of the
-    block sum it builds, is asked first by `_walk`, `_partition_condition`,
-    `_atom_projections` and `_conjugate`, which write their answers in
-    closed form, so a block sum keeps none of its maps.  == compares
-    algebra, spaces and structure maps, of one class, so neither `_walks`
-    nor `layout` counts: a block sum equals the same data assembled."""
+    """Spaces on the elements and structure maps going the way the
+    subclass's `covariant` says, from `maps` in one of two forms.  Assembled
+    input (`make_precosheaf`, `make_presheaf`, the general Isbell
+    conjugate, whose maps are checked when built) stores the dict of its
+    cover maps, keyed by covering pairs (small, big), and `_walk` keeps the
+    chain products it composes from them in `_walks`.  Every closed-form
+    library construction (block sums, indicators, `random_cosheaf`, the
+    conjugate of a block sum) stores a function `maps(small, big)` that
+    writes the map between any small < big, and keeps none.  Neither
+    changes after construction; the library reads the maps through `_walk`
+    alone (`_validate_functorial` reads the dict it checks).  The `layout`,
+    set by `_on_atom_blocks` alone to the `_BlockLayout` of the block sum it
+    builds, is asked first by `_partition_condition`, `_atom_projections`
+    and `_conjugate`, which write their answers in closed form.  == compares
+    algebra, spaces and `cover_maps`, of one class, so neither `_walks` nor
+    `layout` counts: a block sum equals the same data assembled."""
 
     def __init__(self, algebra: BoolAlg, spaces: dict[int, FinBanSpace],
-                 cover_maps: Mapping[tuple[int, int], LinMap],
+                 maps: Mapping[tuple[int, int], LinMap] | Callable[[int, int], LinMap],
                  layout: Optional[_BlockLayout] = None):
-        self.algebra, self.spaces, self.cover_maps = algebra, spaces, cover_maps
+        self.algebra, self.spaces, self.maps = algebra, spaces, maps
         self.layout = layout
         self._walks: dict[tuple[int, int], LinMap] = {}
+
+    @property
+    def cover_maps(self) -> Mapping[tuple[int, int], LinMap]:
+        """The structure maps on the covering pairs, in their order: the
+        stored dict of assembled input, or for a closed form a fresh dict
+        of `_walk`'s answers, which nothing keeps."""
+        if callable(self.maps):
+            return {pair: _walk(self, *pair) for pair in self.algebra.covering_pairs}
+        return self.maps
 
     _key = attrgetter("algebra", "spaces", "cover_maps")
     __hash__ = None
@@ -164,7 +167,7 @@ class PreCosheaf(_Assignment):
     covariant = True
 
     def extension(self, small: int, big: int) -> LinMap:
-        """The structure map small -> big along the chain of `_walk`."""
+        """The structure map small -> big, from `_walk`."""
         return _walk(self, small, big)
 
 
@@ -178,7 +181,7 @@ class PreSheaf(_Assignment):
 
 
 def _arrow(kind, small: int, big: int) -> tuple[int, int]:
-    """(source, target) of kind's structure map on the covering pair (small, big)."""
+    """(source, target) of kind's structure map between small <= big."""
     return (small, big) if kind.covariant else (big, small)
 
 
@@ -190,37 +193,27 @@ def _stack(x, lower: LinMap, upper: LinMap) -> LinMap:
 
 def _walk(x, small: int, big: int) -> LinMap:
     """x's structure map between small <= big; the one library reader of
-    x.cover_maps, the validator aside.  On a block sum (`x.layout`) it is
-    written directly, reads no cover map and is not kept: the source's
-    identity with, at each atom k of big - small, k's zero rows inserted at
-    its offset (an inclusion, precosheaf) or k's block removed (a drop,
-    presheaf), which is what the chain below composes to.  Otherwise it runs
-    along the chain from small that adds the atoms of big - small lowest
-    first (path independence is validated for assembled input, proved for
-    library constructions): the chain of (small, big - h), h the highest
-    atom of big - small, then the cover map of (big - h, big), the same
-    matrix as exact products are associative.  A covering pair is its cover
-    map; each pair is composed once, then kept in x._walks."""
+    x.maps, the validator and `cover_maps` aside.  small == big gives the
+    identity.  A closed form (`x.maps` a function) writes the map directly
+    and keeps nothing.  Otherwise it runs along the chain from small that
+    adds the atoms of big - small lowest first (path independence is
+    validated for assembled input, proved for library constructions): the
+    chain of (small, big - h), h the highest atom of big - small, then the
+    cover map of (big - h, big), the same matrix as exact products are
+    associative.  A covering pair is its cover map; each pair is composed
+    once, then kept in x._walks."""
     if not x.algebra.leq(small, big):
         raise InvalidModel("a structure map needs small <= big")
-    layout = x.layout
-    if layout is not None:
-        src, tgt = _arrow(x, small, big)
-        eye, rows, start, new = _identity_rows(x.spaces[src].dim), [], 0, big & ~small
-        while new:  # the atoms k of big - small, lowest first
-            k, new = (new & -new).bit_length() - 1, new & (new - 1)
-            at = layout.block(src, k)
-            rows += eye[start:at.start]
-            rows += ((),) * layout.widths[k] if x.covariant else ()
-            start = at.start if x.covariant else at.stop
-        return LinMap(x.spaces[src], x.spaces[tgt], tuple(rows + list(eye[start:])))
+    maps = x.maps
+    if callable(maps):
+        return maps(small, big) if small != big else LinMap.identity(x.spaces[small])
     out = x._walks.get((small, big))
     if out is None:
         if small == big:
             out = LinMap.identity(x.spaces[small])
         else:
             rest = big & ~(1 << ((big & ~small).bit_length() - 1))
-            cover = x.cover_maps[(rest, big)]
+            cover = maps[(rest, big)]
             out = cover if rest == small else _stack(x, _walk(x, small, rest), cover)
         x._walks[(small, big)] = out
     return out
@@ -228,7 +221,7 @@ def _walk(x, small: int, big: int) -> LinMap:
 
 def _validate_functorial(x, contractive: bool):
     """x, once checked to be functorial (and contractive)."""
-    omega, spaces, cover_maps = x.algebra, x.spaces, x.cover_maps
+    omega, spaces, cover_maps = x.algebra, x.spaces, x.maps
     if any(e not in spaces for e in omega.elements()):
         raise InvalidModel("a space is missing for some element")
     for small, big in omega.covering_pairs:
@@ -274,22 +267,20 @@ def _on_atom_blocks(omega: BoolAlg, blocks: Sequence[tuple[tuple, tuple]], kind)
     basis is small's with k's block inserted at the dim of the atoms of
     small below k, so the extension is small's identity with the block's
     zero rows inserted there, and the restriction its transpose, big's
-    identity with the block's rows removed: `_walk`'s closed form, built
-    on its first read (`_BuiltOnRead`).  Functorial and contractive by
-    construction: inclusions compose to the inclusion and drops to the
-    drop, so both paths of a diamond agree, and the weights are kept, so
-    padding with zeros keeps the weighted l1 norm and dropping
-    coordinates cannot raise the weighted sup."""
+    identity with the block's rows removed.  Its maps are the layout's
+    `walk`, which writes the map between any small < big in closed form.
+    Functorial and contractive by construction: inclusions compose to the
+    inclusion and drops to the drop, so both paths of a diamond agree, and
+    the weights are kept, so padding with zeros keeps the weighted l1 norm
+    and dropping coordinates cannot raise the weighted sup."""
     flavor = Flavor.SUM if kind.covariant else Flavor.SUP
     spaces: dict[int, FinBanSpace] = {0: zero_space(flavor)}
     for e in omega.nonzero_elements():
         top = e.bit_length() - 1
         rest, (labels, weights) = spaces[e & ~(1 << top)], blocks[top]
         spaces[e] = FinBanSpace(rest.basis + labels, rest.weights + weights, flavor) if labels else rest
-    # the cover maps read x, which exists by their first read
-    x = kind(omega, spaces, _BuiltOnRead(omega.covering_pairs, lambda pair: _walk(x, *pair)),
-             _BlockLayout(tuple(len(labels) for labels, _ in blocks), spaces))
-    return x
+    layout = _BlockLayout(tuple(len(labels) for labels, _ in blocks), spaces, kind.covariant)
+    return kind(omega, spaces, layout.walk, layout)
 
 
 def from_atom_spaces(omega: BoolAlg,
@@ -867,21 +858,23 @@ def constant_universal_map(theta: PreCosheaf, tau: Mapping[int, LinMap],
 
 def _indicator(omega: BoolAlg, inside, line: FinBanSpace, kind):
     """F |-> line where inside(F), the zero space elsewhere; a structure
-    map is the identity between two lines and zero otherwise, built on
-    its first read (`_BuiltOnRead`).  A precosheaf or a presheaf, as
+    map is the identity between two lines and zero otherwise, written in
+    closed form between any small < big.  A precosheaf or a presheaf, as
     `kind` says.  Functorial and contractive when `inside` is an up-set
     (precosheaf) or a down-set (every element and no element are both):
     at the source corner of a diamond either every corner is inside, so
     both sides are id = id, or the source is the zero space, so both
-    sides are the map out of it."""
+    sides are the map out of it.  The same holds along a chain, so the
+    rule is the chain's product: a source inside puts every later element
+    of the chain inside, and a zero source makes the product zero."""
     zero = zero_space(line.flavor)
     spaces = {f: line if inside(f) else zero for f in omega.elements()}
 
-    def cover_map(pair: tuple[int, int]) -> LinMap:
-        src, tgt = (spaces[f] for f in _arrow(kind, *pair))
+    def maps(small: int, big: int) -> LinMap:
+        src, tgt = (spaces[f] for f in _arrow(kind, small, big))
         return LinMap.identity(line) if src.dim and tgt.dim else LinMap.zero(src, tgt)
 
-    return kind(omega, spaces, _BuiltOnRead(omega.covering_pairs, cover_map))
+    return kind(omega, spaces, maps)
 
 
 def yoneda_presheaf(omega: BoolAlg, e: int) -> PreSheaf:
@@ -1110,8 +1103,10 @@ def _conjugate(x, tag: str):
     functionals in ascending order.  The only nonzero
     cover maps are then on the pairs (bottom, atom k): the identity rows
     of block k placed at k's offset in x(top), the rows of x(k -> top)
-    that `_walk` writes from x's layout.  They are built on read,
-    with no map to the root and no check, as a block sum is functorial.
+    that `_walk` writes from x's layout.  Between any other small < big
+    the source is zero, so the map is zero, as is the chain's product:
+    the conjugate's maps are written in closed form, with no map to the
+    root and no check, as a block sum is functorial, and none is kept.
     A block-sum presheaf is zero at bottom, a zero root.
     """
     omega, up, top = x.algebra, x.covariant, x.algebra.top
@@ -1134,15 +1129,14 @@ def _conjugate(x, tag: str):
         for k, w in enumerate(layout.widths):
             spaces[1 << k] = value(1 << k, w)
 
-        def cover_map(pair: tuple[int, int]) -> LinMap:
-            small, big = pair
+        def maps(small: int, big: int) -> LinMap:
             source, target = spaces[big], spaces[small]
             if not source.dim:
                 return LinMap.zero(source, target)
             # big is an atom, so small is bottom: x(big -> top)'s rows
             return LinMap(source, target, _walk(x, big, top).rows)
 
-        return kind(omega, spaces, _BuiltOnRead(omega.covering_pairs, cover_map))
+        return kind(omega, spaces, maps)
     columns, bases = _root_bases(x)
     spaces = {e: value(e, len(b)) for e, b in bases.items()}
     # each nonzero basis over one common denominator, phi = r / den
@@ -1223,13 +1217,15 @@ def random_cosheaf(rng, omega: BoolAlg) -> PreCosheaf:
     Built without validation: with T_e the isometric isomorphism at e,
     the cover map of (s, t) is T_t o c(s, t) o T_s^-1, c the canonical
     one.  Along a chain the inner T^-1 o T cancel, so functoriality of c
-    carries over, and |T_t| |c(s, t)| |T_s^-1| <= 1 gives contractivity.
+    carries over, |T_t| |c(s, t)| |T_s^-1| <= 1 gives contractivity, and
+    the map between any s < t is that product again, with c(s, t) the
+    canonical map between them.
 
     Every rng draw is made here, in a fixed order (the atom fibers, then
-    per element its twist), but a cover map is built on its first read
-    (`_BuiltOnRead`), from the canonical map, which `_walk` writes from
-    its layout and does not keep: a condition check and the spectral data
-    read only some of them.  It is written in closed form: T_s^-1 sends
+    per element its twist), but a map is written only when `_walk` asks
+    for it, from the canonical map, which `_walk` writes from its layout,
+    and none is kept: a condition check and the spectral data read only
+    some of them.  It is written in closed form: T_s^-1 sends
     e_perm_s(k) to e_k / c_s(k), c(s, t) sends e_k to e_i where row i of
     c is ((k, 1),), and T_t sends e_i to c_t(i) e_perm_t(i), so row
     perm_t(i) of the product is ((perm_s(k), c_t(i) / c_s(k)),), the
@@ -1240,18 +1236,17 @@ def random_cosheaf(rng, omega: BoolAlg) -> PreCosheaf:
     canonical = from_atom_spaces(omega, atom_spaces)
     twists = {e: _monomial_twist(rng, canonical.spaces[e], f"v{e}_") for e in omega.elements()}
 
-    def conjugated(pair: tuple[int, int]) -> LinMap:
-        (source, perm_s, c_s), (target, perm_t, c_t) = twists[pair[0]], twists[pair[1]]
+    def conjugated(small: int, big: int) -> LinMap:
+        (source, perm_s, c_s), (target, perm_t, c_t) = twists[small], twists[big]
         rows: list[tuple] = [()] * target.dim
-        for i, row in enumerate(canonical.extension(*pair).rows):
+        for i, row in enumerate(canonical.extension(small, big).rows):
             if row:
                 (k, _), = row
                 (p_t, q_t), (p_s, q_s) = c_t[i], c_s[k]
                 rows[perm_t[i]] = ((perm_s[k], Fraction(p_t * q_s, q_t * p_s)),)
         return LinMap(source, target, tuple(rows))
 
-    return PreCosheaf(omega, {e: twist[0] for e, twist in twists.items()},
-                      _BuiltOnRead(omega.covering_pairs, conjugated))
+    return PreCosheaf(omega, {e: twist[0] for e, twist in twists.items()}, conjugated)
 
 
 def random_scaled_precosheaf(rng, omega: BoolAlg,

@@ -1,7 +1,8 @@
 """The pinned CLI runs: each row runs ``python -m catmeas.cli <command>
 --model M --seed 1 --format <format>`` in a fresh process on the bench
 model M (``bench/models.write_model``, seed 1) and checks its exit code,
-its stdout sha256 and, where a row gives one, its peak RSS.
+its stdout sha256 and, where a row gives one, its peak RSS.  A row that
+gives ``cosheaves`` runs on M with its cosheaves section replaced by it.
 
     python tests/pinned_runs.py
 
@@ -19,6 +20,7 @@ peak it reads.  Each child is reaped with ``os.wait4``, whose
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +41,7 @@ class Pin(NamedTuple):
     sha256: str
     bound_mb: Optional[int]
     fmt: str = "structured"
+    cosheaves: Optional[dict] = None
 
 
 class Result(NamedTuple):
@@ -77,6 +80,17 @@ PINS = (
     # through `_walk`, which keeps none of them
     Pin("cosheafify", 14, 2,
         "99bd6e15f75736d0883f1d6032a141ebd806199a0ecda4c8eb5bef1852a0d851", 100),
+    # the constant precosheaf, an indicator: its maps are written in closed
+    # form, so the counit check and the conjugate keep none of them
+    Pin("cosheafify", 12, 2,
+        "65ae0877edf229ede94209b77b75d5edfb3258eb4ad58d69f57579412e9f210f", None,
+        cosheaves={"lam": "constant-of:V"}),
+    Pin("isbell", 12, 2,
+        "8d7ffa929f3711147e0be757fc338b31fcb06c764d3779e228d483c8056a68e8", None,
+        cosheaves={"lam": "constant-of:V"}),
+    Pin("cosheafify", 14, 2,
+        "1327f046bd7d06253b37b76d2b93b0090968605fa42b8c8377be350d4e213752", 100,
+        cosheaves={"lam": "constant-of:V"}),
     Pin("bva", 12, 2,
         "99ecc222e4891981d30b7e0a005a3656b97274bd8ba7c98a498702331bcac1d7", None),
     Pin("bva", 16, 2,
@@ -135,6 +149,16 @@ def run(command: str, fmt: str, model: Path) -> Result:
                   time.perf_counter() - start, digest.hexdigest())
 
 
+def write_pin_model(out_dir: str, pin: Pin) -> Path:
+    """The bench model of the row, its cosheaves replaced when the row says."""
+    path = write_model(out_dir, seed=1, atoms=pin.atoms, dim=pin.dim)
+    if pin.cosheaves is not None:
+        model = json.loads(path.read_text())
+        model["cosheaves"] = pin.cosheaves
+        path.write_text(json.dumps(model, indent=1, sort_keys=True) + "\n")
+    return path
+
+
 def failed(pin: Pin, result: Result) -> bool:
     return (result.code != 0 or result.sha256 != pin.sha256
             or (pin.bound_mb is not None and result.peak_mb >= pin.bound_mb))
@@ -144,11 +168,11 @@ def main() -> int:
     bad = False
     with tempfile.TemporaryDirectory() as tmp:
         for pin in PINS:
-            result = run(pin.command, pin.fmt,
-                         write_model(tmp, seed=1, atoms=pin.atoms, dim=pin.dim))
+            result = run(pin.command, pin.fmt, write_pin_model(tmp, pin))
             fail = failed(pin, result)
             bad |= fail
             print(f"{pin.command} --format {pin.fmt} n={pin.atoms} dim={pin.dim}"
+                  f"{f' cosheaves={pin.cosheaves}' if pin.cosheaves else ''}"
                   f" exit {result.code} peak {result.peak_mb:.1f} MB"
                   f" (bound {pin.bound_mb or 'none'}) {result.size} bytes"
                   f" {result.seconds:.2f} s sha256 {result.sha256}"

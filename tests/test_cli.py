@@ -498,7 +498,7 @@ def test_space_references_resolve_alike(tmp_path):
     assert model.measures["m"].target.dim == 2
     assert model.bundles["B"].fiber("x").dim == 1
     assert model.matrices["T"].entries[("x", "y")].dim == 1
-    assert model.cosheaves["c"].space(1).dim == 1
+    assert model.cosheaves["c"]().space(1).dim == 1
 
 
 def test_non_positive_weight_code(tmp_path):

@@ -617,10 +617,10 @@ VALUE_CLASSES = [
                            "shapes": {0: (1, 1)}},
      {"dim": 2, "basis": ((F(2),),), "offsets": {0: 1}, "shapes": {0: (1, 2)}}, None),
     (PreCosheaf, lambda: {"algebra": alg("a"), "spaces": {0: zero_space(), 1: scalars()},
-                          "cover_maps": {(0, 1): LinMap.zero(zero_space(), scalars())}},
+                          "maps": {(0, 1): LinMap.zero(zero_space(), scalars())}},
      {"algebra": alg("b"), "spaces": {0: zero_space(), 1: scalars("t")},
-      "cover_maps": {(0, 1): LinMap.zero(zero_space(), scalars("t"))}},
-     lambda x: (x.extension(0, 1), setattr(x, "layout", _BlockLayout((1,), x.spaces)))),
+      "maps": {(0, 1): LinMap.zero(zero_space(), scalars("t"))}},
+     lambda x: (x.extension(0, 1), setattr(x, "layout", _BlockLayout((1,), x.spaces, True)))),
 ]
 
 
@@ -649,7 +649,7 @@ def test_value_classes_compare_their_fields(cls, fields, differ, outside):
 
 def test_assignments_of_two_variances_differ():
     data = {"algebra": alg("a"), "spaces": {0: zero_space(), 1: scalars()},
-            "cover_maps": {(0, 1): LinMap.zero(zero_space(), scalars())}}
+            "maps": {(0, 1): LinMap.zero(zero_space(), scalars())}}
     assert PreCosheaf(**data) == PreCosheaf(**data) and PreCosheaf(**data) != PreSheaf(**data)
 
 
