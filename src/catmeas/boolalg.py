@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 from operator import attrgetter, or_
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (DegenerateQuotient, EmptyElement, FieldEq, Frozen, InvalidModel,
@@ -90,24 +89,25 @@ class BoolAlg(Frozen, FieldEq):
     def elements(self) -> Iterator[int]:
         return iter(range(self.top + 1))
 
-    @functools.cached_property
-    def covering_pairs(self) -> Mapping[tuple[int, int], None]:
+    def covering_pairs(self) -> Iterator[tuple[int, int]]:
         """The covering pairs (small, big), big = small plus one atom, in
-        increasing small, then atom, as the keys of one read-only dict,
-        built on first read and then kept, outside == and hash: every loop
-        over the covering pairs reads it, and every construction on this
-        algebra that keys its structure maps by them shares it."""
-        return MappingProxyType(dict.fromkeys(
-            (e, e | 1 << i) for e in range(self.top + 1) for i in range(self.n)
-            if not e >> i & 1))
+        increasing small, then atom: n 2^(n-1) of them, generated from the
+        masks on each call and kept nowhere."""
+        top = self.top
+        for e in range(top + 1):
+            free = top & ~e
+            while free:  # the atoms outside e, lowest first
+                bit = free & -free
+                yield e, e | bit
+                free ^= bit
 
     @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         """The label of each element by its mask: its atoms joined with
         '|' in atom order, and 'bottom' for bottom.  Built on first read
-        and then kept, outside == and hash, as `covering_pairs` is: the
-        elements with highest atom i are (1 << i) | e for e < 1 << i, so
-        each label is the label of the element below plus that atom."""
+        and then kept, outside == and hash: the elements with highest atom
+        i are (1 << i) | e for e < 1 << i, so each label is the label of
+        the element below plus that atom."""
         labels = [""]
         for a in self.atoms:
             labels += [f"{below}|{a}" if below else a for below in labels]

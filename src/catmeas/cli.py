@@ -452,7 +452,7 @@ def _cosheaf_builder(model: Model, desc: Any, path: str) -> Callable[[], PreCosh
                              f"missing cosheaf space at {{{key}}}", path)
         spaces[e] = _space_ref(model, ref, key or "bot", path)
     cover_maps = {}
-    for small, big in omega.covering_pairs:
+    for small, big in omega.covering_pairs():
         key = "|".join(omega.atoms_below(small)) + "<" + "|".join(omega.atoms_below(big))
         rows = exts.get(key)
         if rows is None:

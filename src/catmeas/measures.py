@@ -246,12 +246,3 @@ def factor_through(quotient: NullQuotient, nu: VectorMeasure) -> Optional[Vector
         i = nu.algebra.atom_index(atom)
         values.append(nu.atom_values[i])
     return VectorMeasure(quotient.algebra, nu.target, tuple(values))
-
-
-def random_vector_measure(rng, omega: BoolAlg, target: FinBanSpace) -> VectorMeasure:
-    """Seeded random measure with small rational atom values (test helper)."""
-    def q():
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return VectorMeasure(
-        omega, target,
-        tuple(tuple(q() for _ in range(target.dim)) for _ in range(omega.n)))

@@ -151,7 +151,7 @@ class _Assignment(FieldEq):
         stored dict of assembled input, or for a closed form a fresh dict
         of `_walk`'s answers, which nothing keeps."""
         if callable(self.maps):
-            return {pair: _walk(self, *pair) for pair in self.algebra.covering_pairs}
+            return {pair: _walk(self, *pair) for pair in self.algebra.covering_pairs()}
         return self.maps
 
     _key = attrgetter("algebra", "spaces", "cover_maps")
@@ -224,7 +224,7 @@ def _validate_functorial(x, contractive: bool):
     omega, spaces, cover_maps = x.algebra, x.spaces, x.maps
     if any(e not in spaces for e in omega.elements()):
         raise InvalidModel("a space is missing for some element")
-    for small, big in omega.covering_pairs:
+    for small, big in omega.covering_pairs():
         m = cover_maps.get((small, big))
         if m is None:
             raise InvalidModel("a structure map is missing for a covering pair")
@@ -674,7 +674,7 @@ def _naturality_system(x, y):
         offsets[e], shapes[e] = total, (y.space(e).dim, x.space(e).dim)
         total += y.space(e).dim * x.space(e).dim
     rows: list[list[Fraction]] = []
-    for small, big in x.algebra.covering_pairs:
+    for small, big in x.algebra.covering_pairs():
         d, c = _arrow(x, small, big)
         x_c, x_d = shapes[c][1], shapes[d][1]
         x_cols = _walk(x, small, big).transpose().rows
@@ -718,7 +718,7 @@ class PrecosheafMap:
         self.source, self.target, self.components = source, target, components
 
     def check_natural(self) -> bool:
-        for small, big in self.source.algebra.covering_pairs:
+        for small, big in self.source.algebra.covering_pairs():
             lhs = self.components[big] @ self.source.extension(small, big)
             rhs = self.target.extension(small, big) @ self.components[small]
             if lhs.rows != rhs.rows:
@@ -1142,7 +1142,7 @@ def _conjugate(x, tag: str):
     # each nonzero basis over one common denominator, phi = r / den
     scaled = {e: _over_common_denominator([phi for phi, _ in b]) for e, b in bases.items() if b}
     cover_maps = {}
-    for small, big in omega.covering_pairs:
+    for small, big in omega.covering_pairs():
         s, t = _arrow(kind, small, big)
         if s not in scaled:
             # ann_s = 0, as it is whenever ann_t = 0 (ann_s lies in ann_t)
@@ -1249,32 +1249,6 @@ def random_cosheaf(rng, omega: BoolAlg) -> PreCosheaf:
     return PreCosheaf(omega, {e: twist[0] for e, twist in twists.items()}, conjugated)
 
 
-def random_scaled_precosheaf(rng, omega: BoolAlg,
-                             force_noncosheaf: bool = False) -> PreCosheaf:
-    """A functorial, contractive precosheaf that is generically not a
-    cosheaf: block inclusions damped per atom by factors that accumulate
-    multiplicatively along inclusions."""
-    atom_spaces = _random_atom_spaces(rng, omega, 2)
-    canonical = from_atom_spaces(omega, atom_spaces)
-    choices = [ONE, ONE, Fraction(1, 2), Fraction(2, 3)]
-    damp = {(a, b): rng.choice(choices)
-            for a in omega.atoms for b in omega.atoms if a != b}
-    if force_noncosheaf and omega.n >= 2 and all(
-            v == 1 for v in damp.values()):
-        damp[(omega.atoms[0], omega.atoms[1])] = Fraction(1, 2)
-    spaces = {e: canonical.space(e) for e in omega.elements()}
-    cover_maps = {}
-    for small, big in omega.covering_pairs:
-        # below e, a is damped by damp[(a, b)] for each other atom b <= e
-        new = omega.atoms[(big ^ small).bit_length() - 1]
-        factors = [damp[(a, new)] for a in omega.atoms_below(small)
-                   for _ in range(atom_spaces[a].dim)]
-        cover_maps[(small, big)] = LinMap(spaces[small], spaces[big], tuple(
-            tuple((j, factors[j] * x) for j, x in row)
-            for row in canonical.extension(small, big).rows))
-    return make_precosheaf(omega, spaces, cover_maps)
-
-
 def precosheaf_map_from_atoms(nu: PreCosheaf, theta: PreCosheaf,
                               atom_maps: Mapping[int, LinMap]) -> PrecosheafMap:
     """The natural map nu -> theta assembled from components on atoms:
@@ -1307,11 +1281,14 @@ def l1_integration_map(mu: MeasureAlgebra) -> dict[int, LinMap]:
 # ---------------------------------------------------------------------------
 
 def _relabel(xi: PreSheaf, iso: BoolMorphism) -> PreSheaf:
-    """xi o iso, a presheaf on iso.source: E |-> xi(iso(E))."""
+    """xi o iso, a presheaf on iso.source: E |-> xi(iso(E)), its map
+    between small < big xi's map between iso(small) < iso(big), written
+    by `_walk` on xi and kept nowhere.  Functorial and contractive with no
+    check: iso is an order isomorphism, so small <= mid <= big gives
+    iso(small) <= iso(mid) <= iso(big), and the relabelled maps compose as
+    xi's do, xi being functorial; each is one of xi's contractive maps."""
     spaces = {e: xi.space(iso(e)) for e in iso.source.elements()}
-    cover_maps = {(small, big): xi.restriction(iso(big), iso(small))
-                  for small, big in iso.source.covering_pairs}
-    return make_presheaf(iso.source, spaces, cover_maps)
+    return PreSheaf(iso.source, spaces, lambda small, big: _walk(xi, iso(small), iso(big)))
 
 
 def sheaf_to_stone(xi: PreSheaf, stone) -> PreSheaf:

@@ -26,7 +26,9 @@ its factor atoms, the relations of a coend and the constraints of an
 end, written one basis vector and one offset row at a time, and a
 report's matrix formatted entry by entry from its dense rows.
 They live here, not in `src/`, so that they stay independent of the
-code under test.
+code under test.  So do two seeded generators that only tests use: a
+random vector measure and a random damped precosheaf, which goes
+through the validator.
 """
 
 import itertools
@@ -40,7 +42,8 @@ from catmeas.exactla import identity, nullspace, rref, simplex_min
 from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, is_isometric_iso,
                             operator_norm, projective_tensor, scalars, sum_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
-from catmeas.shcosh import PreCosheaf, Verdict, make_presheaf, partition_map
+from catmeas.shcosh import (PreCosheaf, Verdict, _random_atom_spaces, from_atom_spaces,
+                            make_precosheaf, make_presheaf, partition_map)
 from catmeas.simple import characteristic, l1_space
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -401,7 +404,7 @@ def characteristic_sheaf_eager(omega, e: int):
              for f in range(omega.top + 1)}
     spaces = {f: FinBanSpace(tuple(a), (ONE,) * len(a), Flavor.SUP) for f, a in atoms.items()}
     cover_maps = {}
-    for small, big in omega.covering_pairs:
+    for small, big in omega.covering_pairs():
         src, tgt = spaces[big], spaces[small]
         cover_maps[(small, big)] = LinMap.from_matrix(
             src, tgt, [[ONE if u == v else ZERO for u in src.basis] for v in tgt.basis])
@@ -625,3 +628,40 @@ def show_matrix_by_dense_rows(m) -> list:
     """A report's matrix as `show_rational` of every entry of the dense
     `.matrix`, zeros included."""
     return [[show_rational(x) for x in row] for row in m.matrix]
+
+
+# -- seeded generators that only tests use ------------------------------------
+
+def random_vector_measure(rng, omega: BoolAlg, target: FinBanSpace) -> VectorMeasure:
+    """Seeded random measure with small rational atom values."""
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return VectorMeasure(
+        omega, target,
+        tuple(tuple(q() for _ in range(target.dim)) for _ in range(omega.n)))
+
+
+def random_scaled_precosheaf(rng, omega: BoolAlg,
+                             force_noncosheaf: bool = False) -> PreCosheaf:
+    """A functorial, contractive precosheaf that is generically not a
+    cosheaf: block inclusions damped per atom by factors that accumulate
+    multiplicatively along inclusions."""
+    atom_spaces = _random_atom_spaces(rng, omega, 2)
+    canonical = from_atom_spaces(omega, atom_spaces)
+    choices = [ONE, ONE, Fraction(1, 2), Fraction(2, 3)]
+    damp = {(a, b): rng.choice(choices)
+            for a in omega.atoms for b in omega.atoms if a != b}
+    if force_noncosheaf and omega.n >= 2 and all(
+            v == 1 for v in damp.values()):
+        damp[(omega.atoms[0], omega.atoms[1])] = Fraction(1, 2)
+    spaces = {e: canonical.space(e) for e in omega.elements()}
+    cover_maps = {}
+    for small, big in omega.covering_pairs():
+        # below e, a is damped by damp[(a, b)] for each other atom b <= e
+        new = omega.atoms[(big ^ small).bit_length() - 1]
+        factors = [damp[(a, new)] for a in omega.atoms_below(small)
+                   for _ in range(atom_spaces[a].dim)]
+        cover_maps[(small, big)] = LinMap(spaces[small], spaces[big], tuple(
+            tuple((j, factors[j] * x) for j, x in row)
+            for row in canonical.extension(small, big).rows))
+    return make_precosheaf(omega, spaces, cover_maps)

@@ -10,6 +10,14 @@ prints one line per row and exits 1 if any run exits nonzero, gives
 another digest, or peaks at or above its bound.  There is no time bound,
 as machine speed varies.
 
+    python tests/pinned_runs.py --record BENCH_scaling.json
+
+does the same and also writes every row's run to the named JSON file:
+its command, format, atoms, dim and cosheaves, and its exit code,
+seconds, peak MB, stdout bytes and sha256, under a header with the
+commit, whether the tree differed from it, the Python version and the
+CPU count.
+
 The runner imports nothing from catmeas and hashes stdout in chunks
 (``spectral`` at 16 atoms writes 239 MB): on Linux a child inherits its
 parent's high-water mark at exec, so a large runner would raise every
@@ -19,9 +27,11 @@ peak it reads.  Each child is reaped with ``os.wait4``, whose
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -77,9 +87,12 @@ PINS = (
     Pin("cosheafify", 12, 2,
         "fd20e4e8668dfbfd854f2abbc86b0969a8575ed34132fb75627961a389752108", None),
     # the counit's naturality check reads the canonical cosheaf's maps
-    # through `_walk`, which keeps none of them
+    # through `_walk`, which keeps none of them, and the covering pairs are
+    # generated from the masks, so no table of them is kept either
     Pin("cosheafify", 14, 2,
-        "99bd6e15f75736d0883f1d6032a141ebd806199a0ecda4c8eb5bef1852a0d851", 100),
+        "99bd6e15f75736d0883f1d6032a141ebd806199a0ecda4c8eb5bef1852a0d851", 64),
+    Pin("cosheafify", 16, 2,
+        "d869f05ac772e4e021c9ebcc35367252f649c835158a2708851d763536c964d3", 200),
     # the constant precosheaf, an indicator: its maps are written in closed
     # form, so the counit check and the conjugate keep none of them
     Pin("cosheafify", 12, 2,
@@ -89,7 +102,10 @@ PINS = (
         "8d7ffa929f3711147e0be757fc338b31fcb06c764d3779e228d483c8056a68e8", None,
         cosheaves={"lam": "constant-of:V"}),
     Pin("cosheafify", 14, 2,
-        "1327f046bd7d06253b37b76d2b93b0090968605fa42b8c8377be350d4e213752", 100,
+        "1327f046bd7d06253b37b76d2b93b0090968605fa42b8c8377be350d4e213752", 64,
+        cosheaves={"lam": "constant-of:V"}),
+    Pin("isbell", 14, 2,
+        "d9e97b107bf628436b0ab08902082726d5aab57011b5f90758289021ba0637a6", 90,
         cosheaves={"lam": "constant-of:V"}),
     Pin("bva", 12, 2,
         "99ecc222e4891981d30b7e0a005a3656b97274bd8ba7c98a498702331bcac1d7", None),
@@ -164,11 +180,38 @@ def failed(pin: Pin, result: Result) -> bool:
             or (pin.bound_mb is not None and result.peak_mb >= pin.bound_mb))
 
 
-def main() -> int:
-    bad = False
+def header() -> dict:
+    """The commit the runs were made on, whether the tree differed from it,
+    the Python version and the CPU count."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True).stdout.strip()
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
+            "python": platform.python_version(), "cpu_count": os.cpu_count()}
+
+
+def record_row(pin: Pin, result: Result) -> dict:
+    return {"command": pin.command, "format": pin.fmt, "atoms": pin.atoms, "dim": pin.dim,
+            "cosheaves": pin.cosheaves, "exit_code": result.code,
+            "seconds": round(result.seconds, 2), "peak_mb": round(result.peak_mb, 1),
+            "stdout_bytes": result.size, "sha256": result.sha256}
+
+
+def write_record(path: Path, head: dict, rows: list) -> None:
+    path.write_text(json.dumps({**head, "rows": rows}, indent=1) + "\n")
+
+
+def main(argv: Optional[list] = None) -> int:
+    parser = argparse.ArgumentParser(description="Run the pinned CLI rows.")
+    parser.add_argument("--record", type=Path, metavar="PATH",
+                        help="also write every row's run to this JSON file")
+    args = parser.parse_args(argv)
+    head = header() if args.record else None
+    bad, rows = False, []
     with tempfile.TemporaryDirectory() as tmp:
         for pin in PINS:
             result = run(pin.command, pin.fmt, write_pin_model(tmp, pin))
+            rows.append(record_row(pin, result))
             fail = failed(pin, result)
             bad |= fail
             print(f"{pin.command} --format {pin.fmt} n={pin.atoms} dim={pin.dim}"
@@ -177,6 +220,8 @@ def main() -> int:
                   f" (bound {pin.bound_mb or 'none'}) {result.size} bytes"
                   f" {result.seconds:.2f} s sha256 {result.sha256}"
                   f"{' FAIL' if fail else ''}", flush=True)
+    if args.record:
+        write_record(args.record, head, rows)
     return 1 if bad else 0
 
 

@@ -22,20 +22,19 @@ from catmeas.exactla import invert
 from catmeas.finban import (Flavor, LinMap, operator_norm, projective_tensor, scalars,
                             sum_space, sup_space)
 from catmeas.measures import (MeasureAlgebra, VectorMeasure, factor_through,
-                              null_quotient, semivariation, variation,
-                              random_vector_measure)
+                              null_quotient, semivariation, variation)
 from catmeas.shcosh import (bva_cosheaf, bva_evaluation, constant_precosheaf,
                             constant_universal_map, cosheaf_projection,
                             cosheafify, count_factorizations,
                             factor_through_cosheafification, is_cosheaf,
                             l1_cosheaf, partition_map, precosheaf_map_from_atoms,
-                            random_cosheaf, random_scaled_precosheaf,
-                            spectral_measure, integrate_simple_morphism)
+                            random_cosheaf, spectral_measure, integrate_simple_morphism)
 from catmeas.simple import (SimpleElement, VectorSimpleElement, bochner,
                             characteristic, fubini, integration_map,
                             l1_tensor_witness, linf_norm, multiply)
 
-from oracles import projective_norm_oracle, spectral_laws_by_pairs
+from oracles import (projective_norm_oracle, random_scaled_precosheaf, random_vector_measure,
+                     spectral_laws_by_pairs)
 
 F = Fraction
 MODELS = Path(__file__).resolve().parent.parent / "models"

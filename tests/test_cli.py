@@ -20,10 +20,9 @@ from catmeas import cli
 from catmeas.boolalg import BoolAlg, BoolMorphism, StoneSpace, stone_space
 from catmeas.errors import InvalidModel, ModelError
 from catmeas.finban import LinMap, sum_space, sup_space
-from catmeas.measures import random_vector_measure
 from catmeas.simple import integration_map
 
-from oracles import lift_matches_by_elements, show_matrix_by_dense_rows
+from oracles import lift_matches_by_elements, random_vector_measure, show_matrix_by_dense_rows
 from test_report_digests import DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent

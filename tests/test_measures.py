@@ -13,14 +13,13 @@ from catmeas.errors import FlavorMismatch, ResourceLimit
 from catmeas.finban import FinBanSpace, Flavor, scalars, sum_space, sup_space
 from catmeas.measures import (MeasureAlgebra, VectorMeasure, factor_through,
                               is_spectral, lipschitz_norm, null_quotient,
-                              product_measure, pullback, semivariation, variation,
-                              random_vector_measure)
+                              product_measure, pullback, semivariation, variation)
 
 from catmeas.simple import SimpleElement, VectorSimpleElement, bochner, integrate
 
 from oracles import (bochner_by_fractions, dual_extreme_functionals, integrate_by_fractions,
-                     lipschitz_by_elements, measure_at_by_sums, semivariation_bruteforce,
-                     variation_by_norms)
+                     lipschitz_by_elements, measure_at_by_sums, random_vector_measure,
+                     semivariation_bruteforce, variation_by_norms)
 
 F = Fraction
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catmeas import cli, exactla, finban, shcosh
-from catmeas.boolalg import BoolAlg, partitions_of, stone_space
+from catmeas.boolalg import BoolAlg, BoolMorphism, partitions_of, stone_space
 from catmeas.errors import (CatmeasError, InvalidModel, NotACosheaf, NotAFunctor,
                             SupportError)
 from catmeas.finban import (FinBanSpace, Flavor, LinMap, direct_sum, is_isometric_iso,
@@ -30,8 +30,7 @@ from catmeas.shcosh import (bva_cosheaf,
                             l1_integration_map, make_precosheaf, make_presheaf,
                             partition_map, PreCosheaf, PrecosheafMap, PreSheaf,
                             precosheaf_map_from_atoms,
-                            random_cosheaf, random_scaled_precosheaf,
-                            restrict_to_atoms,
+                            random_cosheaf, restrict_to_atoms,
                             _validate_functorial, sheaf_from_stone, sheaf_hom,
                             sheaf_to_stone, spectral_measure, SpectralData,
                             yoneda_precosheaf,
@@ -43,8 +42,8 @@ from oracles import (annihilator_by_killers, binary_splits_by_seen_set, block_su
                      characteristic_sheaf_eager, containment_by_all_submasks,
                      from_atom_spaces_eager, indicator_eager,
                      partition_condition_by_built_maps,
-                     random_cosheaf_by_composition, rank, spectral_laws_by_pairs,
-                     split_is_isometric_iso, split_projection)
+                     random_cosheaf_by_composition, random_scaled_precosheaf, rank,
+                     spectral_laws_by_pairs, split_is_isometric_iso, split_projection)
 
 F = Fraction
 
@@ -559,7 +558,7 @@ def blocked_product_presheaf(omega, fibers):
     spaces = {e: direct_sum([fibers[i] for i in omega.atom_indices(e)]).space
               if e else zero_space(Flavor.SUP) for e in omega.elements()}
     cover_maps = {}
-    for small, big in omega.covering_pairs:
+    for small, big in omega.covering_pairs():
         k = (big ^ small).bit_length() - 1
         p = spaces[small & ((1 << k) - 1)].dim
         rows = finban._identity_rows(spaces[big].dim)
@@ -1715,7 +1714,7 @@ def span_assignment(omega, vectors, kind):
         [f"e{j}" for j in range(d)] if f == root else [f"v{i}" for i in atoms(f)])
         for f in omega.elements()}
     maps = {}
-    for small, big in omega.covering_pairs:
+    for small, big in omega.covering_pairs():
         s, t = (small, big) if up else (big, small)
         cols = ([vectors[i] for i in atoms(s)] if t == root
                 else [[F(int(i == k)) for k in atoms(t)] for i in atoms(s)])
@@ -1999,16 +1998,12 @@ def test_block_sum_conjugates_skip_the_root_bases(monkeypatch):
     assert len(cases) == 16
 
 
-def test_constructions_on_one_algebra_share_their_covering_pair_keys():
+def test_closed_forms_give_their_cover_maps_in_the_covering_pair_order():
     """Every closed-form construction on one algebra gives its cover maps
-    in the order of the one read-only dict `omega.covering_pairs`, which
-    has the covering pairs in their order, and keeps none of them; the
+    in the order of `omega.covering_pairs()`, and keeps none of them; the
     algebra still equals and hashes as a fresh one."""
     omega = alg(*(f"x{i}" for i in range(4)))
-    keys = omega.covering_pairs
-    assert list(keys) == oracle_covering_pairs(omega) and omega.covering_pairs is keys
-    with pytest.raises(TypeError):
-        keys[(0, 0)] = None
+    keys = oracle_covering_pairs(omega)
     l1 = l1_cosheaf(positive_measure(omega))
     constructions = [l1, isbell_adjoint(l1), isbell_adjoint(zero_precosheaf(omega)),
                      bva_cosheaf(omega, scalars()), characteristic_sheaf(omega, 0b101),
@@ -2017,11 +2012,31 @@ def test_constructions_on_one_algebra_share_their_covering_pair_keys():
                      yoneda_precosheaf(omega, 0b1), random_cosheaf(random.Random(1), omega)]
     for x in constructions:
         maps = x.cover_maps
-        assert list(maps) == list(keys) and len(maps) == len(keys)
+        assert list(maps) == keys and len(maps) == len(keys)
         assert all(pair in maps for pair in keys) and (0, 0) not in maps
         assert not x._walks
     fresh = alg(*omega.atoms)
     assert omega == fresh and hash(omega) == hash(fresh) and repr(omega) == repr(fresh)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_covering_pairs_are_generated_in_order_on_each_call(n):
+    omega = alg(*(f"x{i}" for i in range(n)))
+    pairs = list(omega.covering_pairs())
+    assert pairs == oracle_covering_pairs(omega)
+    assert len(pairs) == n * 2 ** (n - 1) == len(set(pairs))
+    assert list(omega.covering_pairs()) == pairs
+
+
+def test_an_algebra_keeps_no_per_pair_table():
+    """After the constructions and checks that loop over the covering
+    pairs, an algebra holds its atoms and at most its labels: O(n) names,
+    no table of pairs."""
+    omega = alg(*(f"x{i}" for i in range(6)))
+    theta = constant_precosheaf(omega, sum_space(["u", "v"]))
+    assert counit_is_natural(cosheafify(theta))
+    isbell_adjoint(theta)
+    assert set(vars(omega)) <= {"atoms", "labels"}
 
 
 def test_conjugates_solve_no_naturality_system(monkeypatch):
@@ -2372,6 +2387,27 @@ def test_sheaf_stone_round_trip():
         assert back.cover_maps[key].matrix == m.matrix
 
 
+def test_relabel_matches_the_validated_assembly():
+    """`_relabel` writes xi's maps along an order isomorphism with no check;
+    on 1-5 atoms, under a random permutation of the atoms, it equals the
+    same data assembled and validated by `make_presheaf`."""
+    rng = random.Random(8)
+    for n in range(1, 6):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        iso = BoolMorphism(omega, omega, tuple(1 << k for k in perm))
+        e = rng.randrange(omega.top + 1)
+        for xi in (characteristic_sheaf(omega, e), yoneda_presheaf(omega, e),
+                   isbell_adjoint(random_cosheaf(rng, omega))):
+            got = shcosh._relabel(xi, iso)
+            spaces = {f: xi.space(iso(f)) for f in omega.elements()}
+            want = make_presheaf(omega, spaces, {
+                (small, big): xi.restriction(iso(big), iso(small))
+                for small, big in omega.covering_pairs()})
+            assert got == want, (n, e)
+
+
 def test_discrete_density_round_trip():
     rng = random.Random(12)
     omega = alg("a", "b")
@@ -2511,7 +2547,8 @@ def test_library_constructions_do_not_call_the_validator(monkeypatch):
              bva_cosheaf(omega, scalars()), zero_precosheaf(omega),
              characteristic_sheaf(omega, e), cosheafify(constant).cosheaf,
              isbell(characteristic_sheaf(omega, omega.top)), isbell_adjoint(l1),
-             random_cosheaf(random.Random(0), omega)]
+             random_cosheaf(random.Random(0), omega),
+             sheaf_to_stone(characteristic_sheaf(omega, e), stone_space(omega))]
     assert all(x.algebra == omega for x in built)
     with pytest.raises(AssertionError, match="validator"):
         make_precosheaf(omega, constant.spaces, constant.cover_maps)

@@ -13,14 +13,15 @@ from catmeas.boolalg import (BoolAlg, BoolMorphism, all_morphisms, coproduct,
 from catmeas.errors import NotIdempotent
 from catmeas.finban import IsoWitness, operator_norm, sum_space, vec
 from catmeas.measures import (MeasureAlgebra, VectorMeasure, lipschitz_norm, product_measure,
-                              pullback, semivariation, random_vector_measure)
+                              pullback, semivariation)
 from catmeas.simple import (SimpleElement, VectorSimpleElement, bochner,
                             canonicalize, characteristic, fubini, integrate,
                             integration_map, l1_lift, l1_norm, l1_space,
                             linf_norm, multiply, split_idempotent,
                             stone_transfer, transfer_measure)
 
-from oracles import fubini_by_labels, mediate_coproduct_by_labels, product_measure_by_labels
+from oracles import (fubini_by_labels, mediate_coproduct_by_labels, product_measure_by_labels,
+                     random_vector_measure)
 
 F = Fraction
 
