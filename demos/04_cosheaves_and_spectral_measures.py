@@ -45,7 +45,7 @@ spec = spectral_measure(good)
 print("projection at {a|b}:")
 for row in spec.projections[omega.element(["a", "b"])].matrix:
     print("  ", [str(x) for x in row])
-print("all projection laws hold:", spec.satisfies_laws())
+print("all projection laws hold:", bool(spec.satisfies_laws()))
 f = SimpleElement(omega, (F(2), F(-1, 2), F(3)))
 action = spec.action(f)
 print("the action of a simple element has operator norm == its sup norm:",

@@ -794,6 +794,11 @@ def cmd_check_cosheaf(model: Model, report: Report, rng, element, exhaustive):
     return _check_condition(model, report, "cosheaf", model.cosheaves, is_cosheaf, exhaustive)
 
 
+def _law_verdict(report: Report, key: str, check) -> None:
+    """A spectral self-check's verdict, its witness the detail of a failure."""
+    report.verdict(key, bool(check), None if check else check.detail)
+
+
 def cmd_spectral(model: Model, report: Report, rng, element, exhaustive):
     omega = model.algebra
     for name in sorted(model.cosheaves):
@@ -802,12 +807,12 @@ def cmd_spectral(model: Model, report: Report, rng, element, exhaustive):
             report.verdict(f"spectral[{name}]", False, "not a cosheaf")
             continue
         spec = spectral_measure(cs)
-        report.verdict(f"spectral_laws[{name}]", spec.satisfies_laws())
+        _law_verdict(report, f"spectral_laws[{name}]", spec.satisfies_laws())
         for e in omega.elements():
             report.result(f"projection[{name}][{omega.labels[e]}]", spec.projections[e])
         for k in range(5):
             f = _random_simple(rng, omega)
-            report.verdict(f"action_isometric[{name}][f{k}]", spec.action_norm_matches(f))
+            _law_verdict(report, f"action_isometric[{name}][f{k}]", spec.action_norm_matches(f))
 
 
 def cmd_integrate_morphism(model: Model, report: Report, rng, element, exhaustive):
@@ -893,15 +898,15 @@ def cmd_verify_all(model: Model, report: Report, rng, element, exhaustive):
     for name in sorted(model.cosheaves):
         if verdicts[name]:
             spec = spectral_measure(model.cosheaves[name]())
-            report.verdict(f"spectral_laws[{name}]", spec.satisfies_laws())
+            _law_verdict(report, f"spectral_laws[{name}]", spec.satisfies_laws())
             samples = [_random_simple(rng, model.algebra) for _ in range(4)]
-            report.verdict(f"action_algebra_map[{name}]",
-                           spec.action_is_algebra_map(samples))
+            _law_verdict(report, f"action_algebra_map[{name}]",
+                         spec.action_is_algebra_map(samples))
     # a seeded random cosheaf must pass and its spectral laws must hold
     probe = random_cosheaf(rng, model.algebra)
     report.verdict("random_cosheaf_passes", bool(is_cosheaf(probe, exhaustive=exhaustive)))
-    report.verdict("random_cosheaf_spectral_laws",
-                   spectral_measure(probe).satisfies_laws())
+    _law_verdict(report, "random_cosheaf_spectral_laws",
+                 spectral_measure(probe).satisfies_laws())
     if model.coproduct is not None:
         try:
             cmd_fubini(model, report, rng, element, exhaustive)

@@ -27,7 +27,8 @@ Most maps here are monomial (one nonzero per row and column), and one
 decision, `_isometric_split`, tells whether a map, or the partition map
 or restriction cone made of given legs, is an isometric isomorphism, in
 closed form on the nonzeros of a monomial one (the proof is there);
-is_isometric_iso is its one-leg case.
+is_isometric_iso is its one-leg case, and `_isometric_leg` its share
+of one leg where no blocks are compared.
 
 Quotients of SUM spaces are handled honestly: the quotient of a weighted
 l1 space need not be a weighted l1 space, so `quotient` returns a
@@ -577,19 +578,47 @@ def _isometric_monomial(entries, source_weights, target_weights, blocks=None) ->
     With c = p/q, w' = a/b and w = r/s (denominators positive), |c| w' = w
     is |p| a s = r q b, one comparison of int products: no Fraction is
     compared or built, and each pair is read in one `as_integer_ratio`."""
-    if len(entries) < len(source_weights):
+    if len(entries) < len(source_weights) or not _weights_kept(
+            entries, source_weights, target_weights):
         return False
+    if blocks is None:
+        return True
+    sb, tb = blocks
+    pairs = {(sb[j], tb[i]) for j, i, _ in entries}
+    return len(pairs) == len(set(sb)) == len(set(tb))
+
+
+def _weights_kept(entries, source_weights, target_weights) -> bool:
+    """|c| w'(row) = w(col) at every (col, row, c) of `entries`, the
+    per-entry test of `_isometric_monomial`."""
     for j, i, c in entries:
         p, q = c.as_integer_ratio()
         a, b = target_weights[i].as_integer_ratio()
         r, s = source_weights[j].as_integer_ratio()
         if abs(p) * a * s != r * q * b:
             return False
-    if blocks is None:
-        return True
-    sb, tb = blocks
-    pairs = {(sb[j], tb[i]) for j, i, _ in entries}
-    return len(pairs) == len(set(sb)) == len(set(tb))
+    return True
+
+
+def _isometric_leg(leg: LinMap, stacked: bool = False) -> Optional[int]:
+    """One leg's share of `_isometric_split` between spaces of one flavor
+    without groups: the bitmask of the whole's coordinates it hits when it
+    passes on its own, None otherwise.  The part is the leg's source (side
+    by side) or target (`stacked`), the whole its other end; the leg
+    passes when it is monomial, every coordinate of its part is hit once
+    and |c| w' = w holds at each nonzero (`_weights_kept`).  The legs of a
+    split pass together exactly when each passes and their masks
+    partition the whole's coordinates (the proof is in
+    `shcosh.is_cosheaf`)."""
+    entries = _monomial_data((leg,))
+    part = leg.target if stacked else leg.source
+    if (entries is None or len(entries) < part.dim
+            or not _weights_kept(entries, leg.source.weights, leg.target.weights)):
+        return None
+    mask = 0
+    for j, i, _ in entries:
+        mask |= 1 << (j if stacked else i)
+    return mask
 
 
 class IsoWitness(Frozen):

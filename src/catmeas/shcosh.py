@@ -14,7 +14,10 @@ exhaustive mode that cross-validates the reduction, is decided on its
 legs, one structure map per block, by the one isometry decision of
 `finban`, which builds a summed space and a partition map only where
 the legs' nonzeros cannot decide: a split that is not monomial, with
-blocks or between the two flavors.
+blocks or between the two flavors.  Between spaces of one flavor
+without blocks that decision splits up by leg, so each leg is read once
+per element and a partition passes when its legs' masks partition the
+coordinates of the value it covers.
 
 Cosheaves carry a derived spectral measure.  By the discrete density
 result a cosheaf is fixed by its atom fibers: the atomic partition map A_e
@@ -25,7 +28,9 @@ idempotent with range ext_{E,top} and kernel ext_{~E,top}; the spectral
 data stores the P_a, a resolution of the identity.  The action of simple
 elements f |-> sum f(a) P_a is a unital multiplicative algebra map whose
 operator norm is the essential sup of f, the sup of |f(a)| over the atoms
-a with a nonzero fiber (P_a = 0 on the others).
+a with a nonzero fiber (P_a = 0 on the others); it is summed in one pass
+over the carrier rows, and the self-checks of these laws name a witness
+when they fail.
 
 Presheaves are the dual picture (SUP spaces, restrictions, product
 condition, decided the same way); characteristic presheaves and the hom
@@ -78,8 +83,8 @@ from .errors import (AlgebraMismatch, FieldEq, Frozen, InvalidModel, NotACosheaf
 from . import exactla
 from .exactla import ONE, ZERO
 from .finban import (FinBanSpace, Flavor, LinMap, Vector, _identity_rows,
-                     _isometric_split, _mediated, _over_common_denominator, direct_sum,
-                     operator_norm, scalars, sup_space, zero_space)
+                     _isometric_leg, _isometric_split, _mediated, _over_common_denominator,
+                     direct_sum, operator_norm, scalars, sup_space, zero_space)
 from .measures import MeasureAlgebra, VectorMeasure
 from .simple import SimpleElement, characteristic
 
@@ -370,28 +375,58 @@ def _binary_splits(omega: BoolAlg, e: int):
                 yield f, e & ~f
 
 
+def _split_decider(x, e: int, by_legs: bool) -> Callable[[tuple[int, ...]], bool]:
+    """Whether the partition map or restriction cone of x on given blocks
+    of e is an isometric isomorphism.  `by_legs`, for spaces of one flavor
+    without groups, reads each leg x(F, e) once, on first use, as its
+    `_isometric_leg` mask, and passes blocks whose legs all pass with
+    masks that partition x(e)'s coordinates (the proof is in
+    `is_cosheaf`); otherwise each call decides its legs by
+    `_isometric_split`."""
+    stacked = not x.covariant
+    if not by_legs:
+        return lambda blocks: _isometric_split([_walk(x, f, e) for f in blocks], stacked)
+    masks: dict[int, Optional[int]] = {}
+    full = (1 << x.spaces[e].dim) - 1
+
+    def decide(blocks: tuple[int, ...]) -> bool:
+        union = 0
+        for f in blocks:
+            if f not in masks:
+                masks[f] = _isometric_leg(_walk(x, f, e), stacked)
+            mask = masks[f]
+            if mask is None or mask & union:
+                return False
+            union |= mask
+        return union == full
+
+    return decide
+
+
 def _partition_condition(x, exhaustive: bool) -> Verdict:
     """The verdict of is_cosheaf/is_sheaf on a precosheaf or presheaf x;
     the map that must be an isometric isomorphism for a partition is its
     partition map or its restriction cone, each decided on its legs
-    x(F, e), one per block F, by `_isometric_split`.  Without
-    `exhaustive`, a block sum (`x.layout`) passes (the proof is in
-    `is_cosheaf`); on other input each element with two or more atoms is
-    decided by its top-atom split, on the structure maps from e minus
-    its top atom and from the top atom, and a failing element by the
-    first failing binary split in enumeration order.  With it, every
-    partition of every element is checked, a block sum's too.  The
-    top-atom reduction needs direct sums of isometric isomorphisms, so a
-    (pre)cosheaf whose spaces differ in flavor checks every binary split
-    instead; a split whose blocks differ in flavor fails, since no direct
-    sum holds its blocks' values."""
+    x(F, e), one per block F, by `_split_decider`.  Without `exhaustive`,
+    a block sum (`x.layout`) passes (the proof is in `is_cosheaf`); on
+    other input each element with two or more atoms is decided by its
+    top-atom split, on the structure maps from e minus its top atom and
+    from the top atom, and a failing element by the first failing binary
+    split in enumeration order.  With it, every partition of every
+    element is checked, a block sum's too.  The top-atom reduction needs
+    direct sums of isometric isomorphisms, so a (pre)cosheaf whose spaces
+    differ in flavor checks every binary split instead; a split whose
+    blocks differ in flavor fails, since no direct sum holds its blocks'
+    values."""
     if x.layout is not None and not exhaustive:
         return Verdict(True)
     reason = ("mediated partition map is not an isometric isomorphism" if x.covariant
               else "restriction cone is not an isometric isomorphism")
     stacked = not x.covariant
     omega, spaces = x.algebra, x.spaces
-    one_flavor = len({s.flavor for s in spaces.values()}) <= 1
+    shapes = {(s.flavor, bool(s.groups)) for s in spaces.values()}
+    one_flavor = len({flavor for flavor, _ in shapes}) <= 1
+    by_legs = one_flavor and not any(blocked for _, blocked in shapes)
     if exhaustive:
         partitions_of(omega, omega.top)  # the largest enumeration meets its cap first
     for e in omega.nonzero_elements():
@@ -403,9 +438,9 @@ def _partition_condition(x, exhaustive: bool) -> Verdict:
                     (_walk(x, e & ~a, e), _walk(x, a, e)), stacked):
                 continue
             candidates = _binary_splits(omega, e)
+        decide = _split_decider(x, e, by_legs)
         for blocks in candidates:
-            if len(blocks) >= 2 and not _isometric_split(
-                    [_walk(x, f, e) for f in blocks], stacked):
+            if len(blocks) >= 2 and not decide(blocks):
                 return Verdict(False, e, blocks, reason)
     if spaces[0].dim != 0:
         return Verdict(False, 0, (), "the bottom value must be the zero space")
@@ -452,12 +487,39 @@ def is_cosheaf(mu: PreCosheaf, exhaustive: bool = False) -> Verdict:
     of e are then enumerated and the first failing one is reported, the
     first counterexample of the full binary-split enumeration.
     `exhaustive` checks every partition of every element instead, a
-    cross-check independent of the reduction.  Those partitions, and the
-    binary splits, are decided on their legs as S_e is, so no partition
-    map is built for spaces of one flavor without blocks; the test oracle
-    `partition_condition_by_built_maps` builds every one.  The empty
-    partition covers bottom, so the bottom value must be zero; split
-    counterexamples are reported in preference to that degenerate one.
+    cross-check independent of the reduction, in the same order.
+
+    Those partitions, and the binary splits, are decided leg by leg when
+    the spaces share one flavor and carry no groups.  There
+    `_isometric_split` compares no blocks, and its closed form splits up
+    by leg, so each leg mu(F, e) is read once per element e
+    (`_split_decider`).  Let the partition {F_1, ..., F_k} of e have legs
+    L_i : mu(F_i) -> mu(e) and map P, the L_i side by side.  P is an
+    isometric isomorphism exactly when it is square and monomial with a
+    nonzero in every column, and |c| w'(row) = w(col) at each nonzero.
+    The columns of P are those of the L_i, each leg in its own range,
+    with the weights of mu(F_i), since the direct sum keeps each part's
+    weights; its rows are mu(e)'s, shared by all legs.  A nonzero of P is
+    a nonzero of one L_i at the same row, with the same weights at both
+    ends.  So P is monomial with a nonzero in every column exactly when
+    each L_i is monomial with every coordinate of mu(F_i) hit once, and
+    no row is hit by two legs: the masks M_i of the rows hit are
+    pairwise disjoint.  The weight test at P's nonzeros is the union of
+    the legs' own tests.  A passing leg has |M_i| = dim mu(F_i), so P is
+    then square exactly when the disjoint M_i cover mu(e)'s coordinates.
+    Hence a partition passes exactly when every leg passes on its own
+    (`finban._isometric_leg`, which gives M_i) and the masks partition
+    mu(e)'s coordinates.  The restriction cone of a presheaf is the
+    stacked dual, its legs' columns in place of rows.  Blocked and
+    mixed-flavor spaces decide each partition by `_isometric_split` on
+    its legs, which compares blocks and builds the map where the legs'
+    nonzeros cannot decide.  So no partition map is built for spaces of
+    one flavor without blocks; the test oracle
+    `partition_condition_by_built_maps` builds every one.
+
+    The empty partition covers bottom, so the bottom value must be zero;
+    split counterexamples are reported in preference to that degenerate
+    one.
     """
     return _partition_condition(mu, exhaustive)
 
@@ -472,7 +534,8 @@ def is_sheaf(xi: PreSheaf, exhaustive: bool = False) -> Verdict:
     isomorphisms of SUP spaces is isometric under the max of the factor
     norms, and the cone of any partition is (prod_i C_F_i)^-1 o C_e.
     Each R_e is decided on the rows of its two legs, as S_e is on their
-    columns.
+    columns, and under `exhaustive` a partition's legs each give the
+    mask of the columns of xi(e) they hit, as in `is_cosheaf`.
     """
     return _partition_condition(xi, exhaustive)
 
@@ -520,9 +583,42 @@ def cosheaf_projection(mu: PreCosheaf, e: int, f: int) -> LinMap:
     return integrate_simple_morphism(characteristic(mu.algebra, f), mu, e, f)
 
 
+class LawCheck(Frozen, FieldEq):
+    """A spectral self-check's answer, truthy exactly when it passes.  A
+    failure names the `law`, where it fails (`at`: an atom, a pair of
+    samples f_i * f_j, or for the norm law its two sides) and the first
+    carrier `row` where the two sides differ (None for the norm law)."""
+
+    def __init__(self, law: str = "", at: str = "", row: Optional[int] = None):
+        self.__dict__.update(law=law, at=at, row=row)
+
+    _key = attrgetter("law", "at", "row")
+
+    def __bool__(self) -> bool:
+        return not self.law
+
+    @property
+    def detail(self) -> dict:
+        return {"law": self.law, "at": self.at, "row": self.row}
+
+
+def _first_difference(left: LinMap, right: LinMap) -> Optional[int]:
+    """The first row where two maps of one shape differ, or None."""
+    if left.rows == right.rows:
+        return None
+    return next(r for r, (a, b) in enumerate(zip(left.rows, right.rows)) if a != b)
+
+
 class SpectralData:
     """The projection-valued measure of a cosheaf on its total value, held
-    as its atom projections: atom_projections[i] is P_a for a = 1 << i."""
+    as its atom projections: atom_projections[i] is P_a for a = 1 << i.
+
+    A combination sum_a k_a P_a (the action of a simple element, and the
+    sum of the laws) is written in one pass over the carrier rows: row r
+    is the sum of k_a times row r of P_a over the atoms whose P_a is
+    nonzero there, which `_row_terms` keeps once, with those rows.  A row
+    with one such atom, every row of a block sum or of a monomially
+    twisted cosheaf, is that row scaled; no intermediate map is built."""
 
     def __init__(self, cosheaf: PreCosheaf, carrier: FinBanSpace,
                  atom_projections: tuple[LinMap, ...]):
@@ -537,17 +633,40 @@ class SpectralData:
             out[e] = out[e & ~(1 << top)].add(self.atom_projections[top])
         return out
 
+    @functools.cached_property
+    def _row_terms(self) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+        """Per carrier row r, the (i, row r of P_a) of the atoms a = 1 << i
+        whose P_a is nonzero in row r, in atom order; built on first read."""
+        terms: list[list] = [[] for _ in range(self.carrier.dim)]
+        for i, p in enumerate(self.atom_projections):
+            for r, row in enumerate(p.rows):
+                if row:
+                    terms[r].append((i, row))
+        return tuple(map(tuple, terms))
+
+    def _combination(self, coeffs: Sequence[Fraction]) -> LinMap:
+        """sum_a coeffs[i] P_a (a = 1 << i), one carrier row at a time."""
+        rows = []
+        for terms in self._row_terms:
+            live = [(coeffs[i], row) for i, row in terms if coeffs[i]]
+            if len(live) == 1:
+                (k, row), = live
+                rows.append(tuple((j, k * x) for j, x in row))
+                continue
+            acc: dict[int, Fraction] = {}
+            for k, row in live:
+                for j, x in row:
+                    acc[j] = acc[j] + k * x if j in acc else k * x
+            rows.append(tuple(sorted((j, x) for j, x in acc.items() if x)))
+        return LinMap(self.carrier, self.carrier, tuple(rows))
+
     def action(self, f: SimpleElement) -> LinMap:
         """sum f(a) P_a over the atoms, which is sum k_n P_{E_n} over the blocks of f."""
         if f.algebra != self.cosheaf.algebra:
             raise AlgebraMismatch("element lives on a different algebra")
-        out = LinMap.zero(self.carrier, self.carrier)
-        for k, p in zip(f.coeffs, self.atom_projections):
-            if k:
-                out = out.add(p.scale(k))
-        return out
+        return self._combination(f.coeffs)
 
-    def satisfies_laws(self) -> bool:
+    def satisfies_laws(self) -> LawCheck:
         """Sum_a P_a = I and P_a P_a = P_a over the atoms, which force
         P_a P_b = 0 for a != b: over Q rank P_a = tr P_a, so the ranks add
         up to tr I = dim, and the ranges, spanning as v = sum_a P_a v, form
@@ -557,25 +676,33 @@ class SpectralData:
         P_E P_F expands to the sum of P_a over the atoms below both, so
         P_E P_F = P_{E & F} (idempotence when E = F); and for disjoint E, F
         the atoms below E | F are those below E and those below F, so
-        P_{E | F} = P_E + P_F."""
-        total = LinMap.zero(self.carrier, self.carrier)
-        for p in self.atom_projections:
-            if (p @ p).rows != p.rows:
-                return False
-            total = total.add(p)
-        return total.is_identity()
+        P_{E | F} = P_E + P_F.  A failure names the first atom that is not
+        idempotent, or else the sum."""
+        for a, p in zip(self.cosheaf.algebra.atoms, self.atom_projections):
+            row = _first_difference(p @ p, p)
+            if row is not None:
+                return LawCheck("P_a P_a = P_a", a, row)
+        total = self._combination((ONE,) * len(self.atom_projections))
+        row = _first_difference(total, LinMap.identity(self.carrier))
+        return LawCheck() if row is None else LawCheck("sum_a P_a = I", "", row)
 
-    def action_is_algebra_map(self, samples: Iterable[SimpleElement]) -> bool:
+    def action_is_algebra_map(self, samples: Iterable[SimpleElement]) -> LawCheck:
+        """act(f) act(g) = act(fg) for every ordered pair of samples; a
+        failure names the first pair f_i * f_j, in sample order."""
         from .simple import multiply
         pool = [(f, self.action(f)) for f in samples]
-        for f, act_f in pool:
-            for g, act_g in pool:
-                if (act_f @ act_g).rows != self.action(multiply(f, g)).rows:
-                    return False
-        return True
+        for i, (f, act_f) in enumerate(pool):
+            for j, (g, act_g) in enumerate(pool):
+                row = _first_difference(act_f @ act_g, self.action(multiply(f, g)))
+                if row is not None:
+                    return LawCheck("act(f) act(g) = act(fg)", f"f{i} * f{j}", row)
+        return LawCheck()
 
-    def action_norm_matches(self, f: SimpleElement) -> bool:
-        return operator_norm(self.action(f)) == essential_sup(f, self.cosheaf)
+    def action_norm_matches(self, f: SimpleElement) -> LawCheck:
+        """|act(f)| = the essential sup of f; a failure gives both sides."""
+        norm, sup = operator_norm(self.action(f)), essential_sup(f, self.cosheaf)
+        return LawCheck() if norm == sup else LawCheck("|act(f)| = ess sup |f|",
+                                                       f"{norm} != {sup}")
 
 
 def essential_sup(f: SimpleElement, mu: PreCosheaf) -> Fraction:

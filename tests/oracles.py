@@ -6,7 +6,8 @@ ball, the semivariation as an explicit sup over partitions, the
 projective tensor norm as an LP over representations, operator norms
 over the vertices of the source ball, the Lipschitz norm and the lift
 of a measure on every element, a cosheaf projection solved from its
-binary split, the spectral laws on every pair of elements, isometry of
+binary split, the spectral laws on every pair of elements, the action
+of a simple element as a sum of scaled atom projections, isometry of
 a witness by two operator norms, path independence by enumerating
 every path, an Isbell annihilator solved from all its killers at once,
 the containment check of an Isbell conjugate's structure maps over
@@ -232,6 +233,17 @@ def spectral_laws_by_pairs(spec) -> bool:
             if e & f == 0 and p[e].add(p[f]).rows != p[e | f].rows:
                 return False
     return True
+
+
+def action_by_scaled_sums(spec, f) -> LinMap:
+    """`SpectralData.action(f)` as the scale-and-add loop: the zero map
+    plus f(a) P_a for each atom a with f(a) != 0, one `scale` and one
+    `add` each, in atom order."""
+    out = LinMap.zero(spec.carrier, spec.carrier)
+    for k, p in zip(f.coeffs, spec.atom_projections):
+        if k:
+            out = out.add(p.scale(k))
+    return out
 
 
 def isometric_monomial_by_fractions(entries, source_weights, target_weights,

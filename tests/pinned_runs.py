@@ -19,10 +19,13 @@ commit, whether the tree differed from it, the Python version and the
 CPU count.
 
 The runner imports nothing from catmeas and hashes stdout in chunks
-(``spectral`` at 16 atoms writes 239 MB): on Linux a child inherits its
-parent's high-water mark at exec, so a large runner would raise every
-peak it reads.  Each child is reaped with ``os.wait4``, whose
-``ru_maxrss`` is that child's own peak, in KB on Linux.
+(``spectral`` at 16 atoms writes 239 MB).  On Linux a child inherits its
+parent's high-water mark at exec, so a large parent would raise every
+peak it reads: a test that calls `run` from a pytest process of 68 MB
+read 68 MB for a run whose own peak is 19 MB.  So each run is the child
+of `LAUNCHER`, a small Python process that the runner starts: it reaps
+the run with ``os.wait4``, whose ``ru_maxrss`` is then the run's own
+peak (in KB on Linux), and hands it back on a pipe.
 """
 
 from __future__ import annotations
@@ -63,25 +66,27 @@ class Result(NamedTuple):
 
 
 PINS = (
-    # the Isbell conjugates, bounded in memory up to 16 atoms
+    # the Isbell conjugates, bounded in memory up to 16 atoms, about 1.5
+    # times the peaks of BENCH_scaling.json (as is spectral at 16 atoms)
     Pin("isbell", 12, 2,
-        "b2c67479101c5ca4255829dc3a2296b56c33b630b6c5968e9490cafa6f0a3618", 300),
+        "b2c67479101c5ca4255829dc3a2296b56c33b630b6c5968e9490cafa6f0a3618", 34),
     Pin("isbell", 14, 2,
-        "023e9f04a2c13e353d9356d117c265b3302369e5911094bc198bd0e872a5f4b0", 300),
+        "023e9f04a2c13e353d9356d117c265b3302369e5911094bc198bd0e872a5f4b0", 60),
     Pin("isbell", 16, 2,
-        "b5cce9b0699638fd14ec3992ac206bfef8501876b2212598b227315957161567", 250),
+        "b5cce9b0699638fd14ec3992ac206bfef8501876b2212598b227315957161567", 162),
     # the condition checks, exhaustive at 9 atoms; cosheafify and bva reach
     # the isometry checks on constructions other than the l1 cosheaf;
     # spectral and integrate-morphism read atom projections; the bench
     # models' block sums are decided on their layout, bounded at 16 atoms
+    # by 64 MB
     Pin("check-cosheaf", 14, 2,
         "a5e8eec321705503c0d4755f5982de04718d3212e39a41b639a179b102817a18", None),
     Pin("check-cosheaf", 16, 2,
-        "a5e8eec321705503c0d4755f5982de04718d3212e39a41b639a179b102817a18", 128),
+        "a5e8eec321705503c0d4755f5982de04718d3212e39a41b639a179b102817a18", 64),
     Pin("check-sheaf", 14, 2,
         "daca12a870d2d656c62aa339ca981b6c6e27cd4c585e5982797f3485aab8b839", None),
     Pin("check-sheaf", 16, 2,
-        "daca12a870d2d656c62aa339ca981b6c6e27cd4c585e5982797f3485aab8b839", 128),
+        "daca12a870d2d656c62aa339ca981b6c6e27cd4c585e5982797f3485aab8b839", 64),
     Pin("verify-all", 12, 2,
         "7dc64dd206920ff08caf63272e0fdd398edaab5627ad9f2fbd70c5d82bd6639d", None),
     Pin("cosheafify", 12, 2,
@@ -110,7 +115,7 @@ PINS = (
     Pin("bva", 12, 2,
         "99ecc222e4891981d30b7e0a005a3656b97274bd8ba7c98a498702331bcac1d7", None),
     Pin("bva", 16, 2,
-        "3dab8ab039671102834d47857b8fd778240e53570f6afe41fff615c3e9f2368d", 150),
+        "3dab8ab039671102834d47857b8fd778240e53570f6afe41fff615c3e9f2368d", 64),
     Pin("check-cosheaf --exhaustive", 9, 2,
         "0b10f767cbfd70ea522bf92b137e8886b50c8aa9c3b871d1e59a7ea1f53399b3", None),
     Pin("check-sheaf --exhaustive", 9, 2,
@@ -121,7 +126,7 @@ PINS = (
     Pin("spectral", 14, 2,
         "801cb44eddb6ee97d380e15fe2d34446aca0e68e8d42f6a1943c961bb1f25d6d", 100),
     Pin("spectral", 16, 2,
-        "02b5cd60e79d6eb2fac950df30f6bfbc9bbfc84339aa06763ae5336f8502d167", 400),
+        "02b5cd60e79d6eb2fac950df30f6bfbc9bbfc84339aa06763ae5336f8502d167", 153),
     # the text format goes through the same streamed writer
     Pin("spectral", 14, 2,
         "d6430f3ee46196e1e485ce45cb7804a1e183c54610ec123c296221473c548f01", 100, "text"),
@@ -130,7 +135,7 @@ PINS = (
     Pin("integrate-morphism", 14, 2,
         "2660f0a4a4a9d347923de5bccac0b3077d758cde277fc140eb00b87b78cca4a5", None),
     Pin("integrate-morphism", 16, 2,
-        "31082cf47f14b950f9e6e3086659ae3c72b2c9e451364ed4eed8fbbb19842d48", 128),
+        "31082cf47f14b950f9e6e3086659ae3c72b2c9e451364ed4eed8fbbb19842d48", 64),
     # every partition of the top, in enumeration order, as block labels
     Pin("partitions", 9, 2,
         "1f9eb90e3604217d5bd7bd830cd0c8059b0e5f1f644565499c58ca554ff8fb06", None),
@@ -146,23 +151,37 @@ PINS = (
 )
 
 
+# `python -c LAUNCHER FD ARGS...` runs `python ARGS...` as its child,
+# writes the child's peak RSS (KB) to the pipe FD and exits with its code
+LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[2:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]), b"%d" % usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def run(command: str, fmt: str, model: Path) -> Result:
-    """One CLI run in a fresh process, its stdout hashed as it arrives."""
+    """One CLI run in a fresh process, started by `LAUNCHER`, its stdout
+    hashed as it arrives."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     start = time.perf_counter()
     digest, size = hashlib.sha256(), 0
-    with subprocess.Popen([sys.executable, "-m", "catmeas.cli", *command.split(),
+    peak_r, peak_w = os.pipe()
+    with subprocess.Popen([sys.executable, "-c", LAUNCHER, str(peak_w),
+                           "-m", "catmeas.cli", *command.split(),
                            "--model", str(model), "--seed", "1", "--format", fmt],
-                          stdout=subprocess.PIPE, env=env) as child:
+                          stdout=subprocess.PIPE, env=env, pass_fds=(peak_w,)) as child:
+        os.close(peak_w)
         for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
             digest.update(chunk)
             size += len(chunk)
-        _, status, usage = os.wait4(child.pid, 0)
-        # reaped here, so the Popen must not wait for the pid again
-        child.returncode = os.waitstatus_to_exitcode(status)
-    return Result(child.returncode, usage.ru_maxrss / 1024, size,
-                  time.perf_counter() - start, digest.hexdigest())
+        code = child.wait()
+    with os.fdopen(peak_r, "rb") as peak:
+        peak_kb = int(peak.read())
+    return Result(code, peak_kb / 1024, size, time.perf_counter() - start, digest.hexdigest())
 
 
 def write_pin_model(out_dir: str, pin: Pin) -> Path:

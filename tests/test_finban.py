@@ -23,7 +23,8 @@ from catmeas.finban import (BifunctorData, EndResult, FinBanSpace, FinPoset, Fla
                             is_isometric_iso, operator_norm, projective_tensor, quotient,
                             scalars, sum_space, sup_space, vec, zero_space)
 from catmeas.measures import MeasureAlgebra, VectorMeasure
-from catmeas.shcosh import HomSolution, PreCosheaf, PreSheaf, Verdict, _BlockLayout
+from catmeas.shcosh import (HomSolution, LawCheck, PreCosheaf, PreSheaf, Verdict,
+                            _BlockLayout)
 from catmeas.simple import VectorSimpleElement, bochner, characteristic, fubini
 
 from oracles import (coend_relations_by_basis_vectors, contractive_both_ways,
@@ -613,6 +614,8 @@ VALUE_CLASSES = [
     (Verdict, lambda: {"ok": False, "failing_element": 3, "failing_blocks": (1, 2),
                        "reason": "r"},
      {"ok": True, "failing_element": 1, "failing_blocks": (3,), "reason": "s"}, None),
+    (LawCheck, lambda: {"law": "P_a P_a = P_a", "at": "a", "row": 1},
+     {"law": "sum_a P_a = I", "at": "b", "row": 2}, None),
     (HomSolution, lambda: {"dim": 1, "basis": ((F(1),),), "offsets": {0: 0},
                            "shapes": {0: (1, 1)}},
      {"dim": 2, "basis": ((F(2),),), "offsets": {0: 1}, "shapes": {0: (1, 2)}}, None),
@@ -665,7 +668,7 @@ def _frozen_instances():
             IsoWitness.from_permutation(s, s, [0]), diag, projective_tensor(s, s),
             quotient(sum_space(["x", "y"]), [[F(1), F(-1)]]), FinPoset.chain(["p", "q"]),
             EndResult(FinPoset.discrete(["p"]), diag, diag.space, (), LinMap.identity(s)),
-            mu.mu, mu, Verdict(True), characteristic(omega, 1), f, bochner(f, mu),
+            mu.mu, mu, Verdict(True), LawCheck(), characteristic(omega, 1), f, bochner(f, mu),
             fubini(characteristic(cop.algebra, 1), cop, mu, mu)]
 
 
@@ -675,7 +678,7 @@ def test_frozen_classes_refuse_assignment_and_fill_cached_properties():
     its cached properties."""
     assert issubclass(FrozenInstanceError, AttributeError)
     instances = _frozen_instances()
-    assert len({type(x) for x in instances}) == len(instances) == 21
+    assert len({type(x) for x in instances}) == len(instances) == 22
     for x in instances:
         field = next(iter(vars(x)))
         for name in (field, "extra"):

@@ -38,9 +38,9 @@ from catmeas.shcosh import (bva_cosheaf,
                             zero_precosheaf)
 from catmeas.simple import SimpleElement, characteristic, linf_norm, multiply
 
-from oracles import (annihilator_by_killers, binary_splits_by_seen_set, block_sum_cases,
-                     characteristic_sheaf_eager, containment_by_all_submasks,
-                     from_atom_spaces_eager, indicator_eager,
+from oracles import (action_by_scaled_sums, annihilator_by_killers, binary_splits_by_seen_set,
+                     block_sum_cases, characteristic_sheaf_eager, containment_by_all_submasks,
+                     from_atom_spaces_eager, indicator_eager, mat_mul,
                      partition_condition_by_built_maps,
                      random_cosheaf_by_composition, random_scaled_precosheaf, rank,
                      spectral_laws_by_pairs, split_is_isometric_iso, split_projection)
@@ -174,9 +174,10 @@ def damped_above(mu, e):
     return make_precosheaf(omega, spaces, cover_maps)
 
 
-def dual_presheaf(mu):
+def dual_presheaf(mu, contractive=True):
     """Transposed maps between the dual spaces (SUP, inverse weights);
-    its cones are the transposed partition maps of mu."""
+    its cones are the transposed partition maps of mu.  Checked
+    contractive when mu is to be."""
     omega = mu.algebra
     spaces = {}
     for g in omega.elements():
@@ -187,7 +188,7 @@ def dual_presheaf(mu):
     for (small, big), m in mu.cover_maps.items():
         rows = tuple(tuple(row[j] for row in m.matrix) for j in range(m.source.dim))
         cover_maps[(small, big)] = LinMap.from_matrix(spaces[big], spaces[small], rows)
-    return make_presheaf(omega, spaces, cover_maps)
+    return make_presheaf(omega, spaces, cover_maps, contractive)
 
 
 @functools.lru_cache(maxsize=None)
@@ -908,32 +909,170 @@ def test_spectral_action_is_isometric_algebra_map(monkeypatch):
     assert "projections" in vars(spec)
 
 
-def test_reduced_spectral_laws_match_the_exhaustive_check():
-    """The atom laws (sum P_a = I, P_a P_a = P_a) against every pair of
-    elements of the table built from them, on 1 to 5 atoms; a spectral
-    datum whose atom projection P_a was replaced by another atom's, or by
-    zero, fails both, and so does one whose P_a and P_b were replaced by
-    2 P_a and P_b - P_a, which still sum to I."""
+def test_row_pass_action_matches_the_scaled_sums():
+    """`SpectralData.action`, one pass over the carrier rows, equals the
+    scale-and-add loop `action_by_scaled_sums` on 1 to 4 atoms: the l1
+    cosheaf, with a null atom too (its P_a is zero), `random_cosheaf`,
+    the zero cosheaf (a zero carrier), the rotated blocked cosheaf and
+    data whose random dense P_a share rows, so that rows have several
+    terms, for coefficients random, zero off a random support, and all
+    zero."""
+    rng = random.Random(109)
+    specs = [spectral_measure(dict(blocked_cases())["blocked/rotated_cosheaf"])]
+    for n in range(1, 5):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        null = MeasureAlgebra.from_values(omega, [F(0)] + [F(k + 1, 2) for k in range(n - 1)])
+        specs += [spectral_measure(mu) for mu in (
+            l1_cosheaf(positive_measure(omega)), l1_cosheaf(null),
+            random_cosheaf(rng, omega), zero_precosheaf(omega))]
+        carrier = sum_space(["u", "v", "w"])
+        specs.append(SpectralData(zero_precosheaf(omega), carrier, tuple(
+            LinMap.from_matrix(carrier, carrier, [[F(rng.randint(-2, 2), rng.randint(1, 3))
+                                                   for _ in range(3)] for _ in range(3)])
+            for _ in range(n))))
+    shapes = set()
+    for spec in specs:
+        omega = spec.cosheaf.algebra
+        for f in ([rnd_simple(rng, omega) for _ in range(3)]
+                  + [rnd_simple(rng, omega, support=rng.randrange(omega.top + 1)),
+                     SimpleElement(omega, (F(0),) * omega.n)]):
+            got = spec.action(f)
+            assert got == action_by_scaled_sums(spec, f), (omega.n, f.coeffs)
+            assert (got.source, got.target) == (spec.carrier, spec.carrier)
+        shapes.add(max(map(len, spec._row_terms), default=0))
+    assert {0, 1, 2, 4} <= shapes
+
+
+def perturbed_spectral_data():
+    """(spec, bads) on 1 to 5 atoms, random and l1 cosheaves: for one atom
+    i and each j, bads holds spec with P_a (a = 1 << i) replaced by P_b
+    (b = 1 << j) or, for j = i, by zero, and spec with P_a and P_b
+    replaced by 2 P_a and P_b - P_a, which still sum to I."""
     rng = random.Random(71)
-    perturbed = 0
     for k in range(10):
         n = 1 + k % 5
         omega = alg(*(f"x{i}" for i in range(n)))
         mu = random_cosheaf(rng, omega) if k < 5 else l1_cosheaf(positive_measure(omega, rng))
         spec = spectral_measure(mu)
-        assert spec.satisfies_laws() and spectral_laws_by_pairs(spec)
         i = rng.randrange(n)
+        bads = []
         for j in range(n):
             atoms = list(spec.atom_projections)
             atoms[i] = atoms[j] if j != i else LinMap.zero(spec.carrier, spec.carrier)
             moved = list(spec.atom_projections)
             moved[i], moved[j] = moved[i].scale(F(2)), moved[j].add(moved[i].scale(F(-1)))
-            for bad_atoms in ([atoms, moved] if j != i else [atoms]):
-                bad = SpectralData(mu, spec.carrier, tuple(bad_atoms))
-                assert not bad.satisfies_laws()
-                assert not spectral_laws_by_pairs(bad)
-                perturbed += 1
+            bads += [atoms, moved] if j != i else [atoms]
+        yield spec, [SpectralData(mu, spec.carrier, tuple(b)) for b in bads]
+
+
+def test_reduced_spectral_laws_match_the_exhaustive_check():
+    """The atom laws (sum P_a = I, P_a P_a = P_a) against every pair of
+    elements of the table built from them, on 1 to 5 atoms; every
+    `perturbed_spectral_data` copy fails both."""
+    perturbed = 0
+    for spec, bads in perturbed_spectral_data():
+        assert spec.satisfies_laws() and spectral_laws_by_pairs(spec)
+        for bad in bads:
+            assert not bad.satisfies_laws()
+            assert not spectral_laws_by_pairs(bad)
+            perturbed += 1
     assert perturbed == 2 * sum(range(1, 6)) + 2 * sum(range(5))
+
+
+def first_unequal_row(left, right):
+    """The first index where two lists of dense rows differ, or None."""
+    return next((r for r, (a, b) in enumerate(zip(left, right)) if list(a) != list(b)), None)
+
+
+def law_check_by_matrices(spec):
+    """What `satisfies_laws` answers, on dense matrices: the first atom
+    whose P_a P_a differs from P_a, at its first such row, or else the
+    first row where sum_a P_a differs from I."""
+    for a, p in zip(spec.cosheaf.algebra.atoms, spec.atom_projections):
+        row = first_unequal_row(mat_mul(p.matrix, p.matrix), p.matrix)
+        if row is not None:
+            return shcosh.LawCheck("P_a P_a = P_a", a, row)
+    dim = spec.carrier.dim
+    total = [[sum((p.matrix[r][c] for p in spec.atom_projections), F(0)) for c in range(dim)]
+             for r in range(dim)]
+    row = first_unequal_row(total, [[F(int(r == c)) for c in range(dim)] for r in range(dim)])
+    return shcosh.LawCheck() if row is None else shcosh.LawCheck("sum_a P_a = I", "", row)
+
+
+def test_spectral_self_checks_name_their_witness():
+    """On `perturbed_spectral_data` each self-check is falsy exactly when
+    it fails, and its witness is the one found on dense matrices: the
+    law, the atom (or the sum) and the first row for `satisfies_laws`;
+    the first sample pair f_i * f_j in order and the first row where
+    act(f_i) act(f_j) and act(f_i f_j) differ for
+    `action_is_algebra_map`; both sides for `action_norm_matches`.  A
+    passing check equals `LawCheck()`, with no witness."""
+    rng = random.Random(113)
+    failed = {"laws": 0, "algebra": 0, "norm": 0}
+    for spec, bads in perturbed_spectral_data():
+        omega = spec.cosheaf.algebra
+        samples = [rnd_simple(rng, omega) for _ in range(3)]
+        assert spec.satisfies_laws() == shcosh.LawCheck()
+        assert spec.action_is_algebra_map(samples) == shcosh.LawCheck()
+        for bad in bads:
+            got = bad.satisfies_laws()
+            assert got == law_check_by_matrices(bad) and not got
+            assert got.detail == {"law": got.law, "at": got.at, "row": got.row}
+            failed["laws"] += 1
+            acts = [action_by_scaled_sums(bad, f).matrix for f in samples]
+            want = shcosh.LawCheck()
+            for i, j in itertools.product(range(len(samples)), repeat=2):
+                product = action_by_scaled_sums(bad, multiply(samples[i], samples[j])).matrix
+                row = first_unequal_row(mat_mul(acts[i], acts[j]), product)
+                if row is not None:
+                    want = shcosh.LawCheck("act(f) act(g) = act(fg)", f"f{i} * f{j}", row)
+                    break
+            assert bad.action_is_algebra_map(samples) == want
+            failed["algebra"] += not want
+            f = samples[0]
+            norm = operator_norm(action_by_scaled_sums(bad, f))
+            sup = essential_sup(f, bad.cosheaf)
+            assert bad.action_norm_matches(f) == (
+                shcosh.LawCheck() if norm == sup
+                else shcosh.LawCheck("|act(f)| = ess sup |f|", f"{norm} != {sup}"))
+            failed["norm"] += norm != sup
+    assert failed == {"laws": 50, "algebra": 40, "norm": 26}
+
+
+def test_spectral_reports_carry_the_witness_of_a_failure(monkeypatch):
+    """`spectral` and `verify-all` record a self-check's verdict with its
+    witness as the detail only when it fails.  With every spectral datum's
+    P_a zeroed for the first atom, the laws of the reference model's
+    cosheaf (and of verify-all's random probe) fail on the sum and carry
+    the witness `law_check_by_matrices` finds; every passing verdict, there
+    and on the true data, has no detail."""
+    model = cli.parse_model(str(MODELS / "reference.json"))
+    real = shcosh.spectral_measure
+
+    def zeroed(mu):
+        spec = real(mu)
+        zero = LinMap.zero(spec.carrier, spec.carrier)
+        return SpectralData(mu, spec.carrier, (zero,) + spec.atom_projections[1:])
+
+    want = law_check_by_matrices(zeroed(model.cosheaves["lambda"]())).detail
+    assert want["law"] == "sum_a P_a = I"
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(cli, "spectral_measure", zeroed)
+        for command in (cli.cmd_spectral, cli.cmd_verify_all):
+            report = cli.Report("spectral", 0, False)
+            command(model, report, random.Random(0), model.algebra.top, False)
+            verdicts = report.payload["verdicts"]
+            failing = {key for key, entry in verdicts.items() if not entry["ok"]}
+            laws = {key for key in verdicts if "spectral_laws" in key}
+            assert laws and failing == (laws if patched else set()), command
+            for key, entry in verdicts.items():
+                if key == "spectral_laws[lambda]" and patched:
+                    assert entry == {"ok": False, "detail": want}
+                elif key in failing:
+                    assert entry["detail"]["law"] == "sum_a P_a = I", key
+                else:
+                    assert entry == {"ok": True}, key
 
 
 def test_cosheaf_check_on_a_random_cosheaf_makes_no_rref_inversion(monkeypatch):
@@ -1950,25 +2089,138 @@ def test_library_readers_keep_none_of_a_block_sums_maps():
     assert not theta._walks and not nu._walks and not c.cosheaf._walks
 
 
-def test_exhaustive_check_of_a_block_sum_decides_every_partition(monkeypatch):
-    """A block sum's check decides no split, and under `exhaustive` it
-    decides every partition of two or more blocks of every element, once,
-    on its legs."""
+def test_exhaustive_check_decides_every_partition_reading_each_leg_once(monkeypatch):
+    """A block sum's check decides no split.  Under `exhaustive`, on 4
+    atoms, every partition of two or more blocks of every element is
+    decided once, in enumeration order.  On spaces of one flavor without
+    groups each leg x(F, e) is reduced to its mask once per element, with
+    no `_isometric_split`, and a closed form's legs are walked once each;
+    on blocked SUP spaces each partition is one `_isometric_split` of its
+    legs."""
     omega = alg(*(f"x{i}" for i in range(4)))
-    decide, seen = shcosh._isometric_split, []
+    want = [(e, p) for e in omega.nonzero_elements() for p in partitions_of(omega, e)
+            if len(p) >= 2]
+    pairs = {(f, e) for e, p in want for f in p}
+    fibers = [FinBanSpace((f"x{i}0", f"x{i}1"), (F(1), F(i + 1)), Flavor.SUP,
+                          ((0, 1),) if i % 2 else None) for i in range(4)]
+    for x in (l1_cosheaf(positive_measure(omega)), characteristic_sheaf(omega, 0b1011),
+              random_cosheaf(random.Random(5), omega),
+              dual_presheaf(random_cosheaf(random.Random(6), omega)),
+              blocked_product_presheaf(omega, fibers)):
+        blocked = any(s.groups for s in x.spaces.values())
+        decided, walks, splits, legs = [], [], [], []
+        decider, walk, split, leg = (shcosh._split_decider, shcosh._walk,
+                                     shcosh._isometric_split, shcosh._isometric_leg)
 
-    def recording(legs, stacked=False):
-        seen.append(len(legs))
-        return decide(legs, stacked)
+        def deciding(y, e, by_legs):
+            decide = decider(y, e, by_legs)
+            return lambda blocks: decided.append((e, blocks)) or decide(blocks)
 
-    monkeypatch.setattr(shcosh, "_isometric_split", recording)
-    want = sorted(len(p) for e in omega.nonzero_elements()
-                  for p in partitions_of(omega, e) if len(p) >= 2)
-    for x in (l1_cosheaf(positive_measure(omega)), characteristic_sheaf(omega, 0b1011)):
+        monkeypatch.setattr(shcosh, "_split_decider", deciding)
+        monkeypatch.setattr(shcosh, "_walk", lambda y, small, big: (
+            walks.append((small, big)) if y is x else None) or walk(y, small, big))
+        monkeypatch.setattr(shcosh, "_isometric_split", lambda legs_, stacked=False: (
+            splits.append(len(legs_)) or split(legs_, stacked)))
+        monkeypatch.setattr(shcosh, "_isometric_leg", lambda m, stacked=False: (
+            legs.append(m) or leg(m, stacked)))
         check = is_cosheaf if x.covariant else is_sheaf
-        assert check(x) and not seen
-        assert check(x, exhaustive=True) and sorted(seen) == want
-        seen.clear()
+        if x.layout is not None:
+            assert check(x) and not decided and not walks and not splits
+        assert check(x, exhaustive=True)
+        assert decided == want
+        if blocked:
+            assert sorted(splits) == sorted(len(p) for _, p in want) and not legs
+        else:
+            assert len(legs) == len(pairs) and not splits
+            # an assembled input's walk recurses along its chain
+            assert sorted(walks) == sorted(pairs) or not callable(x.maps)
+        monkeypatch.undo()
+
+
+def corrupted(x, label):
+    """(label, y) for x and copies of it, each corrupted in one value,
+    assembled again (checked functorial, not contractive): its value at
+    the lowest element of two or more atoms with its first weight
+    doubled, and, when the top value has two coordinates or more, every
+    map into top followed by a map T of the top value (so still
+    functorial) that doubles row 0 (a weight off), folds coordinate 1
+    onto 0 (two legs share row 0, or one leg has two nonzeros there) or
+    mixes rows 0 and 1 by (u, v) |-> ((u + v)/2, (u - v)/2) (legs with a
+    column of two nonzeros, not monomial); and the top value with a
+    coordinate appended that no map into it hits (legs that pass, with
+    disjoint masks, which do not cover it).  The presheaf duals turn rows
+    into columns."""
+    omega, top = x.algebra, x.algebra.top
+    make = make_precosheaf if x.covariant else make_presheaf
+    yield label, x
+    e = next((g for g in omega.nonzero_elements() if g & (g - 1) and x.space(g).dim), None)
+    if e is not None:
+        s = x.space(e)
+        spaces = {**x.spaces, e: FinBanSpace(s.basis, (2 * s.weights[0],) + s.weights[1:],
+                                              s.flavor)}
+        yield f"{label}/weight_at_{e}", make(omega, spaces, {
+            pair: LinMap(*(spaces[g] for g in shcosh._arrow(x, *pair)), m.rows)
+            for pair, m in x.cover_maps.items()}, contractive=False)
+    if not x.covariant:
+        return
+    s = x.space(top)
+    spaces = {**x.spaces, top: FinBanSpace(s.basis + ("pad",), s.weights + (F(1),), s.flavor)}
+    y = make(omega, spaces, {(small, big): LinMap(m.source, spaces[big], m.rows + ((),))
+                             if big == top else m for (small, big), m in x.cover_maps.items()})
+    yield f"{label}/padded", y
+    yield f"dual/{label}/padded", dual_presheaf(y)
+    d = s.dim
+    if d < 2:
+        return
+    half, eye = F(1, 2), finban._identity_rows(d)
+    for name, head in (("doubled", (((0, F(2)),), eye[1])),
+                       ("folded", (((0, F(1)), (1, F(1))), ())),
+                       ("mixed", (((0, half), (1, half)), ((0, half), (1, -half))))):
+        t = LinMap(x.space(top), x.space(top), head + eye[2:])
+        y = make(omega, x.spaces, {(small, big): t @ m if big == top else m
+                                   for (small, big), m in x.cover_maps.items()},
+                 contractive=False)
+        yield f"{label}/{name}", y
+        yield f"dual/{label}/{name}", dual_presheaf(y, contractive=False)
+
+
+def test_exhaustive_leg_masks_match_the_built_maps():
+    """`is_cosheaf`/`is_sheaf(x, exhaustive=True)` gives the verdict of
+    `partition_condition_by_built_maps`, ok, element, blocks and reason,
+    on 1 to 5 atoms: block sums with values of dim 0 to 2, l1 and
+    characteristic ones, random cosheaves, their duals and `corrupted`
+    copies (on 5 atoms of the random cosheaf only), all decided by leg
+    masks; and mixed SUM/SUP fibers and blocked SUP spaces, which take the
+    per-partition fallback."""
+    rng = random.Random(107)
+    cases = [("mixed_flavors", dict(precosheaf_cases())["mixed_flavors"]), *blocked_cases()]
+    for n in range(1, 6):
+        omega = alg(*(f"x{i}" for i in range(n)))
+        for label, x in (("atom_spaces", from_atom_spaces(omega, random_atom_spaces(rng, omega))),
+                         ("random", random_cosheaf(rng, omega)),
+                         ("l1", l1_cosheaf(positive_measure(omega))),
+                         ("characteristic",
+                          characteristic_sheaf(omega, rng.randrange(omega.top + 1)))):
+            # on 5 atoms only the random cosheaf is corrupted, for time
+            cases += corrupted(x, f"{label}/{n}") if n < 5 or label == "random" else [
+                (f"{label}/{n}", x)]
+            if x.covariant:
+                cases.append((f"dual/{label}/{n}", dual_presheaf(x)))
+    seen = set()
+    for label, x in cases:
+        got = outcome(is_cosheaf if x.covariant else is_sheaf, x, exhaustive=True)
+        assert got == outcome(partition_condition_by_built_maps, x), label
+        plain = len({s.flavor for s in x.spaces.values()}) == 1 and not any(
+            s.groups for s in x.spaces.values())
+        seen.add((label.split("/")[-1] if "/" in label else label, plain, x.covariant, got.ok))
+    kinds = {(kind, ok) for kind, plain, _, ok in seen if plain}
+    assert {(k, False) for k in ("doubled", "folded", "mixed", "padded")} <= kinds
+    assert any(kind.startswith("weight_at") and not ok for kind, ok in kinds)
+    assert {(covariant, ok) for _, plain, covariant, ok in seen if plain} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    assert {(covariant, ok) for _, plain, covariant, ok in seen if not plain} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    assert any(x.space(1 << i).dim == 0 for _, x in cases for i in range(x.algebra.n))
 
 
 def test_block_sum_conjugates_skip_the_root_bases(monkeypatch):
